@@ -1,11 +1,11 @@
 //! Per-sweep memoization of the expensive retiming passes, hardened
 //! against runaway solves, worker panics, and cache corruption.
 //!
-//! Every trade-off point needs three `O(V^3)` passes over the unfolded
+//! Every trade-off point needs three retiming passes over the unfolded
 //! graph (period search, span minimization, register compaction), each of
 //! which — in the straightforward [`crate::sweep`] path — recomputes the
-//! same Floyd–Warshall W/D matrices from scratch. The cache layer fixes
-//! both redundancies:
+//! same W/D matrices from scratch (one delay-layer sweep per node, see
+//! [`WdMatrices::compute`]). The cache layer fixes both redundancies:
 //!
 //! * within one factor, the W/D matrices are computed **once** and shared
 //!   across all three passes (the `*_with` entry points in `cred-retime`);
@@ -118,11 +118,11 @@ impl PlanSource {
 ///
 /// This is the uncached fast path; [`SweepCache::plan`] wraps it with
 /// memoization. It yields plans identical to [`crate::sweep`]'s per-point
-/// pipeline while doing strictly less work: Floyd–Warshall runs once
-/// instead of three times, and one [`RetimeSolver`] carries its CSR graph
-/// and warm-start state from the period search straight into the span
-/// minimization — the span pass starts from the search's final feasible
-/// fixpoint instead of re-solving the period system.
+/// pipeline while doing strictly less work: the W/D matrices are computed
+/// once instead of three times, and one [`RetimeSolver`] carries its CSR
+/// graph and warm-start state from the period search straight into the
+/// span minimization — the span pass starts from the search's final
+/// feasible fixpoint instead of re-solving the period system.
 pub fn compute_plan(g: &Dfg, f: usize) -> FactorPlan {
     match plan_fast(g, f, &Budget::unlimited()) {
         Ok(plan) => plan,

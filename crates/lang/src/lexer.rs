@@ -56,13 +56,33 @@ impl fmt::Display for Token {
 pub struct LexError {
     /// 1-based line number.
     pub line: u32,
-    /// Offending character.
-    pub ch: char,
+    /// What is wrong on that line.
+    pub kind: LexErrorKind,
+}
+
+/// The ways tokenization fails.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LexErrorKind {
+    /// A character that starts no token.
+    UnexpectedChar(char),
+    /// An integer literal above `i64::MAX`.
+    IntegerOverflow,
+}
+
+impl fmt::Display for LexErrorKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LexErrorKind::UnexpectedChar(ch) => write!(f, "unexpected character '{ch}'"),
+            LexErrorKind::IntegerOverflow => {
+                write!(f, "integer literal larger than {}", i64::MAX)
+            }
+        }
+    }
 }
 
 impl fmt::Display for LexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: unexpected character '{}'", self.line, self.ch)
+        write!(f, "line {}: {}", self.line, self.kind)
     }
 }
 
@@ -92,7 +112,10 @@ pub fn tokenize(src: &str) -> Result<Vec<(Token, u32)>, LexError> {
                         }
                     }
                 } else {
-                    return Err(LexError { line, ch: '/' });
+                    return Err(LexError {
+                        line,
+                        kind: LexErrorKind::UnexpectedChar('/'),
+                    });
                 }
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
@@ -108,15 +131,19 @@ pub fn tokenize(src: &str) -> Result<Vec<(Token, u32)>, LexError> {
                 out.push((Token::Ident(s), line));
             }
             c if c.is_ascii_digit() => {
-                let mut n: i64 = 0;
+                let mut n = Some(0i64);
                 while let Some(&c) = chars.peek() {
                     if let Some(d) = c.to_digit(10) {
-                        n = n * 10 + d as i64;
+                        n = n.and_then(|n| n.checked_mul(10)?.checked_add(d as i64));
                         chars.next();
                     } else {
                         break;
                     }
                 }
+                let n = n.ok_or(LexError {
+                    line,
+                    kind: LexErrorKind::IntegerOverflow,
+                })?;
                 out.push((Token::Int(n), line));
             }
             _ => {
@@ -132,7 +159,12 @@ pub fn tokenize(src: &str) -> Result<Vec<(Token, u32)>, LexError> {
                     '*' => Token::Star,
                     ';' => Token::Semi,
                     '@' => Token::At,
-                    ch => return Err(LexError { line, ch }),
+                    ch => {
+                        return Err(LexError {
+                            line,
+                            kind: LexErrorKind::UnexpectedChar(ch),
+                        })
+                    }
                 };
                 out.push((tok, line));
             }
@@ -188,8 +220,16 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         let err = tokenize("A[i] = ?;").unwrap_err();
-        assert_eq!(err.ch, '?');
+        assert_eq!(err.kind, LexErrorKind::UnexpectedChar('?'));
         assert_eq!(err.line, 1);
+    }
+
+    #[test]
+    fn integer_literals_up_to_i64_max() {
+        assert_eq!(toks("9223372036854775807"), vec![Token::Int(i64::MAX)]);
+        let err = tokenize("\n9223372036854775808").unwrap_err();
+        assert_eq!(err.kind, LexErrorKind::IntegerOverflow);
+        assert_eq!(err.line, 2);
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod parser;
 mod unparse;
 
 pub use ast::{Expr, LoopKernel, Ref, Stmt, Term};
-pub use lexer::{LexError, Token};
+pub use lexer::{LexError, LexErrorKind, Token};
 pub use lower::{lower, LowerError};
 pub use parser::{parse_kernel, ParseError};
 pub use unparse::unparse;

@@ -92,6 +92,16 @@ impl Parser {
         }
     }
 
+    /// An integer literal that fits a `u32`, as delays and computation
+    /// times must; `what` names it in the error.
+    fn expect_u32(&mut self, what: &str) -> Result<u32, ParseError> {
+        let n = self.expect_int()?;
+        u32::try_from(n).map_err(|_| ParseError {
+            line: self.toks[self.pos - 1].1,
+            message: format!("{what} {n} out of range (at most {})", u32::MAX),
+        })
+    }
+
     /// `Ident "[" "i" ("-" Int)? "]"` after the identifier was consumed.
     fn finish_ref(&mut self, name: String) -> Result<Ref, ParseError> {
         self.expect(&Token::LBracket)?;
@@ -101,11 +111,7 @@ impl Parser {
         }
         let delay = if self.peek() == Some(&Token::Minus) {
             self.next();
-            let d = self.expect_int()?;
-            if d < 0 {
-                return Err(self.err("negative delay"));
-            }
-            d as u32
+            self.expect_u32("delay")?
         } else if self.peek() == Some(&Token::Plus) {
             return Err(self.err("forward references 'Name[i+k]' are not allowed"));
         } else {
@@ -172,11 +178,11 @@ impl Parser {
         let expr = self.expr()?;
         let time = if self.peek() == Some(&Token::At) {
             self.next();
-            let t = self.expect_int()?;
+            let t = self.expect_u32("computation time")?;
             if t < 1 {
                 return Err(self.err("computation time must be >= 1"));
             }
-            t as u32
+            t
         } else {
             1
         };
@@ -215,7 +221,7 @@ impl Parser {
 pub fn parse_kernel(src: &str) -> Result<LoopKernel, ParseError> {
     let toks = tokenize(src).map_err(|e| ParseError {
         line: e.line,
-        message: e.to_string(),
+        message: e.kind.to_string(),
     })?;
     Parser { toks, pos: 0 }.kernel()
 }
@@ -298,6 +304,52 @@ mod tests {
     fn error_reports_line_numbers() {
         let e = parse_kernel("loop {\n A[i] = 1;\n B[i] = ;\n}").unwrap_err();
         assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn rejects_delay_literal_beyond_i64() {
+        let e =
+            parse_kernel("loop {\n A[i] = B[i-99999999999999999999];\n B[i] = 1;\n}").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("integer literal larger than"), "{e}");
+    }
+
+    #[test]
+    fn rejects_delay_beyond_u32() {
+        let e = parse_kernel("loop {\n B[i] = 1;\n A[i] = B[i-4294967297];\n}").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("delay 4294967297 out of range"), "{e}");
+    }
+
+    #[test]
+    fn rejects_time_beyond_u32() {
+        let e = parse_kernel("loop {\n A[i] = A[i-1] + 1 @4294967297;\n}").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(
+            e.message
+                .contains("computation time 4294967297 out of range"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn rejects_time_that_would_wrap_to_zero() {
+        // 2^32 once truncated to time 0, which lowering then misreported
+        // as a zero-delay dependence cycle.
+        let e = parse_kernel("loop { A[i] = A[i-1] + 1 @4294967296; }").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(
+            e.message
+                .contains("computation time 4294967296 out of range"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn accepts_u32_max_delay_and_time() {
+        let k = parse_kernel("loop { A[i] = A[i-4294967295] + 1 @4294967295; }").unwrap();
+        assert_eq!(k.stmts[0].expr.terms[0].refs[0].delay, u32::MAX);
+        assert_eq!(k.stmts[0].time, u32::MAX);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub fn min_span_retiming(g: &Dfg, c: u64) -> Option<Retiming> {
 }
 
 /// [`min_span_retiming`] with a precomputed W/D matrix, so callers running
-/// several retiming passes over the same graph pay for Floyd–Warshall once.
+/// several retiming passes over the same graph compute the matrices once.
 pub fn min_span_retiming_with(g: &Dfg, wd: &WdMatrices, c: u64) -> Option<Retiming> {
     crate::RetimeSolver::new(g, wd).min_span(c)
 }
