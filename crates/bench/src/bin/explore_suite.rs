@@ -1,6 +1,11 @@
 //! Batch exploration experiment: run [`cred_explore::suite::explore_suite`]
 //! over every bundled `.loop` kernel and time the serial reference sweep
-//! against the parallel, memoized engine on the two largest kernels.
+//! against the memoized engine on the two largest kernels.
+//!
+//! The engine is timed at 1 thread, which isolates the gain from sharing
+//! one W/D computation and one warm-started solver per factor, and then
+//! at 2, 4 and 8 threads only where the host has that many: a thread
+//! count above `available_parallelism` cannot show a real speedup.
 //!
 //! Prints one JSON document (the seed for `BENCH_explore.json`) to stdout,
 //! or to the file given with `--out <path>`.
@@ -17,7 +22,7 @@ use cred_explore::{suite, sweep_reference, ExploreRequest};
 
 const MAX_F: usize = 4;
 const N: u64 = 101;
-const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Wall-clock of the fastest of `reps` runs, in nanoseconds. Minimum (not
 /// mean) because the interesting quantity is the cost of the work itself,
@@ -33,12 +38,12 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> u128 {
         .expect("reps >= 1")
 }
 
-fn time_kernel(name: &str, g: &Dfg, reps: usize) -> String {
+fn time_kernel(name: &str, g: &Dfg, reps: usize, cores: usize) -> String {
     let serial = best_of(reps, || {
         std::hint::black_box(sweep_reference(g, MAX_F, N, DecMode::Bulk));
     });
-    let mut parallel = Vec::new();
-    for threads in THREAD_COUNTS {
+    let mut engine = Vec::new();
+    for threads in THREAD_COUNTS.into_iter().filter(|&t| t <= cores) {
         let ns = best_of(reps, || {
             std::hint::black_box(
                 ExploreRequest::new(g.clone())
@@ -49,15 +54,15 @@ fn time_kernel(name: &str, g: &Dfg, reps: usize) -> String {
                     .expect("unlimited sweep"),
             );
         });
-        parallel.push(format!(
+        engine.push(format!(
             "{{ \"threads\": {threads}, \"ns\": {ns}, \"speedup\": {:.3} }}",
             serial as f64 / ns as f64
         ));
     }
     format!(
         "    {{ \"name\": \"{name}\", \"max_f\": {MAX_F}, \"serial_ns\": {serial}, \
-         \"parallel\": [ {} ] }}",
-        parallel.join(", ")
+         \"engine\": [ {} ] }}",
+        engine.join(", ")
     )
 }
 
@@ -81,12 +86,12 @@ fn main() {
     // The batch sweep itself: every kernel, all factors, shared cache.
     let report = suite::explore_suite(&kernels, MAX_F, N, DecMode::Bulk, 8);
 
-    // Serial vs parallel timing on the two largest kernels.
+    // Reference vs engine timing on the two largest kernels.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let timed: Vec<String> = kernels
         .iter()
         .filter(|(name, _)| name == "elliptic" || name == "volterra")
-        .map(|(name, g)| time_kernel(name, g, 5))
+        .map(|(name, g)| time_kernel(name, g, 5, cores))
         .collect();
 
     let mut doc = String::new();

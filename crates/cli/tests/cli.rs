@@ -184,6 +184,15 @@ fn explore_frontier_and_register_cap() {
         &run(&["explore", &kernel, "--max-registers", "many"]),
         "bad number",
     );
+    // Every configuration needs a conditional register, so a budget of
+    // none is an answer, not a crash.
+    let out = run(&["explore", &kernel, "--registers", "0"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("no configuration fits 0 registers"),
+        "{stdout}"
+    );
 }
 
 #[test]

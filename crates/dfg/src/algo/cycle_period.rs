@@ -8,11 +8,11 @@
 use crate::{Dfg, NodeId};
 
 /// For every node `v`, the maximum total computation time of a zero-delay
-/// path *ending at* `v` (inclusive of `t(v)`). This is the `Delta(v)`
-/// quantity used by the FEAS retiming algorithm and by ASAP scheduling.
+/// path *ending at* `v` (inclusive of `t(v)`), the `Delta(v)` of
+/// Leiserson–Saxe.
 ///
 /// Returns `None` if the zero-delay subgraph is cyclic.
-pub fn zero_delay_longest_path_to(g: &Dfg) -> Option<Vec<u64>> {
+fn zero_delay_longest_path_to(g: &Dfg) -> Option<Vec<u64>> {
     let order = super::topo::zero_delay_topo_order(g)?;
     let mut delta = vec![0u64; g.node_count()];
     for &v in &order {

@@ -6,7 +6,7 @@ pub mod scc;
 pub mod topo;
 pub mod wd;
 
-pub use cycle_period::{cycle_period, zero_delay_longest_path_to};
+pub use cycle_period::cycle_period;
 pub use iteration_bound::iteration_bound;
 pub use scc::strongly_connected_components;
 pub use topo::zero_delay_topo_order;

@@ -1,25 +1,21 @@
-//! The redesigned exploration front door: one request, one response.
+//! The exploration front door: one request, one response.
 //!
-//! PRs 1–4 grew five sweep entry points (`sweep`, `sweep_cached`,
-//! `par_sweep`, `par_sweep_with`, `par_sweep_resilient`) plus the suite
-//! runner, each with a slightly different signature and failure story.
-//! [`ExploreRequest`] replaces them all: a builder holding the kernel,
-//! the sweep parameters ([`ExploreOptions`]), and the resource limits
-//! (deadline / work units / cancellation), evaluated by [`run`] or
-//! [`run_with`] into an [`ExploreResponse`] carrying the points, the
-//! four-axis non-dominated frontier, the per-factor outcome report, and
-//! cache statistics. The CLI, the suite runner, and the evaluation
-//! server (`cred-service`) all speak this API; the legacy functions
-//! survive only as `#[deprecated]` wrappers.
+//! [`ExploreRequest`] is a builder holding the kernel, the sweep
+//! parameters ([`ExploreOptions`]), and the resource limits (deadline /
+//! work units / cancellation), evaluated by [`run`] or [`run_with`] into
+//! an [`ExploreResponse`] carrying the points, the four-axis
+//! non-dominated frontier, the per-factor outcome report, and cache
+//! statistics. The CLI, the suite runner, and the evaluation server
+//! (`cred-service`) all speak this API.
 //!
 //! Results are bit-identical across every path: the engine underneath is
-//! the resilient sweep of PR 4, whose points are proven equal to the
-//! serial reference pipeline by differential tests.
+//! the budgeted, panic-isolating resilient sweep, whose points are proven
+//! equal to the serial reference pipeline ([`crate::sweep_reference`]) by
+//! differential tests.
 //!
 //! The wire helpers at the bottom ([`point_json`], [`exact_json`]) emit
-//! the schema v3 shapes; their `_v2` twins reproduce the v2 bytes for
-//! the service's compatibility path, so nothing outside this crate
-//! needs the deprecated flat point type.
+//! the schema v3 shapes shared by the suite report, the CLI, and the
+//! service.
 //!
 //! [`run`]: ExploreRequest::run
 //! [`run_with`]: ExploreRequest::run_with
@@ -570,58 +566,6 @@ pub fn point_json(p: &ParetoPoint) -> String {
     )
 }
 
-/// Serialize one point in the flat schema v2 shape, byte-identical to
-/// what v2 servers emitted. Only the service's v2 compatibility path
-/// should need this.
-pub fn point_json_v2(p: &ParetoPoint) -> String {
-    format!(
-        "{{ \"f\": {}, \"m_r\": {}, \"plain_size\": {}, \"cred_size\": {}, \
-         \"period\": {{ \"num\": {}, \"den\": {} }}, \"registers\": {} }}",
-        p.f,
-        p.m_r,
-        p.plain_size,
-        p.objectives.cred_size,
-        p.objectives.iteration_period.num(),
-        p.objectives.iteration_period.den(),
-        p.objectives.cond_registers
-    )
-}
-
-/// Render the `"points":[...],"pareto":[...]` fragment of a schema v2
-/// explore response, byte-identical to what v2 servers emitted: flat v2
-/// points, and the historical two-axis (CRED size, iteration period)
-/// frontier under the v2 key name.
-#[allow(deprecated)]
-pub fn wire_v2_points(resp: &ExploreResponse) -> String {
-    let flat: Vec<crate::TradeoffPoint> =
-        resp.points.iter().map(crate::TradeoffPoint::from).collect();
-    let two_axis = crate::pareto(&flat);
-    let fragment = |points: &[crate::TradeoffPoint]| {
-        points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{ \"f\": {}, \"m_r\": {}, \"plain_size\": {}, \"cred_size\": {}, \
-                     \"period\": {{ \"num\": {}, \"den\": {} }}, \"registers\": {} }}",
-                    p.f,
-                    p.m_r,
-                    p.plain_size,
-                    p.cred_size,
-                    p.iteration_period.num(),
-                    p.iteration_period.den(),
-                    p.registers
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!(
-        "\"points\":[{}],\"pareto\":[{}]",
-        fragment(&flat),
-        fragment(&two_axis)
-    )
-}
-
 /// Serialize an [`ExactSummary`] in the schema v3 JSON shape shared by
 /// the CLI and the service wire format. `source` renders as `"solver"`
 /// or as a degradation object naming the site and cause; `maxlive` is
@@ -642,23 +586,6 @@ pub fn exact_json(e: &ExactSummary) -> String {
     format!(
         "{{ \"machine\": {:?}, \"ii\": {}, \"maxlive\": {}, \"source\": {} }}",
         e.machine, e.ii, maxlive, source
-    )
-}
-
-/// Serialize an [`ExactSummary`] in the schema v2 shape (no `maxlive`
-/// key), byte-identical to what v2 servers emitted.
-pub fn exact_json_v2(e: &ExactSummary) -> String {
-    let source = match &e.source {
-        PlanSource::Solver => "\"solver\"".to_string(),
-        PlanSource::Reference(ev) => format!(
-            "{{ \"fallback\": \"retiming-lower-bound\", \"site\": {:?}, \"cause\": {:?} }}",
-            ev.site,
-            ev.cause.to_string()
-        ),
-    };
-    format!(
-        "{{ \"machine\": {:?}, \"ii\": {}, \"source\": {} }}",
-        e.machine, e.ii, source
     )
 }
 
@@ -983,33 +910,16 @@ mod tests {
     }
 
     #[test]
-    fn wire_shapes_cover_v3_and_v2() {
+    fn point_json_nests_the_four_objectives() {
         let g = sample();
         let resp = ExploreRequest::new(g)
             .max_f(3)
             .trip_count(60)
             .run()
             .unwrap();
-        let p = &resp.points[0];
-        let v3 = point_json(p);
+        let v3 = point_json(&resp.points[0]);
         assert!(v3.contains("\"objectives\""), "{v3}");
         assert!(v3.contains("\"cond_registers\""), "{v3}");
         assert!(v3.contains("\"maxlive\""), "{v3}");
-        let v2 = point_json_v2(p);
-        assert!(v2.contains("\"registers\""), "{v2}");
-        assert!(!v2.contains("objectives"), "{v2}");
-        assert!(!v2.contains("maxlive"), "{v2}");
-        let frag = wire_v2_points(&resp);
-        assert!(frag.starts_with("\"points\":["), "{frag}");
-        assert!(frag.contains("],\"pareto\":["), "{frag}");
-        assert!(!frag.contains("maxlive"), "{frag}");
-        // The v2 exact shape has no maxlive key either.
-        let e = ExactSummary {
-            machine: "scalar".into(),
-            ii: 6,
-            maxlive: Some(3),
-            source: PlanSource::Solver,
-        };
-        assert!(!exact_json_v2(&e).contains("maxlive"));
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! Every trade-off point needs three retiming passes over the unfolded
 //! graph (period search, span minimization, register compaction), each of
-//! which — in the straightforward [`crate::sweep`] path — recomputes the
-//! same W/D matrices from scratch (one delay-layer sweep per node, see
-//! [`WdMatrices::compute`]). The cache layer fixes both redundancies:
+//! which — in the straightforward [`crate::sweep_reference`] path —
+//! recomputes the same W/D matrices from scratch (one delay-layer sweep
+//! per node, see [`WdMatrices::compute`]). The cache layer fixes both
+//! redundancies:
 //!
 //! * within one factor, the W/D matrices are computed **once** and shared
 //!   across all three passes (the `*_with` entry points in `cred-retime`);
@@ -117,12 +118,13 @@ impl PlanSource {
 /// warm-started solver.
 ///
 /// This is the uncached fast path; [`SweepCache::plan`] wraps it with
-/// memoization. It yields plans identical to [`crate::sweep`]'s per-point
-/// pipeline while doing strictly less work: the W/D matrices are computed
-/// once instead of three times, and one [`RetimeSolver`] carries its CSR
-/// graph and warm-start state from the period search straight into the
-/// span minimization — the span pass starts from the search's final
-/// feasible fixpoint instead of re-solving the period system.
+/// memoization. It yields plans identical to the per-point pipeline of
+/// [`crate::sweep_reference`] while doing strictly less work: the W/D
+/// matrices are computed once instead of three times, and one
+/// [`RetimeSolver`] carries its CSR graph and warm-start state from the
+/// period search straight into the span minimization — the span pass
+/// starts from the search's final feasible fixpoint instead of re-solving
+/// the period system.
 pub fn compute_plan(g: &Dfg, f: usize) -> FactorPlan {
     match plan_fast(g, f, &Budget::unlimited()) {
         Ok(plan) => plan,
@@ -180,8 +182,8 @@ fn plan_reference(g: &Dfg, f: usize) -> FactorPlan {
 ///    operation to stop, so `Err(Exhausted::Cancelled)` propagates.
 ///
 /// A panic in the *reference* path (nothing left to fall back to)
-/// propagates to the caller; [`crate::par_sweep_resilient`] isolates it
-/// per point.
+/// propagates to the caller; the sweep behind [`crate::ExploreRequest`]
+/// isolates it per point.
 pub fn compute_plan_budgeted(
     g: &Dfg,
     f: usize,
@@ -309,9 +311,9 @@ impl SweepCache {
     /// Fresh cache holding at most (approximately) `capacity` plans, LRU
     /// per shard. The shard count is derived from the capacity — small
     /// caches stay single-sharded so the LRU behaves globally; large
-    /// caches spread over up to [`DEFAULT_SHARDS`] shards, each bounded
-    /// by `capacity / shards` (the global bound rounds down to a multiple
-    /// of the shard count).
+    /// caches spread over up to 16 shards (the [`SweepCache::new`]
+    /// layout), each bounded by `capacity / shards` (the global bound
+    /// rounds down to a multiple of the shard count).
     ///
     /// # Panics
     /// Panics if `capacity` is zero.

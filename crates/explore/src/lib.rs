@@ -27,12 +27,6 @@
 //!   with machine-readable JSON output;
 //! * [`CredError`] — the unified front-end error type with stable
 //!   machine-readable codes.
-//!
-//! The pre-redesign entry points (`sweep`, `sweep_cached`, `par_sweep`,
-//! `par_sweep_with`, `par_sweep_resilient`) survive as `#[deprecated]`
-//! wrappers over the same engine, as do the two-axis [`pareto`] filter
-//! and the flat [`TradeoffPoint`] it operates on — adapters over
-//! [`ParetoPoint`] until out-of-tree callers migrate.
 
 pub mod api;
 pub mod cache;
@@ -40,8 +34,8 @@ pub mod error;
 pub mod suite;
 
 pub use api::{
-    exact_json, exact_json_v2, point_json, point_json_v2, wire_v2_points, CacheStats, ExactSummary,
-    ExploreOptions, ExploreRequest, ExploreResponse, ObjectiveWeights,
+    exact_json, point_json, CacheStats, ExactSummary, ExploreOptions, ExploreRequest,
+    ExploreResponse, ObjectiveWeights,
 };
 pub use error::CredError;
 
@@ -117,42 +111,6 @@ pub struct ParetoPoint {
     pub objectives: Objectives,
 }
 
-/// One evaluated configuration in the pre-frontier flat shape.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ParetoPoint` (with its typed `Objectives`) instead; \
-            `TradeoffPoint` survives only as a conversion adapter"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TradeoffPoint {
-    /// Unfolding factor.
-    pub f: usize,
-    /// Maximum normalized retiming value of the projected retiming.
-    pub m_r: i64,
-    /// Code size without CRED (retime-then-unfold baseline, measured).
-    pub plain_size: usize,
-    /// Code size with CRED (measured, given the chosen decrement mode).
-    pub cred_size: usize,
-    /// Achieved iteration period (unfolded cycle period / f), exact.
-    pub iteration_period: Ratio,
-    /// Conditional registers CRED needs.
-    pub registers: usize,
-}
-
-#[allow(deprecated)]
-impl From<&ParetoPoint> for TradeoffPoint {
-    fn from(p: &ParetoPoint) -> Self {
-        TradeoffPoint {
-            f: p.f,
-            m_r: p.m_r,
-            plain_size: p.plain_size,
-            cred_size: p.objectives.cred_size,
-            iteration_period: p.objectives.iteration_period,
-            registers: p.objectives.cond_registers,
-        }
-    }
-}
-
 /// The maxlive of the sequential kernel `retime_unfold_program` emits for
 /// this plan: `f` retimed body copies, one instruction per cycle.
 fn sequential_maxlive(g: &Dfg, projected: &Retiming, f: usize) -> usize {
@@ -215,105 +173,6 @@ pub fn sweep_reference(g: &Dfg, max_f: usize, n: u64, mode: DecMode) -> Vec<Pare
     (1..=max_f)
         .map(|f| point_for_factor(g, f, n, mode))
         .collect()
-}
-
-/// Evaluate unfolding factors `1..=max_f`.
-#[deprecated(
-    since = "0.1.0",
-    note = "build an `ExploreRequest` instead: \
-            `ExploreRequest::new(g).max_f(max_f).trip_count(n).mode(mode).run()?.points` \
-            (or `sweep_reference` if you need the differential oracle)"
-)]
-#[allow(deprecated)]
-pub fn sweep(g: &Dfg, max_f: usize, n: u64, mode: DecMode) -> Vec<TradeoffPoint> {
-    sweep_points(g, max_f, n, mode, 1, &SweepCache::new())
-        .iter()
-        .map(TradeoffPoint::from)
-        .collect()
-}
-
-/// `sweep` through the memoized engine: plans come from `cache`, so W/D
-/// matrices are computed once per factor and repeated sweeps of the same
-/// graph are answered from the memo table.
-#[deprecated(
-    since = "0.1.0",
-    note = "build an `ExploreRequest` and pass the shared cache to \
-            `run_with(&cache)` instead"
-)]
-#[allow(deprecated)]
-pub fn sweep_cached(
-    g: &Dfg,
-    max_f: usize,
-    n: u64,
-    mode: DecMode,
-    cache: &SweepCache,
-) -> Vec<TradeoffPoint> {
-    sweep_points(g, max_f, n, mode, 1, cache)
-        .iter()
-        .map(TradeoffPoint::from)
-        .collect()
-}
-
-/// The sweep sharded across `threads` scoped worker threads, with a
-/// private [`SweepCache`] for the call.
-#[deprecated(
-    since = "0.1.0",
-    note = "build an `ExploreRequest` with `.threads(threads)` instead"
-)]
-#[allow(deprecated)]
-pub fn par_sweep(
-    g: &Dfg,
-    max_f: usize,
-    n: u64,
-    mode: DecMode,
-    threads: usize,
-) -> Vec<TradeoffPoint> {
-    sweep_points(g, max_f, n, mode, threads, &SweepCache::new())
-        .iter()
-        .map(TradeoffPoint::from)
-        .collect()
-}
-
-/// The sweep sharded across `threads` scoped worker threads sharing
-/// `cache`.
-#[deprecated(
-    since = "0.1.0",
-    note = "build an `ExploreRequest` with `.threads(threads)` and pass \
-            the shared cache to `run_with(&cache)` instead"
-)]
-#[allow(deprecated)]
-pub fn par_sweep_with(
-    g: &Dfg,
-    max_f: usize,
-    n: u64,
-    mode: DecMode,
-    threads: usize,
-    cache: &SweepCache,
-) -> Vec<TradeoffPoint> {
-    sweep_points(g, max_f, n, mode, threads, cache)
-        .iter()
-        .map(TradeoffPoint::from)
-        .collect()
-}
-
-/// Engine helper shared by the deprecated wrappers and the constrained
-/// searches: an unlimited-budget sweep that preserves the historical
-/// "panic on worker failure" contract of the pre-redesign entry points.
-fn sweep_points(
-    g: &Dfg,
-    max_f: usize,
-    n: u64,
-    mode: DecMode,
-    threads: usize,
-    cache: &SweepCache,
-) -> Vec<ParetoPoint> {
-    let report = resilient_sweep(g, max_f, n, mode, threads, cache, &Budget::unlimited());
-    for o in &report.outcomes {
-        if let PointStatus::Failed(msg) = &o.status {
-            panic!("sweep worker panicked at f = {}: {msg}", o.f);
-        }
-    }
-    report.points()
 }
 
 /// How one unfolding factor fared in a resilient sweep.
@@ -387,27 +246,7 @@ impl SweepReport {
     }
 }
 
-/// The sweep hardened for hostile conditions: every factor runs under
-/// `budget`, panics are isolated per point, and nothing is silently
-/// wrong — each outcome says exactly what happened.
-#[deprecated(
-    since = "0.1.0",
-    note = "build an `ExploreRequest` with `.deadline(..)`/`.work_limit(..)`/\
-            `.cancel(..)` and inspect `ExploreResponse::report` instead"
-)]
-pub fn par_sweep_resilient(
-    g: &Dfg,
-    max_f: usize,
-    n: u64,
-    mode: DecMode,
-    threads: usize,
-    cache: &SweepCache,
-    budget: &Budget,
-) -> SweepReport {
-    resilient_sweep(g, max_f, n, mode, threads, cache, budget)
-}
-
-/// The engine core behind [`ExploreRequest`] and every legacy wrapper:
+/// The engine core behind [`ExploreRequest`] and [`best_under_code_budget`]:
 /// the budgeted, panic-isolating, work-stealing sweep.
 ///
 /// Per factor, the ladder is:
@@ -524,28 +363,13 @@ pub fn frontier(points: &[ParetoPoint], max_registers: Option<usize>) -> Vec<Par
         .collect()
 }
 
-/// Non-dominated subset by (CRED code size, iteration period) only — the
-/// pre-frontier two-axis rule, kept for the v2 wire adapter and
-/// out-of-tree callers.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `frontier` (non-dominated over all four objective axes) \
-            or `ExploreResponse::frontier` instead"
-)]
-#[allow(deprecated)]
-pub fn pareto(points: &[TradeoffPoint]) -> Vec<TradeoffPoint> {
-    let dominated = |a: &TradeoffPoint| {
-        points.iter().any(|b| {
-            (b.cred_size <= a.cred_size && b.iteration_period < a.iteration_period)
-                || (b.cred_size < a.cred_size && b.iteration_period <= a.iteration_period)
-        })
-    };
-    points.iter().filter(|p| !dominated(p)).cloned().collect()
-}
-
 /// Best (lowest) iteration period reachable with CRED code size at most
 /// `l_req`, scanning factors up to `max_f`. Returns `None` if even `f = 1`
 /// busts the budget.
+///
+/// # Panics
+/// Panics if some factor's plan panics even on the reference fallback,
+/// so that no factor silently drops out of the search.
 pub fn best_under_code_budget(
     g: &Dfg,
     l_req: usize,
@@ -553,7 +377,15 @@ pub fn best_under_code_budget(
     n: u64,
     mode: DecMode,
 ) -> Option<ParetoPoint> {
-    sweep_points(g, max_f, n, mode, 1, &SweepCache::new())
+    let cache = SweepCache::new();
+    let report = resilient_sweep(g, max_f, n, mode, 1, &cache, &Budget::unlimited());
+    for o in &report.outcomes {
+        if let PointStatus::Failed(msg) = &o.status {
+            panic!("sweep worker panicked at f = {}: {msg}", o.f);
+        }
+    }
+    report
+        .points()
         .into_iter()
         .filter(|p| p.objectives.cred_size <= l_req)
         .min_by(|a, b| {
@@ -567,7 +399,9 @@ pub fn best_under_code_budget(
 ///
 /// If the rate-optimal retiming needs too many registers, the search
 /// relaxes the period upward (coarser retimings need fewer distinct
-/// values) before giving up at the trivial zero retiming.
+/// values) before giving up at the trivial zero retiming. Every
+/// configuration needs at least one conditional register, so `p_max = 0`
+/// gives `None`.
 pub fn best_under_register_budget(
     g: &Dfg,
     p_max: usize,
@@ -575,7 +409,9 @@ pub fn best_under_register_budget(
     n: u64,
     mode: DecMode,
 ) -> Option<ParetoPoint> {
-    assert!(p_max >= 1, "at least one register is needed");
+    if p_max == 0 {
+        return None;
+    }
     let mut best: Option<ParetoPoint> = None;
     for f in 1..=max_f {
         let u = unfold(g, f);
@@ -595,18 +431,11 @@ pub fn best_under_register_budget(
             if projected.register_count() > p_max {
                 continue;
             }
-            let cred = cred_retime_unfold(g, &projected, f, n, mode);
-            let point = ParetoPoint {
-                f,
-                m_r: projected.max_value(),
-                plain_size: retime_unfold_program(g, &projected, f, n).code_size(),
-                objectives: Objectives {
-                    cred_size: cred.code_size(),
-                    iteration_period: Ratio::new(c, f as i64),
-                    cond_registers: projected.register_count(),
-                    maxlive: sequential_maxlive(g, &projected, f),
-                },
+            let plan = FactorPlan {
+                projected,
+                period: c as u64,
             };
+            let point = point_from_plan(g, f, &plan, n, mode);
             let better = best
                 .as_ref()
                 .is_none_or(|b| point.objectives.iteration_period < b.objectives.iteration_period);
@@ -725,24 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_pareto_adapter_matches_two_axis_rule() {
-        #![allow(deprecated)]
-        let g = sample();
-        let pts = sweep_reference(&g, 4, 60, DecMode::Bulk);
-        let flat: Vec<TradeoffPoint> = pts.iter().map(TradeoffPoint::from).collect();
-        let front = pareto(&flat);
-        assert!(!front.is_empty());
-        for a in &front {
-            for b in &front {
-                assert!(!(b.cred_size < a.cred_size && b.iteration_period < a.iteration_period));
-            }
-        }
-        // The flat adapter preserves every surviving field.
-        assert_eq!(flat[0].cred_size, pts[0].objectives.cred_size);
-        assert_eq!(flat[0].registers, pts[0].objectives.cond_registers);
-    }
-
-    #[test]
     fn code_budget_limits_factor() {
         let g = sample();
         let l = g.node_count();
@@ -773,6 +584,39 @@ mod tests {
         let p4 = best_under_register_budget(&g, 4, 3, 60, DecMode::Bulk);
         if let (Some(a), Some(b)) = (p1, p4) {
             assert!(b.objectives.iteration_period <= a.objectives.iteration_period);
+        }
+        // No configuration runs without a conditional register.
+        assert!(best_under_register_budget(&g, 0, 3, 60, DecMode::Bulk).is_none());
+    }
+
+    #[test]
+    fn cancellation_stops_the_sweep_without_points() {
+        // Cancellation is not degraded around: every factor reports the
+        // typed exhaustion and produces nothing. (`ExploreRequest` refuses
+        // an already-cancelled budget before the sweep starts.)
+        let tok = cred_resilience::CancelToken::new();
+        tok.cancel();
+        let budget = Budget::unlimited().with_cancel(tok);
+        let cache = SweepCache::new();
+        let report = resilient_sweep(&sample(), 3, 60, DecMode::Bulk, 2, &cache, &budget);
+        assert!(report.points().is_empty(), "{report:?}");
+        assert!(report.failed().is_empty());
+        assert_eq!(report.degraded().len(), 3);
+    }
+
+    #[test]
+    fn unlimited_register_budget_is_the_first_min_period_point() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../kernels");
+        let kernels = suite::load_kernels(&dir).expect("bundled kernels parse");
+        assert_eq!(kernels.len(), 10);
+        for (name, g) in &kernels {
+            for mode in [DecMode::Bulk, DecMode::PerCopy] {
+                let want = sweep_reference(g, 4, 60, mode)
+                    .into_iter()
+                    .min_by_key(|p| p.objectives.iteration_period);
+                let got = best_under_register_budget(g, usize::MAX, 4, 60, mode);
+                assert_eq!(got, want, "kernel {name}, {mode:?}");
+            }
         }
     }
 

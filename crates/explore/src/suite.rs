@@ -18,15 +18,12 @@ use crate::cache::SweepCache;
 use crate::ParetoPoint;
 
 /// JSON schema version stamped into [`SuiteReport::to_json`] and into
-/// every `cred-service` response. Bump only with a compat plan: v2 adds
-/// the optional `machine` request parameter and the `exact` response
-/// object (absent unless a machine was named, so v1 readers that ignore
-/// unknown keys keep working); v3 replaces the flat per-point fields
-/// with a nested `objectives` object (adding `maxlive`) and renames the
-/// response's `pareto` array to `frontier` (now non-dominated over four
-/// axes) — v2 readers keep working through the service's compatibility
-/// path, which answers `"schema_version": 2` requests byte-identically
-/// to a v2 server; the committed golden files replay against both.
+/// every `cred-service` response. v2 added the optional `machine` request
+/// parameter and the `exact` response object; v3 replaced the flat
+/// per-point fields with a nested `objectives` object (adding `maxlive`)
+/// and renamed the response's `pareto` array to `frontier` (non-dominated
+/// over four axes). The service answers only this version and refuses a
+/// request naming any other with a `protocol` error.
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// The sweep of one kernel.

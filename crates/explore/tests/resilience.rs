@@ -6,11 +6,8 @@
 //! plan under the process-global install lock, which also serializes the
 //! tests against each other.
 //!
-//! These tests double as the pinning suite for the deprecated
-//! `par_sweep_resilient` wrapper (fault injection needs its explicit
-//! cache + budget plumbing), hence the blanket allow.
-
-#![allow(deprecated)]
+//! Every sweep goes through [`ExploreRequest::run_with`] with an explicit
+//! cache, so the tests can inspect the cache afterwards.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,12 +15,29 @@ use std::time::Duration;
 use cred_codegen::DecMode;
 use cred_dfg::gen;
 use cred_explore::cache::{compute_plan, SweepCache};
-use cred_explore::{par_sweep_resilient, sweep_reference, ParetoPoint, PointStatus};
+use cred_explore::{sweep_reference, ExploreRequest, ParetoPoint, PointStatus, SweepReport};
 use cred_resilience::failpoint::{install, sites, ChaosPlan, FaultAction};
-use cred_resilience::{Budget, DegradeCause};
+use cred_resilience::DegradeCause;
 
 fn sample() -> cred_dfg::Dfg {
     gen::chain_with_feedback(6, 3)
+}
+
+/// A request over [`sample`] at trip count 60 with `max_f` factors on
+/// `threads` workers; callers add resource limits.
+fn request(max_f: usize, threads: usize) -> ExploreRequest {
+    ExploreRequest::new(sample())
+        .max_f(max_f)
+        .trip_count(60)
+        .mode(DecMode::Bulk)
+        .threads(threads)
+}
+
+/// Run `req` over `cache` and return its per-factor report.
+fn report(req: &ExploreRequest, cache: &SweepCache) -> SweepReport {
+    req.run_with(cache)
+        .expect("some factor produced a point or failed without exhausting")
+        .report
 }
 
 /// The expected (fault-free) sweep, for bit-identical comparison.
@@ -35,8 +49,7 @@ fn expected_points(g: &cred_dfg::Dfg, max_f: usize) -> Vec<ParetoPoint> {
 fn injected_solver_error_degrades_to_reference_bit_identically() {
     let g = sample();
     let _guard = install(ChaosPlan::new().trip(sites::EXPLORE_PLAN_FAST, FaultAction::Error));
-    let cache = SweepCache::new();
-    let report = par_sweep_resilient(&g, 3, 60, DecMode::Bulk, 2, &cache, &Budget::unlimited());
+    let report = report(&request(3, 2), &SweepCache::new());
     drop(_guard);
     // Every factor degraded (the fast path is armed), every point exists,
     // and the points match the fault-free sweep exactly.
@@ -59,8 +72,7 @@ fn injected_solver_error_degrades_to_reference_bit_identically() {
 fn injected_solver_panic_degrades_to_reference() {
     let g = sample();
     let _guard = install(ChaosPlan::new().trip(sites::EXPLORE_PLAN_FAST, FaultAction::Panic));
-    let cache = SweepCache::new();
-    let report = par_sweep_resilient(&g, 2, 60, DecMode::Bulk, 2, &cache, &Budget::unlimited());
+    let report = report(&request(2, 2), &SweepCache::new());
     drop(_guard);
     assert_eq!(report.degraded().len(), 2, "{report:?}");
     for o in &report.outcomes {
@@ -78,7 +90,6 @@ fn injected_solver_panic_degrades_to_reference() {
 
 #[test]
 fn reference_panic_is_isolated_per_point() {
-    let g = sample();
     // Both rungs of the ladder armed: the fast path errors, the reference
     // fallback panics. Nothing is left to absorb the failure, so each
     // point fails — in isolation, with the panic message captured.
@@ -87,8 +98,7 @@ fn reference_panic_is_isolated_per_point() {
             .trip(sites::EXPLORE_PLAN_FAST, FaultAction::Error)
             .trip(sites::EXPLORE_PLAN_REFERENCE, FaultAction::Panic),
     );
-    let cache = SweepCache::new();
-    let report = par_sweep_resilient(&g, 3, 60, DecMode::Bulk, 2, &cache, &Budget::unlimited());
+    let report = report(&request(3, 2), &SweepCache::new());
     drop(_guard);
     assert_eq!(report.failed().len(), 3, "{report:?}");
     assert!(report.points().is_empty());
@@ -111,7 +121,7 @@ fn cache_insert_panic_poisons_and_recovers() {
     {
         let _guard =
             install(ChaosPlan::new().trip(sites::EXPLORE_CACHE_INSERT, FaultAction::Panic));
-        let report = par_sweep_resilient(&g, 1, 60, DecMode::Bulk, 1, &cache, &Budget::unlimited());
+        let report = report(&request(1, 1), &cache);
         assert_eq!(report.failed().len(), 1, "{report:?}");
     }
     // Plan disarmed; the cache must recover the poisoned lock (clearing
@@ -134,9 +144,8 @@ fn injected_delay_trips_deadline_into_degradation() {
     // The deadline is far shorter than the injected delay, so the fast
     // path's first post-delay budget check exhausts; the reference
     // fallback (no armed sites) still delivers every point.
-    let budget = Budget::unlimited().with_deadline(Duration::from_millis(5));
-    let cache = SweepCache::new();
-    let report = par_sweep_resilient(&g, 2, 60, DecMode::Bulk, 1, &cache, &budget);
+    let req = request(2, 1).deadline(Duration::from_millis(5));
+    let report = report(&req, &SweepCache::new());
     drop(_guard);
     assert!(report.failed().is_empty(), "{report:?}");
     assert!(
@@ -158,7 +167,7 @@ fn clean_run_with_registry_compiled_in_is_unaffected() {
     // must be clean and identical to the plain parallel sweep.
     let g = sample();
     let cache = SweepCache::new();
-    let report = par_sweep_resilient(&g, 4, 60, DecMode::Bulk, 3, &cache, &Budget::unlimited());
+    let report = report(&request(4, 3), &cache);
     assert!(report.is_clean(), "{report:?}");
     assert_eq!(report.points(), expected_points(&g, 4));
     assert_eq!(cache.poison_recoveries(), 0);
@@ -171,9 +180,7 @@ fn work_budget_truncates_sweep_gracefully() {
     // A budget generous enough for some factors but shared across the
     // whole sweep: once spent, later factors degrade to the reference
     // solver (exhaustion, not cancellation), and nothing panics.
-    let budget = Budget::unlimited().with_work_limit(40);
-    let cache = SweepCache::new();
-    let report = par_sweep_resilient(&g, 4, 60, DecMode::Bulk, 1, &cache, &budget);
+    let report = report(&request(4, 1).work_limit(40), &SweepCache::new());
     assert!(report.failed().is_empty(), "{report:?}");
     // Whatever was produced matches the fault-free sweep bit for bit.
     let expected = expected_points(&g, 4);
@@ -185,18 +192,4 @@ fn work_budget_truncates_sweep_gracefully() {
     // With a shared 40-unit budget at least one factor cannot finish on
     // the fast path.
     assert!(!report.is_clean(), "{report:?}");
-}
-
-#[test]
-fn cancellation_stops_the_sweep_without_points() {
-    let g = sample();
-    let tok = cred_resilience::CancelToken::new();
-    tok.cancel();
-    let budget = Budget::unlimited().with_cancel(tok);
-    let report = par_sweep_resilient(&g, 3, 60, DecMode::Bulk, 2, &SweepCache::new(), &budget);
-    // Cancellation is not degraded around: every factor reports the
-    // typed exhaustion and produces nothing.
-    assert!(report.points().is_empty(), "{report:?}");
-    assert!(report.failed().is_empty());
-    assert_eq!(report.degraded().len(), 3);
 }

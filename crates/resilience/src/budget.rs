@@ -145,7 +145,7 @@ impl Budget {
     /// Charge `units` of work and verify every limit that is due.
     ///
     /// The work limit and the cancel token are checked on every call; the
-    /// deadline is sampled every [`DEADLINE_STRIDE`] units. Returns
+    /// deadline is sampled every `DEADLINE_STRIDE` units. Returns
     /// `Err` the moment any limit is exceeded.
     #[inline]
     pub fn charge(&self, units: u64) -> Result<(), Exhausted> {

@@ -35,8 +35,6 @@
 //!   the period/span binary searches (bit-identical to the reference);
 //! * [`minperiod`] — the OPT algorithm (binary search over W/D candidate
 //!   periods) plus fixed-period retiming;
-//! * [`feas`] — the FEAS algorithm, an independent oracle for achievable
-//!   periods;
 //! * [`span`] — post-passes minimizing `M_r` (span) and heuristically
 //!   compacting the number of distinct retiming values `|N_r|`
 //!   (= conditional registers needed, Theorem 4.3);
@@ -44,7 +42,6 @@
 
 pub mod constraints;
 pub mod diff;
-pub mod feas;
 pub mod incremental;
 pub mod minperiod;
 pub mod registers;

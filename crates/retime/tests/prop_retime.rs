@@ -2,7 +2,6 @@
 
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::{algo, gen, Dfg, Ratio};
-use cred_retime::feas::feas;
 use cred_retime::minperiod::{min_period_retiming_reference, retime_to_period_reference};
 use cred_retime::span::{compact_values, min_span_retiming, min_span_retiming_reference};
 use cred_retime::{min_period_retiming, retime_to_period, RetimeSolver, Retiming};
@@ -69,16 +68,6 @@ proptest! {
         let back = neg.apply(&gr);
         for e in g.edge_ids() {
             prop_assert_eq!(back.edge(e).delay, g.edge(e).delay);
-        }
-    }
-
-    #[test]
-    fn feas_and_opt_agree(seed in any::<u64>(), nodes in 2..9usize) {
-        let g = graph_from(seed, nodes);
-        let opt = min_period_retiming(&g);
-        prop_assert!(feas(&g, opt.period).is_some());
-        if opt.period > 1 {
-            prop_assert!(feas(&g, opt.period - 1).is_none());
         }
     }
 

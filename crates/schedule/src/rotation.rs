@@ -7,7 +7,7 @@
 //! The retimed graph is rescheduled; the shortest schedule seen wins.
 //! Every rotation is a retiming, hence a software-pipelining step; the
 //! resulting retiming feeds the CRED code generator exactly like one
-//! produced by OPT/FEAS.
+//! produced by OPT.
 
 use crate::list::{list_schedule, StaticSchedule};
 use crate::resources::FuConfig;

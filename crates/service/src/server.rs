@@ -109,8 +109,7 @@ use cred_exact::MachineModel;
 use cred_explore::cache::SweepCache;
 use cred_explore::suite::{load_kernels, SCHEMA_VERSION};
 use cred_explore::{
-    exact_json, exact_json_v2, point_json, wire_v2_points, CacheStats, CredError, ExploreRequest,
-    ExploreResponse,
+    exact_json, point_json, CacheStats, CredError, ExploreRequest, ExploreResponse,
 };
 use cred_resilience::{CancelToken, DegradeCause, Exhausted};
 
@@ -1250,7 +1249,6 @@ fn handle_explore(
         id,
         resp,
         coalesced,
-        params.schema_version,
         params.debug_pad_bytes.unwrap_or(0) as usize,
         shared,
     ))
@@ -1288,9 +1286,6 @@ struct ExploreParams {
     mode: DecMode,
     machine: Option<MachineModel>,
     max_registers: Option<usize>,
-    /// Wire schema the client asked to be answered in: the current
-    /// [`SCHEMA_VERSION`] (the default) or 2 for the flat legacy shape.
-    schema_version: u32,
     strict: bool,
     deadline: Option<Duration>,
     work_limit: Option<u64>,
@@ -1378,18 +1373,14 @@ impl ExploreParams {
                 }
             },
         };
-        let schema_version = match req.get("schema_version") {
-            None => SCHEMA_VERSION,
-            Some(v) => match v.as_u64() {
-                Some(2) => 2,
-                Some(n) if n == SCHEMA_VERSION as u64 => SCHEMA_VERSION,
-                _ => {
-                    return Err(CredError::Protocol(format!(
-                        "schema_version must be 2 or {SCHEMA_VERSION}"
-                    )))
-                }
-            },
-        };
+        // The server speaks one schema; a client naming another is refused.
+        if let Some(v) = req.get("schema_version") {
+            if v.as_u64() != Some(SCHEMA_VERSION as u64) {
+                return Err(CredError::Protocol(format!(
+                    "schema_version must be {SCHEMA_VERSION}"
+                )));
+            }
+        }
         let strict = match req.get("strict") {
             None => false,
             Some(v) => v
@@ -1450,7 +1441,6 @@ impl ExploreParams {
             mode,
             machine,
             max_registers,
-            schema_version,
             strict,
             deadline,
             work_limit,
@@ -1461,14 +1451,7 @@ impl ExploreParams {
 }
 
 fn head(ok: bool, id: &Option<String>) -> String {
-    head_versioned(ok, id, SCHEMA_VERSION)
-}
-
-/// Response head stamped with an explicit schema version: the explore
-/// compatibility path answers `"schema_version": 2` requests under the
-/// version the client asked for; everything else uses [`head`].
-fn head_versioned(ok: bool, id: &Option<String>, version: u32) -> String {
-    let mut s = format!("{{\"ok\":{ok},\"schema_version\":{version}");
+    let mut s = format!("{{\"ok\":{ok},\"schema_version\":{SCHEMA_VERSION}");
     if let Some(id) = id {
         s.push_str(",\"id\":");
         s.push_str(id);
@@ -1489,36 +1472,27 @@ fn render_explore(
     id: &Option<String>,
     resp: &ExploreResponse,
     coalesced: bool,
-    schema_version: u32,
     pad_bytes: usize,
     shared: &Shared,
 ) -> String {
-    let mut out = head_versioned(true, id, schema_version);
+    let mut out = head(true, id);
     out.push_str(",\"type\":\"explore\"");
     out.push_str(&format!(",\"coalesced\":{coalesced}"));
-    if schema_version == 2 {
-        // Legacy shape: flat points and the historical two-axis frontier
-        // under the v2 `pareto` key, byte-identical to a v2 server.
-        out.push(',');
-        out.push_str(&wire_v2_points(resp));
-        out.push_str(",\"degraded\":[");
-    } else {
-        out.push_str(",\"points\":[");
-        for (i, p) in resp.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&point_json(p));
+    out.push_str(",\"points\":[");
+    for (i, p) in resp.points.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out.push_str("],\"frontier\":[");
-        for (i, p) in resp.frontier.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&point_json(p));
-        }
-        out.push_str("],\"degraded\":[");
+        out.push_str(&point_json(p));
     }
+    out.push_str("],\"frontier\":[");
+    for (i, p) in resp.frontier.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&point_json(p));
+    }
+    out.push_str("],\"degraded\":[");
     for (i, ev) in resp.degradations().iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -1545,12 +1519,7 @@ fn render_explore(
     // pre-machine clients never see the key.
     if let Some(exact) = &resp.exact {
         out.push_str(",\"exact\":");
-        let rendered = if schema_version == 2 {
-            exact_json_v2(exact)
-        } else {
-            exact_json(exact)
-        };
-        out.push_str(&rendered);
+        out.push_str(&exact_json(exact));
     }
     // Test hook (`debug_pad_bytes`): absent from every real response.
     if pad_bytes > 0 {

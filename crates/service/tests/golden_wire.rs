@@ -1,18 +1,11 @@
-//! Wire-format compatibility: committed responses must keep replaying
-//! byte-for-byte — at the current schema version AND at every version
-//! the server still answers.
+//! Wire-format compatibility: the committed response must keep replaying
+//! byte-for-byte.
 //!
-//! The golden files pin the full explore response for a fixed request
-//! (figure3, max_f 3, n 31, bulk, fresh server). If the v3 test fails,
-//! the wire format changed — either revert the change or bump
-//! `SCHEMA_VERSION` with a compat plan (v1 -> v2 added the optional
-//! `machine` parameter and `exact` response object; v2 -> v3 nests each
-//! point's metrics in an `objectives` object with `maxlive` and renames
-//! `pareto` to `frontier`). If the **v2** test fails, the compatibility
-//! path broke: requests carrying `"schema_version":2` are promised the
-//! exact bytes a v2 server produced, forever. Regenerate deliberately
-//! with `UPDATE_GOLDEN=1 cargo test -p cred-service --test golden_wire`
-//! (the v2 golden should never need regeneration).
+//! The golden file pins the full explore response for a fixed request
+//! (figure3, max_f 3, n 31, bulk, fresh server). If this test fails, the
+//! wire format changed — either revert the change or bump
+//! `SCHEMA_VERSION` and regenerate deliberately with
+//! `UPDATE_GOLDEN=1 cargo test -p cred-service --test golden_wire`.
 
 mod common;
 
@@ -20,56 +13,29 @@ use std::path::Path;
 
 use common::TestServer;
 
-const REQUEST_V3: &str =
+const REQUEST: &str =
     "{\"type\":\"explore\",\"id\":\"golden-1\",\"kernel\":\"figure3\",\"max_f\":3,\"n\":31}";
-
-const REQUEST_V2: &str = "{\"type\":\"explore\",\"id\":\"golden-1\",\"kernel\":\"figure3\",\
-     \"max_f\":3,\"n\":31,\"schema_version\":2}";
-
-fn golden_path(name: &str) -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}"))
-}
-
-fn replay(request: &str, golden: &str, update: bool) {
-    // A fresh server makes the embedded cache counters deterministic:
-    // exactly the three per-factor plans of this request, all misses.
-    let server = TestServer::spawn(|_| {});
-    let resp = server.request(request);
-    server.shutdown();
-    let path = golden_path(golden);
-    if update {
-        std::fs::write(&path, resp.clone() + "\n").expect("write golden");
-    }
-    let expected = std::fs::read_to_string(&path)
-        .expect("golden file missing; regenerate with UPDATE_GOLDEN=1 and commit it");
-    assert_eq!(
-        resp,
-        expected.trim_end(),
-        "the wire format drifted from the committed golden response"
-    );
-}
 
 #[test]
 fn explore_response_replays_byte_for_byte() {
-    replay(
-        REQUEST_V3,
-        "explore_v3.json",
-        std::env::var_os("UPDATE_GOLDEN").is_some(),
+    // A fresh server makes the embedded cache counters deterministic:
+    // exactly the three per-factor plans of this request, all misses.
+    let server = TestServer::spawn(|_| {});
+    let resp = server.request(REQUEST);
+    server.shutdown();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/explore_v3.json");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, resp.clone() + "\n").expect("write golden");
+    }
+    let golden = std::fs::read_to_string(&path)
+        .expect("golden file missing; regenerate with UPDATE_GOLDEN=1 and commit it");
+    assert_eq!(
+        resp,
+        golden.trim_end(),
+        "the wire format drifted from the committed golden response"
     );
-    let golden = std::fs::read_to_string(golden_path("explore_v3.json")).unwrap();
     assert!(golden.contains("\"schema_version\":3"));
     assert!(golden.contains("\"frontier\":["));
     assert!(golden.contains("\"objectives\""));
     assert!(golden.contains("\"maxlive\""));
-}
-
-#[test]
-fn v2_request_replays_the_v2_golden_byte_for_byte() {
-    // The v2 golden was committed by a v2 server; the compat path must
-    // reproduce it exactly, so it is NOT regenerated under UPDATE_GOLDEN.
-    replay(REQUEST_V2, "explore_v2.json", false);
-    let golden = std::fs::read_to_string(golden_path("explore_v2.json")).unwrap();
-    assert!(golden.contains("\"schema_version\":2"));
-    assert!(golden.contains("\"pareto\":["));
-    assert!(!golden.contains("maxlive"));
 }

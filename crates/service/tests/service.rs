@@ -84,6 +84,10 @@ fn malformed_requests_get_typed_protocol_errors_not_hangups() {
             "schema_version must be",
         ),
         (
+            "{\"type\":\"explore\",\"kernel\":\"figure3\",\"schema_version\":2}",
+            "schema_version must be",
+        ),
+        (
             "{\"type\":\"explore\",\"kernel\":\"figure3\",\"max_registers\":\"lots\"}",
             "max_registers must be",
         ),

@@ -10,8 +10,8 @@
 //! * **clean** — the faults missed (or were harmless delays) and the
 //!   report is bit-identical to the baseline;
 //! * **degraded** — an injected error surfaced through a typed error
-//!   channel ([`VerifyFailure`], `ExecError::Injected`, ...) and the run
-//!   said so;
+//!   channel ([`VerifyFailure`](crate::VerifyFailure),
+//!   `ExecError::Injected`, ...) and the run said so;
 //! * **faulted** — an injected panic unwound out of the oracle; it was
 //!   caught at the case boundary and isolated;
 //! * **corrupted** — the run *passed* but its report differs from the

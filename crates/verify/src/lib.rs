@@ -9,9 +9,9 @@
 //! dynamic counts, and the guard-state trace — plus the paper's theorem
 //! checkers in `cred-core`.
 //!
-//! Failures are minimized by the greedy [`shrink`] minimizer and persisted
-//! in the textual [`corpus`] format under `tests/corpus/` for regression
-//! replay. The CLI front end is `cred verify --cases N --seed S`.
+//! Failures are minimized by the greedy [`shrink`](fn@shrink) minimizer
+//! and persisted in the textual [`corpus`] format under `tests/corpus/`
+//! for regression replay. The CLI front end is `cred verify --cases N --seed S`.
 
 pub mod case;
 pub mod chaos;
@@ -39,7 +39,7 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Bounds on each drawn case.
     pub case: CaseConfig,
-    /// Minimize each failure with [`shrink`] before reporting it.
+    /// Minimize each failure with [`shrink`](fn@shrink) before reporting it.
     pub shrink_failures: bool,
     /// VM backend the oracle's execution layer runs (tape by default;
     /// tree for cross-checking the tape compiler).

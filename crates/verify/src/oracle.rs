@@ -7,7 +7,7 @@
 //! 2. **values** — every array element against
 //!    [`Dfg::reference_execution`](cred_dfg::Dfg::reference_execution)
 //!    via the VM's strict semantics (structured
-//!    [`DiffReport`](cred_vm::DiffReport) on mismatch);
+//!    [`DiffReport`] on mismatch);
 //! 3. **dynamic** — executed/nullified instruction counts reported by the
 //!    VM against the same closed forms (Theorems 4.1/4.2/4.6);
 //! 4. **trace** — the guard-state dry run ([`trace_loop`]) must agree
@@ -15,14 +15,14 @@
 //!    the dynamic counts;
 //! 5. **exact** — the case's kernel is rescheduled from scratch by the
 //!    exact resource-constrained scheduler (`cred-exact`) under the
-//!    case's sampled [`MachineModel`]: the schedule must pass the
-//!    independent legality checker (window, resources, dependences), the
-//!    rejected-II ladder must be contiguous with an arithmetically
-//!    verified witness per rung (II-optimality), on an unconstrained
-//!    machine the II must be **bit-identical** to the retiming minimum
-//!    period, and the schedule's stage retiming is lowered into a
-//!    pipelined program and pushed through layers 1–4 like every other
-//!    generator.
+//!    case's sampled [`MachineModel`](cred_exact::MachineModel): the
+//!    schedule must pass the independent legality checker (window,
+//!    resources, dependences), the rejected-II ladder must be contiguous
+//!    with an arithmetically verified witness per rung (II-optimality),
+//!    on an unconstrained machine the II must be **bit-identical** to the
+//!    retiming minimum period, and the schedule's stage retiming is
+//!    lowered into a pipelined program and pushed through layers 1–4 like
+//!    every other generator.
 //!
 //! On top of the per-program checks, the paper's theorem checkers
 //! (`cred-core::theorems`, the S_ret / S_{r,f} / S_{f,r} size formulas)

@@ -4,7 +4,7 @@
 //! for the subsystems:
 //!
 //! * [`dfg`] — data-flow-graph substrate (graphs, iteration bounds, W/D),
-//! * [`retime`] — retiming engine (OPT, FEAS, fixed-period, span/register
+//! * [`retime`] — retiming engine (OPT, fixed-period, span/register
 //!   minimization),
 //! * [`unfold`] — unfolding and retime/unfold ordering pipelines,
 //! * [`schedule`] — static, rotation, and VLIW scheduling,
