@@ -458,7 +458,7 @@ fn resolve_machine(spec: &str) -> Result<cred_exact::MachineModel, String> {
 /// witnesses that certify optimality.
 fn cmd_exact(g: &Dfg, args: &Args) -> Result<(), String> {
     let machine = resolve_machine(args.get("machine").unwrap_or("unconstrained"))?;
-    let lower = cred_retime::min_period_retiming(g).period;
+    let lower = machine.retiming_bound(g);
     let sched = cred_exact::exact_schedule(g, &machine);
     cred_exact::check::check_schedule(g, &machine, &sched)
         .map_err(|e| format!("schedule failed independent validation: {e}"))?;

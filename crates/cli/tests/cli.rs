@@ -80,6 +80,32 @@ fn credc_exact_proves_ii_and_reads_machine_files() {
 }
 
 #[test]
+fn credc_exact_lower_bound_uses_machine_latencies() {
+    // Figure 8's kernel claims multi-cycle ops; a machine that only
+    // overrides the ALU latency to 1 caps nothing, so the bound it prints
+    // is the retiming period under the machine's times and equals the II.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let kernel = format!("{root}/kernels/fig8.loop");
+    let dir = std::env::temp_dir().join(format!("credc-latency-only-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mach = dir.join("alu1.mach");
+    std::fs::write(
+        &mach,
+        "# cred machine v1\nclass alu units unlimited latency 1\n",
+    )
+    .unwrap();
+    let out = run(&["exact", &kernel, "--machine", mach.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("lower bound): 3\n"), "{stdout}");
+    assert!(
+        stdout.contains("proven minimum initiation interval: 3"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn credc_verify_pins_machine_models() {
     let out = run(&["verify", "--cases", "25", "--machine", "vliw2"]);
     assert!(out.status.success(), "{out:?}");

@@ -5,6 +5,15 @@
 //! reservation tables, no difference engine — so `cred-verify` can use
 //! it as the fifth oracle layer without inheriting solver bugs (the
 //! mutation tests depend on this independence).
+//!
+//! A [`PeriodCycle`](Infeasible::PeriodCycle) witness is re-derived from
+//! the graph and [`MachineModel::op_time`] alone: each segment must be a
+//! walk of consecutive edges, each must end where the next begins (the
+//! last where the first begins), and the per-walk bounds `delay - [time >
+//! ii]`, with `time` counting both ends of the walk, must sum below zero.
+//! The `W`/`D` matrices and the Bellman–Ford run that found the cycle are
+//! never consulted. The soundness argument is in the
+//! [`solver`](crate::solver) docs.
 
 use cred_dfg::{Dfg, EdgeId, NodeId, OpClass, OP_CLASSES};
 
@@ -81,10 +90,10 @@ pub fn check_schedule(g: &Dfg, m: &MachineModel, sched: &ExactSchedule) -> Resul
     Ok(())
 }
 
-/// Check one rejected rung's certificate arithmetically. Closed-form
-/// witnesses are fully re-derived from the graph and machine; an
-/// [`Infeasible::Exhausted`] witness is certificate-by-search and only
-/// its plausibility (at least one trial) is checkable.
+/// Check one rejected rung's certificate arithmetically. Closed-form and
+/// period-cycle witnesses are fully re-derived from the graph and
+/// machine; an [`Infeasible::Exhausted`] witness is certificate-by-search
+/// and only its plausibility (at least one trial) is checkable.
 pub fn check_witness(g: &Dfg, m: &MachineModel, rejected: &RejectedII) -> Result<(), String> {
     let ii = rejected.ii;
     match &rejected.witness {
@@ -141,43 +150,7 @@ pub fn check_witness(g: &Dfg, m: &MachineModel, rejected: &RejectedII) -> Result
             }
             Ok(())
         }
-        Infeasible::CriticalCycle {
-            edges,
-            total_time,
-            total_delay,
-        } => {
-            if edges.is_empty() {
-                return Err("empty critical cycle".into());
-            }
-            let mut time = 0u64;
-            let mut delay = 0u64;
-            for (i, &e) in edges.iter().enumerate() {
-                if e as usize >= g.edge_count() {
-                    return Err(format!("witness edge e{e} out of range"));
-                }
-                let ed = g.edge(EdgeId(e));
-                let next = g.edge(EdgeId(edges[(i + 1) % edges.len()]));
-                if ed.dst != next.src {
-                    return Err(format!(
-                        "cycle broken: e{e} ends at {} but the next edge starts at {}",
-                        ed.dst, next.src
-                    ));
-                }
-                time += m.op_time(g, ed.src) as u64;
-                delay += ed.delay as u64;
-            }
-            if time != *total_time || delay != *total_delay {
-                return Err(format!(
-                    "witness sums ({total_time}, {total_delay}) != actual ({time}, {delay})"
-                ));
-            }
-            if *total_time <= ii * *total_delay {
-                return Err(format!(
-                    "cycle time {total_time} fits {ii} * {total_delay} delays"
-                ));
-            }
-            Ok(())
-        }
+        Infeasible::PeriodCycle { segments } => check_period_cycle(g, m, ii, segments),
         Infeasible::Exhausted { branches } => {
             if *branches == 0 {
                 return Err("exhausted search performed no trials".into());
@@ -185,6 +158,62 @@ pub fn check_witness(g: &Dfg, m: &MachineModel, rejected: &RejectedII) -> Result
             Ok(())
         }
     }
+}
+
+/// The [`Infeasible::PeriodCycle`] arm of [`check_witness`]: every walk
+/// is consecutive, each ends where the next begins (cyclically), and the
+/// per-walk bounds `delay - [time > ii]` sum below zero, with `time`
+/// counting both ends of the walk.
+fn check_period_cycle(
+    g: &Dfg,
+    m: &MachineModel,
+    ii: u64,
+    segments: &[Vec<u32>],
+) -> Result<(), String> {
+    if segments.is_empty() {
+        return Err("empty period cycle".into());
+    }
+    let mut ends = Vec::with_capacity(segments.len());
+    let mut sum = 0i64;
+    for (i, walk) in segments.iter().enumerate() {
+        let Some((&first, _)) = walk.split_first() else {
+            return Err(format!("segment {i} is an empty walk"));
+        };
+        if let Some(&e) = walk.iter().find(|&&e| e as usize >= g.edge_count()) {
+            return Err(format!("witness edge e{e} out of range"));
+        }
+        let start = g.edge(EdgeId(first)).src;
+        let mut at = start;
+        let mut time = 0u64;
+        let mut delay = 0i64;
+        for &e in walk {
+            let ed = g.edge(EdgeId(e));
+            if ed.src != at {
+                return Err(format!(
+                    "segment {i} broken: e{e} starts at {} but the walk is at {at}",
+                    ed.src
+                ));
+            }
+            time += u64::from(m.op_time(g, at));
+            delay += i64::from(ed.delay);
+            at = ed.dst;
+        }
+        time += u64::from(m.op_time(g, at));
+        sum += delay - i64::from(time > ii);
+        ends.push((start, at));
+    }
+    for (i, &(_, end)) in ends.iter().enumerate() {
+        let next = ends[(i + 1) % ends.len()].0;
+        if end != next {
+            return Err(format!(
+                "segments do not close: segment {i} ends at {end} but the next starts at {next}"
+            ));
+        }
+    }
+    if sum >= 0 {
+        return Err(format!("period bounds sum to {sum}, not below zero"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -242,27 +271,57 @@ mod tests {
         // Lying about the machine.
         let wrong = MachineModel::builtin("vliw4").unwrap();
         assert!(check_witness(&g, &wrong, good).is_err());
+    }
 
-        // A fabricated critical cycle with wrong sums.
-        let bad = RejectedII {
-            ii: 1,
-            witness: Infeasible::CriticalCycle {
-                edges: vec![0, 1],
-                total_time: 99,
-                total_delay: 2,
-            },
+    /// X -> Y (0 delays), Y -> X (1 delay), both of time 2: the cycle needs
+    /// II 4, so II 2 and 3 fail the period constraints.
+    fn slow_ring() -> Dfg {
+        let mut b = DfgBuilder::new();
+        let x = b.node("X", 2, OpKind::Add(0));
+        let y = b.node("Y", 2, OpKind::Add(0));
+        b.edge(x, y, 0);
+        b.edge(y, x, 1);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn checker_rejects_tampered_period_cycles() {
+        let g = slow_ring();
+        let m = MachineModel::unconstrained();
+        let ok = |segments: Vec<Vec<u32>>, ii: u64| {
+            check_witness(
+                &g,
+                &m,
+                &RejectedII {
+                    ii,
+                    witness: Infeasible::PeriodCycle { segments },
+                },
+            )
         };
-        assert!(check_witness(&g, &m, &bad).is_err());
-        // The honest version of that cycle: time 2, delay 2, which fits
-        // II = 1, so it is not a certificate either.
-        let honest = RejectedII {
-            ii: 1,
-            witness: Infeasible::CriticalCycle {
-                edges: vec![0, 1],
-                total_time: 2,
-                total_delay: 2,
-            },
-        };
-        assert!(check_witness(&g, &m, &honest).is_err());
+        // Two walks X -> Y (e0: delay 0, time 4 > 3, bound -1) and Y -> X
+        // (e1: delay 1, time 4 > 3, bound 0) sum to -1.
+        ok(vec![vec![0], vec![1]], 3).unwrap();
+        // A wrong II: at 4 neither walk's time exceeds it, so the bounds
+        // are 0 and 1.
+        assert!(ok(vec![vec![0], vec![1]], 4).is_err());
+        // A broken walk: e0 ends at Y, and e0 again starts at X.
+        assert!(ok(vec![vec![0, 0], vec![1]], 3).is_err());
+        // Walks that do not close: X -> Y only, and X -> Y twice.
+        assert!(ok(vec![vec![0]], 3).is_err());
+        assert!(ok(vec![vec![0], vec![0]], 3).is_err());
+        // An edge that does not exist, and empty walks.
+        assert!(ok(vec![vec![0], vec![7]], 3).is_err());
+        assert!(ok(vec![vec![0], vec![]], 3).is_err());
+        assert!(ok(vec![], 3).is_err());
+        // A wrong sum: the whole cycle as one walk X -> Y -> X has delay 1
+        // and time 6 > 3, so its bound is 0, not below zero.
+        assert!(ok(vec![vec![0, 1]], 3).is_err());
+        // The solver's own witnesses re-check.
+        let s = exact_schedule(&g, &m);
+        assert_eq!(s.ii, 4);
+        for r in &s.rejected[1..] {
+            assert!(matches!(r.witness, Infeasible::PeriodCycle { .. }));
+            check_witness(&g, &m, r).unwrap();
+        }
     }
 }

@@ -32,6 +32,7 @@
 
 pub mod check;
 pub mod machine;
+mod period;
 pub mod solver;
 
 pub use machine::{MachineModel, MachineParseError};

@@ -30,6 +30,7 @@
 //! pinned to the [built-in models](MachineModel::builtin) by test.
 
 use cred_dfg::{Dfg, NodeId, OpClass, OP_CLASSES};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A machine description: the resource constraints the exact scheduler
@@ -135,6 +136,30 @@ impl MachineModel {
     pub fn op_time(&self, g: &Dfg, v: NodeId) -> u32 {
         let n = g.node(v);
         self.latency[n.op.class().index()].unwrap_or(n.time)
+    }
+
+    /// `g` with every node's time replaced by its time on this machine
+    /// ([`op_time`](Self::op_time)): borrowed unchanged when no class has
+    /// a latency override, a copy with the overridden times otherwise.
+    /// Edge ids and node ids are the same in both graphs.
+    pub fn effective_graph<'g>(&self, g: &'g Dfg) -> Cow<'g, Dfg> {
+        if self.latency.iter().all(Option::is_none) {
+            return Cow::Borrowed(g);
+        }
+        let mut eg = g.clone();
+        for v in g.node_ids() {
+            eg.node_mut(v).time = self.op_time(g, v);
+        }
+        Cow::Owned(eg)
+    }
+
+    /// The resource-blind lower bound on the exact scheduler's II: the
+    /// minimum retiming period of the [machine-effective
+    /// graph](Self::effective_graph). No schedule on this machine has a
+    /// smaller II, and on a machine that caps no class and no issue width
+    /// the exact II equals it.
+    pub fn retiming_bound(&self, g: &Dfg) -> u64 {
+        cred_retime::min_period_retiming(&self.effective_graph(g)).period
     }
 
     /// True if this model constrains nothing (and therefore the exact
@@ -359,6 +384,24 @@ mod tests {
         assert_eq!(vliw2.op_time(&g, m1), 2); // mac latency 2
         let un = MachineModel::unconstrained();
         assert_eq!(un.op_time(&g, m1), 3);
+        assert!(matches!(un.effective_graph(&g), Cow::Borrowed(_)));
+        let eg = vliw2.effective_graph(&g);
+        assert_eq!((eg.node(a).time, eg.node(m1).time), (3, 2));
+    }
+
+    #[test]
+    fn retiming_bound_uses_machine_times() {
+        use cred_dfg::{DfgBuilder, OpKind};
+        // A single ALU self-loop of claimed time 15: the bound follows the
+        // latency override, not the kernel's own time.
+        let mut b = DfgBuilder::new();
+        let a = b.node("A", 15, OpKind::Add(0));
+        b.edge(a, a, 1);
+        let g = b.build().unwrap();
+        assert_eq!(MachineModel::unconstrained().retiming_bound(&g), 15);
+        let mut m = MachineModel::unconstrained();
+        m.set_latency(OpClass::Alu, Some(1));
+        assert_eq!(m.retiming_bound(&g), 1);
     }
 
     #[test]

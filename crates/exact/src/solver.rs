@@ -29,17 +29,64 @@
 //!
 //! The solver walks the II ladder from 1 upward. Each rung is first
 //! screened by arithmetic bounds (window, per-class occupancy, issue
-//! width — each rejection is a closed-form [`Infeasible`] witness), then
-//! searched exhaustively: branch on `slot(v)` per node (on-cycle nodes
-//! first), check the modulo reservation table incrementally, and assert
-//! the induced stage constraint `stage(v) - stage(u) >= q(e) - d(e)`
-//! (where `q(e) = 1` iff `slot(v) < slot(u) + t(u)`, the exact value of
-//! `ceil((slot(u) + t(u) - slot(v)) / II)` under the window bounds) into
-//! a [`DiffEngine`] — DPLL-style propagation with trail rollback on
-//! backtrack. A conflict returns a positive stage-constraint cycle; if
-//! the underlying dependence cycle already proves `total_time > II *
-//! total_delay`, the whole rung is rejected with a [checkable
-//! certificate](Infeasible::CriticalCycle) without finishing the search.
+//! width — each rejection is a closed-form [`Infeasible`] witness).
+//!
+//! A rung that passes the screens is then checked against the *period
+//! constraints* of the machine-effective graph (the kernel with every
+//! node's time replaced by [`MachineModel::op_time`]): one Bellman–Ford
+//! over the stage constraints `stage(v) - stage(u) >= -d(e)` per edge and
+//! `stage(v) - stage(u) >= 1 - W(u, v)` per pair with `D(u, v) > II`. The
+//! `W`/`D` matrices are computed once per call, when a rung first gets
+//! this far. This is the retiming feasibility system at period `II`, so
+//! it is unsatisfiable exactly below the machine-effective retiming
+//! bound; there a positive cycle of it is the rung's
+//! [`PeriodCycle`](Infeasible::PeriodCycle) witness, each constraint
+//! spelled out as the graph walk that implies it. Such a rung is never
+//! searched, so [`Infeasible::Exhausted`] occurs only at or above the
+//! bound.
+//!
+//! **Soundness.** Let `p: u ~> v` be a walk with `d(p)` delays and time
+//! `t(p)` summed over its nodes, both ends included. Summing the
+//! dependence constraints of its edges gives `sigma(v) - sigma(u) >=
+//! t(p) - t(v) - II * d(p)`. Writing `sigma = stage * II + slot`, the
+//! window bounds `slot(u) >= 0` and `slot(v) + t(v) <= II` give
+//! `sigma(v) + t(v) - sigma(u) <= (stage(v) - stage(u) + 1) * II`.
+//! Together, `(stage(v) - stage(u) + 1 + d(p)) * II >= t(p)`, and as
+//! stages are integers, `stage(v) - stage(u) >= ceil(t(p) / II) - 1 -
+//! d(p)`, which is at least `[t(p) > II] - d(p)` because `t(p) >= 1`.
+//! Every no-wrap schedule therefore satisfies `stage(u) - stage(v) <=
+//! d(p) - [t(p) > II]` along every walk, whatever the resources. Walks
+//! that close up into a cycle sum their left sides to zero, so bounds
+//! summing below zero rule the rung out. The `W`/`D` pair constraint is
+//! this bound on the min-delay, max-time path, and the edge constraint is
+//! its weakening `stage(u) - stage(v) <= d(e)`.
+//!
+//! When the system is satisfiable its solution is a retiming of period
+//! at most `II`, and the ASAP slots along the edges it retimes to zero
+//! delay form a schedule of the resource-free problem. Each node's ASAP
+//! slot is where the search starts trying its slots, wrapping round the
+//! window after it; on a machine that caps nothing this finds a schedule
+//! with one trial per node.
+//!
+//! The search is exhaustive: branch on `slot(v)` per node (on-cycle
+//! nodes first), check the modulo reservation table incrementally, and
+//! assert the induced stage constraint `stage(v) - stage(u) >= q(e) -
+//! d(e)` (where `q(e) = 1` iff `slot(v) < slot(u) + t(u)`, the exact
+//! value of `ceil((slot(u) + t(u) - slot(v)) / II)` under the window
+//! bounds) into a [`DiffEngine`] — DPLL-style propagation with trail
+//! rollback on backtrack. After each placement two resource checks look
+//! ahead over bitsets of the window, and a branch that fails either is
+//! cut:
+//!
+//! * every unplaced op still has a slot where its class has a unit free
+//!   for its whole time and the issue slot is free;
+//! * for a class with one unit, the cycles no completion can cover fit
+//!   the rung's slack `II - occupancy(class)`. A free run of the class
+//!   holds at most the largest subset sum of the unplaced ops' times that
+//!   fits in it, and the cycles at the head of a run whose issue slots
+//!   are full stay empty, because an op covering one would have to start
+//!   in that head.
+//!
 //! The ladder terminates: `II = sum_v t(v)` always admits the sequential
 //! schedule (distinct slots in zero-delay topological order).
 //!
@@ -55,6 +102,7 @@ use cred_retime::Retiming;
 use std::fmt;
 
 use crate::machine::MachineModel;
+use crate::period::PeriodSystem;
 
 /// Why one rung of the II ladder admits no schedule. Every variant is a
 /// certificate: the first four are closed-form arithmetic facts
@@ -88,17 +136,16 @@ pub enum Infeasible {
         /// VLIW issue width.
         width: u32,
     },
-    /// A dependence cycle (as graph edge ids, consecutive and closing)
-    /// needs more time than its delays buy: `total_time > ii *
-    /// total_delay`, where `total_time` sums the machine-effective time
-    /// of each edge's source.
-    CriticalCycle {
-        /// Edge ids forming the closed walk.
-        edges: Vec<u32>,
-        /// Sum of source-node times along the walk.
-        total_time: u64,
-        /// Sum of edge delays along the walk.
-        total_delay: u64,
+    /// A cycle of period constraints (see the [module docs](self)). Each
+    /// segment is a walk `p: u ~> v` of graph edge ids that bounds
+    /// `stage(u) - stage(v) <= d(p) - [t(p) > ii]`, where `d(p)` sums the
+    /// edge delays and `t(p)` the machine-effective times of the walk's
+    /// nodes, both ends included. Each segment ends where the next one
+    /// starts, the last ends where the first starts, and the bounds sum
+    /// below zero.
+    PeriodCycle {
+        /// The walks, in cycle order.
+        segments: Vec<Vec<u32>>,
     },
     /// The branch-and-bound search visited the entire slot space and
     /// found no schedule (certificate by exhaustion).
@@ -125,19 +172,18 @@ impl fmt::Display for Infeasible {
             Infeasible::IssueWidth { ops, width } => {
                 write!(f, "issue-width ops {ops} width {width}")
             }
-            Infeasible::CriticalCycle {
-                edges,
-                total_time,
-                total_delay,
-            } => {
-                write!(f, "critical-cycle edges ")?;
-                for (i, e) in edges.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
+            Infeasible::PeriodCycle { segments } => {
+                write!(f, "period-cycle")?;
+                for (i, walk) in segments.iter().enumerate() {
+                    write!(f, "{}", if i == 0 { " " } else { " / " })?;
+                    for (j, e) in walk.iter().enumerate() {
+                        if j > 0 {
+                            write!(f, ",")?;
+                        }
+                        write!(f, "e{e}")?;
                     }
-                    write!(f, "e{e}")?;
                 }
-                write!(f, " time {total_time} delay {total_delay}")
+                Ok(())
             }
             Infeasible::Exhausted { branches } => {
                 write!(f, "exhausted after {branches} branches")
@@ -203,7 +249,8 @@ pub fn exact_schedule_budgeted(
     m: &MachineModel,
     budget: &Budget,
 ) -> Result<ExactSchedule, Exhausted> {
-    Searcher::new(g, m).run(budget)
+    let t: Vec<u32> = g.node_ids().map(|v| m.op_time(g, v)).collect();
+    Searcher::new(g, m, &t).run(budget)
 }
 
 #[cfg(feature = "mutation-hooks")]
@@ -220,6 +267,12 @@ pub mod hooks {
     /// classic off-by-one (`<=` where `<` belongs), letting one too many
     /// ops share a class-slot.
     pub static RESERVATION_SLACK: AtomicU32 = AtomicU32::new(0);
+
+    /// Cycles the one-unit waste check takes off a rung's slack. `0` =
+    /// correct behavior; `1` makes the bound one cycle too strict, so the
+    /// search cuts branches that still complete and can miss the minimal
+    /// II.
+    pub static WASTE_TIGHTENING: AtomicU32 = AtomicU32::new(0);
 }
 
 #[cfg(feature = "mutation-hooks")]
@@ -234,41 +287,116 @@ fn reservation_slack() -> u32 {
     0
 }
 
+#[cfg(feature = "mutation-hooks")]
+#[inline]
+fn waste_tightening() -> i64 {
+    hooks::WASTE_TIGHTENING.load(std::sync::atomic::Ordering::Relaxed) as i64
+}
+
+#[cfg(not(feature = "mutation-hooks"))]
+#[inline]
+fn waste_tightening() -> i64 {
+    0
+}
+
+/// 64 bits of `bits` from bit `pos` on, zeros past the end.
+#[inline]
+fn bits_from(bits: &[u64], pos: usize) -> u64 {
+    let (w, b) = (pos / 64, pos % 64);
+    let lo = bits.get(w).map_or(0, |x| x >> b);
+    if b == 0 {
+        lo
+    } else {
+        lo | bits.get(w + 1).map_or(0, |x| x << (64 - b))
+    }
+}
+
+/// The first position at or after `from` whose bit equals `one`, or
+/// `limit` if none comes before it.
+#[inline]
+fn next_bit(bits: &[u64], from: usize, limit: usize, one: bool) -> usize {
+    let flip = if one { 0 } else { u64::MAX };
+    let mut w = from / 64;
+    let mut x = match bits.get(w) {
+        Some(&b) => (b ^ flip) & (u64::MAX << (from % 64)),
+        None => return limit,
+    };
+    loop {
+        if x != 0 {
+            return (w * 64 + x.trailing_zeros() as usize).min(limit);
+        }
+        w += 1;
+        match bits.get(w) {
+            Some(&b) => x = b ^ flip,
+            None => return limit,
+        }
+    }
+}
+
+#[inline]
+fn bit(bits: &[u64], pos: usize) -> bool {
+    bits[pos / 64] >> (pos % 64) & 1 == 1
+}
+
 /// Per-run search state. The graph-shaped vectors are sized once; the
 /// II-shaped tables are resized per rung.
 struct Searcher<'g> {
     g: &'g Dfg,
     m: &'g MachineModel,
     /// Machine-effective time per node.
-    t: Vec<u32>,
+    t: &'g [u32],
     /// Class index per node.
     class: Vec<usize>,
+    /// Units per class the reservation table enforces; `None` = uncapped.
+    cap: [Option<u32>; OP_CLASSES],
+    issue_width: Option<u32>,
     /// Branch order: on-cycle nodes first, zero-delay topological
     /// within each half (cycle nodes are where conflicts live; off-cycle
     /// nodes never force backtracking on unconstrained machines).
     order: Vec<u32>,
     /// Assigned slot per node; `-1` = unassigned.
     slot: Vec<i64>,
+    /// First slot the search tries per node: the ASAP slot of the period
+    /// system's retiming.
+    first: Vec<u32>,
     /// Stage difference constraints (DPLL(T)-style theory core).
     engine: DiffEngine,
+    /// The period constraints, built when a rung first passes the screens.
+    period: Option<PeriodSystem<'g>>,
     /// Modulo reservation table: `occ[c * ii + s]` ops of class `c`
     /// in flight at slot `s`.
     occ: Vec<u32>,
     /// Ops issued per slot.
     issue: Vec<u32>,
+    /// Forward checking is on: the machine caps some class or the issue
+    /// width.
+    lookahead: bool,
+    /// Bitsets over the window, `words` words each: `free[c * words ..]`
+    /// holds the slots where class `c` has a unit left, `issue_free` those
+    /// with an issue slot left.
+    words: usize,
+    free: Vec<u64>,
+    issue_free: Vec<u64>,
+    /// Distinct `(class, time)` of the nodes, and `left[d * keys.len() +
+    /// k]` = nodes of key `k` in `order[d..]`.
+    keys: Vec<(usize, u32)>,
+    left: Vec<u32>,
+    /// Total time per class.
+    occupancy: [u64; OP_CLASSES],
+    /// For a one-unit class `c`: `n + 1` equal rows, row `d` the bitset of
+    /// subset sums of the times of class-`c` nodes in `order[d..]`. Empty
+    /// for the other classes.
+    sums: [Vec<u64>; OP_CLASSES],
     /// Slot trials on the current rung / across the run.
     rung_branches: u64,
     total_branches: u64,
-    /// Certificate found mid-search (aborts the rung).
-    cert: Option<Infeasible>,
     /// The schedule found at a leaf.
     found: Option<(Vec<u32>, Vec<i64>)>,
 }
 
 impl<'g> Searcher<'g> {
-    fn new(g: &'g Dfg, m: &'g MachineModel) -> Self {
+    fn new(g: &'g Dfg, m: &'g MachineModel, t: &'g [u32]) -> Self {
         let n = g.node_count();
-        let t: Vec<u32> = g.node_ids().map(|v| m.op_time(g, v)).collect();
         let class: Vec<usize> = g.node_ids().map(|v| g.node(v).op.class().index()).collect();
         let topo = algo::topo::zero_delay_topo_order(g)
             .expect("exact scheduling requires a well-formed DFG");
@@ -284,20 +412,92 @@ impl<'g> Searcher<'g> {
                 .map(|v| v.0),
         );
         debug_assert_eq!(order.len(), n);
-        Searcher {
+        // `reservation_slack` is 0 unless a mutation test armed the
+        // test-only hook; see `hooks`.
+        let cap = OpClass::ALL.map(|c| m.units(c).map(|u| u + reservation_slack()));
+        let mut occupancy = [0u64; OP_CLASSES];
+        for v in 0..n {
+            occupancy[class[v]] += t[v] as u64;
+        }
+        let mut s = Searcher {
             g,
             m,
             t,
             class,
+            cap,
+            issue_width: m.issue_width,
             order,
             slot: vec![-1; n],
+            first: vec![0; n],
             engine: DiffEngine::new(n),
+            period: None,
             occ: Vec::new(),
             issue: Vec::new(),
+            lookahead: m.issue_width.is_some() || cap.iter().any(Option::is_some),
+            words: 0,
+            free: Vec::new(),
+            issue_free: Vec::new(),
+            keys: Vec::new(),
+            left: Vec::new(),
+            occupancy,
+            sums: Default::default(),
             rung_branches: 0,
             total_branches: 0,
-            cert: None,
             found: None,
+        };
+        if s.lookahead {
+            s.index_unplaced();
+        }
+        s
+    }
+
+    /// Tabulate, per search depth, what the unplaced nodes `order[d..]`
+    /// still need: node counts per `(class, time)` key, and subset sums of
+    /// the times per one-unit class.
+    fn index_unplaced(&mut self) {
+        let n = self.order.len();
+        for &v in &self.order {
+            let key = (self.class[v as usize], self.t[v as usize]);
+            if !self.keys.contains(&key) {
+                self.keys.push(key);
+            }
+        }
+        let nk = self.keys.len();
+        self.left = vec![0; (n + 1) * nk];
+        for d in (0..n).rev() {
+            let v = self.order[d] as usize;
+            let (head, tail) = self.left.split_at_mut((d + 1) * nk);
+            head[d * nk..].copy_from_slice(&tail[..nk]);
+            let k = self
+                .keys
+                .iter()
+                .position(|&k| k == (self.class[v], self.t[v]));
+            head[d * nk + k.expect("every node has a key")] += 1;
+        }
+        for c in 0..OP_CLASSES {
+            if self.cap[c] != Some(1) {
+                continue;
+            }
+            let sw = (self.occupancy[c] as usize + 1).div_ceil(64);
+            let mut sums = vec![0u64; (n + 1) * sw];
+            sums[n * sw] = 1;
+            for d in (0..n).rev() {
+                let v = self.order[d] as usize;
+                let (head, tail) = sums.split_at_mut((d + 1) * sw);
+                let (row, next) = (&mut head[d * sw..], &tail[..sw]);
+                row.copy_from_slice(next);
+                if self.class[v] == c {
+                    // row |= next << t(v)
+                    let t = self.t[v] as usize;
+                    for (w, x) in row.iter_mut().enumerate() {
+                        *x |= match (w * 64).checked_sub(t) {
+                            Some(p) => bits_from(next, p),
+                            None => next[0].checked_shl((t - w * 64) as u32).unwrap_or(0),
+                        };
+                    }
+                }
+            }
+            self.sums[c] = sums;
         }
     }
 
@@ -324,80 +524,87 @@ impl<'g> Searcher<'g> {
         unreachable!("II = sum of op times always admits the sequential schedule");
     }
 
-    /// One rung: static screens, then exhaustive search. The outer
-    /// `Result` is budget exhaustion; the inner is rung feasibility.
+    /// The closed-form screens of one rung.
+    fn screen(&self, ii: u64) -> Option<Infeasible> {
+        // Window screen.
+        if let Some(v) = (0..self.t.len()).max_by_key(|&v| self.t[v]) {
+            if self.t[v] as u64 > ii {
+                return Some(Infeasible::OpExceedsWindow {
+                    node: v as u32,
+                    time: self.t[v],
+                });
+            }
+        }
+        // Per-class occupancy screen.
+        for class in OpClass::ALL {
+            let occupancy = self.occupancy[class.index()];
+            if let Some(units) = self.m.units(class) {
+                if occupancy > ii * units as u64 {
+                    return Some(Infeasible::ResourceCap {
+                        class,
+                        occupancy,
+                        units,
+                    });
+                }
+            }
+        }
+        // Issue-width screen.
+        if let Some(width) = self.issue_width {
+            let ops = self.t.len() as u64;
+            if ops > ii * width as u64 {
+                return Some(Infeasible::IssueWidth { ops, width });
+            }
+        }
+        None
+    }
+
+    /// One rung: static screens, the period constraints, then exhaustive
+    /// search. The outer `Result` is budget exhaustion; the inner is rung
+    /// feasibility.
     #[allow(clippy::type_complexity)]
     fn try_rung(
         &mut self,
         ii: u64,
         budget: &Budget,
     ) -> Result<Result<(Vec<u32>, Vec<i64>), Infeasible>, Exhausted> {
-        // Window screen.
-        if let Some(v) = (0..self.t.len()).max_by_key(|&v| self.t[v]) {
-            if self.t[v] as u64 > ii {
-                return Ok(Err(Infeasible::OpExceedsWindow {
-                    node: v as u32,
-                    time: self.t[v],
-                }));
-            }
+        if let Some(w) = self.screen(ii) {
+            return Ok(Err(w));
         }
-        // Per-class occupancy screen.
-        for class in OpClass::ALL {
-            if let Some(units) = self.m.units(class) {
-                let occupancy: u64 = (0..self.t.len())
-                    .filter(|&v| self.class[v] == class.index())
-                    .map(|v| self.t[v] as u64)
-                    .sum();
-                if occupancy > ii * units as u64 {
-                    return Ok(Err(Infeasible::ResourceCap {
-                        class,
-                        occupancy,
-                        units,
-                    }));
-                }
-            }
-        }
-        // Issue-width screen.
-        if let Some(width) = self.m.issue_width {
-            let ops = self.t.len() as u64;
-            if ops > ii * width as u64 {
-                return Ok(Err(Infeasible::IssueWidth { ops, width }));
-            }
-        }
-        // Self-loop screen (the smallest critical cycles, caught without
-        // searching).
-        for e in self.g.edge_ids() {
-            let ed = self.g.edge(e);
-            if ed.src == ed.dst {
-                let time = self.t[ed.src.index()] as u64;
-                let delay = ed.delay as u64;
-                if time > ii * delay {
-                    return Ok(Err(Infeasible::CriticalCycle {
-                        edges: vec![e.0],
-                        total_time: time,
-                        total_delay: delay,
-                    }));
-                }
-            }
+        let (g, m, t) = (self.g, self.m, self.t);
+        let period = self
+            .period
+            .get_or_insert_with(|| PeriodSystem::new(g, m, t));
+        if let Err(segments) = period.solve(ii, &mut self.first) {
+            return Ok(Err(Infeasible::PeriodCycle { segments }));
         }
         // Exhaustive search.
         let n = self.g.node_count();
+        let ii_us = ii as usize;
         self.slot.iter_mut().for_each(|s| *s = -1);
         self.engine.reset(n);
         self.occ.clear();
-        self.occ.resize(OP_CLASSES * ii as usize, 0);
+        self.occ.resize(OP_CLASSES * ii_us, 0);
         self.issue.clear();
-        self.issue.resize(ii as usize, 0);
+        self.issue.resize(ii_us, 0);
+        if self.lookahead {
+            let words = ii_us.div_ceil(64);
+            let window = |w: usize| match ii_us - w * 64 {
+                r if r >= 64 => u64::MAX,
+                r => (1 << r) - 1,
+            };
+            self.words = words;
+            self.issue_free.clear();
+            self.issue_free.extend((0..words).map(window));
+            self.free.clear();
+            self.free
+                .extend((0..OP_CLASSES * words).map(|i| window(i % words)));
+        }
         self.rung_branches = 0;
-        self.cert = None;
         self.found = None;
         let feasible = self.dfs(0, ii, budget)?;
         self.total_branches += self.rung_branches;
         if feasible {
             return Ok(Ok(self.found.take().expect("dfs success records a leaf")));
-        }
-        if let Some(w) = self.cert.take() {
-            return Ok(Err(w));
         }
         Ok(Err(Infeasible::Exhausted {
             branches: self.rung_branches,
@@ -413,8 +620,14 @@ impl<'g> Searcher<'g> {
             return Ok(true);
         }
         let v = self.order[depth] as usize;
-        let tv = self.t[v] as i64;
-        for s in 0..=(ii as i64 - tv) {
+        let span = ii as i64 - self.t[v] as i64 + 1;
+        let first = self.first[v] as i64;
+        for k in 0..span {
+            let s = if first + k < span {
+                first + k
+            } else {
+                first + k - span
+            };
             failpoint::hit(sites::EXACT_BRANCH)
                 .map_err(|f| Exhausted::Injected { site: f.site })?;
             budget.charge(1)?;
@@ -422,20 +635,18 @@ impl<'g> Searcher<'g> {
             if !self.reserve(v, s, ii) {
                 continue;
             }
-            let cp = self.engine.checkpoint();
-            if self.assert_edges(v, s, ii) {
-                self.slot[v] = s;
-                if self.dfs(depth + 1, ii, budget)? {
-                    return Ok(true);
+            if self.lookahead_ok(depth + 1, ii) {
+                let cp = self.engine.checkpoint();
+                if self.assert_edges(v, s) {
+                    self.slot[v] = s;
+                    if self.dfs(depth + 1, ii, budget)? {
+                        return Ok(true);
+                    }
+                    self.slot[v] = -1;
                 }
-                self.slot[v] = -1;
+                self.engine.rollback(cp);
             }
-            self.engine.rollback(cp);
             self.release(v, s);
-            if self.cert.is_some() {
-                // A rung-level certificate was found below; unwind.
-                return Ok(false);
-            }
         }
         Ok(false)
     }
@@ -445,46 +656,134 @@ impl<'g> Searcher<'g> {
     /// at `s`. Returns false (table untouched) on conflict.
     fn reserve(&mut self, v: usize, s: i64, ii: u64) -> bool {
         let ci = self.class[v];
-        let t = self.t[v] as i64;
-        // `reservation_slack` is 0 unless a mutation test armed the
-        // test-only hook; see `hooks`.
-        if let Some(units) = self.m.units(OpClass::ALL[ci]) {
-            let cap = units + reservation_slack();
-            let base = ci * ii as usize;
-            for q in s..s + t {
-                if self.occ[base + q as usize] + 1 > cap {
-                    return false;
-                }
-            }
-        }
-        if let Some(width) = self.m.issue_width {
-            if self.issue[s as usize] + 1 > width {
+        let (s, t) = (s as usize, self.t[v] as usize);
+        let base = ci * ii as usize;
+        if let Some(cap) = self.cap[ci] {
+            if self.occ[base + s..base + s + t]
+                .iter()
+                .any(|&o| o + 1 > cap)
+            {
                 return false;
             }
         }
-        let base = ci * ii as usize;
-        for q in s..s + t {
-            self.occ[base + q as usize] += 1;
+        if let Some(width) = self.issue_width {
+            if self.issue[s] + 1 > width {
+                return false;
+            }
         }
-        self.issue[s as usize] += 1;
+        for q in s..s + t {
+            self.occ[base + q] += 1;
+            if self.lookahead && Some(self.occ[base + q]) == self.cap[ci] {
+                self.free[ci * self.words + q / 64] &= !(1 << (q % 64));
+            }
+        }
+        self.issue[s] += 1;
+        if self.lookahead && Some(self.issue[s]) == self.issue_width {
+            self.issue_free[s / 64] &= !(1 << (s % 64));
+        }
         true
     }
 
     fn release(&mut self, v: usize, s: i64) {
-        let base = self.class[v] * self.issue.len();
-        for q in s..s + self.t[v] as i64 {
-            self.occ[base + q as usize] -= 1;
+        let ci = self.class[v];
+        let (s, t) = (s as usize, self.t[v] as usize);
+        let base = ci * self.issue.len();
+        for q in s..s + t {
+            self.occ[base + q] -= 1;
         }
-        self.issue[s as usize] -= 1;
+        self.issue[s] -= 1;
+        if self.lookahead {
+            for q in s..s + t {
+                self.free[ci * self.words + q / 64] |= 1 << (q % 64);
+            }
+            self.issue_free[s / 64] |= 1 << (s % 64);
+        }
+    }
+
+    /// Resource forward checking for the nodes `order[d..]` still
+    /// unplaced (see the module docs): false if some of them has no slot
+    /// left, or a one-unit class must leave more cycles empty than the
+    /// rung's slack allows.
+    fn lookahead_ok(&self, d: usize, ii: u64) -> bool {
+        if !self.lookahead || d == self.order.len() {
+            return true;
+        }
+        let nk = self.keys.len();
+        let words = self.words;
+        for (&(c, t), &left) in self.keys.iter().zip(&self.left[d * nk..(d + 1) * nk]) {
+            if left == 0 || (self.cap[c].is_none() && self.issue_width.is_none()) {
+                continue;
+            }
+            let free = &self.free[c * words..(c + 1) * words];
+            let fits = (0..words).any(|w| {
+                let mut starts = self.issue_free[w];
+                for k in 0..t as usize {
+                    if starts == 0 {
+                        break;
+                    }
+                    starts &= bits_from(free, w * 64 + k);
+                }
+                starts != 0
+            });
+            if !fits {
+                return false;
+            }
+        }
+        for c in 0..OP_CLASSES {
+            if self.sums[c].is_empty() {
+                continue;
+            }
+            let sw = self.sums[c].len() / (self.order.len() + 1);
+            let sums = &self.sums[c][d * sw..(d + 1) * sw];
+            if sums[0] == 1 && sums[1..].iter().all(|&x| x == 0) {
+                continue; // nothing of the class left to place
+            }
+            let slack = ii as i64 - self.occupancy[c] as i64 - waste_tightening();
+            if self.waste(c, ii as usize, sums) > slack {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// A lower bound on the cycles a one-unit class `c` leaves empty in
+    /// any completion, given the subset sums of its unplaced ops' times.
+    fn waste(&self, c: usize, ii: usize, sums: &[u64]) -> i64 {
+        let free = &self.free[c * self.words..(c + 1) * self.words];
+        let mut waste = 0usize;
+        let mut pos = 0;
+        loop {
+            let a = next_bit(free, pos, ii, true);
+            if a >= ii {
+                break;
+            }
+            let b = next_bit(free, a, ii, false);
+            let mut head = a;
+            if self.issue_width.is_some() {
+                while head < b && !bit(&self.issue_free, head) {
+                    head += 1;
+                }
+            }
+            // The largest subset sum that fits the rest of the run.
+            let len = b - head;
+            let top = len.min(sums.len() * 64 - 1);
+            let mut w = top / 64;
+            let mut x = sums[w] & (u64::MAX >> (63 - top % 64));
+            while x == 0 {
+                w -= 1;
+                x = sums[w];
+            }
+            let best = w * 64 + 63 - x.leading_zeros() as usize;
+            waste += b - a - best;
+            pos = b;
+        }
+        waste as i64
     }
 
     /// Assert the stage constraints of every edge between `v` (slot `s`)
-    /// and an already-assigned endpoint. On conflict, rolls back its own
-    /// partial asserts' effects via the caller's checkpoint contract
-    /// (caller always rolls back to its checkpoint on `false`), tries to
-    /// promote the conflict cycle to a rung-level certificate, and
-    /// returns false.
-    fn assert_edges(&mut self, v: usize, s: i64, ii: u64) -> bool {
+    /// and an already-assigned endpoint. On conflict returns false, and
+    /// the caller rolls back to its checkpoint.
+    fn assert_edges(&mut self, v: usize, s: i64) -> bool {
         for &e in self.g.in_edges(NodeId(v as u32)) {
             let ed = self.g.edge(e);
             let u = ed.src.index();
@@ -493,8 +792,7 @@ impl<'g> Searcher<'g> {
                 continue;
             }
             let q = i64::from(s < su + self.t[u] as i64);
-            if let Err(cy) = self.engine.assert_ge(u, v, q - ed.delay as i64) {
-                self.try_promote(ii, &cy.nodes);
+            if !self.engine.assert_ge(u, v, q - ed.delay as i64) {
                 return false;
             }
         }
@@ -509,48 +807,11 @@ impl<'g> Searcher<'g> {
                 continue;
             }
             let q = i64::from(sw < s + self.t[v] as i64);
-            if let Err(cy) = self.engine.assert_ge(v, w, q - ed.delay as i64) {
-                self.try_promote(ii, &cy.nodes);
+            if !self.engine.assert_ge(v, w, q - ed.delay as i64) {
                 return false;
             }
         }
         true
-    }
-
-    /// A stage-constraint conflict names a dependence cycle of the
-    /// graph. If that cycle (taking the minimum-delay edge per hop) is
-    /// critical at this II — `total_time > ii * total_delay` — then no
-    /// slot assignment can ever work and the whole rung is certified
-    /// infeasible, not just this branch.
-    fn try_promote(&mut self, ii: u64, nodes: &[u32]) {
-        if self.cert.is_some() {
-            return;
-        }
-        let k = nodes.len();
-        let mut edges = Vec::with_capacity(k);
-        let mut total_time = 0u64;
-        let mut total_delay = 0u64;
-        for i in 0..k {
-            let a = NodeId(nodes[i]);
-            let b = nodes[(i + 1) % k];
-            let best = self
-                .g
-                .out_edges(a)
-                .iter()
-                .filter(|&&e| self.g.edge(e).dst.0 == b)
-                .min_by_key(|&&e| self.g.edge(e).delay)
-                .expect("conflict cycle hops are graph edges");
-            edges.push(best.0);
-            total_time += self.t[a.index()] as u64;
-            total_delay += self.g.edge(*best).delay as u64;
-        }
-        if total_time > ii * total_delay {
-            self.cert = Some(Infeasible::CriticalCycle {
-                edges,
-                total_time,
-                total_delay,
-            });
-        }
     }
 }
 
@@ -625,8 +886,9 @@ mod tests {
     }
 
     #[test]
-    fn critical_cycle_witnessed_without_exhaustion() {
-        // Self-loop with time 4, one delay: II < 4 is cycle-infeasible.
+    fn period_cycle_witnessed_without_search() {
+        // Self-loop with time 4, one delay: II 1..3 reject via the window
+        // screen, which sees every op longer than the II first.
         let mut b = DfgBuilder::new();
         let a = b.node("A", 4, OpKind::Add(0));
         b.edge(a, a, 1);
@@ -635,13 +897,12 @@ mod tests {
         let s = exact_schedule(&g, &m);
         assert_eq!(s.ii, 4);
         for r in &s.rejected {
-            // II 1..3 reject via the window screen (time 4 > II) — the
-            // self-loop screen never gets a chance; force it with a
-            // second node instead.
+            assert!(matches!(r.witness, Infeasible::OpExceedsWindow { .. }));
             crate::check::check_witness(&g, &m, r).unwrap();
         }
         // A two-node cycle with total time 4, one delay: II 2..3 reject
-        // via the cycle, not the window.
+        // via the period constraints, not the window, and are never
+        // searched.
         let mut b = DfgBuilder::new();
         let x = b.node("X", 2, OpKind::Add(0));
         let y = b.node("Y", 2, OpKind::Add(0));
@@ -653,14 +914,7 @@ mod tests {
         assert_eq!(s.rejected.len(), 3);
         for r in &s.rejected[1..] {
             assert!(
-                matches!(
-                    r.witness,
-                    Infeasible::CriticalCycle {
-                        total_time: 4,
-                        total_delay: 1,
-                        ..
-                    }
-                ),
+                matches!(r.witness, Infeasible::PeriodCycle { .. }),
                 "ii {} got {:?}",
                 r.ii,
                 r.witness
@@ -668,6 +922,8 @@ mod tests {
             crate::check::check_witness(&g, &m, r).unwrap();
         }
         crate::check::check_schedule(&g, &m, &s).unwrap();
+        // The seeded search places each node on its first trial.
+        assert_eq!(s.branches, 2);
     }
 
     #[test]

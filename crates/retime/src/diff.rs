@@ -27,32 +27,12 @@
 //! because its source node was raised, so every propagation chain traces
 //! back to the new edge `u -> v`. If the old system was feasible, any
 //! positive cycle in the new system must use the new edge, i.e. pass
-//! through `u` — so propagation raising `u` *is* the infeasibility proof,
-//! and the parent chain from `u` back to `v` plus the new edge is a
-//! positive cycle ([`PositiveCycle`]), returned as a checkable witness.
+//! through `u` — so propagation raising `u` *is* the infeasibility proof.
 //! Conversely if `u` is never raised, relaxation converges to the
 //! longest-path fixpoint (values are bounded by longest paths from `v`,
 //! which exist without positive cycles) and the invariant is restored.
 
 use std::collections::VecDeque;
-
-/// A certified proof that a difference-constraint system is infeasible:
-/// a cycle of asserted constraints `x_{nodes[i+1]} - x_{nodes[i]} >=
-/// weights[i]` (indices mod the cycle length) whose weights sum to
-/// `weight > 0` — summing the constraints telescopes the left sides to
-/// zero, so `0 >= weight` is a contradiction. The witness is checkable
-/// without re-running the solver: verify each hop was asserted and add
-/// up the weights.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PositiveCycle {
-    /// The nodes on the cycle, in constraint order, each listed once.
-    pub nodes: Vec<u32>,
-    /// `weights[i]` is the weight of the constraint from `nodes[i]` to
-    /// `nodes[(i + 1) % len]`. Same length as `nodes`.
-    pub weights: Vec<i64>,
-    /// Total weight of the cycle's constraints; always `> 0`.
-    pub weight: i64,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct Con {
@@ -61,12 +41,11 @@ struct Con {
     w: i64,
 }
 
-/// Undo record: `node` had `val`/`parent` before it was raised.
+/// Undo record: `node` had `val` before it was raised.
 #[derive(Debug, Clone, Copy)]
 struct Trail {
     node: u32,
     val: i64,
-    parent: Option<u32>,
 }
 
 /// A restore point for [`DiffEngine::rollback`]. Checkpoints must be
@@ -88,16 +67,12 @@ pub struct Checkpoint {
 #[derive(Debug, Default)]
 pub struct DiffEngine {
     val: Vec<i64>,
-    /// Constraint id that last raised each node (propagation parent).
-    parent: Vec<Option<u32>>,
     /// Outgoing constraint ids per source node.
     out: Vec<Vec<u32>>,
     cons: Vec<Con>,
     trail: Vec<Trail>,
     queue: VecDeque<u32>,
     in_queue: Vec<bool>,
-    /// Scratch for cycle extraction.
-    mark: Vec<bool>,
 }
 
 impl DiffEngine {
@@ -113,8 +88,6 @@ impl DiffEngine {
     pub fn reset(&mut self, n: usize) {
         self.val.clear();
         self.val.resize(n, 0);
-        self.parent.clear();
-        self.parent.resize(n, None);
         for adj in &mut self.out {
             adj.clear();
         }
@@ -125,8 +98,6 @@ impl DiffEngine {
         self.queue.clear();
         self.in_queue.clear();
         self.in_queue.resize(n, false);
-        self.mark.clear();
-        self.mark.resize(n, false);
     }
 
     /// Number of variables.
@@ -173,7 +144,6 @@ impl DiffEngine {
         while self.trail.len() > cp.trail_len {
             let t = self.trail.pop().expect("trail length checked");
             self.val[t.node as usize] = t.val;
-            self.parent[t.node as usize] = t.parent;
         }
         while self.cons.len() > cp.cons_len {
             let c = self.cons.pop().expect("cons length checked");
@@ -184,24 +154,17 @@ impl DiffEngine {
 
     /// Assert `x_v - x_u >= w`.
     ///
-    /// Returns `Ok(())` if the system stays feasible (the maintained
+    /// Returns true if the system stays feasible (the maintained
     /// assignment now satisfies the new constraint too). On infeasibility
-    /// returns the positive-cycle witness and leaves the engine exactly
-    /// as it was before the call — a failed assertion never needs a
-    /// caller-side rollback.
-    pub fn assert_ge(&mut self, u: usize, v: usize, w: i64) -> Result<(), PositiveCycle> {
+    /// returns false and leaves the engine exactly as it was before the
+    /// call — a failed assertion never needs a caller-side rollback.
+    #[must_use]
+    pub fn assert_ge(&mut self, u: usize, v: usize, w: i64) -> bool {
         debug_assert!(u < self.val.len() && v < self.val.len());
         if u == v {
             // x_u - x_u >= w: vacuous for w <= 0, a one-node positive
             // cycle otherwise.
-            if w <= 0 {
-                return Ok(());
-            }
-            return Err(PositiveCycle {
-                nodes: vec![u as u32],
-                weights: vec![w],
-                weight: w,
-            });
+            return w <= 0;
         }
         let cp = self.checkpoint();
         let cid = self.cons.len() as u32;
@@ -212,9 +175,9 @@ impl DiffEngine {
         });
         self.out[u].push(cid);
         if self.val[v] >= self.val[u] + w {
-            return Ok(()); // already satisfied; nothing to propagate
+            return true; // already satisfied; nothing to propagate
         }
-        self.raise(v as u32, self.val[u] + w, Some(cid));
+        self.raise(v as u32, self.val[u] + w);
         // Queue-based relaxation. Every queued node was raised; only its
         // outgoing constraints can have become violated. (The queue can
         // hold leftovers from a prior early-terminated propagation.)
@@ -231,11 +194,10 @@ impl DiffEngine {
                     if c.v as usize == u {
                         // Propagation reached the new edge's source:
                         // positive cycle through the new constraint.
-                        let cycle = self.extract_cycle(u as u32, v as u32, w, c);
                         self.rollback(cp);
-                        return Err(cycle);
+                        return false;
                     }
-                    self.raise(c.v, target, Some(self.out[x as usize][i]));
+                    self.raise(c.v, target);
                     if !self.in_queue[c.v as usize] {
                         self.queue.push_back(c.v);
                         self.in_queue[c.v as usize] = true;
@@ -243,87 +205,15 @@ impl DiffEngine {
                 }
             }
         }
-        Ok(())
+        true
     }
 
-    fn raise(&mut self, node: u32, to: i64, via: Option<u32>) {
+    fn raise(&mut self, node: u32, to: i64) {
         self.trail.push(Trail {
             node,
             val: self.val[node as usize],
-            parent: self.parent[node as usize],
         });
         self.val[node as usize] = to;
-        self.parent[node as usize] = via;
-    }
-
-    /// Build the positive-cycle witness once propagation has hit `u`, the
-    /// source of the just-asserted constraint `u -> v` (weight `w`), via
-    /// the violated constraint `last` (whose `v` is `u`).
-    ///
-    /// Walk the propagation parents backward from `last.u`; every raised
-    /// node's parent source was itself raised in this wave, so the chain
-    /// leads back to `v` (the first node raised) and, with the new edge,
-    /// closes the cycle `u -> v -> ... -> last.u -> u`. If the chain
-    /// revisits a node first, that parent loop is itself a positive cycle
-    /// (some hop on it is strictly violated at observation time — the
-    /// usual Bellman–Ford cycle-extraction argument) and is returned
-    /// instead. Either way `rev` records each walked node with the weight
-    /// of its *outgoing* constraint along the cycle direction.
-    fn extract_cycle(&mut self, u: u32, v: u32, w: i64, last: Con) -> PositiveCycle {
-        let mut rev: Vec<(u32, i64)> = Vec::new(); // (node, out-weight on cycle)
-        let mut cur = last.u;
-        let mut out_weight = last.w;
-        let (mut nodes, mut weights): (Vec<u32>, Vec<i64>);
-        loop {
-            if cur == v {
-                // Cycle: u -(w)-> v -(out_weight)-> ... -> last.u -(last.w)-> u.
-                nodes = Vec::with_capacity(rev.len() + 2);
-                weights = Vec::with_capacity(rev.len() + 2);
-                nodes.push(u);
-                weights.push(w);
-                nodes.push(v);
-                weights.push(out_weight);
-                for &(n, wn) in rev.iter().rev() {
-                    nodes.push(n);
-                    weights.push(wn);
-                }
-                break;
-            }
-            if self.mark[cur as usize] {
-                // Parent-chain loop through `cur`: cur -(out_weight)->
-                // (node walked just before revisiting) -> ... -> cur.
-                let start = rev
-                    .iter()
-                    .position(|&(n, _)| n == cur)
-                    .expect("marked node is on the recorded path");
-                nodes = Vec::with_capacity(rev.len() - start);
-                weights = Vec::with_capacity(rev.len() - start);
-                nodes.push(cur);
-                weights.push(out_weight);
-                for &(n, wn) in rev[start + 1..].iter().rev() {
-                    nodes.push(n);
-                    weights.push(wn);
-                }
-                break;
-            }
-            self.mark[cur as usize] = true;
-            rev.push((cur, out_weight));
-            let pcid = self.parent[cur as usize].expect("raised node has a parent");
-            let pc = self.cons[pcid as usize];
-            debug_assert_eq!(pc.v, cur);
-            out_weight = pc.w;
-            cur = pc.u;
-        }
-        for &(n, _) in &rev {
-            self.mark[n as usize] = false;
-        }
-        let weight: i64 = weights.iter().sum();
-        debug_assert!(weight > 0, "extracted cycle must be positive");
-        PositiveCycle {
-            nodes,
-            weights,
-            weight,
-        }
     }
 }
 
@@ -331,103 +221,78 @@ impl DiffEngine {
 mod tests {
     use super::*;
 
-    /// Check a witness arithmetically against the constraints it claims.
-    fn check_cycle(cy: &PositiveCycle, asserted: &[(usize, usize, i64)]) {
-        assert!(cy.weight > 0);
-        let k = cy.nodes.len();
-        assert_eq!(cy.weights.len(), k);
-        let mut total = 0i64;
-        for i in 0..k {
-            let a = cy.nodes[i] as usize;
-            let b = cy.nodes[(i + 1) % k] as usize;
-            let w = cy.weights[i];
-            assert!(
-                asserted
-                    .iter()
-                    .any(|&(u, v, ww)| u == a && v == b && ww == w),
-                "witness hop x_{b} - x_{a} >= {w} was never asserted"
-            );
-            total += w;
-        }
-        assert_eq!(total, cy.weight);
-    }
-
     #[test]
     fn chain_propagates_values() {
         let mut e = DiffEngine::new(3);
-        e.assert_ge(0, 1, 2).unwrap(); // x1 >= x0 + 2
-        e.assert_ge(1, 2, 3).unwrap(); // x2 >= x1 + 3
+        assert!(e.assert_ge(0, 1, 2)); // x1 >= x0 + 2
+        assert!(e.assert_ge(1, 2, 3)); // x2 >= x1 + 3
         assert_eq!(e.values(), &[0, 2, 5]);
         // Tighten the first hop; the chain re-propagates.
-        e.assert_ge(0, 1, 4).unwrap();
+        assert!(e.assert_ge(0, 1, 4));
         assert_eq!(e.values(), &[0, 4, 7]);
     }
 
     #[test]
     fn zero_weight_cycle_is_feasible() {
         let mut e = DiffEngine::new(2);
-        e.assert_ge(0, 1, 3).unwrap();
-        e.assert_ge(1, 0, -3).unwrap();
+        assert!(e.assert_ge(0, 1, 3));
+        assert!(e.assert_ge(1, 0, -3));
         assert_eq!(e.value(1) - e.value(0), 3);
     }
 
     #[test]
-    fn positive_cycle_detected_with_witness() {
+    fn positive_cycle_detected() {
         let mut e = DiffEngine::new(3);
-        let cons = [(0usize, 1usize, 1i64), (1, 2, 1), (2, 0, -1)];
-        e.assert_ge(0, 1, 1).unwrap();
-        e.assert_ge(1, 2, 1).unwrap();
+        assert!(e.assert_ge(0, 1, 1));
+        assert!(e.assert_ge(1, 2, 1));
         let before = e.values().to_vec();
-        let cy = e.assert_ge(2, 0, -1).unwrap_err();
-        check_cycle(&cy, &cons);
+        assert!(!e.assert_ge(2, 0, -1));
         // Failed assertion must leave no trace.
         assert_eq!(e.values(), &before[..]);
         assert_eq!(e.constraint_count(), 2);
         // And the engine stays usable.
-        e.assert_ge(2, 0, -2).unwrap();
+        assert!(e.assert_ge(2, 0, -2));
     }
 
     #[test]
     fn self_loop_positive_is_infeasible() {
         let mut e = DiffEngine::new(1);
-        e.assert_ge(0, 0, 0).unwrap();
-        e.assert_ge(0, 0, -5).unwrap();
-        let cy = e.assert_ge(0, 0, 2).unwrap_err();
-        assert_eq!(cy.nodes, vec![0]);
-        assert_eq!(cy.weight, 2);
+        assert!(e.assert_ge(0, 0, 0));
+        assert!(e.assert_ge(0, 0, -5));
+        assert!(!e.assert_ge(0, 0, 2));
     }
 
     #[test]
     fn rollback_restores_values_and_constraints() {
         let mut e = DiffEngine::new(3);
-        e.assert_ge(0, 1, 1).unwrap();
+        assert!(e.assert_ge(0, 1, 1));
         let cp = e.checkpoint();
-        e.assert_ge(1, 2, 5).unwrap();
-        e.assert_ge(0, 1, 7).unwrap();
+        assert!(e.assert_ge(1, 2, 5));
+        assert!(e.assert_ge(0, 1, 7));
         assert_eq!(e.values(), &[0, 7, 12]);
         e.rollback(cp);
         assert_eq!(e.values(), &[0, 1, 0]);
         assert_eq!(e.constraint_count(), 1);
         // A constraint retracted by rollback no longer propagates.
-        e.assert_ge(0, 1, 2).unwrap();
+        assert!(e.assert_ge(0, 1, 2));
         assert_eq!(e.values(), &[0, 2, 0]);
     }
 
     #[test]
     fn reset_reuses_allocations() {
         let mut e = DiffEngine::new(2);
-        e.assert_ge(0, 1, 9).unwrap();
+        assert!(e.assert_ge(0, 1, 9));
         e.reset(4);
         assert_eq!(e.len(), 4);
         assert_eq!(e.values(), &[0, 0, 0, 0]);
         assert_eq!(e.constraint_count(), 0);
-        e.assert_ge(3, 0, 1).unwrap();
+        assert!(e.assert_ge(3, 0, 1));
         assert_eq!(e.value(0), 1);
     }
 
     /// Randomized cross-check against a dense Bellman–Ford ground truth:
-    /// feasibility must agree at every step, witnesses must check, and
-    /// rollback must behave like replaying the surviving prefix.
+    /// feasibility must agree at every step, and the maintained assignment
+    /// must satisfy every accepted constraint.
     #[test]
     fn randomized_against_dense_reference() {
         // Tiny deterministic LCG; no external RNG needed here.
@@ -447,23 +312,17 @@ mod tests {
                 let v = next(n as u64) as usize;
                 let w = next(7) as i64 - 3;
                 let feasible_with = dense_feasible(n, kept.iter().copied().chain([(u, v, w)]));
-                match e.assert_ge(u, v, w) {
-                    Ok(()) => {
-                        assert!(feasible_with, "engine accepted an infeasible system");
-                        kept.push((u, v, w));
-                        for (i, (a, b, ww)) in kept.iter().copied().enumerate() {
-                            assert!(
-                                e.value(b) - e.value(a) >= ww,
-                                "constraint {i} violated by maintained assignment"
-                            );
-                        }
+                if e.assert_ge(u, v, w) {
+                    assert!(feasible_with, "engine accepted an infeasible system");
+                    kept.push((u, v, w));
+                    for (i, (a, b, ww)) in kept.iter().copied().enumerate() {
+                        assert!(
+                            e.value(b) - e.value(a) >= ww,
+                            "constraint {i} violated by maintained assignment"
+                        );
                     }
-                    Err(cy) => {
-                        assert!(!feasible_with, "engine rejected a feasible system");
-                        let mut all = kept.clone();
-                        all.push((u, v, w));
-                        check_cycle(&cy, &all);
-                    }
+                } else {
+                    assert!(!feasible_with, "engine rejected a feasible system");
                 }
             }
         }

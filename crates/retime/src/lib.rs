@@ -49,7 +49,7 @@ mod retiming;
 pub mod span;
 
 pub use constraints::ConstraintSystem;
-pub use diff::{DiffEngine, PositiveCycle};
+pub use diff::DiffEngine;
 pub use incremental::{CsrConstraintGraph, RetimeSolver, SolverScratch};
 pub use minperiod::{
     min_period_retiming, min_period_retiming_with, retime_to_period, retime_to_period_with,

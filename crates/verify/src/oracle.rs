@@ -19,8 +19,10 @@
 //!    schedule must pass the independent legality checker (window,
 //!    resources, dependences), the rejected-II ladder must be contiguous
 //!    with an arithmetically verified witness per rung (II-optimality),
-//!    on an unconstrained machine the II must be **bit-identical** to the
-//!    retiming minimum period, and the schedule's stage retiming is
+//!    the II must be at least the retiming minimum period of the
+//!    machine-effective graph and **bit-identical** to it on a machine
+//!    that caps no class and no issue width, no rung below that bound
+//!    may be certified by exhaustion, and the schedule's stage retiming is
 //!    lowered into a pipelined program and pushed through layers 1–4 like
 //!    every other generator.
 //!
@@ -313,26 +315,36 @@ fn check_exact(
         exact_check::check_witness(g, m, rung)
             .map_err(|e| fail(format!("witness for II {}: {e}", rung.ii)))?;
     }
-    // Differential agreement with the retiming solvers: bit-identical on
-    // an unconstrained machine, a hard lower bound whenever the machine
-    // keeps the paper's op times (resources only ever push the II up).
-    let no_overrides = cred_dfg::OpClass::ALL
+    // Differential agreement with the retiming solvers on the
+    // machine-effective graph: a hard lower bound on every machine, met
+    // exactly when the machine caps no class and no issue width (latency
+    // overrides only change the op times). Below the bound the period
+    // constraints alone must have rejected every rung the screens passed,
+    // so no rung there may rest on an exhausted search.
+    let bound = m.retiming_bound(g);
+    let caps_nothing =
+        m.issue_width.is_none() && cred_dfg::OpClass::ALL.iter().all(|&c| m.units(c).is_none());
+    if sched.ii < bound {
+        return Err(fail(format!(
+            "II {} beats the resource-free lower bound {bound}",
+            sched.ii
+        )));
+    }
+    if caps_nothing && sched.ii != bound {
+        return Err(fail(format!(
+            "II {} on a machine that caps nothing != retiming min period {bound}",
+            sched.ii
+        )));
+    }
+    if let Some(rung) = sched
+        .rejected
         .iter()
-        .all(|&c| m.latency_override(c).is_none());
-    if no_overrides {
-        let opt = min_period_retiming(g);
-        if m.is_unconstrained() && sched.ii != opt.period {
-            return Err(fail(format!(
-                "unconstrained II {} != retiming min period {}",
-                sched.ii, opt.period
-            )));
-        }
-        if sched.ii < opt.period {
-            return Err(fail(format!(
-                "II {} beats the resource-free lower bound {}",
-                sched.ii, opt.period
-            )));
-        }
+        .find(|r| r.ii < bound && matches!(r.witness, cred_exact::Infeasible::Exhausted { .. }))
+    {
+        return Err(fail(format!(
+            "II {} below the retiming bound {bound} rests on an exhausted search",
+            rung.ii
+        )));
     }
     // Lower the exact schedule into the code-generation pipeline: its
     // stage retiming must be a legal retiming, and the pipelined program
