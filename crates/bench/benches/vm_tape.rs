@@ -5,7 +5,7 @@
 //!
 //! The program under execution is each bundled kernel's CRED
 //! retime+unfold output at f = 2 — the guard-heaviest generator, i.e.
-//! the worst case for the tape's predicate-bitset precomputation.
+//! the most guard windows for the tape compiler to precompute.
 
 use cred_codegen::cred::cred_retime_unfold;
 use cred_codegen::{DecMode, LoopProgram};

@@ -71,10 +71,8 @@ pub enum OpKind {
 impl OpKind {
     /// Evaluate the operation on `inputs` at (1-based) iteration `i`.
     ///
-    /// `inline(always)`: the VM's streamed executor calls this from
-    /// per-variant monomorphized loops where the match must fold to the
-    /// variant's one or two ALU ops; the plain hint loses to the
-    /// inliner's budget inside those large loop nests.
+    /// `inline(always)`: both VM executors call this once per compute
+    /// instance from their innermost loops, across the crate boundary.
     #[inline(always)]
     pub fn eval(self, inputs: &[i64], i: i64) -> i64 {
         match self {
@@ -100,8 +98,7 @@ impl OpKind {
                 } else {
                     // Add fallback, spelled out: a self-call here would
                     // make `eval` recursive, and LLVM silently drops
-                    // `alwaysinline` from recursive functions — which
-                    // un-inlines every monomorphized VM stream loop.
+                    // `alwaysinline` from recursive functions.
                     inputs.iter().fold(c, |acc, &x| acc.wrapping_add(x))
                 }
             }

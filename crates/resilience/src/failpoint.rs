@@ -240,14 +240,6 @@ mod registry {
         std::mem::take(&mut state().fired)
     }
 
-    pub(super) fn is_armed(site: &'static str) -> bool {
-        ACTIVE.load(Ordering::Relaxed)
-            && state()
-                .plan
-                .as_ref()
-                .is_some_and(|p| p.action_for(site).is_some())
-    }
-
     pub(super) fn consult(site: &'static str) -> Result<(), InjectedFault> {
         if !ACTIVE.load(Ordering::Relaxed) {
             return Ok(());
@@ -288,24 +280,6 @@ pub fn hit(site: &'static str) -> Result<(), InjectedFault> {
     {
         let _ = site;
         Ok(())
-    }
-}
-
-/// Whether the installed plan (if any) arms `site`. Reaching a site the
-/// plan does not arm has no observable effect at all — no log entry, no
-/// action — so a hot loop that checks `armed` once up front may legally
-/// skip its [`hit`] calls when this returns `false`. Always `false`
-/// without the `failpoints` feature.
-#[inline]
-pub fn armed(site: &'static str) -> bool {
-    #[cfg(feature = "failpoints")]
-    {
-        registry::is_armed(site)
-    }
-    #[cfg(not(feature = "failpoints"))]
-    {
-        let _ = site;
-        false
     }
 }
 

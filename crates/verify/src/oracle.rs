@@ -48,8 +48,8 @@ use std::fmt;
 /// Which `cred-vm` executor the oracle's execution layer runs.
 ///
 /// [`Executor::Tape`] (the default) compiles each program once into a
-/// flat instruction tape and runs that — the fast path that lets CI
-/// afford 50x the differential-testing budget. [`Executor::Tree`] is the
+/// flat instruction tape and runs that, with the runtime discipline
+/// checks proved away at compile time. [`Executor::Tree`] is the
 /// original tree-walking interpreter, kept as the reference semantics;
 /// the two are held equivalent by `cred_vm::cross_check_executors` and
 /// the differential proptests, so running the oracle under `Tree`
@@ -57,7 +57,7 @@ use std::fmt;
 /// compiler itself, not a different oracle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Executor {
-    /// Compile to a flat tape, then execute (fast path, default).
+    /// Compile to a flat tape, then execute (default).
     #[default]
     Tape,
     /// Tree-walk the program directly (reference semantics).

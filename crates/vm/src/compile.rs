@@ -17,21 +17,25 @@
 //!   is `scale * i + offset` (straight-line indices fold to constants);
 //! * **guard predicates** — the register bookkeeping (`setup`, `dec`,
 //!   auto-decrement) is simulated at compile time and each guarded loop
-//!   instruction gets a **predicate bitset** with one bit per iteration;
-//!   `setup`/`dec` instructions vanish from the tape entirely. A register
-//!   fault (a guard or decrement over a never-`setup` register) is
-//!   detected during the simulation and recorded as a pending
-//!   [`ExecError`] at its exact position, so the executor still faults at
-//!   the same instruction instance the tree-walker would;
+//!   instruction gets its enabled iterations: one **window** `t0..=t1`
+//!   when every register falls by a constant per iteration (every
+//!   generated program), else a **predicate bitset** with one bit per
+//!   iteration. `setup`/`dec` instructions vanish from the tape entirely.
+//!   A register fault (a guard or decrement over a never-`setup`
+//!   register) is detected during the simulation and recorded as a
+//!   pending [`ExecError`] at its exact position, so the executor still
+//!   faults at the same instruction instance the tree-walker would;
 //! * **chunk boundaries** — prologue, kernel, and epilogue are ranges
 //!   into one flat instruction vector, with the loop's trip count and
 //!   the dynamic execute/nullify totals precomputed.
 //!
 //! [`Tape::execute`] is then a branch-light loop: per instance, two
-//! multiply-adds for the indices, a bitset probe for the guard, and the
-//! same strict memory discipline as the tree-walker (single write per
-//! element, no use-before-def, range checks) over a flat written-bitset.
-//! It returns the same [`ExecResult`]/[`ExecError`] values as
+//! multiply-adds for the indices, a window compare or bitset probe for
+//! the guard, and the same strict memory discipline as the tree-walker
+//! (single write per element, no use-before-def, range checks) over a
+//! flat written-bitset. When the compile-time discipline proof shows no
+//! check can fire, it runs the same loop with the checks left out. It
+//! returns the same [`ExecResult`]/[`ExecError`] values as
 //! [`execute`](crate::execute) — bit-for-bit, which
 //! `cross_check_executors` and the differential proptests in
 //! `tests/tape_prop.rs` enforce. The tree-walker stays as the reference
@@ -70,7 +74,8 @@ enum Enable {
     Always,
     /// Guarded loop instruction: bit `t` of the window starting at this
     /// offset into [`Tape::guard_words`] is the precomputed predicate for
-    /// iteration index `t`.
+    /// iteration index `t`. The discipline proof rejects these, so only
+    /// the checked loop reads them.
     Bits(usize),
     /// Guarded loop instruction whose register evolves affinely, so the
     /// enabled set is exactly the iteration interval `t0..=t1` (empty if
@@ -141,14 +146,6 @@ pub struct Tape {
     /// [`prove_clean`]; lets [`Tape::execute`] drop the written-bitset
     /// and range checks entirely.
     clean: bool,
-    /// Instruction-major execution schedule for preverified tapes: the
-    /// strongly connected components of the body's dependence summary
-    /// graph, in topological order (body indices, body order within a
-    /// component). A singleton component is a streamable instruction —
-    /// its whole iteration interval runs as one tight loop; a larger
-    /// component (a recurrence) runs iteration-major. `None` when the
-    /// body has bitset-only guards, which also disables streaming.
-    plan: Option<Vec<Vec<u32>>>,
 }
 
 impl Tape {
@@ -156,7 +153,8 @@ impl Tape {
     /// whether [`Tape::execute`] runs the unchecked fast loop. Generated
     /// programs (one uniform index stride, registers set up before the
     /// loop) always preverify; hand-mutated programs with real faults
-    /// never do.
+    /// never do, and neither do programs whose guards needed a
+    /// predicate bitset.
     pub fn preverified(&self) -> bool {
         self.clean
     }
@@ -345,9 +343,9 @@ impl<'p> Compiler<'p> {
     }
 
     /// Lower the kernel: emit every compute once, then simulate the
-    /// register bookkeeping across all `trip` iterations to fill the
-    /// predicate bitsets (and catch register faults at their exact
-    /// position).
+    /// register bookkeeping across all `trip` iterations to find each
+    /// guard's enabled iterations (and catch register faults at their
+    /// exact position).
     fn lower_body(&mut self, l: &cred_codegen::LoopSpec) -> BodyChunk {
         let start = self.insts.len();
         let trip = l.trip_count();
@@ -356,7 +354,7 @@ impl<'p> Compiler<'p> {
         let mut plain = 0u64;
         // Bitset offsets are assigned up front but the pool is only
         // materialized if the scalar simulation actually runs — the
-        // affine path proves with intervals and never reads a bitset.
+        // affine path commits windows and never reads a bitset.
         let mut pool = 0usize;
         if trip > 0 {
             for inst in &l.body {
@@ -498,7 +496,7 @@ impl<'p> Compiler<'p> {
     /// bound, and a non-negative constant decrement per iteration. Then
     /// each register's value is affine in the iteration index, every
     /// guard's enabled set is one contiguous `t`-interval solvable in
-    /// O(1), and the predicate bitsets are filled a word at a time.
+    /// O(1), committed as an [`Enable::Window`].
     ///
     /// Returns `false` (having changed nothing) when the shape does not
     /// hold or any intermediate value could leave `i64` range — the
@@ -603,21 +601,21 @@ impl<'p> Compiler<'p> {
 //
 // Everything the checked executor polices — write ranges, single
 // assignment, use-before-def order, completeness — is data-independent:
-// a property of the affine index expressions and the precomputed guard
-// bitsets alone. When every loop-varying reference in the body shares
-// one index stride `d = scale * step` (true for every generated
-// program), the elements of each array split into `d` independent
-// residue classes, and each body instruction maps its enabled-iteration
-// bitset into a class by a constant shift. The whole discipline then
-// reduces to shifted word-parallel bitset algebra, 64 instruction
-// instances per operation:
+// a property of the affine index expressions and the guard windows
+// alone. When every loop-varying reference in the body shares one index
+// stride `d = scale * step` (true for every generated program), the
+// elements of each array split into `d` independent residue classes, and
+// each body instruction maps its enabled window `t0..=t1` onto one
+// contiguous run of positions in one class by a constant shift. The
+// whole discipline then reduces to interval algebra:
 //
-// * a write collision is a nonzero AND between a shifted enabled-set
-//   and the class's accumulated write-set;
-// * a read at iteration `t` is covered exactly when some writer's
-//   enabled-set, shifted by the difference of the two slot shifts,
-//   has bit `t` — and the sign of that difference alone decides
-//   whether the writing instance comes earlier;
+// * a write collision is an overlap between two writer runs of one
+//   class, or a run holding a straight-line write;
+// * a read at iteration `t` is covered exactly when some writer's run,
+//   shifted by the difference of the two slot shifts, contains `t` —
+//   and the sign of that difference alone decides whether the writing
+//   instance comes earlier, so one sorted sweep per source settles its
+//   whole read window;
 // * completeness is a counting identity: with no collisions and no
 //   out-of-range writes, "every element written" is exactly
 //   "executed computes == arrays * n".
@@ -625,116 +623,18 @@ impl<'p> Compiler<'p> {
 // The proof is one-sided. `true` guarantees the checked executor cannot
 // fault, so [`Tape::execute`] may run the unchecked loop; `false` only
 // means "run the checked loop", which replays any real fault at its
-// exact position. All index arithmetic here is `i128` so the proof
-// reasons about true values; in-range conclusions transfer to the
-// executor's `i64` arithmetic because wrapping ops agree with true
-// arithmetic whenever the true value fits.
-
-/// First set bit among the low `bits` of `words`.
-fn first_set(words: &[u64], bits: usize) -> Option<usize> {
-    for (w, &word) in words.iter().enumerate() {
-        let word = mask_tail(word, w, bits);
-        if word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-    }
-    None
-}
-
-/// Last set bit among the low `bits` of `words`.
-fn last_set(words: &[u64], bits: usize) -> Option<usize> {
-    for (w, &word) in words.iter().enumerate().rev() {
-        let word = mask_tail(word, w, bits);
-        if word != 0 {
-            return Some(w * 64 + 63 - word.leading_zeros() as usize);
-        }
-    }
-    None
-}
-
-/// Zero any bits of word `w` at positions `>= bits`.
-fn mask_tail(word: u64, w: usize, bits: usize) -> u64 {
-    let tail = bits as i128 - w as i128 * 64;
-    if tail <= 0 {
-        0
-    } else if tail < 64 {
-        word & ((1u64 << tail) - 1)
-    } else {
-        word
-    }
-}
-
-/// Word `w` of the shifted stream `out[p] = src[p - shift]`; bits of
-/// `src` outside `[0, src_bits)` read as zero.
-fn shifted_word(src: &[u64], src_bits: usize, shift: i128, w: usize) -> u64 {
-    let word_at = |i: i128| -> u64 {
-        if i < 0 || i >= src.len() as i128 {
-            0
-        } else {
-            mask_tail(src[i as usize], i as usize, src_bits)
-        }
-    };
-    let base = (w as i128) * 64 - shift;
-    let sw = base.div_euclid(64);
-    let off = base.rem_euclid(64) as u32;
-    if off == 0 {
-        word_at(sw)
-    } else {
-        (word_at(sw) >> off) | (word_at(sw + 1) << (64 - off))
-    }
-}
-
-/// Word `w` of the mask of positions `t` with `lo <= t <= hi`.
-fn mask_range(lo: i128, hi: i128, w: usize) -> u64 {
-    let (wlo, whi) = ((w as i128) * 64, (w as i128) * 64 + 63);
-    let lo = lo.max(wlo);
-    let hi = hi.min(whi);
-    if lo > hi {
-        return 0;
-    }
-    let l = (lo - wlo) as u32;
-    let h = (hi - wlo) as u32;
-    (u64::MAX >> (63 - h)) & (u64::MAX << l)
-}
-
-/// Per-array, per-residue-class write-sets in position space
-/// (`position = (index - residue) / stride`).
-type Classes = BTreeMap<(u32, i128), Vec<u64>>;
+// exact position. A tape with a bitset-guarded body instruction (the
+// register simulation found no affine window) is not attempted: it runs
+// checked. All index arithmetic here is `i128` so the proof reasons
+// about true values; in-range conclusions transfer to the executor's
+// `i64` arithmetic because wrapping ops agree with true arithmetic
+// whenever the true value fits.
 
 /// One interval-form body writer: `(class, body index, shift, p0, p1)`.
 type IntervalWriter = ((u32, i128), usize, i128, i128, i128);
 
-/// Per-class bitset-form body writers: `(body position, enabled bits,
-/// class shift)` each.
-type BitsetWriters<'a> = BTreeMap<(u32, i128), Vec<(usize, &'a [u64], i128)>>;
-
-fn class_bit(classes: &Classes, array: u32, idx: i128, d: i128) -> bool {
-    let r = idx.rem_euclid(d);
-    let p = idx.div_euclid(d) as usize;
-    classes
-        .get(&(array, r))
-        .is_some_and(|w| (w[p >> 6] >> (p & 63)) & 1 == 1)
-}
-
-/// Set the bit for `idx`; `false` if it was already set (a double write).
-fn class_set(classes: &mut Classes, array: u32, idx: i128, d: i128, pw: usize) -> bool {
-    let r = idx.rem_euclid(d);
-    let p = idx.div_euclid(d) as usize;
-    let words = classes.entry((array, r)).or_insert_with(|| vec![0; pw]);
-    let (w, m) = (p >> 6, 1u64 << (p & 63));
-    if words[w] & m != 0 {
-        return false;
-    }
-    words[w] |= m;
-    true
-}
-
-/// Try to prove no [`ExecError`] is reachable. See the module comment
-/// block above for the method; `false` is always safe. Dispatches to an
-/// interval sweep when every body guard is affine (the common generated
-/// shape — no bitsets are even materialized then) and to the word-wise
-/// bitset algebra when the scalar simulation left `Enable::Bits`
-/// predicates behind.
+/// Try to prove no [`ExecError`] is reachable. See the comment block
+/// above for the method; `false` is always safe.
 fn prove_clean(tape: &Tape) -> bool {
     if tape.pre.fault.is_some() || tape.post.fault.is_some() {
         return false;
@@ -756,8 +656,8 @@ fn prove_clean(tape: &Tape) -> bool {
     // One uniform stride across every loop-varying slot in the body.
     let mut scale: Option<i64> = None;
     for inst in binsts {
-        if inst.dest.scale == 0 {
-            return false; // fixed-slot dest inside a loop: stay checked
+        if inst.dest.scale == 0 || matches!(inst.enable, Enable::Bits(_)) {
+            return false; // fixed-slot dest or bitset guard: stay checked
         }
         for s in std::iter::once(&inst.dest).chain(tape.src_slots(inst)) {
             match (s.scale, scale) {
@@ -777,17 +677,13 @@ fn prove_clean(tape: &Tape) -> bool {
     if d < 1 {
         return false;
     }
-    if binsts.iter().any(|i| matches!(i.enable, Enable::Bits(_))) {
-        prove_clean_words(tape, n, trip, lo, binsts, d)
-    } else {
-        prove_clean_intervals(tape, n, trip, lo, binsts, d)
-    }
+    prove_clean_intervals(tape, n, trip, lo, binsts, d)
 }
 
 /// `(div_euclid, rem_euclid)` in one step, with a shift/mask fast path
 /// for power-of-two divisors. `d` is `stride * step` in practice —
 /// almost always 1, 2, or 4 — and `i128` software division is the
-/// single most expensive operation in the proof and the planner.
+/// single most expensive operation in the proof.
 #[inline]
 fn divmod(a: i128, d: i128) -> (i128, i128) {
     debug_assert!(d > 0);
@@ -800,11 +696,10 @@ fn divmod(a: i128, d: i128) -> (i128, i128) {
     }
 }
 
-/// The interval prover: with every body enabled-set a contiguous
+/// The interval sweep: with every body enabled-set a contiguous
 /// `t`-interval, each instruction's touched elements form one contiguous
 /// run of positions inside its residue class, and the whole discipline
-/// is a handful of interval comparisons and one sorted sweep per source
-/// — no per-word work at all.
+/// is a handful of interval comparisons and one sorted sweep per source.
 fn prove_clean_intervals(
     tape: &Tape,
     n: i128,
@@ -986,351 +881,15 @@ fn prove_clean_intervals(
     true
 }
 
-/// The word-wise prover, for tapes whose scalar simulation left bitset
-/// predicates behind.
-fn prove_clean_words(
-    tape: &Tape,
-    n: i128,
-    trip: u64,
-    lo: i64,
-    binsts: &[TapeInst],
-    d: i128,
-) -> bool {
-    let pbits = (n / d) as usize + 1;
-    let pw = pbits.div_ceil(64);
-    let trip_words = trip.div_ceil(64) as usize;
-    let mut ones = vec![u64::MAX; trip_words];
-    if let Some(w) = ones.last_mut() {
-        *w = mask_tail(*w, trip_words - 1, trip as usize);
-    }
-    let enabled = |inst: &TapeInst| -> &[u64] {
-        match inst.enable {
-            Enable::Always => &ones,
-            Enable::Bits(off) => &tape.guard_words[off..off + trip_words],
-            // Window enables only come from the affine simulation, which
-            // routes to the interval prover instead.
-            Enable::Window(..) => unreachable!("interval tapes use prove_clean_intervals"),
-        }
-    };
-
-    // Pre chunk, sequentially: const indices, single instances.
-    let mut classes: Classes = BTreeMap::new();
-    let straight = |classes: &mut Classes, inst: &TapeInst| -> bool {
-        for s in tape.src_slots(inst) {
-            let idx = s.offset as i128; // i = 0
-            if idx <= 0 {
-                continue; // reads as zero
-            }
-            if idx > n || !class_bit(classes, s.array, idx, d) {
-                return false;
-            }
-        }
-        let idx = inst.dest.offset as i128;
-        (1..=n).contains(&idx) && class_set(classes, inst.dest.array, idx, d, pw)
-    };
-    for inst in &tape.insts[tape.pre.insts.clone()] {
-        if !straight(&mut classes, inst) {
-            return false;
-        }
-    }
-    let prewritten = classes.clone();
-
-    // Body writers: place every enabled write into its class, 64 at a
-    // time, with collision detection; the per-class entries are kept
-    // for the reader pass.
-    let mut writers: BitsetWriters = BTreeMap::new();
-    for (j, inst) in binsts.iter().enumerate() {
-        let bits = enabled(inst);
-        let Some(t_first) = first_set(bits, trip as usize) else {
-            continue; // never enabled: writes nothing, reads nothing
-        };
-        let t_last = last_set(bits, trip as usize).expect("nonempty");
-        let c = inst.dest.scale as i128 * lo as i128 + inst.dest.offset as i128;
-        // idx(t) = d*t + c is increasing in t, so the extremes bound all
-        // enabled writes.
-        if d * t_first as i128 + c < 1 || d * t_last as i128 + c > n {
-            return false;
-        }
-        let (s, r) = divmod(c, d);
-        let class = classes
-            .entry((inst.dest.array, r))
-            .or_insert_with(|| vec![0; pw]);
-        #[allow(clippy::needless_range_loop)] // `w` also feeds shifted_word
-        for w in 0..pw {
-            let add = shifted_word(bits, trip as usize, s, w);
-            if add == 0 {
-                continue;
-            }
-            if class[w] & add != 0 {
-                return false;
-            }
-            class[w] |= add;
-        }
-        writers
-            .entry((inst.dest.array, r))
-            .or_default()
-            .push((j, bits, s));
-    }
-
-    // Body readers: every enabled read must be in `1..=n` (or <= 0,
-    // which reads as zero) and covered by the pre chunk or by an
-    // earlier writing instance.
-    for (j, inst) in binsts.iter().enumerate() {
-        let bits = enabled(inst);
-        let Some(t_first) = first_set(bits, trip as usize) else {
-            continue;
-        };
-        let t_last = last_set(bits, trip as usize).expect("nonempty");
-        for src in tape.src_slots(inst) {
-            if src.scale == 0 {
-                let idx = src.offset as i128;
-                if idx <= 0 {
-                    continue;
-                }
-                // A fixed slot read every iteration: require it written
-                // before the loop.
-                if idx > n || !class_bit(&prewritten, src.array, idx, d) {
-                    return false;
-                }
-                continue;
-            }
-            let c = src.scale as i128 * lo as i128 + src.offset as i128;
-            // The executors evaluate this index in `i64`; require the
-            // enabled extremes (the index is monotone in `t`) to fit, so
-            // wrapped arithmetic agrees with the true values this proof
-            // reasons about. Write indices are already forced into
-            // `1..=n` above.
-            if d * t_first as i128 + c < i64::MIN as i128
-                || d * t_last as i128 + c > i64::MAX as i128
-            {
-                return false;
-            }
-            let (sh, r) = divmod(c, d);
-            // idx(t) in 1..=n exactly for t in [t_lo, t_hi].
-            let num = 1 - c;
-            let (q, rm) = divmod(num, d);
-            let t_lo = q + i128::from(rm != 0);
-            let t_hi = divmod(n - c, d).0;
-            let pre_class = prewritten.get(&(src.array, r));
-            let wlist = writers.get(&(src.array, r)).map_or(&[][..], |v| v);
-            #[allow(clippy::needless_range_loop)] // `w` also feeds mask_range
-            for w in 0..trip_words {
-                let b = bits[w];
-                if b == 0 {
-                    continue;
-                }
-                // Enabled above t_hi: an out-of-range read.
-                if b & !mask_range(i128::MIN, t_hi, w) != 0 {
-                    return false;
-                }
-                let need = b & mask_range(t_lo, t_hi, w);
-                if need == 0 {
-                    continue;
-                }
-                let mut cov = shifted_word(pre_class.map_or(&[][..], |v| v), pbits, -sh, w);
-                for &(k, kbits, ks) in wlist {
-                    // Reader bit t is covered by writer instance
-                    // u = t + (sh - ks); earlier means u < t, or u == t
-                    // with the writer ahead in the body.
-                    let delta = sh - ks;
-                    if delta > 0 || (delta == 0 && k >= j) {
-                        continue;
-                    }
-                    cov |= shifted_word(kbits, trip as usize, -delta, w);
-                }
-                if need & !cov != 0 {
-                    return false;
-                }
-            }
-        }
-    }
-
-    // Post chunk, sequentially, over everything written so far.
-    for inst in &tape.insts[tape.post.insts.clone()] {
-        if !straight(&mut classes, inst) {
-            return false;
-        }
-    }
-    true
-}
-
-/// The enabled iteration interval of a streamable instruction (empty
-/// when `t0 > t1`). Only called on tapes with a plan, which excludes
-/// bitset guards; `trip` must be nonzero.
+/// The enabled iteration interval of a body instruction (empty when
+/// `t0 > t1`). Only called by the proof, which rejects bitset guards
+/// first; `trip` must be nonzero.
 fn window_of(inst: &TapeInst, trip: u64) -> (u64, u64) {
     match inst.enable {
         Enable::Always => (0, trip - 1),
         Enable::Window(t0, t1) => (t0, t1),
-        Enable::Bits(_) => unreachable!("streamed plan excludes bitset guards"),
+        Enable::Bits(_) => unreachable!("prove_clean rejects bitset guards"),
     }
-}
-
-// --- Instruction-major scheduling ---------------------------------------
-//
-// On a proven-clean tape the body can be reordered instruction-major:
-// run instruction 0 across all its iterations, then instruction 1, and
-// so on — each as one tight loop with the op match hoisted out. The
-// legality argument rides on the same residue-class algebra as the
-// proof. Two body instructions can only interact through an array
-// element both touch, which forces them into one class and makes every
-// interacting instance pair share the constant `delta = shift(reader) -
-// shift(writer)`: reader iteration `t` reads what writer iteration
-// `t + delta` wrote. Single assignment kills output dependences, the
-// use-before-def discipline kills anti-dependences, and a `delta > 0`
-// true dependence would itself be a use-before-def — so on a clean tape
-// the only constraints left are writer-before-reader pairs with
-// `delta < 0`, or `delta == 0` with the writer earlier in the body.
-// Those edges summarize *all* instances at once; scheduling the
-// strongly connected components of that graph in topological order, and
-// the rare multi-instruction recurrence component iteration-major, is
-// an order-preserving projection of the original execution.
-
-/// Build the instruction-major schedule for a proven-clean tape, or
-/// `None` if the body has bitset-shaped guards (non-interval enabled
-/// sets stay iteration-major).
-fn dependence_plan(tape: &Tape) -> Option<Vec<Vec<u32>>> {
-    let Some(b) = &tape.body else {
-        return Some(Vec::new());
-    };
-    let binsts = &tape.insts[b.insts.clone()];
-    let m = binsts.len();
-    if m == 0 {
-        return Some(Vec::new());
-    }
-    if binsts.iter().any(|i| matches!(i.enable, Enable::Bits(_))) {
-        return None;
-    }
-    // The uniform stride prove_clean already established; recomputed
-    // rather than stored.
-    let mut scale = 1i64;
-    for inst in binsts {
-        for s in std::iter::once(&inst.dest).chain(tape.src_slots(inst)) {
-            if s.scale != 0 {
-                scale = s.scale;
-            }
-        }
-    }
-    let d = i128::from(scale) * i128::from(b.step);
-    let key = |s: &Slot| {
-        let c = i128::from(s.scale) * i128::from(b.lo) + i128::from(s.offset);
-        let (q, r) = divmod(c, d);
-        ((s.array, r), q)
-    };
-    let n = i128::from(tape.n);
-    let win = |inst: &TapeInst| window_of(inst, b.trip);
-    let mut writers: BTreeMap<(u32, i128), Vec<(usize, i128)>> = BTreeMap::new();
-    for (k, inst) in binsts.iter().enumerate() {
-        let (cls, s) = key(&inst.dest);
-        writers.entry(cls).or_default().push((k, s));
-    }
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); m];
-    for (j, inst) in binsts.iter().enumerate() {
-        let (t0_j, t1_j) = win(inst);
-        if t0_j > t1_j {
-            continue;
-        }
-        for src in tape.src_slots(inst) {
-            if src.scale == 0 {
-                continue; // covered by the pre chunk, no body edge
-            }
-            let (cls, sh) = key(src);
-            // Clip the reader's window to iterations whose read position
-            // is in range (`idx <= 0` reads the constant zero, touching
-            // no element); positions read are then `t + sh`.
-            let c = i128::from(src.scale) * i128::from(b.lo) + i128::from(src.offset);
-            let num = 1 - c;
-            let (q, rm) = divmod(num, d);
-            let t_lo = q + i128::from(rm != 0);
-            let t_hi = divmod(n - c, d).0;
-            let rlo = (t0_j as i128).max(t_lo);
-            let rhi = (t1_j as i128).min(t_hi);
-            if rlo > rhi {
-                continue;
-            }
-            for &(k, ks) in writers.get(&cls).map_or(&[][..], |v| v) {
-                let delta = sh - ks;
-                // A self-recurrence (k == j, delta < 0) needs no edge:
-                // the instruction's own loop runs t in increasing order.
-                // delta > 0 pairs cannot overlap on a clean tape (that
-                // overlap would itself be a use-before-def).
-                if k == j || delta > 0 || (delta == 0 && k >= j) {
-                    continue;
-                }
-                // Positions actually shared: reader reads [rlo+sh,
-                // rhi+sh], writer k writes its own window shifted by ks.
-                let (t0_k, t1_k) = win(&binsts[k]);
-                if t0_k > t1_k {
-                    continue;
-                }
-                if rlo + sh <= t1_k as i128 + ks && t0_k as i128 + ks <= rhi + sh {
-                    adj[k].push(j as u32);
-                }
-            }
-        }
-    }
-    Some(scc_topo(&adj))
-}
-
-/// Tarjan's strongly-connected-components, returned in topological
-/// order of the condensation (every edge leads from an earlier to a
-/// later component), members in body order.
-fn scc_topo(adj: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    struct St<'a> {
-        adj: &'a [Vec<u32>],
-        index: Vec<u32>, // 0 = unvisited, else visit order + 1
-        low: Vec<u32>,
-        on: Vec<bool>,
-        stack: Vec<u32>,
-        next: u32,
-        out: Vec<Vec<u32>>,
-    }
-    fn dfs(st: &mut St, v: usize) {
-        st.next += 1;
-        st.index[v] = st.next;
-        st.low[v] = st.next;
-        st.stack.push(v as u32);
-        st.on[v] = true;
-        for i in 0..st.adj[v].len() {
-            let w = st.adj[v][i] as usize;
-            if st.index[w] == 0 {
-                dfs(st, w);
-                st.low[v] = st.low[v].min(st.low[w]);
-            } else if st.on[w] {
-                st.low[v] = st.low[v].min(st.index[w]);
-            }
-        }
-        if st.low[v] == st.index[v] {
-            let mut comp = Vec::new();
-            loop {
-                let w = st.stack.pop().expect("component root still on stack");
-                st.on[w as usize] = false;
-                comp.push(w);
-                if w as usize == v {
-                    break;
-                }
-            }
-            comp.sort_unstable();
-            st.out.push(comp);
-        }
-    }
-    let m = adj.len();
-    let mut st = St {
-        adj,
-        index: vec![0; m],
-        low: vec![0; m],
-        on: vec![false; m],
-        stack: Vec::new(),
-        next: 0,
-        out: Vec::new(),
-    };
-    for v in 0..m {
-        if st.index[v] == 0 {
-            dfs(&mut st, v);
-        }
-    }
-    // Tarjan emits components in reverse topological order.
-    st.out.reverse();
-    st.out
 }
 
 /// Lower `p` into a [`Tape`]. Pure except for the
@@ -1390,22 +949,8 @@ pub fn compile(p: &LoopProgram) -> Result<Tape, ExecError> {
         nullified: c.nullified,
         max_srcs: c.max_srcs,
         clean: false,
-        plan: None,
     };
     tape.clean = prove_clean(&tape);
-    // The instruction-major streamed schedule only repays its planning
-    // cost (interval sort, SCC grouping) once the loop executes a few
-    // thousand dynamic instructions; below that the iteration-major
-    // unchecked loop is already optimal and the plan is pure compile
-    // overhead — which is what verification fuzz cases (n <= 40) would
-    // otherwise spend most of their executor budget on.
-    let dyn_insts = tape
-        .body
-        .as_ref()
-        .map_or(0, |b| b.trip.saturating_mul(b.insts.len() as u64));
-    if tape.clean && dyn_insts >= 4096 {
-        tape.plan = dependence_plan(&tape);
-    }
     Ok(tape)
 }
 
@@ -1501,181 +1046,6 @@ impl Run {
     }
 }
 
-/// A streamed operand: cell index at iteration index `t` is
-/// `adv * t + c` (wrapping, which the discipline proof showed agrees
-/// with the true affine value for every enabled instance).
-#[derive(Clone, Copy)]
-struct Lane {
-    base: usize,
-    adv: i64,
-    c: i64,
-}
-
-/// Read cell `idx` of the array at `base`, with `idx <= 0` reading as
-/// zero (initial conditions, e.g. `E[-3]`).
-///
-/// Streamed execution runs only on tapes whose discipline proof went
-/// through, and the proof pins every enabled positive operand index
-/// into `1..=n` — evaluated in wrapping `i64` arithmetic that the
-/// proof's `i64`-fit check showed agrees with the true affine value.
-/// With `base = array * cells_per_array` and `n <= cells_per_array`,
-/// the slot is in bounds, so the access skips the per-instance bounds
-/// check; debug builds re-assert it.
-#[inline(always)]
-fn load_at(vals: &[i64], base: usize, idx: i64) -> i64 {
-    if idx <= 0 {
-        0
-    } else {
-        let slot = base + (idx - 1) as usize;
-        debug_assert!(
-            slot < vals.len(),
-            "discipline proof pinned reads into bounds"
-        );
-        // SAFETY: see above — the compile-time proof bounds every
-        // enabled read index.
-        unsafe { *vals.get_unchecked(slot) }
-    }
-}
-
-/// Write cell `idx` (proved to be in `1..=n`) of the array at `base`.
-/// Same proof obligation as [`load_at`].
-#[inline(always)]
-fn store_at(vals: &mut [i64], base: usize, idx: i64, v: i64) {
-    let slot = base + (idx - 1) as usize;
-    debug_assert!(idx >= 1, "discipline proof pinned writes positive");
-    debug_assert!(
-        slot < vals.len(),
-        "discipline proof pinned writes into bounds"
-    );
-    // SAFETY: see above — the compile-time proof bounds every enabled
-    // write index.
-    unsafe { *vals.get_unchecked_mut(slot) = v }
-}
-
-#[inline(always)]
-fn lane_load(vals: &[i64], s: Lane, t: i64) -> i64 {
-    load_at(vals, s.base, s.adv.wrapping_mul(t).wrapping_add(s.c))
-}
-
-/// The monomorphic core of a singleton stream: `count` instances of one
-/// instruction, sources gathered into a fixed-arity array, the op
-/// supplied as a closure so its variant match folds away after
-/// inlining. Indices run as counters (one add per step).
-#[inline(never)]
-fn stream_loop<const A: usize, F: Fn(&[i64; A], i64) -> i64>(
-    vals: &mut [i64],
-    dest: Lane,
-    srcs: &[Lane; A],
-    t0: u64,
-    count: u64,
-    f: F,
-) {
-    let at = |s: &Lane| s.adv.wrapping_mul(t0 as i64).wrapping_add(s.c);
-    let mut di = at(&dest);
-    let mut idx = [0i64; A];
-    for (v, s) in idx.iter_mut().zip(srcs.iter()) {
-        *v = at(s);
-    }
-    for _ in 0..count {
-        let mut ins = [0i64; A];
-        for k in 0..A {
-            ins[k] = load_at(vals, srcs[k].base, idx[k]);
-            idx[k] = idx[k].wrapping_add(srcs[k].adv);
-        }
-        store_at(vals, dest.base, di, f(&ins, di));
-        di = di.wrapping_add(dest.adv);
-    }
-}
-
-/// Dispatch [`stream_loop`] on the op variant. Each arm rebuilds the
-/// variant from its payload inside the closure, so after inlining the
-/// `eval` match is on a literal discriminant and constant-folds: the
-/// loop body is just the gathers and the one or two ALU ops of the
-/// variant itself.
-/// A first-order self-recurrence `A[f(t)] = op(A[f(t-1)])` — the shape
-/// of delay lines and one-pole filters. The loop-carried value lives in
-/// a register instead of bouncing through a store-to-load forward each
-/// step, so the chain collapses to the op's ALU latency.
-#[inline(never)]
-fn carry_loop<F: Fn(&[i64; 1], i64) -> i64>(
-    vals: &mut [i64],
-    dest: Lane,
-    t0: u64,
-    count: u64,
-    mut carry: i64,
-    f: F,
-) {
-    let mut di = dest.adv.wrapping_mul(t0 as i64).wrapping_add(dest.c);
-    for _ in 0..count {
-        carry = f(&[carry], di);
-        store_at(vals, dest.base, di, carry);
-        di = di.wrapping_add(dest.adv);
-    }
-}
-
-#[inline(always)]
-fn carry_op(vals: &mut [i64], op: OpKind, dest: Lane, t0: u64, count: u64, carry: i64) {
-    use OpKind::*;
-    match op {
-        Add(c) => carry_loop(vals, dest, t0, count, carry, move |ins, i| {
-            Add(c).eval(ins, i)
-        }),
-        Sub(c) => carry_loop(vals, dest, t0, count, carry, move |ins, i| {
-            Sub(c).eval(ins, i)
-        }),
-        Mul(c) => carry_loop(vals, dest, t0, count, carry, move |ins, i| {
-            Mul(c).eval(ins, i)
-        }),
-        Mac(c) => carry_loop(vals, dest, t0, count, carry, move |ins, i| {
-            Mac(c).eval(ins, i)
-        }),
-        Scale(k, c) => carry_loop(vals, dest, t0, count, carry, move |ins, i| {
-            Scale(k, c).eval(ins, i)
-        }),
-        ScaledMul(k, c) => carry_loop(vals, dest, t0, count, carry, move |ins, i| {
-            ScaledMul(k, c).eval(ins, i)
-        }),
-        Input(c) => carry_loop(vals, dest, t0, count, carry, move |ins, i| {
-            Input(c).eval(ins, i)
-        }),
-    }
-}
-
-#[inline(always)]
-fn stream_op<const A: usize>(
-    vals: &mut [i64],
-    op: OpKind,
-    dest: Lane,
-    srcs: &[Lane; A],
-    t0: u64,
-    count: u64,
-) {
-    use OpKind::*;
-    match op {
-        Add(c) => stream_loop(vals, dest, srcs, t0, count, move |ins, i| {
-            Add(c).eval(ins, i)
-        }),
-        Sub(c) => stream_loop(vals, dest, srcs, t0, count, move |ins, i| {
-            Sub(c).eval(ins, i)
-        }),
-        Mul(c) => stream_loop(vals, dest, srcs, t0, count, move |ins, i| {
-            Mul(c).eval(ins, i)
-        }),
-        Mac(c) => stream_loop(vals, dest, srcs, t0, count, move |ins, i| {
-            Mac(c).eval(ins, i)
-        }),
-        Scale(k, c) => stream_loop(vals, dest, srcs, t0, count, move |ins, i| {
-            Scale(k, c).eval(ins, i)
-        }),
-        ScaledMul(k, c) => stream_loop(vals, dest, srcs, t0, count, move |ins, i| {
-            ScaledMul(k, c).eval(ins, i)
-        }),
-        Input(c) => stream_loop(vals, dest, srcs, t0, count, move |ins, i| {
-            Input(c).eval(ins, i)
-        }),
-    }
-}
-
 impl Tape {
     fn site(&self, node: u32, i: i64) -> Site {
         Site {
@@ -1716,246 +1086,6 @@ impl Tape {
         vals[inst.dest.base + (dest_idx - 1) as usize] = inst.op.eval(inputs, dest_idx);
     }
 
-    /// An affine operand as a [`Lane`]: cell index at iteration index
-    /// `t` is `scale * (lo + step * t) + offset = adv * t + c`.
-    fn lane(&self, s: &Slot, b: &BodyChunk) -> Lane {
-        Lane {
-            base: s.base,
-            adv: s.scale.wrapping_mul(b.step),
-            c: s.scale.wrapping_mul(b.lo).wrapping_add(s.offset),
-        }
-    }
-
-    /// One singleton dependence component: run `inst` across its whole
-    /// enabled interval as a single tight loop. Every operand index is
-    /// affine in the iteration index, so each advances by a constant per
-    /// step; the arity match picks a fixed-size gather and
-    /// [`stream_op`] monomorphizes the loop per op variant, so both the
-    /// slot arithmetic and the op dispatch hoist out of it. Wrapping
-    /// adds agree with the direct `scale * i + offset` evaluation modulo
-    /// 2^64, and the discipline proof pinned every enabled index into
-    /// `i64`, so the values match the iteration-major loop exactly.
-    fn stream_one(&self, vals: &mut [i64], inst: &TapeInst, b: &BodyChunk) {
-        let (t0, t1) = window_of(inst, b.trip);
-        if t0 > t1 {
-            return;
-        }
-        let dest = self.lane(&inst.dest, b);
-        let count = t1 - t0 + 1;
-        match self.src_slots(inst) {
-            [] => stream_op(vals, inst.op, dest, &[], t0, count),
-            [a] => {
-                let al = self.lane(a, b);
-                // Source reads this instruction's own previous instance
-                // (`idx_src(t) = idx_dest(t-1)`): a first-order
-                // recurrence whose carried value can live in a register.
-                // For `t > t0` the read hits a cell this loop just wrote
-                // (single assignment makes the dest run exclusively
-                // ours); the `t0` read is whatever memory holds.
-                if al.base == dest.base
-                    && al.adv == dest.adv
-                    && al.c == dest.c.wrapping_sub(dest.adv)
-                {
-                    let carry = lane_load(vals, al, t0 as i64);
-                    carry_op(vals, inst.op, dest, t0, count, carry);
-                } else {
-                    stream_op(vals, inst.op, dest, &[al], t0, count)
-                }
-            }
-            [a, c] => stream_op(
-                vals,
-                inst.op,
-                dest,
-                &[self.lane(a, b), self.lane(c, b)],
-                t0,
-                count,
-            ),
-            [a, c, e] => stream_op(
-                vals,
-                inst.op,
-                dest,
-                &[self.lane(a, b), self.lane(c, b), self.lane(e, b)],
-                t0,
-                count,
-            ),
-            srcs => {
-                // Rare wide-arity fallback: dynamic gather, op match in
-                // the loop.
-                let lanes: Vec<Lane> = srcs.iter().map(|s| self.lane(s, b)).collect();
-                let mut inputs = vec![0i64; srcs.len()];
-                for t in t0..=t1 {
-                    let ti = t as i64;
-                    for (v, s) in inputs.iter_mut().zip(lanes.iter()) {
-                        *v = lane_load(vals, *s, ti);
-                    }
-                    let di = dest.adv.wrapping_mul(ti).wrapping_add(dest.c);
-                    store_at(vals, dest.base, di, inst.op.eval(&inputs, di));
-                }
-            }
-        }
-    }
-
-    /// A recurrence component (more than one instruction in a dependence
-    /// cycle): iteration-major over the members, split into segments of
-    /// constant membership. Member windows partition `[lo_t, hi_t]` at
-    /// their endpoints; within a segment the active set is fixed, so the
-    /// inner loop carries no window compares and no disabled members.
-    /// Operand indices are computed in multiplication form
-    /// (`adv * t + c`) from read-only [`Lane`]s — no per-member counter
-    /// stores — which the proof showed equals the true affine index for
-    /// every enabled instance.
-    fn run_group(
-        &self,
-        vals: &mut [i64],
-        inputs: &mut Vec<i64>,
-        insts: &[TapeInst],
-        group: &[u32],
-        b: &BodyChunk,
-    ) {
-        enum Srcs {
-            N0,
-            N1([Lane; 1]),
-            N2([Lane; 2]),
-            N3([Lane; 3]),
-            Nn(Vec<Lane>),
-        }
-        struct Member {
-            t0: u64,
-            t1: u64,
-            op: OpKind,
-            dest: Lane,
-            srcs: Srcs,
-        }
-
-        let mut members: Vec<Member> = Vec::with_capacity(group.len());
-        // Segment boundaries: each member window contributes its start
-        // and one-past-its-end.
-        let mut cuts: Vec<u64> = Vec::with_capacity(2 * group.len());
-        for &j in group {
-            let inst = &insts[j as usize];
-            let (t0, t1) = window_of(inst, b.trip);
-            if t0 > t1 {
-                continue;
-            }
-            cuts.push(t0);
-            cuts.push(t1 + 1);
-            let mut ss = self.src_slots(inst).iter().map(|s| self.lane(s, b));
-            let mut next = || ss.next().expect("arity-checked");
-            let srcs = match self.src_slots(inst).len() {
-                0 => Srcs::N0,
-                1 => Srcs::N1([next()]),
-                2 => Srcs::N2([next(), next()]),
-                3 => Srcs::N3([next(), next(), next()]),
-                _ => Srcs::Nn(ss.collect()),
-            };
-            members.push(Member {
-                t0,
-                t1,
-                op: inst.op,
-                dest: self.lane(&inst.dest, b),
-                srcs,
-            });
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-        #[inline(always)]
-        fn step_member(vals: &mut [i64], inputs: &mut Vec<i64>, m: &Member, ti: i64) {
-            let di = m.dest.adv.wrapping_mul(ti).wrapping_add(m.dest.c);
-            let v = match &m.srcs {
-                Srcs::N0 => m.op.eval(&[], di),
-                Srcs::N1([a]) => m.op.eval(&[lane_load(vals, *a, ti)], di),
-                Srcs::N2([a, c]) => {
-                    m.op.eval(&[lane_load(vals, *a, ti), lane_load(vals, *c, ti)], di)
-                }
-                Srcs::N3([a, c, e]) => m.op.eval(
-                    &[
-                        lane_load(vals, *a, ti),
-                        lane_load(vals, *c, ti),
-                        lane_load(vals, *e, ti),
-                    ],
-                    di,
-                ),
-                Srcs::Nn(ss) => {
-                    inputs.clear();
-                    for s in ss.iter() {
-                        inputs.push(lane_load(vals, *s, ti));
-                    }
-                    m.op.eval(inputs, di)
-                }
-            };
-            store_at(vals, m.dest.base, di, v);
-        }
-
-        let mut active: Vec<usize> = Vec::with_capacity(members.len());
-        for seg in cuts.windows(2) {
-            let (s, e) = (seg[0], seg[1]);
-            active.clear();
-            active.extend(
-                members
-                    .iter()
-                    .enumerate()
-                    // No window endpoint lies inside (s, e), so covering
-                    // `s` means covering the whole segment.
-                    .filter(|(_, m)| m.t0 <= s && s <= m.t1)
-                    .map(|(k, _)| k),
-            );
-            if active.is_empty() {
-                continue;
-            }
-            if active.len() == members.len() {
-                // Every member enabled — the common case (uniform
-                // windows): walk the member slice with no indirection.
-                for t in s..e {
-                    let ti = t as i64;
-                    for m in &members {
-                        step_member(vals, inputs, m, ti);
-                    }
-                }
-            } else {
-                for t in s..e {
-                    let ti = t as i64;
-                    for &k in &active {
-                        step_member(vals, inputs, &members[k], ti);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Instruction-major execution for preverified tapes with a
-    /// dependence plan, taken when the `vm.exec` fail-point is unarmed
-    /// (an unarmed `hit` is observably a no-op, so the per-iteration
-    /// probes may be skipped wholesale; arming the site falls back to
-    /// [`Tape::execute_unchecked`], which probes every iteration).
-    fn execute_streamed(&self, plan: &[Vec<u32>]) -> Result<ExecResult, ExecError> {
-        let total = self.arrays.len() * self.cells_per_array;
-        let mut vals = vec![0i64; total];
-        let mut inputs: Vec<i64> = Vec::with_capacity(self.max_srcs);
-        for inst in &self.insts[self.pre.insts.clone()] {
-            self.step_unchecked(&mut vals, &mut inputs, inst, 0);
-        }
-        if let Some(b) = &self.body {
-            if b.trip > 0 {
-                let insts = &self.insts[b.insts.clone()];
-                for group in plan {
-                    if let &[j] = group.as_slice() {
-                        self.stream_one(&mut vals, &insts[j as usize], b);
-                    } else {
-                        self.run_group(&mut vals, &mut inputs, insts, group, b);
-                    }
-                }
-            }
-        }
-        for inst in &self.insts[self.post.insts.clone()] {
-            self.step_unchecked(&mut vals, &mut inputs, inst, 0);
-        }
-        Ok(ExecResult {
-            arrays: self.extract(&vals),
-            computes_executed: self.executed,
-            computes_nullified: self.nullified,
-        })
-    }
-
     /// The fast loop for preverified tapes: gather, evaluate, store.
     /// No written-bitset, no range checks, no completeness scan — the
     /// proof already ruled every fault out. Identical results to the
@@ -1974,20 +1104,15 @@ impl Tape {
             for t in 0..b.trip {
                 failpoint::hit(failpoint::sites::VM_EXEC)
                     .map_err(|e| ExecError::Injected { site: e.site })?;
-                let (tw, tb) = ((t >> 6) as usize, t & 63);
                 for inst in insts {
                     match inst.enable {
                         Enable::Always => {}
-                        Enable::Bits(off) => {
-                            if (self.guard_words[off + tw] >> tb) & 1 == 0 {
-                                continue;
-                            }
-                        }
                         Enable::Window(t0, t1) => {
                             if t < t0 || t > t1 {
                                 continue;
                             }
                         }
+                        Enable::Bits(_) => unreachable!("prove_clean rejects bitset guards"),
                     }
                     self.step_unchecked(&mut vals, &mut inputs, inst, i);
                 }
@@ -2008,11 +1133,6 @@ impl Tape {
     /// [`execute`](crate::execute) on the program this was compiled from.
     pub fn execute(&self) -> Result<ExecResult, ExecError> {
         if self.clean {
-            if let Some(plan) = &self.plan {
-                if !failpoint::armed(failpoint::sites::VM_EXEC) {
-                    return self.execute_streamed(plan);
-                }
-            }
             return self.execute_unchecked();
         }
         let total = self.arrays.len() * self.cells_per_array;
@@ -2203,7 +1323,7 @@ mod tests {
             cross_check_executors(&original_program(&g, n)).unwrap();
         }
         let (g, r) = figure3();
-        for n in [0u64, 1, 3, 10, 40] {
+        for n in [0u64, 1, 3, 10, 40, 4096] {
             cross_check_executors(&pipelined_program(&g, &r, n)).unwrap();
             cross_check_executors(&cred_pipelined(&g, &r, n)).unwrap();
         }
@@ -2350,7 +1470,7 @@ mod tests {
         let g = tiny();
         assert!(compile(&original_program(&g, 17)).unwrap().preverified());
         let (g, r) = figure3();
-        for n in [1u64, 10, 40] {
+        for n in [1u64, 10, 40, 4096] {
             assert!(compile(&pipelined_program(&g, &r, n))
                 .unwrap()
                 .preverified());

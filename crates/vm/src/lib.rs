@@ -21,12 +21,14 @@
 //! Two executors share these semantics. [`execute`] tree-walks the
 //! program directly and is the *reference* implementation; [`compile`]
 //! lowers the program once into a flat [`Tape`] (operands preresolved,
-//! CRED guards precomputed into predicate bitsets) that
-//! [`execute_tape`] runs an order of magnitude faster. The two are held
-//! equivalent by [`cross_check_executors`] and the differential
-//! proptests; the verification oracle runs the tape path by default.
+//! CRED guards precomputed into enabled-iteration windows) that
+//! [`execute_tape`] runs. The two are held equivalent by
+//! [`cross_check_executors`] and the differential proptests; the
+//! verification oracle runs the tape path by default.
 //!
 //! [`LoopProgram`]: cred_codegen::LoopProgram
+
+#![forbid(unsafe_code)]
 
 mod compile;
 mod machine;

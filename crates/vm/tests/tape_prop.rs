@@ -8,7 +8,9 @@ use cred_codegen::ir::PredId;
 use cred_codegen::{Guard, Index, Inst, LoopProgram};
 use cred_dfg::OpKind;
 use cred_verify::{case_programs, random_case, CaseConfig};
-use cred_vm::{cross_check_executors, diff_against_reference, diff_against_reference_tape};
+use cred_vm::{
+    compile, cross_check_executors, diff_against_reference, diff_against_reference_tape,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -141,6 +143,8 @@ fn diff_reports_are_identical_across_executors() {
 
 /// A guarded instruction whose register is bound mid-loop (setup inside
 /// the body) exercises the compile-time simulation's iteration order.
+/// Its guard is a predicate bitset, which the discipline proof does not
+/// attempt, so the fault-free program still runs the checked loop.
 #[test]
 fn mid_loop_setup_window_matches() {
     use cred_codegen::ir::{LoopSpec, Ref};
@@ -177,4 +181,5 @@ fn mid_loop_setup_window_matches() {
         post: vec![],
     };
     cross_check_executors(&p).unwrap();
+    assert!(!compile(&p).unwrap().preverified());
 }
