@@ -84,7 +84,7 @@ fn figure3() {
             print!("\ni={current:>3}: ");
         }
         let mark = if ev.enabled { "" } else { "!" };
-        print!("{}{} ", mark, ev.cell());
+        print!("{}{} ", mark, ev.cell(&cred));
     }
     println!("\n('!' marks nullified instructions)\n");
 }
@@ -140,7 +140,7 @@ fn figures6_7() {
             print!("\ni={current:>3}: ");
         }
         if ev.enabled {
-            print!("{} ", ev.dest);
+            print!("{} ", ev.dest(&cred));
         }
     }
     println!("\n");

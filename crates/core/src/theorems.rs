@@ -9,7 +9,7 @@
 use cred_codegen::cred::{cred_pipelined, cred_retime_unfold};
 use cred_codegen::unfolded::{retime_unfold_program, unfold_retime_program};
 use cred_codegen::{DecMode, LoopProgram};
-use cred_dfg::Dfg;
+use cred_dfg::{Dfg, NodeId};
 use cred_retime::{min_period_retiming, Retiming};
 use cred_unfold::orders::{project_retiming, retime_then_unfold};
 use cred_unfold::unfold;
@@ -18,18 +18,18 @@ use std::collections::BTreeMap;
 
 type Check = Result<(), String>;
 
+/// Array ids coincide with node indices, so the counts are keyed by node.
 fn enabled_counts_in(
     p: &LoopProgram,
     pred: impl Fn(i64) -> bool,
-) -> BTreeMap<String, (u64, Option<i64>)> {
-    // name -> (enabled count, first enabled loop index)
-    let mut out: BTreeMap<String, (u64, Option<i64>)> = BTreeMap::new();
+) -> BTreeMap<NodeId, (u64, Option<i64>)> {
+    // node -> (enabled count, first enabled loop index)
+    let mut out: BTreeMap<NodeId, (u64, Option<i64>)> = BTreeMap::new();
     for e in trace_loop(p) {
         if !pred(e.i) {
             continue;
         }
-        let name = e.dest.split('[').next().unwrap_or_default().to_string();
-        let entry = out.entry(name).or_insert((0, None));
+        let entry = out.entry(NodeId(e.array)).or_insert((0, None));
         if e.enabled {
             entry.0 += 1;
             entry.1.get_or_insert(e.i);
@@ -51,7 +51,7 @@ pub fn theorem_4_1(g: &Dfg, r: &Retiming, n: u64) -> Check {
     for v in g.node_ids() {
         let name = &g.node(v).name;
         let rv = r.get(v).min(n as i64); // tiny n clips the window
-        let (count, first) = counts.get(name).copied().unwrap_or((0, None));
+        let (count, first) = counts.get(&v).copied().unwrap_or((0, None));
         if count != rv as u64 {
             return Err(format!(
                 "Thm 4.1: {name} executed {count} times in the prologue window, expected r(v) = {rv}"
@@ -82,7 +82,7 @@ pub fn theorem_4_2(g: &Dfg, r: &Retiming, n: u64) -> Check {
     for v in g.node_ids() {
         let name = &g.node(v).name;
         let expect = (m - r.get(v)).min(n_i);
-        let (count, _) = counts.get(name).copied().unwrap_or((0, None));
+        let (count, _) = counts.get(&v).copied().unwrap_or((0, None));
         if count != expect as u64 {
             return Err(format!(
                 "Thm 4.2: {name} executed {count} times in the epilogue window, expected M_r - r(v) = {expect}"
@@ -197,30 +197,21 @@ pub fn theorem_4_6(g: &Dfg, r: &Retiming, f: usize, n: u64) -> Check {
     // Pre-steady iterations have base slot <= 0 (they contain all slots
     // s <= 0 plus up to f-1 steady slots; count only enabled instances at
     // slots <= 0 by checking the destination index against r(v)).
-    let mut fired: BTreeMap<String, u64> = BTreeMap::new();
+    // Array ids coincide with node indices.
+    let mut fired: BTreeMap<NodeId, u64> = BTreeMap::new();
     for e in trace_loop(&p) {
         if !e.enabled {
             continue;
         }
-        let (name, idx) = e
-            .dest
-            .split_once('[')
-            .map(|(a, b)| {
-                (
-                    a.to_string(),
-                    b.trim_end_matches(']').parse::<i64>().unwrap(),
-                )
-            })
-            .expect("dest format");
         // Slot of this instance is idx - r(v); pre-steady means slot <= 0.
-        let v = g.find_node(&name).expect("known node");
-        if idx - r.get(v) <= 0 {
-            *fired.entry(name).or_insert(0) += 1;
+        let v = NodeId(e.array);
+        if e.index - r.get(v) <= 0 {
+            *fired.entry(v).or_insert(0) += 1;
         }
     }
     for v in g.node_ids() {
         let name = &g.node(v).name;
-        let got = fired.get(name).copied().unwrap_or(0);
+        let got = fired.get(&v).copied().unwrap_or(0);
         if got != r.get(v) as u64 {
             return Err(format!(
                 "Thm 4.6: {name} fired {got} times in hidden-prologue slots, expected {}",

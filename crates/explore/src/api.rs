@@ -159,6 +159,9 @@ pub fn mode_code(mode: DecMode) -> u8 {
 #[derive(Debug)]
 pub struct ExploreRequest {
     graph: Dfg,
+    /// `graph`'s [`Dfg::fingerprint`], hashed once here instead of once
+    /// per key and per factor lookup (the graph cannot change after `new`).
+    fingerprint: u64,
     opts: ExploreOptions,
     deadline: Option<Duration>,
     work_limit: Option<u64>,
@@ -170,6 +173,7 @@ impl ExploreRequest {
     /// resource limits.
     pub fn new(graph: Dfg) -> Self {
         ExploreRequest {
+            fingerprint: graph.fingerprint(),
             graph,
             opts: ExploreOptions::default(),
             deadline: None,
@@ -283,7 +287,7 @@ impl ExploreRequest {
     /// (see the service's coalescer).
     pub fn coalesce_key(&self) -> (u64, usize, u64, u8, u64, u64, u64) {
         (
-            self.graph.fingerprint(),
+            self.fingerprint,
             self.opts.max_f,
             self.opts.n,
             mode_code(self.opts.mode),
@@ -345,15 +349,7 @@ impl ExploreRequest {
         // Admission control: a budget that is already gone fails typed,
         // before any solver runs.
         budget.check().map_err(CredError::BudgetExhausted)?;
-        let report = resilient_sweep(
-            &self.graph,
-            self.opts.max_f,
-            self.opts.n,
-            self.opts.mode,
-            self.opts.threads,
-            cache,
-            &budget,
-        );
+        let report = resilient_sweep(&self.graph, self.fingerprint, &self.opts, cache, &budget);
         let points = report.points();
         if points.is_empty() {
             // Nothing was produced. If any factor was cut off by the

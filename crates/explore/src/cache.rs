@@ -1,5 +1,6 @@
-//! Per-sweep memoization of the expensive retiming passes, hardened
-//! against runaway solves, worker panics, and cache corruption.
+//! Per-sweep memoization of the expensive retiming passes and of the
+//! points built from them, hardened against runaway solves, worker
+//! panics, and cache corruption.
 //!
 //! Every trade-off point needs three retiming passes over the unfolded
 //! graph (period search, span minimization, register compaction), each of
@@ -15,6 +16,15 @@
 //!   another thread, another sweep, or a constrained search revisiting a
 //!   factor — returns the stored plan without touching the solver.
 //!
+//! A plan fixes a configuration's objectives, but turning it into a
+//! [`ParetoPoint`] still generates the plain and the CRED program and
+//! schedules the kernel for maxlive: on a served request whose plans all
+//! hit, that was about 94 of ~162 µs. So each entry also keeps the
+//! finished points requests asked of its plan, keyed by trip count and
+//! decrement mode, at most four of them, the oldest replaced first. A
+//! repeated `(graph, f, n, mode)` is answered from the entry without
+//! regenerating anything.
+//!
 //! On top of the memoization, this module carries the explore side of the
 //! resilience layer (`cred-resilience`):
 //!
@@ -27,8 +37,9 @@
 //! * [`SweepCache`] is bounded (LRU eviction above
 //!   [`SweepCache::with_capacity`]), recovers from lock poisoning with
 //!   clear-and-continue semantics instead of panicking every later
-//!   caller, and verifies a stored plan's checksum on every hit, evicting
-//!   and recomputing on mismatch (self-healing).
+//!   caller, and verifies the checksum of the plan or point it serves on
+//!   every hit, evicting and recomputing the entry on mismatch
+//!   (self-healing).
 //!
 //! The table is **sharded by DFG fingerprint**: entries land in one of a
 //! power-of-two number of independent shards, each with its own lock, LRU
@@ -37,9 +48,8 @@
 //! properties hold per shard (a poisoned shard clears only itself), and
 //! every public counter is the rollup across shards.
 //!
-//! The cached plan holds only the *decisions* (projected retiming and
-//! achieved period); code generation is deterministic given those, so
-//! points produced from a cached plan are identical to freshly computed
+//! Code generation and the maxlive analysis are deterministic given a
+//! plan, so points served from an entry are identical to freshly computed
 //! ones, bit for bit.
 //!
 //! [`ConstraintSystem`]: cred_retime::ConstraintSystem
@@ -49,6 +59,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use cred_codegen::DecMode;
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::Dfg;
 use cred_resilience::failpoint::{self, sites};
@@ -59,11 +70,19 @@ use cred_retime::{RetimeSolver, Retiming};
 use cred_unfold::orders::project_retiming;
 use cred_unfold::unfold;
 
+use crate::api::mode_code;
+use crate::ParetoPoint;
+
+/// Finished points one entry keeps at most. A client sweeping `n` over
+/// one kernel replaces the oldest point instead of growing the entry.
+const POINTS_PER_ENTRY: usize = 4;
+
 /// Everything the sweep decides for one `(graph, f)` pair: the projected
 /// (span-minimized, register-compacted) retiming and the rate-optimal
-/// period of the `f`-unfolded graph. Code sizes are *not* stored — they
-/// depend on the iteration count and decrement mode, and regenerating them
-/// from the plan is cheap.
+/// period of the `f`-unfolded graph. Code sizes are not part of the plan:
+/// they also depend on the trip count and decrement mode. Regenerating
+/// them is not cheap (two programs plus the maxlive schedule per factor),
+/// so a [`SweepCache`] entry keeps the finished points next to its plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorPlan {
     /// Retiming of the original graph, projected from the unfolded one
@@ -79,19 +98,40 @@ impl FactorPlan {
     /// mismatch marks the entry corrupted and triggers self-healing
     /// eviction.
     pub fn checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(self.period);
-        mix(self.projected.len() as u64);
-        for &v in self.projected.values() {
-            mix(v as u64);
-        }
-        h
+        let head = [self.period, self.projected.len() as u64];
+        fnv(head
+            .into_iter()
+            .chain(self.projected.values().iter().map(|&v| v as u64)))
     }
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for x in words {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// Content checksum of a point memoized under `(n, mode)`: FNV-1a over
+/// the key and every field, so a changed key or value both show.
+fn point_checksum(n: u64, mode: DecMode, p: &ParetoPoint) -> u64 {
+    let o = &p.objectives;
+    fnv([
+        n,
+        mode_code(mode) as u64,
+        p.f as u64,
+        p.m_r as u64,
+        p.plain_size as u64,
+        o.cred_size as u64,
+        o.iteration_period.num() as u64,
+        o.iteration_period.den() as u64,
+        o.cond_registers as u64,
+        o.maxlive as u64,
+    ])
 }
 
 /// How a plan was obtained: the warm-started fast solver, or the dense
@@ -202,7 +242,18 @@ pub fn compute_plan_budgeted(
     Ok((plan_reference(g, f), PlanSource::Reference(event)))
 }
 
-/// One stored plan plus its integrity and recency metadata.
+/// One finished point memoized under the `(n, mode)` it was asked for.
+#[derive(Debug)]
+struct StoredPoint {
+    n: u64,
+    mode: DecMode,
+    point: ParetoPoint,
+    /// [`point_checksum`] captured at insert time.
+    checksum: u64,
+}
+
+/// One stored plan, the points built from it, and their integrity and
+/// recency metadata.
 #[derive(Debug)]
 struct CacheEntry {
     plan: Arc<FactorPlan>,
@@ -210,6 +261,49 @@ struct CacheEntry {
     checksum: u64,
     /// Logical timestamp of the last hit (for LRU eviction).
     last_used: u64,
+    /// Oldest first, at most [`POINTS_PER_ENTRY`].
+    points: Vec<StoredPoint>,
+}
+
+/// What a cache hit serves.
+enum Hit {
+    /// The memoized point that was asked for.
+    Point(ParetoPoint),
+    /// The plan: no point was asked for, or it is not memoized yet.
+    Plan(Arc<FactorPlan>),
+}
+
+impl CacheEntry {
+    /// What this entry serves for `want`, or `None` when the point or
+    /// plan it would serve fails its checksum.
+    fn serve(&self, want: Option<(u64, DecMode)>) -> Option<Hit> {
+        let stored =
+            want.and_then(|(n, mode)| self.points.iter().find(|s| s.n == n && s.mode == mode));
+        match stored {
+            Some(s) => (point_checksum(s.n, s.mode, &s.point) == s.checksum)
+                .then(|| Hit::Point(s.point.clone())),
+            None => {
+                (self.plan.checksum() == self.checksum).then(|| Hit::Plan(Arc::clone(&self.plan)))
+            }
+        }
+    }
+
+    /// Keep `point` for `(n, mode)`, replacing the oldest point when the
+    /// entry is full. A point a racing caller stored first is kept.
+    fn memoize(&mut self, n: u64, mode: DecMode, point: ParetoPoint) {
+        if self.points.iter().any(|s| s.n == n && s.mode == mode) {
+            return;
+        }
+        if self.points.len() == POINTS_PER_ENTRY {
+            self.points.remove(0);
+        }
+        self.points.push(StoredPoint {
+            checksum: point_checksum(n, mode, &point),
+            n,
+            mode,
+            point,
+        });
+    }
 }
 
 #[derive(Debug, Default)]
@@ -244,6 +338,27 @@ impl Shard {
             guard
         })
     }
+
+    /// Look `key` up, counting exactly one hit or one miss. `want` names
+    /// the memoized point to serve; without one, a hit serves the plan.
+    /// An entry whose served point or plan fails its checksum is evicted
+    /// and the lookup is a miss: serving it would be silent corruption.
+    fn lookup(&self, key: (u64, usize), want: Option<(u64, DecMode)>) -> Option<Hit> {
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some(entry) = inner.plans.get_mut(&key) {
+            if let Some(hit) = entry.serve(want) {
+                entry.last_used = tick;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(hit);
+            }
+            inner.plans.remove(&key);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
 }
 
 /// Per-shard counter snapshot (test and metrics observability).
@@ -265,7 +380,10 @@ pub struct ShardStats {
 const DEFAULT_SHARDS: usize = 16;
 
 /// Thread-safe, bounded, self-healing, sharded memo table for
-/// [`FactorPlan`]s, keyed by `(Dfg::fingerprint(), f)`.
+/// [`FactorPlan`]s, keyed by `(Dfg::fingerprint(), f)`. Each entry also
+/// keeps up to four finished [`ParetoPoint`]s built from its plan, keyed
+/// by trip count and decrement mode, so a repeated request is answered
+/// without regenerating programs.
 ///
 /// Shared by reference between the workers of a sweep and, optionally,
 /// across whole sweeps (the suite runner and the evaluation service keep
@@ -276,19 +394,24 @@ const DEFAULT_SHARDS: usize = 16;
 /// key may both compute the plan; the first insert wins and both callers
 /// observe the same `Arc`, so results stay deterministic.
 ///
+/// Every lookup of one factor counts exactly one hit or one miss, whether
+/// it is served a point or a plan: a miss means the solver ran.
+///
 /// Robustness properties (each holding per shard):
 ///
-/// * **bounded** — at most `capacity` entries (unbounded by default);
+/// * **bounded** — at most `capacity` entries (unbounded by default),
+///   each with at most four points;
 ///   inserting past a shard's bound evicts its least-recently-used entry
 ///   and bumps [`evictions`](Self::evictions);
 /// * **poison-tolerant** — a worker that panics while holding a shard
 ///   lock poisons it once; the next caller recovers the lock and clears
-///   *that shard* (a panicking writer may have left it mid-update),
-///   counted by [`poison_recoveries`](Self::poison_recoveries), instead
-///   of propagating panics to every later query forever;
-/// * **self-healing** — every hit re-verifies the entry's checksum; a
-///   corrupted entry is evicted and recomputed instead of served, without
-///   disturbing any other entry.
+///   *that shard*, points included (a panicking writer may have left it
+///   mid-update), counted by
+///   [`poison_recoveries`](Self::poison_recoveries), instead of
+///   propagating panics to every later query forever;
+/// * **self-healing** — every hit re-verifies the checksum of the point
+///   or plan it serves; a corrupted entry is evicted and recomputed
+///   instead of served, without disturbing any other entry.
 #[derive(Debug)]
 pub struct SweepCache {
     shards: Box<[Shard]>,
@@ -401,28 +524,57 @@ impl SweepCache {
     ) -> Result<(Arc<FactorPlan>, PlanSource), Exhausted> {
         let key = (g.fingerprint(), f);
         let shard = self.shard_of(key.0);
-        {
-            let mut inner = shard.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.plans.get_mut(&key) {
-                if entry.plan.checksum() == entry.checksum {
-                    entry.last_used = tick;
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((Arc::clone(&entry.plan), PlanSource::Solver));
-                }
-                // Self-healing: the stored plan no longer matches its
-                // insert-time checksum. Serving it would be silent
-                // corruption; evict and fall through to recompute.
-                inner.plans.remove(&key);
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(Hit::Plan(plan)) = shard.lookup(key, None) {
+            return Ok((plan, PlanSource::Solver));
         }
-        shard.misses.fetch_add(1, Ordering::Relaxed);
         // No lock is held while solving: plans can take milliseconds, and
         // other workers should keep making progress on other factors.
         let (plan, source) = compute_plan_budgeted(g, f, budget)?;
-        let plan = Arc::new(plan);
+        Ok((self.store(shard, key, Arc::new(plan), None), source))
+    }
+
+    /// The point of factor `f` at trip count `n` in `mode`, for the graph
+    /// `g` whose [`Dfg::fingerprint`] is `fingerprint`. A memoized point
+    /// is served as is; otherwise the point is built from the stored plan,
+    /// or from a plan solved under `budget` as in
+    /// [`plan_budgeted`](Self::plan_budgeted), and memoized. A plan solved
+    /// here is stored with its point under one lock.
+    pub(crate) fn point_budgeted(
+        &self,
+        g: &Dfg,
+        fingerprint: u64,
+        f: usize,
+        n: u64,
+        mode: DecMode,
+        budget: &Budget,
+    ) -> Result<(ParetoPoint, PlanSource), Exhausted> {
+        let key = (fingerprint, f);
+        let shard = self.shard_of(fingerprint);
+        let (plan, source) = match shard.lookup(key, Some((n, mode))) {
+            Some(Hit::Point(point)) => return Ok((point, PlanSource::Solver)),
+            Some(Hit::Plan(plan)) => (plan, PlanSource::Solver),
+            None => {
+                let (plan, source) = compute_plan_budgeted(g, f, budget)?;
+                (Arc::new(plan), source)
+            }
+        };
+        // A panic while building the point stores nothing, so the next
+        // lookup finds the cache as this one did.
+        let point = crate::point_from_plan(g, f, &plan, n, mode);
+        self.store(shard, key, plan, Some((n, mode, point.clone())));
+        Ok((point, source))
+    }
+
+    /// Store `plan` under `key` unless a racing caller stored it first,
+    /// memoize `point` (with the `(n, mode)` it was asked for) in the
+    /// entry, and enforce the shard's capacity. Returns the stored plan.
+    fn store(
+        &self,
+        shard: &Shard,
+        key: (u64, usize),
+        plan: Arc<FactorPlan>,
+        point: Option<(u64, DecMode, ParetoPoint)>,
+    ) -> Arc<FactorPlan> {
         let checksum = plan.checksum();
         let mut inner = shard.lock();
         // A chaos plan can panic here, *while the lock is held* — that is
@@ -430,17 +582,16 @@ impl SweepCache {
         failpoint::hit_infallible(sites::EXPLORE_CACHE_INSERT);
         inner.tick += 1;
         let tick = inner.tick;
-        let stored = match inner.plans.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(&e.get().plan),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(CacheEntry {
-                    plan: Arc::clone(&plan),
-                    checksum,
-                    last_used: tick,
-                });
-                plan
-            }
-        };
+        let entry = inner.plans.entry(key).or_insert_with(|| CacheEntry {
+            plan,
+            checksum,
+            last_used: tick,
+            points: Vec::new(),
+        });
+        if let Some((n, mode, point)) = point {
+            entry.memoize(n, mode, point);
+        }
+        let stored = Arc::clone(&entry.plan);
         if let Some(cap) = self.shard_capacity {
             while inner.plans.len() > cap {
                 let oldest = inner
@@ -453,7 +604,7 @@ impl SweepCache {
                 shard.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok((stored, source))
+        stored
     }
 
     /// Lookups answered from the memo table (all shards).
@@ -500,9 +651,11 @@ impl SweepCache {
         self.len() == 0
     }
 
-    /// Test hook: overwrite the stored checksum of `(g, f)`'s entry so
-    /// the next hit sees a corrupted entry. Returns `false` when the
-    /// entry is absent. Not part of the stable API.
+    /// Test hook: corrupt `(g, f)`'s entry so the next hit sees it,
+    /// whether it asks for a point or for the plan. The plan's stored
+    /// checksum is overwritten, and every memoized point's `plain_size`
+    /// is changed under its old checksum. Returns `false` when the entry
+    /// is absent. Not part of the stable API.
     #[doc(hidden)]
     pub fn corrupt_entry_for_test(&self, g: &Dfg, f: usize) -> bool {
         let key = (g.fingerprint(), f);
@@ -510,6 +663,9 @@ impl SweepCache {
         match inner.plans.get_mut(&key) {
             Some(e) => {
                 e.checksum ^= 0xDEAD_BEEF;
+                for s in &mut e.points {
+                    s.point.plain_size += 1;
+                }
                 true
             }
             None => false,
@@ -727,6 +883,85 @@ mod tests {
         let hits = cache.hits();
         cache.plan(&g, 1);
         assert_eq!(cache.hits(), hits + 1, "f = 1 must have survived");
+    }
+
+    /// The `(n, mode)` keys of the points memoized for `(g, f)`, oldest
+    /// first.
+    fn memoized(cache: &SweepCache, g: &Dfg, f: usize) -> Vec<(u64, DecMode)> {
+        let key = (g.fingerprint(), f);
+        let inner = cache.shard_of(key.0).lock();
+        inner.plans[&key]
+            .points
+            .iter()
+            .map(|s| (s.n, s.mode))
+            .collect()
+    }
+
+    #[test]
+    fn an_entry_keeps_at_most_four_points_oldest_replaced_first() {
+        let g = gen::chain_with_feedback(6, 3);
+        let (fp, f) = (g.fingerprint(), 2);
+        let cache = SweepCache::new();
+        let unlimited = Budget::unlimited();
+        let asked: Vec<(u64, DecMode)> = [3, 40, 101]
+            .into_iter()
+            .flat_map(|n| [(n, DecMode::Bulk), (n, DecMode::PerCopy)])
+            .collect();
+        for (i, &(n, mode)) in asked.iter().enumerate() {
+            let (point, source) = cache
+                .point_budgeted(&g, fp, f, n, mode, &unlimited)
+                .unwrap();
+            assert!(source.is_fast());
+            assert_eq!(point, crate::sweep_reference(&g, f, n, mode)[f - 1]);
+            let kept = memoized(&cache, &g, f);
+            assert_eq!(kept.len(), (i + 1).min(POINTS_PER_ENTRY), "{kept:?}");
+            assert_eq!(kept.last(), Some(&(n, mode)));
+        }
+        // Six distinct (n, mode): the two oldest were replaced.
+        assert_eq!(memoized(&cache, &g, f), asked[2..]);
+        // One solve, then one hit per lookup, however the point was found.
+        assert_eq!((cache.misses(), cache.hits()), (1, 5));
+        assert_eq!(cache.len(), 1, "points do not count against capacity");
+        // A replaced point is rebuilt from the stored plan, still correct,
+        // and replaces the now-oldest point.
+        let (n, mode) = asked[0];
+        let (point, _) = cache
+            .point_budgeted(&g, fp, f, n, mode, &unlimited)
+            .unwrap();
+        assert_eq!(point, crate::sweep_reference(&g, f, n, mode)[f - 1]);
+        assert_eq!((cache.misses(), cache.hits()), (1, 6));
+        assert_eq!(
+            memoized(&cache, &g, f)[..],
+            [asked[3], asked[4], asked[5], asked[0]]
+        );
+        assert_eq!(cache.evictions(), 0);
+    }
+
+    #[test]
+    fn poison_recovery_clears_the_points_with_the_shard() {
+        let g = gen::chain_with_feedback(6, 3);
+        let cache = SweepCache::with_layout(1, None);
+        let unlimited = Budget::unlimited();
+        cache
+            .point_budgeted(&g, g.fingerprint(), 1, 60, DecMode::Bulk, &unlimited)
+            .unwrap();
+        assert_eq!(memoized(&cache, &g, 1).len(), 1);
+        let shard = &cache.shards[0];
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = shard.inner.lock().expect("not yet poisoned");
+                panic!("deliberate poison");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err(), "the poisoner must panic");
+        assert!(cache.is_empty(), "recovery clears plans and points");
+        assert_eq!(cache.poison_recoveries(), 1);
+        let (point, _) = cache
+            .point_budgeted(&g, g.fingerprint(), 1, 60, DecMode::Bulk, &unlimited)
+            .unwrap();
+        assert_eq!(point, crate::sweep_reference(&g, 1, 60, DecMode::Bulk)[0]);
+        assert_eq!(cache.misses(), 2, "the cleared point is recomputed");
     }
 
     #[test]

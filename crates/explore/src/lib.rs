@@ -46,7 +46,7 @@ use cred_codegen::cred::cred_retime_unfold;
 use cred_codegen::unfolded::retime_unfold_program;
 use cred_codegen::DecMode;
 use cred_dfg::{Dfg, Ratio};
-use cred_resilience::{panic_message, Budget, DegradationEvent, Exhausted};
+use cred_resilience::{panic_message, Budget, DegradationEvent};
 use cred_retime::span::{
     compact_values, compact_values_wd, min_span_retiming, min_span_retiming_with,
 };
@@ -143,7 +143,8 @@ fn point_for_factor(g: &Dfg, f: usize, n: u64, mode: DecMode) -> ParetoPoint {
 
 /// Materialize a [`ParetoPoint`] from a (possibly cached) plan. Code
 /// generation and the maxlive analysis are deterministic, so identical
-/// plans give identical points.
+/// plans give identical points, which is what lets [`SweepCache`] keep
+/// them.
 fn point_from_plan(g: &Dfg, f: usize, plan: &FactorPlan, n: u64, mode: DecMode) -> ParetoPoint {
     let plain = retime_unfold_program(g, &plan.projected, f, n);
     let cred = cred_retime_unfold(g, &plan.projected, f, n, mode);
@@ -251,8 +252,9 @@ impl SweepReport {
 ///
 /// Per factor, the ladder is:
 ///
-/// 1. the budgeted fast path ([`cache::compute_plan_budgeted`] through the
-///    shared `cache`) — [`PointStatus::Ok`] when it finishes;
+/// 1. the point memoized in the shared `cache`, or else one built from
+///    the budgeted fast path's plan ([`cache::compute_plan_budgeted`]
+///    through the cache) — [`PointStatus::Ok`] when it finishes;
 /// 2. on fast-path exhaustion or panic, the dense reference solver —
 ///    [`PointStatus::Degraded`] with a bit-identical point;
 /// 3. on budget exhaustion *before* any solving (deadline already past,
@@ -265,21 +267,23 @@ impl SweepReport {
 /// The returned outcomes are deterministic for a given budget *except*
 /// for deadline/cancellation timing, which may truncate different factors
 /// on different runs; work-unit budgets are fully deterministic.
+///
+/// `fingerprint` is `g`'s [`Dfg::fingerprint`], computed once by the
+/// caller rather than once per factor; `opts` supplies `max_f`, `n`,
+/// `mode`, and `threads`.
 pub(crate) fn resilient_sweep(
     g: &Dfg,
-    max_f: usize,
-    n: u64,
-    mode: DecMode,
-    threads: usize,
+    fingerprint: u64,
+    opts: &ExploreOptions,
     cache: &SweepCache,
     budget: &Budget,
 ) -> SweepReport {
-    let threads = threads.clamp(1, max_f.max(1));
+    let ExploreOptions { max_f, n, mode, .. } = *opts;
+    let threads = opts.threads.clamp(1, max_f.max(1));
     let next = AtomicUsize::new(1);
     let solve_one = |f: usize| -> PointOutcome {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let (plan, source) = cache.plan_budgeted(g, f, budget)?;
-            Ok::<_, Exhausted>((point_from_plan(g, f, &plan, n, mode), source))
+            cache.point_budgeted(g, fingerprint, f, n, mode, budget)
         }));
         match result {
             Ok(Ok((point, PlanSource::Solver))) => PointOutcome {
@@ -377,8 +381,14 @@ pub fn best_under_code_budget(
     n: u64,
     mode: DecMode,
 ) -> Option<ParetoPoint> {
+    let opts = ExploreOptions {
+        max_f,
+        n,
+        mode,
+        ..ExploreOptions::default()
+    };
     let cache = SweepCache::new();
-    let report = resilient_sweep(g, max_f, n, mode, 1, &cache, &Budget::unlimited());
+    let report = resilient_sweep(g, g.fingerprint(), &opts, &cache, &Budget::unlimited());
     for o in &report.outcomes {
         if let PointStatus::Failed(msg) = &o.status {
             panic!("sweep worker panicked at f = {}: {msg}", o.f);
@@ -597,8 +607,14 @@ mod tests {
         let tok = cred_resilience::CancelToken::new();
         tok.cancel();
         let budget = Budget::unlimited().with_cancel(tok);
-        let cache = SweepCache::new();
-        let report = resilient_sweep(&sample(), 3, 60, DecMode::Bulk, 2, &cache, &budget);
+        let opts = ExploreOptions {
+            max_f: 3,
+            n: 60,
+            threads: 2,
+            ..ExploreOptions::default()
+        };
+        let g = sample();
+        let report = resilient_sweep(&g, g.fingerprint(), &opts, &SweepCache::new(), &budget);
         assert!(report.points().is_empty(), "{report:?}");
         assert!(report.failed().is_empty());
         assert_eq!(report.degraded().len(), 3);

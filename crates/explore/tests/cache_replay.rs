@@ -3,12 +3,14 @@
 //! trace-identically to a cold solve — for every bundled kernel and every
 //! unfolding factor. A cache that returned a stale or structurally
 //! different plan would produce a different guard-state trace even if the
-//! final arrays happened to agree.
+//! final arrays happened to agree. A hit on a memoized point must be the
+//! true point too, even after the entry was corrupted.
 
 use cred_codegen::cred::cred_retime_unfold;
 use cred_codegen::DecMode;
 use cred_explore::cache::{compute_plan, SweepCache};
 use cred_explore::suite::load_kernels;
+use cred_explore::{sweep_reference, ExploreRequest};
 use cred_vm::{execute, trace_loop};
 use std::path::Path;
 
@@ -57,4 +59,28 @@ fn cache_hit_plans_replay_identically_on_all_kernels() {
             assert_eq!(r_cold.computes_nullified, r_warm.computes_nullified);
         }
     }
+}
+
+#[test]
+fn corrupted_memoized_point_is_evicted_and_recomputed() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../kernels");
+    let kernels = load_kernels(&dir).unwrap();
+    let (name, g) = &kernels[0];
+    let cache = SweepCache::new();
+    let req = ExploreRequest::new(g.clone()).max_f(3).trip_count(N);
+    let truth = sweep_reference(g, 3, N, DecMode::Bulk);
+    assert_eq!(req.run_with(&cache).unwrap().points, truth, "{name}");
+    // Every point of the request is memoized now; corrupt f = 2's.
+    assert!(cache.corrupt_entry_for_test(g, 2));
+    let again = req.run_with(&cache).unwrap();
+    assert_eq!(again.points, truth, "{name}: the true point is served");
+    assert_eq!(cache.evictions(), 1, "the corrupted entry is evicted");
+    assert_eq!(
+        (again.cache.hits, again.cache.misses),
+        (2, 4),
+        "f = 1 and 3 hit; f = 2 is solved again"
+    );
+    // The recomputed entry serves hits again.
+    req.run_with(&cache).unwrap();
+    assert_eq!((cache.hits(), cache.misses()), (5, 4));
 }

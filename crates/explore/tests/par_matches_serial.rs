@@ -1,6 +1,7 @@
 //! Differential tests: the parallel, memoized sweep must be
 //! indistinguishable from the serial reference sweep — on random graphs,
-//! on every bundled kernel, and through a shared cache.
+//! on every bundled kernel, and through a shared cache, whose entries
+//! memoize finished points as well as plans.
 
 use std::path::Path;
 
@@ -11,7 +12,7 @@ use cred_explore::cache::SweepCache;
 use cred_explore::suite::load_kernels;
 use cred_explore::{sweep_reference, ExploreRequest, ParetoPoint};
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 /// The points of one `ExploreRequest` over `cache`.
 fn explore(
@@ -102,4 +103,58 @@ fn request_matches_reference_on_all_bundled_kernels() {
     // thread counts all hit the shared cache.
     assert_eq!(cache.misses(), 30);
     assert_eq!(cache.hits(), 90);
+}
+
+#[test]
+fn interleaved_requests_on_one_cache_match_reference() {
+    // Every kernel x max_f 1..=4 x both modes x n in {3, 40, 101}, in a
+    // seeded interleaved order, on one shared cache. Each (g, f) entry is
+    // asked six distinct (n, mode) points, more than it keeps, so the memo
+    // replaces points while it answers; every response must still be the
+    // reference sweep.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../kernels");
+    let kernels = load_kernels(&dir).expect("bundled kernels parse");
+    let modes = [DecMode::Bulk, DecMode::PerCopy];
+    let ns = [3, 40, 101];
+    let mut grid = Vec::new();
+    for k in 0..kernels.len() {
+        for max_f in 1..=4 {
+            for m in 0..modes.len() {
+                for n in ns {
+                    grid.push((k, max_f, m, n));
+                }
+            }
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(18);
+    for i in (1..grid.len()).rev() {
+        grid.swap(i, rng.random_range(0..=i));
+    }
+    // The reference at max_f 4; a smaller max_f sweeps a prefix of it.
+    let reference: Vec<Vec<Vec<Vec<ParetoPoint>>>> = kernels
+        .iter()
+        .map(|(_, g)| {
+            modes
+                .iter()
+                .map(|&mode| ns.iter().map(|&n| sweep_reference(g, 4, n, mode)).collect())
+                .collect()
+        })
+        .collect();
+    let cache = SweepCache::new();
+    for (i, &(k, max_f, m, n)) in grid.iter().enumerate() {
+        let (name, g) = &kernels[k];
+        let got = explore(g, max_f, n, modes[m], 1 + i % 2, &cache);
+        let ni = ns.iter().position(|&x| x == n).expect("n is from ns");
+        assert_eq!(
+            got,
+            reference[k][m][ni][..max_f],
+            "kernel {name}, max_f {max_f}, {:?}, n {n}",
+            modes[m]
+        );
+    }
+    // One solve per (kernel, f); every other factor lookup is a hit.
+    let lookups: u64 = grid.iter().map(|&(_, max_f, _, _)| max_f as u64).sum();
+    assert_eq!(cache.misses(), kernels.len() as u64 * 4);
+    assert_eq!(cache.hits(), lookups - cache.misses());
+    assert_eq!(cache.evictions(), 0);
 }

@@ -20,8 +20,11 @@ const REQUEST: &str =
 fn explore_response_replays_byte_for_byte() {
     // A fresh server makes the embedded cache counters deterministic:
     // exactly the three per-factor plans of this request, all misses.
+    // The same request again is served from the memoized points: the
+    // same reply, with three hits counted.
     let server = TestServer::spawn(|_| {});
     let resp = server.request(REQUEST);
+    let warm = server.request(REQUEST);
     server.shutdown();
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/explore_v3.json");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -33,6 +36,13 @@ fn explore_response_replays_byte_for_byte() {
         resp,
         golden.trim_end(),
         "the wire format drifted from the committed golden response"
+    );
+    assert_eq!(
+        warm,
+        golden
+            .trim_end()
+            .replace("\"hits\":0,\"misses\":3", "\"hits\":3,\"misses\":3"),
+        "a warm reply differs from the golden beyond its cache counters"
     );
     assert!(golden.contains("\"schema_version\":3"));
     assert!(golden.contains("\"frontier\":["));

@@ -3,15 +3,17 @@
 //! values they saw.
 
 use cred_codegen::{Inst, LoopProgram};
-use std::collections::BTreeMap;
 
 /// One guarded-compute event inside the loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Loop induction variable value.
     pub i: i64,
-    /// Destination rendered as `Name[index]`.
-    pub dest: String,
+    /// Destination array id: an index into the traced program's
+    /// [`arrays`](LoopProgram::arrays).
+    pub array: u32,
+    /// Destination element index.
+    pub index: i64,
     /// Guard register value seen (minus its static offset), if guarded.
     pub guard_value: Option<i64>,
     /// Whether the instruction executed (unguarded instructions always do).
@@ -19,11 +21,18 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Figure 3(c) cell format: `(p)Name[idx]`, e.g. `(2)B[-1]`.
-    pub fn cell(&self) -> String {
+    /// The destination as `Name[idx]`, named after `p`, the traced
+    /// program.
+    pub fn dest(&self, p: &LoopProgram) -> String {
+        format!("{}[{}]", p.arrays[self.array as usize], self.index)
+    }
+
+    /// Figure 3(c) cell format: `(p)Name[idx]`, e.g. `(2)B[-1]`, named
+    /// after `p`, the traced program.
+    pub fn cell(&self, p: &LoopProgram) -> String {
         match self.guard_value {
-            Some(p) => format!("({p}){}", self.dest),
-            None => self.dest.clone(),
+            Some(v) => format!("({v}){}", self.dest(p)),
+            None => self.dest(p),
         }
     }
 }
@@ -32,59 +41,66 @@ impl TraceEvent {
 /// every compute instruction's guard state per iteration. This regenerates
 /// the execution-sequence tables of Figures 3(c) and 7(c).
 pub fn trace_loop(p: &LoopProgram) -> Vec<TraceEvent> {
+    let Some(l) = &p.body else {
+        return Vec::new();
+    };
     let n = p.n as i64;
-    let mut regs: BTreeMap<u32, (i64, i64)> = BTreeMap::new();
+    // The register file, indexed by register id: `(value, bound)` once a
+    // setup has written the register, `None` before.
+    let top = p
+        .pre
+        .iter()
+        .chain(&l.body)
+        .filter_map(|inst| match inst {
+            Inst::Setup { reg, .. } => Some(reg.0 as usize + 1),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    let mut regs: Vec<Option<(i64, i64)>> = vec![None; top];
     for inst in &p.pre {
         if let Inst::Setup { reg, init, bound } = inst {
-            regs.insert(reg.0, (*init, *bound));
+            regs[reg.0 as usize] = Some((*init, *bound));
         }
     }
     let mut events = Vec::new();
-    let Some(l) = &p.body else {
-        return events;
-    };
     let mut i = l.lo;
     while i <= l.hi {
         for inst in &l.body {
             match inst {
                 Inst::Setup { reg, init, bound } => {
-                    regs.insert(reg.0, (*init, *bound));
+                    regs[reg.0 as usize] = Some((*init, *bound));
                 }
                 Inst::Dec { reg, by } => {
-                    if let Some(e) = regs.get_mut(&reg.0) {
+                    if let Some(Some(e)) = regs.get_mut(reg.0 as usize) {
                         e.0 -= by;
                     }
                 }
                 Inst::Compute { guard, dest, .. } => {
-                    let dest_s = format!(
-                        "{}[{}]",
-                        p.arrays[dest.array as usize],
-                        dest.index.eval(i, n)
-                    );
-                    match guard {
-                        None => events.push(TraceEvent {
-                            i,
-                            dest: dest_s,
-                            guard_value: None,
-                            enabled: true,
-                        }),
+                    let (guard_value, enabled) = match guard {
+                        None => (None, true),
                         Some(g) => {
-                            let (value, bound) =
-                                *regs.get(&g.reg.0).unwrap_or(&(i64::MIN, i64::MIN));
+                            let (value, bound) = regs
+                                .get(g.reg.0 as usize)
+                                .copied()
+                                .flatten()
+                                .unwrap_or((i64::MIN, i64::MIN));
                             let eff = value - g.offset;
-                            events.push(TraceEvent {
-                                i,
-                                dest: dest_s,
-                                guard_value: Some(eff),
-                                enabled: bound < eff && eff <= 0,
-                            });
+                            (Some(eff), bound < eff && eff <= 0)
                         }
-                    }
+                    };
+                    events.push(TraceEvent {
+                        i,
+                        array: dest.array,
+                        index: dest.index.eval(i, n),
+                        guard_value,
+                        enabled,
+                    });
                 }
             }
         }
         if let Some(k) = l.auto_dec {
-            for e in regs.values_mut() {
+            for e in regs.iter_mut().flatten() {
                 e.0 -= k;
             }
         }
@@ -99,6 +115,7 @@ mod tests {
     use cred_codegen::cred::cred_pipelined;
     use cred_dfg::{DfgBuilder, OpKind};
     use cred_retime::Retiming;
+    use std::collections::BTreeMap;
 
     fn figure3() -> (cred_dfg::Dfg, Retiming) {
         let mut b = DfgBuilder::new();
@@ -128,7 +145,7 @@ mod tests {
         let (g, r) = figure3();
         let p = cred_pipelined(&g, &r, 10);
         let ev: Vec<_> = trace_loop(&p).into_iter().filter(|e| e.i == -2).collect();
-        let cells: Vec<String> = ev.iter().map(TraceEvent::cell).collect();
+        let cells: Vec<String> = ev.iter().map(|e| e.cell(&p)).collect();
         assert_eq!(
             cells,
             ["(0)A[1]", "(1)B[0]", "(1)C[0]", "(2)D[-1]", "(3)E[-2]"]
@@ -158,7 +175,7 @@ mod tests {
             .into_iter()
             .filter(|e| e.i == n as i64)
             .collect();
-        let enabled: Vec<(String, bool)> = ev.iter().map(|e| (e.dest.clone(), e.enabled)).collect();
+        let enabled: Vec<(String, bool)> = ev.iter().map(|e| (e.dest(&p), e.enabled)).collect();
         assert_eq!(
             enabled,
             [
@@ -204,11 +221,10 @@ mod tests {
         for p in [&orig, &retimed] {
             let ev = trace_loop(p);
             assert_eq!(ev.len() as u64, body_len(p) * trip_count(p));
-            let mut enabled: BTreeMap<String, u64> = BTreeMap::new();
+            let mut enabled: BTreeMap<u32, u64> = BTreeMap::new();
             for e in &ev {
                 if e.enabled {
-                    let name = e.dest.split('[').next().unwrap().to_string();
-                    *enabled.entry(name).or_insert(0) += 1;
+                    *enabled.entry(e.array).or_insert(0) += 1;
                 }
             }
             assert_eq!(enabled.len() as u64, nv);
@@ -221,11 +237,10 @@ mod tests {
         let (g, r) = figure3();
         let n = 10u64;
         let p = cred_pipelined(&g, &r, n);
-        let mut per_array: BTreeMap<String, u64> = BTreeMap::new();
+        let mut per_array: BTreeMap<u32, u64> = BTreeMap::new();
         for e in trace_loop(&p) {
             if e.enabled {
-                let name = e.dest.split('[').next().unwrap().to_string();
-                *per_array.entry(name).or_insert(0) += 1;
+                *per_array.entry(e.array).or_insert(0) += 1;
             }
         }
         for (_, count) in per_array {
