@@ -3,8 +3,10 @@
 //! warm-started incremental solver (CSR constraint graph + SPFA +
 //! feasible-solution reuse across the period/span binary searches), per
 //! bundled kernel size, plus the unfolding sweep on the largest kernel
-//! (elliptic, 34 nodes) where the incremental side also reuses its scratch
-//! arena between factors.
+//! (elliptic, 34 nodes). In the sweep each side runs on the W/D matrices
+//! explore gives it: the reference on the full form of the built
+//! unfolding, the incremental solver on the residue form (one period row
+//! per original node), reusing its scratch arena between factors.
 
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::Dfg;
@@ -59,27 +61,28 @@ fn bench_single_kernel(c: &mut Criterion) {
 /// allocate nothing.
 fn bench_unfold_sweep(c: &mut Criterion) {
     let g = cred_kernels::elliptic_filter();
-    let graphs: Vec<(Dfg, WdMatrices)> = (1..=SWEEP_MAX_F)
+    let graphs: Vec<(Dfg, WdMatrices, WdMatrices)> = (1..=SWEEP_MAX_F)
         .map(|f| {
             let u = unfold(&g, f).graph;
-            let wd = WdMatrices::compute(&u);
-            (u, wd)
+            let full = WdMatrices::compute(&u);
+            let residue = WdMatrices::compute_unfolded(&g, f);
+            (u, full, residue)
         })
         .collect();
     let mut group = c.benchmark_group("retime_solver_sweep");
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("reference", "elliptic"), |b| {
         b.iter(|| {
-            for (u, wd) in &graphs {
-                let opt = min_period_retiming_reference(u, wd);
-                black_box(min_span_retiming_reference(u, wd, opt.period).unwrap());
+            for (u, full, _) in &graphs {
+                let opt = min_period_retiming_reference(u, full);
+                black_box(min_span_retiming_reference(u, full, opt.period).unwrap());
             }
         });
     });
     group.bench_function(BenchmarkId::new("incremental", "elliptic"), |b| {
         b.iter(|| {
             let mut scratch = SolverScratch::new();
-            for (u, wd) in &graphs {
+            for (u, _, wd) in &graphs {
                 let mut solver = RetimeSolver::with_scratch(u, wd, scratch);
                 let opt = solver.min_period();
                 black_box(solver.min_span_from_base(opt.period, &opt.retiming));

@@ -1,4 +1,5 @@
-//! The Leiserson–Saxe `W` and `D` matrices.
+//! The Leiserson–Saxe `W` and `D` matrices, of a graph or of its
+//! `f`-unfolding.
 //!
 //! For a DFG `G` and nodes `u, v`:
 //!
@@ -15,8 +16,9 @@
 //! Both matrices are one all-pairs shortest-path problem over the
 //! lexicographic path weight `(delay count, -time of every node but the
 //! last)`, the standard reduction from the retiming paper.
-//! [`WdMatrices::compute`] solves it with one single-source sweep per node,
-//! which settles nodes in increasing `W`, one *delay layer* at a time:
+//! [`WdMatrices::compute_unfolded`] solves it with one single-source sweep
+//! per source, which settles nodes in increasing `W`, one *delay layer* at
+//! a time:
 //!
 //! * a binary heap holds the nodes reached over positive-delay edges,
 //!   keyed by their tentative `W`, and yields the next layer;
@@ -26,12 +28,31 @@
 //!   same-layer predecessor of a node before the node itself.
 //!
 //! A node's `W` and `D` are therefore final when it is visited, and every
-//! edge is relaxed once per source. That costs `O(V + E log V)` per source
-//! plus one pass over `⌈V/64⌉` bitset words per delay layer, so
-//! `O(V·(V + E log V))` in all for graphs with few distinct delays per
-//! source, as DSP loops and their unfoldings are, instead of the `O(V³)`
-//! of dense Floyd–Warshall, which survives as
-//! [`WdMatrices::compute_reference`], the differential-testing oracle.
+//! edge is relaxed once per source.
+//!
+//! ## Residue form
+//!
+//! The `f`-unfolding `G_f` has `fV` nodes, copy `j` of original node `v`
+//! at id `v * f + j`, and each original edge `u -> v` of `d` delays
+//! becomes the `f` edges `u_i -> v_((i + d) mod f)` of `⌊(i + d) / f⌋`
+//! delays. A path from `u_i` therefore ends in copy `(i + d_path) mod f`
+//! with `⌊(i + d_path) / f⌋` delays, and with `r = (j - i) mod f`
+//!
+//! ```text
+//! W_f(u_i, v_j) = W_f(u_0, v_r) + [j < i]        D_f(u_i, v_j) = D_f(u_0, v_r)
+//! ```
+//!
+//! Only the `f·V²` entries of the copy-0 rows are distinct, so the matrices
+//! keep just those rows: one sweep per original node over the unfolding,
+//! whose arcs are derived from the original graph's edges, so the symmetry
+//! holds by construction. That costs `O(f·V·(V + E log(fV)))` time on graphs with
+//! few distinct delays per source, as DSP loops are, plus one pass over
+//! `⌈fV/64⌉` bitset words per delay layer, and `O(f·V²)` space for the
+//! rows and the activation order. [`WdMatrices::compute`] is the `f = 1`
+//! case. The accessors take unfolded node ids and relabel internally.
+//! Dense Floyd–Warshall over the whole graph, `O(V³)` for a `V`-node
+//! graph, survives as [`WdMatrices::compute_reference`], the
+//! differential-testing oracle.
 //!
 //! One heap keyed by `(W, rank)` would settle nodes in the same order with
 //! no bitset, but it pushes and pops every node reached over a zero-delay
@@ -46,72 +67,123 @@ use crate::Dfg;
 
 const INF: i64 = i64::MAX / 4;
 
-/// Dense `W`/`D` matrices for all node pairs, stored flat with an `INF`
-/// sentinel (`v` unreachable from `u`); the `Option` accessors translate
-/// the sentinel at the call site.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `W`/`D` matrices for all node pairs of a graph or of its `f`-unfolding,
+/// in residue form (see the [module docs](self)): row `u` holds the
+/// entries from copy 0 of original node `u` to every node of the
+/// unfolding, stored flat with an `INF` sentinel (unreachable). The
+/// `Option` accessors relabel a pair of unfolded ids onto its row and
+/// translate the sentinel.
+///
+/// Two values can describe the same matrices in different forms, so there
+/// is no derived equality: compare them with
+/// [`WdMatrices::first_mismatch`].
+#[derive(Debug, Clone)]
 pub struct WdMatrices {
-    n: usize,
+    /// Nodes of the original graph: the number of rows.
+    rows: usize,
+    /// Unfolding factor `f`: each row has `rows * f` columns.
+    f: usize,
+    /// Copy index `a mod f` of every node id `a` of the unfolding.
+    copy: Vec<u32>,
     /// Lexicographic shortest-path weight: (delay, -time-of-path-minus-dst).
     w: Vec<i64>,
     neg_t: Vec<i64>,
+    /// Computation time of every node of the unfolding.
     times: Vec<i64>,
-    /// Every reachable pair as `(D(u, v), u, v)`, sorted by `D` descending
-    /// (ties by `(u, v)` ascending). The period-`c` feasibility constraints
-    /// are exactly the pairs with `D > c`, so this is the *activation
-    /// order*: tightening `c` activates a longer prefix of this list. The
-    /// incremental retiming solver consumes it verbatim.
+    /// Every reachable entry as `(D(u_0, t), u, t)`, with `u` an original
+    /// node and `t` a node of the unfolding, sorted by `D` descending (ties
+    /// by `(u, t)` ascending). The period-`c` feasibility constraints are
+    /// exactly the copies of the entries with `D > c`, so this is the
+    /// *activation order*: tightening `c` activates a longer prefix of this
+    /// list. The incremental retiming solver consumes it verbatim.
     activation: Vec<(i64, u32, u32)>,
 }
 
 impl WdMatrices {
-    /// Compute both matrices with one delay-layer sweep per source node
-    /// (see the [module docs](self)): `O(V·(V + E log V))` time on DSP loop
-    /// graphs, and `O(V²)` space for the matrices and the activation order
-    /// plus `O(V + E)` scratch.
+    /// Compute both matrices of `g` with one delay-layer sweep per node
+    /// (see the [module docs](self)). The `f = 1` case of
+    /// [`WdMatrices::compute_unfolded`].
     ///
     /// # Panics
     /// Panics if the zero-delay subgraph has a cycle: the matrices are only
     /// defined for a well-formed DFG (see [`Dfg::validate`]).
     pub fn compute(g: &Dfg) -> Self {
-        let n = g.node_count();
+        Self::compute_unfolded(g, 1)
+    }
+
+    /// The matrices of the `f`-unfolding of `g`, in that unfolding's node
+    /// layout (copy `j` of node `v` at id `v * f + j`, the layout of
+    /// `cred_unfold::unfold`), without building it: one delay-layer sweep
+    /// per node of `g` over the unfolding's arcs, which are derived from
+    /// `g`'s edges. `O(f·V·(V + E log(fV)))` time on DSP loop graphs and
+    /// `O(f·V²)` space for the rows and the activation order, plus
+    /// `O(f·(V + E))` scratch.
+    ///
+    /// # Panics
+    /// Panics if `f == 0`, or if the zero-delay subgraph of `g` has a
+    /// cycle (then so does every unfolding of it).
+    pub fn compute_unfolded(g: &Dfg, f: usize) -> Self {
+        assert!(f >= 1, "unfolding factor must be at least 1");
+        let rows = g.node_count();
+        let n = rows * f;
         let order = zero_delay_topo_order(g).expect(
             "WdMatrices::compute requires a well-formed DFG: the zero-delay subgraph has a cycle",
         );
-        let mut rank = vec![0u32; n];
+        let mut orig_rank = vec![0usize; rows];
         for (r, v) in order.iter().enumerate() {
-            rank[v.index()] = r as u32;
+            orig_rank[v.index()] = r;
         }
+        // Ranks over the unfolding, copy-major: copy `j` of the original
+        // node of rank `q` has rank `j * V + q`. A zero-delay edge of the
+        // unfolding stays in its copy (an original zero-delay edge, which
+        // raises `q`) or moves to a higher copy, so this is a topological
+        // order of the unfolding's zero-delay subgraph.
+        let mut node = Vec::with_capacity(n);
         // The edges leaving the node of rank `r` are
         // `arcs[first[r]..first[r + 1]]`, as (head, head's rank, delay).
         let mut first = Vec::with_capacity(n + 1);
-        let mut arcs = Vec::with_capacity(g.edge_count());
+        let mut arcs = Vec::with_capacity(g.edge_count() * f);
         first.push(0);
-        for &v in &order {
-            arcs.extend(g.out_edges(v).iter().map(|&e| {
-                let ed = g.edge(e);
-                (ed.dst.0, rank[ed.dst.index()], ed.delay as i64)
-            }));
-            first.push(arcs.len());
+        for j in 0..f {
+            for &v in &order {
+                node.push(v.index() * f + j);
+                arcs.extend(g.out_edges(v).iter().map(|&e| {
+                    let ed = g.edge(e);
+                    let s = j as u64 + ed.delay as u64;
+                    let (hj, delay) = ((s % f as u64) as usize, (s / f as u64) as i64);
+                    let head = ed.dst.index();
+                    (
+                        (head * f + hj) as u32,
+                        (hj * rows + orig_rank[head]) as u32,
+                        delay,
+                    )
+                }));
+                first.push(arcs.len());
+            }
         }
-        let times: Vec<i64> = g.node_ids().map(|v| g.node(v).time as i64).collect();
+        let copy: Vec<u32> = (0..n).map(|a| (a % f) as u32).collect();
+        let times: Vec<i64> = g
+            .node_ids()
+            .flat_map(|v| std::iter::repeat_n(g.node(v).time as i64, f))
+            .collect();
 
-        let mut w = vec![INF; n * n];
-        let mut neg_t = vec![INF; n * n];
+        let mut w = vec![INF; rows * n];
+        let mut neg_t = vec![INF; rows * n];
         let mut activation = Vec::new();
         // The ranks reached over positive-delay edges keyed by their
         // tentative `W`, and the current layer as a bitset over ranks.
         let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
         let words = n.div_ceil(64);
         let mut layer = vec![0u64; words];
-        for (s, &sr) in rank.iter().enumerate() {
-            // Row `s` holds the tentative `(W, -time)` of every node. A
-            // settled entry is optimal, so no later candidate beats it.
+        for (s, &sr) in orig_rank.iter().enumerate() {
+            // Row `s` holds the tentative `(W, -time)` from copy 0 of `s`
+            // to every node. A settled entry is optimal, so no later
+            // candidate beats it. Copy 0 has the original rank.
             let w_row = &mut w[s * n..(s + 1) * n];
             let nt_row = &mut neg_t[s * n..(s + 1) * n];
-            w_row[s] = 0;
-            nt_row[s] = 0;
-            heap.push(Reverse((0, sr)));
+            w_row[s * f] = 0;
+            nt_row[s * f] = 0;
+            heap.push(Reverse((0, sr as u32)));
             while let Some(&Reverse((wl, _))) = heap.peek() {
                 // The layer at `W = wl`: every node the heap holds at that
                 // key, skipping entries a smaller `W` made stale.
@@ -122,7 +194,7 @@ impl WdMatrices {
                     }
                     heap.pop();
                     let xr = xr as usize;
-                    if w_row[order[xr].index()] == wl {
+                    if w_row[node[xr]] == wl {
                         layer[xr / 64] |= 1 << (xr % 64);
                         word = word.min(xr / 64);
                     }
@@ -137,7 +209,7 @@ impl WdMatrices {
                     }
                     layer[word] = bits & (bits - 1);
                     let r = word * 64 + bits.trailing_zeros() as usize;
-                    let v = order[r].index();
+                    let v = node[r];
                     let tail = nt_row[v] - times[v];
                     for &(x, xr, delay) in &arcs[first[r]..first[r + 1]] {
                         let x = x as usize;
@@ -160,14 +232,16 @@ impl WdMatrices {
                     .zip(&times)
                     .enumerate()
                     .filter(|&(_, (&nt, _))| nt < INF)
-                    .map(|(v, (&nt, &t))| (t - nt, s as u32, v as u32)),
+                    .map(|(t, (&nt, &time))| (time - nt, s as u32, t as u32)),
             );
         }
-        // The pairs went in in `(u, v)` order, and a stable sort keeps it
-        // among equal `D`.
+        // The entries went in in `(u, t)` order, and a stable sort keeps
+        // it among equal `D`.
         activation.sort_by_key(|&(d, _, _)| Reverse(d));
         WdMatrices {
-            n,
+            rows,
+            f,
+            copy,
             w,
             neg_t,
             times,
@@ -175,11 +249,13 @@ impl WdMatrices {
         }
     }
 
-    /// The same matrices by dense Floyd–Warshall over the lexicographic
+    /// The matrices of `g` by dense Floyd–Warshall over the lexicographic
     /// pair weights, in `O(V³)` time, with the activation order from a
     /// three-key sort. This is the differential-testing oracle of
-    /// [`WdMatrices::compute`], which must agree with it exactly on every
-    /// well-formed DFG; only tests call it. On a DFG with a zero-delay
+    /// [`WdMatrices::compute_unfolded`], which must agree with it on every
+    /// well-formed DFG and its unfoldings (see
+    /// [`WdMatrices::first_mismatch`]). It treats `g` as a plain graph
+    /// (`f = 1`) even when `g` is an unfolding. On a DFG with a zero-delay
     /// cycle its result is meaningless.
     pub fn compute_reference(g: &Dfg) -> Self {
         let n = g.node_count();
@@ -229,7 +305,9 @@ impl WdMatrices {
         }
         activation.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         WdMatrices {
-            n,
+            rows: n,
+            f: 1,
+            copy: vec![0; n],
             w,
             neg_t,
             times,
@@ -237,32 +315,60 @@ impl WdMatrices {
         }
     }
 
-    /// Number of nodes.
+    /// Number of nodes the accessors range over: `f·V` for the
+    /// `f`-unfolding of a `V`-node graph.
     pub fn len(&self) -> usize {
-        self.n
+        self.copy.len()
     }
 
     /// True for the empty graph.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.copy.is_empty()
+    }
+
+    /// The unfolding factor `f` the matrices describe (1 for
+    /// [`WdMatrices::compute`] and [`WdMatrices::compute_reference`]).
+    pub fn factor(&self) -> usize {
+        self.f
+    }
+
+    /// The flat row index of the pair `(a, b)`, and `[j < i]`, the delay
+    /// the pair has over its copy-0 representative.
+    #[inline]
+    fn at(&self, a: usize, b: usize) -> (usize, i64) {
+        let (i, j) = (self.copy[a] as usize, self.copy[b] as usize);
+        let wrap = j < i;
+        // `a - i` is `u * f`, so `(a - i) * rows` is the start of row `u`;
+        // `b - i`, plus `f` on a wrap, is the column of `v_r`.
+        (
+            (a - i) * self.rows + b + wrap as usize * self.f - i,
+            wrap as i64,
+        )
     }
 
     /// `W(u, v)`: minimum path delay count, `None` if unreachable.
     pub fn w(&self, u: usize, v: usize) -> Option<i64> {
-        let x = self.w[u * self.n + v];
-        (x < INF).then_some(x)
+        let (at, wrap) = self.at(u, v);
+        let x = self.w[at];
+        (x < INF).then_some(x + wrap)
     }
 
     /// `D(u, v)`: maximum computation time over minimum-delay paths
     /// (both endpoints included), `None` if unreachable.
     pub fn d(&self, u: usize, v: usize) -> Option<i64> {
-        let x = self.neg_t[u * self.n + v];
+        let x = self.neg_t[self.at(u, v).0];
         (x < INF).then_some(self.times[v] - x)
     }
 
-    /// All reachable pairs as `(D(u, v), u, v)` sorted by `D` descending —
-    /// the order in which the period-`c` constraints `r(v) - r(u) <=
-    /// W(u, v) - 1` activate as `c` tightens (a pair is active iff
+    /// Every reachable entry `(D(u_0, t), u, t)` sorted by `D` descending,
+    /// ties by `(u, t)` ascending: `u` is a node of the original graph and
+    /// `t` a node of the unfolding. The entry stands for the `f` pairs
+    /// `(u_i, t_i)`, `i < f`, where `t_i` is `t` shifted `i` copies on (see
+    /// the [module docs](self)); they share its `D`. For `f = 1` the
+    /// entries are exactly the reachable pairs `(u, v)`.
+    ///
+    /// This is the order in which the period-`c` constraints `r(v) - r(u)
+    /// <= W(u, v) - 1` activate as `c` tightens (a pair is active iff
     /// `D > c`, so every period selects a prefix of this list).
     pub fn activation_by_d(&self) -> &[(i64, u32, u32)] {
         &self.activation
@@ -275,6 +381,68 @@ impl WdMatrices {
         let mut out: Vec<i64> = self.activation.iter().rev().map(|&(d, _, _)| d).collect();
         out.dedup();
         out
+    }
+
+    /// Copy `i` of an activation entry `(u, t)` whose target lies in copy
+    /// `r = t mod f`: the target of the pair from `u_i`, which is `t`
+    /// moved `i` copies on, and the delay that pair has over the entry,
+    /// `W(u_i, t_i) - W(u_0, t) = [r + i >= f]`. Everything that expands
+    /// the activation order into pairs uses this one rule.
+    #[inline]
+    pub fn shifted(t: u32, r: u32, i: u32, f: u32) -> (usize, i64) {
+        let wrap = (r + i >= f) as u32;
+        ((t + i - wrap * f) as usize, wrap as i64)
+    }
+
+    /// The activation order with every entry expanded into the `f` pairs
+    /// it stands for, as `(D, u, v)` over node ids of the unfolding,
+    /// sorted by `D` descending, then `(u, v)` ascending.
+    fn expanded_activation(&self) -> Vec<(i64, u32, u32)> {
+        let f = self.f as u32;
+        let mut out = Vec::with_capacity(self.activation.len() * self.f);
+        for &(d, u, t) in &self.activation {
+            for i in 0..f {
+                let (v, _) = Self::shifted(t, self.copy[t as usize], i, f);
+                out.push((d, u * f + i, v as u32));
+            }
+        }
+        out.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        out
+    }
+
+    /// The first place where `self` and `other` describe different
+    /// matrices, or `None` when they agree: on the node count, on `W` and
+    /// `D` at every pair, on the candidate periods, and on the pairs of the
+    /// activation order once each entry is expanded into its copies. The
+    /// two may hold different forms of the same matrices (a residue-form
+    /// unfolding against [`WdMatrices::compute_reference`] of the built
+    /// unfolding), so this checks entry by entry through the accessors
+    /// rather than comparing storage.
+    pub fn first_mismatch(&self, other: &WdMatrices) -> Option<String> {
+        if self.len() != other.len() {
+            return Some(format!("{} nodes against {}", self.len(), other.len()));
+        }
+        for u in 0..self.len() {
+            for v in 0..self.len() {
+                let (a, b) = ((self.w(u, v), self.d(u, v)), (other.w(u, v), other.d(u, v)));
+                if a != b {
+                    return Some(format!("(W, D)({u}, {v}): {a:?} against {b:?}"));
+                }
+            }
+        }
+        let (a, b) = (self.candidate_periods(), other.candidate_periods());
+        if a != b {
+            return Some(format!("candidate periods {a:?} against {b:?}"));
+        }
+        let (a, b) = (self.expanded_activation(), other.expanded_activation());
+        if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+            return Some(format!(
+                "activation pair {i}: {:?} against {:?}",
+                a.get(i),
+                b.get(i)
+            ));
+        }
+        None
     }
 }
 
@@ -388,27 +556,33 @@ mod tests {
         assert!(cands.contains(&12)); // whole ring
     }
 
-    #[test]
-    fn activation_order_is_sorted_and_complete() {
-        let (g, _) = correlator();
-        let wd = WdMatrices::compute(&g);
+    /// The activation order is sorted (`D` descending, ties by `(u, t)`
+    /// ascending) and lists exactly the reachable entries of the copy-0
+    /// rows, with the accessors' `D`.
+    fn assert_activation_sorted_and_complete(wd: &WdMatrices) {
         let act = wd.activation_by_d();
-        // Sorted: D descending, ties broken by (u, v) ascending.
         assert!(act.windows(2).all(|w| w[0].0 >= w[1].0));
         assert!(act
             .windows(2)
             .all(|w| w[0].0 > w[1].0 || (w[0].1, w[0].2) < (w[1].1, w[1].2)));
-        // Complete and consistent: exactly the reachable pairs, with the
-        // matrix accessors' D values.
-        let n = g.node_count();
-        let reachable: Vec<(i64, u32, u32)> = (0..n)
-            .flat_map(|u| (0..n).map(move |v| (u, v)))
-            .filter_map(|(u, v)| wd.d(u, v).map(|d| (d, u as u32, v as u32)))
+        let f = wd.factor();
+        let reachable: Vec<(i64, u32, u32)> = (0..wd.len() / f)
+            .flat_map(|u| (0..wd.len()).map(move |t| (u, t)))
+            .filter_map(|(u, t)| wd.d(u * f, t).map(|d| (d, u as u32, t as u32)))
             .collect();
         assert_eq!(act.len(), reachable.len());
         let mut sorted = reachable;
         sorted.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         assert_eq!(act, &sorted[..]);
+    }
+
+    #[test]
+    fn activation_order_is_sorted_and_complete() {
+        let (g, _) = correlator();
+        assert_activation_sorted_and_complete(&WdMatrices::compute(&g));
+        for f in 1..=4 {
+            assert_activation_sorted_and_complete(&WdMatrices::compute_unfolded(&g, f));
+        }
     }
 
     #[test]
@@ -421,12 +595,42 @@ mod tests {
         assert!(wd.candidate_periods().contains(&phi));
     }
 
-    /// The search equals the Floyd–Warshall oracle exactly, `INF`
-    /// sentinels and activation order included.
+    /// The search equals the Floyd–Warshall oracle entry by entry,
+    /// unreachable pairs and activation pairs included. (The residue form
+    /// of unfoldings is checked against the oracle on graphs built by
+    /// `cred_unfold::unfold`, in that crate's tests.)
     fn assert_matches_reference(g: &Dfg) -> WdMatrices {
         let wd = WdMatrices::compute(g);
-        assert_eq!(wd, WdMatrices::compute_reference(g));
+        assert_eq!(wd.first_mismatch(&WdMatrices::compute_reference(g)), None);
         wd
+    }
+
+    #[test]
+    fn mismatch_names_the_first_differing_entry() {
+        let (g, _) = correlator();
+        let wd = WdMatrices::compute(&g);
+        assert_eq!(wd.first_mismatch(&wd.clone()), None);
+        let mut other = g.clone();
+        other.edge_mut(other.edge_ids().next().unwrap()).delay = 2;
+        let diff = wd.first_mismatch(&WdMatrices::compute(&other)).unwrap();
+        assert!(diff.starts_with("(W, D)(0, 1)"), "{diff}");
+        let two = WdMatrices::compute_unfolded(&g, 2);
+        assert_eq!(wd.first_mismatch(&two).unwrap(), "4 nodes against 8");
+    }
+
+    #[test]
+    fn unfolded_rows_follow_the_shift_rule() {
+        // v0 -> v1 carries one delay: at f = 2, copy 1 of v0 feeds copy 0
+        // of v1 across the iteration boundary (one delay), and copy 0
+        // feeds copy 1 within it (none).
+        let (g, _) = correlator();
+        let wd = WdMatrices::compute_unfolded(&g, 2);
+        assert_eq!(wd.len(), 8);
+        assert_eq!(wd.w(0, 3), Some(0));
+        assert_eq!(wd.w(1, 2), Some(1));
+        assert_eq!(wd.d(1, 2), Some(6));
+        assert_eq!(wd.w(1, 1), Some(0));
+        assert_eq!(wd.d(1, 1), Some(3));
     }
 
     #[test]
@@ -476,6 +680,12 @@ mod tests {
         assert_eq!(wd.d(0, 1), Some(big as i64 + 1));
         assert_eq!(wd.w(1, 0), Some(1));
         assert_eq!(wd.d(1, 0), Some(big as i64 + 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn factor_zero_panics() {
+        let _ = WdMatrices::compute_unfolded(&correlator().0, 0);
     }
 
     #[test]

@@ -118,7 +118,8 @@ proptest! {
                 max_time,
             },
         );
-        prop_assert_eq!(algo::WdMatrices::compute(&g), algo::WdMatrices::compute_reference(&g));
+        let wd = algo::WdMatrices::compute(&g);
+        prop_assert_eq!(wd.first_mismatch(&algo::WdMatrices::compute_reference(&g)), None);
     }
 
     #[test]

@@ -6,11 +6,15 @@
 //! graph (period search, span minimization, register compaction), each of
 //! which — in the straightforward [`crate::sweep_reference`] path —
 //! recomputes the same W/D matrices from scratch (one delay-layer sweep
-//! per node, see [`WdMatrices::compute`]). The cache layer fixes both
-//! redundancies:
+//! per node of the unfolded graph, see [`WdMatrices::compute`]). The cache
+//! layer fixes both redundancies:
 //!
-//! * within one factor, the W/D matrices are computed **once** and shared
-//!   across all three passes (the `*_with` entry points in `cred-retime`);
+//! * within one factor, the W/D matrices are computed **once**, in the
+//!   residue form of the unfolding ([`WdMatrices::compute_unfolded`]: one
+//!   delay-layer sweep per *original* node, `f·V²` entries instead of
+//!   `(fV)²`), and shared across all three passes: the solver keeps one
+//!   period row per original node, and compaction checks the legality
+//!   edges plus the active prefix of the activation order;
 //! * across calls, the finished [`FactorPlan`] is memoized under the key
 //!   `(Dfg::fingerprint(), f)`, so sweeping the same kernel again — from
 //!   another thread, another sweep, or a constrained search revisiting a
@@ -64,8 +68,8 @@ use cred_dfg::algo::WdMatrices;
 use cred_dfg::Dfg;
 use cred_resilience::failpoint::{self, sites};
 use cred_resilience::{panic_message, Budget, DegradationEvent, DegradeCause, Exhausted};
-use cred_retime::minperiod::min_period_retiming_reference;
-use cred_retime::span::{compact_values_wd, min_span_retiming_reference};
+use cred_retime::minperiod::{constraints_for_period, min_period_retiming_reference};
+use cred_retime::span::{compact_values_wd, compact_values_with, min_span_retiming_reference};
 use cred_retime::{RetimeSolver, Retiming};
 use cred_unfold::orders::project_retiming;
 use cred_unfold::unfold;
@@ -154,8 +158,8 @@ impl PlanSource {
     }
 }
 
-/// Compute a [`FactorPlan`] with a single shared W/D computation and one
-/// warm-started solver.
+/// Compute a [`FactorPlan`] with a single shared residue-form W/D
+/// computation and one warm-started solver.
 ///
 /// This is the uncached fast path; [`SweepCache::plan`] wraps it with
 /// memoization. It yields plans identical to the per-point pipeline of
@@ -178,7 +182,7 @@ fn plan_fast(g: &Dfg, f: usize, budget: &Budget) -> Result<FactorPlan, Exhausted
     failpoint::hit(sites::EXPLORE_PLAN_FAST).map_err(|e| Exhausted::Injected { site: e.site })?;
     budget.check()?;
     let u = unfold(g, f);
-    let wd = WdMatrices::compute(&u.graph);
+    let wd = WdMatrices::compute_unfolded(g, f);
     let mut solver = RetimeSolver::new(&u.graph, &wd);
     let opt = solver.min_period_budgeted(budget)?;
     let r_f = solver.min_span_from_base_budgeted(opt.period, &opt.retiming, budget)?;
@@ -191,10 +195,12 @@ fn plan_fast(g: &Dfg, f: usize, budget: &Budget) -> Result<FactorPlan, Exhausted
 }
 
 /// The degradation fallback: the dense reference pipeline (full
-/// [`cred_retime::ConstraintSystem`] + edge-list Bellman–Ford per pass).
-/// Guaranteed to terminate in `O(V * E)` rounds per solve — no warm-start
-/// state, no SPFA heuristics — and bit-identical to the fast path by the
-/// solver's differential tests.
+/// [`cred_retime::ConstraintSystem`] + edge-list Bellman–Ford per pass,
+/// on the full-form W/D matrices of the built unfolding). Guaranteed to
+/// terminate in `O(V * E)` rounds per solve — no warm-start state, no SPFA
+/// heuristics — and bit-identical to the fast path by the solver's
+/// differential tests. It shares none of the fast path's residue-form
+/// code.
 fn plan_reference(g: &Dfg, f: usize) -> FactorPlan {
     failpoint::hit_infallible(sites::EXPLORE_PLAN_REFERENCE);
     let u = unfold(g, f);
@@ -202,7 +208,8 @@ fn plan_reference(g: &Dfg, f: usize) -> FactorPlan {
     let opt = min_period_retiming_reference(&u.graph, &wd);
     let r_f = min_span_retiming_reference(&u.graph, &wd, opt.period)
         .expect("the optimal period is always span-feasible");
-    let r_f = compact_values_wd(&u.graph, &wd, opt.period, &r_f);
+    let sys = constraints_for_period(&u.graph, &wd, opt.period as i64);
+    let r_f = compact_values_with(&sys, &r_f);
     let projected = project_retiming(&u, &r_f);
     FactorPlan {
         projected,

@@ -45,10 +45,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use cred_codegen::cred::cred_retime_unfold;
 use cred_codegen::unfolded::retime_unfold_program;
 use cred_codegen::DecMode;
+use cred_dfg::algo::WdMatrices;
 use cred_dfg::{Dfg, Ratio};
 use cred_resilience::{panic_message, Budget, DegradationEvent};
+use cred_retime::minperiod::constraints_for_period;
 use cred_retime::span::{
-    compact_values, compact_values_wd, min_span_retiming, min_span_retiming_with,
+    compact_values_wd, compact_values_with, min_span_retiming, min_span_retiming_with,
 };
 use cred_retime::{min_period_retiming, min_period_retiming_with, Retiming};
 use cred_schedule::KernelSchedule;
@@ -123,16 +125,20 @@ fn sequential_maxlive(g: &Dfg, projected: &Retiming, f: usize) -> usize {
 /// projected back (Theorem 4.5), span-minimized and register-compacted.
 ///
 /// This is the *reference* pipeline: each retiming pass recomputes its own
-/// W/D matrices from scratch. The [`ExploreRequest`] engine reaches the
-/// same points through [`cache::compute_plan`], which shares one W/D
-/// computation across the passes; keeping this path independent makes it
-/// a differential-testing oracle (and the benchmark baseline) for the
+/// full-form W/D matrices of the built unfolding from scratch, and
+/// compaction checks the dense [`cred_retime::ConstraintSystem`]. The
+/// [`ExploreRequest`] engine reaches the same points through
+/// [`cache::compute_plan`], which shares one residue-form W/D computation
+/// across the passes; keeping this path independent makes it a
+/// differential-testing oracle (and the benchmark baseline) for the
 /// memoized engine.
 fn point_for_factor(g: &Dfg, f: usize, n: u64, mode: DecMode) -> ParetoPoint {
     let u = unfold(g, f);
     let opt = min_period_retiming(&u.graph);
     let r_f = min_span_retiming(&u.graph, opt.period).expect("optimum feasible");
-    let r_f = compact_values(&u.graph, opt.period, &r_f);
+    let wd = WdMatrices::compute(&u.graph);
+    let sys = constraints_for_period(&u.graph, &wd, opt.period as i64);
+    let r_f = compact_values_with(&sys, &r_f);
     let projected = project_retiming(&u, &r_f);
     let plan = FactorPlan {
         projected,
@@ -427,7 +433,7 @@ pub fn best_under_register_budget(
         let u = unfold(g, f);
         // One W/D computation serves the period search and every probe of
         // the candidate scan below.
-        let wd = cred_dfg::algo::WdMatrices::compute(&u.graph);
+        let wd = WdMatrices::compute_unfolded(g, f);
         let opt = min_period_retiming_with(&u.graph, &wd);
         // Scan candidate periods upward until the register budget holds.
         let mut cands: Vec<i64> = wd.candidate_periods();
@@ -510,7 +516,7 @@ mod tests {
             let u = unfold(&g, p.f);
             let opt = min_period_retiming(&u.graph);
             let r_f = min_span_retiming(&u.graph, opt.period).unwrap();
-            let r_f = compact_values(&u.graph, opt.period, &r_f);
+            let r_f = cred_retime::span::compact_values(&u.graph, opt.period, &r_f);
             let projected = project_retiming(&u, &r_f);
             let sched = KernelSchedule::sequential(&g, &projected, p.f);
             assert_eq!(p.objectives.maxlive, sched.replay_maxlive(), "f = {}", p.f);

@@ -1,25 +1,56 @@
-//! The W/D sweep against its Floyd–Warshall oracle on the graphs the
-//! explore pipeline feeds it: every committed kernel's f-unfolding for
-//! f = 1..8.
+//! The explore fast path's retiming layers against their oracles on the
+//! graphs the pipeline feeds them: every committed kernel's f-unfolding
+//! for f = 1..8.
 
 use cred_dfg::algo::WdMatrices;
+use cred_explore::cache::{compute_plan, compute_plan_budgeted, PlanSource};
 use cred_explore::suite::load_kernels;
+use cred_resilience::Budget;
 use cred_unfold::unfold;
 use std::path::Path;
 
-#[test]
-fn wd_sweep_matches_floyd_warshall_on_every_kernel_unfolding() {
+fn kernels() -> Vec<(String, cred_dfg::Dfg)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../kernels");
     let kernels = load_kernels(&dir).unwrap();
     assert_eq!(kernels.len(), 10, "expected the 10 bundled kernels");
-    for (name, g) in &kernels {
+    kernels
+}
+
+#[test]
+fn wd_sweep_matches_floyd_warshall_on_every_kernel_unfolding() {
+    for (name, g) in &kernels() {
         for f in 1..=8 {
             let u = unfold(g, f).graph;
+            let reference = WdMatrices::compute_reference(&u);
             assert_eq!(
-                WdMatrices::compute(&u),
-                WdMatrices::compute_reference(&u),
+                WdMatrices::compute(&u).first_mismatch(&reference),
+                None,
                 "{name} f={f}"
             );
+            assert_eq!(
+                WdMatrices::compute_unfolded(g, f).first_mismatch(&reference),
+                None,
+                "{name} f={f} (residue form)"
+            );
+        }
+    }
+}
+
+/// A 0-unit work budget exhausts the fast path at once, so the ladder
+/// hands the factor to the dense reference pipeline (full-form W/D of the
+/// built unfolding, Bellman–Ford, dense compaction), which shares no code
+/// with the residue-form path it is compared with.
+#[test]
+fn fast_plan_equals_degraded_reference_plan_on_every_kernel() {
+    let starved = Budget::unlimited().with_work_limit(0);
+    for (name, g) in &kernels() {
+        for f in 1..=8 {
+            let (reference, source) = compute_plan_budgeted(g, f, &starved).unwrap();
+            assert!(
+                matches!(source, PlanSource::Reference(_)),
+                "{name} f={f}: {source:?}"
+            );
+            assert_eq!(compute_plan(g, f), reference, "{name} f={f}");
         }
     }
 }

@@ -9,19 +9,29 @@
 //! solves the whole search incrementally:
 //!
 //! * [`CsrConstraintGraph`] stores the legality edges once in CSR form and
-//!   the period constraints as a per-row tail sorted by `D` descending;
-//!   a period `c` activates a *prefix* of each tail (and of the global
-//!   activation order) instead of rebuilding anything.
+//!   the period constraints as one row per *original* node, sorted by `D`
+//!   descending: the W/D activation order of an `f`-unfolded graph has one
+//!   entry per copy-0 pair `(u_0, t)`, standing for the `f` shifted pairs
+//!   `(u_i, t_i)` (see [`WdMatrices`]), which share its `D`. So all `f`
+//!   copies of `u` share row `u` and its activation counter, and a period
+//!   `c` activates a *prefix* of each row (and of the activation order)
+//!   instead of rebuilding anything. Relaxing row `u` from copy `u_i`
+//!   relabels each entry on the fly ([`WdMatrices::shifted`]): for a
+//!   target `t` in copy `r`, the target is `t` moved `i` copies on,
+//!   `t + i - f·[r + i >= f]`, and the weight `W(u_0, t) - 1 +
+//!   [r + i >= f]`. For a graph that is not unfolded (`f = 1`) both
+//!   corrections are zero.
 //! * The solver core is a queue-based SPFA (deque with smallest-label-first
 //!   placement, an in-queue bitmap, and walk-length negative-cycle
 //!   detection) over the CSR graph; all of its state lives in a reusable
 //!   [`SolverScratch`] arena, so repeated solves allocate nothing.
 //! * [`RetimeSolver`] warm-starts every probe: tightening `c` restores the
 //!   last feasible fixpoint, activates the new constraint prefix, and seeds
-//!   the queue with only the newly activated edges. Because the systems are
-//!   nested and relaxation fixpoints are unique, the warm solve converges to
-//!   the *same* distance vector the cold reference computes — results are
-//!   bit-identical, which the differential property tests assert.
+//!   the queue with only the newly activated entries, each as its `f`
+//!   copies. Because the systems are nested and relaxation fixpoints are
+//!   unique, the warm solve converges to the *same* distance vector the
+//!   cold reference computes, whatever order the seeds come in: results
+//!   are bit-identical, which the differential property tests assert.
 //!
 //! The span minimizer rides the same state: its auxiliary variable `z`
 //! (`r(u) - z <= 0`, `z - r(v) <= s`) is a permanent extra vertex whose
@@ -54,9 +64,41 @@ const NO_PERIOD: i64 = i64::MAX;
 /// Sentinel span: "no feasible span snapshot".
 const NO_SPAN: i64 = -1;
 
+/// One period constraint of an original node's row: the copy-0 target
+/// `t`, its copy `r`, and the weight `W(u_0, t) - 1`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PeriodEdge {
+    t: u32,
+    r: u32,
+    w: i64,
+}
+
+impl PeriodEdge {
+    /// The entry `(u_0, t)` of `wd`'s activation order as a constraint
+    /// edge of row `u`.
+    pub(crate) fn new(wd: &WdMatrices, u: u32, t: u32) -> Self {
+        let f = wd.factor();
+        let w = wd.w(u as usize * f, t as usize).expect("reachable pair");
+        PeriodEdge {
+            t,
+            r: t % f as u32,
+            w: w - 1,
+        }
+    }
+
+    /// The copy of this edge that leaves copy `i` of its row's node in an
+    /// `f`-unfolded graph: its target and weight.
+    #[inline]
+    pub(crate) fn shifted(self, i: u32, f: u32) -> (usize, i64) {
+        let (v, wrap) = WdMatrices::shifted(self.t, self.r, i, f);
+        (v, self.w + wrap)
+    }
+}
+
 /// The retiming constraint graph in compressed-sparse-row form.
 ///
-/// Built once per `(graph, W/D)` pair. Variables `0..n` are the retiming
+/// Built once per `(graph, W/D)` pair, for a graph that may be the
+/// `f`-unfolding the matrices describe. Variables `0..n` are the retiming
 /// values; variable `n` is the span minimizer's auxiliary `max r` vertex
 /// (its edges are implicit — weight `0` out, the probed span in — so they
 /// need no storage). A constraint `x[a] - x[b] <= c` is the edge `b -> a`
@@ -64,34 +106,44 @@ const NO_SPAN: i64 = -1;
 ///
 /// * legality edges `src -> dst` with weight `d(e)` are static (always
 ///   active) and stored CSR-style in `leg_*`;
-/// * period edges `u -> v` with weight `W(u, v) - 1` are stored per source
-///   row sorted by `D(u, v)` descending, so the active edges of row `u`
-///   for any period `c` are the prefix of length `active[u]`;
-/// * `act_*` is the same edge set in global activation order (`D`
+/// * period edges are stored once per *original* node `u`, as the copy-0
+///   entries `u_0 -> t` with weight `W(u_0, t) - 1`, sorted by `D`
+///   descending, so the active entries of row `u` for any period `c` are
+///   the prefix of length `active[u]`; every copy `u_i` relaxes them
+///   shifted by `i` copies (see the [module docs](self));
+/// * `act_*` is the same entry set in global activation order (`D`
 ///   descending), which is what the warm-start walks when the period
 ///   tightens.
 #[derive(Debug, Clone)]
 pub struct CsrConstraintGraph {
     n: usize,
+    /// The unfolding factor of the W/D matrices.
+    f: u32,
+    /// Row (original node) and copy of every variable.
+    var: Vec<(u32, u32)>,
     leg_row: Vec<u32>,
     leg_col: Vec<u32>,
     leg_w: Vec<i64>,
     per_row: Vec<u32>,
-    per_col: Vec<u32>,
-    per_w: Vec<i64>,
-    /// Activation order: for entry `i`, `act_edge[i]` indexes `per_col` /
-    /// `per_w`, `act_src[i]` is its source row, `act_d[i]` its `D` value
-    /// (non-increasing in `i`).
+    per: Vec<PeriodEdge>,
+    /// Activation order: for entry `i`, `act_edge[i]` indexes `per`,
+    /// `act_src[i]` is its row, `act_d[i]` its `D` value (non-increasing
+    /// in `i`).
     act_edge: Vec<u32>,
     act_src: Vec<u32>,
     act_d: Vec<i64>,
 }
 
 impl CsrConstraintGraph {
-    /// Build the CSR graph for `g` from its W/D matrices.
+    /// Build the CSR graph for `g` from its W/D matrices: those of `g`
+    /// itself, or, when `g` is an `f`-unfolding, those
+    /// [`WdMatrices::compute_unfolded`] gives for its original graph.
     pub fn build(g: &Dfg, wd: &WdMatrices) -> Self {
         let n = g.node_count();
         assert_eq!(wd.len(), n, "W/D matrices belong to a different graph");
+        let f = wd.factor();
+        let rows = n / f;
+        let var = (0..n).map(|x| ((x / f) as u32, (x % f) as u32)).collect();
         // Legality edges, counting-sorted by source row.
         let mut leg_row = vec![0u32; n + 2];
         for e in g.edge_ids() {
@@ -110,40 +162,39 @@ impl CsrConstraintGraph {
             leg_col[slot] = ed.dst.index() as u32;
             leg_w[slot] = ed.delay as i64;
         }
-        // Period edges: the W/D activation order is (D desc, u asc, v asc),
+        // Period edges: the W/D activation order is (D desc, u asc, t asc),
         // so distributing entries to rows in order leaves every row sorted
         // by D descending — each period's active set is a row prefix.
         let act = wd.activation_by_d();
-        let mut per_row = vec![0u32; n + 1];
+        let mut per_row = vec![0u32; rows + 1];
         for &(_, u, _) in act {
             per_row[u as usize + 1] += 1;
         }
         for i in 1..per_row.len() {
             per_row[i] += per_row[i - 1];
         }
-        let mut cursor: Vec<u32> = per_row[..n].to_vec();
-        let mut per_col = vec![0u32; act.len()];
-        let mut per_w = vec![0i64; act.len()];
+        let mut cursor: Vec<u32> = per_row[..rows].to_vec();
+        let mut per = vec![PeriodEdge { t: 0, r: 0, w: 0 }; act.len()];
         let mut act_edge = vec![0u32; act.len()];
         let mut act_src = vec![0u32; act.len()];
         let mut act_d = vec![0i64; act.len()];
-        for (i, &(d, u, v)) in act.iter().enumerate() {
+        for (i, &(d, u, t)) in act.iter().enumerate() {
             let slot = cursor[u as usize];
             cursor[u as usize] += 1;
-            per_col[slot as usize] = v;
-            per_w[slot as usize] = wd.w(u as usize, v as usize).expect("reachable pair") - 1;
+            per[slot as usize] = PeriodEdge::new(wd, u, t);
             act_edge[i] = slot;
             act_src[i] = u;
             act_d[i] = d;
         }
         CsrConstraintGraph {
             n,
+            f: f as u32,
+            var,
             leg_row,
             leg_col,
             leg_w,
             per_row,
-            per_col,
-            per_w,
+            per,
             act_edge,
             act_src,
             act_d,
@@ -156,9 +207,16 @@ impl CsrConstraintGraph {
         self.n
     }
 
-    /// Total period constraints (the activation tail's full length).
+    /// Total period constraints: every activation entry counts once per
+    /// copy.
     pub fn period_edge_count(&self) -> usize {
-        self.act_edge.len()
+        self.act_edge.len() * self.f as usize
+    }
+
+    /// Number of period rows (original nodes), each with one activation
+    /// counter.
+    fn rows(&self) -> usize {
+        self.per_row.len() - 1
     }
 
     /// Length of the activation prefix for period `c` (entries with
@@ -169,9 +227,9 @@ impl CsrConstraintGraph {
 }
 
 /// Reusable solver state: distance labels, SPFA queue, in-queue bitmap,
-/// walk lengths, per-row activation counters, and the warm-start
-/// snapshots. One scratch serves any number of solves (and, via
-/// [`RetimeSolver::into_scratch`], any number of graphs) without
+/// walk lengths, one activation counter per period row (original node),
+/// and the warm-start snapshots. One scratch serves any number of solves
+/// (and, via [`RetimeSolver::into_scratch`], any number of graphs) without
 /// reallocating once grown.
 #[derive(Debug, Default, Clone)]
 pub struct SolverScratch {
@@ -190,8 +248,9 @@ impl SolverScratch {
         Self::default()
     }
 
-    /// Size every buffer for `nv` variables and zero the per-graph state.
-    fn reset(&mut self, nv: usize) {
+    /// Size every buffer for `nv` variables and `rows` period rows, and
+    /// zero the per-graph state.
+    fn reset(&mut self, nv: usize, rows: usize) {
         self.dist.clear();
         self.dist.resize(nv, 0);
         self.walk.clear();
@@ -200,7 +259,7 @@ impl SolverScratch {
         self.inq.resize(nv.div_ceil(64), 0);
         self.queue.clear();
         self.active.clear();
-        self.active.resize(nv, 0);
+        self.active.resize(rows, 0);
         self.feas.clear();
         self.feas.resize(nv, 0);
         self.span_feas.clear();
@@ -255,7 +314,7 @@ impl<'a> RetimeSolver<'a> {
     /// shrunk, so steady-state solves allocate nothing.
     pub fn with_scratch(g: &'a Dfg, wd: &'a WdMatrices, mut scratch: SolverScratch) -> Self {
         let csr = CsrConstraintGraph::build(g, wd);
-        scratch.reset(csr.n + 1);
+        scratch.reset(csr.n + 1, csr.rows());
         RetimeSolver {
             g,
             wd,
@@ -275,9 +334,9 @@ impl<'a> RetimeSolver<'a> {
     }
 
     /// Move the materialized activation prefix (and the per-row active
-    /// counters) to `target`. Within each row the global activation order
-    /// restricted to that row *is* the row order, so counters track exact
-    /// row prefixes in both directions.
+    /// counters, one per original node) to `target`. Within each row the
+    /// global activation order restricted to that row *is* the row order,
+    /// so counters track exact row prefixes in both directions.
     fn materialize(&mut self, target: usize) {
         while self.act_prefix < target {
             self.s.active[self.csr.act_src[self.act_prefix] as usize] += 1;
@@ -335,9 +394,11 @@ impl<'a> RetimeSolver<'a> {
                 for i in self.csr.leg_row[u] as usize..self.csr.leg_row[u + 1] as usize {
                     relax!(self.csr.leg_col[i], self.csr.leg_w[i]);
                 }
-                let row = self.csr.per_row[u] as usize;
-                for i in row..row + self.s.active[u] as usize {
-                    relax!(self.csr.per_col[i], self.csr.per_w[i]);
+                let (row, copy) = self.csr.var[u];
+                let start = self.csr.per_row[row as usize] as usize;
+                for k in start..start + self.s.active[row as usize] as usize {
+                    let (v, w) = self.csr.per[k].shifted(copy, self.csr.f);
+                    relax!(v, w);
                 }
                 if let Some(s) = span {
                     relax!(n, s);
@@ -411,16 +472,19 @@ impl<'a> RetimeSolver<'a> {
         };
         let target = self.csr.prefix_for(c);
         self.materialize(target);
-        // Seed only the newly activated constraints; everything already
-        // active is quiescent under the warm-start vector.
+        // Seed only the newly activated constraints, each entry as its
+        // `f` copies; everything already active is quiescent under the
+        // warm-start vector.
+        let f = self.csr.f;
         for i in from..target {
-            budget.charge(1)?;
-            let e = self.csr.act_edge[i] as usize;
-            let u = self.csr.act_src[i] as usize;
-            let v = self.csr.per_col[e] as usize;
-            let w = self.csr.per_w[e];
-            if !self.seed_edge(u, v, w) {
-                return Ok(false);
+            let e = self.csr.per[self.csr.act_edge[i] as usize];
+            let u = self.csr.act_src[i] as usize * f as usize;
+            for copy in 0..f {
+                budget.charge(1)?;
+                let (v, w) = e.shifted(copy, f);
+                if !self.seed_edge(u + copy as usize, v, w) {
+                    return Ok(false);
+                }
             }
         }
         if !self.run(None, budget)? {

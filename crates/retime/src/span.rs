@@ -9,6 +9,7 @@
 //!   `|N_r|`, the number of conditional registers CRED needs (Theorem 4.3),
 //!   without breaking legality or the period.
 
+use crate::incremental::PeriodEdge;
 use crate::minperiod::constraints_for_period;
 use crate::{ConstraintSystem, Retiming};
 use cred_dfg::algo::WdMatrices;
@@ -109,17 +110,58 @@ pub fn compact_values(g: &Dfg, c: u64, r: &Retiming) -> Retiming {
 }
 
 /// [`compact_values`] with a precomputed W/D matrix (see
-/// [`min_span_retiming_with`]).
+/// [`min_span_retiming_with`]), which may be the residue form
+/// [`WdMatrices::compute_unfolded`] gives when `g` is an unfolding.
+///
+/// Each trial move is checked against the legality edges of `g` and the
+/// copies of the activation entries with `D > c`, the same constraints
+/// the [`crate::RetimeSolver`] relaxes at period `c`, so no dense
+/// [`ConstraintSystem`] is built. The result equals
+/// [`compact_values_with`] on [`constraints_for_period`]: that system
+/// keeps the tightest bound per pair, and an assignment meets it exactly
+/// when it meets every constraint listed here.
 pub fn compact_values_wd(g: &Dfg, wd: &WdMatrices, c: u64, r: &Retiming) -> Retiming {
-    let sys = constraints_for_period(g, wd, c as i64);
-    compact_values_with(&sys, r)
+    assert_eq!(
+        wd.len(),
+        g.node_count(),
+        "W/D matrices belong to a different graph"
+    );
+    let f = wd.factor() as u32;
+    let legality: Vec<(usize, usize, i64)> = g
+        .edge_ids()
+        .map(|e| {
+            let ed = g.edge(e);
+            (ed.dst.index(), ed.src.index(), ed.delay as i64)
+        })
+        .collect();
+    let act = wd.activation_by_d();
+    let period: Vec<(usize, PeriodEdge)> = act[..act.partition_point(|&(d, _, _)| d > c as i64)]
+        .iter()
+        .map(|&(_, u, t)| (u as usize * f as usize, PeriodEdge::new(wd, u, t)))
+        .collect();
+    compact_greedy(r, |x| {
+        legality.iter().all(|&(a, b, d)| x[a] - x[b] <= d)
+            && period.iter().all(|&(u, e)| {
+                (0..f).all(|i| {
+                    let (v, w) = e.shifted(i, f);
+                    x[v] - x[u + i as usize] <= w
+                })
+            })
+    })
 }
 
-/// [`compact_values`] against an explicit constraint system (used by tests
-/// and by callers that already built one).
+/// [`compact_values`] against an explicit constraint system: the dense
+/// reference the degradation fallback and the reference sweep use, and
+/// the oracle of [`compact_values_wd`].
 pub fn compact_values_with(sys: &ConstraintSystem, r: &Retiming) -> Retiming {
+    compact_greedy(r, |x| sys.satisfied_by(x))
+}
+
+/// The greedy pass of [`compact_values`], with `satisfied` deciding
+/// whether an assignment meets the period-`c` system.
+fn compact_greedy(r: &Retiming, satisfied: impl Fn(&[i64]) -> bool) -> Retiming {
     let mut vals = r.values().to_vec();
-    debug_assert!(sys.satisfied_by(&vals));
+    debug_assert!(satisfied(&vals));
     loop {
         let mut counts = std::collections::BTreeMap::<i64, usize>::new();
         for &v in &vals {
@@ -149,7 +191,7 @@ pub fn compact_values_with(sys: &ConstraintSystem, r: &Retiming) -> Retiming {
                 for &i in &movers {
                     vals[i] = t;
                 }
-                if sys.satisfied_by(&vals) {
+                if satisfied(&vals) {
                     improved = true;
                     break 'outer;
                 }
@@ -266,6 +308,31 @@ mod tests {
         assert!(compacted.is_legal(&g));
         // Period 1 is kept.
         assert!(algo::cycle_period(&compacted.apply(&g)).unwrap() <= 1);
+    }
+
+    #[test]
+    fn prefix_checked_compaction_equals_the_dense_system() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        for _ in 0..30 {
+            let g = gen::random_dfg(
+                &mut rng,
+                &gen::RandomDfgConfig {
+                    nodes: 9,
+                    max_delay: 3,
+                    ..Default::default()
+                },
+            );
+            let wd = WdMatrices::compute(&g);
+            let opt = min_period_retiming(&g);
+            // The period solution and a looser one, both spread out, so
+            // the greedy pass has values to merge and moves to reject.
+            for c in [opt.period, opt.period + 2] {
+                let r = crate::retime_to_period(&g, c).unwrap();
+                let dense = compact_values_with(&constraints_for_period(&g, &wd, c as i64), &r);
+                assert_eq!(compact_values_wd(&g, &wd, c, &r), dense, "period {c}");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! million solver calls just to print a comparison.
 //!
 //! Results land in `BENCH_serve.json` via `--out`, including a log2
-//! latency histogram. `--assert-p99-ms` turns the run into a pass/fail
+//! latency histogram. The server-over-baseline `speedup` is reported for
+//! closed-loop runs only; an open-loop or chaos run records it as `null`,
+//! since its server rate is set by the arrival clock or the injected
+//! faults. `--assert-p99-ms` turns the run into a pass/fail
 //! check for CI. Exit status is nonzero on any failure, response
 //! mismatch, or a busted p99 assertion.
 //!
@@ -460,6 +463,19 @@ fn verify_close_accounting(dump: &std::path::Path) -> Result<String, String> {
 }
 
 /// Exact percentile over sorted microsecond latencies.
+/// The run mode whose server throughput measures the server: each client
+/// issues its next request as soon as the last reply arrives.
+const CLOSED_LOOP: &str = "closed-loop";
+
+/// Server throughput over the sampled cold baseline, for a closed-loop run
+/// only. An open-loop run's server rate is the arrival rate it was asked
+/// for, and a chaos run's is paced by the injected faults and retries, so
+/// in those modes the ratio says nothing about the server and there is
+/// none.
+fn speedup(mode: &str, server_rps: f64, baseline_rps: f64) -> Option<f64> {
+    (mode == CLOSED_LOOP).then(|| server_rps / baseline_rps)
+}
+
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -715,7 +731,6 @@ fn run(args: Args) -> Result<(), String> {
     latencies.sort_unstable();
     let baseline_rps = total as f64 / baseline_secs;
     let server_rps = ok as f64 / served.as_secs_f64();
-    let speedup = server_rps / baseline_rps;
     let p50 = percentile(&latencies, 50.0);
     let p90 = percentile(&latencies, 90.0);
     let p99 = percentile(&latencies, 99.0);
@@ -730,8 +745,10 @@ fn run(args: Args) -> Result<(), String> {
     let (mode, rate_json) = match args.rate {
         Some(r) => ("open-loop", format!("{r:.1}")),
         None if args.chaos => ("chaos", "null".to_string()),
-        None => ("closed-loop", "null".to_string()),
+        None => (CLOSED_LOOP, "null".to_string()),
     };
+    let speedup = speedup(mode, server_rps, baseline_rps);
+    let speedup_json = speedup.map_or_else(|| "null".to_string(), |s| format!("{s:.2}"));
     let report = format!(
         "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"mode\": \"{mode}\",\n  \
          \"rate_rps\": {rate_json},\n  \"clients\": {},\n  \
@@ -742,7 +759,7 @@ fn run(args: Args) -> Result<(), String> {
          \"server\": {{ \"seconds\": {:.6}, \"rps\": {:.1}, \"p50_us\": {p50}, \
          \"p90_us\": {p90}, \"p99_us\": {p99}, \"max_us\": {max} }},\n  \
          \"latency_log2_buckets_us\": [{histogram_json}],\n  \
-         \"speedup\": {:.2},\n  \"chaos\": {chaos_json},\n  \"server_stats\": {}\n}}\n",
+         \"speedup\": {speedup_json},\n  \"chaos\": {chaos_json},\n  \"server_stats\": {}\n}}\n",
         args.clients,
         args.requests,
         failures.len(),
@@ -754,7 +771,6 @@ fn run(args: Args) -> Result<(), String> {
         args.baseline_reps.max(1),
         served.as_secs_f64(),
         server_rps,
-        speedup,
         // Peel the stats object out of the response envelope: the body
         // is everything after "stats": minus the envelope's final '}'.
         stats
@@ -802,7 +818,9 @@ fn run(args: Args) -> Result<(), String> {
          (p50 {p50} µs, p90 {p90} µs, p99 {p99} µs)",
         args.clients, server_rps,
     );
-    println!("  speedup: {speedup:.2}x");
+    if let Some(speedup) = speedup {
+        println!("  speedup: {speedup:.2}x");
+    }
     if let Some(out) = &args.out {
         std::fs::write(out, &report).map_err(|e| format!("writing {}: {e}", out.display()))?;
         println!("  wrote {}", out.display());
@@ -832,4 +850,16 @@ fn run(args: Args) -> Result<(), String> {
         println!("  p99 {p99_ms:.3} ms within bound {bound_ms} ms");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn speedup_only_for_closed_loop_runs() {
+        assert_eq!(speedup(CLOSED_LOOP, 300.0, 100.0), Some(3.0));
+        assert_eq!(speedup("open-loop", 500.0, 2000.0), None);
+        assert_eq!(speedup("chaos", 500.0, 2000.0), None);
+    }
 }

@@ -56,7 +56,7 @@ proptest! {
         edge_pct in 10..=70u32,
         max_delay in 0..=5u32,
         max_time in 1..=7u32,
-        f in 1..=4usize,
+        f in 1..=6usize,
     ) {
         // Unfolding spreads each delay over the copies, so the unfolded
         // graphs have long zero-delay chains and few delay layers.
@@ -70,8 +70,15 @@ proptest! {
                 max_time,
             },
         );
+        // Both the sweep over the built unfolding and the residue form
+        // built from `g` equal the oracle on the built unfolding.
         let u = unfold(&g, f).graph;
-        prop_assert_eq!(algo::WdMatrices::compute(&u), algo::WdMatrices::compute_reference(&u));
+        let reference = algo::WdMatrices::compute_reference(&u);
+        prop_assert_eq!(algo::WdMatrices::compute(&u).first_mismatch(&reference), None);
+        prop_assert_eq!(
+            algo::WdMatrices::compute_unfolded(&g, f).first_mismatch(&reference),
+            None
+        );
     }
 
     #[test]
@@ -136,6 +143,43 @@ proptest! {
     }
 }
 
+/// The residue form against Floyd–Warshall on the built unfolding, on
+/// graphs the random generator does not make: parallel edges, a delayed
+/// self-loop and a zero-time node; a time and a delay of 2^31; and
+/// unfoldings whose rank count sits around the 64-bit word boundary of
+/// the sweep's layer bitset.
+#[test]
+fn residue_wd_matches_reference_on_edge_cases() {
+    use cred_dfg::{DfgBuilder, OpKind};
+    let mut b = DfgBuilder::new();
+    let a = b.node("A", 2, OpKind::Add(0));
+    let x = b.node("X", 0, OpKind::Add(0));
+    let c = b.node("C", 5, OpKind::Add(0));
+    b.edge(a, x, 0);
+    b.edge(a, x, 1);
+    b.edge(x, c, 0);
+    b.edge(c, a, 2);
+    b.edge(c, c, 1);
+    let big = 1u32 << 31;
+    let mut graphs = vec![
+        (b.build_unchecked(), 1..=5),
+        (gen::ring(&[big, 1, 3, 2], &[big, 0, 1, 0]), 1..=3),
+    ];
+    // At f = 2, 3 and 5 these fill exactly 64 ranks, leave one free, and
+    // spill one rank into a second word.
+    for (seed, nodes) in [(1, 32), (2, 13), (3, 21)] {
+        graphs.push((graph_from(seed, nodes), 1..=5));
+    }
+    for (g, factors) in &graphs {
+        for f in factors.clone() {
+            let reference = algo::WdMatrices::compute_reference(&unfold(g, f).graph);
+            let residue = algo::WdMatrices::compute_unfolded(g, f);
+            assert_eq!(residue.factor(), f);
+            assert_eq!(residue.first_mismatch(&reference), None, "f = {f}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
 
@@ -145,22 +189,34 @@ proptest! {
         nodes in 2..7usize,
         f in 2..5usize,
     ) {
-        // The warm-started incremental span minimizer must stay
-        // bit-identical to the dense Bellman–Ford reference on *unfolded*
-        // graphs — the shape the exploration pipeline actually feeds it
-        // (f copies per node, delays spread across copy boundaries).
+        // The warm-started incremental solver on the residue-form W/D must
+        // stay bit-identical to the dense Bellman–Ford reference on the
+        // full-form W/D of the built unfolding — the shape the exploration
+        // pipeline actually feeds it (f copies per node, delays spread
+        // across copy boundaries).
         let g = graph_from(seed, nodes);
         let u = unfold(&g, f);
-        let wd = cred_dfg::algo::WdMatrices::compute(&u.graph);
-        let c = cred_retime::min_period_retiming_with(&u.graph, &wd).period;
-        let fast = cred_retime::span::min_span_retiming_with(&u.graph, &wd, c);
-        let dense = cred_retime::span::min_span_retiming_reference(&u.graph, &wd, c);
+        let residue = algo::WdMatrices::compute_unfolded(&g, f);
+        let full = algo::WdMatrices::compute(&u.graph);
+        let opt = cred_retime::min_period_retiming_with(&u.graph, &residue);
+        let slow = cred_retime::minperiod::min_period_retiming_reference(&u.graph, &full);
+        prop_assert_eq!(opt.period, slow.period);
+        prop_assert_eq!(&opt.retiming, &slow.retiming);
+        let c = opt.period;
+        let fast = cred_retime::span::min_span_retiming_with(&u.graph, &residue, c);
+        let dense = cred_retime::span::min_span_retiming_reference(&u.graph, &full, c);
         prop_assert_eq!(&fast, &dense);
         let fast = fast.unwrap();
         prop_assert!(fast.is_legal(&u.graph));
-        // And the compacted register assignment agrees too.
-        let a = cred_retime::span::compact_values_wd(&u.graph, &wd, c, &fast);
-        let b = cred_retime::span::compact_values_wd(&u.graph, &wd, c, &dense.unwrap());
-        prop_assert_eq!(a, b);
+        // And the prefix-checked compaction agrees with the dense system,
+        // at the optimum and at a looser period whose solution is spread.
+        for c in [c, c + 2] {
+            let r = cred_retime::retime_to_period_with(&u.graph, &residue, c).unwrap();
+            let sys = cred_retime::minperiod::constraints_for_period(&u.graph, &full, c as i64);
+            prop_assert_eq!(
+                cred_retime::span::compact_values_wd(&u.graph, &residue, c, &r),
+                cred_retime::span::compact_values_with(&sys, &r)
+            );
+        }
     }
 }
