@@ -2,8 +2,8 @@
 //!
 //! [`explore_suite`] runs the parallel, memoized sweep over every bundled
 //! benchmark in one call and returns a [`SuiteReport`] that serializes to
-//! machine-readable JSON — the format consumed by CI and recorded in
-//! `BENCH_explore.json`. One [`SweepCache`] is shared across the whole
+//! machine-readable JSON — the document `credc explore <dir> --json`
+//! prints and CI uploads. One [`SweepCache`] is shared across the whole
 //! suite; the structural fingerprint in the cache key keeps the kernels'
 //! entries apart.
 

@@ -1,6 +1,6 @@
 //! Differential pinning of the `maxlive` objective on the ten committed
-//! benchmark kernels: the closed-form modulo-lifetime count that the
-//! explore pipeline reports for every sweep point must equal a
+//! benchmark kernels at f = 1..8: the closed-form modulo-lifetime count
+//! that the explore pipeline reports for every sweep point must equal a
 //! brute-force liveness replay that materializes each value's live
 //! interval over an unrolled window of the steady-state kernel and
 //! counts overlaps cycle by cycle.
@@ -25,11 +25,11 @@ fn reported_maxlive_matches_brute_force_replay_on_all_committed_kernels() {
     assert_eq!(kernels.len(), 10, "the paper suite has ten kernels");
     for (name, g) in &kernels {
         let resp = ExploreRequest::new(g.clone())
-            .max_f(3)
+            .max_f(8)
             .trip_count(60)
             .run()
             .expect("unlimited sweep");
-        assert_eq!(resp.points.len(), 3, "{name}");
+        assert_eq!(resp.points.len(), 8, "{name}");
         for p in &resp.points {
             // Rebuild the exact kernel schedule the point was measured
             // on: the plan cache is keyed structurally, so this is the

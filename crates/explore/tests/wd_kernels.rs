@@ -6,6 +6,7 @@ use cred_dfg::algo::WdMatrices;
 use cred_explore::cache::{compute_plan, compute_plan_budgeted, PlanSource};
 use cred_explore::suite::load_kernels;
 use cred_resilience::Budget;
+use cred_retime::RetimeSolver;
 use cred_unfold::unfold;
 use std::path::Path;
 
@@ -51,6 +52,27 @@ fn fast_plan_equals_degraded_reference_plan_on_every_kernel() {
                 "{name} f={f}: {source:?}"
             );
             assert_eq!(compute_plan(g, f), reference, "{name} f={f}");
+        }
+    }
+}
+
+/// The period search starts at the first candidate at or above the
+/// solver's closed-walk bound. On every kernel unfolding that candidate is
+/// already the optimum, so the cold path pays one feasible probe and no
+/// infeasible one; a weaker bound would bring the infeasible probes back.
+#[test]
+fn closed_walk_bound_lands_on_the_optimal_period_on_every_kernel() {
+    for (name, g) in &kernels() {
+        for f in 1..=8 {
+            let u = unfold(g, f).graph;
+            let wd = WdMatrices::compute_unfolded(g, f);
+            let bound = RetimeSolver::new(&u, &wd).period_lower_bound() as i64;
+            let first = wd.candidate_periods().into_iter().find(|&c| c >= bound);
+            assert_eq!(
+                first,
+                Some(compute_plan(g, f).period as i64),
+                "{name} f={f}: bound {bound}"
+            );
         }
     }
 }

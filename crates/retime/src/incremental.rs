@@ -50,6 +50,35 @@
 //! `d0`. Infeasibility is detected by walk length: a relaxation chain of
 //! `|vars|` edges must revisit a vertex, and a revisit with strict
 //! improvement certifies a negative cycle.
+//!
+//! ## Where the search starts
+//!
+//! That certificate is the expensive answer: an infeasible probe pays for
+//! a relaxation chain of `|vars|` edges before it can say no. So
+//! [`RetimeSolver::min_period_budgeted`] does not bisect the whole
+//! candidate list; it starts at a proven lower bound,
+//! [`RetimeSolver::period_lower_bound`], read off the legality edges and
+//! the W/D matrices the solver already holds (residue form included): the
+//! larger of `max t(v)` and, over every legality edge `e = x -> u`,
+//! `⌈D(u, x) / (W(u, x) + d(e))⌉`.
+//!
+//! A minimum-delay path `u ~> x` of time `D(u, x)` followed by `e` is a
+//! closed walk of time `D(u, x)` over `W(u, x) + d(e)` delays. A closed
+//! walk splits into simple cycles, and retiming keeps the delay count of
+//! every cycle. Under a retiming of period `c`, a cycle with `k` delays
+//! splits into at most `k` zero-delay segments, each of time at most `c`,
+//! so its time is at most `c·k`; summed over the walk's cycles,
+//! `D(u, x) <= c·(W(u, x) + d(e))`. No retiming reaches a smaller period.
+//! The scan costs one W/D lookup per legality edge, and it charges one
+//! work unit per edge it reads.
+//!
+//! The first probe is the first candidate at or above the bound, cold from
+//! the legality fixpoint. Every smaller candidate lies below the bound, so
+//! if that probe is feasible it is the optimum, and on every bundled
+//! kernel at f = 1..8 it is. Otherwise the candidates above it are bisected
+//! with the warm starts above. The fixpoint at the optimal period is
+//! unique, so the result is the same as the reference search's, which
+//! bisects from the bottom of the list.
 
 use crate::minperiod::MinPeriodResult;
 use crate::Retiming;
@@ -520,9 +549,12 @@ impl<'a> RetimeSolver<'a> {
         Ok(Some(r))
     }
 
-    /// Minimum achievable cycle period and a retiming realizing it, by the
-    /// same binary search over `D` candidates as the reference OPT — every
-    /// tightening probe is warm-started. Bit-identical to
+    /// Minimum achievable cycle period and a retiming realizing it, over
+    /// the same `D` candidates as the reference OPT, starting at the first
+    /// candidate at or above [`Self::period_lower_bound`] and bisecting
+    /// the ones above it only when that probe is infeasible (see the
+    /// [module docs](self#where-the-search-starts)); every tightening probe
+    /// is warm-started. Bit-identical to
     /// [`crate::minperiod::min_period_retiming_reference`].
     ///
     /// # Panics
@@ -532,8 +564,8 @@ impl<'a> RetimeSolver<'a> {
     }
 
     /// [`Self::min_period`] under a budget. The budget spans the *whole*
-    /// binary search: all probes charge into the same counter. On `Err`
-    /// no result is produced; the solver remains usable.
+    /// search: the bound's scan and all probes charge into the same
+    /// counter. On `Err` no result is produced; the solver remains usable.
     ///
     /// # Panics
     /// Panics on an empty or malformed graph.
@@ -545,16 +577,24 @@ impl<'a> RetimeSolver<'a> {
             .expect("min_period_retiming requires a well-formed DFG");
         let cands = self.wd.candidate_periods();
         assert!(!cands.is_empty());
-        let mut lo = 0usize;
+        // Every candidate below the bound is infeasible, so a feasible
+        // first probe at or above it is the optimum.
+        let bound = self.closed_walk_bound(budget)?;
+        let first = cands.partition_point(|&c| c < bound);
+        if let Some(retiming) = self.retime_to_period_budgeted(cands[first] as u64, budget)? {
+            return Ok(MinPeriodResult {
+                retiming,
+                period: cands[first] as u64,
+            });
+        }
+        // Bisect the candidates above it; the largest is always feasible.
+        let mut lo = first + 1;
         let mut hi = cands.len() - 1;
         let mut best = None;
         while lo <= hi {
             let mid = lo + (hi - lo) / 2;
             if let Some(r) = self.retime_to_period_budgeted(cands[mid] as u64, budget)? {
                 best = Some((r, cands[mid] as u64));
-                if mid == 0 {
-                    break;
-                }
                 hi = mid - 1;
             } else {
                 lo = mid + 1;
@@ -562,6 +602,42 @@ impl<'a> RetimeSolver<'a> {
         }
         let (retiming, period) = best.expect("at least the maximum candidate is feasible");
         Ok(MinPeriodResult { retiming, period })
+    }
+
+    /// A lower bound on the minimum period no retiming can beat: the
+    /// larger of the longest node time and, over every legality edge
+    /// `e = x -> u`, `⌈D(u, x) / (W(u, x) + d(e))⌉`, the time per delay of
+    /// the closed walk that a minimum-delay path `u ~> x` and `e` make
+    /// (see the [module docs](self#where-the-search-starts) for why it is
+    /// sound). [`Self::min_period`] starts its search here. `O(E)` W/D
+    /// lookups.
+    pub fn period_lower_bound(&self) -> u64 {
+        unbudgeted(self.closed_walk_bound(&Budget::unlimited())) as u64
+    }
+
+    /// [`Self::period_lower_bound`], charging one work unit per legality
+    /// edge it reads.
+    fn closed_walk_bound(&self, budget: &Budget) -> Result<i64, Exhausted> {
+        let csr = &self.csr;
+        budget.charge(csr.leg_col.len() as u64)?;
+        let mut bound = self
+            .g
+            .node_ids()
+            .map(|v| self.g.node(v).time)
+            .max()
+            .unwrap_or(0) as i64;
+        for x in 0..csr.n {
+            for i in csr.leg_row[x] as usize..csr.leg_row[x + 1] as usize {
+                let u = csr.leg_col[i] as usize;
+                if let (Some(w), Some(d)) = (self.wd.w(u, x), self.wd.d(u, x)) {
+                    // At least one delay: a well-formed DFG has no
+                    // zero-delay cycle.
+                    let delays = w + csr.leg_w[i];
+                    bound = bound.max((d + delays - 1) / delays);
+                }
+            }
+        }
+        Ok(bound)
     }
 
     /// Among retimings achieving period `<= c`, one of minimum span, given

@@ -31,9 +31,10 @@
 //!   witnesses), the DPLL(T)-style theory core `cred-exact`'s
 //!   branch-and-bound scheduler propagates its dependence side on;
 //! * [`incremental`] — the production solver: CSR constraint graph with a
-//!   period-activation prefix, queue-based SPFA, and warm starts across
-//!   the period/span binary searches (bit-identical to the reference);
-//! * [`minperiod`] — the OPT algorithm (binary search over W/D candidate
+//!   period-activation prefix, queue-based SPFA, a period search that
+//!   starts at a proven closed-walk lower bound, and warm starts across
+//!   the period/span searches (bit-identical to the reference);
+//! * [`minperiod`] — the OPT algorithm (search over W/D candidate
 //!   periods) plus fixed-period retiming;
 //! * [`span`] — post-passes minimizing `M_r` (span) and heuristically
 //!   compacting the number of distinct retiming values `|N_r|`

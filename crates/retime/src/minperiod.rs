@@ -8,8 +8,11 @@
 //! * `r(v) - r(u) <= W(u, v) - 1` for every node pair with `D(u, v) > c`
 //!   (every too-slow path must receive at least one delay)
 //!
-//! are satisfiable. The optimal period is found by binary search over the
-//! distinct entries of `D`, which are exactly the candidate periods.
+//! are satisfiable. The optimal period is found by search over the
+//! distinct entries of `D`, which are exactly the candidate periods: the
+//! production solver ([`crate::RetimeSolver`]) starts at a proven lower
+//! bound, and the reference ([`min_period_retiming_reference`]) bisects
+//! the whole list.
 
 use crate::{ConstraintSystem, Retiming};
 use cred_dfg::algo::WdMatrices;
@@ -95,8 +98,10 @@ pub fn min_period_retiming(g: &Dfg) -> MinPeriodResult {
 /// run several retiming passes over the same graph (the exploration
 /// engine's memoized path computes the matrix once per unfolded graph and
 /// shares it between the period search, span minimization, and register
-/// compaction). The binary search runs on the warm-started incremental
-/// solver, so each tightening probe reuses the previous feasible solution.
+/// compaction). The search runs on the warm-started incremental solver,
+/// which starts at a proven lower bound on the period (see
+/// [`crate::RetimeSolver::period_lower_bound`]) and reuses the previous
+/// feasible solution on each tightening probe.
 pub fn min_period_retiming_with(g: &Dfg, wd: &WdMatrices) -> MinPeriodResult {
     crate::RetimeSolver::new(g, wd).min_period()
 }

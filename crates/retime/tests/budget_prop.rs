@@ -10,6 +10,7 @@ use cred_resilience::{Budget, Exhausted};
 use cred_retime::minperiod::min_period_retiming_reference;
 use cred_retime::span::min_span_retiming_reference;
 use cred_retime::RetimeSolver;
+use cred_unfold::unfold;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -115,4 +116,40 @@ fn cancellation_interrupts_a_solve() {
     // Still usable without the budget.
     let res = solver.min_period();
     assert_eq!(res.period, min_period_retiming_reference(&g, &wd).period);
+}
+
+/// The period search on `chain_with_feedback(6, 3)` at f = 3 (residue
+/// form) starts at the largest candidate, which activates no constraint,
+/// and the optimal retiming there has span 0, so no probe relaxes
+/// anything. The bound's scan must still charge, and every work limit up
+/// to the full count must end in the reference plan or in `Exhausted`.
+#[test]
+fn bound_scan_charges_even_when_no_probe_does() {
+    let g = gen::chain_with_feedback(6, 3);
+    let u = unfold(&g, 3).graph;
+    let residue = WdMatrices::compute_unfolded(&g, 3);
+    let plan = |budget: &Budget| {
+        let mut solver = RetimeSolver::new(&u, &residue);
+        let opt = solver.min_period_budgeted(budget)?;
+        let r = solver.min_span_from_base_budgeted(opt.period, &opt.retiming, budget)?;
+        Ok::<_, Exhausted>((opt.period, r))
+    };
+    let counted = Budget::unlimited().with_work_limit(u64::MAX);
+    plan(&counted).unwrap();
+    let units = counted.work_used();
+    assert!(units > 0, "a plan must charge at least one unit");
+
+    let full = WdMatrices::compute(&u);
+    let opt = min_period_retiming_reference(&u, &full);
+    let reference = (
+        opt.period,
+        min_span_retiming_reference(&u, &full, opt.period).unwrap(),
+    );
+    for limit in 0..=units {
+        match plan(&Budget::unlimited().with_work_limit(limit)) {
+            Ok(got) => assert_eq!(got, reference, "limit {limit}"),
+            Err(Exhausted::WorkUnits { limit: l }) => assert_eq!(l, limit),
+            Err(other) => panic!("limit {limit}: unexpected exhaustion kind: {other}"),
+        }
+    }
 }

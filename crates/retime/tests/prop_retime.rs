@@ -5,6 +5,7 @@ use cred_dfg::{algo, gen, Dfg, Ratio};
 use cred_retime::minperiod::{min_period_retiming_reference, retime_to_period_reference};
 use cred_retime::span::{compact_values, min_span_retiming, min_span_retiming_reference};
 use cred_retime::{min_period_retiming, retime_to_period, RetimeSolver, Retiming};
+use cred_unfold::unfold;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -155,6 +156,21 @@ proptest! {
             let fast = solver.min_span(c).unwrap();
             let slow = min_span_retiming_reference(&g, &wd, c).unwrap();
             prop_assert_eq!(fast, slow, "period {}", c);
+        }
+    }
+
+    #[test]
+    fn period_lower_bound_never_exceeds_the_optimum(seed in any::<u64>(), nodes in 2..9usize) {
+        // The solver's closed-walk bound, read through the residue-form
+        // W/D of each unfolding, against the dense reference search on the
+        // full-form W/D of the built unfolding (f = 1 is the graph itself).
+        let g = graph_from(seed, nodes);
+        for f in 1..=6 {
+            let u = unfold(&g, f).graph;
+            let residue = WdMatrices::compute_unfolded(&g, f);
+            let bound = RetimeSolver::new(&u, &residue).period_lower_bound();
+            let opt = min_period_retiming_reference(&u, &WdMatrices::compute(&u)).period;
+            prop_assert!(bound <= opt, "f {}: bound {} above the optimum {}", f, bound, opt);
         }
     }
 

@@ -28,6 +28,13 @@
 //! consumes (pure outputs, stored straight to memory) occupy no
 //! register and are excluded.
 //!
+//! With `L_v = q·II + rem`, that count is `q` at every cycle plus one on
+//! the `rem` cycles from `t` on, wrapping at `II`. So
+//! [`KernelSchedule::maxlive`] adds each value as one circular range to a
+//! difference array and takes a single prefix sum: `O(ops + II)` instead
+//! of the `O(ops · II)` of evaluating the count at every cycle, which for
+//! the sequential kernel (`ops = f·L`, `II = f·L`) is `O((f·L)²)`.
+//!
 //! [`KernelSchedule::replay_maxlive`] recomputes the same quantity by a
 //! deliberately different algorithm — explicit interval simulation over
 //! enough unrolled kernel iterations to reach steady state — and exists
@@ -156,28 +163,39 @@ impl KernelSchedule {
 
     /// Closed-form steady-state register pressure: for every kernel cycle
     /// `c`, sum over value streams the number of overlapping live copies,
-    /// and take the maximum.
+    /// and take the maximum. A value live `lv = q·II + rem` cycles from
+    /// kernel cycle `t` adds `q` copies everywhere and one more on the
+    /// `rem` cycles from `t` on, wrapping at `II`; those circular ranges
+    /// go into a difference array, so the whole count is `O(ops + II)`.
     pub fn maxlive(&self) -> MaxliveReport {
         let ii = self.ii as i64;
         let life = self.lifetimes();
-        let mut per_cycle = vec![0usize; self.ii as usize];
+        let mut everywhere = 0i64;
+        let mut diff = vec![0i64; self.ii as usize + 1];
         for (u, lv) in life.iter().enumerate() {
             let Some(lv) = *lv else { continue };
-            if lv == 0 {
+            everywhere += lv / ii;
+            let (t, rem) = (self.cycles[u].rem_euclid(ii), lv % ii);
+            if rem == 0 {
                 continue;
             }
-            let t = self.cycles[u].rem_euclid(ii);
-            for (c, count) in per_cycle.iter_mut().enumerate() {
-                let delta = (c as i64 - t).rem_euclid(ii);
-                if delta < lv {
-                    *count += ((lv - 1 - delta) / ii + 1) as usize;
-                }
+            diff[t as usize] += 1;
+            if t + rem <= ii {
+                diff[(t + rem) as usize] -= 1;
+            } else {
+                diff[0] += 1;
+                diff[(t + rem - ii) as usize] -= 1;
             }
         }
-        let (peak_cycle, &maxlive) = per_cycle
+        let per_cycle = diff[..self.ii as usize]
             .iter()
+            .scan(everywhere, |live, &d| {
+                *live += d;
+                Some(*live as usize)
+            });
+        let (peak_cycle, maxlive) = per_cycle
             .enumerate()
-            .max_by_key(|&(c, &m)| (m, std::cmp::Reverse(c)))
+            .max_by_key(|&(c, m)| (m, std::cmp::Reverse(c)))
             .expect("kernel has at least one cycle");
         MaxliveReport {
             ii: self.ii,
@@ -308,6 +326,49 @@ mod tests {
             }
             let sched = KernelSchedule::modulo(&g, &slot, &stage, ii);
             assert_eq!(sched.maxlive().maxlive, sched.replay_maxlive(), "ii {ii}");
+        }
+    }
+
+    #[test]
+    fn modulo_lifetimes_with_whole_kernels_and_wraps_match_replay() {
+        // II = 4. Each graph holds one value stream `a`, issued at
+        // `slot[a]`, whose lifetime exercises one corner of the
+        // difference-array count. The expected peaks are written out, and
+        // the replay must agree on each.
+        let ii = 4u64;
+        let one_value = |delay: u32, slot: [u32; 2]| {
+            let mut b = cred_dfg::DfgBuilder::new();
+            let a = b.unit("a");
+            let x = b.unit("x");
+            b.edge(a, x, delay);
+            let g = b.build().unwrap();
+            KernelSchedule::modulo(&g, &slot, &[0, 0], ii)
+        };
+        // rem = 0, q = 2: a self-loop over two kernels is live 8 cycles,
+        // two copies at every cycle.
+        let mut b = cred_dfg::DfgBuilder::new();
+        let a = b.unit("a");
+        b.edge(a, a, 2);
+        let whole = KernelSchedule::modulo(&b.build().unwrap(), &[0], &[0], ii);
+        // q = 2, rem = 1: issued at 0, used at 1 two kernels on (lifetime
+        // 9), so cycle 0 holds 3 copies and the rest 2.
+        let long = one_value(2, [0, 1]);
+        // q = 1, rem = 2 from cycle 3: used at 1 two kernels on (lifetime
+        // 6), so cycles 3 and 0 hold 2 copies and 1 and 2 hold one. The
+        // peak is cycle 0 only if the extra copy wraps past the last cycle.
+        let wrap = one_value(2, [3, 1]);
+        for (name, sched, maxlive, peak) in [
+            ("rem 0", &whole, 2, 0),
+            ("q 2", &long, 3, 0),
+            ("wrap", &wrap, 2, 0),
+        ] {
+            let report = sched.maxlive();
+            assert_eq!(
+                (report.maxlive, report.peak_cycle),
+                (maxlive, peak),
+                "{name}"
+            );
+            assert_eq!(report.maxlive, sched.replay_maxlive(), "{name}");
         }
     }
 
