@@ -5,8 +5,9 @@
 //! bundled kernel size, plus the unfolding sweep on the largest kernel
 //! (elliptic, 34 nodes). In the sweep each side runs on the W/D matrices
 //! explore gives it: the reference on the full form of the built
-//! unfolding, the incremental solver on the residue form (one period row
-//! per original node), reusing its scratch arena between factors.
+//! unfolding, the incremental solver on the original graph with the
+//! residue form (one period row per original node, the unfolding never
+//! built), reusing its scratch arena between factors.
 
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::Dfg;
@@ -82,8 +83,8 @@ fn bench_unfold_sweep(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("incremental", "elliptic"), |b| {
         b.iter(|| {
             let mut scratch = SolverScratch::new();
-            for (u, _, wd) in &graphs {
-                let mut solver = RetimeSolver::with_scratch(u, wd, scratch);
+            for (_, _, wd) in &graphs {
+                let mut solver = RetimeSolver::with_scratch(&g, wd, scratch);
                 let opt = solver.min_period();
                 black_box(solver.min_span_from_base(opt.period, &opt.retiming));
                 scratch = solver.into_scratch();

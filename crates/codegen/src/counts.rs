@@ -128,19 +128,25 @@ impl ExpectedCounts {
     /// [`crate::unfolded::retime_unfold_program`] (zero retiming:
     /// [`crate::unfolded::unfolded_program`]): prologue, `f`-copy kernel
     /// running `floor((n - M_r)/f)` times, leftover + epilogue
-    /// straight-line.
+    /// straight-line. Every one of the `n·L` instances lands in exactly one
+    /// slot, and the kernel stands for the `f·L` of each chunk, so the size
+    /// is Theorem 4.5's `(M_r + f + (n - M_r) mod f)·L` when a chunk fits
+    /// (`n - M_r >= f`), and `n·L` of straight-line code otherwise.
+    ///
+    /// # Panics
+    /// Panics if `r` is not normalized, as the generator does.
     pub fn retime_unfold(g: &Dfg, r: &Retiming, f: usize, n: u64) -> ExpectedCounts {
+        assert!(r.is_normalized(), "retiming must be normalized");
         let l = g.node_count();
         let m = r.max_value();
         let n_i = n as i64;
         let f_i = f as i64;
-        let pre: usize = ((1 - m)..=0).map(|s| slot_count(g, r, s, n_i)).sum();
         let chunks = (n_i - m).max(0) / f_i;
-        let kernel = if chunks >= 1 { f * l } else { 0 };
-        let post: usize = ((f_i * chunks + 1).max(1)..=n_i)
-            .map(|s| slot_count(g, r, s, n_i))
-            .sum();
-        let size = pre + kernel + post;
+        let size = if chunks >= 1 {
+            (m + f_i + (n_i - m) % f_i) as usize * l
+        } else {
+            n as usize * l
+        };
         ExpectedCounts {
             code_size: size,
             compute_count: size,

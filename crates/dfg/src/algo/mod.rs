@@ -10,4 +10,4 @@ pub use cycle_period::cycle_period;
 pub use iteration_bound::iteration_bound;
 pub use scc::strongly_connected_components;
 pub use topo::zero_delay_topo_order;
-pub use wd::WdMatrices;
+pub use wd::{unfolded_edges, WdMatrices};

@@ -50,6 +50,10 @@
 //! `⌈fV/64⌉` bitset words per delay layer, and `O(f·V²)` space for the
 //! rows and the activation order. [`WdMatrices::compute`] is the `f = 1`
 //! case. The accessors take unfolded node ids and relabel internally.
+//! [`unfolded_edges`] lists the same edges in the order `cred_unfold::unfold`
+//! numbers them, for everything else that reads the unfolding's edges
+//! without building it: `unfold` itself, the retiming solver's legality
+//! edges and compaction.
 //! Dense Floyd–Warshall over the whole graph, `O(V³)` for a `V`-node
 //! graph, survives as [`WdMatrices::compute_reference`], the
 //! differential-testing oracle.
@@ -66,6 +70,31 @@ use crate::algo::zero_delay_topo_order;
 use crate::Dfg;
 
 const INF: i64 = i64::MAX / 4;
+
+/// The edges of the `f`-unfolding of `g` as `(src, dst, delay)` over its
+/// node ids (copy `j` of node `v` at `v * f + j`), in the order
+/// `cred_unfold::unfold` gives them ids: by original edge, then by the
+/// copy `j` of the destination. Copy `j` of `v` reads copy `i = (j - d)
+/// mod f` of `u` over an original edge `u -> v` of `d` delays, `(d + i -
+/// j) / f` delays back: the edge from `u_i` reaches copy `(i + d) mod f`
+/// after `⌊(i + d) / f⌋` delays, the rule [`WdMatrices::compute_unfolded`]
+/// sweeps by. With `d = q·f + s`, `s < f`, that is `i = j + f - s` and
+/// `q + 1` delays for `j < s`, and `i = j - s` and `q` delays otherwise.
+///
+/// # Panics
+/// Panics if `f == 0`.
+pub fn unfolded_edges(g: &Dfg, f: usize) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
+    assert!(f >= 1, "unfolding factor must be at least 1");
+    g.edge_ids().flat_map(move |e| {
+        let ed = g.edge(e);
+        let (q, s) = (ed.delay / f as u32, ed.delay as usize % f);
+        let (u, v) = (ed.src.index() * f, ed.dst.index() * f);
+        (0..f).map(move |j| {
+            let wrap = (j < s) as usize;
+            (u + j + wrap * f - s, v + j, q + wrap as u32)
+        })
+    })
+}
 
 /// `W`/`D` matrices for all node pairs of a graph or of its `f`-unfolding,
 /// in residue form (see the [module docs](self)): row `u` holds the
@@ -378,9 +407,21 @@ impl WdMatrices {
     /// clock periods for min-period retiming. Derived from the precomputed
     /// activation order, so this is a linear scan, not an `O(V^2)` re-sort.
     pub fn candidate_periods(&self) -> Vec<i64> {
-        let mut out: Vec<i64> = self.activation.iter().rev().map(|&(d, _, _)| d).collect();
-        out.dedup();
-        out
+        self.candidate_periods_from(i64::MIN).collect()
+    }
+
+    /// The candidate periods at or above `bound`, ascending, produced
+    /// lazily from the activation order's prefix with `D >= bound`: the
+    /// first one costs a binary search, and each later one the entries
+    /// between it and the one before.
+    pub fn candidate_periods_from(&self, bound: i64) -> impl Iterator<Item = i64> + '_ {
+        let above = &self.activation[..self.activation.partition_point(|&(d, _, _)| d >= bound)];
+        let mut last = None;
+        above
+            .iter()
+            .rev()
+            .map(|&(d, _, _)| d)
+            .filter(move |&d| last.replace(d) != Some(d))
     }
 
     /// Copy `i` of an activation entry `(u, t)` whose target lies in copy

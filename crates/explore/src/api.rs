@@ -91,7 +91,8 @@ impl ObjectiveWeights {
 pub struct ExploreOptions {
     /// Largest unfolding factor to evaluate (`1..=max_f`).
     pub max_f: usize,
-    /// Trip count used for the measured program sizes.
+    /// Trip count `n` the code sizes are computed for (it sets the
+    /// remainder and degenerate-window terms of the plain size).
     pub n: u64,
     /// Decrement placement mode for the CRED transformation.
     pub mode: DecMode,
@@ -200,7 +201,8 @@ impl ExploreRequest {
         self
     }
 
-    /// Trip count used for the measured program sizes.
+    /// Trip count `n` the code sizes are computed for (it sets the
+    /// remainder and degenerate-window terms of the plain size).
     pub fn trip_count(mut self, n: u64) -> Self {
         self.opts.n = n;
         self

@@ -14,20 +14,25 @@
 //!   delay-layer sweep per *original* node, `f·V²` entries instead of
 //!   `(fV)²`), and shared across all three passes: the solver keeps one
 //!   period row per original node, and compaction checks the legality
-//!   edges plus the active prefix of the activation order;
+//!   edges plus the active prefix of the activation order. The unfolding
+//!   itself is never built: the solver and compaction take the original
+//!   graph and read the unfolding's edges off
+//!   [`cred_dfg::algo::unfolded_edges`], and the projection sums each
+//!   node's copies ([`project_copies`]);
 //! * across calls, the finished [`FactorPlan`] is memoized under the key
 //!   `(Dfg::fingerprint(), f)`, so sweeping the same kernel again — from
 //!   another thread, another sweep, or a constrained search revisiting a
 //!   factor — returns the stored plan without touching the solver.
 //!
-//! A plan fixes a configuration's objectives, but turning it into a
-//! [`ParetoPoint`] still generates the plain and the CRED program and
-//! schedules the kernel for maxlive: on a served request whose plans all
-//! hit, that was about 94 of ~162 µs. So each entry also keeps the
-//! finished points requests asked of its plan, keyed by trip count and
-//! decrement mode, at most four of them, the oldest replaced first. A
-//! repeated `(graph, f, n, mode)` is answered from the entry without
-//! regenerating anything.
+//! A plan fixes a configuration's objectives. Turning it into a
+//! [`ParetoPoint`] reads both code sizes off their closed forms
+//! ([`cred_codegen::ExpectedCounts`]) and schedules the kernel for maxlive.
+//! Each entry also keeps the finished points requests asked of its plan,
+//! keyed by trip count and decrement mode, at most four of them, the
+//! oldest replaced first, so a repeated `(graph, f, n, mode)` is answered
+//! from the entry without recomputing anything: rebuilding every hit's
+//! point from its plan, maxlive included, measured about 5% slower on
+//! served requests whose plans all hit.
 //!
 //! On top of the memoization, this module carries the explore side of the
 //! resilience layer (`cred-resilience`):
@@ -52,7 +57,7 @@
 //! properties hold per shard (a poisoned shard clears only itself), and
 //! every public counter is the rollup across shards.
 //!
-//! Code generation and the maxlive analysis are deterministic given a
+//! The size formulas and the maxlive analysis are deterministic given a
 //! plan, so points served from an entry are identical to freshly computed
 //! ones, bit for bit.
 //!
@@ -71,7 +76,7 @@ use cred_resilience::{panic_message, Budget, DegradationEvent, DegradeCause, Exh
 use cred_retime::minperiod::{constraints_for_period, min_period_retiming_reference};
 use cred_retime::span::{compact_values_wd, compact_values_with, min_span_retiming_reference};
 use cred_retime::{RetimeSolver, Retiming};
-use cred_unfold::orders::project_retiming;
+use cred_unfold::orders::{project_copies, project_retiming};
 use cred_unfold::unfold;
 
 use crate::api::mode_code;
@@ -84,9 +89,9 @@ const POINTS_PER_ENTRY: usize = 4;
 /// Everything the sweep decides for one `(graph, f)` pair: the projected
 /// (span-minimized, register-compacted) retiming and the rate-optimal
 /// period of the `f`-unfolded graph. Code sizes are not part of the plan:
-/// they also depend on the trip count and decrement mode. Regenerating
-/// them is not cheap (two programs plus the maxlive schedule per factor),
-/// so a [`SweepCache`] entry keeps the finished points next to its plan.
+/// they also depend on the trip count and decrement mode, and follow from
+/// the plan's `M_r` and `P_r` by closed forms. A [`SweepCache`] entry keeps
+/// the finished points, maxlive schedule included, next to its plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorPlan {
     /// Retiming of the original graph, projected from the unfolded one
@@ -159,7 +164,8 @@ impl PlanSource {
 }
 
 /// Compute a [`FactorPlan`] with a single shared residue-form W/D
-/// computation and one warm-started solver.
+/// computation and one warm-started solver, on the original graph: the
+/// `f`-unfolding is never built.
 ///
 /// This is the uncached fast path; [`SweepCache::plan`] wraps it with
 /// memoization. It yields plans identical to the per-point pipeline of
@@ -181,13 +187,12 @@ pub fn compute_plan(g: &Dfg, f: usize) -> FactorPlan {
 fn plan_fast(g: &Dfg, f: usize, budget: &Budget) -> Result<FactorPlan, Exhausted> {
     failpoint::hit(sites::EXPLORE_PLAN_FAST).map_err(|e| Exhausted::Injected { site: e.site })?;
     budget.check()?;
-    let u = unfold(g, f);
     let wd = WdMatrices::compute_unfolded(g, f);
-    let mut solver = RetimeSolver::new(&u.graph, &wd);
+    let mut solver = RetimeSolver::new(g, &wd);
     let opt = solver.min_period_budgeted(budget)?;
     let r_f = solver.min_span_from_base_budgeted(opt.period, &opt.retiming, budget)?;
-    let r_f = compact_values_wd(&u.graph, &wd, opt.period, &r_f);
-    let projected = project_retiming(&u, &r_f);
+    let r_f = compact_values_wd(g, &wd, opt.period, &r_f);
+    let projected = project_copies(f, &r_f);
     Ok(FactorPlan {
         projected,
         period: opt.period,
@@ -390,7 +395,7 @@ const DEFAULT_SHARDS: usize = 16;
 /// [`FactorPlan`]s, keyed by `(Dfg::fingerprint(), f)`. Each entry also
 /// keeps up to four finished [`ParetoPoint`]s built from its plan, keyed
 /// by trip count and decrement mode, so a repeated request is answered
-/// without regenerating programs.
+/// without recomputing sizes or maxlive.
 ///
 /// Shared by reference between the workers of a sweep and, optionally,
 /// across whole sweeps (the suite runner and the evaluation service keep

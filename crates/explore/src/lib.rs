@@ -5,7 +5,10 @@
 //! `M_f = floor(L_req/L) - M_r`; given an unfolding factor, the maximum
 //! retiming depth is `M_r = floor(L_req/L) - f`; and designers can explore
 //! (code size, performance, registers) jointly. This crate implements that
-//! exploration over *measured* program sizes:
+//! exploration with the paper's closed-form code sizes (Theorem 4.5 and §4,
+//! [`cred_codegen::ExpectedCounts`]); the reference sweep measures the
+//! generated programs instead, and the differential tests hold the two
+//! equal:
 //!
 //! * [`ExploreRequest`] / [`ExploreResponse`] — **the** exploration API:
 //!   a builder holding the kernel, the sweep parameters, and the resource
@@ -44,7 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cred_codegen::cred::cred_retime_unfold;
 use cred_codegen::unfolded::retime_unfold_program;
-use cred_codegen::DecMode;
+use cred_codegen::{DecMode, ExpectedCounts};
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::{Dfg, Ratio};
 use cred_resilience::{panic_message, Budget, DegradationEvent};
@@ -54,7 +57,7 @@ use cred_retime::span::{
 };
 use cred_retime::{min_period_retiming, min_period_retiming_with, Retiming};
 use cred_schedule::KernelSchedule;
-use cred_unfold::orders::project_retiming;
+use cred_unfold::orders::{project_copies, project_retiming};
 use cred_unfold::unfold;
 
 use cache::{FactorPlan, PlanSource, SweepCache};
@@ -68,7 +71,7 @@ use cache::{FactorPlan, PlanSource, SweepCache};
 /// [`frontier`] are defined over all four.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Objectives {
-    /// Code size with CRED (measured, given the chosen decrement mode).
+    /// Code size with CRED, given the chosen decrement mode.
     pub cred_size: usize,
     /// Achieved iteration period (unfolded cycle period / f), exact.
     pub iteration_period: Ratio,
@@ -107,7 +110,7 @@ pub struct ParetoPoint {
     pub f: usize,
     /// Maximum normalized retiming value of the projected retiming.
     pub m_r: i64,
-    /// Code size without CRED (retime-then-unfold baseline, measured).
+    /// Code size without CRED (retime-then-unfold baseline).
     pub plain_size: usize,
     /// The four objective axes this configuration achieves.
     pub objectives: Objectives,
@@ -126,10 +129,12 @@ fn sequential_maxlive(g: &Dfg, projected: &Retiming, f: usize) -> usize {
 ///
 /// This is the *reference* pipeline: each retiming pass recomputes its own
 /// full-form W/D matrices of the built unfolding from scratch, and
-/// compaction checks the dense [`cred_retime::ConstraintSystem`]. The
+/// compaction checks the dense [`cred_retime::ConstraintSystem`], and
+/// both code sizes are measured on the generated programs. The
 /// [`ExploreRequest`] engine reaches the same points through
 /// [`cache::compute_plan`], which shares one residue-form W/D computation
-/// across the passes; keeping this path independent makes it a
+/// across the passes, and through the closed-form sizes of
+/// [`point_from_plan`]; keeping this path independent makes it a
 /// differential-testing oracle (and the benchmark baseline) for the
 /// memoized engine.
 fn point_for_factor(g: &Dfg, f: usize, n: u64, mode: DecMode) -> ParetoPoint {
@@ -140,26 +145,43 @@ fn point_for_factor(g: &Dfg, f: usize, n: u64, mode: DecMode) -> ParetoPoint {
     let sys = constraints_for_period(&u.graph, &wd, opt.period as i64);
     let r_f = compact_values_with(&sys, &r_f);
     let projected = project_retiming(&u, &r_f);
+    let plain = retime_unfold_program(g, &projected, f, n).code_size();
+    let cred = cred_retime_unfold(g, &projected, f, n, mode).code_size();
     let plan = FactorPlan {
         projected,
         period: opt.period,
     };
-    point_from_plan(g, f, &plan, n, mode)
+    point_with_sizes(g, f, &plan, plain, cred)
 }
 
-/// Materialize a [`ParetoPoint`] from a (possibly cached) plan. Code
-/// generation and the maxlive analysis are deterministic, so identical
-/// plans give identical points, which is what lets [`SweepCache`] keep
-/// them.
+/// Materialize a [`ParetoPoint`] from a (possibly cached) plan, with both
+/// code sizes from their closed forms: the plain retime-then-unfold size
+/// of Theorem 4.5 ([`ExpectedCounts::retime_unfold`]) and the CRED size
+/// `f·L + P_r·(f+1)` or `f·L + 2·P_r` ([`ExpectedCounts::cred_retime_unfold`]).
+/// Oracle layer 1 checks both forms against every generated program, and
+/// [`sweep_reference`] measures the programs. The sizes and the maxlive
+/// analysis are deterministic, so identical plans give identical points,
+/// which is what lets [`SweepCache`] keep them.
 fn point_from_plan(g: &Dfg, f: usize, plan: &FactorPlan, n: u64, mode: DecMode) -> ParetoPoint {
-    let plain = retime_unfold_program(g, &plan.projected, f, n);
-    let cred = cred_retime_unfold(g, &plan.projected, f, n, mode);
+    let plain = ExpectedCounts::retime_unfold(g, &plan.projected, f, n).code_size;
+    let cred = ExpectedCounts::cred_retime_unfold(g, &plan.projected, f, n, mode).code_size;
+    point_with_sizes(g, f, plan, plain, cred)
+}
+
+/// The [`ParetoPoint`] of `plan` with the given plain and CRED code sizes.
+fn point_with_sizes(
+    g: &Dfg,
+    f: usize,
+    plan: &FactorPlan,
+    plain_size: usize,
+    cred_size: usize,
+) -> ParetoPoint {
     ParetoPoint {
         f,
         m_r: plan.projected.max_value(),
-        plain_size: plain.code_size(),
+        plain_size,
         objectives: Objectives {
-            cred_size: cred.code_size(),
+            cred_size,
             iteration_period: Ratio::new(plan.period as i64, f as i64),
             cond_registers: plan.projected.register_count(),
             maxlive: sequential_maxlive(g, &plan.projected, f),
@@ -430,20 +452,18 @@ pub fn best_under_register_budget(
     }
     let mut best: Option<ParetoPoint> = None;
     for f in 1..=max_f {
-        let u = unfold(g, f);
-        // One W/D computation serves the period search and every probe of
-        // the candidate scan below.
+        // One W/D computation of the unfolding, which is never built,
+        // serves the period search and every probe of the candidate scan
+        // below.
         let wd = WdMatrices::compute_unfolded(g, f);
-        let opt = min_period_retiming_with(&u.graph, &wd);
+        let opt = min_period_retiming_with(g, &wd);
         // Scan candidate periods upward until the register budget holds.
-        let mut cands: Vec<i64> = wd.candidate_periods();
-        cands.retain(|&c| c >= opt.period as i64);
-        for c in cands {
-            let Some(r_f) = min_span_retiming_with(&u.graph, &wd, c as u64) else {
+        for c in wd.candidate_periods_from(opt.period as i64) {
+            let Some(r_f) = min_span_retiming_with(g, &wd, c as u64) else {
                 continue;
             };
-            let r_f = compact_values_wd(&u.graph, &wd, c as u64, &r_f);
-            let projected = project_retiming(&u, &r_f);
+            let r_f = compact_values_wd(g, &wd, c as u64, &r_f);
+            let projected = project_copies(f, &r_f);
             if projected.register_count() > p_max {
                 continue;
             }

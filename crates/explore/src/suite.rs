@@ -42,7 +42,7 @@ pub struct KernelReport {
 pub struct SuiteReport {
     /// Largest unfolding factor swept.
     pub max_f: usize,
-    /// Iteration count used for the measured program sizes.
+    /// Iteration count the code sizes are computed for.
     pub n: u64,
     /// Decrement placement mode.
     pub mode: DecMode,

@@ -43,7 +43,14 @@ proptest! {
         back_edges in 1..3usize,
         max_f in 1..4usize,
         threads in 1..5usize,
+        // Trip counts from 0 through the degenerate windows (no kernel
+        // chunk fits, `n - M_r < f`), or well past them.
+        small_n in 0..12u64,
+        large_n in 40..120u64,
+        small in any::<bool>(),
+        per_copy in any::<bool>(),
     ) {
+        let n = if small { small_n } else { large_n };
         let mut rng = StdRng::seed_from_u64(seed);
         let g = gen::random_dfg(
             &mut rng,
@@ -53,10 +60,11 @@ proptest! {
                 ..Default::default()
             },
         );
-        let serial = sweep_reference(&g, max_f, 60, DecMode::Bulk);
-        let single = explore(&g, max_f, 60, DecMode::Bulk, 1, &SweepCache::new());
+        let mode = if per_copy { DecMode::PerCopy } else { DecMode::Bulk };
+        let serial = sweep_reference(&g, max_f, n, mode);
+        let single = explore(&g, max_f, n, mode, 1, &SweepCache::new());
         prop_assert_eq!(&serial, &single);
-        let parallel = explore(&g, max_f, 60, DecMode::Bulk, threads, &SweepCache::new());
+        let parallel = explore(&g, max_f, n, mode, threads, &SweepCache::new());
         prop_assert_eq!(serial, parallel);
     }
 

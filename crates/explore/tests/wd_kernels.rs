@@ -1,10 +1,14 @@
-//! The explore fast path's retiming layers against their oracles on the
-//! graphs the pipeline feeds them: every committed kernel's f-unfolding
-//! for f = 1..8.
+//! The explore fast path's retiming layers and closed-form code sizes
+//! against their oracles on the graphs the pipeline feeds them: every
+//! committed kernel's f-unfolding for f = 1..8.
 
+use cred_codegen::cred::cred_retime_unfold;
+use cred_codegen::unfolded::retime_unfold_program;
+use cred_codegen::DecMode;
 use cred_dfg::algo::WdMatrices;
-use cred_explore::cache::{compute_plan, compute_plan_budgeted, PlanSource};
+use cred_explore::cache::{compute_plan, compute_plan_budgeted, PlanSource, SweepCache};
 use cred_explore::suite::load_kernels;
+use cred_explore::ExploreRequest;
 use cred_resilience::Budget;
 use cred_retime::RetimeSolver;
 use cred_unfold::unfold;
@@ -40,11 +44,20 @@ fn wd_sweep_matches_floyd_warshall_on_every_kernel_unfolding() {
 /// A 0-unit work budget exhausts the fast path at once, so the ladder
 /// hands the factor to the dense reference pipeline (full-form W/D of the
 /// built unfolding, Bellman–Ford, dense compaction), which shares no code
-/// with the residue-form path it is compared with.
+/// with the path it is compared with: the residue-form solver on the
+/// original graph, which never builds the unfolding.
+///
+/// The engine's points take both code sizes from closed forms; they must
+/// equal the sizes of the programs generated from the reference plan, in
+/// both modes and on both sides of Theorem 4.5's boundary `n - M_r = f`:
+/// `n = M_r + f - 1` (no kernel chunk fits, straight-line code) and
+/// `n = M_r + f` (one chunk), plus `n = 3` and `n = 101`.
 #[test]
 fn fast_plan_equals_degraded_reference_plan_on_every_kernel() {
     let starved = Budget::unlimited().with_work_limit(0);
     for (name, g) in &kernels() {
+        let cache = SweepCache::new();
+        let (mut degenerate, mut chunked) = (0, 0);
         for f in 1..=8 {
             let (reference, source) = compute_plan_budgeted(g, f, &starved).unwrap();
             assert!(
@@ -52,7 +65,40 @@ fn fast_plan_equals_degraded_reference_plan_on_every_kernel() {
                 "{name} f={f}: {source:?}"
             );
             assert_eq!(compute_plan(g, f), reference, "{name} f={f}");
+            let r = &reference.projected;
+            let m = r.max_value() as u64;
+            for n in [m + f as u64 - 1, m + f as u64, 3, 101] {
+                if (n as i64 - m as i64) < f as i64 {
+                    degenerate += 1;
+                } else {
+                    chunked += 1;
+                }
+                for mode in [DecMode::Bulk, DecMode::PerCopy] {
+                    let points = ExploreRequest::new(g.clone())
+                        .max_f(f)
+                        .trip_count(n)
+                        .mode(mode)
+                        .run_with(&cache)
+                        .expect("unlimited budget cannot exhaust")
+                        .points;
+                    let at = format!("{name} f={f} n={n} {mode:?}");
+                    assert_eq!(
+                        points[f - 1].plain_size,
+                        retime_unfold_program(g, r, f, n).code_size(),
+                        "{at}: plain size"
+                    );
+                    assert_eq!(
+                        points[f - 1].objectives.cred_size,
+                        cred_retime_unfold(g, r, f, n, mode).code_size(),
+                        "{at}: CRED size"
+                    );
+                }
+            }
         }
+        assert!(
+            degenerate > 0 && chunked > 0,
+            "{name}: {degenerate} degenerate and {chunked} chunked windows"
+        );
     }
 }
 
@@ -64,9 +110,8 @@ fn fast_plan_equals_degraded_reference_plan_on_every_kernel() {
 fn closed_walk_bound_lands_on_the_optimal_period_on_every_kernel() {
     for (name, g) in &kernels() {
         for f in 1..=8 {
-            let u = unfold(g, f).graph;
             let wd = WdMatrices::compute_unfolded(g, f);
-            let bound = RetimeSolver::new(&u, &wd).period_lower_bound() as i64;
+            let bound = RetimeSolver::new(g, &wd).period_lower_bound() as i64;
             let first = wd.candidate_periods().into_iter().find(|&c| c >= bound);
             assert_eq!(
                 first,

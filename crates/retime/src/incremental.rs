@@ -8,9 +8,10 @@
 //! period-`c` constraints are the pairs with `D(u, v) > c`), so this module
 //! solves the whole search incrementally:
 //!
-//! * [`CsrConstraintGraph`] stores the legality edges once in CSR form and
-//!   the period constraints as one row per *original* node, sorted by `D`
-//!   descending: the W/D activation order of an `f`-unfolded graph has one
+//! * [`CsrConstraintGraph`] stores the unfolding's legality edges once in
+//!   CSR form, read off [`unfolded_edges`] in the unfolding's edge order,
+//!   and the period constraints as one row per *original* node, sorted by
+//!   `D` descending: the W/D activation order of an `f`-unfolded graph has one
 //!   entry per copy-0 pair `(u_0, t)`, standing for the `f` shifted pairs
 //!   `(u_i, t_i)` (see [`WdMatrices`]), which share its `D`. So all `f`
 //!   copies of `u` share row `u` and its activation counter, and a period
@@ -37,6 +38,20 @@
 //! (`r(u) - z <= 0`, `z - r(v) <= s`) is a permanent extra vertex whose
 //! edges are materialized implicitly during span probes, and each probe
 //! warm-starts from the last feasible span solution.
+//!
+//! ## The `(g, wd)` contract
+//!
+//! Every entry point here takes a graph `g` and W/D matrices `wd` of `g`'s
+//! `f`-unfolding, `f = wd.factor()`: [`WdMatrices::compute_unfolded`]`(g,
+//! f)`, or [`WdMatrices::compute`]`(g)` for `f = 1`, where the unfolding is
+//! `g` itself. The unfolding is never built. Its legality edges come from
+//! [`unfolded_edges`], its node times are `g`'s, and retimings are over its
+//! node ids (copy `j` of node `v` at `v * f + j`, `f·|V|` values).
+//! `cred_unfold::orders::project_copies` projects them back to `g`. The
+//! solver validates `g`, not the unfolding, and the two checks agree: a
+//! zero-delay edge of the unfolding keeps or raises the copy index, so a
+//! zero-delay cycle of the unfolding stays in one copy and is made of
+//! zero-delay edges of `g`.
 //!
 //! ## Why warm starts stay exact
 //!
@@ -75,14 +90,17 @@
 //! The first probe is the first candidate at or above the bound, cold from
 //! the legality fixpoint. Every smaller candidate lies below the bound, so
 //! if that probe is feasible it is the optimum, and on every bundled
-//! kernel at f = 1..8 it is. Otherwise the candidates above it are bisected
-//! with the warm starts above. The fixpoint at the optimal period is
-//! unique, so the result is the same as the reference search's, which
-//! bisects from the bottom of the list.
+//! kernel at f = 1..8 it is. That candidate is the last activation entry
+//! with `D >= bound`, one binary search away
+//! ([`WdMatrices::candidate_periods_from`]), so the distinct candidates
+//! are collected only when the probe fails. Then the candidates above it
+//! are bisected with the warm starts above. The fixpoint at the optimal
+//! period is unique, so the result is the same as the reference search's,
+//! which bisects from the bottom of the list.
 
 use crate::minperiod::MinPeriodResult;
 use crate::Retiming;
-use cred_dfg::algo::WdMatrices;
+use cred_dfg::algo::{unfolded_edges, WdMatrices};
 use cred_dfg::Dfg;
 use cred_resilience::failpoint::{self, sites};
 use cred_resilience::{Budget, Exhausted};
@@ -126,9 +144,10 @@ impl PeriodEdge {
 
 /// The retiming constraint graph in compressed-sparse-row form.
 ///
-/// Built once per `(graph, W/D)` pair, for a graph that may be the
-/// `f`-unfolding the matrices describe. Variables `0..n` are the retiming
-/// values; variable `n` is the span minimizer's auxiliary `max r` vertex
+/// Built once per `(graph, W/D)` pair, for the `f`-unfolding of the graph
+/// the matrices describe (see the [module docs](self#the-g-wd-contract)).
+/// Variables `0..n` are the retiming values of the unfolding's nodes;
+/// variable `n` is the span minimizer's auxiliary `max r` vertex
 /// (its edges are implicit — weight `0` out, the probed span in — so they
 /// need no storage). A constraint `x[a] - x[b] <= c` is the edge `b -> a`
 /// with weight `c`:
@@ -164,33 +183,31 @@ pub struct CsrConstraintGraph {
 }
 
 impl CsrConstraintGraph {
-    /// Build the CSR graph for `g` from its W/D matrices: those of `g`
-    /// itself, or, when `g` is an `f`-unfolding, those
-    /// [`WdMatrices::compute_unfolded`] gives for its original graph.
+    /// Build the CSR graph for the `f`-unfolding of `g`, `f =
+    /// wd.factor()`, from `g`'s edges and the unfolding's W/D matrices:
+    /// [`WdMatrices::compute_unfolded`]`(g, f)`, or
+    /// [`WdMatrices::compute`]`(g)` for `g` itself.
     pub fn build(g: &Dfg, wd: &WdMatrices) -> Self {
-        let n = g.node_count();
-        assert_eq!(wd.len(), n, "W/D matrices belong to a different graph");
         let f = wd.factor();
-        let rows = n / f;
+        let rows = g.node_count();
+        let n = rows * f;
+        assert_eq!(wd.len(), n, "W/D matrices belong to a different graph");
         let var = (0..n).map(|x| ((x / f) as u32, (x % f) as u32)).collect();
-        // Legality edges, counting-sorted by source row.
+        // Legality edges of the unfolding, counting-sorted by source.
         let mut leg_row = vec![0u32; n + 2];
-        for e in g.edge_ids() {
-            leg_row[g.edge(e).src.index() + 1] += 1;
-        }
+        unfolded_edges(g, f).for_each(|(src, _, _)| leg_row[src + 1] += 1);
         for i in 1..leg_row.len() {
             leg_row[i] += leg_row[i - 1];
         }
         let mut cursor: Vec<u32> = leg_row[..n + 1].to_vec();
-        let mut leg_col = vec![0u32; g.edge_count()];
-        let mut leg_w = vec![0i64; g.edge_count()];
-        for e in g.edge_ids() {
-            let ed = g.edge(e);
-            let slot = cursor[ed.src.index()] as usize;
-            cursor[ed.src.index()] += 1;
-            leg_col[slot] = ed.dst.index() as u32;
-            leg_w[slot] = ed.delay as i64;
-        }
+        let mut leg_col = vec![0u32; g.edge_count() * f];
+        let mut leg_w = vec![0i64; g.edge_count() * f];
+        unfolded_edges(g, f).for_each(|(src, dst, delay)| {
+            let slot = cursor[src] as usize;
+            cursor[src] += 1;
+            leg_col[slot] = dst as u32;
+            leg_w[slot] = delay as i64;
+        });
         // Period edges: the W/D activation order is (D desc, u asc, t asc),
         // so distributing entries to rows in order leaves every row sorted
         // by D descending — each period's active set is a row prefix.
@@ -309,7 +326,9 @@ impl SolverScratch {
     }
 }
 
-/// Incremental retiming solver over one `(graph, W/D)` pair.
+/// Incremental retiming solver over one `(graph, W/D)` pair: the
+/// `f`-unfolding of the graph, without building it (see the [module
+/// docs](self#the-g-wd-contract)).
 ///
 /// Drives the whole period search and span minimization through warm
 /// starts: the first probe pays one queue-based SPFA from the legality
@@ -333,7 +352,8 @@ pub struct RetimeSolver<'a> {
 }
 
 impl<'a> RetimeSolver<'a> {
-    /// Build a solver for `g`, allocating a fresh scratch arena.
+    /// Build a solver for the `wd.factor()`-unfolding of `g`, allocating a
+    /// fresh scratch arena.
     pub fn new(g: &'a Dfg, wd: &'a WdMatrices) -> Self {
         Self::with_scratch(g, wd, SolverScratch::new())
     }
@@ -544,8 +564,7 @@ impl<'a> RetimeSolver<'a> {
         }
         let mut r = Retiming::from_values(self.s.dist[..self.csr.n].to_vec());
         r.normalize();
-        debug_assert!(r.is_legal(self.g));
-        debug_assert!(cred_dfg::algo::cycle_period(&r.apply(self.g)) <= Some(c));
+        debug_assert!(self.satisfies(r.values()));
         Ok(Some(r))
     }
 
@@ -575,20 +594,24 @@ impl<'a> RetimeSolver<'a> {
         self.g
             .validate()
             .expect("min_period_retiming requires a well-formed DFG");
-        let cands = self.wd.candidate_periods();
-        assert!(!cands.is_empty());
+        assert!(!self.wd.activation_by_d().is_empty());
         // Every candidate below the bound is infeasible, so a feasible
         // first probe at or above it is the optimum.
         let bound = self.closed_walk_bound(budget)?;
-        let first = cands.partition_point(|&c| c < bound);
-        if let Some(retiming) = self.retime_to_period_budgeted(cands[first] as u64, budget)? {
+        let wd = self.wd;
+        let mut above = wd.candidate_periods_from(bound);
+        let first = above
+            .next()
+            .expect("the bound never exceeds the largest candidate");
+        if let Some(retiming) = self.retime_to_period_budgeted(first as u64, budget)? {
             return Ok(MinPeriodResult {
                 retiming,
-                period: cands[first] as u64,
+                period: first as u64,
             });
         }
         // Bisect the candidates above it; the largest is always feasible.
-        let mut lo = first + 1;
+        let cands: Vec<i64> = std::iter::once(first).chain(above).collect();
+        let mut lo = 1;
         let mut hi = cands.len() - 1;
         let mut best = None;
         while lo <= hi {
@@ -691,8 +714,25 @@ impl<'a> RetimeSolver<'a> {
                 lo = mid + 1;
             }
         }
-        debug_assert!(best.is_legal(self.g));
+        debug_assert!(self.satisfies(best.values()));
         Ok(best)
+    }
+
+    /// Whether `x` meets every legality edge and every period constraint
+    /// of the materialized prefix: the system the last solve answered.
+    fn satisfies(&self, x: &[i64]) -> bool {
+        let csr = &self.csr;
+        (0..csr.n).all(|u| {
+            let (row, copy) = csr.var[u];
+            let start = csr.per_row[row as usize] as usize;
+            let active = &csr.per[start..start + self.s.active[row as usize] as usize];
+            (csr.leg_row[u] as usize..csr.leg_row[u + 1] as usize)
+                .all(|i| x[csr.leg_col[i] as usize] - x[u] <= csr.leg_w[i])
+                && active.iter().all(|e| {
+                    let (v, w) = e.shifted(copy, csr.f);
+                    x[v] - x[u] <= w
+                })
+        })
     }
 
     /// Minimum-span retiming at period `<= c`, or `None` if infeasible.

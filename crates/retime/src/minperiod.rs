@@ -95,10 +95,13 @@ pub fn min_period_retiming(g: &Dfg) -> MinPeriodResult {
 }
 
 /// [`min_period_retiming`] with a precomputed W/D matrix, for callers that
-/// run several retiming passes over the same graph (the exploration
-/// engine's memoized path computes the matrix once per unfolded graph and
-/// shares it between the period search, span minimization, and register
-/// compaction). The search runs on the warm-started incremental solver,
+/// run several retiming passes over the same graph. With
+/// [`WdMatrices::compute_unfolded`]`(g, f)` it solves the `f`-unfolding of
+/// `g` without building it, over the unfolding's node ids (the contract of
+/// [`crate::RetimeSolver`]); the exploration engine computes those
+/// matrices once per factor and shares them between the period search,
+/// span minimization, and register compaction. The search runs on the
+/// warm-started incremental solver,
 /// which starts at a proven lower bound on the period (see
 /// [`crate::RetimeSolver::period_lower_bound`]) and reuses the previous
 /// feasible solution on each tightening probe.

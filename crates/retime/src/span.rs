@@ -12,7 +12,7 @@
 use crate::incremental::PeriodEdge;
 use crate::minperiod::constraints_for_period;
 use crate::{ConstraintSystem, Retiming};
-use cred_dfg::algo::WdMatrices;
+use cred_dfg::algo::{unfolded_edges, WdMatrices};
 use cred_dfg::Dfg;
 
 /// Find a retiming achieving cycle period `<= c` with the *minimum possible
@@ -29,6 +29,8 @@ pub fn min_span_retiming(g: &Dfg, c: u64) -> Option<Retiming> {
 
 /// [`min_span_retiming`] with a precomputed W/D matrix, so callers running
 /// several retiming passes over the same graph compute the matrices once.
+/// With [`WdMatrices::compute_unfolded`]`(g, f)` it solves the
+/// `f`-unfolding of `g` without building it (see [`crate::RetimeSolver`]).
 pub fn min_span_retiming_with(g: &Dfg, wd: &WdMatrices, c: u64) -> Option<Retiming> {
     crate::RetimeSolver::new(g, wd).min_span(c)
 }
@@ -109,31 +111,29 @@ pub fn compact_values(g: &Dfg, c: u64, r: &Retiming) -> Retiming {
     compact_values_wd(g, &wd, c, r)
 }
 
-/// [`compact_values`] with a precomputed W/D matrix (see
-/// [`min_span_retiming_with`]), which may be the residue form
-/// [`WdMatrices::compute_unfolded`] gives when `g` is an unfolding.
+/// [`compact_values`] for a retiming `r` of the `f`-unfolding of `g`,
+/// given that unfolding's W/D matrices, `f = wd.factor()`:
+/// [`WdMatrices::compute_unfolded`]`(g, f)`, or [`WdMatrices::compute`]`(g)`
+/// for `g` itself (the contract of [`crate::RetimeSolver`]).
 ///
-/// Each trial move is checked against the legality edges of `g` and the
-/// copies of the activation entries with `D > c`, the same constraints
-/// the [`crate::RetimeSolver`] relaxes at period `c`, so no dense
-/// [`ConstraintSystem`] is built. The result equals
-/// [`compact_values_with`] on [`constraints_for_period`]: that system
-/// keeps the tightest bound per pair, and an assignment meets it exactly
-/// when it meets every constraint listed here.
+/// Each trial move is checked against the unfolding's legality edges
+/// ([`unfolded_edges`]) and the copies of the activation entries with
+/// `D > c`, the same constraints the [`crate::RetimeSolver`] relaxes at
+/// period `c`, so neither the unfolding nor a dense [`ConstraintSystem`]
+/// is built. The result equals [`compact_values_with`] on
+/// [`constraints_for_period`] of the built unfolding: that system keeps
+/// the tightest bound per pair, and an assignment meets it exactly when it
+/// meets every constraint listed here.
 pub fn compact_values_wd(g: &Dfg, wd: &WdMatrices, c: u64, r: &Retiming) -> Retiming {
+    let f = wd.factor();
     assert_eq!(
         wd.len(),
-        g.node_count(),
+        g.node_count() * f,
         "W/D matrices belong to a different graph"
     );
-    let f = wd.factor() as u32;
-    let legality: Vec<(usize, usize, i64)> = g
-        .edge_ids()
-        .map(|e| {
-            let ed = g.edge(e);
-            (ed.dst.index(), ed.src.index(), ed.delay as i64)
-        })
-        .collect();
+    let mut legality = Vec::with_capacity(g.edge_count() * f);
+    unfolded_edges(g, f).for_each(|(src, dst, delay)| legality.push((dst, src, delay as i64)));
+    let f = f as u32;
     let act = wd.activation_by_d();
     let period: Vec<(usize, PeriodEdge)> = act[..act.partition_point(|&(d, _, _)| d > c as i64)]
         .iter()

@@ -129,7 +129,7 @@ fn bound_scan_charges_even_when_no_probe_does() {
     let u = unfold(&g, 3).graph;
     let residue = WdMatrices::compute_unfolded(&g, 3);
     let plan = |budget: &Budget| {
-        let mut solver = RetimeSolver::new(&u, &residue);
+        let mut solver = RetimeSolver::new(&g, &residue);
         let opt = solver.min_period_budgeted(budget)?;
         let r = solver.min_span_from_base_budgeted(opt.period, &opt.retiming, budget)?;
         Ok::<_, Exhausted>((opt.period, r))

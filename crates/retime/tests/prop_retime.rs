@@ -2,8 +2,13 @@
 
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::{algo, gen, Dfg, Ratio};
-use cred_retime::minperiod::{min_period_retiming_reference, retime_to_period_reference};
-use cred_retime::span::{compact_values, min_span_retiming, min_span_retiming_reference};
+use cred_retime::minperiod::{
+    constraints_for_period, min_period_retiming_reference, retime_to_period_reference,
+};
+use cred_retime::span::{
+    compact_values, compact_values_wd, compact_values_with, min_span_retiming,
+    min_span_retiming_reference,
+};
 use cred_retime::{min_period_retiming, retime_to_period, RetimeSolver, Retiming};
 use cred_unfold::unfold;
 use proptest::prelude::*;
@@ -162,15 +167,55 @@ proptest! {
     #[test]
     fn period_lower_bound_never_exceeds_the_optimum(seed in any::<u64>(), nodes in 2..9usize) {
         // The solver's closed-walk bound, read through the residue-form
-        // W/D of each unfolding, against the dense reference search on the
-        // full-form W/D of the built unfolding (f = 1 is the graph itself).
+        // W/D of each unfolding of `g` (never built), against the dense
+        // reference search on the full-form W/D of the built unfolding
+        // (f = 1 is the graph itself).
         let g = graph_from(seed, nodes);
         for f in 1..=6 {
             let u = unfold(&g, f).graph;
             let residue = WdMatrices::compute_unfolded(&g, f);
-            let bound = RetimeSolver::new(&u, &residue).period_lower_bound();
+            let bound = RetimeSolver::new(&g, &residue).period_lower_bound();
             let opt = min_period_retiming_reference(&u, &WdMatrices::compute(&u)).period;
             prop_assert!(bound <= opt, "f {}: bound {} above the optimum {}", f, bound, opt);
+        }
+    }
+
+    #[test]
+    fn min_span_on_unfolded_graph_matches_reference(seed in any::<u64>(), nodes in 2..7usize) {
+        // The warm-started solver on `(g, residue-form W/D)`, which never
+        // builds the unfolding, must stay bit-identical to the dense
+        // Bellman–Ford reference on the built unfolding and its full-form
+        // W/D — the shape the exploration pipeline feeds it (f copies per
+        // node, delays spread across copy boundaries).
+        let g = graph_from(seed, nodes);
+        for f in 1..=6 {
+            let u = unfold(&g, f).graph;
+            let residue = WdMatrices::compute_unfolded(&g, f);
+            let full = WdMatrices::compute(&u);
+            let mut solver = RetimeSolver::new(&g, &residue);
+            let opt = solver.min_period();
+            let slow = min_period_retiming_reference(&u, &full);
+            prop_assert_eq!(opt.period, slow.period, "f = {}", f);
+            prop_assert_eq!(&opt.retiming, &slow.retiming, "f = {}", f);
+            let c = opt.period;
+            let fast = solver.min_span_from_base(c, &opt.retiming);
+            prop_assert_eq!(
+                Some(fast.clone()),
+                min_span_retiming_reference(&u, &full, c),
+                "f = {}", f
+            );
+            prop_assert!(fast.is_legal(&u));
+            // The prefix-checked compaction agrees with the dense system,
+            // at the optimum and at a looser period whose solution is
+            // spread out.
+            for c in [c, c + 2] {
+                let r = RetimeSolver::new(&g, &residue).retime_to_period(c).unwrap();
+                prop_assert_eq!(
+                    compact_values_wd(&g, &residue, c, &r),
+                    compact_values_with(&constraints_for_period(&u, &full, c as i64), &r),
+                    "f = {}, period {}", f, c
+                );
+            }
         }
     }
 

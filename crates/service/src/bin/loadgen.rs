@@ -26,7 +26,7 @@
 //! over the whole request mix, so a million-request run does not pay a
 //! million solver calls just to print a comparison.
 //!
-//! Results land in `BENCH_serve.json` via `--out`, including a log2
+//! Results land in the JSON report named by `--out`, including a log2
 //! latency histogram. The server-over-baseline `speedup` is reported for
 //! closed-loop runs only; an open-loop or chaos run records it as `null`,
 //! since its server rate is set by the arrival clock or the injected

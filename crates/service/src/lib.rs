@@ -23,8 +23,8 @@
 //!
 //! The `loadgen` binary in this crate drives a server with N concurrent
 //! clients and records throughput and tail latency against a sequential
-//! baseline (`BENCH_serve.json`); its `--chaos` mode drives the full
-//! client→proxy→server stack and fails on any silent corruption.
+//! baseline in a JSON report (`--out`); its `--chaos` mode drives the
+//! full client→proxy→server stack and fails on any silent corruption.
 
 pub mod chaosnet;
 pub mod client;

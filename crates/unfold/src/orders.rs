@@ -12,7 +12,7 @@
 //!   `S_{r,f} = (max_u r_f(u) + f) * L + Q_f <= S_{f,r}`.
 
 use crate::{unfold, Unfolded};
-use cred_dfg::{algo, Dfg, NodeId};
+use cred_dfg::{algo, Dfg};
 use cred_retime::{min_period_retiming, Retiming};
 
 /// Result of unfold-then-retime.
@@ -79,13 +79,29 @@ pub fn unfold_then_retime_min(g: &Dfg, f: usize) -> UnfoldRetime {
 /// Project a retiming of the unfolded graph back to the original nodes:
 /// `r_f(u) = sum_{j} r(u_j)` (Theorem 4.5). The projection of a legal
 /// retiming is always legal on `G` (the copy delays of each edge sum to the
-/// original delay).
+/// original delay). [`project_copies`] on `u`'s factor.
 pub fn project_retiming(u: &Unfolded, r_f: &Retiming) -> Retiming {
-    let mut vals = vec![0i64; u.original_nodes];
-    for (orig_idx, val) in vals.iter_mut().enumerate() {
-        let orig = NodeId(orig_idx as u32);
-        *val = u.copies(orig).map(|c| r_f.get(c)).sum();
-    }
+    assert_eq!(
+        r_f.len(),
+        u.original_nodes * u.factor,
+        "retiming does not belong to the unfolding"
+    );
+    project_copies(u.factor, r_f)
+}
+
+/// [`project_retiming`] for a retiming `r_f` of the `f`-unfolding, read
+/// in the unfolding's node layout (copy `j` of node `u` at `u * f + j`),
+/// so the unfolding itself need not be built. Normalized.
+///
+/// # Panics
+/// Panics if `f == 0` or `r_f` does not hold `f` values per node.
+pub fn project_copies(f: usize, r_f: &Retiming) -> Retiming {
+    assert!(
+        f >= 1 && r_f.len().is_multiple_of(f),
+        "{} values are not {f} copies per node",
+        r_f.len()
+    );
+    let vals = r_f.values().chunks(f).map(|c| c.iter().sum()).collect();
     let mut r = Retiming::from_values(vals);
     r.normalize();
     r

@@ -1,5 +1,6 @@
 //! The unfolding transformation with copy/origin provenance.
 
+use cred_dfg::algo::unfolded_edges;
 use cred_dfg::{Dfg, NodeId};
 
 /// An unfolded DFG together with the provenance mapping back to the
@@ -54,22 +55,9 @@ pub fn unfold(g: &Dfg, f: usize) -> Unfolded {
             out.add_node(format!("{}.{j}", nd.name), nd.time, nd.op);
         }
     }
-    let copy = |u: NodeId, j: usize| NodeId((u.index() * f + j) as u32);
-    for e in g.edge_ids() {
-        let ed = g.edge(e);
-        let d = ed.delay as i64;
-        for j in 0..f as i64 {
-            // v_j reads u produced d original iterations earlier:
-            // source copy j' = (j - d) mod f, delay (d - j + j') / f.
-            let jp = (j - d).rem_euclid(f as i64);
-            let delay = (d - j + jp) / f as i64;
-            debug_assert!(delay >= 0);
-            out.add_edge(
-                copy(ed.src, jp as usize),
-                copy(ed.dst, j as usize),
-                delay as u32,
-            );
-        }
+    // Copy j of v reads u produced d original iterations earlier.
+    for (src, dst, delay) in unfolded_edges(g, f) {
+        out.add_edge(NodeId(src as u32), NodeId(dst as u32), delay);
     }
     Unfolded {
         graph: out,
