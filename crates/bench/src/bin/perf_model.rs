@@ -8,16 +8,16 @@
 //! expansion CRED does not address.
 
 use cred_bench::{print_table, tuned_retiming};
-use cred_codegen::bundle::BundleMachine;
 use cred_codegen::cred::{cred_pipelined, cred_rotating};
 use cred_codegen::perf::estimate_cycles;
 use cred_codegen::pipeline::{original_program, pipelined_program};
+use cred_dfg::MachineModel;
 use cred_kernels::all_benchmarks;
 use cred_vm::check_against_reference;
 
 fn main() {
     let n = 1000u64;
-    let m = BundleMachine::c6x();
+    let m = &MachineModel::with_units(6, 2);
     println!("Static cycle model, n = {n}, 6 ALU + 2 MUL fetch packets\n");
     let mut rows = Vec::new();
     for (name, g) in all_benchmarks() {

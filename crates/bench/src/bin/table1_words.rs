@@ -4,14 +4,15 @@
 //! decrements mostly co-issue with the kernel.
 
 use cred_bench::{print_table, tuned_retiming};
-use cred_codegen::bundle::{bundle, BundleMachine};
+use cred_codegen::bundle::bundle;
 use cred_codegen::cred::cred_pipelined;
 use cred_codegen::pipeline::{original_program, pipelined_program};
+use cred_dfg::MachineModel;
 use cred_kernels::all_benchmarks;
 use cred_vm::check_against_reference;
 
 fn main() {
-    let m = BundleMachine::c6x();
+    let m = &MachineModel::with_units(6, 2);
     let n = 101u64;
     println!("Table 1 in VLIW words (6 ALU + 2 MUL per fetch packet, n = {n})\n");
     let mut rows = Vec::new();

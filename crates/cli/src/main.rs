@@ -85,9 +85,9 @@
 use cred_codegen::pretty::render;
 use cred_codegen::DecMode;
 use cred_core::{CodeSizeReducer, ReducerConfig};
-use cred_dfg::{algo, Dfg};
+use cred_dfg::{algo, Dfg, MachineModel};
 use cred_explore::ExploreRequest;
-use cred_schedule::{list_schedule, rotation_schedule, FuConfig};
+use cred_schedule::{list_schedule, rotation_schedule};
 use cred_service::{ClientConfig, ResilientClient, Server, ServiceConfig};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -416,15 +416,20 @@ fn cmd_explore(path: &str, g: &Dfg, args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// A unit count flag: `1..=u32::MAX`, the range a machine model holds.
+fn unit_count(args: &Args, name: &str, default: u64) -> Result<u32, String> {
+    u32::try_from(args.get_u64(name, default)?)
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("--{name} must be between 1 and {}", u32::MAX))
+}
+
 fn cmd_schedule(g: &Dfg, args: &Args) -> Result<(), String> {
-    let alu = args.get_u64("alu", 2)? as usize;
-    let mul = args.get_u64("mul", 1)? as usize;
-    if alu < 1 || mul < 1 {
-        return Err("--alu and --mul must be at least 1".into());
-    }
-    let fu = FuConfig::with_units(alu, mul);
-    let init = list_schedule(g, &fu);
-    let rot = rotation_schedule(g, &fu, g.node_count() * 8);
+    let alu = unit_count(args, "alu", 2)?;
+    let mul = unit_count(args, "mul", 1)?;
+    let machine = MachineModel::with_units(alu, mul);
+    let init = list_schedule(g, &machine);
+    let rot = rotation_schedule(g, &machine, g.node_count() * 8);
     println!("machine: {alu} ALU, {mul} MUL");
     println!("list schedule: {} control steps", init.length());
     println!("after rotation scheduling: {} control steps", rot.length);
@@ -438,19 +443,19 @@ fn cmd_schedule(g: &Dfg, args: &Args) -> Result<(), String> {
 
 /// Resolve a `--machine` argument: a builtin model name, or a path to a
 /// `.mach` machine-description file.
-fn resolve_machine(spec: &str) -> Result<cred_exact::MachineModel, String> {
-    if let Some(m) = cred_exact::MachineModel::builtin(spec) {
+fn resolve_machine(spec: &str) -> Result<MachineModel, String> {
+    if let Some(m) = MachineModel::builtin(spec) {
         return Ok(m);
     }
     let path = std::path::Path::new(spec);
     if !path.exists() {
         return Err(format!(
             "--machine: '{spec}' is neither a builtin model ({}) nor a readable file",
-            cred_exact::MachineModel::BUILTIN_NAMES.join(" | ")
+            MachineModel::BUILTIN_NAMES.join(" | ")
         ));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{spec}: {e}"))?;
-    cred_exact::MachineModel::parse(&text).map_err(|e| format!("{spec}: {e}"))
+    MachineModel::parse(&text).map_err(|e| format!("{spec}: {e}"))
 }
 
 /// `credc exact`: prove the kernel's minimum initiation interval on a
@@ -458,7 +463,7 @@ fn resolve_machine(spec: &str) -> Result<cred_exact::MachineModel, String> {
 /// witnesses that certify optimality.
 fn cmd_exact(g: &Dfg, args: &Args) -> Result<(), String> {
     let machine = resolve_machine(args.get("machine").unwrap_or("unconstrained"))?;
-    let lower = machine.retiming_bound(g);
+    let lower = cred_exact::retiming_bound(g, &machine);
     let sched = cred_exact::exact_schedule(g, &machine);
     cred_exact::check::check_schedule(g, &machine, &sched)
         .map_err(|e| format!("schedule failed independent validation: {e}"))?;

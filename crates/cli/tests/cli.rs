@@ -171,6 +171,46 @@ fn bad_flag_combinations_fail_with_typed_errors() {
     assert_clean_failure(&run(&["explore", &kernel, "--max-unfold"]), "needs a value");
     assert_clean_failure(&run(&["reduce", &kernel, "--mode", "sideways"]), "sideways");
     assert_clean_failure(&run(&["frobnicate", &kernel]), "unknown command");
+    // Unit counts outside 1..=u32::MAX are typed errors, not a zero-unit
+    // panic or an allocation sized by the flag.
+    for (flag, value) in [
+        ("--alu", "0"),
+        ("--mul", "0"),
+        ("--alu", "4294967296"),
+        ("--alu", "18446744073709551615"),
+    ] {
+        assert_clean_failure(
+            &run(&["schedule", &kernel, flag, value]),
+            &format!("{flag} must be between 1 and 4294967295"),
+        );
+    }
+}
+
+#[test]
+fn schedule_prints_list_and_rotation_schedules() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let kernel = format!("{root}/kernels/figure3.loop");
+    let out = run(&["schedule", &kernel]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for line in [
+        "machine: 2 ALU, 1 MUL",
+        "list schedule: 4 control steps",
+        "after rotation scheduling: 2 control steps",
+        "rotation retiming: A=2 B=1 C=1 D=0 E=0",
+    ] {
+        assert!(
+            stdout.lines().any(|l| l == line),
+            "missing {line:?}: {stdout}"
+        );
+    }
+    // The largest unit count a machine holds schedules like any other.
+    let out = run(&["schedule", &kernel, "--alu", "4294967295", "--mul", "1"]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("machine: 4294967295 ALU, 1 MUL"),
+        "{out:?}"
+    );
 }
 
 #[test]

@@ -13,30 +13,16 @@
 //!   (VLIW semantics: all operations of a word read register state at the
 //!   start of the word, so a *preceding* guarded compute may share the
 //!   word with the decrement);
-//! * **functional-unit widths** — at most `alu`/`mul` operations of each
-//!   class per word ([`Inst::Setup`]/[`Inst::Dec`] occupy ALU slots).
+//! * **functional-unit widths** — at most [`MachineModel::units`]
+//!   operations of each [`OpClass`] per word ([`Inst::Setup`]/[`Inst::Dec`]
+//!   occupy ALU slots; an unlimited class has no cap per word).
 //!
 //! The packer is greedy earliest-fit in program order, which preserves
-//! the region's semantics by construction.
+//! the region's semantics by construction. A C6x-like fetch packet is
+//! `MachineModel::with_units(6, 2)`.
 
 use crate::ir::{Index, Inst, LoopProgram};
-use cred_dfg::OpKind;
-
-/// FU widths of the bundling target (a simplified C6x fetch packet).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BundleMachine {
-    /// ALU issue slots per word.
-    pub alu: usize,
-    /// Multiplier issue slots per word.
-    pub mul: usize,
-}
-
-impl BundleMachine {
-    /// An 8-wide C6x-like packet (6 ALU + 2 MUL).
-    pub fn c6x() -> Self {
-        BundleMachine { alu: 6, mul: 2 }
-    }
-}
+use cred_dfg::{MachineModel, OpClass, OP_CLASSES};
 
 /// Word counts per region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,13 +42,6 @@ impl BundleStats {
     }
 }
 
-fn is_mul_class(op: OpKind) -> bool {
-    matches!(
-        op,
-        OpKind::Mul(_) | OpKind::Mac(_) | OpKind::Scale(..) | OpKind::ScaledMul(..)
-    )
-}
-
 /// Exact syntactic equality of (array, index) pairs is a sound dependence
 /// test within one region: all instructions of a region share the same
 /// induction-variable value.
@@ -71,7 +50,7 @@ fn same_elem(a: (u32, Index), b: (u32, Index)) -> bool {
 }
 
 /// Pack one region; returns the number of words.
-fn pack_region(insts: &[Inst], m: BundleMachine) -> usize {
+fn pack_region(insts: &[Inst], m: &MachineModel) -> usize {
     pack_region_words(insts, m)
         .iter()
         .max()
@@ -79,16 +58,25 @@ fn pack_region(insts: &[Inst], m: BundleMachine) -> usize {
 }
 
 /// Word index assigned to each instruction of a region.
-pub fn pack_region_words(insts: &[Inst], m: BundleMachine) -> Vec<usize> {
+///
+/// # Panics
+/// Panics if `m` sets an issue width or a latency override: a word's
+/// width is its per-class unit counts, and every instruction takes one
+/// word.
+pub fn pack_region_words(insts: &[Inst], m: &MachineModel) -> Vec<usize> {
+    let latency = OpClass::ALL
+        .iter()
+        .any(|&c| m.latency_override(c).is_some());
+    assert!(
+        m.issue_width.is_none() && !latency,
+        "bundling models unit counts only, not issue width or latency overrides (machine {})",
+        m.name
+    );
     let n = insts.len();
-    if n == 0 {
-        return Vec::new();
-    }
     // earliest[i]: first admissible word for instruction i.
     let mut word_of: Vec<usize> = vec![0; n];
-    // Occupancy per word.
-    let mut alu_used: Vec<usize> = Vec::new();
-    let mut mul_used: Vec<usize> = Vec::new();
+    // Occupancy per word and class.
+    let mut used: Vec<[u32; OP_CLASSES]> = Vec::new();
     for i in 0..n {
         let mut earliest = 0usize;
         for j in 0..i {
@@ -98,31 +86,22 @@ pub fn pack_region_words(insts: &[Inst], m: BundleMachine) -> Vec<usize> {
             }
         }
         // Earliest-fit with resources.
-        let mul_class = match &insts[i] {
-            Inst::Compute { op, .. } => is_mul_class(*op),
-            Inst::Setup { .. } | Inst::Dec { .. } => false,
+        let class = match &insts[i] {
+            Inst::Compute { op, .. } => op.class(),
+            Inst::Setup { .. } | Inst::Dec { .. } => OpClass::Alu,
         };
+        let (c, width) = (class.index(), m.units(class));
         let mut w = earliest;
         loop {
-            while alu_used.len() <= w {
-                alu_used.push(0);
-                mul_used.push(0);
+            if used.len() <= w {
+                used.resize(w + 1, [0; OP_CLASSES]);
             }
-            let fits = if mul_class {
-                mul_used[w] < m.mul
-            } else {
-                alu_used[w] < m.alu
-            };
-            if fits {
+            if width.is_none_or(|u| used[w][c] < u) {
                 break;
             }
             w += 1;
         }
-        if mul_class {
-            mul_used[w] += 1;
-        } else {
-            alu_used[w] += 1;
-        }
+        used[w][c] += 1;
         word_of[i] = w;
     }
     word_of
@@ -147,7 +126,11 @@ fn depends_strictly(a: &Inst, b: &Inst) -> bool {
 }
 
 /// Pack every region of `p` on machine `m`.
-pub fn bundle(p: &LoopProgram, m: BundleMachine) -> BundleStats {
+///
+/// # Panics
+/// Panics if `m` sets an issue width or a latency override, like
+/// [`pack_region_words`].
+pub fn bundle(p: &LoopProgram, m: &MachineModel) -> BundleStats {
     BundleStats {
         pre_words: pack_region(&p.pre, m),
         body_words: p.body.as_ref().map_or(0, |l| pack_region(&l.body, m)),
@@ -159,28 +142,17 @@ pub fn bundle(p: &LoopProgram, m: BundleMachine) -> BundleStats {
 mod tests {
     use super::*;
     use crate::cred::cred_pipelined;
+    use crate::pipeline::tests::{figure3_graph, figure3_retiming};
     use crate::pipeline::{original_program, pipelined_program};
-    use cred_dfg::{DfgBuilder, OpKind};
     use cred_retime::Retiming;
 
+    /// An 8-wide C6x-like fetch packet: 6 ALU + 2 MAC slots.
+    fn c6x() -> MachineModel {
+        MachineModel::with_units(6, 2)
+    }
+
     fn figure3() -> (cred_dfg::Dfg, Retiming) {
-        let mut b = DfgBuilder::new();
-        let a = b.node("A", 1, OpKind::Add(9));
-        let bb = b.node("B", 1, OpKind::Mul(5));
-        let c = b.node("C", 1, OpKind::Add(0));
-        let d = b.node("D", 1, OpKind::Mul(0));
-        let e = b.node("E", 1, OpKind::Add(30));
-        b.edge(e, a, 4);
-        b.edge(a, bb, 0);
-        b.edge(a, c, 0);
-        b.edge(bb, c, 2);
-        b.edge(a, d, 0);
-        b.edge(c, d, 0);
-        b.edge(d, e, 0);
-        (
-            b.build().unwrap(),
-            Retiming::from_values(vec![3, 2, 2, 1, 0]),
-        )
+        (figure3_graph().0, figure3_retiming())
     }
 
     #[test]
@@ -189,7 +161,7 @@ mod tests {
         // wide machine.
         let (g, _) = figure3();
         let p = original_program(&g, 10);
-        let s = bundle(&p, BundleMachine::c6x());
+        let s = bundle(&p, &c6x());
         assert_eq!(s.body_words, 4);
         assert_eq!(s.pre_words, 0);
     }
@@ -200,7 +172,7 @@ mod tests {
         // (2 mul + 3 alu) fit one 6+2 word.
         let (g, r) = figure3();
         let p = pipelined_program(&g, &r, 10);
-        let s = bundle(&p, BundleMachine::c6x());
+        let s = bundle(&p, &c6x());
         assert_eq!(s.body_words, 1);
         assert!(s.pre_words >= 3, "prologue spans pipeline-fill words");
         assert!(s.post_words >= 1);
@@ -213,8 +185,8 @@ mod tests {
         // word (3 + 4 = 7 > 6) — but the whole program still shrinks
         // massively vs the pipelined form.
         let (g, r) = figure3();
-        let pip = bundle(&pipelined_program(&g, &r, 10), BundleMachine::c6x());
-        let cred = bundle(&cred_pipelined(&g, &r, 10), BundleMachine::c6x());
+        let pip = bundle(&pipelined_program(&g, &r, 10), &c6x());
+        let cred = bundle(&cred_pipelined(&g, &r, 10), &c6x());
         assert!(cred.total() < pip.total());
         assert_eq!(cred.post_words, 0);
         assert!(cred.body_words <= 2);
@@ -224,8 +196,8 @@ mod tests {
     fn narrow_machine_needs_more_words() {
         let (g, r) = figure3();
         let p = pipelined_program(&g, &r, 10);
-        let wide = bundle(&p, BundleMachine { alu: 6, mul: 2 });
-        let narrow = bundle(&p, BundleMachine { alu: 1, mul: 1 });
+        let wide = bundle(&p, &c6x());
+        let narrow = bundle(&p, &MachineModel::with_units(1, 1));
         assert!(narrow.total() >= wide.total());
     }
 
@@ -239,7 +211,7 @@ mod tests {
         let p = cred_pipelined(&g, &r, 10);
         let body = &p.body.as_ref().unwrap().body;
         // Body layout: 5 guarded computes then 4 decs.
-        let s = pack_region(body, BundleMachine { alu: 16, mul: 16 });
+        let s = pack_region(body, &MachineModel::with_units(16, 16));
         assert_eq!(s, 1, "computes and decs co-issue on a wide machine");
     }
 
@@ -265,7 +237,7 @@ mod tests {
             .flatten()
             .collect();
             for insts in regions {
-                let words = pack_region_words(insts, BundleMachine { alu: 2, mul: 1 });
+                let words = pack_region_words(insts, &MachineModel::with_units(2, 1));
                 for i in 0..insts.len() {
                     for j in 0..i {
                         if words[i] == words[j] {
@@ -281,6 +253,29 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "issue width")]
+    fn issue_capped_machine_is_refused() {
+        let (g, r) = figure3();
+        let _ = bundle(
+            &pipelined_program(&g, &r, 10),
+            &MachineModel::builtin("vliw4").unwrap(),
+        );
+    }
+
+    #[test]
+    fn unlimited_class_has_no_cap_per_word() {
+        // `None` units pack like the largest count a machine can hold.
+        let (g, r) = figure3();
+        let most = MachineModel::with_units(u32::MAX, u32::MAX);
+        for p in [original_program(&g, 10), cred_pipelined(&g, &r, 10)] {
+            assert_eq!(
+                bundle(&p, &MachineModel::unconstrained()),
+                bundle(&p, &most)
+            );
+        }
+    }
+
+    #[test]
     fn value_dependences_serialize_within_straight_line_code() {
         // Prologue instances within one slot depend on each other.
         let (g, r) = figure3();
@@ -288,7 +283,7 @@ mod tests {
         // Slot 0 contains A[3], B[2], C[2], D[1] where D[1] reads C[1]
         // (earlier slot) and A/B/C chains: at least 2 words for 8 insts
         // with dependences.
-        let s = pack_region(&p.pre, BundleMachine::c6x());
+        let s = pack_region(&p.pre, &c6x());
         assert!(
             s >= 3,
             "pipeline fill has at least 3 dependent levels, got {s}"

@@ -172,26 +172,10 @@ mod tests {
     use super::*;
     use crate::cred::cred_pipelined;
     use crate::pipeline::pipelined_program;
-    use cred_dfg::{DfgBuilder, OpKind};
+    use crate::pipeline::tests::{figure3_graph, figure3_retiming};
 
     fn figure3() -> (Dfg, Retiming) {
-        let mut b = DfgBuilder::new();
-        let a = b.node("A", 1, OpKind::Add(9));
-        let bb = b.node("B", 1, OpKind::Mul(5));
-        let c = b.node("C", 1, OpKind::Add(0));
-        let d = b.node("D", 1, OpKind::Mul(0));
-        let e = b.node("E", 1, OpKind::Add(30));
-        b.edge(e, a, 4);
-        b.edge(a, bb, 0);
-        b.edge(a, c, 0);
-        b.edge(bb, c, 2);
-        b.edge(a, d, 0);
-        b.edge(c, d, 0);
-        b.edge(d, e, 0);
-        (
-            b.build().unwrap(),
-            Retiming::from_values(vec![3, 2, 2, 1, 0]),
-        )
+        (figure3_graph().0, figure3_retiming())
     }
 
     #[test]

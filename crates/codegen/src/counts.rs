@@ -267,24 +267,10 @@ mod tests {
     };
     use crate::pipeline::{original_program, pipelined_program};
     use crate::unfolded::{retime_unfold_program, unfold_retime_program, unfolded_program};
-    use cred_dfg::{DfgBuilder, OpKind};
     use cred_unfold::unfold;
 
     fn figure3_graph() -> Dfg {
-        let mut b = DfgBuilder::new();
-        let a = b.node("A", 1, OpKind::Add(9));
-        let bb = b.node("B", 1, OpKind::Mul(5));
-        let c = b.node("C", 1, OpKind::Add(0));
-        let d = b.node("D", 1, OpKind::Mul(0));
-        let e = b.node("E", 1, OpKind::Add(30));
-        b.edge(e, a, 4);
-        b.edge(a, bb, 0);
-        b.edge(a, c, 0);
-        b.edge(bb, c, 2);
-        b.edge(a, d, 0);
-        b.edge(c, d, 0);
-        b.edge(d, e, 0);
-        b.build().unwrap()
+        crate::pipeline::tests::figure3_graph().0
     }
 
     #[test]

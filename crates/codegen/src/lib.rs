@@ -33,7 +33,9 @@
 //! decrement-by-`f` in Tables 3–4).
 //!
 //! [`bundle`] additionally packs any generated program into VLIW fetch
-//! packets and measures code size in *words*, the C6x-style metric.
+//! packets and measures code size in *words*, the C6x-style metric; the
+//! packet widths are the per-class unit counts of a
+//! [`cred_dfg::MachineModel`].
 
 pub mod bundle;
 pub mod collapse;

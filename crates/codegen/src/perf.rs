@@ -4,8 +4,9 @@
 //! jeopardizing the performance" claim with end-to-end numbers rather
 //! than free-slot counting alone.
 
-use crate::bundle::{bundle, BundleMachine, BundleStats};
+use crate::bundle::{bundle, BundleStats};
 use crate::ir::LoopProgram;
+use cred_dfg::MachineModel;
 
 /// Cycle estimate for one program on one machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,7 +20,11 @@ pub struct CycleEstimate {
 }
 
 /// Estimate execution cycles of `p` on machine `m`.
-pub fn estimate_cycles(p: &LoopProgram, m: BundleMachine) -> CycleEstimate {
+///
+/// # Panics
+/// Panics if `m` sets an issue width or a latency override, like
+/// [`bundle`].
+pub fn estimate_cycles(p: &LoopProgram, m: &MachineModel) -> CycleEstimate {
     let words = bundle(p, m);
     let trips = p.body.as_ref().map_or(0, |l| l.trip_count());
     CycleEstimate {
@@ -33,28 +38,12 @@ pub fn estimate_cycles(p: &LoopProgram, m: BundleMachine) -> CycleEstimate {
 mod tests {
     use super::*;
     use crate::cred::{cred_pipelined, cred_rotating};
+    use crate::pipeline::tests::{figure3_graph, figure3_retiming};
     use crate::pipeline::{original_program, pipelined_program};
-    use cred_dfg::{DfgBuilder, OpKind};
     use cred_retime::Retiming;
 
     fn figure3() -> (cred_dfg::Dfg, Retiming) {
-        let mut b = DfgBuilder::new();
-        let a = b.node("A", 1, OpKind::Add(9));
-        let bb = b.node("B", 1, OpKind::Mul(5));
-        let c = b.node("C", 1, OpKind::Add(0));
-        let d = b.node("D", 1, OpKind::Mul(0));
-        let e = b.node("E", 1, OpKind::Add(30));
-        b.edge(e, a, 4);
-        b.edge(a, bb, 0);
-        b.edge(a, c, 0);
-        b.edge(bb, c, 2);
-        b.edge(a, d, 0);
-        b.edge(c, d, 0);
-        b.edge(d, e, 0);
-        (
-            b.build().unwrap(),
-            Retiming::from_values(vec![3, 2, 2, 1, 0]),
-        )
+        (figure3_graph().0, figure3_retiming())
     }
 
     #[test]
@@ -62,7 +51,7 @@ mod tests {
         // Original: 4 words/iteration; pipelined: 1 word/iteration.
         let (g, r) = figure3();
         let n = 1000u64;
-        let m = BundleMachine::c6x();
+        let m = &MachineModel::with_units(6, 2);
         let orig = estimate_cycles(&original_program(&g, n), m);
         let pip = estimate_cycles(&pipelined_program(&g, &r, n), m);
         assert!(pip.cycles * 3 < orig.cycles, "~4x speedup expected");
@@ -75,7 +64,7 @@ mod tests {
         // are nearly full) and runs M_r extra iterations.
         let (g, r) = figure3();
         let n = 1000u64;
-        let m = BundleMachine::c6x();
+        let m = &MachineModel::with_units(6, 2);
         let pip = estimate_cycles(&pipelined_program(&g, &r, n), m);
         let cred = estimate_cycles(&cred_pipelined(&g, &r, n), m);
         // Within 2.1x here (1 -> 2 words per iteration on this tiny
@@ -91,7 +80,7 @@ mod tests {
         // so the only cost is M_r extra (guarded) iterations.
         let (g, r) = figure3();
         let n = 1000u64;
-        let m = BundleMachine::c6x();
+        let m = &MachineModel::with_units(6, 2);
         let pip = estimate_cycles(&pipelined_program(&g, &r, n), m);
         let rot = estimate_cycles(&cred_rotating(&g, &r, 1, n), m);
         assert_eq!(rot.words.body_words, 1);
@@ -102,7 +91,7 @@ mod tests {
     #[test]
     fn estimate_is_linear_in_trip_count() {
         let (g, r) = figure3();
-        let m = BundleMachine::c6x();
+        let m = &MachineModel::with_units(6, 2);
         let c1 = estimate_cycles(&cred_pipelined(&g, &r, 100), m);
         let c2 = estimate_cycles(&cred_pipelined(&g, &r, 200), m);
         assert_eq!(c2.cycles - c1.cycles, 100 * c1.words.body_words as u64);

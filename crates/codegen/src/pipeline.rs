@@ -138,7 +138,7 @@ pub fn pipelined_program(g: &Dfg, r: &Retiming, n: u64) -> LoopProgram {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cred_dfg::{DfgBuilder, OpKind};
 

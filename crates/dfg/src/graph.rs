@@ -130,8 +130,8 @@ impl OpKind {
     }
 
     /// The functional-unit class executing this operation — the resource
-    /// axis machine models constrain (per-class slot counts in
-    /// `cred-exact`'s `MachineModel`, FU counts in `cred-schedule`).
+    /// axis a [`MachineModel`](crate::MachineModel) constrains with its
+    /// per-class unit counts. Every scheduler and packer reads it.
     #[inline]
     pub fn class(self) -> OpClass {
         match self {

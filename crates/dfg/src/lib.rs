@@ -25,7 +25,10 @@
 //! * [`algo::wd`] — the Leiserson–Saxe `W`/`D` matrices used by min-period
 //!   retiming,
 //! * [`gen`] — structured and random DFG generators for tests and fuzzing,
-//! * [`dot`] — Graphviz export.
+//! * [`dot`] — Graphviz export,
+//! * [`MachineModel`] — the one machine description (per-[`OpClass`] unit
+//!   counts, VLIW issue width, latency overrides, the `.mach` text format)
+//!   that the list, rotation, VLIW, bundling and exact schedulers share.
 //!
 //! The graph is an index-based arena ([`NodeId`], [`EdgeId`] are `u32`
 //! newtypes) so all algorithms are allocation-light and cache friendly.
@@ -34,9 +37,11 @@ pub mod algo;
 pub mod dot;
 pub mod gen;
 mod graph;
+mod machine;
 mod ratio;
 
 pub use graph::{
     Dfg, DfgBuilder, DfgError, EdgeData, EdgeId, NodeData, NodeId, OpClass, OpKind, OP_CLASSES,
 };
+pub use machine::{MachineModel, MachineParseError};
 pub use ratio::Ratio;

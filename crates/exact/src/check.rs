@@ -15,9 +15,8 @@
 //! never consulted. The soundness argument is in the
 //! [`solver`](crate::solver) docs.
 
-use cred_dfg::{Dfg, EdgeId, NodeId, OpClass, OP_CLASSES};
+use cred_dfg::{Dfg, EdgeId, MachineModel, NodeId, OpClass, OP_CLASSES};
 
-use crate::machine::MachineModel;
 use crate::solver::{ExactSchedule, Infeasible, RejectedII};
 
 /// Check that `sched` is a legal schedule of `g` on `m`: window bounds,

@@ -15,10 +15,14 @@
 //!
 //! * [`MachineModel`] — per-op-class slot counts, VLIW issue width,
 //!   optional per-class latency overrides; parsed from a small textual
-//!   format (committed machine files live in `machines/`);
-//! * [`exact_schedule`] / [`exact_schedule_budgeted`] — the solver;
-//!   budgeted search charges one work unit per slot trial and exhausts
-//!   all-or-nothing like every other budgeted pass;
+//!   format (committed machine files live in `machines/`). It is defined
+//!   in `cred-dfg`, shared with every other scheduler, and re-exported
+//!   here;
+//! * [`exact_schedule`] / [`exact_schedule_budgeted`] — the solver, the
+//!   workspace's one modulo scheduler; budgeted search charges one work
+//!   unit per slot trial and exhausts all-or-nothing like every other
+//!   budgeted pass;
+//! * [`retiming_bound`] — the resource-blind lower bound on the II;
 //! * [`ExactSchedule`] — the product: `(ii, slot, stage)` plus the
 //!   per-rung witnesses; [`ExactSchedule::stage_retiming`] adapts the
 //!   stages into a legal [`cred_retime::Retiming`], which is how exact
@@ -31,11 +35,12 @@
 //! to `RetimeSolver` (see `tests/unconstrained_prop.rs`).
 
 pub mod check;
-pub mod machine;
 mod period;
 pub mod solver;
 
-pub use machine::{MachineModel, MachineParseError};
+pub use cred_dfg::{MachineModel, MachineParseError};
 #[cfg(feature = "mutation-hooks")]
 pub use solver::hooks;
-pub use solver::{exact_schedule, exact_schedule_budgeted, ExactSchedule, Infeasible, RejectedII};
+pub use solver::{
+    exact_schedule, exact_schedule_budgeted, retiming_bound, ExactSchedule, Infeasible, RejectedII,
+};

@@ -15,9 +15,7 @@
 //! slots of the retimed graph seed the search.
 
 use cred_dfg::algo::WdMatrices;
-use cred_dfg::{Dfg, EdgeId, NodeId};
-
-use crate::machine::MachineModel;
+use cred_dfg::{Dfg, EdgeId, MachineModel, NodeId};
 
 const NONE: u32 = u32::MAX;
 

@@ -94,14 +94,13 @@
 //! and passes the `exact.branch` fail-point, so exhaustion and chaos
 //! testing compose the same way as in the retiming solver.
 
-use cred_dfg::{algo, Dfg, NodeId, OpClass, OP_CLASSES};
+use cred_dfg::{algo, Dfg, MachineModel, NodeId, OpClass, OP_CLASSES};
 use cred_resilience::failpoint::{self, sites};
 use cred_resilience::{Budget, Exhausted};
 use cred_retime::diff::DiffEngine;
 use cred_retime::Retiming;
 use std::fmt;
 
-use crate::machine::MachineModel;
 use crate::period::PeriodSystem;
 
 /// Why one rung of the II ladder admits no schedule. Every variant is a
@@ -231,6 +230,15 @@ impl ExactSchedule {
     pub fn stage_retiming(&self) -> Retiming {
         Retiming::from_stages(&self.stage)
     }
+}
+
+/// The resource-blind lower bound on the exact scheduler's II: the
+/// minimum retiming period of `m`'s [machine-effective
+/// graph](MachineModel::effective_graph) of `g`. No schedule on `m` has a
+/// smaller II, and on a machine that caps no class and no issue width the
+/// exact II equals it.
+pub fn retiming_bound(g: &Dfg, m: &MachineModel) -> u64 {
+    cred_retime::min_period_retiming(&m.effective_graph(g)).period
 }
 
 /// Schedule `g` on `m` with no budget. Panics only if a chaos plan
@@ -962,6 +970,20 @@ mod tests {
         }
         let b = Budget::unlimited().with_work_limit(need);
         assert_eq!(exact_schedule_budgeted(&g, &m, &b).unwrap(), full);
+    }
+
+    #[test]
+    fn retiming_bound_uses_machine_times() {
+        // A single ALU self-loop of claimed time 15: the bound follows the
+        // latency override, not the kernel's own time.
+        let mut b = DfgBuilder::new();
+        let a = b.node("A", 15, OpKind::Add(0));
+        b.edge(a, a, 1);
+        let g = b.build().unwrap();
+        assert_eq!(retiming_bound(&g, &MachineModel::unconstrained()), 15);
+        let mut m = MachineModel::unconstrained();
+        m.set_latency(OpClass::Alu, Some(1));
+        assert_eq!(retiming_bound(&g, &m), 1);
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! retiming generator the paper keywords: **rotation scheduling**
 //! (Chao–Sha).
 //!
-//! * [`resources`] — functional-unit classes and machine configurations;
+//! Every scheduler here reads the workspace's one machine description,
+//! [`cred_dfg::MachineModel`], indexed by [`cred_dfg::OpClass`]. They model
+//! its per-class unit counts only, and refuse a model that sets an issue
+//! width or a latency override. Modulo scheduling lives in `cred-exact`.
+//!
 //! * [`list`] — ASAP and resource-constrained list scheduling;
 //! * [`rotation`] — rotation scheduling: repeatedly retime the first
 //!   control step of the current schedule and reschedule, shortening the
 //!   loop body under resource constraints (each rotation *is* a retiming,
 //!   i.e. a software-pipelining step);
-//! * [`modulo`] — iterative modulo scheduling (the Rau/TI-style software
-//!   pipelining the paper's reference \[4\] targets) and the stage retiming
-//!   that connects modulo schedules to CRED;
 //! * [`vliw`] — VLIW word packing, used to check that the `setup` /
 //!   decrement instructions CRED inserts fit into free slots of the long
 //!   instruction words ("code size reduction does not hurt the performance
@@ -24,13 +25,24 @@
 
 pub mod list;
 pub mod maxlive;
-pub mod modulo;
-pub mod resources;
 pub mod rotation;
 pub mod vliw;
 
 pub use list::{asap_schedule, list_schedule, StaticSchedule};
 pub use maxlive::{KernelSchedule, MaxliveReport};
-pub use modulo::{modulo_schedule, ModuloSchedule};
-pub use resources::{fu_kind, FuConfig, FuKind};
 pub use rotation::{rotation_schedule, RotationResult};
+
+use cred_dfg::{MachineModel, OpClass};
+
+/// Refuse a machine that sets a field these schedulers do not model:
+/// they cap units per class and read each node's own time.
+fn assert_units_only(m: &MachineModel, pass: &str) {
+    let latency = OpClass::ALL
+        .iter()
+        .any(|&c| m.latency_override(c).is_some());
+    assert!(
+        m.issue_width.is_none() && !latency,
+        "{pass} models unit counts only, not issue width or latency overrides (machine {})",
+        m.name
+    );
+}

@@ -5,8 +5,8 @@
 //! structure itself. The schedule length of the zero-retiming schedule
 //! equals the cycle period `Phi(G)` when resources are unlimited.
 
-use crate::resources::{fu_kind, FuConfig, FuKind, FU_KINDS};
-use cred_dfg::{algo, Dfg, NodeId};
+use crate::assert_units_only;
+use cred_dfg::{algo, Dfg, MachineModel, NodeId, OpClass, OP_CLASSES};
 
 /// A static schedule: a start control step per node. Node `v` occupies
 /// steps `start(v) .. start(v) + t(v)`.
@@ -51,11 +51,15 @@ impl StaticSchedule {
         rows
     }
 
-    /// Verify the schedule against `g` and `fu`: every zero-delay edge's
+    /// Verify the schedule against `g` and `m`: every zero-delay edge's
     /// consumer starts after its producer finishes, and no control step
-    /// oversubscribes a bounded FU kind (a node occupies its unit for
+    /// oversubscribes a bounded class (a node occupies its unit for
     /// `t(v)` consecutive steps).
-    pub fn verify(&self, g: &Dfg, fu: &FuConfig) -> Result<(), String> {
+    ///
+    /// # Panics
+    /// Panics if `m` sets an issue width or a latency override.
+    pub fn verify(&self, g: &Dfg, m: &MachineModel) -> Result<(), String> {
+        assert_units_only(m, "schedule verification");
         for e in g.edge_ids() {
             let ed = g.edge(e);
             if ed.delay == 0 {
@@ -70,28 +74,19 @@ impl StaticSchedule {
                 }
             }
         }
-        if !fu.is_unlimited() {
-            let len = self.length as usize;
-            let mut usage = vec![[0usize; FU_KINDS]; len];
-            for v in g.node_ids() {
-                let kind = fu_kind(g.node(v).op);
-                for s in self.start(v)..self.start(v) + g.node(v).time as u64 {
-                    usage[s as usize][kind.index()] += 1;
-                }
-            }
-            for (step, u) in usage.iter().enumerate() {
-                for (kind, limit) in [
-                    (FuKind::Alu, fu.units(FuKind::Alu)),
-                    (FuKind::Mul, fu.units(FuKind::Mul)),
-                ] {
-                    if let Some(limit) = limit {
-                        if u[kind.index()] > limit {
-                            return Err(format!(
-                                "step {step} uses {} {kind:?} units, limit {limit}",
-                                u[kind.index()]
-                            ));
-                        }
-                    }
+        let mut usage = vec![[0u64; OP_CLASSES]; self.length as usize];
+        for v in g.node_ids() {
+            let class = g.node(v).op.class();
+            let Some(limit) = m.units(class) else {
+                continue;
+            };
+            for step in self.start(v)..self.start(v) + g.node(v).time as u64 {
+                let used = &mut usage[step as usize][class.index()];
+                *used += 1;
+                if *used > limit as u64 {
+                    return Err(format!(
+                        "step {step} uses {used} {class} units, limit {limit}"
+                    ));
                 }
             }
         }
@@ -123,11 +118,14 @@ pub fn asap_schedule(g: &Dfg) -> StaticSchedule {
 ///
 /// Priority: the *height* of a node (longest zero-delay path from the node
 /// to any sink, inclusive) — critical-path-first. Units are non-pipelined:
-/// a node occupies one unit of its kind for `t(v)` consecutive steps.
-pub fn list_schedule(g: &Dfg, fu: &FuConfig) -> StaticSchedule {
-    if fu.is_unlimited() {
-        return asap_schedule(g);
-    }
+/// a node occupies one unit of its class for `t(v)` consecutive steps.
+/// A class without a cap never delays an op, so on a machine that caps
+/// nothing the result is the [`asap_schedule`].
+///
+/// # Panics
+/// Panics if `m` sets an issue width or a latency override.
+pub fn list_schedule(g: &Dfg, m: &MachineModel) -> StaticSchedule {
+    assert_units_only(m, "list scheduling");
     let order = algo::zero_delay_topo_order(g).expect("well-formed DFG");
     // Heights for priority.
     let mut height = vec![0u64; g.node_count()];
@@ -158,11 +156,17 @@ pub fn list_schedule(g: &Dfg, fu: &FuConfig) -> StaticSchedule {
     let mut starts = vec![u64::MAX; n];
     let mut scheduled = 0usize;
     let mut step: u64 = 0;
-    // busy_until[kind] tracks per-unit busy times for bounded kinds.
-    let mut units: [Vec<u64>; FU_KINDS] = [
-        vec![0u64; fu.units(FuKind::Alu).unwrap_or(0)],
-        vec![0u64; fu.units(FuKind::Mul).unwrap_or(0)],
-    ];
+    // units[class]: the step each unit of the class is busy until. No
+    // more units than the class has ops can ever be busy at once, so the
+    // table never grows with the machine's unit count.
+    let mut class_ops = [0usize; OP_CLASSES];
+    for v in g.node_ids() {
+        class_ops[g.node(v).op.class().index()] += 1;
+    }
+    let mut units: [Vec<u64>; OP_CLASSES] = OpClass::ALL.map(|c| {
+        let ops = class_ops[c.index()];
+        vec![0u64; m.units(c).map_or(ops, |u| ops.min(u as usize))]
+    });
     let mut length = 0u64;
     while scheduled < n {
         // Issue as many ready ops as resources allow at `step`,
@@ -175,9 +179,9 @@ pub fn list_schedule(g: &Dfg, fu: &FuConfig) -> StaticSchedule {
                 next_ready.push(v);
                 continue;
             }
-            let kind = fu_kind(g.node(v).op);
+            let class = g.node(v).op.class();
             let t = g.node(v).time as u64;
-            let slot = units[kind.index()].iter_mut().find(|busy| **busy <= step);
+            let slot = units[class.index()].iter_mut().find(|busy| **busy <= step);
             match slot {
                 Some(busy) => {
                     *busy = step + t;
@@ -211,6 +215,10 @@ pub fn list_schedule(g: &Dfg, fu: &FuConfig) -> StaticSchedule {
 mod tests {
     use super::*;
     use cred_dfg::{gen, DfgBuilder, OpKind};
+
+    fn units(alu: u32, mac: u32) -> MachineModel {
+        MachineModel::with_units(alu, mac)
+    }
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -227,7 +235,8 @@ mod tests {
             );
             let s = asap_schedule(&g);
             assert_eq!(Some(s.length()), algo::cycle_period(&g));
-            s.verify(&g, &FuConfig::unlimited()).unwrap();
+            s.verify(&g, &MachineModel::unconstrained()).unwrap();
+            assert_eq!(list_schedule(&g, &MachineModel::unconstrained()), s);
         }
     }
 
@@ -268,16 +277,16 @@ mod tests {
         let n: Vec<_> = (0..4).map(|i| b.unit(format!("a{i}"))).collect();
         b.edge(n[0], n[0], 1); // keep graph cyclic-free but add a delay edge
         let g = b.build().unwrap();
-        let s1 = list_schedule(&g, &FuConfig::with_units(1, 1));
+        let s1 = list_schedule(&g, &units(1, 1));
         assert_eq!(s1.length(), 4);
-        s1.verify(&g, &FuConfig::with_units(1, 1)).unwrap();
-        let s2 = list_schedule(&g, &FuConfig::with_units(2, 1));
+        s1.verify(&g, &units(1, 1)).unwrap();
+        let s2 = list_schedule(&g, &units(2, 1));
         assert_eq!(s2.length(), 2);
-        s2.verify(&g, &FuConfig::with_units(2, 1)).unwrap();
+        s2.verify(&g, &units(2, 1)).unwrap();
     }
 
     #[test]
-    fn mixed_fu_kinds_do_not_contend() {
+    fn mixed_classes_do_not_contend() {
         // 2 adds + 2 muls on a (1 ALU, 1 MUL) machine: 2 steps.
         let mut b = DfgBuilder::new();
         b.node("a0", 1, OpKind::Add(0));
@@ -286,7 +295,7 @@ mod tests {
         let m1 = b.node("m1", 1, OpKind::Mul(0));
         b.edge(m1, m1, 1);
         let g = b.build().unwrap();
-        let s = list_schedule(&g, &FuConfig::with_units(1, 1));
+        let s = list_schedule(&g, &units(1, 1));
         assert_eq!(s.length(), 2);
     }
 
@@ -298,9 +307,9 @@ mod tests {
         let m1 = b.node("m1", 3, OpKind::Mul(0));
         b.edge(m1, m1, 1);
         let g = b.build().unwrap();
-        let s = list_schedule(&g, &FuConfig::with_units(1, 1));
+        let s = list_schedule(&g, &units(1, 1));
         assert_eq!(s.length(), 6);
-        s.verify(&g, &FuConfig::with_units(1, 1)).unwrap();
+        s.verify(&g, &units(1, 1)).unwrap();
     }
 
     #[test]
@@ -316,17 +325,31 @@ mod tests {
                     ..Default::default()
                 },
             );
-            for fu in [
-                FuConfig::with_units(1, 1),
-                FuConfig::with_units(2, 1),
-                FuConfig::with_units(3, 2),
-            ] {
-                let s = list_schedule(&g, &fu);
-                s.verify(&g, &fu).expect("schedule must verify");
+            for m in [units(1, 1), units(2, 1), units(3, 2)] {
+                let s = list_schedule(&g, &m);
+                s.verify(&g, &m).expect("schedule must verify");
                 // Resource-constrained length is never shorter than ASAP.
                 assert!(s.length() >= asap_schedule(&g).length());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "issue width")]
+    fn issue_capped_machine_is_refused() {
+        // The builtin scalar core issues one op per cycle; list scheduling
+        // caps units only, so it must refuse the model, not ignore the cap.
+        let g = gen::chain_with_feedback(3, 1);
+        let _ = list_schedule(&g, &MachineModel::builtin("scalar").unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "latency overrides")]
+    fn latency_override_is_refused() {
+        let mut m = units(1, 1);
+        m.set_latency(OpClass::Mac, Some(2));
+        let g = gen::chain_with_feedback(3, 1);
+        let _ = list_schedule(&g, &m);
     }
 
     #[test]
@@ -340,9 +363,13 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let narrow = list_schedule(&g, &FuConfig::with_units(1, 1)).length();
-            let wide = list_schedule(&g, &FuConfig::with_units(4, 4)).length();
+            let narrow = list_schedule(&g, &units(1, 1)).length();
+            let wide = list_schedule(&g, &units(4, 4)).length();
             assert!(wide <= narrow);
+            // The busy table is sized by ops, not by the unit count, and
+            // never binds at the largest count a machine holds.
+            let huge = list_schedule(&g, &units(u32::MAX, u32::MAX));
+            assert_eq!(huge, asap_schedule(&g));
         }
     }
 }

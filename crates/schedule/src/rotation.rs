@@ -10,8 +10,7 @@
 //! produced by OPT.
 
 use crate::list::{list_schedule, StaticSchedule};
-use crate::resources::FuConfig;
-use cred_dfg::Dfg;
+use cred_dfg::{Dfg, MachineModel};
 use cred_retime::Retiming;
 
 /// Result of [`rotation_schedule`].
@@ -30,9 +29,13 @@ pub struct RotationResult {
 ///
 /// `rounds` is typically `|V| * Phi(G)`; rotation cycles through
 /// configurations, so more rounds only cost time.
-pub fn rotation_schedule(g: &Dfg, fu: &FuConfig, rounds: usize) -> RotationResult {
+///
+/// # Panics
+/// Panics if `m` sets an issue width or a latency override, like
+/// [`list_schedule`].
+pub fn rotation_schedule(g: &Dfg, m: &MachineModel, rounds: usize) -> RotationResult {
     let mut r = Retiming::zero(g.node_count());
-    let sched0 = list_schedule(g, fu);
+    let sched0 = list_schedule(g, m);
     let mut best = RotationResult {
         length: sched0.length(),
         schedule: sched0,
@@ -40,7 +43,7 @@ pub fn rotation_schedule(g: &Dfg, fu: &FuConfig, rounds: usize) -> RotationResul
     };
     let mut current = g.clone();
     for _ in 0..rounds {
-        let sched = list_schedule(&current, fu);
+        let sched = list_schedule(&current, m);
         // Rotate: push a delay through every first-row node.
         let first = sched.first_row();
         if first.len() == g.node_count() {
@@ -52,7 +55,7 @@ pub fn rotation_schedule(g: &Dfg, fu: &FuConfig, rounds: usize) -> RotationResul
         }
         debug_assert!(r.is_legal(g), "rotation must stay legal");
         current = r.apply(g);
-        let sched = list_schedule(&current, fu);
+        let sched = list_schedule(&current, m);
         if sched.length() < best.length {
             best = RotationResult {
                 length: sched.length(),
@@ -80,7 +83,7 @@ mod tests {
         b.edge(a, bb, 0);
         b.edge(bb, a, 2);
         let g = b.build().unwrap();
-        let res = rotation_schedule(&g, &FuConfig::unlimited(), 8);
+        let res = rotation_schedule(&g, &MachineModel::unconstrained(), 8);
         assert_eq!(res.length, 1);
         // The winning retiming is Figure 1's r(A)=1, r(B)=0 (normalized).
         assert_eq!(res.retiming.get(a), 1);
@@ -94,8 +97,8 @@ mod tests {
         for (k, d) in [(4usize, 4u32), (6, 2), (6, 3), (8, 4)] {
             let g = gen::chain_with_feedback(k, d);
             let opt = min_period_retiming(&g);
-            let init = list_schedule(&g, &FuConfig::unlimited()).length();
-            let rot = rotation_schedule(&g, &FuConfig::unlimited(), k * 8);
+            let init = list_schedule(&g, &MachineModel::unconstrained()).length();
+            let rot = rotation_schedule(&g, &MachineModel::unconstrained(), k * 8);
             assert!(rot.length >= opt.period, "chain ({k},{d})");
             assert!(rot.length <= init, "chain ({k},{d})");
         }
@@ -108,7 +111,7 @@ mod tests {
         let g = gen::chain_with_feedback(4, 4);
         let opt = min_period_retiming(&g);
         assert_eq!(opt.period, 1);
-        let rot = rotation_schedule(&g, &FuConfig::unlimited(), 32);
+        let rot = rotation_schedule(&g, &MachineModel::unconstrained(), 32);
         assert_eq!(rot.length, 1);
     }
 
@@ -124,13 +127,16 @@ mod tests {
                     ..Default::default()
                 },
             );
-            for fu in [FuConfig::unlimited(), FuConfig::with_units(2, 1)] {
-                let init = list_schedule(&g, &fu).length();
-                let rot = rotation_schedule(&g, &fu, 40);
+            for m in [
+                MachineModel::unconstrained(),
+                MachineModel::with_units(2, 1),
+            ] {
+                let init = list_schedule(&g, &m).length();
+                let rot = rotation_schedule(&g, &m, 40);
                 assert!(rot.length <= init);
                 // And the reported schedule verifies on the retimed graph.
                 let gr = rot.retiming.apply(&g);
-                rot.schedule.verify(&gr, &fu).unwrap();
+                rot.schedule.verify(&gr, &m).unwrap();
             }
         }
     }
@@ -138,7 +144,7 @@ mod tests {
     #[test]
     fn rotation_retiming_is_legal_and_normalized() {
         let g = gen::chain_with_feedback(5, 5);
-        let res = rotation_schedule(&g, &FuConfig::unlimited(), 30);
+        let res = rotation_schedule(&g, &MachineModel::unconstrained(), 30);
         assert!(res.retiming.is_legal(&g));
         assert!(res.retiming.is_normalized());
     }
@@ -148,7 +154,7 @@ mod tests {
         // 5-node chain, plenty of delays, but only 1 ALU: the body can never
         // go below 5 steps regardless of retiming.
         let g = gen::chain_with_feedback(5, 5);
-        let res = rotation_schedule(&g, &FuConfig::with_units(1, 1), 40);
+        let res = rotation_schedule(&g, &MachineModel::with_units(1, 1), 40);
         assert_eq!(res.length, 5);
     }
 
@@ -163,7 +169,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let res = rotation_schedule(&g, &FuConfig::unlimited(), 50);
+            let res = rotation_schedule(&g, &MachineModel::unconstrained(), 50);
             if let Some(b) = algo::iteration_bound(&g) {
                 assert!(cred_dfg::Ratio::integer(res.length as i64) >= b);
             }

@@ -9,9 +9,9 @@
 //! extra ALU operations (the per-register decrements are plain ALU ops with
 //! no data dependence on the kernel).
 
+use crate::assert_units_only;
 use crate::list::StaticSchedule;
-use crate::resources::{fu_kind, FuConfig, FuKind};
-use cred_dfg::Dfg;
+use cred_dfg::{Dfg, MachineModel, OpClass};
 
 /// Occupancy summary of a packed kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,10 +22,14 @@ pub struct VliwPacking {
     pub free_alu_slots: Option<u64>,
 }
 
-/// Analyze ALU slot occupancy of `sched` on machine `fu`.
-pub fn pack(g: &Dfg, sched: &StaticSchedule, fu: &FuConfig) -> VliwPacking {
+/// Analyze ALU slot occupancy of `sched` on machine `m`.
+///
+/// # Panics
+/// Panics if `m` sets an issue width or a latency override.
+pub fn pack(g: &Dfg, sched: &StaticSchedule, m: &MachineModel) -> VliwPacking {
+    assert_units_only(m, "VLIW packing");
     let words = sched.length();
-    let Some(width) = fu.units(FuKind::Alu) else {
+    let Some(width) = m.units(OpClass::Alu) else {
         return VliwPacking {
             words,
             free_alu_slots: None,
@@ -33,7 +37,7 @@ pub fn pack(g: &Dfg, sched: &StaticSchedule, fu: &FuConfig) -> VliwPacking {
     };
     let mut used = vec![0u64; words as usize];
     for v in g.node_ids() {
-        if fu_kind(g.node(v).op) == FuKind::Alu {
+        if g.node(v).op.class() == OpClass::Alu {
             for s in sched.start(v)..sched.start(v) + g.node(v).time as u64 {
                 used[s as usize] += 1;
             }
@@ -51,18 +55,14 @@ pub fn pack(g: &Dfg, sched: &StaticSchedule, fu: &FuConfig) -> VliwPacking {
 /// decrements are what could cost slots).
 ///
 /// Free slots absorb the extras; any overflow appends full-width words.
-pub fn length_with_extra_alu(g: &Dfg, sched: &StaticSchedule, fu: &FuConfig, extra: u64) -> u64 {
-    let p = pack(g, sched, fu);
-    match p.free_alu_slots {
-        None => p.words, // infinite width: extras are free
-        Some(free) => {
-            if extra <= free {
-                p.words
-            } else {
-                let width = fu.units(FuKind::Alu).expect("bounded") as u64;
-                p.words + (extra - free).div_ceil(width)
-            }
+pub fn length_with_extra_alu(g: &Dfg, sched: &StaticSchedule, m: &MachineModel, extra: u64) -> u64 {
+    let p = pack(g, sched, m);
+    match (p.free_alu_slots, m.units(OpClass::Alu)) {
+        (Some(free), Some(width)) if extra > free => {
+            p.words + (extra - free).div_ceil(width as u64)
         }
+        // Extras fit the free slots, or the width is infinite.
+        _ => p.words,
     }
 }
 
@@ -90,9 +90,9 @@ mod tests {
     #[test]
     fn counts_free_alu_slots() {
         let g = mul_heavy();
-        let fu = FuConfig::with_units(2, 2);
-        let s = list_schedule(&g, &fu);
-        let p = pack(&g, &s, &fu);
+        let m = MachineModel::with_units(2, 2);
+        let s = list_schedule(&g, &m);
+        let p = pack(&g, &s, &m);
         // One ALU op total; 2 ALU slots per word.
         assert_eq!(p.free_alu_slots, Some(p.words * 2 - 1));
     }
@@ -100,26 +100,26 @@ mod tests {
     #[test]
     fn extras_fit_in_free_slots() {
         let g = mul_heavy();
-        let fu = FuConfig::with_units(2, 2);
-        let s = list_schedule(&g, &fu);
+        let m = MachineModel::with_units(2, 2);
+        let s = list_schedule(&g, &m);
         let base = s.length();
         // Up to free-slot-count extras cost nothing.
-        let p = pack(&g, &s, &fu);
+        let p = pack(&g, &s, &m);
         let free = p.free_alu_slots.unwrap();
-        assert_eq!(length_with_extra_alu(&g, &s, &fu, free), base);
+        assert_eq!(length_with_extra_alu(&g, &s, &m, free), base);
         // One more overflows into a new word.
-        assert_eq!(length_with_extra_alu(&g, &s, &fu, free + 1), base + 1);
+        assert_eq!(length_with_extra_alu(&g, &s, &m, free + 1), base + 1);
         // A full extra word's worth: still one extra word.
-        assert_eq!(length_with_extra_alu(&g, &s, &fu, free + 2), base + 1);
-        assert_eq!(length_with_extra_alu(&g, &s, &fu, free + 3), base + 2);
+        assert_eq!(length_with_extra_alu(&g, &s, &m, free + 2), base + 1);
+        assert_eq!(length_with_extra_alu(&g, &s, &m, free + 3), base + 2);
     }
 
     #[test]
     fn unlimited_width_extras_are_free() {
         let g = mul_heavy();
-        let fu = FuConfig::unlimited();
-        let s = list_schedule(&g, &fu);
-        assert_eq!(length_with_extra_alu(&g, &s, &fu, 1000), s.length());
+        let m = MachineModel::unconstrained();
+        let s = list_schedule(&g, &m);
+        assert_eq!(length_with_extra_alu(&g, &s, &m, 1000), s.length());
     }
 
     #[test]
@@ -132,12 +132,12 @@ mod tests {
         }
         b.edge(n[3], n[0], 4);
         let g = b.build().unwrap();
-        let fu = FuConfig::with_units(1, 1);
-        let s = list_schedule(&g, &fu);
+        let m = MachineModel::with_units(1, 1);
+        let s = list_schedule(&g, &m);
         assert_eq!(s.length(), 4);
-        let p = pack(&g, &s, &fu);
+        let p = pack(&g, &s, &m);
         assert_eq!(p.free_alu_slots, Some(0));
-        assert_eq!(length_with_extra_alu(&g, &s, &fu, 3), 7);
+        assert_eq!(length_with_extra_alu(&g, &s, &m, 3), 7);
     }
 
     #[test]
@@ -146,9 +146,9 @@ mod tests {
         let a = b.node("a", 3, OpKind::Add(0));
         b.edge(a, a, 1);
         let g = b.build().unwrap();
-        let fu = FuConfig::with_units(1, 1);
-        let s = list_schedule(&g, &fu);
-        let p = pack(&g, &s, &fu);
+        let m = MachineModel::with_units(1, 1);
+        let s = list_schedule(&g, &m);
+        let p = pack(&g, &s, &m);
         assert_eq!(p.words, 3);
         assert_eq!(p.free_alu_slots, Some(0));
     }

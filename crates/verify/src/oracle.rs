@@ -321,7 +321,7 @@ fn check_exact(
     // overrides only change the op times). Below the bound the period
     // constraints alone must have rejected every rung the screens passed,
     // so no rung there may rest on an exhausted search.
-    let bound = m.retiming_bound(g);
+    let bound = cred_exact::retiming_bound(g, m);
     let caps_nothing =
         m.issue_width.is_none() && cred_dfg::OpClass::ALL.iter().all(|&c| m.units(c).is_none());
     if sched.ii < bound {

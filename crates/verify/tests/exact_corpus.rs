@@ -10,7 +10,7 @@
 //! stream). They pin the period-cycle certificates below the retiming
 //! bound and the seeded, forward-checked search at and above it.
 
-use cred_exact::{check, exact_schedule, Infeasible, MachineModel};
+use cred_exact::{check, exact_schedule, retiming_bound, Infeasible, MachineModel};
 use cred_retime::min_period_retiming;
 use cred_verify::corpus;
 use std::path::Path;
@@ -77,7 +77,7 @@ fn machine_corpus_replays_with_recorded_ii_and_witness() {
         check::check_schedule(&case.graph, &case.machine, &sched)
             .unwrap_or_else(|e| panic!("{stem}: {e}"));
         assert_eq!(sched.rejected.len() as u64, sched.ii - 1, "{stem}");
-        let bound = case.machine.retiming_bound(&case.graph);
+        let bound = retiming_bound(&case.graph, &case.machine);
         for rung in &sched.rejected {
             check::check_witness(&case.graph, &case.machine, rung)
                 .unwrap_or_else(|e| panic!("{stem} II {}: {e}", rung.ii));

@@ -12,12 +12,13 @@
 //! of the packed kernel, so the code-size reduction is performance-free.
 
 use cred::codegen::cred::cred_pipelined;
+use cred::dfg::MachineModel;
 use cred::schedule::vliw::{length_with_extra_alu, pack};
-use cred::schedule::{list_schedule, rotation_schedule, FuConfig};
+use cred::schedule::{list_schedule, rotation_schedule};
 use cred::vm::check_against_reference;
 
 fn main() {
-    let machine = FuConfig::with_units(2, 2);
+    let machine = MachineModel::with_units(2, 2);
     println!("machine: 2 ALUs + 2 multipliers\n");
     println!(
         "{:<24} {:>8} {:>8} {:>6} {:>10} {:>12}",

@@ -8,6 +8,8 @@
 //!   minimization),
 //! * [`unfold`] — unfolding and retime/unfold ordering pipelines,
 //! * [`schedule`] — static, rotation, and VLIW scheduling,
+//! * [`exact`] — exact resource-constrained modulo scheduling, the one
+//!   modulo scheduler; every scheduler shares [`dfg::MachineModel`],
 //! * [`codegen`] — loop IR, software-pipelined/unfolded code generation and
 //!   the CRED conditional-register transformation,
 //! * [`vm`] — executable semantics and equivalence checking,
@@ -19,6 +21,7 @@
 pub use cred_codegen as codegen;
 pub use cred_core as core;
 pub use cred_dfg as dfg;
+pub use cred_exact as exact;
 pub use cred_explore as explore;
 pub use cred_kernels as kernels;
 pub use cred_retime as retime;

@@ -173,9 +173,10 @@ fn hand_retimings_also_verify() {
     // Not just OPT retimings: any legal normalized retiming must produce
     // correct programs. Use rotation-scheduling retimings as a second
     // source.
-    use cred::schedule::{rotation_schedule, FuConfig};
+    use cred::dfg::MachineModel;
+    use cred::schedule::rotation_schedule;
     for g in sample_graphs(11, 5, 6) {
-        let rot = rotation_schedule(&g, &FuConfig::with_units(2, 1), 25);
+        let rot = rotation_schedule(&g, &MachineModel::with_units(2, 1), 25);
         let r = rot.retiming;
         for &n in &[1u64, 5, 23] {
             check_against_reference(&g, &pipelined_program(&g, &r, n)).unwrap();

@@ -1,25 +1,35 @@
 //! End-to-end: modulo scheduling (the TI-style software-pipelining flow of
 //! the paper's reference \[4\]) feeds CRED exactly like OPT retiming does —
-//! the stage retiming is legal, the CRED kernel verifies, and the code
-//! size is `L + 2 * P`.
+//! the stage retiming of an exact modulo schedule is legal, the CRED
+//! kernel verifies, and the code size is `L + 2 * P`.
 
 use cred::codegen::cred::{cred_pipelined, cred_retime_unfold};
 use cred::codegen::DecMode;
-use cred::dfg::gen;
+use cred::dfg::{gen, Dfg, MachineModel};
+use cred::exact::{check, exact_schedule, retiming_bound, ExactSchedule};
 use cred::kernels::all_benchmarks;
-use cred::schedule::modulo::{mii, modulo_schedule, stage_retiming};
-use cred::schedule::FuConfig;
 use cred::vm::check_against_reference;
 use rand::{rngs::StdRng, SeedableRng};
 
+/// The exact schedule of `g` on `m`, independently checked: the schedule
+/// is legal, and every smaller II is refuted by a valid witness.
+fn checked_schedule(name: &str, g: &Dfg, m: &MachineModel) -> ExactSchedule {
+    let s = exact_schedule(g, m);
+    check::check_schedule(g, m, &s).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(s.rejected.len() as u64, s.ii - 1, "{name}: II ladder");
+    for rung in &s.rejected {
+        check::check_witness(g, m, rung).unwrap_or_else(|e| panic!("{name} II {}: {e}", rung.ii));
+    }
+    s
+}
+
 #[test]
 fn modulo_stage_retiming_feeds_cred_on_benchmarks() {
-    let fu = FuConfig::with_units(4, 2);
+    let m = MachineModel::with_units(4, 2);
     for (name, g) in all_benchmarks() {
-        let s = modulo_schedule(&g, &fu, 64).unwrap_or_else(|| panic!("{name}: unschedulable"));
-        s.verify(&g, &fu).unwrap();
-        assert!(s.ii >= mii(&g, &fu), "{name}");
-        let r = stage_retiming(&g, &s);
+        let s = checked_schedule(name, &g, &m);
+        assert!(s.ii >= retiming_bound(&g, &m), "{name}");
+        let r = s.stage_retiming();
         assert!(r.is_legal(&g), "{name}");
         let prog = cred_pipelined(&g, &r, 101);
         assert_eq!(
@@ -33,10 +43,9 @@ fn modulo_stage_retiming_feeds_cred_on_benchmarks() {
 
 #[test]
 fn modulo_cred_with_unfolding() {
-    let fu = FuConfig::with_units(4, 2);
+    let m = MachineModel::with_units(4, 2);
     for (name, g) in all_benchmarks().into_iter().take(3) {
-        let s = modulo_schedule(&g, &fu, 64).unwrap();
-        let r = stage_retiming(&g, &s);
+        let r = checked_schedule(name, &g, &m).stage_retiming();
         for f in [2usize, 3] {
             for mode in [DecMode::Bulk, DecMode::PerCopy] {
                 let prog = cred_retime_unfold(&g, &r, f, 50, mode);
@@ -50,9 +59,8 @@ fn modulo_cred_with_unfolding() {
 #[test]
 fn modulo_cred_on_random_graphs() {
     let mut rng = StdRng::seed_from_u64(2112);
-    let fu = FuConfig::with_units(2, 1);
-    let mut covered = 0;
-    for _ in 0..25 {
+    let m = MachineModel::with_units(2, 1);
+    for i in 0..25 {
         let g = gen::random_dfg(
             &mut rng,
             &gen::RandomDfgConfig {
@@ -62,35 +70,28 @@ fn modulo_cred_on_random_graphs() {
                 ..Default::default()
             },
         );
-        let Some(s) = modulo_schedule(&g, &fu, 64) else {
-            continue;
-        };
-        let r = stage_retiming(&g, &s);
+        // The exact scheduler's II ladder always ends, so every graph is
+        // covered.
+        let r = checked_schedule(&format!("graph {i}"), &g, &m).stage_retiming();
         let prog = cred_pipelined(&g, &r, 33);
         check_against_reference(&g, &prog).unwrap();
-        covered += 1;
     }
-    assert!(covered >= 15, "scheduler should handle most random graphs");
 }
 
 #[test]
 fn modulo_ii_comparable_to_retiming_period() {
-    // With ample resources, the modulo II should be close to the OPT
-    // retiming period (both are bounded below by ceil(B)).
-    let fu = FuConfig::with_units(8, 8);
+    // With 8 units per class the resources never bind on these kernels,
+    // so the minimal II is the retiming bound, which without latency
+    // overrides is the OPT retiming period.
+    let m = MachineModel::with_units(8, 8);
     for (name, g) in all_benchmarks() {
-        let s = modulo_schedule(&g, &fu, 64).unwrap();
+        let s = checked_schedule(name, &g, &m);
         let opt = cred::retime::min_period_retiming(&g);
-        let rec = cred::schedule::modulo::rec_mii(&g);
-        assert!(s.ii >= rec, "{name}");
-        // Modulo scheduling may beat the *integer-period* retiming when
-        // the bound is fractional, but never by more than a factor of 2
-        // on these kernels; and it is never worse than 2x OPT.
-        assert!(
-            s.ii <= opt.period * 2,
+        assert_eq!(retiming_bound(&g, &m), opt.period, "{name}");
+        assert_eq!(
+            s.ii, opt.period,
             "{name}: II {} vs period {}",
-            s.ii,
-            opt.period
+            s.ii, opt.period
         );
     }
 }
