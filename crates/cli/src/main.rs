@@ -13,11 +13,12 @@
 //! ```
 //!
 //! Options for `reduce`:
-//!   --n N           trip count (default 101)
-//!   --unfold F      unfolding factor (default 1)
+//!   --n N           trip count (default 101, at most 2^20)
+//!   --unfold F      unfolding factor (default 1, at most 65536)
 //!   --mode M        percopy | bulk (default bulk)
 //!   --print         print the generated programs
 //! Options for `explore` (a directory sweeps every `*.loop` inside it):
+//!   --n N           trip count (default 101, at most 2^40)
 //!   --budget L      code-size budget (instructions)
 //!   --registers P   conditional-register budget
 //!   --max-registers R  total-register cap (conditional + maxlive) for
@@ -25,7 +26,7 @@
 //!                   excluded from the non-dominated set
 //!   --frontier      also print the four-axis non-dominated frontier
 //!                   (code size, period, conditional registers, maxlive)
-//!   --max-unfold F  largest factor to consider (default 4)
+//!   --max-unfold F  largest factor to consider (default 4, at most 16)
 //!   --parallel T    worker threads for the memoized sweep (default 1)
 //!   --json          emit the machine-readable suite report instead of tables
 //!   --deadline-ms D wall-clock budget for the sweep's solves; on
@@ -86,7 +87,7 @@ use cred_codegen::pretty::render;
 use cred_codegen::DecMode;
 use cred_core::{CodeSizeReducer, ReducerConfig};
 use cred_dfg::{algo, Dfg, MachineModel};
-use cred_explore::ExploreRequest;
+use cred_explore::{ExploreRequest, MAX_MAX_F, MAX_N};
 use cred_schedule::{list_schedule, rotation_schedule};
 use cred_service::{ClientConfig, ResilientClient, Server, ServiceConfig};
 use std::process::ExitCode;
@@ -96,6 +97,13 @@ use std::time::Duration;
 /// road there" (degraded sweep under `--strict`). Distinct from plain
 /// failure so scripts can tell the two apart.
 const EXIT_DEGRADED: u8 = 2;
+
+/// Largest `reduce --unfold`. `reduce` generates and VM-verifies the
+/// unfolded programs, whose size grows with the factor.
+const MAX_REDUCE_F: u64 = 1 << 16;
+
+/// Largest `reduce --n`. The VM holds every element of every array.
+const MAX_REDUCE_N: u64 = 1 << 20;
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("credc: {msg}");
@@ -190,13 +198,14 @@ fn cmd_analyze(g: &Dfg) -> Result<(), String> {
 
 fn cmd_reduce(g: Dfg, args: &Args) -> Result<(), String> {
     let n = args.get_u64("n", 101)?;
-    if n > (1 << 40) {
-        return Err("--n too large (max 2^40 iterations)".into());
+    if n > MAX_REDUCE_N {
+        return Err(format!("--n must be at most {MAX_REDUCE_N}"));
     }
-    let f = args.get_u64("unfold", 1)? as usize;
-    if f < 1 {
-        return Err("--unfold must be at least 1".into());
+    let f = args.get_u64("unfold", 1)?;
+    if !(1..=MAX_REDUCE_F).contains(&f) {
+        return Err(format!("--unfold must be between 1 and {MAX_REDUCE_F}"));
     }
+    let f = f as usize;
     let mode = match args.get("mode").unwrap_or("bulk") {
         "bulk" => DecMode::Bulk,
         "percopy" => DecMode::PerCopy,
@@ -226,12 +235,19 @@ fn cmd_reduce(g: Dfg, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `explore`'s `(n, max_f, threads)`, range-checked before any sweep:
+/// the `--budget` and `--registers` searches do not go through
+/// [`ExploreRequest`]'s own checks.
 fn explore_params(args: &Args) -> Result<(u64, usize, usize), String> {
     let n = args.get_u64("n", 101)?;
-    let max_f = args.get_u64("max-unfold", 4)? as usize;
-    if max_f < 1 {
-        return Err("--max-unfold must be at least 1".into());
+    if n > MAX_N {
+        return Err(format!("--n must be at most {MAX_N}"));
     }
+    let max_f = args.get_u64("max-unfold", 4)?;
+    if !(1..=MAX_MAX_F as u64).contains(&max_f) {
+        return Err(format!("--max-unfold must be between 1 and {MAX_MAX_F}"));
+    }
+    let max_f = max_f as usize;
     let threads = args.get_u64("parallel", 1)? as usize;
     if threads < 1 {
         return Err("--parallel must be at least 1".into());

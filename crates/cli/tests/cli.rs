@@ -184,6 +184,69 @@ fn bad_flag_combinations_fail_with_typed_errors() {
             &format!("{flag} must be between 1 and 4294967295"),
         );
     }
+    // Factors and trip counts past what the command can run are typed
+    // errors, not a capacity-overflow panic, an allocation sized by the
+    // flag, an unbounded sweep, or a wrapped code size.
+    let iir = format!("{root}/kernels/iir.loop");
+    for (args, needle) in [
+        (
+            &["explore", &iir, "--max-unfold", "18446744073709551615"][..],
+            "--max-unfold must be between 1 and 16",
+        ),
+        (
+            &["explore", &iir, "--max-unfold", "17"],
+            "--max-unfold must be between 1 and 16",
+        ),
+        (
+            &[
+                "explore",
+                &iir,
+                "--registers",
+                "2",
+                "--max-unfold",
+                "1000000",
+            ],
+            "--max-unfold must be between 1 and 16",
+        ),
+        (
+            &["explore", &kernels_dir, "--max-unfold", "17"],
+            "--max-unfold must be between 1 and 16",
+        ),
+        (
+            &["explore", &iir, "--n", "18446744073709551615"],
+            "--n must be at most 1099511627776",
+        ),
+        (
+            &["explore", &iir, "--n", "1099511627777"],
+            "--n must be at most 1099511627776",
+        ),
+        (
+            &["reduce", &iir, "--unfold", "18446744073709551615"],
+            "--unfold must be between 1 and 65536",
+        ),
+        (
+            &["reduce", &iir, "--unfold", "4294967296"],
+            "--unfold must be between 1 and 65536",
+        ),
+        (
+            &["reduce", &iir, "--unfold", "65537"],
+            "--unfold must be between 1 and 65536",
+        ),
+        (
+            &["reduce", &iir, "--unfold", "0"],
+            "--unfold must be between 1 and 65536",
+        ),
+        (
+            &["reduce", &iir, "--n", "1099511627776"],
+            "--n must be at most 1048576",
+        ),
+        (
+            &["reduce", &iir, "--n", "1048577"],
+            "--n must be at most 1048576",
+        ),
+    ] {
+        assert_clean_failure(&run(args), needle);
+    }
 }
 
 #[test]

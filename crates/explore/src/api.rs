@@ -83,16 +83,27 @@ impl ObjectiveWeights {
     }
 }
 
+/// Largest unfolding factor `max_f` an [`ExploreRequest`] accepts. Each
+/// factor costs more than the last to plan; 16 is far beyond the paper's
+/// design space.
+pub const MAX_MAX_F: usize = 16;
+
+/// Largest trip count `n` an [`ExploreRequest`] accepts (2^40), far past
+/// any real loop; near `u64::MAX` the plain code size formula wraps.
+pub const MAX_N: u64 = 1 << 40;
+
 /// The sweep parameters of an [`ExploreRequest`]: everything that shapes
 /// *what* is computed (and therefore everything a cache or coalescing key
 /// must include), as opposed to the resource limits, which only shape how
 /// long the computation may run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreOptions {
-    /// Largest unfolding factor to evaluate (`1..=max_f`).
+    /// Largest unfolding factor to evaluate (`1..=max_f`), at most
+    /// [`MAX_MAX_F`].
     pub max_f: usize,
     /// Trip count `n` the code sizes are computed for (it sets the
-    /// remainder and degenerate-window terms of the plain size).
+    /// remainder and degenerate-window terms of the plain size), at most
+    /// [`MAX_N`].
     pub n: u64,
     /// Decrement placement mode for the CRED transformation.
     pub mode: DecMode,
@@ -322,7 +333,8 @@ impl ExploreRequest {
     /// Failure modes:
     ///
     /// * `Err(`[`CredError::Protocol`]`)` — unevaluable options
-    ///   (`max_f == 0` or `threads == 0`);
+    ///   (`max_f` outside `1..=`[`MAX_MAX_F`], `n` above [`MAX_N`], or
+    ///   `threads == 0`);
     /// * `Err(`[`CredError::BudgetExhausted`]`)` — the budget was gone
     ///   before *any* point was produced (all-or-nothing; a partially
     ///   truncated sweep still returns `Ok` with the surviving points and
@@ -332,8 +344,13 @@ impl ExploreRequest {
     ///   [`ExploreResponse::strict_violation`] when strictness was
     ///   requested).
     pub fn run_with(&self, cache: &SweepCache) -> Result<ExploreResponse, CredError> {
-        if self.opts.max_f < 1 {
-            return Err(CredError::Protocol("max_f must be at least 1".into()));
+        if !(1..=MAX_MAX_F).contains(&self.opts.max_f) {
+            return Err(CredError::Protocol(format!(
+                "max_f must be in 1..={MAX_MAX_F}"
+            )));
+        }
+        if self.opts.n > MAX_N {
+            return Err(CredError::Protocol(format!("n must be at most {MAX_N}")));
         }
         if self.opts.threads < 1 {
             return Err(CredError::Protocol("threads must be at least 1".into()));
@@ -751,10 +768,31 @@ mod tests {
 
     #[test]
     fn invalid_options_are_protocol_errors() {
-        let err = ExploreRequest::new(sample()).max_f(0).run().unwrap_err();
-        assert_eq!(err.code(), "protocol");
-        let err = ExploreRequest::new(sample()).threads(0).run().unwrap_err();
-        assert_eq!(err.code(), "protocol");
+        for req in [
+            ExploreRequest::new(sample()).max_f(0),
+            ExploreRequest::new(sample()).max_f(MAX_MAX_F + 1),
+            ExploreRequest::new(sample()).trip_count(MAX_N + 1),
+            ExploreRequest::new(sample()).threads(0),
+        ] {
+            assert_eq!(
+                req.run().unwrap_err().code(),
+                "protocol",
+                "{:?}",
+                req.opts()
+            );
+        }
+        // The bounds themselves, and a zero trip count, are evaluable.
+        let resp = ExploreRequest::new(sample())
+            .max_f(1)
+            .trip_count(MAX_N)
+            .run()
+            .unwrap();
+        assert_eq!(resp.points.len(), 1);
+        ExploreRequest::new(sample())
+            .max_f(1)
+            .trip_count(0)
+            .run()
+            .unwrap();
     }
 
     #[test]

@@ -85,6 +85,11 @@ pub fn load_kernels(dir: &Path) -> io::Result<Vec<(String, Dfg)>> {
 
 /// Sweep every kernel through one [`ExploreRequest`] per kernel, sharing
 /// one cache across the whole suite.
+///
+/// # Panics
+/// Panics if the request refuses the options: `max_f` outside
+/// `1..=`[`MAX_MAX_F`](crate::MAX_MAX_F), `n` above
+/// [`MAX_N`](crate::MAX_N), or `threads == 0`.
 pub fn explore_suite(
     kernels: &[(String, Dfg)],
     max_f: usize,
@@ -106,7 +111,7 @@ pub fn explore_suite(
             let resp = ExploreRequest::new(g.clone())
                 .options(opts.clone())
                 .run_with(&cache)
-                .expect("an unlimited-budget suite sweep cannot exhaust");
+                .expect("an unlimited budget cannot exhaust, so only out-of-range options fail");
             KernelReport {
                 name: name.clone(),
                 nodes: g.node_count(),

@@ -109,7 +109,8 @@ use cred_exact::MachineModel;
 use cred_explore::cache::SweepCache;
 use cred_explore::suite::{load_kernels, SCHEMA_VERSION};
 use cred_explore::{
-    exact_json, point_json, CacheStats, CredError, ExploreRequest, ExploreResponse,
+    exact_json, point_json, CacheStats, CredError, ExploreRequest, ExploreResponse, MAX_MAX_F,
+    MAX_N,
 };
 use cred_resilience::{CancelToken, DegradeCause, Exhausted};
 
@@ -122,13 +123,6 @@ use crate::timer::TimerWheel;
 /// Hard cap on one request line. Sources are small; anything beyond this
 /// is rejected as a protocol error and the connection closed.
 const MAX_LINE_BYTES: usize = 1 << 20;
-
-/// Largest accepted `max_f` (the sweep is exponential in `f`; 16 is far
-/// beyond the paper's design space).
-const MAX_MAX_F: usize = 16;
-
-/// Largest accepted trip count.
-const MAX_N: u64 = 1 << 40;
 
 /// Largest accepted `debug_delay_ms` (a test hook must not wedge a
 /// worker for long).

@@ -39,22 +39,27 @@ use cred_core::theorems;
 use cred_exact::{check as exact_check, exact_schedule_budgeted};
 use cred_explore::cache::compute_plan;
 use cred_resilience::Budget;
-use cred_retime::min_period_retiming;
+use cred_retime::{min_period_retiming, Retiming};
 use cred_schedule::KernelSchedule;
 use cred_unfold::unfold;
-use cred_vm::{execute, execute_tape, trace_loop, value_diff, DiffReport};
+use cred_vm::{compile, execute, execute_tape, trace_loop, value_diff, DiffReport};
 use std::fmt;
 
 /// Which `cred-vm` executor the oracle's execution layer runs.
 ///
 /// [`Executor::Tape`] (the default) compiles each program once into a
 /// flat instruction tape and runs that, with the runtime discipline
-/// checks proved away at compile time. [`Executor::Tree`] is the
-/// original tree-walking interpreter, kept as the reference semantics;
-/// the two are held equivalent by `cred_vm::cross_check_executors` and
-/// the differential proptests, so running the oracle under `Tree`
-/// (`credc verify --executor tree`) is a cross-check of the tape
-/// compiler itself, not a different oracle.
+/// checks proved away at compile time. Every generated program must
+/// compile: one whose tape would fall back to the tree-walker
+/// (`Tape::preverified` false) fails the static layer, so a generator
+/// change that knocks programs off the compiled path fails the fuzz
+/// suite instead of quietly slowing it down. A mutated program may fall
+/// back; its faults then come from the tree-walker.
+/// [`Executor::Tree`] is the tree-walking interpreter, kept as the
+/// reference semantics; the two are held equivalent by
+/// `cred_vm::cross_check_executors` and the differential proptests, so
+/// running the oracle under `Tree` (`credc verify --executor tree`) is a
+/// cross-check of the tape compiler itself, not a different oracle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Executor {
     /// Compile to a flat tape, then execute (default).
@@ -145,9 +150,15 @@ fn computes(insts: &[Inst]) -> u64 {
         .count() as u64
 }
 
-/// All programs the case's transformation order produces, paired with
-/// their closed-form expectations, plus the achieved period.
-fn programs_for(case: &Case) -> (Vec<(LoopProgram, ExpectedCounts)>, u64) {
+/// Generated programs with their closed-form expectations, the achieved
+/// period, and the retime-unfold plan's projected retiming (`None` for
+/// an unfold-retime case).
+type CasePrograms = (Vec<(LoopProgram, ExpectedCounts)>, u64, Option<Retiming>);
+
+/// All programs the case's transformation order produces. The maxlive
+/// and theorem layers check the returned plan retiming instead of
+/// planning the case again.
+fn programs_for(case: &Case) -> CasePrograms {
     let g = &case.graph;
     let (n, f) = (case.n, case.f);
     let mut out = vec![(original_program(g, n), ExpectedCounts::original(g, n))];
@@ -178,7 +189,7 @@ fn programs_for(case: &Case) -> (Vec<(LoopProgram, ExpectedCounts)>, u64) {
                     ExpectedCounts::cred_pipelined(g, r, n),
                 ));
             }
-            (out, plan.period)
+            (out, plan.period, Some(plan.projected))
         }
         TransformOrder::UnfoldRetime => {
             let u = unfold(g, f);
@@ -192,7 +203,7 @@ fn programs_for(case: &Case) -> (Vec<(LoopProgram, ExpectedCounts)>, u64) {
                 cred_unfold_retime(g, &u, r_f, n),
                 ExpectedCounts::cred_unfold_retime(g, &u, r_f, n),
             ));
-            (out, opt.period)
+            (out, opt.period, None)
         }
     }
 }
@@ -219,12 +230,26 @@ fn verify_program(
             .map_err(|e| fail(FailureKind::Static, e))?;
     }
     // Layer 2: strict execution + full value diff against the case's
-    // (precomputed) reference recurrence, on the selected executor.
+    // (precomputed) reference recurrence, on the selected executor. A
+    // generated program must take the compiled tape path.
+    let exec_fail = |e| fail(FailureKind::Values, DiffReport::Exec(e).to_string());
     let res = match executor {
+        Executor::Tape if !mutated => {
+            let tape = compile(p).map_err(exec_fail)?;
+            if !tape.preverified() {
+                return Err(fail(
+                    FailureKind::Static,
+                    "generated program did not compile to a tape (it would run on the \
+                     tree-walker)"
+                        .into(),
+                ));
+            }
+            tape.execute()
+        }
         Executor::Tape => execute_tape(p),
         Executor::Tree => execute(p),
     }
-    .map_err(|e| fail(FailureKind::Values, DiffReport::Exec(e).to_string()))?;
+    .map_err(exec_fail)?;
     let cells = value_diff(&case.graph, p.n as usize, &res.arrays, reference);
     if !cells.is_empty() {
         return Err(fail(
@@ -368,6 +393,7 @@ fn check_exact(
 /// schedule when one exists.
 fn check_maxlive(
     case: &Case,
+    plan: Option<&Retiming>,
     exact: Option<&cred_exact::ExactSchedule>,
 ) -> Result<(), VerifyFailure> {
     let g = &case.graph;
@@ -376,9 +402,8 @@ fn check_maxlive(
         kind: FailureKind::Maxlive,
         detail,
     };
-    if case.order == TransformOrder::RetimeUnfold {
-        let r = compute_plan(g, case.f).projected;
-        let k = KernelSchedule::sequential(g, &r, case.f);
+    if let Some(r) = plan {
+        let k = KernelSchedule::sequential(g, r, case.f);
         let closed = k.maxlive().maxlive;
         let replayed = k.replay_maxlive();
         if closed != replayed {
@@ -402,7 +427,9 @@ fn check_maxlive(
     Ok(())
 }
 
-fn check_theorems(case: &Case) -> Result<(), VerifyFailure> {
+/// The paper's theorem checkers; `plan` is the retime-unfold plan's
+/// retiming, `Some` exactly for a retime-unfold case.
+fn check_theorems(case: &Case, plan: Option<&Retiming>) -> Result<(), VerifyFailure> {
     let g = &case.graph;
     let (n, f) = (case.n, case.f);
     let fail = |detail: String| VerifyFailure {
@@ -410,17 +437,16 @@ fn check_theorems(case: &Case) -> Result<(), VerifyFailure> {
         kind: FailureKind::Theorem,
         detail,
     };
-    match case.order {
-        TransformOrder::RetimeUnfold => {
-            let r = compute_plan(g, f).projected;
-            theorems::theorem_4_1(g, &r, n).map_err(&fail)?;
-            theorems::theorem_4_2(g, &r, n).map_err(&fail)?;
-            theorems::theorem_4_3(g, &r, n).map_err(&fail)?;
+    match plan {
+        Some(r) => {
+            theorems::theorem_4_1(g, r, n).map_err(&fail)?;
+            theorems::theorem_4_2(g, r, n).map_err(&fail)?;
+            theorems::theorem_4_3(g, r, n).map_err(&fail)?;
             theorems::theorem_4_5(g, f, n).map_err(&fail)?;
-            theorems::theorem_4_6(g, &r, f, n).map_err(&fail)?;
-            theorems::theorem_4_7(g, &r, f, n).map_err(&fail)?;
+            theorems::theorem_4_6(g, r, f, n).map_err(&fail)?;
+            theorems::theorem_4_7(g, r, f, n).map_err(&fail)?;
         }
-        TransformOrder::UnfoldRetime => {
+        None => {
             theorems::theorem_4_4(g, f, n).map_err(&fail)?;
             theorems::theorem_4_5(g, f, n).map_err(&fail)?;
         }
@@ -462,7 +488,7 @@ fn verify_case_with(
     mutate: Option<&dyn Fn(&mut LoopProgram)>,
     executor: Executor,
 ) -> Result<CaseReport, VerifyFailure> {
-    let (mut programs, period) = programs_for(case);
+    let (mut programs, period, plan) = programs_for(case);
     if let Some(m) = mutate {
         for (p, _) in &mut programs {
             m(p);
@@ -488,8 +514,8 @@ fn verify_case_with(
     let exact_ii = if mutate.is_none() {
         let (sched, exact_report) = check_exact(case, &reference, executor)?;
         reports.push(exact_report);
-        check_maxlive(case, Some(&sched))?;
-        check_theorems(case)?;
+        check_maxlive(case, plan.as_ref(), Some(&sched))?;
+        check_theorems(case, plan.as_ref())?;
         sched.ii
     } else {
         0
@@ -595,6 +621,26 @@ mod tests {
                 assert_eq!(rep.exact_ii, min_period_retiming(&case.graph).period);
             }
         }
+    }
+
+    #[test]
+    fn generated_program_off_the_compiled_tape_fails_static() {
+        // The original program with its loop body reversed passes the
+        // static counts, but the discipline proof rejects it (reads come
+        // before their writes), so its tape would run on the tree-walker.
+        let case = chain_case(TransformOrder::RetimeUnfold);
+        let g = &case.graph;
+        let mut p = original_program(g, case.n);
+        p.body.as_mut().unwrap().body.reverse();
+        let expect = ExpectedCounts::original(g, case.n);
+        let reference = g.reference_execution(case.n as usize);
+        let run =
+            |executor| verify_program(&case, &p, &expect, &reference, executor, false).unwrap_err();
+        let tape = run(Executor::Tape);
+        assert_eq!(tape.kind, FailureKind::Static, "{tape}");
+        assert_eq!(tape.program, "original", "{tape}");
+        let tree = run(Executor::Tree);
+        assert_eq!(tree.kind, FailureKind::Values, "{tree}");
     }
 
     #[test]

@@ -15,37 +15,39 @@
 //!   `(base, scale, offset)` triple over one flat value buffer, where
 //!   `base` is the array's precomputed dense range and the element index
 //!   is `scale * i + offset` (straight-line indices fold to constants);
-//! * **guard predicates** — the register bookkeeping (`setup`, `dec`,
-//!   auto-decrement) is simulated at compile time and each guarded loop
-//!   instruction gets its enabled iterations: one **window** `t0..=t1`
-//!   when every register falls by a constant per iteration (every
-//!   generated program), else a **predicate bitset** with one bit per
-//!   iteration. `setup`/`dec` instructions vanish from the tape entirely.
-//!   A register fault (a guard or decrement over a never-`setup`
-//!   register) is detected during the simulation and recorded as a
-//!   pending [`ExecError`] at its exact position, so the executor still
-//!   faults at the same instruction instance the tree-walker would;
+//! * **guard windows** — the register bookkeeping (`setup`, `dec`,
+//!   auto-decrement) is evaluated at compile time. When every register
+//!   the loop reads is set up before the loop and falls by a constant per
+//!   iteration (every generated program), each guarded loop instruction
+//!   is enabled on exactly one **window** `t0..=t1` of iteration indices,
+//!   solved in closed form. `setup`/`dec` instructions vanish from the
+//!   tape entirely;
 //! * **chunk boundaries** — prologue, kernel, and epilogue are ranges
 //!   into one flat instruction vector, with the loop's trip count and
 //!   the dynamic execute/nullify totals precomputed.
 //!
-//! [`Tape::execute`] is then a branch-light loop: per instance, two
-//! multiply-adds for the indices, a window compare or bitset probe for
-//! the guard, and the same strict memory discipline as the tree-walker
-//! (single write per element, no use-before-def, range checks) over a
-//! flat written-bitset. When the compile-time discipline proof shows no
-//! check can fire, it runs the same loop with the checks left out. It
-//! returns the same [`ExecResult`]/[`ExecError`] values as
-//! [`execute`](crate::execute) — bit-for-bit, which
-//! `cross_check_executors` and the differential proptests in
-//! `tests/tape_prop.rs` enforce. The tree-walker stays as the reference
-//! semantics; the tape is what the verification and chaos hot paths run.
+//! Before it drops the tree-walker's runtime checks, the compiler proves
+//! them redundant ([`prove_clean`]): every write lands once in range,
+//! every read is of an earlier write or of the zero history, and every
+//! element gets written. A compiled [`Tape::execute`] is then a
+//! branch-light loop: per instance, two multiply-adds for the indices, a
+//! window compare for the guard, gather, evaluate, store.
+//!
+//! Every other program keeps a copy of itself in its [`Tape`] and runs
+//! on the reference tree-walker [`execute`](crate::execute): one with a
+//! register fault the lowering sees, a guard with no affine window (a
+//! `setup` inside the loop), a non-positive step, or a discipline
+//! violation the proof cannot rule out. [`Tape::preverified`] tells the
+//! two apart. Either way the tape returns the same
+//! [`ExecResult`]/[`ExecError`] values as [`execute`](crate::execute) —
+//! bit-for-bit, which `cross_check_executors` and the differential
+//! proptests in `tests/tape_prop.rs` enforce.
 //!
 //! The compiler itself is a fail-point site
 //! ([`sites::VM_COMPILE`](cred_resilience::failpoint::sites::VM_COMPILE)),
 //! so `credc chaos` injects faults into the lowering step too.
 
-use crate::machine::{DiffReport, ExecError, ExecResult, Site};
+use crate::machine::{DiffReport, ExecError, ExecResult};
 use cred_codegen::{Guard, Index, Inst, LoopProgram};
 use cred_dfg::{Dfg, OpKind};
 use cred_resilience::failpoint;
@@ -57,7 +59,7 @@ use std::ops::Range;
 /// buffer is `base + index - 1`.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// Original array id, kept for fault reporting.
+    /// Original array id (the discipline proof's class key).
     array: u32,
     /// First slot of the array's range in the flat buffer.
     base: usize,
@@ -72,14 +74,8 @@ struct Slot {
 enum Enable {
     /// Unguarded (or straight-line and guard-enabled): every time.
     Always,
-    /// Guarded loop instruction: bit `t` of the window starting at this
-    /// offset into [`Tape::guard_words`] is the precomputed predicate for
-    /// iteration index `t`. The discipline proof rejects these, so only
-    /// the checked loop reads them.
-    Bits(usize),
-    /// Guarded loop instruction whose register evolves affinely, so the
-    /// enabled set is exactly the iteration interval `t0..=t1` (empty if
-    /// `t0 > t1`). No bitset exists for these: the executors compare
+    /// Guarded loop instruction: enabled exactly on the iteration
+    /// interval `t0..=t1` (empty if `t0 > t1`). The executor compares
     /// against the interval and the discipline proof sweeps it.
     Window(u64, u64),
 }
@@ -89,19 +85,9 @@ enum Enable {
 struct TapeInst {
     dest: Slot,
     op: OpKind,
-    /// `(start, len)` into [`Tape::srcs`].
+    /// `(start, len)` into [`Compiled::srcs`].
     srcs: (u32, u32),
     enable: Enable,
-}
-
-/// A straight-line chunk: a range of tape instructions, plus an optional
-/// register fault the compile-time simulation detected *after* the
-/// emitted instructions (instructions past the fault can never execute
-/// and are not lowered).
-#[derive(Debug, Clone)]
-struct Chunk {
-    insts: Range<usize>,
-    fault: Option<ExecError>,
 }
 
 /// The kernel chunk.
@@ -111,63 +97,68 @@ struct BodyChunk {
     lo: i64,
     step: i64,
     trip: u64,
-    /// Compile-detected register fault: at iteration index `.0`, after
-    /// executing the first `.1` instructions of that iteration, fail with
-    /// `.2`. (Register boundness only grows, so in practice `.0` is
-    /// always the first iteration; the executor handles the general
-    /// form.)
-    fault: Option<(u64, usize, ExecError)>,
 }
 
-/// A [`LoopProgram`] lowered to schedule order with operands, guard
-/// predicates, and chunk boundaries resolved. Build with [`compile`],
-/// run with [`Tape::execute`].
+/// A program lowered to schedule order with operands, guard windows,
+/// and chunk boundaries resolved.
 #[derive(Debug, Clone)]
-pub struct Tape {
+struct Compiled {
     n: i64,
-    arrays: Vec<String>,
-    /// Per-array slot stride: `n` rounded up to a word multiple, so every
-    /// array starts on a fresh word of the written-bitset.
-    cells_per_array: usize,
+    /// Number of value arrays; array `a` holds slots `a*n..(a+1)*n`.
+    arrays: usize,
     insts: Vec<TapeInst>,
     srcs: Vec<Slot>,
-    /// Predicate bitset pool; [`Enable::Bits`] offsets point here.
-    guard_words: Vec<u64>,
-    pre: Chunk,
+    pre: Range<usize>,
     body: Option<BodyChunk>,
-    post: Chunk,
-    /// Dynamic counts of a fault-free run, precomputed.
+    post: Range<usize>,
+    /// Dynamic counts of the run, precomputed.
     executed: u64,
     nullified: u64,
     max_srcs: usize,
-    /// Compile-time discipline proof succeeded: no [`ExecError`] is
-    /// reachable (every write lands once in range, every read is of a
-    /// previously written element, every element gets written). Set by
-    /// [`prove_clean`]; lets [`Tape::execute`] drop the written-bitset
-    /// and range checks entirely.
-    clean: bool,
+}
+
+/// A [`LoopProgram`] ready to run: the compiled tape when the program
+/// lowers and the discipline proof accepts it, else the program itself
+/// for the reference tree-walker. Build with [`compile`], run with
+/// [`Tape::execute`].
+#[derive(Debug, Clone)]
+pub struct Tape(Tier);
+
+#[derive(Debug, Clone)]
+enum Tier {
+    /// Lowered and proved free of discipline faults.
+    Compiled(Compiled),
+    /// Not lowerable, or not proved clean: runs on
+    /// [`execute`](crate::execute).
+    Reference(LoopProgram),
 }
 
 impl Tape {
-    /// Whether the compile-time discipline proof went through, i.e.
-    /// whether [`Tape::execute`] runs the unchecked fast loop. Generated
-    /// programs (one uniform index stride, registers set up before the
-    /// loop) always preverify; hand-mutated programs with real faults
-    /// never do, and neither do programs whose guards needed a
-    /// predicate bitset.
+    /// Whether the program compiled, i.e. whether [`Tape::execute`] runs
+    /// the unchecked tape loop rather than the reference tree-walker.
+    /// Generated programs (one uniform index stride, registers set up
+    /// before the loop) always compile; hand-mutated programs with real
+    /// faults never do, and neither do programs with a guard that has no
+    /// affine window.
     pub fn preverified(&self) -> bool {
-        self.clean
+        matches!(self.0, Tier::Compiled(_))
+    }
+
+    /// Execute the tape. Same result, same faults as
+    /// [`execute`](crate::execute) on the program this was compiled from.
+    pub fn execute(&self) -> Result<ExecResult, ExecError> {
+        match &self.0 {
+            Tier::Compiled(c) => c.execute(),
+            Tier::Reference(p) => crate::machine::execute(p),
+        }
     }
 }
 
 /// Compile-time lowering state.
-struct Compiler<'p> {
-    p: &'p LoopProgram,
+struct Compiler {
     n: i64,
-    cells_per_array: usize,
     insts: Vec<TapeInst>,
     srcs: Vec<Slot>,
-    guard_words: Vec<u64>,
     /// Dense conditional-register file: `reg_index[id]` -> slot,
     /// `regs[slot]` is `Some((value, bound))` once `setup`.
     reg_index: BTreeMap<u32, usize>,
@@ -177,34 +168,23 @@ struct Compiler<'p> {
     max_srcs: usize,
 }
 
-/// One register-relevant step of the kernel, in body order, for the
-/// compile-time guard simulation.
+/// One register-relevant instruction of the kernel, in body order, for
+/// the compile-time window solve.
 enum SimStep {
-    Setup {
-        slot: usize,
-        init: i64,
-        bound: i64,
-    },
     Dec {
         slot: usize,
         by: i64,
-        reg: u32,
-        /// Tape instructions emitted before this step in the body.
-        pos: usize,
     },
     Guard {
         slot: usize,
         offset: i64,
-        /// Word offset of this instruction's predicate bitset.
-        bits: usize,
-        reg: u32,
-        dest_array: u32,
+        /// Tape instructions emitted before this one in the body.
         pos: usize,
     },
 }
 
-impl<'p> Compiler<'p> {
-    fn new(p: &'p LoopProgram) -> Self {
+impl Compiler {
+    fn new(p: &LoopProgram) -> Self {
         // Dense register slots: every id mentioned anywhere in the
         // program, in id order.
         let mut reg_index = BTreeMap::new();
@@ -230,12 +210,9 @@ impl<'p> Compiler<'p> {
         scan(&p.post);
         let regs = vec![None; reg_index.len()];
         Compiler {
-            p,
             n: p.n as i64,
-            cells_per_array: (p.n as usize).div_ceil(64) * 64,
             insts: Vec::new(),
             srcs: Vec::new(),
-            guard_words: Vec::new(),
             reg_index,
             regs,
             executed: 0,
@@ -248,6 +225,13 @@ impl<'p> Compiler<'p> {
         self.reg_index[&id]
     }
 
+    /// The dense slot of register `id`, or `None` if it was never
+    /// `setup` (the tree-walker's `UnboundRegister` fault).
+    fn bound_slot(&self, id: u32) -> Option<usize> {
+        let slot = self.reg_slot(id);
+        self.regs[slot].map(|_| slot)
+    }
+
     fn resolve(&self, r: &cred_codegen::Ref) -> Slot {
         let (scale, offset) = match r.index {
             Index::Const(k) => (0, k),
@@ -256,7 +240,7 @@ impl<'p> Compiler<'p> {
         };
         Slot {
             array: r.array,
-            base: r.array as usize * self.cells_per_array,
+            base: r.array as usize * self.n as usize,
             scale,
             offset,
         }
@@ -283,45 +267,26 @@ impl<'p> Compiler<'p> {
         });
     }
 
-    /// The tree-walker's guard test against the simulated register file.
-    fn guard_enabled(&self, g: &Guard, node: u32, i: i64) -> Result<bool, ExecError> {
-        let (value, bound) =
-            self.regs[self.reg_slot(g.reg.0)].ok_or_else(|| ExecError::UnboundRegister {
-                reg: g.reg.0,
-                at: Site {
-                    node: self.p.arrays[node as usize].clone(),
-                    iteration: i,
-                },
-            })?;
+    /// The tree-walker's guard test against the simulated register file;
+    /// `None` on an unbound register.
+    fn guard_enabled(&self, g: &Guard) -> Option<bool> {
+        let (value, bound) = self.regs[self.reg_slot(g.reg.0)]?;
         let eff = value - g.offset;
-        Ok(bound < eff && eff <= 0)
+        Some(bound < eff && eff <= 0)
     }
 
     /// Lower one straight-line (pre/post) instruction at `i = 0`.
-    /// Guard-disabled computes are dropped (counted as nullified);
-    /// register faults abort lowering of the rest of the chunk.
-    fn lower_straight(&mut self, inst: &Inst) -> Result<(), ExecError> {
+    /// Guard-disabled computes are dropped (counted as nullified).
+    /// `None` on a register fault.
+    fn lower_straight(&mut self, inst: &Inst) -> Option<()> {
         match inst {
             Inst::Setup { reg, init, bound } => {
                 let slot = self.reg_slot(reg.0);
                 self.regs[slot] = Some((*init, *bound));
-                Ok(())
             }
             Inst::Dec { reg, by } => {
                 let slot = self.reg_slot(reg.0);
-                match &mut self.regs[slot] {
-                    Some(entry) => {
-                        entry.0 -= by;
-                        Ok(())
-                    }
-                    None => Err(ExecError::UnboundRegister {
-                        reg: reg.0,
-                        at: Site {
-                            node: format!("p{}", reg.0 + 1),
-                            iteration: 0,
-                        },
-                    }),
-                }
+                self.regs[slot].as_mut()?.0 -= by;
             }
             Inst::Compute {
                 guard,
@@ -330,225 +295,110 @@ impl<'p> Compiler<'p> {
                 srcs,
             } => {
                 if let Some(g) = guard {
-                    if !self.guard_enabled(g, dest.array, 0)? {
+                    if !self.guard_enabled(g)? {
                         self.nullified += 1;
-                        return Ok(());
+                        return Some(());
                     }
                 }
                 self.emit(dest, *op, srcs, Enable::Always);
                 self.executed += 1;
-                Ok(())
             }
         }
+        Some(())
     }
 
-    /// Lower the kernel: emit every compute once, then simulate the
-    /// register bookkeeping across all `trip` iterations to find each
-    /// guard's enabled iterations (and catch register faults at their
-    /// exact position).
-    fn lower_body(&mut self, l: &cred_codegen::LoopSpec) -> BodyChunk {
+    /// Lower the kernel: emit every compute once and give each guarded
+    /// one its enabled window. `None` when some guard has no affine
+    /// window: a `setup` inside the loop, or a `dec` or guard over a
+    /// register nothing set up before it (a fault the tree-walker
+    /// reports at its exact site).
+    fn lower_body(&mut self, l: &cred_codegen::LoopSpec) -> Option<BodyChunk> {
         let start = self.insts.len();
         let trip = l.trip_count();
-        let words_per_inst = trip.div_ceil(64) as usize;
-        let mut steps = Vec::new();
-        let mut plain = 0u64;
-        // Bitset offsets are assigned up front but the pool is only
-        // materialized if the scalar simulation actually runs — the
-        // affine path commits windows and never reads a bitset.
-        let mut pool = 0usize;
         if trip > 0 {
+            let mut steps = Vec::new();
+            let mut plain = 0u64;
             for inst in &l.body {
                 let pos = self.insts.len() - start;
                 match inst {
-                    Inst::Setup { reg, init, bound } => steps.push(SimStep::Setup {
-                        slot: self.reg_slot(reg.0),
-                        init: *init,
-                        bound: *bound,
-                    }),
+                    Inst::Setup { .. } => return None,
                     Inst::Dec { reg, by } => steps.push(SimStep::Dec {
-                        slot: self.reg_slot(reg.0),
+                        slot: self.bound_slot(reg.0)?,
                         by: *by,
-                        reg: reg.0,
-                        pos,
                     }),
                     Inst::Compute {
                         guard,
                         dest,
                         op,
                         srcs,
-                    } => match guard {
-                        None => {
-                            self.emit(dest, *op, srcs, Enable::Always);
-                            plain += 1;
-                        }
-                        Some(g) => {
-                            let bits = pool;
-                            pool += words_per_inst;
-                            steps.push(SimStep::Guard {
-                                slot: self.reg_slot(g.reg.0),
-                                offset: g.offset,
-                                bits,
-                                reg: g.reg.0,
-                                dest_array: dest.array,
-                                pos,
-                            });
-                            self.emit(dest, *op, srcs, Enable::Bits(bits));
-                        }
-                    },
+                    } => {
+                        let enable = match guard {
+                            None => {
+                                plain += 1;
+                                Enable::Always
+                            }
+                            Some(g) => {
+                                steps.push(SimStep::Guard {
+                                    slot: self.bound_slot(g.reg.0)?,
+                                    offset: g.offset,
+                                    pos,
+                                });
+                                Enable::Window(1, 0) // solved below
+                            }
+                        };
+                        self.emit(dest, *op, srcs, enable);
+                    }
                 }
             }
+            self.executed += plain * trip;
+            self.solve_windows(l, &steps, trip, start)?;
         }
-        self.executed += plain * trip;
-        let fault = if trip == 0 || self.affine_sim(l, &steps, trip, start) {
-            None
-        } else {
-            self.guard_words.resize(pool, 0);
-            self.scalar_sim(l, &steps, trip)
-        };
-        BodyChunk {
+        Some(BodyChunk {
             insts: start..self.insts.len(),
             lo: l.lo,
             step: l.step,
             trip,
-            fault,
-        }
+        })
     }
 
-    /// The general register simulation: replay every step of every
-    /// iteration. Every instruction of the body is reached on every
-    /// iteration, so a register fault surfaces the first time its step
-    /// runs unbound.
-    fn scalar_sim(
-        &mut self,
-        l: &cred_codegen::LoopSpec,
-        steps: &[SimStep],
-        trip: u64,
-    ) -> Option<(u64, usize, ExecError)> {
-        let mut fault = None;
-        let mut i = l.lo;
-        'iters: for t in 0..trip {
-            for step in steps {
-                match *step {
-                    SimStep::Setup { slot, init, bound } => self.regs[slot] = Some((init, bound)),
-                    SimStep::Dec { slot, by, reg, pos } => match &mut self.regs[slot] {
-                        Some(entry) => entry.0 -= by,
-                        None => {
-                            fault = Some((
-                                t,
-                                pos,
-                                ExecError::UnboundRegister {
-                                    reg,
-                                    at: Site {
-                                        node: format!("p{}", reg + 1),
-                                        iteration: i,
-                                    },
-                                },
-                            ));
-                            break 'iters;
-                        }
-                    },
-                    SimStep::Guard {
-                        slot,
-                        offset,
-                        bits,
-                        reg,
-                        dest_array,
-                        pos,
-                    } => match self.regs[slot] {
-                        Some((value, bound)) => {
-                            let eff = value - offset;
-                            if bound < eff && eff <= 0 {
-                                self.guard_words[bits + (t >> 6) as usize] |= 1 << (t & 63);
-                                self.executed += 1;
-                            } else {
-                                self.nullified += 1;
-                            }
-                        }
-                        None => {
-                            fault = Some((
-                                t,
-                                pos,
-                                ExecError::UnboundRegister {
-                                    reg,
-                                    at: Site {
-                                        node: self.p.arrays[dest_array as usize].clone(),
-                                        iteration: i,
-                                    },
-                                },
-                            ));
-                            break 'iters;
-                        }
-                    },
-                }
-            }
-            if let Some(k) = l.auto_dec {
-                for entry in self.regs.iter_mut().flatten() {
-                    entry.0 -= k;
-                }
-            }
-            i += l.step;
-        }
-        fault
-    }
-
-    /// The fast register simulation for the common generated shape: no
-    /// `setup` inside the loop, every register the body touches already
-    /// bound, and a non-negative constant decrement per iteration. Then
-    /// each register's value is affine in the iteration index, every
-    /// guard's enabled set is one contiguous `t`-interval solvable in
-    /// O(1), committed as an [`Enable::Window`].
-    ///
-    /// Returns `false` (having changed nothing) when the shape does not
-    /// hold or any intermediate value could leave `i64` range — the
-    /// scalar replay is the authority on wrap-around and fault positions.
-    fn affine_sim(
+    /// With no `setup` inside the loop and every register bound, each
+    /// register falls by a constant per iteration, so its value is affine
+    /// in the iteration index and every guard's enabled set is one
+    /// contiguous `t`-interval, solved in O(1) and committed as an
+    /// [`Enable::Window`]. `None` when a guarded register grows, or when
+    /// a register value could leave `i64` range (the tree-walker is the
+    /// authority on wrap-around).
+    fn solve_windows(
         &mut self,
         l: &cred_codegen::LoopSpec,
         steps: &[SimStep],
         trip: u64,
         start: usize,
-    ) -> bool {
-        let auto = l.auto_dec.unwrap_or(0) as i128;
-        // Eligibility, and the per-iteration decrement of every register.
-        let mut per_iter = vec![auto; self.regs.len()];
+    ) -> Option<()> {
+        // The per-iteration decrement of every register.
+        let mut per_iter = vec![l.auto_dec.unwrap_or(0) as i128; self.regs.len()];
         for step in steps {
-            match *step {
-                SimStep::Setup { .. } => return false,
-                SimStep::Dec { slot, by, .. } => {
-                    if self.regs[slot].is_none() {
-                        return false;
-                    }
-                    per_iter[slot] += by as i128;
-                }
-                SimStep::Guard { slot, .. } => {
-                    if self.regs[slot].is_none() {
-                        return false;
-                    }
-                }
+            if let SimStep::Dec { slot, by } = *step {
+                per_iter[slot] += by as i128;
             }
         }
         let last = (trip - 1) as i128;
-        // Solve every guard window first; commit only if all are affine
-        // and wrap-free.
-        let mut windows: Vec<(usize, u64, u64)> = Vec::new(); // (pos, t0, t1)
         let mut seen = vec![0i128; self.regs.len()]; // decrements before the current step
         for step in steps {
             match *step {
-                SimStep::Setup { .. } => unreachable!("checked above"),
-                SimStep::Dec { slot, by, .. } => seen[slot] += by as i128,
-                SimStep::Guard {
-                    slot, offset, pos, ..
-                } => {
-                    let (value, bound) = self.regs[slot].expect("checked above");
+                SimStep::Dec { slot, by } => seen[slot] += by as i128,
+                SimStep::Guard { slot, offset, pos } => {
+                    let (value, bound) = self.regs[slot]?;
                     let d = per_iter[slot];
                     if d < 0 {
-                        return false;
+                        return None;
                     }
                     // eff(t) = e0 - d*t; enabled iff bound < eff(t) <= 0.
                     let e0 = value as i128 - seen[slot] - offset as i128;
-                    let (lo_ext, hi_ext) = (e0 - d * last, e0);
-                    if lo_ext < i64::MIN as i128 || hi_ext > i64::MAX as i128 {
-                        return false;
+                    if e0.checked_sub(d.checked_mul(last)?)? < i64::MIN as i128
+                        || e0 > i64::MAX as i128
+                    {
+                        return None;
                     }
                     let b = bound as i128;
                     let (t0, t1) = if d == 0 {
@@ -563,51 +413,77 @@ impl<'p> Compiler<'p> {
                         //                   t <= ceil((e0-b)/d) - 1.
                         let (q0, r0) = divmod(e0, d);
                         let t0 = q0 + i128::from(r0 != 0);
-                        let num = e0 - b;
-                        let (q1, r1) = divmod(num, d);
+                        let (q1, r1) = divmod(e0 - b, d);
                         let t1 = q1 + i128::from(r1 != 0) - 1;
                         (t0.max(0), t1.min(last))
                     };
-                    windows.push(if t0 <= t1 {
-                        (pos, t0 as u64, t1 as u64)
+                    let (t0, t1) = if t0 <= t1 {
+                        (t0 as u64, t1 as u64)
                     } else {
-                        (pos, 1, 0) // empty interval
-                    });
+                        (1, 0) // empty interval
+                    };
+                    self.insts[start + pos].enable = Enable::Window(t0, t1);
+                    let len = if t0 <= t1 { t1 - t0 + 1 } else { 0 };
+                    self.executed += len;
+                    self.nullified += trip - len;
                 }
             }
         }
-        // Final register values: i64 arithmetic wraps like the scalar
-        // replay's repeated subtraction (same ring), so wrapping ops are
-        // exact here even where the window solve above had to bail.
+        // Final register values, for the post chunk's guards.
         for (slot, entry) in self.regs.iter_mut().enumerate() {
             if let Some((value, _)) = entry {
-                *value = value.wrapping_sub((per_iter[slot] as i64).wrapping_mul(trip as i64));
+                let end =
+                    (*value as i128).checked_sub(per_iter[slot].checked_mul(trip as i128)?)?;
+                *value = i64::try_from(end).ok()?;
             }
         }
-        // Commit the windows as interval metadata; the discipline proof
-        // and both executors consume the interval directly, so no bitset
-        // is ever materialized on this path.
-        for (pos, t0, t1) in windows {
-            self.insts[start + pos].enable = Enable::Window(t0, t1);
-            let len = if t0 <= t1 { t1 - t0 + 1 } else { 0 };
-            self.executed += len;
-            self.nullified += trip - len;
-        }
-        true
+        Some(())
     }
+}
+
+/// Lower `p`, or `None` when it has no tape form: a register fault in
+/// straight-line code, a non-positive step, or a loop guard with no
+/// affine window (see [`Compiler::lower_body`]).
+fn lower(p: &LoopProgram) -> Option<Compiled> {
+    let mut c = Compiler::new(p);
+    for inst in &p.pre {
+        c.lower_straight(inst)?;
+    }
+    let pre = 0..c.insts.len();
+    let body = match &p.body {
+        Some(l) if l.step < 1 => return None,
+        Some(l) => Some(c.lower_body(l)?),
+        None => None,
+    };
+    let post_start = c.insts.len();
+    for inst in &p.post {
+        c.lower_straight(inst)?;
+    }
+    Some(Compiled {
+        n: c.n,
+        arrays: p.arrays.len(),
+        pre,
+        body,
+        post: post_start..c.insts.len(),
+        insts: c.insts,
+        srcs: c.srcs,
+        executed: c.executed,
+        nullified: c.nullified,
+        max_srcs: c.max_srcs,
+    })
 }
 
 // --- Compile-time discipline proof --------------------------------------
 //
-// Everything the checked executor polices — write ranges, single
-// assignment, use-before-def order, completeness — is data-independent:
-// a property of the affine index expressions and the guard windows
-// alone. When every loop-varying reference in the body shares one index
-// stride `d = scale * step` (true for every generated program), the
-// elements of each array split into `d` independent residue classes, and
-// each body instruction maps its enabled window `t0..=t1` onto one
-// contiguous run of positions in one class by a constant shift. The
-// whole discipline then reduces to interval algebra:
+// Everything the tree-walker polices — write ranges, single assignment,
+// use-before-def order, completeness — is data-independent: a property
+// of the affine index expressions and the guard windows alone. When
+// every loop-varying reference in the body shares one index stride
+// `d = scale * step` (true for every generated program), the elements of
+// each array split into `d` independent residue classes, and each body
+// instruction maps its enabled window `t0..=t1` onto one contiguous run
+// of positions in one class by a constant shift. The whole discipline
+// then reduces to interval algebra:
 //
 // * a write collision is an overlap between two writer runs of one
 //   class, or a run holding a straight-line write;
@@ -620,32 +496,24 @@ impl<'p> Compiler<'p> {
 //   out-of-range writes, "every element written" is exactly
 //   "executed computes == arrays * n".
 //
-// The proof is one-sided. `true` guarantees the checked executor cannot
-// fault, so [`Tape::execute`] may run the unchecked loop; `false` only
-// means "run the checked loop", which replays any real fault at its
-// exact position. A tape with a bitset-guarded body instruction (the
-// register simulation found no affine window) is not attempted: it runs
-// checked. All index arithmetic here is `i128` so the proof reasons
-// about true values; in-range conclusions transfer to the executor's
-// `i64` arithmetic because wrapping ops agree with true arithmetic
-// whenever the true value fits.
+// The proof is one-sided. `true` guarantees the tree-walker cannot fault
+// on the program, so the tape may run without checks; `false` only means
+// the tape keeps the program and runs the tree-walker, which raises any
+// real fault at its exact site. All index arithmetic here is `i128` so
+// the proof reasons about true values; in-range conclusions transfer to
+// the executor's `i64` arithmetic because wrapping ops agree with true
+// arithmetic whenever the true value fits.
 
 /// One interval-form body writer: `(class, body index, shift, p0, p1)`.
 type IntervalWriter = ((u32, i128), usize, i128, i128, i128);
 
 /// Try to prove no [`ExecError`] is reachable. See the comment block
 /// above for the method; `false` is always safe.
-fn prove_clean(tape: &Tape) -> bool {
-    if tape.pre.fault.is_some() || tape.post.fault.is_some() {
-        return false;
-    }
-    if matches!(&tape.body, Some(b) if b.fault.is_some()) {
-        return false;
-    }
+fn prove_clean(tape: &Compiled) -> bool {
     let n = tape.n as i128;
     // Completeness, assuming the rest of the proof lands: every executed
     // compute writes exactly one distinct in-range element.
-    if tape.executed != tape.arrays.len() as u64 * tape.n as u64 {
+    if tape.executed != tape.arrays as u64 * tape.n as u64 {
         return false;
     }
 
@@ -656,8 +524,8 @@ fn prove_clean(tape: &Tape) -> bool {
     // One uniform stride across every loop-varying slot in the body.
     let mut scale: Option<i64> = None;
     for inst in binsts {
-        if inst.dest.scale == 0 || matches!(inst.enable, Enable::Bits(_)) {
-            return false; // fixed-slot dest or bitset guard: stay checked
+        if inst.dest.scale == 0 {
+            return false; // a fixed-slot dest is written every iteration
         }
         for s in std::iter::once(&inst.dest).chain(tape.src_slots(inst)) {
             match (s.scale, scale) {
@@ -701,7 +569,7 @@ fn divmod(a: i128, d: i128) -> (i128, i128) {
 /// run of positions inside its residue class, and the whole discipline
 /// is a handful of interval comparisons and one sorted sweep per source.
 fn prove_clean_intervals(
-    tape: &Tape,
+    tape: &Compiled,
     n: i128,
     trip: u64,
     lo: i64,
@@ -716,7 +584,7 @@ fn prove_clean_intervals(
         let (q, r) = divmod(idx, d);
         (array, r, q)
     };
-    for inst in &tape.insts[tape.pre.insts.clone()] {
+    for inst in &tape.insts[tape.pre.clone()] {
         for s in tape.src_slots(inst) {
             let idx = s.offset as i128; // i = 0
             if idx <= 0 {
@@ -857,7 +725,7 @@ fn prove_clean_intervals(
                 .iter()
                 .any(|&(wcls, _, _, p0, p1)| wcls == cls && (p0..=p1).contains(&p))
     };
-    for inst in &tape.insts[tape.post.insts.clone()] {
+    for inst in &tape.insts[tape.post.clone()] {
         for s in tape.src_slots(inst) {
             let idx = s.offset as i128;
             if idx <= 0 {
@@ -882,178 +750,29 @@ fn prove_clean_intervals(
 }
 
 /// The enabled iteration interval of a body instruction (empty when
-/// `t0 > t1`). Only called by the proof, which rejects bitset guards
-/// first; `trip` must be nonzero.
+/// `t0 > t1`); `trip` must be nonzero.
 fn window_of(inst: &TapeInst, trip: u64) -> (u64, u64) {
     match inst.enable {
         Enable::Always => (0, trip - 1),
         Enable::Window(t0, t1) => (t0, t1),
-        Enable::Bits(_) => unreachable!("prove_clean rejects bitset guards"),
     }
 }
 
-/// Lower `p` into a [`Tape`]. Pure except for the
+/// Lower `p` into a [`Tape`]: the compiled form when every loop guard has
+/// an affine window and the discipline proof goes through, else a copy of
+/// `p` for the tree-walker. Pure except for the
 /// [`VM_COMPILE`](failpoint::sites::VM_COMPILE) fail-point site at entry
 /// (chaos testing); the only error is an injected one.
 pub fn compile(p: &LoopProgram) -> Result<Tape, ExecError> {
     failpoint::hit(failpoint::sites::VM_COMPILE)
         .map_err(|e| ExecError::Injected { site: e.site })?;
-    let mut c = Compiler::new(p);
-    let mut pre = Chunk {
-        insts: 0..0,
-        fault: None,
-    };
-    for inst in &p.pre {
-        if let Err(e) = c.lower_straight(inst) {
-            pre.fault = Some(e);
-            break;
-        }
-    }
-    pre.insts = 0..c.insts.len();
-    let mut body = None;
-    if pre.fault.is_none() {
-        if let Some(l) = &p.body {
-            if l.step < 1 {
-                pre.fault = Some(ExecError::InvalidLoop("step must be positive"));
-            } else {
-                body = Some(c.lower_body(l));
-            }
-        }
-    }
-    let post_start = c.insts.len();
-    let mut post = Chunk {
-        insts: post_start..post_start,
-        fault: None,
-    };
-    let body_faulted = matches!(&body, Some(b) if b.fault.is_some());
-    if pre.fault.is_none() && !body_faulted {
-        for inst in &p.post {
-            if let Err(e) = c.lower_straight(inst) {
-                post.fault = Some(e);
-                break;
-            }
-        }
-        post.insts = post_start..c.insts.len();
-    }
-    let mut tape = Tape {
-        n: c.n,
-        arrays: p.arrays.clone(),
-        cells_per_array: c.cells_per_array,
-        insts: c.insts,
-        srcs: c.srcs,
-        guard_words: c.guard_words,
-        pre,
-        body,
-        post,
-        executed: c.executed,
-        nullified: c.nullified,
-        max_srcs: c.max_srcs,
-        clean: false,
-    };
-    tape.clean = prove_clean(&tape);
-    Ok(tape)
+    Ok(Tape(match lower(p).filter(prove_clean) {
+        Some(c) => Tier::Compiled(c),
+        None => Tier::Reference(p.clone()),
+    }))
 }
 
-/// Mutable execution state: one flat value buffer plus a written-bitset,
-/// and a reused input scratch vector (the tree-walker allocates one per
-/// compute instance; the tape never allocates in the hot loop).
-struct Run {
-    vals: Vec<i64>,
-    written: Vec<u64>,
-    inputs: Vec<i64>,
-}
-
-impl Run {
-    #[inline]
-    fn step(&mut self, tape: &Tape, inst: &TapeInst, i: i64) -> Result<(), ExecError> {
-        let n = tape.n;
-        let dest_idx = inst.dest.scale * i + inst.dest.offset;
-        let (start, len) = inst.srcs;
-        self.inputs.clear();
-        for s in &tape.srcs[start as usize..(start + len) as usize] {
-            let idx = s.scale * i + s.offset;
-            let v = if idx <= 0 {
-                0 // initial conditions, e.g. E[-3]
-            } else if idx > n {
-                return Err(ExecError::OutOfRangeRead {
-                    array: tape.arrays[s.array as usize].clone(),
-                    index: idx,
-                    at: tape.site(inst.dest.array, i),
-                });
-            } else {
-                let slot = s.base + (idx - 1) as usize;
-                if (self.written[slot >> 6] >> (slot & 63)) & 1 == 0 {
-                    return Err(ExecError::UseBeforeDef {
-                        array: tape.arrays[s.array as usize].clone(),
-                        index: idx,
-                        at: tape.site(inst.dest.array, i),
-                    });
-                }
-                self.vals[slot]
-            };
-            self.inputs.push(v);
-        }
-        let val = inst.op.eval(&self.inputs, dest_idx);
-        if !(1..=n).contains(&dest_idx) {
-            return Err(ExecError::OutOfRangeWrite {
-                array: tape.arrays[inst.dest.array as usize].clone(),
-                index: dest_idx,
-                at: tape.site(inst.dest.array, i),
-            });
-        }
-        let slot = inst.dest.base + (dest_idx - 1) as usize;
-        let word = &mut self.written[slot >> 6];
-        let mask = 1u64 << (slot & 63);
-        if *word & mask != 0 {
-            return Err(ExecError::DoubleWrite {
-                array: tape.arrays[inst.dest.array as usize].clone(),
-                index: dest_idx,
-                at: tape.site(inst.dest.array, i),
-            });
-        }
-        *word |= mask;
-        self.vals[slot] = val;
-        Ok(())
-    }
-
-    /// Run `inst` at iteration index `t` (induction value `i`) if its
-    /// predicate enables it.
-    #[inline]
-    fn step_enabled(
-        &mut self,
-        tape: &Tape,
-        inst: &TapeInst,
-        t: u64,
-        i: i64,
-    ) -> Result<(), ExecError> {
-        match inst.enable {
-            Enable::Always => self.step(tape, inst, i),
-            Enable::Bits(off) => {
-                if (tape.guard_words[off + (t >> 6) as usize] >> (t & 63)) & 1 == 1 {
-                    self.step(tape, inst, i)
-                } else {
-                    Ok(())
-                }
-            }
-            Enable::Window(t0, t1) => {
-                if t0 <= t && t <= t1 {
-                    self.step(tape, inst, i)
-                } else {
-                    Ok(())
-                }
-            }
-        }
-    }
-}
-
-impl Tape {
-    fn site(&self, node: u32, i: i64) -> Site {
-        Site {
-            node: self.arrays[node as usize].clone(),
-            iteration: i,
-        }
-    }
-
+impl Compiled {
     fn src_slots(&self, inst: &TapeInst) -> &[Slot] {
         let (start, len) = inst.srcs;
         &self.srcs[start as usize..(start + len) as usize]
@@ -1061,18 +780,18 @@ impl Tape {
 
     fn extract(&self, vals: &[i64]) -> Vec<Vec<i64>> {
         let n = self.n as usize;
-        (0..self.arrays.len())
+        (0..self.arrays)
             .map(|a| {
-                let base = a * self.cells_per_array;
+                let base = a * n;
                 vals[base..base + n].to_vec()
             })
             .collect()
     }
 
-    /// One instance with no discipline checks — only legal on a tape
-    /// whose compile-time proof went through.
+    /// One instance with no discipline checks — the proof already ruled
+    /// every fault out.
     #[inline]
-    fn step_unchecked(&self, vals: &mut [i64], inputs: &mut Vec<i64>, inst: &TapeInst, i: i64) {
+    fn step(&self, vals: &mut [i64], inputs: &mut Vec<i64>, inst: &TapeInst, i: i64) {
         let dest_idx = inst.dest.scale * i + inst.dest.offset;
         inputs.clear();
         for s in self.src_slots(inst) {
@@ -1086,17 +805,15 @@ impl Tape {
         vals[inst.dest.base + (dest_idx - 1) as usize] = inst.op.eval(inputs, dest_idx);
     }
 
-    /// The fast loop for preverified tapes: gather, evaluate, store.
-    /// No written-bitset, no range checks, no completeness scan — the
-    /// proof already ruled every fault out. Identical results to the
-    /// checked loop because values, guard predicates, and counts are
-    /// all the same computation.
-    fn execute_unchecked(&self) -> Result<ExecResult, ExecError> {
-        let total = self.arrays.len() * self.cells_per_array;
-        let mut vals = vec![0i64; total];
+    /// Gather, evaluate, store, with none of the tree-walker's discipline
+    /// checks. The value buffer and the input scratch vector are
+    /// allocated once per run, where the tree-walker allocates an input
+    /// vector per compute instance.
+    fn execute(&self) -> Result<ExecResult, ExecError> {
+        let mut vals = vec![0i64; self.arrays * self.n as usize];
         let mut inputs: Vec<i64> = Vec::with_capacity(self.max_srcs);
-        for inst in &self.insts[self.pre.insts.clone()] {
-            self.step_unchecked(&mut vals, &mut inputs, inst, 0);
+        for inst in &self.insts[self.pre.clone()] {
+            self.step(&mut vals, &mut inputs, inst, 0);
         }
         if let Some(b) = &self.body {
             let insts = &self.insts[b.insts.clone()];
@@ -1105,104 +822,21 @@ impl Tape {
                 failpoint::hit(failpoint::sites::VM_EXEC)
                     .map_err(|e| ExecError::Injected { site: e.site })?;
                 for inst in insts {
-                    match inst.enable {
-                        Enable::Always => {}
-                        Enable::Window(t0, t1) => {
-                            if t < t0 || t > t1 {
-                                continue;
-                            }
+                    if let Enable::Window(t0, t1) = inst.enable {
+                        if t < t0 || t > t1 {
+                            continue;
                         }
-                        Enable::Bits(_) => unreachable!("prove_clean rejects bitset guards"),
                     }
-                    self.step_unchecked(&mut vals, &mut inputs, inst, i);
+                    self.step(&mut vals, &mut inputs, inst, i);
                 }
                 i += b.step;
             }
         }
-        for inst in &self.insts[self.post.insts.clone()] {
-            self.step_unchecked(&mut vals, &mut inputs, inst, 0);
+        for inst in &self.insts[self.post.clone()] {
+            self.step(&mut vals, &mut inputs, inst, 0);
         }
         Ok(ExecResult {
             arrays: self.extract(&vals),
-            computes_executed: self.executed,
-            computes_nullified: self.nullified,
-        })
-    }
-
-    /// Execute the tape. Same result, same faults, same fault order as
-    /// [`execute`](crate::execute) on the program this was compiled from.
-    pub fn execute(&self) -> Result<ExecResult, ExecError> {
-        if self.clean {
-            return self.execute_unchecked();
-        }
-        let total = self.arrays.len() * self.cells_per_array;
-        let mut run = Run {
-            vals: vec![0; total],
-            written: vec![0; total / 64],
-            inputs: Vec::with_capacity(self.max_srcs),
-        };
-        for inst in &self.insts[self.pre.insts.clone()] {
-            run.step(self, inst, 0)?;
-        }
-        if let Some(e) = &self.pre.fault {
-            return Err(e.clone());
-        }
-        if let Some(b) = &self.body {
-            let insts = &self.insts[b.insts.clone()];
-            let mut i = b.lo;
-            for t in 0..b.trip {
-                failpoint::hit(failpoint::sites::VM_EXEC)
-                    .map_err(|e| ExecError::Injected { site: e.site })?;
-                if let Some((ft, pos, err)) = &b.fault {
-                    if t == *ft {
-                        for inst in &insts[..*pos] {
-                            run.step_enabled(self, inst, t, i)?;
-                        }
-                        return Err(err.clone());
-                    }
-                }
-                for inst in insts {
-                    run.step_enabled(self, inst, t, i)?;
-                }
-                i += b.step;
-            }
-        }
-        for inst in &self.insts[self.post.insts.clone()] {
-            run.step(self, inst, 0)?;
-        }
-        if let Some(e) = &self.post.fault {
-            return Err(e.clone());
-        }
-        // Completeness: every element of 1..=n written exactly once
-        // (double writes were already rejected). Arrays are word-aligned
-        // in the written-bitset, so this is a word scan.
-        let n = self.n as usize;
-        for (a, name) in self.arrays.iter().enumerate() {
-            let base_word = a * self.cells_per_array / 64;
-            let full = n / 64;
-            let missing = (0..full)
-                .find_map(|w| {
-                    let word = run.written[base_word + w];
-                    (word != u64::MAX).then(|| w * 64 + word.trailing_ones() as usize)
-                })
-                .or_else(|| {
-                    let rem = n % 64;
-                    (rem > 0)
-                        .then(|| {
-                            let word = run.written[base_word + full];
-                            full * 64 + word.trailing_ones() as usize
-                        })
-                        .filter(|&idx| idx < n)
-                });
-            if let Some(idx) = missing {
-                return Err(ExecError::Incomplete {
-                    array: name.clone(),
-                    index: idx as i64 + 1,
-                });
-            }
-        }
-        Ok(ExecResult {
-            arrays: self.extract(&run.vals),
             computes_executed: self.executed,
             computes_nullified: self.nullified,
         })

@@ -19,12 +19,17 @@
 //!   direct DFG recurrence ([`cred_dfg::Dfg::reference_execution`]).
 //!
 //! Two executors share these semantics. [`execute`] tree-walks the
-//! program directly and is the *reference* implementation; [`compile`]
+//! program directly and is the *reference* implementation. [`compile`]
 //! lowers the program once into a flat [`Tape`] (operands preresolved,
-//! CRED guards precomputed into enabled-iteration windows) that
-//! [`execute_tape`] runs. The two are held equivalent by
-//! [`cross_check_executors`] and the differential proptests; the
-//! verification oracle runs the tape path by default.
+//! CRED guards precomputed into enabled-iteration windows) when a
+//! compile-time proof shows none of the checks above can fire, and
+//! [`execute_tape`] runs that tape with the checks left out. Any other
+//! program (a real fault, or a guard with no affine window) gets a
+//! [`Tape`] that runs [`execute`] on it, so the tree-walker is also the
+//! only fallback; [`Tape::preverified`] tells the two apart. The two
+//! are held equivalent by [`cross_check_executors`] and the
+//! differential proptests; the verification oracle runs the tape path
+//! by default and requires every generated program to compile.
 //!
 //! [`LoopProgram`]: cred_codegen::LoopProgram
 

@@ -18,13 +18,19 @@ use rand::SeedableRng;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Clean path: every program of a fuzzed case runs bit-identically
-    /// on both executors (same values, same dynamic counts).
+    /// Clean path: every program of a fuzzed case compiles (no fall-back
+    /// to the tree-walker) and runs bit-identically on both executors
+    /// (same values, same dynamic counts).
     #[test]
     fn execute_tape_equals_execute(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let case = random_case(&mut rng, format!("tape-{seed}"), &CaseConfig::default());
         for p in case_programs(&case) {
+            prop_assert!(
+                compile(&p).unwrap().preverified(),
+                "{case}: {}: generated program did not compile",
+                p.name
+            );
             if let Err(divergence) = cross_check_executors(&p) {
                 return Err(TestCaseError::Fail(format!("{case}: {}: {divergence}", p.name)));
             }
