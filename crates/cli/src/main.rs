@@ -105,6 +105,37 @@ const MAX_REDUCE_F: u64 = 1 << 16;
 /// Largest `reduce --n`. The VM holds every element of every array.
 const MAX_REDUCE_N: u64 = 1 << 20;
 
+/// `print!` that never panics: a stdout whose reader has gone away
+/// (`credc explore kernels | head -1`) ends the process quietly with
+/// status 0, and any other write error ends it with status 1 and a
+/// `credc:` message.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// [`out!`] with a trailing newline, like `println!`.
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("credc: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn fail(msg: &str) -> ExitCode {
     eprintln!("credc: {msg}");
     ExitCode::FAILURE
@@ -165,7 +196,7 @@ fn load(path: &str) -> Result<Dfg, String> {
 }
 
 fn cmd_analyze(g: &Dfg) -> Result<(), String> {
-    println!(
+    outln!(
         "nodes: {}   edges: {}   delays: {}",
         g.node_count(),
         g.edge_count(),
@@ -173,26 +204,26 @@ fn cmd_analyze(g: &Dfg) -> Result<(), String> {
     );
     let period = algo::cycle_period(g)
         .ok_or_else(|| "graph has a zero-delay cycle (not a legal DFG)".to_string())?;
-    println!("cycle period (unretimed): {period}");
+    outln!("cycle period (unretimed): {period}");
     match algo::iteration_bound(g) {
-        Some(b) => println!("iteration bound: {b} (= {:.3})", b.to_f64()),
-        None => println!("iteration bound: none (acyclic)"),
+        Some(b) => outln!("iteration bound: {b} (= {:.3})", b.to_f64()),
+        None => outln!("iteration bound: none (acyclic)"),
     }
     let opt = cred_retime::min_period_retiming(g);
-    println!("minimum cycle period by retiming: {}", opt.period);
+    outln!("minimum cycle period by retiming: {}", opt.period);
     let r = cred_retime::span::min_span_retiming(g, opt.period)
         .ok_or_else(|| format!("period {} unexpectedly span-infeasible", opt.period))?;
     let r = cred_retime::span::compact_values(g, opt.period, &r);
-    println!(
+    outln!(
         "M_r (pipeline depth): {}   conditional registers: {}",
         r.max_value(),
         r.register_count()
     );
-    print!("retiming:");
+    out!("retiming:");
     for v in g.node_ids() {
-        print!(" {}={}", g.node(v).name, r.get(v));
+        out!(" {}={}", g.node(v).name, r.get(v));
     }
-    println!();
+    outln!();
     Ok(())
 }
 
@@ -220,16 +251,16 @@ fn cmd_reduce(g: Dfg, args: &Args) -> Result<(), String> {
         })
         .run()
         .map_err(|e| format!("verification failed: {e}"))?;
-    println!("all programs verified against the loop recurrence (n = {n})\n");
+    outln!("all programs verified against the loop recurrence (n = {n})\n");
     for (name, size) in red.sizes() {
-        println!("{name:>20}: {size:>5} instructions");
+        outln!("{name:>20}: {size:>5} instructions");
     }
-    println!("\nreduction: {:.1}%", red.reduction_percent());
+    outln!("\nreduction: {:.1}%", red.reduction_percent());
     if args.has("print") {
-        println!("\n{}", render(&red.pipelined));
-        println!("{}", render(&red.cred));
+        outln!("\n{}", render(&red.pipelined));
+        outln!("{}", render(&red.cred));
         if let Some(p) = &red.cred_retime_unfold {
-            println!("{}", render(p));
+            outln!("{}", render(p));
         }
     }
     Ok(())
@@ -256,12 +287,18 @@ fn explore_params(args: &Args) -> Result<(u64, usize, usize), String> {
 }
 
 fn print_points(points: &[cred_explore::ParetoPoint]) {
-    println!(
+    outln!(
         "{:>3} {:>6} {:>11} {:>10} {:>12} {:>8} {:>8}",
-        "f", "M_r", "plain size", "CRED size", "period", "P_r", "maxlive"
+        "f",
+        "M_r",
+        "plain size",
+        "CRED size",
+        "period",
+        "P_r",
+        "maxlive"
     );
     for p in points {
-        println!(
+        outln!(
             "{:>3} {:>6} {:>11} {:>10} {:>12} {:>8} {:>8}",
             p.f,
             p.m_r,
@@ -289,17 +326,18 @@ fn cmd_explore_suite(dir: &std::path::Path, args: &Args) -> Result<(), String> {
     }
     let report = cred_explore::suite::explore_suite(&kernels, max_f, n, DecMode::Bulk, threads);
     if args.has("json") {
-        print!("{}", report.to_json());
+        out!("{}", report.to_json());
         return Ok(());
     }
     for k in &report.kernels {
-        println!("== {} ({} nodes)", k.name, k.nodes);
+        outln!("== {} ({} nodes)", k.name, k.nodes);
         print_points(&k.points);
-        println!();
+        outln!();
     }
-    println!(
+    outln!(
         "plan cache: {} solves, {} hits",
-        report.cache_misses, report.cache_hits
+        report.cache_misses,
+        report.cache_hits
     );
     Ok(())
 }
@@ -343,7 +381,7 @@ fn cmd_explore(path: &str, g: &Dfg, args: &Args) -> Result<ExitCode, String> {
             .unwrap_or_else(|| path.to_string());
         let kernels = vec![(name, g.clone())];
         let report = cred_explore::suite::explore_suite(&kernels, max_f, n, DecMode::Bulk, threads);
-        print!("{}", report.to_json());
+        out!("{}", report.to_json());
         return Ok(ExitCode::SUCCESS);
     }
     let mut request = ExploreRequest::new(g.clone())
@@ -372,11 +410,11 @@ fn cmd_explore(path: &str, g: &Dfg, args: &Args) -> Result<ExitCode, String> {
     print_points(&resp.points);
     if args.has("frontier") {
         match resp.opts.max_registers {
-            Some(cap) => println!("\nnon-dominated frontier (total registers <= {cap}):"),
-            None => println!("\nnon-dominated frontier:"),
+            Some(cap) => outln!("\nnon-dominated frontier (total registers <= {cap}):"),
+            None => outln!("\nnon-dominated frontier:"),
         }
         if resp.frontier.is_empty() {
-            println!("  (empty: every point exceeds the register cap)");
+            outln!("  (empty: every point exceeds the register cap)");
         } else {
             print_points(&resp.frontier);
         }
@@ -403,11 +441,13 @@ fn cmd_explore(path: &str, g: &Dfg, args: &Args) -> Result<ExitCode, String> {
             .parse()
             .map_err(|_| "--budget: bad number".to_string())?;
         match cred_explore::best_under_code_budget(g, budget, max_f, n, DecMode::Bulk) {
-            Some(p) => println!(
+            Some(p) => outln!(
                 "\nbest under {budget} instructions: f = {}, period {}, size {}",
-                p.f, p.objectives.iteration_period, p.objectives.cred_size
+                p.f,
+                p.objectives.iteration_period,
+                p.objectives.cred_size
             ),
-            None => println!("\nno configuration fits {budget} instructions"),
+            None => outln!("\nno configuration fits {budget} instructions"),
         }
     }
     if let Some(regs) = args.get("registers") {
@@ -415,11 +455,13 @@ fn cmd_explore(path: &str, g: &Dfg, args: &Args) -> Result<ExitCode, String> {
             .parse()
             .map_err(|_| "--registers: bad number".to_string())?;
         match cred_explore::best_under_register_budget(g, regs, max_f, n, DecMode::Bulk) {
-            Some(p) => println!(
+            Some(p) => outln!(
                 "best under {regs} registers: f = {}, period {}, uses {}",
-                p.f, p.objectives.iteration_period, p.objectives.cond_registers
+                p.f,
+                p.objectives.iteration_period,
+                p.objectives.cond_registers
             ),
-            None => println!("no configuration fits {regs} registers"),
+            None => outln!("no configuration fits {regs} registers"),
         }
     }
     let degraded = report.degraded().len();
@@ -446,14 +488,14 @@ fn cmd_schedule(g: &Dfg, args: &Args) -> Result<(), String> {
     let machine = MachineModel::with_units(alu, mul);
     let init = list_schedule(g, &machine);
     let rot = rotation_schedule(g, &machine, g.node_count() * 8);
-    println!("machine: {alu} ALU, {mul} MUL");
-    println!("list schedule: {} control steps", init.length());
-    println!("after rotation scheduling: {} control steps", rot.length);
-    print!("rotation retiming:");
+    outln!("machine: {alu} ALU, {mul} MUL");
+    outln!("list schedule: {} control steps", init.length());
+    outln!("after rotation scheduling: {} control steps", rot.length);
+    out!("rotation retiming:");
     for v in g.node_ids() {
-        print!(" {}={}", g.node(v).name, rot.retiming.get(v));
+        out!(" {}={}", g.node(v).name, rot.retiming.get(v));
     }
-    println!();
+    outln!();
     Ok(())
 }
 
@@ -483,15 +525,18 @@ fn cmd_exact(g: &Dfg, args: &Args) -> Result<(), String> {
     let sched = cred_exact::exact_schedule(g, &machine);
     cred_exact::check::check_schedule(g, &machine, &sched)
         .map_err(|e| format!("schedule failed independent validation: {e}"))?;
-    println!("machine: {}", machine.name);
-    println!("retiming-only period (resource-blind lower bound): {lower}");
-    println!("proven minimum initiation interval: {}", sched.ii);
-    println!(
+    outln!("machine: {}", machine.name);
+    outln!("retiming-only period (resource-blind lower bound): {lower}");
+    outln!("proven minimum initiation interval: {}", sched.ii);
+    outln!(
         "\n{:>12} {:>6} {:>6} {:>6}",
-        "node", "stage", "slot", "time"
+        "node",
+        "stage",
+        "slot",
+        "time"
     );
     for v in g.node_ids() {
-        println!(
+        outln!(
             "{:>12} {:>6} {:>6} {:>6}",
             g.node(v).name,
             sched.stage[v.index()],
@@ -500,11 +545,11 @@ fn cmd_exact(g: &Dfg, args: &Args) -> Result<(), String> {
         );
     }
     if sched.rejected.is_empty() {
-        println!("\nII 1 is feasible; no smaller interval exists.");
+        outln!("\nII 1 is feasible; no smaller interval exists.");
     } else {
-        println!("\ninfeasibility certificates for every smaller interval:");
+        outln!("\ninfeasibility certificates for every smaller interval:");
         for rung in &sched.rejected {
-            println!("  II {}: {}", rung.ii, rung.witness);
+            outln!("  II {}: {}", rung.ii, rung.witness);
         }
     }
     Ok(())
@@ -536,7 +581,7 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
                 failures += 1;
             }
         }
-        println!(
+        outln!(
             "corpus: {} case(s) replayed, {} failure(s)",
             corpus.len(),
             failures
@@ -553,7 +598,7 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
         shrink_failures: args.has("shrink"),
         executor,
     });
-    println!(
+    outln!(
         "fuzz: {} case(s) on the {} executor (seed {seed}; {} retime-unfold, {} unfold-retime), \
          {} program(s) executed and diffed, {} failure(s)",
         report.cases_run,
@@ -596,7 +641,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         seed,
         ..cred_verify::ChaosConfig::default()
     });
-    println!(
+    outln!(
         "chaos: {} fault plan(s) replayed (seed {seed}): {} clean, {} degraded, \
          {} faulted (isolated), {} silent corruption(s)",
         report.cases_run,
@@ -689,7 +734,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     })
     .map_err(|e| e.to_string())?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    println!("listening on {addr}");
+    outln!("listening on {addr}");
     server.run().map_err(|e| e.to_string())
 }
 
@@ -717,7 +762,7 @@ fn cmd_call(args: &Args) -> Result<(), String> {
         },
     );
     let response = client.request(line).map_err(|e| e.to_string())?;
-    println!("{}", response.trim_end());
+    outln!("{}", response.trim_end());
     let stats = client.stats();
     if stats.retries > 0 {
         eprintln!(

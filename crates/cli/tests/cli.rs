@@ -452,3 +452,34 @@ fn chaos_subcommand_is_sound_and_quiet() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn closed_stdout_ends_credc_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::{Command, Stdio};
+    // `--print` at a large factor writes about 900 KB, far more than a
+    // pipe holds, so credc is still writing when the reader goes away.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_credc"))
+        .args(["reduce", &format!("{root}/kernels/figure3.loop")])
+        .args(["--unfold", "4096", "--print"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("credc runs");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert!(first.contains("verified"), "{first}");
+    drop(stdout);
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(status.code(), Some(101), "{status:?}: {stderr}");
+}

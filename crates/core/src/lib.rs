@@ -7,10 +7,13 @@
 //! the DFG recurrence by `cred-vm`, together with a code-size report.
 //!
 //! [`theorems`] contains the paper's seven theorems as executable, checked
-//! propositions: each function validates its theorem's claim on a concrete
+//! propositions: each theorem has one checker over derived artifacts
+//! (generated programs, their guard traces, the unfold-then-retime
+//! optimum) and a wrapper that derives them from a concrete
 //! `(G, r, f, n)` instance and returns a diagnostic error if the claim
-//! fails — the integration tests run them across benchmark and random
-//! graphs.
+//! fails — the integration tests run the wrappers across benchmark and
+//! random graphs, and the differential oracle in `cred-verify` runs the
+//! checkers on the artifacts of each fuzz case.
 
 pub mod theorems;
 

@@ -5,7 +5,12 @@
 //!
 //! If the oracle ever goes blind to this bug class (guard windows
 //! mis-masking the hidden prologue), this test fails, not the fuzzer.
+//!
+//! A second mutation, a setup of a register nothing reads, leaves every
+//! value, count and guard trace intact: only the theorem layer's register
+//! and size claims can see it.
 
+use cred_codegen::ir::PredId;
 use cred_codegen::{Inst, LoopProgram};
 use cred_verify::{
     random_case, shrink, verify_case_mutated, Case, CaseConfig, FailureKind, TransformOrder,
@@ -86,4 +91,41 @@ fn guard_offset_bug_shrinks_to_tiny_case() {
         ),
         "{err}"
     );
+}
+
+/// Append a setup of a fresh register, which no guard or decrement reads,
+/// to the `pre` of the f = 1 CRED program.
+fn setup_unread_register(p: &mut LoopProgram) {
+    if p.name != "cred" {
+        return;
+    }
+    let fresh = PredId(p.register_count() as u32);
+    p.pre.push(Inst::Setup {
+        reg: fresh,
+        init: 0,
+        bound: -(p.n as i64),
+    });
+}
+
+#[test]
+fn unread_register_setup_is_caught_by_the_theorem_layer() {
+    let mut rng = StdRng::seed_from_u64(0);
+    let cfg = CaseConfig::default();
+    let mut caught = 0;
+    for i in 0..200 {
+        let c = random_case(&mut rng, format!("setup{i}"), &cfg);
+        let verdict = verify_case_mutated(&c, &setup_unread_register);
+        if c.order == TransformOrder::UnfoldRetime {
+            // No `cred` program: nothing was mutated.
+            verdict.unwrap_or_else(|e| panic!("{c}: {e}"));
+            continue;
+        }
+        // Layers 1-4 pass the mutated program (static counts are skipped
+        // under mutation); Theorem 4.3's register count must not.
+        let err = verdict.expect_err("an unread register setup went unnoticed");
+        assert_eq!(err.kind, FailureKind::Theorem, "{c}: {err}");
+        assert!(err.detail.starts_with("Thm 4.3:"), "{c}: {err}");
+        caught += 1;
+    }
+    assert!(caught > 0, "no retime-unfold case among 200");
 }

@@ -1098,9 +1098,9 @@ mod tests {
 
     #[test]
     fn discipline_proof_engages_on_generated_programs() {
-        // The unchecked fast loop only pays off if generated programs
-        // actually preverify; a silent fall-back to the checked loop
-        // would be a performance regression this test catches.
+        // The compiled tape only pays off if generated programs
+        // actually preverify; a silent fall-back to the reference
+        // tree-walker would be a performance regression this test catches.
         let g = tiny();
         assert!(compile(&original_program(&g, 17)).unwrap().preverified());
         let (g, r) = figure3();

@@ -148,9 +148,9 @@ fn diff_reports_are_identical_across_executors() {
 }
 
 /// A guarded instruction whose register is bound mid-loop (setup inside
-/// the body) exercises the compile-time simulation's iteration order.
-/// Its guard is a predicate bitset, which the discipline proof does not
-/// attempt, so the fault-free program still runs the checked loop.
+/// the body) exercises the executors' iteration order. Its guard has no
+/// affine window, so the program does not compile: the fault-free
+/// program runs on the reference tree-walker.
 #[test]
 fn mid_loop_setup_window_matches() {
     use cred_codegen::ir::{LoopSpec, Ref};
