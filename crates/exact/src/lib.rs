@@ -39,8 +39,6 @@ mod period;
 pub mod solver;
 
 pub use cred_dfg::{MachineModel, MachineParseError};
-#[cfg(feature = "mutation-hooks")]
-pub use solver::hooks;
 pub use solver::{
     exact_schedule, exact_schedule_budgeted, retiming_bound, ExactSchedule, Infeasible, RejectedII,
 };

@@ -261,52 +261,6 @@ pub fn exact_schedule_budgeted(
     Searcher::new(g, m, &t).run(budget)
 }
 
-#[cfg(feature = "mutation-hooks")]
-pub mod hooks {
-    //! Test-only mutation hooks. Compiled in only with the
-    //! `mutation-hooks` feature and inert (zero) until a test flips
-    //! them; mutation tests use them to verify the verification layers
-    //! actually catch solver bugs.
-
-    use std::sync::atomic::AtomicU32;
-
-    /// Extra phantom units the reservation-table conflict check believes
-    /// every class has. `0` = correct behavior; `1` re-creates the
-    /// classic off-by-one (`<=` where `<` belongs), letting one too many
-    /// ops share a class-slot.
-    pub static RESERVATION_SLACK: AtomicU32 = AtomicU32::new(0);
-
-    /// Cycles the one-unit waste check takes off a rung's slack. `0` =
-    /// correct behavior; `1` makes the bound one cycle too strict, so the
-    /// search cuts branches that still complete and can miss the minimal
-    /// II.
-    pub static WASTE_TIGHTENING: AtomicU32 = AtomicU32::new(0);
-}
-
-#[cfg(feature = "mutation-hooks")]
-#[inline]
-fn reservation_slack() -> u32 {
-    hooks::RESERVATION_SLACK.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-#[cfg(not(feature = "mutation-hooks"))]
-#[inline]
-fn reservation_slack() -> u32 {
-    0
-}
-
-#[cfg(feature = "mutation-hooks")]
-#[inline]
-fn waste_tightening() -> i64 {
-    hooks::WASTE_TIGHTENING.load(std::sync::atomic::Ordering::Relaxed) as i64
-}
-
-#[cfg(not(feature = "mutation-hooks"))]
-#[inline]
-fn waste_tightening() -> i64 {
-    0
-}
-
 /// 64 bits of `bits` from bit `pos` on, zeros past the end.
 #[inline]
 fn bits_from(bits: &[u64], pos: usize) -> u64 {
@@ -420,9 +374,10 @@ impl<'g> Searcher<'g> {
                 .map(|v| v.0),
         );
         debug_assert_eq!(order.len(), n);
-        // `reservation_slack` is 0 unless a mutation test armed the
-        // test-only hook; see `hooks`.
-        let cap = OpClass::ALL.map(|c| m.units(c).map(|u| u + reservation_slack()));
+        // One phantom unit per class only while a mutation test arms the
+        // `<=`-for-`<` off-by-one in the conflict check.
+        let slack = u32::from(failpoint::armed(sites::MUTANT_RESERVATION_SLACK));
+        let cap = OpClass::ALL.map(|c| m.units(c).map(|u| u + slack));
         let mut occupancy = [0u64; OP_CLASSES];
         for v in 0..n {
             occupancy[class[v]] += t[v] as u64;
@@ -746,7 +701,9 @@ impl<'g> Searcher<'g> {
             if sums[0] == 1 && sums[1..].iter().all(|&x| x == 0) {
                 continue; // nothing of the class left to place
             }
-            let slack = ii as i64 - self.occupancy[c] as i64 - waste_tightening();
+            // A mutation test can arm a bound one cycle too strict.
+            let tightening = i64::from(failpoint::armed(sites::MUTANT_WASTE_TIGHTENING));
+            let slack = ii as i64 - self.occupancy[c] as i64 - tightening;
             if self.waste(c, ii as usize, sums) > slack {
                 return false;
             }

@@ -50,7 +50,7 @@ use cred_codegen::unfolded::retime_unfold_program;
 use cred_codegen::{DecMode, ExpectedCounts};
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::{Dfg, Ratio};
-use cred_resilience::{panic_message, Budget, DegradationEvent};
+use cred_resilience::{failpoint, panic_message, Budget, DegradationEvent};
 use cred_retime::minperiod::constraints_for_period;
 use cred_retime::span::{
     compact_values_wd, compact_values_with, min_span_retiming, min_span_retiming_with,
@@ -342,10 +342,13 @@ pub(crate) fn resilient_sweep(
     let mut outcomes: Vec<PointOutcome> = if threads == 1 {
         (1..=max_f).map(solve_one).collect()
     } else {
+        // A fault plan armed on the caller covers the sweep's workers too.
+        let plan = failpoint::current();
         std::thread::scope(|s| {
             let workers: Vec<_> = (0..threads)
                 .map(|_| {
                     s.spawn(|| {
+                        let _plan = failpoint::adopt(plan.clone());
                         let mut out = Vec::new();
                         loop {
                             let f = next.fetch_add(1, Ordering::Relaxed);

@@ -2,14 +2,16 @@
 //! plan can inject at the explore sites must surface as a *typed*
 //! degradation or an isolated per-point failure — never a hang, never a
 //! silently wrong point. Compiled with the `failpoints` feature (see
-//! `[dev-dependencies]`), so the registry is live; each test installs its
-//! plan under the process-global install lock, which also serializes the
-//! tests against each other.
+//! `[dev-dependencies]`), so the sites are live. A plan is armed on the
+//! thread that installs it and handed to that thread's sweep workers
+//! only, so the tests run in parallel without seeing each other's plans.
+//! The panic hook is silent on armed threads, so every test asserts after
+//! dropping its guard.
 //!
 //! Every sweep goes through [`ExploreRequest::run_with`] with an explicit
 //! cache, so the tests can inspect the cache afterwards.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use cred_codegen::DecMode;
@@ -118,12 +120,12 @@ fn cache_insert_panic_poisons_and_recovers() {
     let cache = SweepCache::new();
     // First lookup panics inside the locked insert section, deliberately
     // poisoning the cache mutex.
-    {
+    let poisoned = {
         let _guard =
             install(ChaosPlan::new().trip(sites::EXPLORE_CACHE_INSERT, FaultAction::Panic));
-        let report = report(&request(1, 1), &cache);
-        assert_eq!(report.failed().len(), 1, "{report:?}");
-    }
+        report(&request(1, 1), &cache)
+    };
+    assert_eq!(poisoned.failed().len(), 1, "{poisoned:?}");
     // Plan disarmed; the cache must recover the poisoned lock (clearing
     // the table) and serve correct plans again instead of panicking.
     let plan = cache.plan(&g, 1);
@@ -163,11 +165,26 @@ fn injected_delay_trips_deadline_into_degradation() {
 
 #[test]
 fn clean_run_with_registry_compiled_in_is_unaffected() {
-    // The feature is on but no plan is installed: the resilient sweep
-    // must be clean and identical to the plain parallel sweep.
+    // The feature is on, and a bystander holds a plan that would degrade
+    // every factor while this thread runs a 3-worker sweep (the barriers
+    // order the two threads): the sweep must be clean and identical to
+    // the reference sweep.
     let g = sample();
     let cache = SweepCache::new();
-    let report = report(&request(4, 3), &cache);
+    let barrier = Barrier::new(2);
+    let run = std::thread::scope(|s| {
+        s.spawn(|| {
+            let _guard =
+                install(ChaosPlan::new().trip(sites::EXPLORE_PLAN_FAST, FaultAction::Error));
+            barrier.wait();
+            barrier.wait();
+        });
+        barrier.wait();
+        let run = request(4, 3).run_with(&cache);
+        barrier.wait();
+        run
+    });
+    let report = run.expect("a clean sweep produces points").report;
     assert!(report.is_clean(), "{report:?}");
     assert_eq!(report.points(), expected_points(&g, 4));
     assert_eq!(cache.poison_recoveries(), 0);

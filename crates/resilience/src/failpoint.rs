@@ -3,10 +3,10 @@
 //! Library crates mark interesting spots in their hot paths with
 //! [`hit`] / [`hit_infallible`] under a **named site**. In a normal build
 //! the calls compile to an inlined `Ok(())` — the `failpoints` cargo
-//! feature is off and no registry exists. With the feature on (enabled by
-//! `cred-verify` for the chaos harness and through it by the CLI), a
-//! [`ChaosPlan`] can be [`install`]ed that trips chosen sites with one of
-//! three [`FaultAction`]s:
+//! feature is off. With the feature on (enabled by `cred-verify` for the
+//! chaos harness and through it by the CLI), a [`ChaosPlan`] can be
+//! [`install`]ed that trips chosen sites with one of three
+//! [`FaultAction`]s:
 //!
 //! * `Panic` — unwind from the site (tests worker isolation and lock
 //!   poisoning);
@@ -17,12 +17,18 @@
 //!
 //! Plans are generated deterministically from a seed
 //! ([`ChaosPlan::sample`]), so a failing chaos case reproduces from its
-//! `(seed, case index)` alone. Installation is process-global and
-//! serialized: [`install`] holds an exclusive guard for the plan's
-//! lifetime, so concurrent tests cannot interleave plans.
+//! `(seed, case index)` alone. A plan is armed on the thread that
+//! [`install`]s it and nowhere else; a pool working for that thread hands
+//! it to its workers with [`current`] and [`adopt`]. On a disarmed thread
+//! a site costs one thread-local load. The first plan armed installs one
+//! panic hook for the process: silent on armed threads (injected panics
+//! are expected and caught), the previous hook everywhere else.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 /// What an armed fail point does when execution reaches it.
@@ -92,7 +98,16 @@ pub mod sites {
     /// constrained scheduler (`cred-exact`).
     pub const EXACT_BRANCH: &str = "exact.branch";
 
-    /// Every site above, for plan sampling and documentation.
+    /// Test-only mutant (read with [`armed`](super::armed), not in
+    /// [`ALL`]): the exact scheduler's reservation check believes every
+    /// class has one more unit than the machine declares.
+    pub const MUTANT_RESERVATION_SLACK: &str = "exact.mutant.reservation_slack";
+    /// Test-only mutant (read with [`armed`](super::armed), not in
+    /// [`ALL`]): the exact scheduler's one-unit waste bound is a cycle
+    /// too strict.
+    pub const MUTANT_WASTE_TIGHTENING: &str = "exact.mutant.waste_tightening";
+
+    /// Every fault site above, for plan sampling and documentation.
     pub const ALL: &[&str] = &[
         RETIME_SPFA,
         RETIME_MIN_PERIOD,
@@ -131,16 +146,6 @@ impl ChaosPlan {
         self.actions.get(site)
     }
 
-    /// Number of armed sites.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True when no site is armed.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
     /// Armed `(site, action)` pairs in site-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &FaultAction)> {
         self.actions.iter().map(|(s, a)| (s.as_str(), a))
@@ -175,112 +180,116 @@ impl ChaosPlan {
     }
 }
 
-#[cfg(feature = "failpoints")]
-mod registry {
-    use super::{ChaosPlan, FaultAction, InjectedFault};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex, MutexGuard};
+thread_local! {
+    /// Fast-path flag: true while a plan is armed on this thread.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// The plan armed on this thread.
+    static PLAN: RefCell<Option<Arc<ChaosPlan>>> = const { RefCell::new(None) };
+}
 
-    /// Fast-path flag: `hit` is a single relaxed load unless a plan is
-    /// installed.
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    /// The installed plan plus the log of sites that actually fired.
-    static STATE: Mutex<State> = Mutex::new(State {
-        plan: None,
-        fired: Vec::new(),
-    });
-    /// Serializes installations: the guard of the current plan holds this
-    /// lock, so two tests (or threads) cannot interleave plans.
-    static INSTALL: Mutex<()> = Mutex::new(());
+/// Arms a plan on one thread; dropping it restores the plan that thread
+/// had before (usually none). Not `Send`: it must drop on the thread it
+/// armed.
+#[must_use = "the plan is disarmed when the guard drops"]
+pub struct ChaosGuard {
+    previous: Option<Arc<ChaosPlan>>,
+    _thread: PhantomData<*const ()>,
+}
 
-    struct State {
-        plan: Option<ChaosPlan>,
-        fired: Vec<(String, FaultAction)>,
-    }
-
-    fn state() -> MutexGuard<'static, State> {
-        // A panicking fail point cannot poison STATE (panics are raised
-        // after the guard is dropped), but be tolerant anyway.
-        STATE.lock().unwrap_or_else(|p| {
-            STATE.clear_poison();
-            p.into_inner()
-        })
-    }
-
-    /// Exclusive handle to the installed plan; dropping it disarms every
-    /// site and releases the installation lock.
-    pub struct ChaosGuard {
-        _install: MutexGuard<'static, ()>,
-    }
-
-    impl Drop for ChaosGuard {
-        fn drop(&mut self) {
-            ACTIVE.store(false, Ordering::SeqCst);
-            state().plan = None;
-        }
-    }
-
-    /// Install `plan` process-wide until the returned guard drops.
-    pub fn install(plan: ChaosPlan) -> ChaosGuard {
-        let install = INSTALL.lock().unwrap_or_else(|p| {
-            INSTALL.clear_poison();
-            p.into_inner()
-        });
-        {
-            let mut st = state();
-            st.plan = Some(plan);
-            st.fired.clear();
-        }
-        ACTIVE.store(true, Ordering::SeqCst);
-        ChaosGuard { _install: install }
-    }
-
-    /// Sites that fired since the last [`install`], in firing order.
-    pub fn take_fired() -> Vec<(String, FaultAction)> {
-        std::mem::take(&mut state().fired)
-    }
-
-    pub(super) fn consult(site: &'static str) -> Result<(), InjectedFault> {
-        if !ACTIVE.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let action = {
-            let mut st = state();
-            let Some(action) = st.plan.as_ref().and_then(|p| p.action_for(site)).cloned() else {
-                return Ok(());
-            };
-            st.fired.push((site.to_string(), action.clone()));
-            action
-        };
-        match action {
-            FaultAction::Panic => panic!("fail point '{site}': injected panic"),
-            FaultAction::Delay(d) => {
-                std::thread::sleep(d);
-                Ok(())
-            }
-            FaultAction::Error => Err(InjectedFault { site }),
-        }
+impl Drop for ChaosGuard {
+    fn drop(&mut self) {
+        ARMED.set(self.previous.is_some());
+        PLAN.set(self.previous.take());
     }
 }
 
+/// Arm `plan` on the calling thread until the returned guard drops.
 #[cfg(feature = "failpoints")]
-pub use registry::{install, take_fired, ChaosGuard};
+pub fn install(plan: ChaosPlan) -> ChaosGuard {
+    adopt(Some(Arc::new(plan)))
+}
 
-/// Reach the named site. Fires the installed plan's action, if any:
-/// `Err(InjectedFault)` for `Error`, a panic for `Panic`, a sleep for
+/// The plan armed on the calling thread, for a worker to [`adopt`].
+pub fn current() -> Option<Arc<ChaosPlan>> {
+    PLAN.with_borrow(Option::clone)
+}
+
+/// Arm `plan` (as read by [`current`] on another thread) on the calling
+/// thread until the returned guard drops; with `None` the thread stays
+/// disarmed.
+pub fn adopt(plan: Option<Arc<ChaosPlan>>) -> ChaosGuard {
+    if plan.is_some() {
+        quiet_armed_threads();
+    }
+    ARMED.set(plan.is_some());
+    ChaosGuard {
+        previous: PLAN.replace(plan),
+        _thread: PhantomData,
+    }
+}
+
+/// Install, once per process, the panic hook that keeps injected panics
+/// quiet: nothing on a thread with a plan armed, the previous hook on
+/// every other thread.
+fn quiet_armed_threads() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !ARMED.get() {
+                previous(info);
+            }
+        }));
+    });
+}
+
+/// The action the calling thread's plan arms at `site`, if any. Kept out
+/// of line: sites sit in hot loops, and only armed threads get here.
+#[cfg(feature = "failpoints")]
+#[cold]
+fn action(site: &str) -> Option<FaultAction> {
+    PLAN.with_borrow(|p| p.as_ref()?.action_for(site).cloned())
+}
+
+#[cfg(feature = "failpoints")]
+#[cold]
+fn fire(site: &'static str) -> Result<(), InjectedFault> {
+    match action(site) {
+        None => Ok(()),
+        Some(FaultAction::Panic) => panic!("fail point '{site}': injected panic"),
+        Some(FaultAction::Delay(d)) => {
+            std::thread::sleep(d);
+            Ok(())
+        }
+        Some(FaultAction::Error) => Err(InjectedFault { site }),
+    }
+}
+
+/// Reach the named site. Fires the calling thread's plan's action, if
+/// any: `Err(InjectedFault)` for `Error`, a panic for `Panic`, a sleep for
 /// `Delay`. Compiles to an inlined `Ok(())` without the `failpoints`
 /// feature.
 #[inline]
 pub fn hit(site: &'static str) -> Result<(), InjectedFault> {
     #[cfg(feature = "failpoints")]
-    {
-        registry::consult(site)
+    if ARMED.get() {
+        return fire(site);
     }
-    #[cfg(not(feature = "failpoints"))]
-    {
-        let _ = site;
-        Ok(())
+    let _ = site;
+    Ok(())
+}
+
+/// True when the calling thread's plan arms `site`, whatever the action:
+/// how the mutant sites are read. Compiles to `false` without the
+/// `failpoints` feature.
+#[inline]
+pub fn armed(site: &'static str) -> bool {
+    #[cfg(feature = "failpoints")]
+    if ARMED.get() {
+        return action(site).is_some();
     }
+    let _ = site;
+    false
 }
 
 /// [`hit`] for sites without an error channel: an `Error` action is
@@ -302,11 +311,9 @@ mod tests {
         let a = ChaosPlan::sample(7, sites::ALL, 50, 3);
         let b = ChaosPlan::sample(7, sites::ALL, 50, 3);
         assert_eq!(a, b);
-        assert!(ChaosPlan::sample(1, sites::ALL, 0, 3).is_empty());
-        assert_eq!(
-            ChaosPlan::sample(1, sites::ALL, 100, 3).len(),
-            sites::ALL.len()
-        );
+        assert_eq!(ChaosPlan::sample(1, sites::ALL, 0, 3), ChaosPlan::new());
+        let all = ChaosPlan::sample(1, sites::ALL, 100, 3);
+        assert_eq!(all.iter().count(), sites::ALL.len());
     }
 
     #[test]
@@ -314,7 +321,7 @@ mod tests {
         let p = ChaosPlan::new()
             .trip("a.b", FaultAction::Error)
             .trip("c.d", FaultAction::Panic);
-        assert_eq!(p.len(), 2);
+        assert_eq!(p.iter().count(), 2);
         assert_eq!(p.action_for("a.b"), Some(&FaultAction::Error));
         assert_eq!(p.action_for("nope"), None);
     }
@@ -322,30 +329,72 @@ mod tests {
     #[cfg(feature = "failpoints")]
     #[test]
     fn installed_plan_fires_and_disarms_on_drop() {
-        {
+        let fired = {
             let _g = install(ChaosPlan::new().trip("t.error", FaultAction::Error));
-            assert_eq!(hit("t.error"), Err(InjectedFault { site: "t.error" }));
-            assert_eq!(hit("t.other"), Ok(()));
-            let fired = take_fired();
-            assert_eq!(fired.len(), 1);
-            assert_eq!(fired[0].0, "t.error");
-        }
+            (hit("t.error"), hit("t.other"), armed("t.error"))
+        };
+        let fault = Err(InjectedFault { site: "t.error" });
+        assert_eq!(fired, (fault, Ok(()), true));
         // Guard dropped: site is disarmed again.
-        assert_eq!(hit("t.error"), Ok(()));
+        assert_eq!((hit("t.error"), armed("t.error")), (Ok(()), false));
     }
 
     #[cfg(feature = "failpoints")]
     #[test]
     fn panic_action_unwinds_with_recognizable_message() {
-        let _g = install(ChaosPlan::new().trip("t.panic", FaultAction::Panic));
-        let err = std::panic::catch_unwind(|| hit("t.panic")).unwrap_err();
+        let err = {
+            let _g = install(ChaosPlan::new().trip("t.panic", FaultAction::Panic));
+            std::panic::catch_unwind(|| hit("t.panic")).unwrap_err()
+        };
         let msg = crate::panic_message(err.as_ref());
         assert!(msg.contains("injected panic"), "{msg}");
+    }
+
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn plan_stays_on_its_thread_and_nests() {
+        let plan = |site| ChaosPlan::new().trip(site, FaultAction::Error);
+        let fault = |site| Err(InjectedFault { site });
+        // The bystander looks between the two waits, while this thread
+        // holds its plan, whatever order the threads run in.
+        let barrier = std::sync::Barrier::new(2);
+        let bystander = std::thread::scope(|s| {
+            let seen = s.spawn(|| {
+                barrier.wait();
+                let seen = (hit("t.outer"), armed("t.outer"));
+                barrier.wait();
+                seen
+            });
+            let _g = install(plan("t.outer"));
+            barrier.wait();
+            barrier.wait();
+            seen.join().unwrap()
+        });
+        assert_eq!(bystander, (Ok(()), false), "the plan leaked");
+
+        let (adopted, nested, restored) = {
+            let _g = install(plan("t.outer"));
+            let outer = current();
+            let adopted = std::thread::spawn(|| {
+                let _w = adopt(outer);
+                hit("t.outer")
+            });
+            let nested = {
+                let _inner = install(plan("t.inner"));
+                (hit("t.outer"), hit("t.inner"))
+            };
+            let restored = (hit("t.outer"), hit("t.inner"));
+            (adopted.join().unwrap(), nested, restored)
+        };
+        assert_eq!(adopted, fault("t.outer"));
+        assert_eq!(nested, (Ok(()), fault("t.inner")));
+        assert_eq!(restored, (fault("t.outer"), Ok(())));
     }
 
     #[test]
     fn uninstalled_sites_are_free() {
         assert_eq!(hit("never.installed"), Ok(()));
+        assert!(!armed("never.installed"));
         hit_infallible("never.installed");
     }
 }

@@ -22,7 +22,8 @@
 //! * [`failpoint`] — a deterministic, feature-gated fail-point framework
 //!   (`fail-rs` style): named sites in retime/explore/codegen/vm that a
 //!   seeded [`failpoint::ChaosPlan`] can trip with a panic, a delay, or a
-//!   typed error. The chaos harness in `cred-verify` replays the
+//!   typed error, armed only on the installing thread and the workers it
+//!   hands the plan to. The chaos harness in `cred-verify` replays the
 //!   differential oracle under random plans and asserts that every
 //!   injected fault surfaces as a typed degradation or an isolated
 //!   failure — no hangs, no silent corruption.

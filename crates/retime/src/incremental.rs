@@ -666,9 +666,16 @@ impl<'a> RetimeSolver<'a> {
     /// Among retimings achieving period `<= c`, one of minimum span, given
     /// `base` = the solver's normalized solution of the plain period-`c`
     /// system (what [`Self::retime_to_period`] returns). Binary-searches
-    /// the span through the auxiliary-vertex encoding, warm-starting every
-    /// probe from the last feasible one. Bit-identical to
-    /// [`crate::span::min_span_retiming_reference`].
+    /// the span, warm-starting every probe from the last feasible one.
+    ///
+    /// Each probe encodes the all-pairs constraints `r(u) - r(v) <= s`
+    /// through one auxiliary variable `z` with `r(u) - z <= 0` and
+    /// `z - r(v) <= s` (`2|V|` edges instead of `|V|^2`). Compositions of
+    /// the two aux edges reproduce every dense span edge and vice versa,
+    /// and the extension `z = max r` shows both systems bound the real
+    /// variables identically, so the pointwise-maximal solution on the
+    /// real nodes, and hence the result, is bit-identical to
+    /// [`crate::span::min_span_retiming_reference`]'s.
     pub fn min_span_from_base(&mut self, c: u64, base: &Retiming) -> Retiming {
         unbudgeted(self.min_span_from_base_budgeted(c, base, &Budget::unlimited()))
     }

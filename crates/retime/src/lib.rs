@@ -53,7 +53,6 @@ pub use constraints::ConstraintSystem;
 pub use diff::DiffEngine;
 pub use incremental::{CsrConstraintGraph, RetimeSolver, SolverScratch};
 pub use minperiod::{
-    min_period_retiming, min_period_retiming_with, retime_to_period, retime_to_period_with,
-    MinPeriodResult,
+    min_period_retiming, min_period_retiming_with, retime_to_period, MinPeriodResult,
 };
 pub use retiming::Retiming;

@@ -56,21 +56,16 @@ pub(crate) fn add_period_constraints(sys: &mut ConstraintSystem, g: &Dfg, wd: &W
 
 /// Find a legal retiming achieving cycle period `<= c`, if one exists.
 ///
-/// The returned retiming is normalized (minimum value zero).
+/// The returned retiming is normalized (minimum value zero). Runs the
+/// incremental SPFA solver ([`crate::RetimeSolver`]); callers probing
+/// many periods on one graph should hold a solver directly to keep its
+/// W/D matrices and warm state across probes.
 pub fn retime_to_period(g: &Dfg, c: u64) -> Option<Retiming> {
     let wd = WdMatrices::compute(g);
-    retime_to_period_with(g, &wd, c)
+    crate::RetimeSolver::new(g, &wd).retime_to_period(c)
 }
 
-/// [`retime_to_period`] with a precomputed W/D matrix (for callers sweeping
-/// many periods). Runs the incremental SPFA solver
-/// ([`crate::RetimeSolver`]); callers probing many periods on one graph
-/// should hold a solver directly to keep its warm state across probes.
-pub fn retime_to_period_with(g: &Dfg, wd: &WdMatrices, c: u64) -> Option<Retiming> {
-    crate::RetimeSolver::new(g, wd).retime_to_period(c)
-}
-
-/// The dense reference path of [`retime_to_period_with`]: build the full
+/// The dense reference path of [`retime_to_period`]: build the full
 /// [`ConstraintSystem`] and solve it with edge-list Bellman–Ford. Kept as
 /// the differential-testing oracle for the incremental solver; results are
 /// bit-identical.

@@ -78,25 +78,6 @@ fn solve_with_span(g: &Dfg, wd: &WdMatrices, c: i64, span: i64) -> Option<Retimi
     Some(r)
 }
 
-/// Engine-path variant of [`min_span_retiming_with`]: identical results,
-/// cheaper probes (used by the exploration engine's memoized plans).
-///
-/// `base` must be the solver's (normalized) solution of the plain
-/// period-`c` system — exactly what [`crate::retime_to_period_with`]
-/// returns for the same `(g, wd, c)` — so the base solve is skipped; the
-/// span search reconstructs the raw fixpoint from `base` and warm-starts
-/// every probe from it. Each probe encodes the all-pairs constraints
-/// `r(u) - r(v) <= s` through one auxiliary variable `z` with
-/// `r(u) - z <= 0` and `z - r(v) <= s` (`2|V|` edges instead of `|V|^2`).
-/// Compositions of the two aux edges reproduce every dense span edge and
-/// vice versa, and the extension `z = max r` shows both systems bound the
-/// real variables identically, so the solver's pointwise-maximal solution
-/// restricted to the real nodes — and hence the returned retiming — is
-/// the same, bit for bit (see `from_base_variant_is_bit_identical`).
-pub fn min_span_retiming_from_base(g: &Dfg, wd: &WdMatrices, c: u64, base: &Retiming) -> Retiming {
-    crate::RetimeSolver::new(g, wd).min_span_from_base(c, base)
-}
-
 /// Greedily reduce the number of distinct retiming values of `r` while
 /// keeping every constraint of the period-`c` system satisfied.
 ///
@@ -247,7 +228,7 @@ mod tests {
 
     #[test]
     fn from_base_variant_is_bit_identical() {
-        use crate::retime_to_period_with;
+        use crate::RetimeSolver;
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..25 {
@@ -262,12 +243,16 @@ mod tests {
             let wd = WdMatrices::compute(&g);
             let opt = min_period_retiming(&g);
             // Probe both the optimal period and a relaxed one, pitting the
-            // incremental aux-variable path against the dense oracle.
+            // incremental aux-variable path against the dense oracle: warm
+            // from the solver's own fixpoint, and rebuilt from `base` alone.
             for c in [opt.period, opt.period + 1] {
                 let reference = min_span_retiming_reference(&g, &wd, c).unwrap();
-                let base = retime_to_period_with(&g, &wd, c).unwrap();
-                let fast = min_span_retiming_from_base(&g, &wd, c, &base);
-                assert_eq!(reference, fast, "period {c}");
+                let mut solver = RetimeSolver::new(&g, &wd);
+                let base = solver.retime_to_period(c).unwrap();
+                let warm = solver.min_span_from_base(c, &base);
+                assert_eq!(reference, warm, "warm, period {c}");
+                let cold = RetimeSolver::new(&g, &wd).min_span_from_base(c, &base);
+                assert_eq!(reference, cold, "cold, period {c}");
                 assert_eq!(reference, min_span_retiming_with(&g, &wd, c).unwrap());
             }
         }

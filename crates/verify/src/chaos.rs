@@ -137,27 +137,14 @@ impl ChaosReport {
 
 /// Run `cfg.cases` chaos cases. Deterministic per seed.
 ///
-/// Requires the `failpoints` feature (always on in this crate); plans are
-/// installed process-globally, so concurrent chaos suites serialize on
-/// the registry's install lock.
+/// Requires the `failpoints` feature (always on in this crate). Each plan
+/// is armed on the calling thread only, for the faulted run, so suites on
+/// other threads (chaos or plain fuzz) never see it, and the baselines
+/// run fault-free. The fail-point panic hook keeps the injected panics,
+/// all of them caught here, off stderr.
 pub fn chaos_suite(cfg: &ChaosConfig) -> ChaosReport {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    // Injected panics are *expected* here and every one is caught; the
-    // default hook would spray a backtrace per isolated fault. Silence it
-    // for the suite's duration (restored by the guard below even if the
-    // harness itself unwinds).
-    type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
-    struct HookGuard(Option<PanicHook>);
-    impl Drop for HookGuard {
-        fn drop(&mut self) {
-            if let Some(h) = self.0.take() {
-                std::panic::set_hook(h);
-            }
-        }
-    }
-    let _hook = HookGuard(Some(std::panic::take_hook()));
-    std::panic::set_hook(Box::new(|_| {}));
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut report = ChaosReport::default();
     for i in 0..cfg.cases {
@@ -248,93 +235,95 @@ mod tests {
 
     #[test]
     fn chaos_suite_is_deterministic() {
-        let cfg = ChaosConfig {
-            cases: 10,
-            seed: 7,
-            ..ChaosConfig::default()
+        let chaos = |seed| {
+            let cfg = ChaosConfig {
+                cases: 20,
+                seed,
+                ..ChaosConfig::default()
+            };
+            format!("{:?}", chaos_suite(&cfg))
         };
-        let a = chaos_suite(&cfg);
-        let b = chaos_suite(&cfg);
-        assert_eq!(a.clean, b.clean);
-        assert_eq!(a.degraded, b.degraded);
-        assert_eq!(a.faulted, b.faulted);
-        // Delay actions render with a Duration, which is stable too.
-        let render = |r: &ChaosReport| {
-            r.incidents
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
+        let fuzz = || {
+            let cfg = crate::FuzzConfig {
+                cases: 60,
+                ..Default::default()
+            };
+            format!("{:?}", crate::fuzz_suite(&cfg))
         };
-        assert_eq!(render(&a), render(&b));
+        // Each suite returns the same report alone and beside the other
+        // two, all started on one barrier: a plan stays on its thread.
+        let suites: [&(dyn Fn() -> String + Sync); 3] = [&|| chaos(7), &|| chaos(8), &fuzz];
+        let alone = suites.map(|run| run());
+        let start = std::sync::Barrier::new(3);
+        let together = std::thread::scope(|s| {
+            let start = &start;
+            suites
+                .map(|run| {
+                    s.spawn(move || {
+                        start.wait();
+                        run()
+                    })
+                })
+                .map(|r| r.join().expect("a suite panicked"))
+        });
+        assert_eq!(together, alone);
+    }
+
+    /// The chain case the injection tests share, on `machine`.
+    fn inject_case(label: &str, machine: cred_exact::MachineModel) -> crate::Case {
+        crate::Case {
+            label: label.into(),
+            graph: cred_dfg::gen::chain_with_feedback(5, 2),
+            n: 17,
+            f: 2,
+            order: crate::TransformOrder::RetimeUnfold,
+            mode: cred_codegen::DecMode::Bulk,
+            machine,
+        }
+    }
+
+    /// `run` with a typed error armed at `site`; the guard drops before
+    /// the caller asserts, since the panic hook is silent on armed threads.
+    fn with_error_at<R>(site: &str, run: impl FnOnce() -> R) -> R {
+        let _guard = install(ChaosPlan::new().trip(site, FaultAction::Error));
+        run()
     }
 
     #[test]
     fn vm_injection_surfaces_as_typed_degradation() {
-        use crate::case::TransformOrder;
-        use cred_codegen::DecMode;
-        use cred_dfg::gen;
-        let case = crate::Case {
-            label: "vm-inject".into(),
-            graph: gen::chain_with_feedback(5, 2),
-            n: 17,
-            f: 2,
-            order: TransformOrder::RetimeUnfold,
-            mode: DecMode::Bulk,
-            machine: cred_exact::MachineModel::unconstrained(),
-        };
-        let _guard = install(ChaosPlan::new().trip(sites::VM_EXEC, FaultAction::Error));
-        let err = verify_case(&case).unwrap_err();
+        let case = inject_case("vm-inject", cred_exact::MachineModel::unconstrained());
+        let err = with_error_at(sites::VM_EXEC, || verify_case(&case)).unwrap_err();
         assert!(err.detail.contains(sites::VM_EXEC), "{err}");
     }
 
     #[test]
     fn exact_branch_injection_surfaces_as_typed_degradation() {
-        use crate::case::TransformOrder;
-        use crate::oracle::FailureKind;
-        use cred_codegen::DecMode;
-        use cred_dfg::gen;
-        let case = crate::Case {
-            label: "exact-inject".into(),
-            graph: gen::chain_with_feedback(5, 2),
-            n: 17,
-            f: 2,
-            order: TransformOrder::RetimeUnfold,
-            mode: DecMode::Bulk,
-            // A constrained machine forces real branch-and-bound work, so
-            // the armed site is guaranteed to be reached.
-            machine: cred_exact::MachineModel::builtin("scalar").unwrap(),
-        };
+        // A constrained machine forces real branch-and-bound work, so the
+        // armed site is guaranteed to be reached.
+        let scalar = cred_exact::MachineModel::builtin("scalar").unwrap();
+        let case = inject_case("exact-inject", scalar);
         // The oracle's exact layer runs under a budget, so an injected
         // error at the branch site must come back as a *typed* fifth-layer
         // failure naming the site — never a panic, never a wrong answer.
-        let _guard = install(ChaosPlan::new().trip(sites::EXACT_BRANCH, FaultAction::Error));
-        let err = verify_case(&case).unwrap_err();
-        assert_eq!(err.kind, FailureKind::Exact, "{err}");
+        let err = with_error_at(sites::EXACT_BRANCH, || verify_case(&case)).unwrap_err();
+        assert_eq!(err.kind, crate::FailureKind::Exact, "{err}");
         assert!(err.detail.contains(sites::EXACT_BRANCH), "{err}");
     }
 
     #[test]
     fn tape_compiler_injection_surfaces_as_typed_degradation() {
-        use crate::case::TransformOrder;
-        use cred_codegen::DecMode;
-        use cred_dfg::gen;
-        let case = crate::Case {
-            label: "compile-inject".into(),
-            graph: gen::chain_with_feedback(5, 2),
-            n: 17,
-            f: 2,
-            order: TransformOrder::RetimeUnfold,
-            mode: DecMode::Bulk,
-            machine: cred_exact::MachineModel::unconstrained(),
-        };
+        let case = inject_case("compile-inject", cred_exact::MachineModel::unconstrained());
         // The oracle's default executor lowers through the tape compiler,
         // so a fault armed at its entry must surface as a typed
         // degradation naming the site — proof that `credc chaos` covers
         // the compiler, not just the interpreters.
-        let _guard = install(ChaosPlan::new().trip(sites::VM_COMPILE, FaultAction::Error));
-        let err = verify_case(&case).unwrap_err();
+        let (tape, tree) = with_error_at(sites::VM_COMPILE, || {
+            let tree = crate::verify_case_on(&case, crate::Executor::Tree);
+            (verify_case(&case), tree)
+        });
+        let err = tape.unwrap_err();
         assert!(err.detail.contains(sites::VM_COMPILE), "{err}");
         // The tree-walker path does not compile and must sail through.
-        crate::verify_case_on(&case, crate::Executor::Tree).unwrap();
+        tree.unwrap();
     }
 }

@@ -1,41 +1,35 @@
 //! Mutation test for the exact scheduler's reservation tables.
 //!
-//! `cred_exact::hooks::RESERVATION_SLACK` injects an off-by-one into the
-//! solver's per-class conflict check: with slack 1 the search believes
-//! every functional-unit class has one more unit than the machine model
+//! The mutant site `exact.mutant.reservation_slack`
+//! (`sites::MUTANT_RESERVATION_SLACK`) injects an off-by-one into the
+//! solver's per-class conflict check: armed, the search believes every
+//! functional-unit class has one more unit than the machine model
 //! declares, so it packs ops the real machine cannot issue together.
 //! The fifth oracle layer re-validates every schedule with the
 //! *independent* checker in `cred_exact::check` (which never reads the
-//! hook), so the fuzzer must catch the mutant — and the greedy shrinker
+//! mutant), so the fuzzer must catch the mutant — and the greedy shrinker
 //! must reduce the kill to a handful of nodes, mirroring the PR 3
 //! guard-offset mutation test for the code generators.
 //!
-//! The hook is a process-global atomic, so this test lives alone in its
-//! own integration-test binary: `cargo test` gives each test file its
-//! own process, and nothing else here can observe the armed mutant.
+//! The mutant is armed on this test's thread only, so no other test sees
+//! it. The panic hook is silent on armed threads, so the test asserts
+//! after dropping its guard.
 
+use cred_resilience::failpoint::{install, sites, ChaosPlan, FaultAction};
 use cred_verify::{fuzz_suite, FailureKind, FuzzConfig};
-use std::sync::atomic::Ordering;
-
-/// Restore the hook even if an assertion unwinds.
-struct SlackGuard;
-impl Drop for SlackGuard {
-    fn drop(&mut self) {
-        cred_exact::hooks::RESERVATION_SLACK.store(0, Ordering::SeqCst);
-    }
-}
 
 #[test]
 fn reservation_off_by_one_is_caught_and_shrinks_small() {
-    cred_exact::hooks::RESERVATION_SLACK.store(1, Ordering::SeqCst);
-    let _guard = SlackGuard;
-
-    let report = fuzz_suite(&FuzzConfig {
-        cases: 300,
-        seed: 0,
-        shrink_failures: true,
-        ..FuzzConfig::default()
-    });
+    let report = {
+        let _mutant =
+            install(ChaosPlan::new().trip(sites::MUTANT_RESERVATION_SLACK, FaultAction::Error));
+        fuzz_suite(&FuzzConfig {
+            cases: 300,
+            seed: 0,
+            shrink_failures: true,
+            ..FuzzConfig::default()
+        })
+    };
     // The mutant must be killed, and by the layer that owns it.
     let kill = report
         .failures
