@@ -20,9 +20,9 @@
 //! [`run`]: ExploreRequest::run
 //! [`run_with`]: ExploreRequest::run_with
 
-use std::time::Duration;
-
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::time::Duration;
 
 use cred_codegen::DecMode;
 use cred_dfg::Dfg;
@@ -32,7 +32,7 @@ use cred_schedule::KernelSchedule;
 
 use crate::cache::{PlanSource, SweepCache};
 use crate::error::CredError;
-use crate::{frontier, resilient_sweep, ParetoPoint, PointStatus, SweepReport};
+use crate::{frontier, resilient_sweep, ParetoPoint, PointOutcome, PointStatus, SweepReport};
 
 /// Scalarization weights over the four [`Objectives`] axes, used by
 /// [`ExploreResponse::best`] to pick a single recommended point off the
@@ -170,7 +170,7 @@ pub fn mode_code(mode: DecMode) -> u8 {
 /// ```
 #[derive(Debug)]
 pub struct ExploreRequest {
-    graph: Dfg,
+    graph: Arc<Dfg>,
     /// `graph`'s [`Dfg::fingerprint`], hashed once here instead of once
     /// per key and per factor lookup (the graph cannot change after `new`).
     fingerprint: u64,
@@ -182,8 +182,12 @@ pub struct ExploreRequest {
 
 impl ExploreRequest {
     /// A request over `graph` with default [`ExploreOptions`] and no
-    /// resource limits.
-    pub fn new(graph: Dfg) -> Self {
+    /// resource limits. `graph` is anything that converts into an
+    /// `Arc<Dfg>`: a [`Dfg`] moves in, and a shared `Arc<Dfg>` is taken
+    /// without copying the graph, so a caller keeping a table of kernels
+    /// builds each request for the cost of a reference count.
+    pub fn new(graph: impl Into<Arc<Dfg>>) -> Self {
+        let graph = graph.into();
         ExploreRequest {
             fingerprint: graph.fingerprint(),
             graph,
@@ -344,6 +348,64 @@ impl ExploreRequest {
     ///   [`ExploreResponse::strict_violation`] when strictness was
     ///   requested).
     pub fn run_with(&self, cache: &SweepCache) -> Result<ExploreResponse, CredError> {
+        let budget = self.admit()?;
+        let report = resilient_sweep(&self.graph, self.fingerprint, &self.opts, cache, &budget);
+        if report.outcomes.iter().all(|o| o.point.is_none()) {
+            // Nothing was produced. If any factor was cut off by the
+            // budget, the whole request is a typed budget error rather
+            // than an empty success.
+            let exhausted = report.outcomes.iter().find_map(|o| match &o.status {
+                PointStatus::Degraded(ev) => match &ev.cause {
+                    DegradeCause::Exhausted(e) => Some(e.clone()),
+                    _ => None,
+                },
+                _ => None,
+            });
+            if let Some(e) = exhausted {
+                return Err(CredError::BudgetExhausted(e));
+            }
+        }
+        let exact = match &self.opts.machine {
+            None => None,
+            Some(m) => Some(exact_summary(&self.graph, m, &budget)?),
+        };
+        Ok(self.response(report, cache, exact))
+    }
+
+    /// The response [`run_with`](Self::run_with) gives when `cache`
+    /// already holds the memoized point of every factor asked for, read
+    /// under one cache lock: nothing is solved, sized or scheduled. Its
+    /// report is all [`PointStatus::Ok`], it carries no exact summary,
+    /// and it counts `max_f` cache hits, as the per-factor lookups would.
+    /// The service's event loop answers warm requests with it.
+    ///
+    /// `None` when any point is missing or fails its checksum, and then
+    /// `cache` is left exactly as it was. Also `None` for a request that
+    /// names a machine (its exact summary is computed per request), for
+    /// unevaluable options, and for a budget that is already gone;
+    /// `run_with` answers those.
+    pub fn run_memoized(&self, cache: &SweepCache) -> Option<ExploreResponse> {
+        if self.opts.machine.is_some() {
+            return None;
+        }
+        self.admit().ok()?;
+        let ExploreOptions { max_f, n, mode, .. } = self.opts;
+        let points = cache.memoized_points(self.fingerprint, max_f, n, mode)?;
+        let outcomes = points
+            .into_iter()
+            .map(|point| PointOutcome {
+                f: point.f,
+                status: PointStatus::Ok,
+                point: Some(point),
+            })
+            .collect();
+        Some(self.response(SweepReport { outcomes }, cache, None))
+    }
+
+    /// Admission: check the options and build the request's budget. A
+    /// budget that is already gone fails typed, before any lookup or
+    /// solve.
+    fn admit(&self) -> Result<Budget, CredError> {
         if !(1..=MAX_MAX_F).contains(&self.opts.max_f) {
             return Err(CredError::Protocol(format!(
                 "max_f must be in 1..={MAX_MAX_F}"
@@ -365,38 +427,27 @@ impl ExploreRequest {
         if let Some(tok) = &self.cancel {
             budget = budget.with_cancel(tok.clone());
         }
-        // Admission control: a budget that is already gone fails typed,
-        // before any solver runs.
         budget.check().map_err(CredError::BudgetExhausted)?;
-        let report = resilient_sweep(&self.graph, self.fingerprint, &self.opts, cache, &budget);
+        Ok(budget)
+    }
+
+    /// The response over `report`'s points, with the cache counters read
+    /// now.
+    fn response(
+        &self,
+        report: SweepReport,
+        cache: &SweepCache,
+        exact: Option<ExactSummary>,
+    ) -> ExploreResponse {
         let points = report.points();
-        if points.is_empty() {
-            // Nothing was produced. If any factor was cut off by the
-            // budget, the whole request is a typed budget error rather
-            // than an empty success.
-            let exhausted = report.outcomes.iter().find_map(|o| match &o.status {
-                PointStatus::Degraded(ev) => match &ev.cause {
-                    DegradeCause::Exhausted(e) => Some(e.clone()),
-                    _ => None,
-                },
-                _ => None,
-            });
-            if let Some(e) = exhausted {
-                return Err(CredError::BudgetExhausted(e));
-            }
-        }
-        let exact = match &self.opts.machine {
-            None => None,
-            Some(m) => Some(exact_summary(&self.graph, m, &budget)?),
-        };
-        Ok(ExploreResponse {
+        ExploreResponse {
             frontier: frontier(&points, self.opts.max_registers),
             points,
             report,
             cache: CacheStats::of(cache),
             opts: self.opts.clone(),
             exact,
-        })
+        }
     }
 }
 
@@ -641,6 +692,160 @@ mod tests {
         assert_eq!(a.points, b.points);
         assert_eq!(b.cache.misses, 3, "second run must be all hits");
         assert!(b.cache.hits >= 3);
+    }
+
+    #[test]
+    fn memoized_response_equals_the_sweep_on_a_warm_cache() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../kernels");
+        let kernels = crate::suite::load_kernels(&dir).expect("bundled kernels parse");
+        assert_eq!(kernels.len(), 10);
+        for (name, g) in kernels {
+            let g = Arc::new(g);
+            for mode in [DecMode::Bulk, DecMode::PerCopy] {
+                let request = |max_f, cap: Option<usize>| {
+                    let req = ExploreRequest::new(Arc::clone(&g))
+                        .max_f(max_f)
+                        .trip_count(60)
+                        .mode(mode);
+                    match cap {
+                        Some(cap) => req.max_registers(cap),
+                        None => req,
+                    }
+                };
+                // Two caches warmed alike: one answers through the
+                // per-factor lookups, the other through the probe.
+                let (swept, probed) = (SweepCache::new(), SweepCache::new());
+                let warm = request(4, None).run_with(&swept).unwrap();
+                request(4, None).run_with(&probed).unwrap();
+                for max_f in 1..=4 {
+                    // Uncapped, and capped at the least total registers.
+                    let tight = warm.points[..max_f]
+                        .iter()
+                        .map(|p| p.objectives.total_registers())
+                        .min();
+                    for cap in [None, tight] {
+                        let req = request(max_f, cap);
+                        let hits = swept.hits();
+                        let want = req.run_with(&swept).unwrap();
+                        let got = req.run_memoized(&probed).expect("every point is memoized");
+                        let ctx = format!("{name}, {mode:?}, max_f {max_f}, cap {cap:?}");
+                        assert_eq!(got.points, want.points, "{ctx}");
+                        assert_eq!(got.frontier, want.frontier, "{ctx}");
+                        assert_eq!(got.report, want.report, "{ctx}");
+                        assert!(got.report.is_clean(), "{ctx}");
+                        assert_eq!(got.opts, want.opts, "{ctx}");
+                        assert_eq!((&got.exact, &want.exact), (&None, &None), "{ctx}");
+                        assert_eq!(got.cache, want.cache, "{ctx}");
+                        assert_eq!(got.cache.hits, hits + max_f as u64, "{ctx}");
+                        assert_eq!(got.cache.misses, 4, "{ctx}");
+                        assert_eq!(probed.state(), swept.state(), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_memoized_refuses_without_touching_the_cache() {
+        let g = Arc::new(sample());
+        let request = |max_f| {
+            ExploreRequest::new(Arc::clone(&g))
+                .max_f(max_f)
+                .trip_count(60)
+        };
+        let refuses = |req: &ExploreRequest, cache: &SweepCache, why: &str| {
+            let before = cache.state();
+            assert!(req.run_memoized(cache).is_none(), "{why}");
+            assert_eq!(cache.state(), before, "{why}");
+        };
+        let cache = SweepCache::new();
+        refuses(&request(3), &cache, "cold cache");
+        // Factors 1..=3 memoized, 4 asked.
+        request(3).run_with(&cache).unwrap();
+        refuses(&request(4), &cache, "partly warm");
+        // Plans stored, but no point at this trip count or mode...
+        refuses(&request(3).trip_count(61), &cache, "other n");
+        refuses(&request(3).mode(DecMode::PerCopy), &cache, "other mode");
+        // ...or no point at all.
+        let plans_only = SweepCache::new();
+        for f in 1..=3 {
+            plans_only.plan(&g, f);
+        }
+        refuses(&request(3), &plans_only, "plans only");
+        // A machine, invalid options and a spent budget are run_with's
+        // to answer, even on a warm cache.
+        let scalar = MachineModel::builtin("scalar").unwrap();
+        refuses(&request(3).machine(scalar), &cache, "machine");
+        for (req, why) in [
+            (request(3).threads(0), "threads 0"),
+            (request(0), "max_f 0"),
+            (request(MAX_MAX_F + 1), "max_f too large"),
+            (request(3).trip_count(MAX_N + 1), "n too large"),
+        ] {
+            refuses(&req, &cache, why);
+            assert_eq!(
+                req.run_with(&cache).unwrap_err().code(),
+                "protocol",
+                "{why}"
+            );
+        }
+        let tok = CancelToken::new();
+        tok.cancel();
+        let cancelled = request(3).cancel(tok);
+        refuses(&cancelled, &cache, "cancelled");
+        assert_eq!(
+            cancelled.run_with(&cache).unwrap_err(),
+            CredError::BudgetExhausted(Exhausted::Cancelled)
+        );
+        assert!(request(3).run_memoized(&cache).is_some(), "warm");
+        // A corrupt entry is left for the lookup, which evicts it once
+        // and misses once.
+        assert!(cache.corrupt_entry_for_test(&g, 2));
+        refuses(&request(3), &cache, "corrupted");
+        let (hits, misses, evictions) = (cache.hits(), cache.misses(), cache.evictions());
+        let healed = request(3).run_with(&cache).unwrap();
+        assert_eq!(
+            healed.points,
+            crate::sweep_reference(&g, 3, 60, DecMode::Bulk)
+        );
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.evictions()),
+            (hits + 2, misses + 1, evictions + 1)
+        );
+    }
+
+    #[test]
+    fn probe_and_lookups_evict_the_same_entry() {
+        // One shard of four entries: one global LRU order.
+        let graphs: Vec<Arc<Dfg>> = (4..7)
+            .map(|k| Arc::new(gen::chain_with_feedback(k, 2)))
+            .collect();
+        let request = |i: usize, max_f| {
+            ExploreRequest::new(Arc::clone(&graphs[i]))
+                .max_f(max_f)
+                .trip_count(60)
+        };
+        let swept = SweepCache::with_layout(1, Some(4));
+        let probed = SweepCache::with_layout(1, Some(4));
+        for cache in [&swept, &probed] {
+            request(0, 2).run_with(cache).unwrap();
+            request(1, 2).run_with(cache).unwrap();
+        }
+        // Graph 0 is asked again, so graph 1's f = 1 becomes the least
+        // recently used entry.
+        request(0, 2).run_with(&swept).unwrap();
+        request(0, 2)
+            .run_memoized(&probed)
+            .expect("graph 0 is memoized");
+        assert_eq!(probed.state(), swept.state());
+        for cache in [&swept, &probed] {
+            request(2, 1).run_with(cache).unwrap();
+            assert_eq!(cache.evictions(), 1);
+        }
+        assert_eq!(probed.state(), swept.state());
+        let keys: Vec<(u64, usize)> = probed.state()[0].2.iter().map(|e| e.0).collect();
+        assert_eq!(keys.len(), 4);
+        assert!(!keys.contains(&(graphs[1].fingerprint(), 1)), "{keys:?}");
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! oldest replaced first, so a repeated `(graph, f, n, mode)` is answered
 //! from the entry without recomputing anything: rebuilding every hit's
 //! point from its plan, maxlive included, measured about 5% slower on
-//! served requests whose plans all hit.
+//! served requests whose plans all hit. A request whose every factor has
+//! its point stored is answered under one lock of the kernel's shard
+//! ([`crate::ExploreRequest::run_memoized`]).
 //!
 //! On top of the memoization, this module carries the explore side of the
 //! resilience layer (`cred-resilience`):
@@ -407,7 +409,9 @@ const DEFAULT_SHARDS: usize = 16;
 /// observe the same `Arc`, so results stay deterministic.
 ///
 /// Every lookup of one factor counts exactly one hit or one miss, whether
-/// it is served a point or a plan: a miss means the solver ran.
+/// it is served a point or a plan: a miss means the solver ran. A request
+/// answered whole from memoized points counts one hit per factor, as its
+/// per-factor lookups would have.
 ///
 /// Robustness properties (each holding per shard):
 ///
@@ -577,6 +581,44 @@ impl SweepCache {
         Ok((point, source))
     }
 
+    /// The memoized points of factors `1..=max_f` at trip count `n` in
+    /// `mode`, for the graph whose [`Dfg::fingerprint`] is `fingerprint`,
+    /// in factor order: one lock of the kernel's shard, no solve, no
+    /// point built.
+    ///
+    /// Answers only when every factor's point is stored and passes its
+    /// checksum. Then it counts exactly what `max_f` point lookups count:
+    /// one hit, one clock tick and one recency update per factor, in
+    /// factor order. Otherwise it returns `None` and changes nothing, not
+    /// even the clock; a corrupt entry is left for the lookup that evicts
+    /// it.
+    pub(crate) fn memoized_points(
+        &self,
+        fingerprint: u64,
+        max_f: usize,
+        n: u64,
+        mode: DecMode,
+    ) -> Option<Vec<ParetoPoint>> {
+        let shard = self.shard_of(fingerprint);
+        let mut inner = shard.lock();
+        let mut points = Vec::with_capacity(max_f);
+        for f in 1..=max_f {
+            match inner.plans.get(&(fingerprint, f))?.serve(Some((n, mode))) {
+                Some(Hit::Point(point)) => points.push(point),
+                _ => return None,
+            }
+        }
+        for f in 1..=max_f {
+            inner.tick += 1;
+            let tick = inner.tick;
+            if let Some(entry) = inner.plans.get_mut(&(fingerprint, f)) {
+                entry.last_used = tick;
+            }
+        }
+        shard.hits.fetch_add(max_f as u64, Ordering::Relaxed);
+        Some(points)
+    }
+
     /// Store `plan` under `key` unless a racing caller stored it first,
     /// memoize `point` (with the `(n, mode)` it was asked for) in the
     /// entry, and enforce the shard's capacity. Returns the stored plan.
@@ -682,6 +724,36 @@ impl SweepCache {
             }
             None => false,
         }
+    }
+}
+
+/// One entry as a test sees it: key, recency, plan checksum, and the
+/// `(n, mode, checksum)` of each memoized point, oldest first.
+#[cfg(test)]
+pub(crate) type EntryState = ((u64, usize), u64, u64, Vec<(u64, DecMode, u64)>);
+
+#[cfg(test)]
+impl SweepCache {
+    /// Everything a lookup can change, shard by shard: the counters, the
+    /// clock, and every entry sorted by key. Two caches with equal states
+    /// serve and evict alike from then on.
+    pub(crate) fn state(&self) -> Vec<(ShardStats, u64, Vec<EntryState>)> {
+        (0..self.shards.len())
+            .map(|i| {
+                let stats = self.shard_stats(i);
+                let inner = self.shards[i].lock();
+                let mut entries: Vec<EntryState> = inner
+                    .plans
+                    .iter()
+                    .map(|(&key, e)| {
+                        let points = e.points.iter().map(|s| (s.n, s.mode, s.checksum));
+                        (key, e.last_used, e.checksum, points.collect())
+                    })
+                    .collect();
+                entries.sort_unstable_by_key(|e| e.0);
+                (stats, inner.tick, entries)
+            })
+            .collect()
     }
 }
 

@@ -1,11 +1,13 @@
 //! Service observability: lock-free counters and a latency histogram.
 //!
 //! Every counter is a relaxed [`AtomicU64`] — the hot path pays one
-//! uncontended atomic add per event. Latencies go into a log2-bucketed
-//! microsecond histogram (64 buckets cover 1 µs to ~584 000 years), from
-//! which percentiles are estimated as the upper bound of the bucket
-//! containing the rank — a ≤2x overestimate, stable and monotone, which
-//! is what a load test needs from p99.
+//! uncontended atomic add per event. Latencies go into a log-linear
+//! microsecond histogram: values below 16 µs each have a bucket of their
+//! own, and every octave above splits into 16 equal sub-buckets, so 976
+//! buckets cover the whole `u64` range. A percentile is the upper bound
+//! of the bucket holding its rank: exact below 16 µs and at most 1/16
+//! above the true value anywhere, so a 5 µs event-loop reply reads 5,
+//! not the 7 of a log2 bucket.
 //!
 //! A [`MetricsSnapshot`] freezes all counters at once and renders the
 //! `stats` response body (and the `--metrics-dump` file).
@@ -15,9 +17,15 @@ use std::time::Duration;
 
 use cred_explore::CacheStats;
 
-const BUCKETS: usize = 64;
+/// Sub-buckets per octave, as a power of two; values below `1 << SUB_BITS`
+/// are kept exact.
+const SUB_BITS: u32 = 4;
 
-/// Log2-bucketed latency histogram over microseconds.
+/// Buckets for every `u64`: the 16 exact values, then 16 per octave for
+/// the 60 octaves from `[16, 32)` up.
+const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
+
+/// Log-linear latency histogram over microseconds.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
 }
@@ -31,10 +39,19 @@ impl Default for Histogram {
 }
 
 impl Histogram {
+    /// The bucket of `micros`. Below 32 the bucket is the value itself;
+    /// above, the value shifted right by `shift` keeps its top five bits
+    /// (16..32), and `shift` picks the octave.
     fn bucket_of(micros: u64) -> usize {
-        // Bucket b holds values with highest set bit b: [2^b, 2^(b+1)).
-        // 0 µs lands in bucket 0 alongside 1 µs.
-        (63 - micros.max(1).leading_zeros()) as usize
+        let shift = (63 - micros.max(1).leading_zeros()).saturating_sub(SUB_BITS);
+        ((shift as usize) << SUB_BITS) + (micros >> shift) as usize
+    }
+
+    /// The largest value bucket `b` holds.
+    fn upper_bound(b: usize) -> u64 {
+        let shift = (b >> SUB_BITS).max(1) - 1;
+        let top = (b - (shift << SUB_BITS)) as u128;
+        (((top + 1) << shift) - 1) as u64
     }
 
     /// Record one observation.
@@ -65,11 +82,7 @@ pub fn percentile_micros(buckets: &[u64; BUCKETS], p: f64) -> u64 {
     for (b, count) in buckets.iter().enumerate() {
         seen += count;
         if seen >= rank {
-            return if b + 1 >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << (b + 1)) - 1
-            };
+            return Histogram::upper_bound(b);
         }
     }
     u64::MAX
@@ -85,8 +98,14 @@ pub struct Metrics {
     pub ok: AtomicU64,
     /// Responses with `"ok": false`.
     pub errors: AtomicU64,
-    /// Explore computations actually executed (coalesce leaders).
+    /// Explore requests evaluated in the worker pool: coalesce leaders
+    /// and recomputes. A request answered on the event loop is counted in
+    /// `loop_hits` instead, and a pool evaluation whose points were all
+    /// memoized solves nothing, so this counts evaluations, not solves.
     pub explore_computes: AtomicU64,
+    /// Explore requests answered on the event loop from memoized points,
+    /// without the worker pool.
+    pub loop_hits: AtomicU64,
     /// Explore requests served by joining another request's flight.
     pub coalesced_joins: AtomicU64,
     /// Joins that could not share the leader's budget-shaped outcome and
@@ -146,6 +165,7 @@ impl Metrics {
             ok: self.ok.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             explore_computes: self.explore_computes.load(Ordering::Relaxed),
+            loop_hits: self.loop_hits.load(Ordering::Relaxed),
             coalesced_joins: self.coalesced_joins.load(Ordering::Relaxed),
             coalesce_recomputes: self.coalesce_recomputes.load(Ordering::Relaxed),
             coalesce_poison_recoveries,
@@ -177,6 +197,8 @@ pub struct MetricsSnapshot {
     pub errors: u64,
     /// See [`Metrics::explore_computes`].
     pub explore_computes: u64,
+    /// See [`Metrics::loop_hits`].
+    pub loop_hits: u64,
     /// See [`Metrics::coalesced_joins`].
     pub coalesced_joins: u64,
     /// See [`Metrics::coalesce_recomputes`].
@@ -204,7 +226,8 @@ pub struct MetricsSnapshot {
     pub reset_by_peer: u64,
     /// See [`Metrics::drained`].
     pub drained: u64,
-    /// Estimated median explore latency (µs, bucket upper bound).
+    /// Estimated median explore latency (µs): exact below 16, otherwise
+    /// the bucket upper bound, at most 1/16 above the true value.
     pub p50_micros: u64,
     /// Estimated 99th-percentile explore latency (µs).
     pub p99_micros: u64,
@@ -217,7 +240,7 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"requests\":{},\"ok\":{},\"errors\":{},\"explore_computes\":{},\
-             \"coalesced_joins\":{},\"coalesce_recomputes\":{},\
+             \"loop_hits\":{},\"coalesced_joins\":{},\"coalesce_recomputes\":{},\
              \"coalesce_poison_recoveries\":{},\"degraded_points\":{},\
              \"failed_points\":{},\
              \"budget_exhaustions\":{},\"shed_requests\":{},\
@@ -229,6 +252,7 @@ impl MetricsSnapshot {
             self.ok,
             self.errors,
             self.explore_computes,
+            self.loop_hits,
             self.coalesced_joins,
             self.coalesce_recomputes,
             self.coalesce_poison_recoveries,
@@ -257,13 +281,55 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_are_log2_by_microsecond() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 0);
-        assert_eq!(Histogram::bucket_of(2), 1);
-        assert_eq!(Histogram::bucket_of(3), 1);
-        assert_eq!(Histogram::bucket_of(1024), 10);
-        assert_eq!(Histogram::bucket_of(u64::MAX), 63);
+    fn buckets_are_exact_below_16_then_16_per_octave() {
+        // Every value below 32 has a bucket of its own.
+        for v in 0..32 {
+            assert_eq!(Histogram::bucket_of(v), v as usize);
+            assert_eq!(Histogram::upper_bound(v as usize), v);
+        }
+        // Above, each octave [2^k, 2^(k+1)) splits into 16 buckets of
+        // width 2^(k-4).
+        assert_eq!(Histogram::bucket_of(32), 32);
+        assert_eq!(Histogram::bucket_of(33), 32);
+        assert_eq!(Histogram::bucket_of(34), 33);
+        assert_eq!(Histogram::bucket_of(63), 47);
+        assert_eq!(Histogram::bucket_of(64), 48);
+        assert_eq!(Histogram::bucket_of(1024), 16 * 7);
+        assert_eq!(Histogram::bucket_of(1024 + 63), 16 * 7);
+        assert_eq!(Histogram::bucket_of(1024 + 64), 16 * 7 + 1);
+        assert_eq!(Histogram::bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(Histogram::upper_bound(BUCKETS - 1), u64::MAX);
+        // The buckets tile the range: each starts one past the end of
+        // the one before, and both ends map back to their bucket.
+        for b in 1..BUCKETS {
+            let low = Histogram::upper_bound(b - 1) + 1;
+            let high = Histogram::upper_bound(b);
+            assert!(low <= high, "bucket {b}");
+            assert_eq!(Histogram::bucket_of(low), b);
+            assert_eq!(Histogram::bucket_of(high), b);
+        }
+    }
+
+    #[test]
+    fn reported_bound_is_within_a_sixteenth_of_the_value() {
+        // Values spread over 1 µs to 2^40 µs: every octave's ends and a
+        // pseudo-random value in each.
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut values = Vec::new();
+        for k in 0..40 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let low = 1u64 << k;
+            values.extend([low, low + 1, 2 * low - 1, low + x % low]);
+        }
+        values.push(1 << 40);
+        for v in values {
+            let h = Histogram::default();
+            h.record(Duration::from_micros(v));
+            let u = percentile_micros(&h.snapshot(), 50.0);
+            assert!(v <= u && u <= v + v / 16, "value {v} reported as {u}");
+        }
     }
 
     #[test]

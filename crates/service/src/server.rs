@@ -20,11 +20,20 @@
 //! is a small state machine: bytes are read nonblockingly into a line
 //! buffer, complete lines are parsed on the loop, and cheap requests
 //! (`ping`, `stats`, `shutdown`, protocol errors) are answered inline.
-//! `explore` requests — the only ones that compute — are handed to a
-//! fixed worker pool over a channel; workers never touch sockets, and
-//! the loop never computes, so neither can stall the other. A finished
-//! worker pushes its rendered response onto a completion queue and wakes
-//! the loop through the poller's eventfd/self-pipe [`Waker`].
+//! So is an `explore` whose every point the shared [`SweepCache`]
+//! already holds: the loop decodes it, reads the memoized points under
+//! one cache lock ([`ExploreRequest::run_memoized`]) and renders the
+//! reply, counted as `loop_hits`. The loop never solves, sizes,
+//! schedules or parses a kernel: every other `explore` — a miss, a
+//! request with a `source` or a `machine`, or one carrying a debug hook
+//! (`debug_delay_ms` must hold a flight open, and a `debug_pad_bytes`
+//! reply of up to 16 MiB is bounded only by the in-flight limit) — is
+//! handed to a fixed worker pool over a channel; workers never touch
+//! sockets, and a loop hit renders at most [`MAX_MAX_F`] memoized
+//! points, so neither side can stall the other. Both paths decode and
+//! reply through the same functions. A finished worker pushes its
+//! rendered response onto a completion queue and wakes the loop through
+//! the poller's eventfd/self-pipe [`Waker`].
 //!
 //! Responses are sequenced per connection: every request takes a ticket
 //! when its line is parsed and responses are flushed strictly in ticket
@@ -50,12 +59,14 @@
 //! a worker picks it up — or that finishes its coalesced computation too
 //! late — is answered with a typed `budget-exhausted` error rather than a
 //! dropped connection or a stale success. On top of the deadline, the
-//! loop bounds the number of explore requests in flight
+//! loop bounds the number of explore requests in flight in the pool
 //! ([`ServiceConfig::max_in_flight`]): once the bound is reached, further
 //! explores are *shed* immediately with a typed `overloaded` error
 //! (counted as `shed_requests`) instead of queueing without bound —
 //! under overload the server degrades into fast rejections, not growing
-//! latency.
+//! latency. Shedding comes before the decode and the cache probe, so a
+//! shed costs the same whether or not the request would have hit; a hit
+//! answered on the loop never occupies an in-flight slot.
 //!
 //! # Connection lifecycle
 //!
@@ -225,14 +236,17 @@ impl Default for ServiceConfig {
 /// ([`ExploreRequest::coalesce_key`]).
 type ExploreKey = (u64, usize, u64, u8, u64, u64, u64);
 
+/// What evaluating one explore request produced.
+type Outcome = Result<ExploreResponse, CredError>;
+
 /// The shared outcome of one coalesced explore computation: the leader
 /// computes it once, every joiner clones the `Arc`.
-type SharedOutcome = Arc<Result<ExploreResponse, CredError>>;
+type SharedOutcome = Arc<Outcome>;
 
 /// Everything the workers and the event loop share.
 struct Shared {
     cache: SweepCache,
-    kernels: HashMap<String, Dfg>,
+    kernels: HashMap<String, Arc<Dfg>>,
     metrics: Metrics,
     coalescer: Coalescer<ExploreKey, SharedOutcome>,
     /// Cancelled on shutdown so in-flight solves stop cooperatively.
@@ -302,6 +316,7 @@ impl Server {
             Some(dir) => load_kernels(dir)
                 .map_err(|e| CredError::Io(format!("loading kernels: {e}")))?
                 .into_iter()
+                .map(|(name, g)| (name, Arc::new(g)))
                 .collect(),
             None => HashMap::new(),
         };
@@ -803,6 +818,10 @@ impl EventLoop {
                     self.finish(token, seq, error_response(&id, &e));
                     return;
                 }
+                if let Some(line) = serve_on_loop(&req, &id, arrival, &shared) {
+                    self.finish(token, seq, line);
+                    return;
+                }
                 self.in_flight += 1;
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.outstanding += 1;
@@ -1116,10 +1135,7 @@ fn worker_loop(
         let line = catch_unwind(AssertUnwindSafe(|| {
             explore_line(&job.req, &job.id, job.arrival, &shared)
         }))
-        .unwrap_or_else(|_| {
-            Metrics::bump(&shared.metrics.errors);
-            error_response(&job.id, &CredError::Solve("internal error".into()))
-        });
+        .unwrap_or_else(|_| internal_error(&job.id, &shared));
         completions
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -1132,13 +1148,132 @@ fn worker_loop(
     }
 }
 
-/// Evaluate one explore request and render its response line, keeping
-/// the ok/error counters.
+/// The response to a request whose handling panicked: a typed `solve`
+/// error, so the client gets an answer and the loop keeps serving.
+fn internal_error(id: &Option<String>, shared: &Shared) -> String {
+    Metrics::bump(&shared.metrics.errors);
+    error_response(id, &CredError::Solve("internal error".into()))
+}
+
+/// Answer an explore on the event loop when the shared cache already
+/// holds the memoized point of every factor it asks for; `None` sends it
+/// to the pool. A request with a `source` (parsing is compute), a
+/// `debug_delay_ms` (the hook must hold a flight open) or a
+/// `debug_pad_bytes` (a reply of up to 16 MiB must count against
+/// `max_in_flight`) is not decoded here, and one that fails to decode is
+/// left for the pool to answer.
+fn serve_on_loop(
+    req: &Json,
+    id: &Option<String>,
+    arrival: Instant,
+    shared: &Shared,
+) -> Option<String> {
+    if ["source", "debug_delay_ms", "debug_pad_bytes"]
+        .iter()
+        .any(|key| req.get(key).is_some())
+    {
+        return None;
+    }
+    catch_unwind(AssertUnwindSafe(|| {
+        let params = ExploreParams::decode(req, shared).ok()?;
+        let resp = params.request.run_memoized(&shared.cache)?;
+        Metrics::bump(&shared.metrics.loop_hits);
+        Some(reply(id, arrival, Ok((&params, &Ok(resp), false)), shared))
+    }))
+    .unwrap_or_else(|_| Some(internal_error(id, shared)))
+}
+
+/// The pool's side of one explore request: decode, evaluate, reply.
 fn explore_line(req: &Json, id: &Option<String>, arrival: Instant, shared: &Shared) -> String {
-    match handle_explore(req, id, arrival, shared) {
-        Ok(resp) => {
+    match ExploreParams::decode(req, shared) {
+        Ok(params) => {
+            let (outcome, coalesced) = evaluate(&params, arrival, shared);
+            reply(id, arrival, Ok((&params, &outcome, coalesced)), shared)
+        }
+        Err(e) => reply(id, arrival, Err(e), shared),
+    }
+}
+
+/// Admit and evaluate one decoded request on a worker, coalesced with
+/// identical requests in flight. Returns the outcome and whether it was
+/// shared from another request's flight.
+fn evaluate(params: &ExploreParams, arrival: Instant, shared: &Shared) -> (SharedOutcome, bool) {
+    // Admission: a request that overstayed its deadline in the queue is
+    // rejected before any solver runs.
+    if let Err(e) = check_deadline(arrival, params.deadline) {
+        return (Arc::new(Err(e)), false);
+    }
+    let request = &params.request;
+    let (result, role) = shared.coalescer.run(request.coalesce_key(), || {
+        if let Some(ms) = params.debug_delay_ms {
+            // Test hook: hold the flight open so concurrent identical
+            // requests demonstrably join it.
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        Arc::new(request.run_with(&shared.cache))
+    });
+    // A joiner must not inherit an outcome shaped by the *leader's*
+    // resource limits: the key excludes deadline/work_limit, so a leader
+    // whose budget truncated the sweep (or exhausted outright) would hand
+    // a spuriously degraded result — or a spurious budget error — to a
+    // joiner with a roomier budget. Such outcomes are recomputed under
+    // this request's own limits; the leader's surviving work is in the
+    // shared cache, so the recompute pays only for what was cut.
+    if role == Role::Joined && budget_tainted(&result) {
+        Metrics::bump(&shared.metrics.explore_computes);
+        Metrics::bump(&shared.metrics.coalesce_recomputes);
+        return (Arc::new(request.run_with(&shared.cache)), false);
+    }
+    match role {
+        Role::Led => Metrics::bump(&shared.metrics.explore_computes),
+        Role::Joined => Metrics::bump(&shared.metrics.coalesced_joins),
+    }
+    (result, role == Role::Joined)
+}
+
+/// Render the reply to one explore request, on the loop or in the pool,
+/// keeping the ok/error counters. `evaluated` is the decoded request, its
+/// outcome and whether that was coalesced, or the decode error.
+fn reply(
+    id: &Option<String>,
+    arrival: Instant,
+    evaluated: Result<(&ExploreParams, &Outcome, bool), CredError>,
+    shared: &Shared,
+) -> String {
+    let rendered = evaluated.and_then(|(params, outcome, coalesced)| {
+        // The deadline is anchored at arrival: a computation that finished
+        // too late — queued, coalesced onto a slow flight, or just slow —
+        // is an exhaustion, not a success.
+        check_deadline(arrival, params.deadline)?;
+        let resp = outcome.as_ref().map_err(Clone::clone)?;
+        // Accumulate per-point fallout before the strict check, so strict
+        // requests that observe degradation still show up in the counters
+        // meant to track it.
+        let degraded = resp.degradations().len();
+        shared
+            .metrics
+            .degraded_points
+            .fetch_add(degraded as u64, Ordering::Relaxed);
+        shared
+            .metrics
+            .failed_points
+            .fetch_add(resp.failures().len() as u64, Ordering::Relaxed);
+        if params.strict && degraded > 0 {
+            return Err(CredError::DegradedUnderStrict { degraded });
+        }
+        shared.metrics.explore_latency.record(arrival.elapsed());
+        Ok(render_explore(
+            id,
+            resp,
+            coalesced,
+            params.debug_pad_bytes.unwrap_or(0) as usize,
+            shared,
+        ))
+    });
+    match rendered {
+        Ok(line) => {
             Metrics::bump(&shared.metrics.ok);
-            resp
+            line
         }
         Err(e) => {
             Metrics::bump(&shared.metrics.errors);
@@ -1150,110 +1285,12 @@ fn explore_line(req: &Json, id: &Option<String>, arrival: Instant, shared: &Shar
     }
 }
 
-/// Decode, admit, coalesce, evaluate, render one explore request.
-fn handle_explore(
-    req: &Json,
-    id: &Option<String>,
-    arrival: Instant,
-    shared: &Shared,
-) -> Result<String, CredError> {
-    let params = ExploreParams::decode(req, shared)?;
-    let deadline = params.deadline.or(shared.default_deadline);
-
-    // Admission: a request that overstayed its deadline in the queue is
-    // rejected before any solver runs.
-    check_deadline(arrival, deadline)?;
-
-    let request = ExploreRequest::new(params.graph)
-        .max_f(params.max_f)
-        .trip_count(params.n)
-        .mode(params.mode)
-        .cancel(shared.master_cancel.clone());
-    let request = match params.machine {
-        Some(m) => request.machine(m),
-        None => request,
-    };
-    let request = match params.max_registers {
-        Some(cap) => request.max_registers(cap),
-        None => request,
-    };
-    let request = match deadline {
-        Some(d) => request.deadline(d),
-        None => request,
-    };
-    let request = match params.work_limit {
-        Some(w) => request.work_limit(w),
-        None => request,
-    };
-    let key = request.coalesce_key();
-    let delay = params.debug_delay_ms.map(Duration::from_millis);
-    let (result, role) = shared.coalescer.run(key, || {
-        if let Some(d) = delay {
-            // Test hook: hold the flight open so concurrent identical
-            // requests demonstrably join it.
-            std::thread::sleep(d);
-        }
-        Arc::new(request.run_with(&shared.cache))
-    });
-    // A joiner must not inherit an outcome shaped by the *leader's*
-    // resource limits: the key excludes deadline/work_limit, so a leader
-    // whose budget truncated the sweep (or exhausted outright) would hand
-    // a spuriously degraded result — or a spurious budget error — to a
-    // joiner with a roomier budget. Such outcomes are recomputed under
-    // this request's own limits; the leader's surviving work is in the
-    // shared cache, so the recompute pays only for what was cut.
-    let (result, coalesced) = if role == Role::Joined && budget_tainted(&result) {
-        Metrics::bump(&shared.metrics.explore_computes);
-        Metrics::bump(&shared.metrics.coalesce_recomputes);
-        (Arc::new(request.run_with(&shared.cache)), false)
-    } else {
-        match role {
-            Role::Led => Metrics::bump(&shared.metrics.explore_computes),
-            Role::Joined => Metrics::bump(&shared.metrics.coalesced_joins),
-        }
-        (result, role == Role::Joined)
-    };
-
-    // The deadline is anchored at arrival: a computation that finished
-    // too late — queued, coalesced onto a slow flight, or just slow — is
-    // an exhaustion, not a success.
-    check_deadline(arrival, deadline)?;
-
-    let resp = match result.as_ref() {
-        Ok(resp) => resp,
-        Err(e) => return Err(e.clone()),
-    };
-    // Accumulate per-point fallout before the strict check, so strict
-    // requests that observe degradation still show up in the counters
-    // meant to track it.
-    let degraded = resp.degradations().len();
-    shared
-        .metrics
-        .degraded_points
-        .fetch_add(degraded as u64, Ordering::Relaxed);
-    shared
-        .metrics
-        .failed_points
-        .fetch_add(resp.failures().len() as u64, Ordering::Relaxed);
-    if params.strict && degraded > 0 {
-        return Err(CredError::DegradedUnderStrict { degraded });
-    }
-    shared.metrics.explore_latency.record(arrival.elapsed());
-    Ok(render_explore(
-        id,
-        resp,
-        coalesced,
-        params.debug_pad_bytes.unwrap_or(0) as usize,
-        shared,
-    ))
-}
-
 /// Whether a shared explore outcome depends on the resource limits of the
 /// request that computed it — a budget-exhausted error, or a success
 /// containing exhaustion-caused degradations. Equal coalesce keys only
 /// guarantee bit-identical responses under budgets that never bind, so
 /// these outcomes must not be served to a coalesce joiner.
-fn budget_tainted(outcome: &Result<ExploreResponse, CredError>) -> bool {
+fn budget_tainted(outcome: &Outcome) -> bool {
     match outcome {
         Err(e) => matches!(e, CredError::BudgetExhausted(_)),
         Ok(resp) => resp
@@ -1272,24 +1309,20 @@ fn check_deadline(arrival: Instant, deadline: Option<Duration>) -> Result<(), Cr
     }
 }
 
-/// The decoded parameters of an explore request.
+/// A decoded explore request: the library request, limits attached, plus
+/// the wire parameters its reply and the pool need.
 struct ExploreParams {
-    graph: Dfg,
-    max_f: usize,
-    n: u64,
-    mode: DecMode,
-    machine: Option<MachineModel>,
-    max_registers: Option<usize>,
-    strict: bool,
+    request: ExploreRequest,
+    /// The request's deadline, or the server's default.
     deadline: Option<Duration>,
-    work_limit: Option<u64>,
+    strict: bool,
     debug_delay_ms: Option<u64>,
     debug_pad_bytes: Option<u64>,
 }
 
 impl ExploreParams {
     fn decode(req: &Json, shared: &Shared) -> Result<ExploreParams, CredError> {
-        let graph = match (
+        let request = match (
             req.get("kernel").and_then(Json::as_str),
             req.get("source").and_then(Json::as_str),
         ) {
@@ -1298,12 +1331,11 @@ impl ExploreParams {
                     "give either \"kernel\" or \"source\", not both".into(),
                 ))
             }
-            (Some(name), None) => shared
-                .kernels
-                .get(name)
-                .cloned()
-                .ok_or_else(|| CredError::Protocol(format!("unknown kernel {name:?}")))?,
-            (None, Some(src)) => ExploreRequest::from_source(src)?.graph().clone(),
+            (Some(name), None) => match shared.kernels.get(name) {
+                Some(g) => ExploreRequest::new(Arc::clone(g)),
+                None => return Err(CredError::Protocol(format!("unknown kernel {name:?}"))),
+            },
+            (None, Some(src)) => ExploreRequest::from_source(src)?,
             (None, None) => {
                 return Err(CredError::Protocol(
                     "explore needs a \"kernel\" name or a \"source\"".into(),
@@ -1428,16 +1460,28 @@ impl ExploreParams {
                 }
             },
         };
+        let deadline = deadline.or(shared.default_deadline);
+        let mut request = request
+            .max_f(max_f)
+            .trip_count(n)
+            .mode(mode)
+            .cancel(shared.master_cancel.clone());
+        if let Some(m) = machine {
+            request = request.machine(m);
+        }
+        if let Some(cap) = max_registers {
+            request = request.max_registers(cap);
+        }
+        if let Some(d) = deadline {
+            request = request.deadline(d);
+        }
+        if let Some(w) = work_limit {
+            request = request.work_limit(w);
+        }
         Ok(ExploreParams {
-            graph,
-            max_f,
-            n,
-            mode,
-            machine,
-            max_registers,
-            strict,
+            request,
             deadline,
-            work_limit,
+            strict,
             debug_delay_ms,
             debug_pad_bytes,
         })

@@ -134,6 +134,136 @@ fn explore_matches_the_cold_run_and_reuses_the_cache() {
     server.shutdown();
 }
 
+/// One counter of a `stats` reply, by its path from the `stats` object.
+fn stat(server: &TestServer, path: &[&str]) -> u64 {
+    let reply = server.request("{\"type\":\"stats\"}");
+    let v = cred_service::json::parse(&reply).expect("stats reply parses");
+    let mut at = v.get("stats").expect("stats object");
+    for key in path {
+        at = at.get(key).unwrap_or_else(|| panic!("no {key} in {reply}"));
+    }
+    at.as_u64().expect("a counter")
+}
+
+/// An explore reply without its cache counters, which are process-wide
+/// and move with every request.
+fn without_cache(reply: &str) -> &str {
+    &reply[..reply.rfind(",\"cache\":").expect("cache counters present")]
+}
+
+#[test]
+fn warm_repeats_are_answered_on_the_loop() {
+    let server = TestServer::spawn(|_| {});
+    let req = "{\"type\":\"explore\",\"kernel\":\"figure3\",\"max_f\":3,\"n\":100}";
+    let cold = server.request(req);
+    let warm = [server.request(req), server.request(req)];
+    for reply in &warm {
+        assert_eq!(without_cache(reply), without_cache(&cold));
+    }
+    assert_eq!(
+        stat(&server, &["explore_computes"]),
+        1,
+        "one pool evaluation"
+    );
+    assert_eq!(stat(&server, &["loop_hits"]), 2, "two loop hits");
+    assert_eq!(
+        stat(&server, &["cache", "hits"]),
+        2 * 3,
+        "max_f hits per loop hit"
+    );
+    assert_eq!(stat(&server, &["cache", "misses"]), 3);
+    server.shutdown();
+}
+
+/// A warm request does not wait for the worker pool: with the only
+/// worker held by a slow miss, it is answered from the loop at once.
+#[test]
+fn a_warm_request_is_answered_while_the_only_worker_is_held() {
+    let server = TestServer::spawn(|c| {
+        c.workers = 1;
+    });
+    let warm = "{\"type\":\"explore\",\"id\":\"k\",\"kernel\":\"figure3\",\"max_f\":3,\"n\":100}";
+    let first = server.request(warm);
+    assert!(first.contains("\"ok\":true"), "{first}");
+    let mut held = server.connect();
+    held.send(
+        "{\"type\":\"explore\",\"id\":\"held\",\"kernel\":\"elliptic\",\"max_f\":2,\
+         \"n\":60,\"debug_delay_ms\":1000}",
+    );
+    std::thread::sleep(Duration::from_millis(200));
+    let start = std::time::Instant::now();
+    let again = server.request(warm);
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_millis(400),
+        "a warm request waited {waited:?} behind the held worker"
+    );
+    assert_eq!(without_cache(&again), without_cache(&first));
+    let held_reply = held.recv();
+    assert!(held_reply.contains("\"ok\":true"), "{held_reply}");
+    assert!(held_reply.contains("\"id\":\"held\""), "{held_reply}");
+    server.shutdown();
+}
+
+#[test]
+fn loop_hits_and_a_held_miss_reply_in_request_order() {
+    let server = TestServer::spawn(|_| {});
+    let warm = |id: u32| {
+        format!("{{\"type\":\"explore\",\"id\":{id},\"kernel\":\"figure3\",\"max_f\":3,\"n\":100}}")
+    };
+    let first = server.request(&warm(0));
+    let mut client = server.connect();
+    client.send(&format!(
+        "{}\n{{\"type\":\"explore\",\"id\":2,\"kernel\":\"elliptic\",\"max_f\":2,\"n\":60,\
+         \"debug_delay_ms\":300}}\n{}",
+        warm(1),
+        warm(3)
+    ));
+    let replies = [client.recv(), client.recv(), client.recv()];
+    for (reply, id) in replies.iter().zip([1, 2, 3]) {
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert!(
+            reply.contains(&format!("\"id\":{id},")),
+            "want id {id}: {reply}"
+        );
+    }
+    let body = |reply: &str| without_cache(reply)[reply.find(",\"type\"").unwrap()..].to_string();
+    assert_eq!(body(&replies[0]), body(&first));
+    assert_eq!(body(&replies[2]), body(&first));
+    assert!(replies[1].contains(&expected_points("elliptic", 2, 60)));
+    assert_eq!(stat(&server, &["loop_hits"]), 2);
+    server.shutdown();
+}
+
+/// A warm request still goes to the pool when it carries a source (parsing
+/// is compute), a machine (the exact pass runs per request), the delay
+/// hook (which must hold a flight open) or the pad hook (whose reply must
+/// count against the in-flight bound).
+#[test]
+fn warm_requests_with_source_machine_or_debug_hooks_go_to_the_pool() {
+    let server = TestServer::spawn(|_| {});
+    let src = std::fs::read_to_string(kernels_dir().join("figure3.loop")).unwrap();
+    let named = "{\"type\":\"explore\",\"kernel\":\"figure3\",\"max_f\":2,\"n\":31";
+    server.request(&format!("{named}}}"));
+    for req in [
+        format!(
+            "{{\"type\":\"explore\",\"source\":{},\"max_f\":2,\"n\":31}}",
+            cred_service::json::escape(&src)
+        ),
+        format!("{named},\"machine\":\"scalar\"}}"),
+        format!("{named},\"debug_delay_ms\":1}}"),
+        format!("{named},\"debug_pad_bytes\":16}}"),
+    ] {
+        let computes = stat(&server, &["explore_computes"]);
+        let loop_hits = stat(&server, &["loop_hits"]);
+        let reply = server.request(&req);
+        assert!(reply.contains("\"ok\":true"), "{req} -> {reply}");
+        assert_eq!(stat(&server, &["explore_computes"]), computes + 1, "{req}");
+        assert_eq!(stat(&server, &["loop_hits"]), loop_hits, "{req}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn source_requests_match_named_kernel_requests() {
     let server = TestServer::spawn(|_| {});
