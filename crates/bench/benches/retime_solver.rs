@@ -1,13 +1,14 @@
 //! Criterion bench for the retiming solver layer: the dense reference path
-//! (full `ConstraintSystem` + edge-list Bellman–Ford per probe) against the
-//! warm-started incremental solver (CSR constraint graph + SPFA +
-//! feasible-solution reuse across the period/span binary searches), per
-//! bundled kernel size, plus the unfolding sweep on the largest kernel
-//! (elliptic, 34 nodes). In the sweep each side runs on the W/D matrices
-//! explore gives it: the reference on the full form of the built
-//! unfolding, the incremental solver on the original graph with the
-//! residue form (one period row per original node, the unfolding never
-//! built), reusing its scratch arena between factors.
+//! (full `ConstraintSystem` + edge-list Bellman–Ford per probe, a period
+//! search and then a span bisection) against the warm-started incremental
+//! solver (CSR constraint graph + SPFA + feasible-solution reuse across the
+//! probes of its period search, whose answer already has minimum span),
+//! per bundled kernel size, plus the unfolding sweep on the largest kernel
+//! (elliptic, 34 nodes). Both sides return the same retiming. In the sweep
+//! each side runs on the W/D matrices explore gives it: the reference on
+//! the full form of the built unfolding, the incremental solver on the
+//! original graph with the residue form (one period row per original node,
+//! the unfolding never built), reusing its scratch arena between factors.
 
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::Dfg;
@@ -30,15 +31,22 @@ fn kernels() -> Vec<(&'static str, Dfg)> {
     ]
 }
 
-/// Cold vs warm on a single graph: the full min-period search plus span
-/// minimization at the optimum — the per-factor work of an exploration
-/// sweep. W/D is precomputed outside the timed region for both sides so
-/// the bench isolates the solver layer.
+/// Cold vs warm on a single graph: the minimum-span retiming of the
+/// optimal period — the per-factor solve of an exploration sweep. W/D is
+/// precomputed outside the timed region for both sides so the bench
+/// isolates the solver layer.
 fn bench_single_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("retime_solver");
     group.sample_size(10);
     for (name, g) in &kernels() {
         let wd = WdMatrices::compute(g);
+        // The pair must agree before it is worth timing.
+        let opt = min_period_retiming_reference(g, &wd);
+        assert_eq!(
+            RetimeSolver::new(g, &wd).min_period().retiming,
+            min_span_retiming_reference(g, &wd, opt.period).unwrap(),
+            "{name}: the solvers diverge"
+        );
         group.bench_with_input(BenchmarkId::new("reference", name), g, |b, g| {
             b.iter(|| {
                 let opt = min_period_retiming_reference(g, &wd);
@@ -46,11 +54,7 @@ fn bench_single_kernel(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("incremental", name), g, |b, g| {
-            b.iter(|| {
-                let mut solver = RetimeSolver::new(g, &wd);
-                let opt = solver.min_period();
-                black_box(solver.min_span_from_base(opt.period, &opt.retiming));
-            });
+            b.iter(|| black_box(RetimeSolver::new(g, &wd).min_period()));
         });
     }
     group.finish();
@@ -70,6 +74,14 @@ fn bench_unfold_sweep(c: &mut Criterion) {
             (u, full, residue)
         })
         .collect();
+    for (f, (u, full, residue)) in (1..).zip(&graphs) {
+        let opt = min_period_retiming_reference(u, full);
+        assert_eq!(
+            RetimeSolver::new(&g, residue).min_period().retiming,
+            min_span_retiming_reference(u, full, opt.period).unwrap(),
+            "elliptic f = {f}: the solvers diverge"
+        );
+    }
     let mut group = c.benchmark_group("retime_solver_sweep");
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("reference", "elliptic"), |b| {
@@ -85,8 +97,7 @@ fn bench_unfold_sweep(c: &mut Criterion) {
             let mut scratch = SolverScratch::new();
             for (_, _, wd) in &graphs {
                 let mut solver = RetimeSolver::with_scratch(&g, wd, scratch);
-                let opt = solver.min_period();
-                black_box(solver.min_span_from_base(opt.period, &opt.retiming));
+                black_box(solver.min_period());
                 scratch = solver.into_scratch();
             }
         });

@@ -1,6 +1,6 @@
 //! Criterion bench for the Table 1 experiment: the cost of the full CRED
-//! pipeline (rate-optimal retiming, span minimization, register
-//! compaction, code generation, and VM verification) per DSP benchmark.
+//! pipeline (rate-optimal retiming of minimum span, register compaction,
+//! code generation, and VM verification) per DSP benchmark.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

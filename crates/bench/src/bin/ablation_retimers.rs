@@ -1,8 +1,8 @@
 //! Ablation: where the retiming comes from. CRED consumes *any* legal
 //! retiming; this experiment compares three generators on each benchmark —
 //!
-//! * **OPT** — constraint-based min-period retiming (+ span minimization
-//!   and greedy register compaction), the paper's setting;
+//! * **OPT** — constraint-based min-period retiming (at minimum span, then
+//!   greedy register compaction), the paper's setting;
 //! * **rotation** — Chao–Sha rotation scheduling on a 4-ALU/2-MUL VLIW;
 //! * **exact** — the stage retiming of `cred-exact`'s modulo schedule on
 //!   the same machine (the TI-style flow of the paper's reference \[4\]),

@@ -12,18 +12,17 @@ use cred_codegen::pipeline::{original_program, pipelined_program};
 use cred_codegen::unfolded::{retime_unfold_program, unfold_retime_program};
 use cred_codegen::DecMode;
 use cred_dfg::{algo, Dfg};
-use cred_retime::span::{compact_values, min_span_retiming};
-use cred_retime::{min_period_retiming, Retiming};
+use cred_retime::span::compact_values;
+use cred_retime::{min_period_retiming, retime_to_period, Retiming};
 use cred_unfold::unfold;
 use cred_vm::check_against_reference;
 
 /// The retiming pipeline used by all experiments: rate-optimal period via
-/// OPT, then span (`M_r`) minimization, then register (`|N_r|`)
+/// OPT, whose answer has the minimum span (`M_r`), then register (`|N_r|`)
 /// compaction.
 pub fn tuned_retiming(g: &Dfg) -> (Retiming, u64) {
     let opt = min_period_retiming(g);
-    let r = min_span_retiming(g, opt.period).expect("optimal period is feasible");
-    let r = compact_values(g, opt.period, &r);
+    let r = compact_values(g, opt.period, &opt.retiming);
     (r, opt.period)
 }
 
@@ -162,7 +161,7 @@ pub fn compare_orders(
     // Unfold-then-retime at the target period (minimum-span solution).
     let opt_f = min_period_retiming(&u.graph);
     let period = target_period.unwrap_or(opt_f.period).max(opt_f.period);
-    let r_f = min_span_retiming(&u.graph, period).expect("period >= optimum is feasible");
+    let r_f = retime_to_period(&u.graph, period).expect("period >= optimum is feasible");
     let r_f = compact_values(&u.graph, period, &r_f);
     let ur_prog = unfold_retime_program(g, &u, &r_f, n);
 

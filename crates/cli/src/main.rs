@@ -211,9 +211,7 @@ fn cmd_analyze(g: &Dfg) -> Result<(), String> {
     }
     let opt = cred_retime::min_period_retiming(g);
     outln!("minimum cycle period by retiming: {}", opt.period);
-    let r = cred_retime::span::min_span_retiming(g, opt.period)
-        .ok_or_else(|| format!("period {} unexpectedly span-infeasible", opt.period))?;
-    let r = cred_retime::span::compact_values(g, opt.period, &r);
+    let r = cred_retime::span::compact_values(g, opt.period, &opt.retiming);
     outln!(
         "M_r (pipeline depth): {}   conditional registers: {}",
         r.max_value(),

@@ -22,7 +22,7 @@ use cred_codegen::pipeline::{original_program, pipelined_program};
 use cred_codegen::unfolded::{retime_unfold_program, unfolded_program};
 use cred_codegen::{DecMode, LoopProgram};
 use cred_dfg::Dfg;
-use cred_retime::span::{compact_values, min_span_retiming};
+use cred_retime::span::compact_values;
 use cred_retime::{min_period_retiming, Retiming};
 use cred_vm::{check_against_reference, ExecError};
 
@@ -155,8 +155,7 @@ impl CodeSizeReducer {
         let g = &self.graph;
         let cfg = &self.config;
         let opt = min_period_retiming(g);
-        let r = min_span_retiming(g, opt.period).expect("optimal period is feasible");
-        let r = compact_values(g, opt.period, &r);
+        let r = compact_values(g, opt.period, &opt.retiming);
         let n = cfg.trip_count;
         let f = cfg.unfold_factor;
 

@@ -308,12 +308,11 @@ mod tests {
     use cred_codegen::ir::PredId;
     use cred_codegen::Inst;
     use cred_kernels::all_benchmarks;
-    use cred_retime::span::{compact_values, min_span_retiming};
+    use cred_retime::span::compact_values;
 
     fn tuned(g: &Dfg) -> Retiming {
         let opt = min_period_retiming(g);
-        let r = min_span_retiming(g, opt.period).unwrap();
-        compact_values(g, opt.period, &r)
+        compact_values(g, opt.period, &opt.retiming)
     }
 
     #[test]

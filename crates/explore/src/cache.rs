@@ -2,17 +2,17 @@
 //! points built from them, hardened against runaway solves, worker
 //! panics, and cache corruption.
 //!
-//! Every trade-off point needs three retiming passes over the unfolded
-//! graph (period search, span minimization, register compaction), each of
-//! which — in the straightforward [`crate::sweep_reference`] path —
-//! recomputes the same W/D matrices from scratch (one delay-layer sweep
-//! per node of the unfolded graph, see [`WdMatrices::compute`]). The cache
-//! layer fixes both redundancies:
+//! Every trade-off point needs two retiming passes over the unfolded graph
+//! (the period search, whose answer already has minimum span, and register
+//! compaction), each of which — in the straightforward
+//! [`crate::sweep_reference`] path — recomputes the same W/D matrices from
+//! scratch (one delay-layer sweep per node of the unfolded graph, see
+//! [`WdMatrices::compute`]). The cache layer fixes both redundancies:
 //!
 //! * within one factor, the W/D matrices are computed **once**, in the
 //!   residue form of the unfolding ([`WdMatrices::compute_unfolded`]: one
 //!   delay-layer sweep per *original* node, `f·V²` entries instead of
-//!   `(fV)²`), and shared across all three passes: the solver keeps one
+//!   `(fV)²`), and shared by both passes: the solver keeps one
 //!   period row per original node, and compaction checks the legality
 //!   edges plus the active prefix of the activation order. The unfolding
 //!   itself is never built: the solver and compaction take the original
@@ -76,7 +76,7 @@ use cred_dfg::Dfg;
 use cred_resilience::failpoint::{self, sites};
 use cred_resilience::{panic_message, Budget, DegradationEvent, DegradeCause, Exhausted};
 use cred_retime::minperiod::{constraints_for_period, min_period_retiming_reference};
-use cred_retime::span::{compact_values_wd, compact_values_with, min_span_retiming_reference};
+use cred_retime::span::{compact_values_wd, compact_values_with};
 use cred_retime::{RetimeSolver, Retiming};
 use cred_unfold::orders::{project_copies, project_retiming};
 use cred_unfold::unfold;
@@ -172,11 +172,10 @@ impl PlanSource {
 /// This is the uncached fast path; [`SweepCache::plan`] wraps it with
 /// memoization. It yields plans identical to the per-point pipeline of
 /// [`crate::sweep_reference`] while doing strictly less work: the W/D
-/// matrices are computed once instead of three times, and one
-/// [`RetimeSolver`] carries its CSR graph and warm-start state from the
-/// period search straight into the span minimization — the span pass
-/// starts from the search's final feasible fixpoint instead of re-solving
-/// the period system.
+/// matrices are computed once instead of twice, and the period search is
+/// the only solve. Its answer is already the minimum-span retiming of the
+/// optimal period (see [`RetimeSolver::retime_to_period`]), so compaction
+/// starts from it.
 pub fn compute_plan(g: &Dfg, f: usize) -> FactorPlan {
     match plan_fast(g, f, &Budget::unlimited()) {
         Ok(plan) => plan,
@@ -192,8 +191,7 @@ fn plan_fast(g: &Dfg, f: usize, budget: &Budget) -> Result<FactorPlan, Exhausted
     let wd = WdMatrices::compute_unfolded(g, f);
     let mut solver = RetimeSolver::new(g, &wd);
     let opt = solver.min_period_budgeted(budget)?;
-    let r_f = solver.min_span_from_base_budgeted(opt.period, &opt.retiming, budget)?;
-    let r_f = compact_values_wd(g, &wd, opt.period, &r_f);
+    let r_f = compact_values_wd(g, &wd, opt.period, &opt.retiming);
     let projected = project_copies(f, &r_f);
     Ok(FactorPlan {
         projected,
@@ -207,16 +205,16 @@ fn plan_fast(g: &Dfg, f: usize, budget: &Budget) -> Result<FactorPlan, Exhausted
 /// terminate in `O(V * E)` rounds per solve — no warm-start state, no SPFA
 /// heuristics — and bit-identical to the fast path by the solver's
 /// differential tests. It shares none of the fast path's residue-form
-/// code.
+/// code. [`cred_retime::ConstraintSystem::solve`] also returns the
+/// pointwise-maximal solution, so its period search's answer has minimum
+/// span too.
 fn plan_reference(g: &Dfg, f: usize) -> FactorPlan {
     failpoint::hit_infallible(sites::EXPLORE_PLAN_REFERENCE);
     let u = unfold(g, f);
     let wd = WdMatrices::compute(&u.graph);
     let opt = min_period_retiming_reference(&u.graph, &wd);
-    let r_f = min_span_retiming_reference(&u.graph, &wd, opt.period)
-        .expect("the optimal period is always span-feasible");
     let sys = constraints_for_period(&u.graph, &wd, opt.period as i64);
-    let r_f = compact_values_with(&sys, &r_f);
+    let r_f = compact_values_with(&sys, &opt.retiming);
     let projected = project_retiming(&u, &r_f);
     FactorPlan {
         projected,
@@ -793,16 +791,18 @@ mod tests {
     #[test]
     fn cached_plan_matches_uncached_pipeline() {
         use cred_retime::min_period_retiming;
-        use cred_retime::span::{compact_values, min_span_retiming};
+        use cred_retime::span::{compact_values, min_span_retiming_reference};
         use cred_unfold::{orders::project_retiming, unfold};
 
         let g = gen::chain_with_feedback(7, 3);
         for f in 1..=3 {
             let plan = compute_plan(&g, f);
-            // The original three-solve pipeline, each pass recomputing W/D.
+            // The original three-solve pipeline, each pass recomputing W/D,
+            // with the dense span search between the other two.
             let u = unfold(&g, f);
             let opt = min_period_retiming(&u.graph);
-            let r_f = min_span_retiming(&u.graph, opt.period).unwrap();
+            let wd = WdMatrices::compute(&u.graph);
+            let r_f = min_span_retiming_reference(&u.graph, &wd, opt.period).unwrap();
             let r_f = compact_values(&u.graph, opt.period, &r_f);
             assert_eq!(plan.period, opt.period, "f = {f}");
             assert_eq!(plan.projected, project_retiming(&u, &r_f), "f = {f}");

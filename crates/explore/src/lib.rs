@@ -52,10 +52,8 @@ use cred_dfg::algo::WdMatrices;
 use cred_dfg::{Dfg, Ratio};
 use cred_resilience::{failpoint, panic_message, Budget, DegradationEvent};
 use cred_retime::minperiod::constraints_for_period;
-use cred_retime::span::{
-    compact_values_wd, compact_values_with, min_span_retiming, min_span_retiming_with,
-};
-use cred_retime::{min_period_retiming, min_period_retiming_with, Retiming};
+use cred_retime::span::{compact_values_wd, compact_values_with};
+use cred_retime::{min_period_retiming, RetimeSolver, Retiming};
 use cred_schedule::KernelSchedule;
 use cred_unfold::orders::{project_copies, project_retiming};
 use cred_unfold::unfold;
@@ -140,10 +138,9 @@ fn sequential_maxlive(g: &Dfg, projected: &Retiming, f: usize) -> usize {
 fn point_for_factor(g: &Dfg, f: usize, n: u64, mode: DecMode) -> ParetoPoint {
     let u = unfold(g, f);
     let opt = min_period_retiming(&u.graph);
-    let r_f = min_span_retiming(&u.graph, opt.period).expect("optimum feasible");
     let wd = WdMatrices::compute(&u.graph);
     let sys = constraints_for_period(&u.graph, &wd, opt.period as i64);
-    let r_f = compact_values_with(&sys, &r_f);
+    let r_f = compact_values_with(&sys, &opt.retiming);
     let projected = project_retiming(&u, &r_f);
     let plain = retime_unfold_program(g, &projected, f, n).code_size();
     let cred = cred_retime_unfold(g, &projected, f, n, mode).code_size();
@@ -455,14 +452,16 @@ pub fn best_under_register_budget(
     }
     let mut best: Option<ParetoPoint> = None;
     for f in 1..=max_f {
-        // One W/D computation of the unfolding, which is never built,
-        // serves the period search and every probe of the candidate scan
-        // below.
+        // One W/D computation of the unfolding, which is never built, and
+        // one solver serve the period search and every probe of the
+        // candidate scan below; the first probe, at the optimum, reads the
+        // search's own fixpoint.
         let wd = WdMatrices::compute_unfolded(g, f);
-        let opt = min_period_retiming_with(g, &wd);
+        let mut solver = RetimeSolver::new(g, &wd);
+        let opt = solver.min_period();
         // Scan candidate periods upward until the register budget holds.
         for c in wd.candidate_periods_from(opt.period as i64) {
-            let Some(r_f) = min_span_retiming_with(g, &wd, c as u64) else {
+            let Some(r_f) = solver.retime_to_period(c as u64) else {
                 continue;
             };
             let r_f = compact_values_wd(g, &wd, c as u64, &r_f);
@@ -538,8 +537,7 @@ mod tests {
             // replay its kernel by brute-force interval simulation.
             let u = unfold(&g, p.f);
             let opt = min_period_retiming(&u.graph);
-            let r_f = min_span_retiming(&u.graph, opt.period).unwrap();
-            let r_f = cred_retime::span::compact_values(&u.graph, opt.period, &r_f);
+            let r_f = cred_retime::span::compact_values(&u.graph, opt.period, &opt.retiming);
             let projected = project_retiming(&u, &r_f);
             let sched = KernelSchedule::sequential(&g, &projected, p.f);
             assert_eq!(p.objectives.maxlive, sched.replay_maxlive(), "f = {}", p.f);
@@ -672,8 +670,7 @@ mod tests {
             // Re-generate and verify the winning configuration end-to-end.
             let u = unfold(&g, p.f);
             let opt = min_period_retiming(&u.graph);
-            let r_f = min_span_retiming(&u.graph, opt.period).unwrap();
-            let projected = project_retiming(&u, &r_f);
+            let projected = project_retiming(&u, &opt.retiming);
             let prog = cred_retime_unfold(&g, &projected, p.f, 31, DecMode::PerCopy);
             check_against_reference(&g, &prog).unwrap();
         }

@@ -34,10 +34,9 @@
 //!   cold reference computes, whatever order the seeds come in: results
 //!   are bit-identical, which the differential property tests assert.
 //!
-//! The span minimizer rides the same state: its auxiliary variable `z`
-//! (`r(u) - z <= 0`, `z - r(v) <= s`) is a permanent extra vertex whose
-//! edges are materialized implicitly during span probes, and each probe
-//! warm-starts from the last feasible span solution.
+//! That fixpoint already has minimum span among the retimings of its
+//! period, so no span search follows the period search (see
+//! [`RetimeSolver::retime_to_period`]).
 //!
 //! ## The `(g, wd)` contract
 //!
@@ -60,10 +59,10 @@
 //! from any starting vector `d0` with `x* <= d0 <= 0` is monotone
 //! non-increasing, never crosses below `x*` (induction over relaxations),
 //! and any quiescent point is a solution, so it terminates exactly at `x*`.
-//! Tightening the system (activating constraints, shrinking a span bound)
-//! only lowers `x*`, so the previous feasible fixpoint is always a valid
-//! `d0`. Infeasibility is detected by walk length: a relaxation chain of
-//! `|vars|` edges must revisit a vertex, and a revisit with strict
+//! Tightening the system (activating constraints) only lowers `x*`, so the
+//! previous feasible fixpoint is always a valid `d0`. Infeasibility is
+//! detected by walk length: a relaxation chain of `|vars|` edges visits
+//! `|vars| + 1` vertices, so it revisits one, and a revisit with strict
 //! improvement certifies a negative cycle.
 //!
 //! ## Where the search starts
@@ -108,8 +107,6 @@ use std::collections::VecDeque;
 
 /// Sentinel period: "no period constraints active" (legality edges only).
 const NO_PERIOD: i64 = i64::MAX;
-/// Sentinel span: "no feasible span snapshot".
-const NO_SPAN: i64 = -1;
 
 /// One period constraint of an original node's row: the copy-0 target
 /// `t`, its copy `r`, and the weight `W(u_0, t) - 1`.
@@ -146,11 +143,8 @@ impl PeriodEdge {
 ///
 /// Built once per `(graph, W/D)` pair, for the `f`-unfolding of the graph
 /// the matrices describe (see the [module docs](self#the-g-wd-contract)).
-/// Variables `0..n` are the retiming values of the unfolding's nodes;
-/// variable `n` is the span minimizer's auxiliary `max r` vertex
-/// (its edges are implicit — weight `0` out, the probed span in — so they
-/// need no storage). A constraint `x[a] - x[b] <= c` is the edge `b -> a`
-/// with weight `c`:
+/// Variables `0..n` are the retiming values of the unfolding's nodes. A
+/// constraint `x[a] - x[b] <= c` is the edge `b -> a` with weight `c`:
 ///
 /// * legality edges `src -> dst` with weight `d(e)` are static (always
 ///   active) and stored CSR-style in `leg_*`;
@@ -247,8 +241,7 @@ impl CsrConstraintGraph {
         }
     }
 
-    /// Number of retiming variables (graph nodes); the solver additionally
-    /// carries the auxiliary span vertex `n`.
+    /// Number of retiming variables: the unfolding's nodes.
     pub fn num_vars(&self) -> usize {
         self.n
     }
@@ -274,7 +267,7 @@ impl CsrConstraintGraph {
 
 /// Reusable solver state: distance labels, SPFA queue, in-queue bitmap,
 /// walk lengths, one activation counter per period row (original node),
-/// and the warm-start snapshots. One scratch serves any number of solves
+/// and the warm-start snapshot. One scratch serves any number of solves
 /// (and, via [`RetimeSolver::into_scratch`], any number of graphs) without
 /// reallocating once grown.
 #[derive(Debug, Default, Clone)]
@@ -285,7 +278,6 @@ pub struct SolverScratch {
     queue: VecDeque<u32>,
     active: Vec<u32>,
     feas: Vec<i64>,
-    span_feas: Vec<i64>,
 }
 
 impl SolverScratch {
@@ -308,8 +300,6 @@ impl SolverScratch {
         self.active.resize(rows, 0);
         self.feas.clear();
         self.feas.resize(nv, 0);
-        self.span_feas.clear();
-        self.span_feas.resize(nv, 0);
     }
 
     #[inline]
@@ -330,12 +320,12 @@ impl SolverScratch {
 /// `f`-unfolding of the graph, without building it (see the [module
 /// docs](self#the-g-wd-contract)).
 ///
-/// Drives the whole period search and span minimization through warm
-/// starts: the first probe pays one queue-based SPFA from the legality
-/// fixpoint (all zeros — legal because edge delays are non-negative), and
-/// every tightened probe restarts from the last feasible fixpoint with only
-/// the newly activated constraints seeded. Produces results bit-identical
-/// to the [`crate::ConstraintSystem`] reference path.
+/// Drives the whole period search through warm starts: the first probe
+/// pays one queue-based SPFA from the legality fixpoint (all zeros — legal
+/// because edge delays are non-negative), and every tightened probe
+/// restarts from the last feasible fixpoint with only the newly activated
+/// constraints seeded. Produces results bit-identical to the
+/// [`crate::ConstraintSystem`] reference path.
 #[derive(Debug)]
 pub struct RetimeSolver<'a> {
     g: &'a Dfg,
@@ -344,9 +334,6 @@ pub struct RetimeSolver<'a> {
     s: SolverScratch,
     /// `s.feas` is the exact fixpoint of the period-`feas_c` system.
     feas_c: i64,
-    /// `s.span_feas` is the fixpoint of `(feas_c, span_feas_s)`;
-    /// `NO_SPAN` when no span snapshot is valid.
-    span_feas_s: i64,
     /// Currently materialized activation prefix (rows' `active` counters).
     act_prefix: usize,
 }
@@ -363,7 +350,7 @@ impl<'a> RetimeSolver<'a> {
     /// shrunk, so steady-state solves allocate nothing.
     pub fn with_scratch(g: &'a Dfg, wd: &'a WdMatrices, mut scratch: SolverScratch) -> Self {
         let csr = CsrConstraintGraph::build(g, wd);
-        scratch.reset(csr.n + 1, csr.rows());
+        scratch.reset(csr.n, csr.rows());
         RetimeSolver {
             g,
             wd,
@@ -372,7 +359,6 @@ impl<'a> RetimeSolver<'a> {
             // The all-zero vector is the exact fixpoint of the legality-only
             // system (every edge delay is >= 0), i.e. of period "infinity".
             feas_c: NO_PERIOD,
-            span_feas_s: NO_SPAN,
             act_prefix: 0,
         }
     }
@@ -397,18 +383,15 @@ impl<'a> RetimeSolver<'a> {
         }
     }
 
-    /// SPFA from the seeded queue. `span`: when `Some(s)`, the auxiliary
-    /// vertex `n` is live with implicit edges `u -> n` (weight `s`) and
-    /// `n -> u` (weight `0`). Returns `Ok(false)` on a negative cycle.
+    /// SPFA from the seeded queue. Returns `Ok(false)` on a negative cycle.
     ///
     /// One work unit is charged to `budget` per dequeued vertex;
     /// exhaustion aborts the solve mid-relaxation without touching the
-    /// warm-start snapshots (`s.feas` / `s.span_feas`), so an exhausted
-    /// solver stays valid for retry or fallback.
-    fn run(&mut self, span: Option<i64>, budget: &Budget) -> Result<bool, Exhausted> {
+    /// warm-start snapshot (`s.feas`), so an exhausted solver stays valid
+    /// for retry or fallback.
+    fn run(&mut self, budget: &Budget) -> Result<bool, Exhausted> {
         failpoint::hit(sites::RETIME_SPFA).map_err(|f| Exhausted::Injected { site: f.site })?;
-        let n = self.csr.n;
-        let limit = (n + 1) as u32;
+        let limit = self.csr.n as u32;
         while let Some(u) = self.s.queue.pop_front() {
             budget.charge(1)?;
             let u = u as usize;
@@ -439,23 +422,14 @@ impl<'a> RetimeSolver<'a> {
                     }
                 }};
             }
-            if u < n {
-                for i in self.csr.leg_row[u] as usize..self.csr.leg_row[u + 1] as usize {
-                    relax!(self.csr.leg_col[i], self.csr.leg_w[i]);
-                }
-                let (row, copy) = self.csr.var[u];
-                let start = self.csr.per_row[row as usize] as usize;
-                for k in start..start + self.s.active[row as usize] as usize {
-                    let (v, w) = self.csr.per[k].shifted(copy, self.csr.f);
-                    relax!(v, w);
-                }
-                if let Some(s) = span {
-                    relax!(n, s);
-                }
-            } else if span.is_some() {
-                for v in 0..n {
-                    relax!(v, 0i64);
-                }
+            for i in self.csr.leg_row[u] as usize..self.csr.leg_row[u + 1] as usize {
+                relax!(self.csr.leg_col[i], self.csr.leg_w[i]);
+            }
+            let (row, copy) = self.csr.var[u];
+            let start = self.csr.per_row[row as usize] as usize;
+            for k in start..start + self.s.active[row as usize] as usize {
+                let (v, w) = self.csr.per[k].shifted(copy, self.csr.f);
+                relax!(v, w);
             }
         }
         Ok(true)
@@ -464,7 +438,7 @@ impl<'a> RetimeSolver<'a> {
     /// Seed the queue by relaxing one explicit edge `u -> v` of weight `w`.
     /// Returns `false` if the walk-length bound certifies a negative cycle.
     fn seed_edge(&mut self, u: usize, v: usize, w: i64) -> bool {
-        let limit = (self.csr.n + 1) as u32;
+        let limit = self.csr.n as u32;
         let cand = self.s.dist[u] + w;
         if cand < self.s.dist[v] {
             self.s.dist[v] = cand;
@@ -491,7 +465,6 @@ impl<'a> RetimeSolver<'a> {
     /// `s.dist` (and snapshotting it as the new warm-start state) when
     /// feasible.
     fn solve_period_raw(&mut self, c: i64, budget: &Budget) -> Result<bool, Exhausted> {
-        self.span_feas_s = NO_SPAN; // span snapshots are per-period
         if c == self.feas_c {
             // Same system as the snapshot: the fixpoint is already known.
             self.s.dist.copy_from_slice(&self.s.feas);
@@ -536,7 +509,7 @@ impl<'a> RetimeSolver<'a> {
                 }
             }
         }
-        if !self.run(None, budget)? {
+        if !self.run(budget)? {
             return Ok(false);
         }
         self.s.feas.copy_from_slice(&self.s.dist);
@@ -546,6 +519,31 @@ impl<'a> RetimeSolver<'a> {
 
     /// A normalized legal retiming achieving period `<= c`, or `None`.
     /// Bit-identical to [`crate::minperiod::retime_to_period_reference`].
+    ///
+    /// # Minimum span
+    ///
+    /// Among all legal retimings of period `<= c`, the answer has the
+    /// smallest span `max r - min r`, which sizes the pipelined loop
+    /// (`L + |V|·M_r`) and the retime-then-unfold loop (`(M_r + f)·L + Q'`,
+    /// Theorem 4.5). So no span search follows the period search.
+    ///
+    /// The answer is `x* - min x*`, where `x*` is the pointwise-maximal
+    /// non-positive solution of the period-`c` system. Its maximum is `0`:
+    /// were it `m < 0`, `x* - m` would be a larger non-positive solution.
+    /// A retiming is legal with period `<= c` exactly when it solves that
+    /// system, and solutions stay solutions under a shift. So take any
+    /// such `y`, shifted so that `max y = 0`. It is a non-positive
+    /// solution, hence `y <= x*` pointwise, hence `min y <= min x*`, and
+    /// `span(y) = -min y >= -min x* = span(x*)`.
+    ///
+    /// Warm starts keep this: every feasible probe ends at `x*` itself.
+    /// A probe starts from `0` or from the fixpoint of a looser period,
+    /// which solves fewer constraints and so lies at or above `x*`;
+    /// relaxation never goes below `x*`, and it stops only at a solution,
+    /// which lies at or below `x*` (see the [module
+    /// docs](self#why-warm-starts-stay-exact)). The dense oracle
+    /// [`crate::span::min_span_retiming_reference`] bisects the span
+    /// instead, and the property tests hold the two equal.
     pub fn retime_to_period(&mut self, c: u64) -> Option<Retiming> {
         unbudgeted(self.retime_to_period_budgeted(c, &Budget::unlimited()))
     }
@@ -663,66 +661,18 @@ impl<'a> RetimeSolver<'a> {
         Ok(bound)
     }
 
-    /// Among retimings achieving period `<= c`, one of minimum span, given
-    /// `base` = the solver's normalized solution of the plain period-`c`
-    /// system (what [`Self::retime_to_period`] returns). Binary-searches
-    /// the span, warm-starting every probe from the last feasible one.
-    ///
-    /// Each probe encodes the all-pairs constraints `r(u) - r(v) <= s`
-    /// through one auxiliary variable `z` with `r(u) - z <= 0` and
-    /// `z - r(v) <= s` (`2|V|` edges instead of `|V|^2`). Compositions of
-    /// the two aux edges reproduce every dense span edge and vice versa,
-    /// and the extension `z = max r` shows both systems bound the real
-    /// variables identically, so the pointwise-maximal solution on the
-    /// real nodes, and hence the result, is bit-identical to
-    /// [`crate::span::min_span_retiming_reference`]'s.
-    pub fn min_span_from_base(&mut self, c: u64, base: &Retiming) -> Retiming {
-        unbudgeted(self.min_span_from_base_budgeted(c, base, &Budget::unlimited()))
-    }
-
-    /// [`Self::min_span_from_base`] under a budget. On `Err`, the search
-    /// produced no retiming (the caller still holds `base`, which remains
-    /// a correct — if wider — solution).
+    /// The minimum-span retiming at period `c`, given `base` = this
+    /// solver's answer at `c`: `base` itself, since that answer already has
+    /// minimum span (see [`Self::retime_to_period`]). Charges nothing to
+    /// `budget`. perfbench's traced explore_cold still calls it where the
+    /// span search used to run.
     pub fn min_span_from_base_budgeted(
         &mut self,
-        c: u64,
+        _c: u64,
         base: &Retiming,
-        budget: &Budget,
+        _budget: &Budget,
     ) -> Result<Retiming, Exhausted> {
-        let c = c as i64;
-        let n = self.csr.n;
-        assert_eq!(base.len(), n, "base retiming size mismatch");
-        if self.feas_c != c {
-            // Reconstruct the raw fixpoint from the normalized base: the
-            // maximal solution always has max = 0 (some node keeps its
-            // virtual-source distance), so it is `base - max(base)`.
-            let shift = base.max_value();
-            for (slot, &b) in self.s.feas.iter_mut().zip(base.values()) {
-                *slot = b - shift;
-            }
-            self.s.feas[n] = 0;
-            self.feas_c = c;
-        }
-        self.materialize(self.csr.prefix_for(c));
-        // The period fixpoint extended with z = 0 is quiescent for
-        // s = span(base): z's tightest in-edge is min(r) + span = max(r) = 0.
-        self.s.span_feas.copy_from_slice(&self.s.feas);
-        self.s.span_feas[n] = 0;
-        self.span_feas_s = base.span();
-        let mut lo = 0i64;
-        let mut hi = base.span();
-        let mut best = base.clone();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if let Some(r) = self.solve_span_probe(mid, budget)? {
-                best = r;
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        debug_assert!(self.satisfies(best.values()));
-        Ok(best)
+        Ok(base.clone())
     }
 
     /// Whether `x` meets every legality edge and every period constraint
@@ -740,51 +690,6 @@ impl<'a> RetimeSolver<'a> {
                     x[v] - x[u] <= w
                 })
         })
-    }
-
-    /// Minimum-span retiming at period `<= c`, or `None` if infeasible.
-    pub fn min_span(&mut self, c: u64) -> Option<Retiming> {
-        let base = self.retime_to_period(c)?;
-        Some(self.min_span_from_base(c, &base))
-    }
-
-    /// [`Self::min_span`] under a budget.
-    pub fn min_span_budgeted(
-        &mut self,
-        c: u64,
-        budget: &Budget,
-    ) -> Result<Option<Retiming>, Exhausted> {
-        let Some(base) = self.retime_to_period_budgeted(c, budget)? else {
-            return Ok(None);
-        };
-        Ok(Some(self.min_span_from_base_budgeted(c, &base, budget)?))
-    }
-
-    /// One span probe at bound `s`, warm-started from the last feasible
-    /// span snapshot (always valid: the binary search only probes below
-    /// its feasible `hi`). `Ok(None)` = infeasible bound.
-    fn solve_span_probe(&mut self, s: i64, budget: &Budget) -> Result<Option<Retiming>, Exhausted> {
-        debug_assert!(self.span_feas_s != NO_SPAN && s <= self.span_feas_s);
-        let n = self.csr.n;
-        self.begin_solve();
-        self.s.dist.copy_from_slice(&self.s.span_feas);
-        // Only the `u -> z` edges changed weight (tightened to `s`); the
-        // `z -> u` edges are weight-0 and quiescent until `z` drops.
-        for u in 0..n {
-            budget.charge(1)?;
-            if !self.seed_edge(u, n, s) {
-                return Ok(None);
-            }
-        }
-        if !self.run(Some(s), budget)? {
-            return Ok(None);
-        }
-        self.s.span_feas.copy_from_slice(&self.s.dist);
-        self.span_feas_s = s;
-        let mut r = Retiming::from_values(self.s.dist[..n].to_vec());
-        r.normalize();
-        debug_assert!(r.span() <= s);
-        Ok(Some(r))
     }
 }
 
@@ -894,7 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn span_search_matches_reference_dense_probes() {
+    fn period_answers_match_the_dense_span_search() {
         use crate::span::min_span_retiming_reference;
         for seed in 0..20 {
             let g = random(seed + 40, 8);
@@ -902,7 +807,7 @@ mod tests {
             let mut solver = RetimeSolver::new(&g, &wd);
             let opt = solver.min_period();
             for c in [opt.period, opt.period + 1] {
-                let fast = solver.min_span(c).unwrap();
+                let fast = solver.retime_to_period(c).unwrap();
                 let slow = min_span_retiming_reference(&g, &wd, c).unwrap();
                 assert_eq!(fast, slow, "seed {seed} period {c}");
             }

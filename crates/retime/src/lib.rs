@@ -33,12 +33,13 @@
 //! * [`incremental`] — the production solver: CSR constraint graph with a
 //!   period-activation prefix, queue-based SPFA, a period search that
 //!   starts at a proven closed-walk lower bound, and warm starts across
-//!   the period/span searches (bit-identical to the reference);
+//!   its probes (bit-identical to the reference); its answer at a period
+//!   has the minimum span `M_r` of that period;
 //! * [`minperiod`] — the OPT algorithm (search over W/D candidate
 //!   periods) plus fixed-period retiming;
-//! * [`span`] — post-passes minimizing `M_r` (span) and heuristically
-//!   compacting the number of distinct retiming values `|N_r|`
-//!   (= conditional registers needed, Theorem 4.3);
+//! * [`span`] — the dense span search kept as the oracle of that minimum,
+//!   and heuristic compaction of the number of distinct retiming values
+//!   `|N_r|` (= conditional registers needed, Theorem 4.3);
 //! * [`registers`] — exact branch-and-bound minimization of `|N_r|`.
 
 pub mod constraints;

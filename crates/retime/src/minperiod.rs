@@ -21,7 +21,8 @@ use cred_dfg::Dfg;
 /// Result of [`min_period_retiming`].
 #[derive(Debug, Clone)]
 pub struct MinPeriodResult {
-    /// A normalized retiming achieving the period.
+    /// A normalized retiming achieving the period, of minimum span among
+    /// them (see [`crate::RetimeSolver::retime_to_period`]).
     pub retiming: Retiming,
     /// The minimum achievable cycle period.
     pub period: u64,
@@ -29,16 +30,8 @@ pub struct MinPeriodResult {
 
 /// Build the feasibility constraint system for period `c`.
 pub fn constraints_for_period(g: &Dfg, wd: &WdMatrices, c: i64) -> ConstraintSystem {
-    let mut sys = ConstraintSystem::new(g.node_count());
-    add_period_constraints(&mut sys, g, wd, c);
-    sys
-}
-
-/// Add the period-`c` feasibility constraints to `sys`, whose first
-/// `g.node_count()` variables are the retiming values (it may have more —
-/// the span minimizer appends an auxiliary variable).
-pub(crate) fn add_period_constraints(sys: &mut ConstraintSystem, g: &Dfg, wd: &WdMatrices, c: i64) {
     let n = g.node_count();
+    let mut sys = ConstraintSystem::new(n);
     for e in g.edge_ids() {
         let ed = g.edge(e);
         sys.add(ed.dst.index(), ed.src.index(), ed.delay as i64);
@@ -52,14 +45,16 @@ pub(crate) fn add_period_constraints(sys: &mut ConstraintSystem, g: &Dfg, wd: &W
             }
         }
     }
+    sys
 }
 
 /// Find a legal retiming achieving cycle period `<= c`, if one exists.
 ///
-/// The returned retiming is normalized (minimum value zero). Runs the
-/// incremental SPFA solver ([`crate::RetimeSolver`]); callers probing
-/// many periods on one graph should hold a solver directly to keep its
-/// W/D matrices and warm state across probes.
+/// The returned retiming is normalized (minimum value zero) and has the
+/// minimum span of period `c` ([`crate::RetimeSolver::retime_to_period`]
+/// proves it). Runs the incremental SPFA solver; callers probing many
+/// periods on one graph should hold a solver directly to keep its W/D
+/// matrices and warm state across probes.
 pub fn retime_to_period(g: &Dfg, c: u64) -> Option<Retiming> {
     let wd = WdMatrices::compute(g);
     crate::RetimeSolver::new(g, &wd).retime_to_period(c)
@@ -94,10 +89,9 @@ pub fn min_period_retiming(g: &Dfg) -> MinPeriodResult {
 /// [`WdMatrices::compute_unfolded`]`(g, f)` it solves the `f`-unfolding of
 /// `g` without building it, over the unfolding's node ids (the contract of
 /// [`crate::RetimeSolver`]); the exploration engine computes those
-/// matrices once per factor and shares them between the period search,
-/// span minimization, and register compaction. The search runs on the
-/// warm-started incremental solver,
-/// which starts at a proven lower bound on the period (see
+/// matrices once per factor and shares them between the period search and
+/// register compaction. The search runs on the warm-started incremental
+/// solver, which starts at a proven lower bound on the period (see
 /// [`crate::RetimeSolver::period_lower_bound`]) and reuses the previous
 /// feasible solution on each tightening probe.
 pub fn min_period_retiming_with(g: &Dfg, wd: &WdMatrices) -> MinPeriodResult {

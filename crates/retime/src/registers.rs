@@ -148,12 +148,14 @@ fn subsets_with_zero(max: i64, k: usize) -> Vec<Vec<i64>> {
 
 /// Find a retiming achieving period `<= c` with provably minimal
 /// `|N_r|` (subject to a backtracking `budget`; on exhaustion, the greedy
-/// span-minimized + compacted retiming is returned with `exact: false`).
+/// compaction of the minimum-span retiming is returned with `exact:
+/// false`).
 pub fn min_registers_retiming(g: &Dfg, c: u64, budget: u64) -> Option<RegisterSearch> {
     let wd = WdMatrices::compute(g);
-    // One incremental solver drives both the feasibility check and the
-    // span search; the dense system is only built for the CSP itself.
-    let base = RetimeSolver::new(g, &wd).min_span(c)?;
+    // One solve checks feasibility, and its answer has the minimum span
+    // `S` (see `RetimeSolver::retime_to_period`); the dense system is only
+    // built for the CSP itself.
+    let base = RetimeSolver::new(g, &wd).retime_to_period(c)?;
     let sys = constraints_for_period(g, &wd, c as i64);
     let greedy = compact_values_with(&sys, &base);
     let span = base.span();
@@ -239,9 +241,7 @@ mod tests {
                 // subsets manually.
                 let wd = WdMatrices::compute(&g);
                 let sys = constraints_for_period(&g, &wd, opt.period as i64);
-                let span = crate::span::min_span_retiming(&g, opt.period)
-                    .unwrap()
-                    .span();
+                let span = opt.retiming.span();
                 let k = search.retiming.register_count() - 1;
                 for allowed in subsets_with_zero(span, k) {
                     let mut csp = Csp::new(&sys, allowed, 2_000_000);

@@ -58,27 +58,25 @@ proptest! {
     }
 
     #[test]
-    fn budgeted_span_search_is_all_or_nothing(
+    fn budgeted_minimum_span_solve_is_all_or_nothing(
         seed in any::<u64>(), nodes in 2..9usize, limit in 0..120u64
     ) {
+        // A cold solve at the optimal period, whose answer is the
+        // minimum-span retiming of that period.
         let g = graph_from(seed.wrapping_add(77), nodes);
         let wd = WdMatrices::compute(&g);
+        let opt = min_period_retiming_reference(&g, &wd);
+        let slow = min_span_retiming_reference(&g, &wd, opt.period).unwrap();
         let mut solver = RetimeSolver::new(&g, &wd);
-        let opt = solver.min_period();
         let budget = Budget::unlimited().with_work_limit(limit);
-        match solver.min_span_budgeted(opt.period, &budget) {
-            Ok(Some(fast)) => {
-                let slow = min_span_retiming_reference(&g, &wd, opt.period).unwrap();
-                prop_assert_eq!(fast, slow);
-            }
-            Ok(None) => prop_assert!(false, "optimal period must be span-feasible"),
+        match solver.retime_to_period_budgeted(opt.period, &budget) {
+            Ok(Some(fast)) => prop_assert_eq!(fast, slow.clone()),
+            Ok(None) => prop_assert!(false, "optimal period must be feasible"),
             Err(Exhausted::WorkUnits { .. }) => {}
             Err(other) => prop_assert!(false, "unexpected exhaustion kind: {}", other),
         }
         // And the solver still answers correctly afterwards.
-        let fast = solver.min_span(opt.period).unwrap();
-        let slow = min_span_retiming_reference(&g, &wd, opt.period).unwrap();
-        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(solver.retime_to_period(opt.period).unwrap(), slow);
     }
 
     #[test]
@@ -129,10 +127,8 @@ fn bound_scan_charges_even_when_no_probe_does() {
     let u = unfold(&g, 3).graph;
     let residue = WdMatrices::compute_unfolded(&g, 3);
     let plan = |budget: &Budget| {
-        let mut solver = RetimeSolver::new(&g, &residue);
-        let opt = solver.min_period_budgeted(budget)?;
-        let r = solver.min_span_from_base_budgeted(opt.period, &opt.retiming, budget)?;
-        Ok::<_, Exhausted>((opt.period, r))
+        let opt = RetimeSolver::new(&g, &residue).min_period_budgeted(budget)?;
+        Ok::<_, Exhausted>((opt.period, opt.retiming))
     };
     let counted = Budget::unlimited().with_work_limit(u64::MAX);
     plan(&counted).unwrap();

@@ -6,8 +6,7 @@ use cred_retime::minperiod::{
     constraints_for_period, min_period_retiming_reference, retime_to_period_reference,
 };
 use cred_retime::span::{
-    compact_values, compact_values_wd, compact_values_with, min_span_retiming,
-    min_span_retiming_reference,
+    compact_values, compact_values_wd, compact_values_with, min_span_retiming_reference,
 };
 use cred_retime::{min_period_retiming, retime_to_period, RetimeSolver, Retiming};
 use cred_unfold::unfold;
@@ -25,6 +24,14 @@ fn graph_from(seed: u64, nodes: usize) -> Dfg {
             max_time: 3,
         },
     )
+}
+
+/// The minimum-span predicate: `r`, the solver's answer at period `c`, is
+/// what the dense span bisection returns at `c` on `u` and its full-form
+/// W/D matrices `full`, `u` being the graph (or the unfolding) the solver
+/// solved.
+fn matches_span_oracle(u: &Dfg, full: &WdMatrices, c: u64, r: &Retiming) -> bool {
+    min_span_retiming_reference(u, full, c).as_ref() == Some(r)
 }
 
 proptest! {
@@ -89,13 +96,15 @@ proptest! {
     #[test]
     fn min_span_is_minimal(seed in any::<u64>(), nodes in 2..9usize) {
         // Exactness check: no legal retiming at the same period has a
-        // smaller span (verified against the solver's own claim via a
-        // second solve at span - 1).
+        // smaller span than the period search's answer (verified by the
+        // dense span bisection, whose every probe below its answer's span
+        // is infeasible).
         let g = graph_from(seed, nodes);
         let opt = min_period_retiming(&g);
-        let tight = min_span_retiming(&g, opt.period).unwrap();
+        let wd = WdMatrices::compute(&g);
+        let tight = min_span_retiming_reference(&g, &wd, opt.period).unwrap();
         prop_assert!(tight.is_legal(&g));
-        prop_assert!(tight.span() <= opt.retiming.span());
+        prop_assert_eq!(tight.span(), opt.retiming.span());
         prop_assert_eq!(
             algo::cycle_period(&tight.apply(&g)),
             Some(opt.period)
@@ -153,14 +162,15 @@ proptest! {
     fn incremental_min_span_is_bit_identical_to_reference(
         seed in any::<u64>(), nodes in 2..10usize
     ) {
+        // The solver's answer at the optimum (its period search's own
+        // fixpoint) and at looser periods is the dense span bisection's.
         let g = graph_from(seed, nodes);
         let wd = WdMatrices::compute(&g);
         let mut solver = RetimeSolver::new(&g, &wd);
         let opt = solver.min_period();
-        for c in [opt.period, opt.period + 2] {
-            let fast = solver.min_span(c).unwrap();
-            let slow = min_span_retiming_reference(&g, &wd, c).unwrap();
-            prop_assert_eq!(fast, slow, "period {}", c);
+        for c in [opt.period, opt.period + 1, opt.period + 2] {
+            let fast = solver.retime_to_period(c).unwrap();
+            prop_assert!(matches_span_oracle(&g, &wd, c, &fast), "period {}: {:?}", c, fast);
         }
     }
 
@@ -198,13 +208,14 @@ proptest! {
             prop_assert_eq!(opt.period, slow.period, "f = {}", f);
             prop_assert_eq!(&opt.retiming, &slow.retiming, "f = {}", f);
             let c = opt.period;
-            let fast = solver.min_span_from_base(c, &opt.retiming);
-            prop_assert_eq!(
-                Some(fast.clone()),
-                min_span_retiming_reference(&u, &full, c),
-                "f = {}", f
-            );
-            prop_assert!(fast.is_legal(&u));
+            for c in [c, c + 1] {
+                let fast = solver.retime_to_period(c).unwrap();
+                prop_assert!(
+                    matches_span_oracle(&u, &full, c, &fast),
+                    "f = {}, period {}: {:?}", f, c, fast
+                );
+                prop_assert!(fast.is_legal(&u));
+            }
             // The prefix-checked compaction agrees with the dense system,
             // at the optimum and at a looser period whose solution is
             // spread out.
@@ -229,4 +240,46 @@ proptest! {
             g.node_count() as i64 * r.max_value()
         );
     }
+}
+
+/// Mutation check of [`matches_span_oracle`]: lowering a sink SCC (one with
+/// no edges out to other SCCs) of the solver's answer by one leaves every
+/// retimed delay non-negative and the period at most `c`, since only edges
+/// into that SCC change, and they gain delays. The mutant is a legal answer
+/// but not the maximal fixpoint, and the predicate must reject it.
+#[test]
+fn span_oracle_rejects_a_legal_non_maximal_answer() {
+    let mut mutants = 0;
+    for seed in 0..64u64 {
+        let g = graph_from(seed, 2 + seed as usize % 8);
+        // Tarjan lists the components in reverse topological order, so the
+        // first one is a sink.
+        let sccs = algo::strongly_connected_components(&g);
+        if sccs.len() < 2 {
+            continue;
+        }
+        let wd = WdMatrices::compute(&g);
+        let opt = RetimeSolver::new(&g, &wd).min_period();
+        assert!(matches_span_oracle(&g, &wd, opt.period, &opt.retiming));
+        let mut values = opt.retiming.values().to_vec();
+        for v in &sccs[0] {
+            values[v.index()] -= 1;
+        }
+        let mut mutant = Retiming::from_values(values);
+        mutant.normalize();
+        assert!(
+            mutant.is_legal(&g),
+            "seed {seed}: the mutant must stay legal"
+        );
+        assert!(
+            algo::cycle_period(&mutant.apply(&g)).unwrap() <= opt.period,
+            "seed {seed}: the mutant must keep the period"
+        );
+        assert!(
+            !matches_span_oracle(&g, &wd, opt.period, &mutant),
+            "seed {seed}: the oracle accepted the mutant {mutant:?}"
+        );
+        mutants += 1;
+    }
+    assert!(mutants >= 32, "only {mutants} graphs had two SCCs");
 }

@@ -1,5 +1,5 @@
 //! The retiming solver validated end-to-end: `cred-verify` drives every
-//! solver product (period search, span minimization, register
+//! solver product (period search at minimum span, register
 //! compaction, Theorem 4.5 projection) through code generation and
 //! strict VM execution, so an illegal or non-minimal retiming surfaces
 //! as a concrete wrong value or count — not just a violated invariant.

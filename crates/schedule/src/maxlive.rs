@@ -245,12 +245,11 @@ mod tests {
     use super::*;
     use cred_dfg::gen;
     use cred_retime::min_period_retiming;
-    use cred_retime::span::{compact_values, min_span_retiming};
+    use cred_retime::span::compact_values;
 
     fn pipelined(g: &Dfg) -> Retiming {
         let opt = min_period_retiming(g);
-        let r = min_span_retiming(g, opt.period).expect("optimum feasible");
-        compact_values(g, opt.period, &r)
+        compact_values(g, opt.period, &opt.retiming)
     }
 
     #[test]

@@ -247,8 +247,8 @@ impl CaseDerivation {
             TransformOrder::RetimeUnfold => {
                 // The production path under attack: the warm-started
                 // solver pipeline behind `cred explore` (period search,
-                // span minimization, register compaction, Theorem 4.5
-                // projection).
+                // whose answer has minimum span, register compaction,
+                // Theorem 4.5 projection).
                 let plan = compute_plan(g, f);
                 let r = &plan.projected;
                 Derived::RetimeUnfold {

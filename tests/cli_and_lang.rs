@@ -38,7 +38,7 @@ fn figure3_loop_file_matches_paper_retiming() {
     assert_eq!(g.node_count(), 5);
     let opt = cred::retime::min_period_retiming(&g);
     assert_eq!(opt.period, 1);
-    let r = cred::retime::span::min_span_retiming(&g, 1).unwrap();
+    let r = cred::retime::retime_to_period(&g, 1).unwrap();
     // The paper's Figure 3 retiming: r = {A:3, B:2, C:2, D:1, E:0}.
     let vals: Vec<i64> = g.node_ids().map(|v| r.get(v)).collect();
     assert_eq!(vals, vec![3, 2, 2, 1, 0]);

@@ -4,7 +4,7 @@
 use cred::core::theorems;
 use cred::dfg::{gen, Dfg};
 use cred::retime::min_period_retiming;
-use cred::retime::span::{compact_values, min_span_retiming};
+use cred::retime::span::compact_values;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -23,8 +23,7 @@ fn graph_from(seed: u64, nodes: usize) -> Dfg {
 
 fn tuned(g: &Dfg) -> cred::retime::Retiming {
     let opt = min_period_retiming(g);
-    let r = min_span_retiming(g, opt.period).unwrap();
-    compact_values(g, opt.period, &r)
+    compact_values(g, opt.period, &opt.retiming)
 }
 
 proptest! {
