@@ -1,20 +1,22 @@
 //! Criterion bench for the retiming solver layer: the dense reference path
-//! (full `ConstraintSystem` + edge-list Bellman–Ford per probe, a period
-//! search and then a span bisection) against the warm-started incremental
-//! solver (CSR constraint graph + SPFA + feasible-solution reuse across the
-//! probes of its period search, whose answer already has minimum span),
-//! per bundled kernel size, plus the unfolding sweep on the largest kernel
-//! (elliptic, 34 nodes). Both sides return the same retiming. In the sweep
-//! each side runs on the W/D matrices explore gives it: the reference on
-//! the full form of the built unfolding, the incremental solver on the
-//! original graph with the residue form (one period row per original node,
-//! the unfolding never built), reusing its scratch arena between factors.
+//! (full `ConstraintSystem` + edge-list Bellman–Ford per probe: a period
+//! search, a span bisection, then compaction against the dense system)
+//! against the warm-started incremental solver (CSR constraint graph +
+//! SPFA + feasible-solution reuse across the probes of its period search,
+//! whose answer already has minimum span, then compaction on the same
+//! solver), per bundled kernel size, plus the unfolding sweep on the
+//! largest kernel (elliptic, 34 nodes). Both sides return the same
+//! retiming and compaction. In the sweep the reference runs on the full-form
+//! W/D of the built unfolding, the incremental solver on the original graph
+//! with the residue form, reusing its scratch arena between factors. W/D is
+//! computed outside the timed region, but the incremental side's
+//! `RetimeSolver::new` sorts the pairs it keeps (`activation_from`).
 
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::Dfg;
-use cred_retime::minperiod::min_period_retiming_reference;
-use cred_retime::span::min_span_retiming_reference;
-use cred_retime::{RetimeSolver, SolverScratch};
+use cred_retime::minperiod::{constraints_for_period, min_period_retiming_reference};
+use cred_retime::span::{compact_values_with, min_span_retiming_reference};
+use cred_retime::{RetimeSolver, Retiming, SolverScratch};
 use cred_unfold::unfold;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -31,9 +33,24 @@ fn kernels() -> Vec<(&'static str, Dfg)> {
     ]
 }
 
-/// Cold vs warm on a single graph: the minimum-span retiming of the
-/// optimal period — the per-factor solve of an exploration sweep. W/D is
-/// precomputed outside the timed region for both sides so the bench
+/// The reference side on `g` (a graph or a built unfolding) and its
+/// full-form W/D matrices: the retiming and its compaction.
+fn reference_plan(g: &Dfg, wd: &WdMatrices) -> (Retiming, Retiming) {
+    let opt = min_period_retiming_reference(g, wd);
+    let r = min_span_retiming_reference(g, wd, opt.period).unwrap();
+    let sys = constraints_for_period(g, wd, opt.period as i64);
+    (compact_values_with(&sys, &r), r)
+}
+
+/// The incremental side, as explore plans a factor.
+fn incremental_plan(solver: &mut RetimeSolver) -> (Retiming, Retiming) {
+    let opt = solver.min_period();
+    (solver.compact(opt.period, &opt.retiming), opt.retiming)
+}
+
+/// Cold vs warm on a single graph: the compacted minimum-span retiming of
+/// the optimal period — the per-factor solve of an exploration sweep. W/D
+/// is precomputed outside the timed region for both sides so the bench
 /// isolates the solver layer.
 fn bench_single_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("retime_solver");
@@ -41,20 +58,16 @@ fn bench_single_kernel(c: &mut Criterion) {
     for (name, g) in &kernels() {
         let wd = WdMatrices::compute(g);
         // The pair must agree before it is worth timing.
-        let opt = min_period_retiming_reference(g, &wd);
         assert_eq!(
-            RetimeSolver::new(g, &wd).min_period().retiming,
-            min_span_retiming_reference(g, &wd, opt.period).unwrap(),
+            incremental_plan(&mut RetimeSolver::new(g, &wd)),
+            reference_plan(g, &wd),
             "{name}: the solvers diverge"
         );
         group.bench_with_input(BenchmarkId::new("reference", name), g, |b, g| {
-            b.iter(|| {
-                let opt = min_period_retiming_reference(g, &wd);
-                black_box(min_span_retiming_reference(g, &wd, opt.period).unwrap());
-            });
+            b.iter(|| black_box(reference_plan(g, &wd)));
         });
         group.bench_with_input(BenchmarkId::new("incremental", name), g, |b, g| {
-            b.iter(|| black_box(RetimeSolver::new(g, &wd).min_period()));
+            b.iter(|| black_box(incremental_plan(&mut RetimeSolver::new(g, &wd))));
         });
     }
     group.finish();
@@ -75,10 +88,9 @@ fn bench_unfold_sweep(c: &mut Criterion) {
         })
         .collect();
     for (f, (u, full, residue)) in (1..).zip(&graphs) {
-        let opt = min_period_retiming_reference(u, full);
         assert_eq!(
-            RetimeSolver::new(&g, residue).min_period().retiming,
-            min_span_retiming_reference(u, full, opt.period).unwrap(),
+            incremental_plan(&mut RetimeSolver::new(&g, residue)),
+            reference_plan(u, full),
             "elliptic f = {f}: the solvers diverge"
         );
     }
@@ -87,8 +99,7 @@ fn bench_unfold_sweep(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("reference", "elliptic"), |b| {
         b.iter(|| {
             for (u, full, _) in &graphs {
-                let opt = min_period_retiming_reference(u, full);
-                black_box(min_span_retiming_reference(u, full, opt.period).unwrap());
+                black_box(reference_plan(u, full));
             }
         });
     });
@@ -97,7 +108,7 @@ fn bench_unfold_sweep(c: &mut Criterion) {
             let mut scratch = SolverScratch::new();
             for (_, _, wd) in &graphs {
                 let mut solver = RetimeSolver::with_scratch(&g, wd, scratch);
-                black_box(solver.min_period());
+                black_box(incremental_plan(&mut solver));
                 scratch = solver.into_scratch();
             }
         });

@@ -48,8 +48,12 @@
 //! holds by construction. That costs `O(f·V·(V + E log(fV)))` time on graphs with
 //! few distinct delays per source, as DSP loops are, plus one pass over
 //! `⌈fV/64⌉` bitset words per delay layer, and `O(f·V²)` space for the
-//! rows and the activation order. [`WdMatrices::compute`] is the `f = 1`
-//! case. The accessors take unfolded node ids and relabel internally.
+//! rows. [`WdMatrices::compute`] is the `f = 1` case. The accessors take
+//! unfolded node ids and relabel internally. The matrices keep no
+//! activation order: [`WdMatrices::activation_from`] sorts the entries at
+//! or above a floor on request. The retiming solver asks only for those
+//! at or above its closed-walk bound, since no period it may probe
+//! activates the others.
 //! [`unfolded_edges`] lists the same edges in the order `cred_unfold::unfold`
 //! numbers them, for everything else that reads the unfolding's edges
 //! without building it: `unfold` itself, the retiming solver's legality
@@ -101,7 +105,8 @@ pub fn unfolded_edges(g: &Dfg, f: usize) -> impl Iterator<Item = (usize, usize, 
 /// entries from copy 0 of original node `u` to every node of the
 /// unfolding, stored flat with an `INF` sentinel (unreachable). The
 /// `Option` accessors relabel a pair of unfolded ids onto its row and
-/// translate the sentinel.
+/// translate the sentinel. The matrices and nothing else: the activation
+/// order is built on request ([`WdMatrices::activation_from`]).
 ///
 /// Two values can describe the same matrices in different forms, so there
 /// is no derived equality: compare them with
@@ -119,13 +124,6 @@ pub struct WdMatrices {
     neg_t: Vec<i64>,
     /// Computation time of every node of the unfolding.
     times: Vec<i64>,
-    /// Every reachable entry as `(D(u_0, t), u, t)`, with `u` an original
-    /// node and `t` a node of the unfolding, sorted by `D` descending (ties
-    /// by `(u, t)` ascending). The period-`c` feasibility constraints are
-    /// exactly the copies of the entries with `D > c`, so this is the
-    /// *activation order*: tightening `c` activates a longer prefix of this
-    /// list. The incremental retiming solver consumes it verbatim.
-    activation: Vec<(i64, u32, u32)>,
 }
 
 impl WdMatrices {
@@ -145,8 +143,7 @@ impl WdMatrices {
     /// `cred_unfold::unfold`), without building it: one delay-layer sweep
     /// per node of `g` over the unfolding's arcs, which are derived from
     /// `g`'s edges. `O(f·V·(V + E log(fV)))` time on DSP loop graphs and
-    /// `O(f·V²)` space for the rows and the activation order, plus
-    /// `O(f·(V + E))` scratch.
+    /// `O(f·V²)` space for the rows, plus `O(f·(V + E))` scratch.
     ///
     /// # Panics
     /// Panics if `f == 0`, or if the zero-delay subgraph of `g` has a
@@ -198,7 +195,6 @@ impl WdMatrices {
 
         let mut w = vec![INF; rows * n];
         let mut neg_t = vec![INF; rows * n];
-        let mut activation = Vec::new();
         // The ranks reached over positive-delay edges keyed by their
         // tentative `W`, and the current layer as a bitset over ranks.
         let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
@@ -255,18 +251,7 @@ impl WdMatrices {
                     }
                 }
             }
-            activation.extend(
-                nt_row
-                    .iter()
-                    .zip(&times)
-                    .enumerate()
-                    .filter(|&(_, (&nt, _))| nt < INF)
-                    .map(|(t, (&nt, &time))| (time - nt, s as u32, t as u32)),
-            );
         }
-        // The entries went in in `(u, t)` order, and a stable sort keeps
-        // it among equal `D`.
-        activation.sort_by_key(|&(d, _, _)| Reverse(d));
         WdMatrices {
             rows,
             f,
@@ -274,15 +259,13 @@ impl WdMatrices {
             w,
             neg_t,
             times,
-            activation,
         }
     }
 
     /// The matrices of `g` by dense Floyd–Warshall over the lexicographic
-    /// pair weights, in `O(V³)` time, with the activation order from a
-    /// three-key sort. This is the differential-testing oracle of
-    /// [`WdMatrices::compute_unfolded`], which must agree with it on every
-    /// well-formed DFG and its unfoldings (see
+    /// pair weights, in `O(V³)` time. This is the differential-testing
+    /// oracle of [`WdMatrices::compute_unfolded`], which must agree with
+    /// it on every well-formed DFG and its unfoldings (see
     /// [`WdMatrices::first_mismatch`]). It treats `g` as a plain graph
     /// (`f = 1`) even when `g` is an unfolding. On a DFG with a zero-delay
     /// cycle its result is meaningless.
@@ -322,25 +305,13 @@ impl WdMatrices {
                 }
             }
         }
-        let times: Vec<i64> = g.node_ids().map(|v| g.node(v).time as i64).collect();
-        let mut activation = Vec::new();
-        for u in 0..n {
-            for v in 0..n {
-                let nt = neg_t[at(u, v)];
-                if nt < INF {
-                    activation.push((times[v] - nt, u as u32, v as u32));
-                }
-            }
-        }
-        activation.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         WdMatrices {
             rows: n,
             f: 1,
             copy: vec![0; n],
             w,
             neg_t,
-            times,
-            activation,
+            times: g.node_ids().map(|v| g.node(v).time as i64).collect(),
         }
     }
 
@@ -389,39 +360,50 @@ impl WdMatrices {
         (x < INF).then_some(self.times[v] - x)
     }
 
-    /// Every reachable entry `(D(u_0, t), u, t)` sorted by `D` descending,
-    /// ties by `(u, t)` ascending: `u` is a node of the original graph and
-    /// `t` a node of the unfolding. The entry stands for the `f` pairs
-    /// `(u_i, t_i)`, `i < f`, where `t_i` is `t` shifted `i` copies on (see
-    /// the [module docs](self)); they share its `D`. For `f = 1` the
-    /// entries are exactly the reachable pairs `(u, v)`.
+    /// The reachable entries `(D(u_0, t), u, t)` with `D >= floor`, sorted
+    /// by `D` descending, ties by `(u, t)` ascending: `u` is a node of the
+    /// original graph and `t` a node of the unfolding. The entry stands for
+    /// the `f` pairs `(u_i, t_i)`, `i < f`, where `t_i` is `t` shifted `i`
+    /// copies on (see the [module docs](self)); they share its `D`. For
+    /// `f = 1` the entries are exactly the reachable pairs `(u, v)`.
     ///
-    /// This is the order in which the period-`c` constraints `r(v) - r(u)
-    /// <= W(u, v) - 1` activate as `c` tightens (a pair is active iff
-    /// `D > c`, so every period selects a prefix of this list).
-    pub fn activation_by_d(&self) -> &[(i64, u32, u32)] {
-        &self.activation
+    /// This is the *activation order*: the period-`c` constraints `r(v) -
+    /// r(u) <= W(u, v) - 1` are the copies of the entries with `D > c`, so
+    /// every period at or above `floor` selects a prefix of the list. One
+    /// pass over the `f·V²` entries, then a sort of those it keeps; the
+    /// retiming solver asks only for the entries at or above its
+    /// closed-walk bound, which on DSP loops are a small share of them.
+    pub fn activation_from(&self, floor: i64) -> Vec<(i64, u32, u32)> {
+        let n = self.len();
+        let mut out = Vec::new();
+        for u in 0..self.rows {
+            for (t, (&nt, &time)) in self.neg_t[u * n..(u + 1) * n]
+                .iter()
+                .zip(&self.times)
+                .enumerate()
+            {
+                if nt < INF && time - nt >= floor {
+                    out.push((time - nt, u as u32, t as u32));
+                }
+            }
+        }
+        // The entries went in in `(u, t)` order, and a stable sort keeps
+        // it among equal `D`.
+        out.sort_by_key(|&(d, _, _)| Reverse(d));
+        out
     }
 
     /// All distinct finite `D` values, sorted ascending — the candidate
-    /// clock periods for min-period retiming. Derived from the precomputed
-    /// activation order, so this is a linear scan, not an `O(V^2)` re-sort.
+    /// clock periods for min-period retiming.
     pub fn candidate_periods(&self) -> Vec<i64> {
-        self.candidate_periods_from(i64::MIN).collect()
-    }
-
-    /// The candidate periods at or above `bound`, ascending, produced
-    /// lazily from the activation order's prefix with `D >= bound`: the
-    /// first one costs a binary search, and each later one the entries
-    /// between it and the one before.
-    pub fn candidate_periods_from(&self, bound: i64) -> impl Iterator<Item = i64> + '_ {
-        let above = &self.activation[..self.activation.partition_point(|&(d, _, _)| d >= bound)];
-        let mut last = None;
-        above
+        let mut out: Vec<i64> = self
+            .activation_from(i64::MIN)
             .iter()
             .rev()
             .map(|&(d, _, _)| d)
-            .filter(move |&d| last.replace(d) != Some(d))
+            .collect();
+        out.dedup();
+        out
     }
 
     /// Copy `i` of an activation entry `(u, t)` whose target lies in copy
@@ -440,8 +422,9 @@ impl WdMatrices {
     /// sorted by `D` descending, then `(u, v)` ascending.
     fn expanded_activation(&self) -> Vec<(i64, u32, u32)> {
         let f = self.f as u32;
-        let mut out = Vec::with_capacity(self.activation.len() * self.f);
-        for &(d, u, t) in &self.activation {
+        let activation = self.activation_from(i64::MIN);
+        let mut out = Vec::with_capacity(activation.len() * self.f);
+        for &(d, u, t) in &activation {
             for i in 0..f {
                 let (v, _) = Self::shifted(t, self.copy[t as usize], i, f);
                 out.push((d, u * f + i, v as u32));
@@ -599,9 +582,18 @@ mod tests {
 
     /// The activation order is sorted (`D` descending, ties by `(u, t)`
     /// ascending) and lists exactly the reachable entries of the copy-0
-    /// rows, with the accessors' `D`.
+    /// rows, with the accessors' `D`; from a floor it keeps exactly the
+    /// entries at or above it.
     fn assert_activation_sorted_and_complete(wd: &WdMatrices) {
-        let act = wd.activation_by_d();
+        let act = wd.activation_from(i64::MIN);
+        for floor in wd.candidate_periods().into_iter().chain([i64::MAX]) {
+            let above: Vec<_> = act
+                .iter()
+                .copied()
+                .filter(|&(d, _, _)| d >= floor)
+                .collect();
+            assert_eq!(wd.activation_from(floor), above, "floor {floor}");
+        }
         assert!(act.windows(2).all(|w| w[0].0 >= w[1].0));
         assert!(act
             .windows(2)
@@ -614,7 +606,7 @@ mod tests {
         assert_eq!(act.len(), reachable.len());
         let mut sorted = reachable;
         sorted.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        assert_eq!(act, &sorted[..]);
+        assert_eq!(act, sorted);
     }
 
     #[test]
@@ -745,7 +737,7 @@ mod tests {
         let g = DfgBuilder::new().build_unchecked();
         let wd = assert_matches_reference(&g);
         assert!(wd.is_empty());
-        assert!(wd.activation_by_d().is_empty());
+        assert!(wd.activation_from(i64::MIN).is_empty());
         assert!(wd.candidate_periods().is_empty());
     }
 }

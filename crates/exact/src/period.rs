@@ -25,11 +25,12 @@ pub(crate) struct PeriodSystem<'g> {
     g: &'g Dfg,
     /// Machine-effective time per node.
     t: &'g [u32],
-    /// The matrices; their activation order lists the pairs `D`-descending,
-    /// so the pairs with `D > II` are a prefix of it. A pair `(u, u)` has
-    /// `D = t(u) <= II` once the window screen has passed, so it is never
-    /// in that prefix.
     wd: WdMatrices,
+    /// Their whole activation order (the rungs below the retiming bound
+    /// need every pair for their witnesses), so the pairs with `D > II`
+    /// are a prefix of it. A pair `(u, u)` has `D = t(u) <= II` once the
+    /// window screen has passed, so it is never in that prefix.
+    pairs: Vec<(i64, u32, u32)>,
     /// Stage values (longest paths from a virtual source).
     val: Vec<i64>,
     /// Constraint that last raised each node: an edge id below
@@ -43,10 +44,12 @@ pub(crate) struct PeriodSystem<'g> {
 impl<'g> PeriodSystem<'g> {
     pub(crate) fn new(g: &'g Dfg, m: &MachineModel, t: &'g [u32]) -> Self {
         let n = g.node_count();
+        let wd = WdMatrices::compute(&m.effective_graph(g));
         PeriodSystem {
             g,
             t,
-            wd: WdMatrices::compute(&m.effective_graph(g)),
+            pairs: wd.activation_from(i64::MIN),
+            wd,
             val: vec![0; n],
             pred: vec![NONE; n],
             indeg: vec![0; n],
@@ -60,8 +63,7 @@ impl<'g> PeriodSystem<'g> {
     pub(crate) fn solve(&mut self, ii: u64, first: &mut [u32]) -> Result<(), Vec<Vec<u32>>> {
         let g = self.g;
         let n = g.node_count();
-        let pairs = self.wd.activation_by_d();
-        let active = pairs.partition_point(|&(d, _, _)| d > ii as i64);
+        let active = self.pairs.partition_point(|&(d, _, _)| d > ii as i64);
         let ne = g.edge_count() as u32;
         self.val.iter_mut().for_each(|x| *x = 0);
         self.pred.iter_mut().for_each(|p| *p = NONE);
@@ -79,7 +81,7 @@ impl<'g> PeriodSystem<'g> {
                     last = Some(ed.dst.0);
                 }
             }
-            for (i, &(_, u, v)) in pairs[..active].iter().enumerate() {
+            for (i, &(_, u, v)) in self.pairs[..active].iter().enumerate() {
                 let (u, v) = (u as usize, v as usize);
                 let w = self.wd.w(u, v).expect("activation pairs are reachable");
                 let cand = self.val[u] + 1 - w;
@@ -107,7 +109,7 @@ impl<'g> PeriodSystem<'g> {
         if c < ne {
             self.g.edge(EdgeId(c)).src.0
         } else {
-            self.wd.activation_by_d()[(c - ne) as usize].1
+            self.pairs[(c - ne) as usize].1
         }
     }
 
@@ -139,7 +141,7 @@ impl<'g> PeriodSystem<'g> {
                 if c < ne {
                     vec![c]
                 } else {
-                    let (_, u, v) = self.wd.activation_by_d()[(c - ne) as usize];
+                    let (_, u, v) = self.pairs[(c - ne) as usize];
                     self.walk(u, v)
                 }
             })

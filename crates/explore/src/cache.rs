@@ -12,11 +12,12 @@
 //! * within one factor, the W/D matrices are computed **once**, in the
 //!   residue form of the unfolding ([`WdMatrices::compute_unfolded`]: one
 //!   delay-layer sweep per *original* node, `f·V²` entries instead of
-//!   `(fV)²`), and shared by both passes: the solver keeps one
-//!   period row per original node, and compaction checks the legality
-//!   edges plus the active prefix of the activation order. The unfolding
-//!   itself is never built: the solver and compaction take the original
-//!   graph and read the unfolding's edges off
+//!   `(fV)²`), and one solver serves both passes: it keeps one period
+//!   row per original node, holding only the pairs at or above its
+//!   closed-walk bound, and compaction ([`RetimeSolver::compact`]) checks
+//!   its legality edges plus the active prefix at the plan's period. The
+//!   unfolding itself is never built: the solver takes the original graph
+//!   and reads the unfolding's edges off
 //!   [`cred_dfg::algo::unfolded_edges`], and the projection sums each
 //!   node's copies ([`project_copies`]);
 //! * across calls, the finished [`FactorPlan`] is memoized under the key
@@ -76,7 +77,7 @@ use cred_dfg::Dfg;
 use cred_resilience::failpoint::{self, sites};
 use cred_resilience::{panic_message, Budget, DegradationEvent, DegradeCause, Exhausted};
 use cred_retime::minperiod::{constraints_for_period, min_period_retiming_reference};
-use cred_retime::span::{compact_values_wd, compact_values_with};
+use cred_retime::span::compact_values_with;
 use cred_retime::{RetimeSolver, Retiming};
 use cred_unfold::orders::{project_copies, project_retiming};
 use cred_unfold::unfold;
@@ -191,7 +192,7 @@ fn plan_fast(g: &Dfg, f: usize, budget: &Budget) -> Result<FactorPlan, Exhausted
     let wd = WdMatrices::compute_unfolded(g, f);
     let mut solver = RetimeSolver::new(g, &wd);
     let opt = solver.min_period_budgeted(budget)?;
-    let r_f = compact_values_wd(g, &wd, opt.period, &opt.retiming);
+    let r_f = solver.compact(opt.period, &opt.retiming);
     let projected = project_copies(f, &r_f);
     Ok(FactorPlan {
         projected,

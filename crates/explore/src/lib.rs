@@ -52,7 +52,7 @@ use cred_dfg::algo::WdMatrices;
 use cred_dfg::{Dfg, Ratio};
 use cred_resilience::{failpoint, panic_message, Budget, DegradationEvent};
 use cred_retime::minperiod::constraints_for_period;
-use cred_retime::span::{compact_values_wd, compact_values_with};
+use cred_retime::span::compact_values_with;
 use cred_retime::{min_period_retiming, RetimeSolver, Retiming};
 use cred_schedule::KernelSchedule;
 use cred_unfold::orders::{project_copies, project_retiming};
@@ -453,25 +453,26 @@ pub fn best_under_register_budget(
     let mut best: Option<ParetoPoint> = None;
     for f in 1..=max_f {
         // One W/D computation of the unfolding, which is never built, and
-        // one solver serve the period search and every probe of the
-        // candidate scan below; the first probe, at the optimum, reads the
-        // search's own fixpoint.
+        // one solver serve the period search and every probe and
+        // compaction of the candidate scan below; the first probe, at the
+        // optimum, reads the search's own fixpoint.
         let wd = WdMatrices::compute_unfolded(g, f);
         let mut solver = RetimeSolver::new(g, &wd);
         let opt = solver.min_period();
         // Scan candidate periods upward until the register budget holds.
-        for c in wd.candidate_periods_from(opt.period as i64) {
-            let Some(r_f) = solver.retime_to_period(c as u64) else {
+        let cands: Vec<u64> = solver.candidate_periods().collect();
+        for c in cands.into_iter().filter(|&c| c >= opt.period) {
+            let Some(r_f) = solver.retime_to_period(c) else {
                 continue;
             };
-            let r_f = compact_values_wd(g, &wd, c as u64, &r_f);
+            let r_f = solver.compact(c, &r_f);
             let projected = project_copies(f, &r_f);
             if projected.register_count() > p_max {
                 continue;
             }
             let plan = FactorPlan {
                 projected,
-                period: c as u64,
+                period: c,
             };
             let point = point_from_plan(g, f, &plan, n, mode);
             let better = best

@@ -71,9 +71,10 @@
 //! a relaxation chain of `|vars|` edges before it can say no. So
 //! [`RetimeSolver::min_period_budgeted`] does not bisect the whole
 //! candidate list; it starts at a proven lower bound,
-//! [`RetimeSolver::period_lower_bound`], read off the legality edges and
-//! the W/D matrices the solver already holds (residue form included): the
-//! larger of `max t(v)` and, over every legality edge `e = x -> u`,
+//! [`RetimeSolver::period_lower_bound`], which [`CsrConstraintGraph::build`]
+//! reads off the legality edges and the W/D matrices (residue form
+//! included) before it stores any period constraint: the larger of
+//! `max t(v)` and, over every legality edge `e = x -> u`,
 //! `⌈D(u, x) / (W(u, x) + d(e))⌉`.
 //!
 //! A minimum-delay path `u ~> x` of time `D(u, x)` followed by `e` is a
@@ -83,21 +84,29 @@
 //! splits into at most `k` zero-delay segments, each of time at most `c`,
 //! so its time is at most `c·k`; summed over the walk's cycles,
 //! `D(u, x) <= c·(W(u, x) + d(e))`. No retiming reaches a smaller period.
-//! The scan costs one W/D lookup per legality edge, and it charges one
-//! work unit per edge it reads.
+//! The scan costs one W/D lookup per legality edge, and the period search
+//! charges one work unit per edge it read.
+//!
+//! So a pair with `D` below the bound is never active at any period a
+//! retiming can reach, and the CSR graph sorts and stores only the entries
+//! with `D >= bound` ([`WdMatrices::activation_from`]). On the bundled
+//! kernels that is under a third of the entries, and on most of them the
+//! live count stops growing by `f = 4` while the total grows as `f·V²`. A
+//! probe below the bound is answered infeasible without a solve.
 //!
 //! The first probe is the first candidate at or above the bound, cold from
 //! the legality fixpoint. Every smaller candidate lies below the bound, so
 //! if that probe is feasible it is the optimum, and on every bundled
-//! kernel at f = 1..8 it is. That candidate is the last activation entry
-//! with `D >= bound`, one binary search away
-//! ([`WdMatrices::candidate_periods_from`]), so the distinct candidates
-//! are collected only when the probe fails. Then the candidates above it
-//! are bisected with the warm starts above. The fixpoint at the optimal
-//! period is unique, so the result is the same as the reference search's,
-//! which bisects from the bottom of the list.
+//! kernel at f = 1..8 it is. That candidate is the smallest stored `D`,
+//! the last entry of the stored activation order, so the distinct
+//! candidates ([`RetimeSolver::candidate_periods`]) are collected only
+//! when the probe fails. Then the candidates above it are bisected with
+//! the warm starts above. The fixpoint at the optimal period is unique, so
+//! the result is the same as the reference search's, which bisects from
+//! the bottom of the list.
 
 use crate::minperiod::MinPeriodResult;
+use crate::span::compact_greedy;
 use crate::Retiming;
 use cred_dfg::algo::{unfolded_edges, WdMatrices};
 use cred_dfg::Dfg;
@@ -111,29 +120,17 @@ const NO_PERIOD: i64 = i64::MAX;
 /// One period constraint of an original node's row: the copy-0 target
 /// `t`, its copy `r`, and the weight `W(u_0, t) - 1`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PeriodEdge {
+struct PeriodEdge {
     t: u32,
     r: u32,
     w: i64,
 }
 
 impl PeriodEdge {
-    /// The entry `(u_0, t)` of `wd`'s activation order as a constraint
-    /// edge of row `u`.
-    pub(crate) fn new(wd: &WdMatrices, u: u32, t: u32) -> Self {
-        let f = wd.factor();
-        let w = wd.w(u as usize * f, t as usize).expect("reachable pair");
-        PeriodEdge {
-            t,
-            r: t % f as u32,
-            w: w - 1,
-        }
-    }
-
     /// The copy of this edge that leaves copy `i` of its row's node in an
     /// `f`-unfolded graph: its target and weight.
     #[inline]
-    pub(crate) fn shifted(self, i: u32, f: u32) -> (usize, i64) {
+    fn shifted(self, i: u32, f: u32) -> (usize, i64) {
         let (v, wrap) = WdMatrices::shifted(self.t, self.r, i, f);
         (v, self.w + wrap)
     }
@@ -155,12 +152,17 @@ impl PeriodEdge {
 ///   shifted by `i` copies (see the [module docs](self));
 /// * `act_*` is the same entry set in global activation order (`D`
 ///   descending), which is what the warm-start walks when the period
-///   tightens.
+///   tightens. Only the entries with `D` at or above the closed-walk bound
+///   are stored: no period a retiming reaches activates the others (see
+///   the [module docs](self#where-the-search-starts)).
 #[derive(Debug, Clone)]
 pub struct CsrConstraintGraph {
     n: usize,
     /// The unfolding factor of the W/D matrices.
     f: u32,
+    /// The closed-walk bound: no retiming reaches a smaller period, and
+    /// only the entries with `D >= bound` are stored.
+    bound: i64,
     /// Row (original node) and copy of every variable.
     var: Vec<(u32, u32)>,
     leg_row: Vec<u32>,
@@ -180,7 +182,10 @@ impl CsrConstraintGraph {
     /// Build the CSR graph for the `f`-unfolding of `g`, `f =
     /// wd.factor()`, from `g`'s edges and the unfolding's W/D matrices:
     /// [`WdMatrices::compute_unfolded`]`(g, f)`, or
-    /// [`WdMatrices::compute`]`(g)` for `g` itself.
+    /// [`WdMatrices::compute`]`(g)` for `g` itself. It reads the
+    /// closed-walk bound off the legality edges, then sorts and stores
+    /// only the activation entries at or above it. Panics on a zero-delay
+    /// cycle, which a well-formed DFG lacks.
     pub fn build(g: &Dfg, wd: &WdMatrices) -> Self {
         let f = wd.factor();
         let rows = g.node_count();
@@ -202,12 +207,28 @@ impl CsrConstraintGraph {
             leg_col[slot] = dst as u32;
             leg_w[slot] = delay as i64;
         });
-        // Period edges: the W/D activation order is (D desc, u asc, t asc),
-        // so distributing entries to rows in order leaves every row sorted
-        // by D descending — each period's active set is a row prefix.
-        let act = wd.activation_by_d();
+        // The closed-walk bound: a minimum-delay path `u ~> x` closed by
+        // the legality edge `x -> u`.
+        let mut bound = g.node_ids().map(|v| g.node(v).time).max().unwrap_or(0) as i64;
+        for x in 0..n {
+            for i in leg_row[x] as usize..leg_row[x + 1] as usize {
+                let u = leg_col[i] as usize;
+                if let (Some(w), Some(d)) = (wd.w(u, x), wd.d(u, x)) {
+                    let delays = w + leg_w[i];
+                    assert!(
+                        delays > 0,
+                        "min_period_retiming requires a well-formed DFG: a zero-delay cycle"
+                    );
+                    bound = bound.max((d + delays - 1) / delays);
+                }
+            }
+        }
+        // Period edges: the live activation order is (D desc, u asc, t
+        // asc), so distributing entries to rows in order leaves every row
+        // sorted by D descending — each period's active set is a row prefix.
+        let act = wd.activation_from(bound);
         let mut per_row = vec![0u32; rows + 1];
-        for &(_, u, _) in act {
+        for &(_, u, _) in &act {
             per_row[u as usize + 1] += 1;
         }
         for i in 1..per_row.len() {
@@ -221,7 +242,9 @@ impl CsrConstraintGraph {
         for (i, &(d, u, t)) in act.iter().enumerate() {
             let slot = cursor[u as usize];
             cursor[u as usize] += 1;
-            per[slot as usize] = PeriodEdge::new(wd, u, t);
+            let w = wd.w(u as usize * f, t as usize).expect("reachable pair");
+            let r = t % f as u32;
+            per[slot as usize] = PeriodEdge { t, r, w: w - 1 };
             act_edge[i] = slot;
             act_src[i] = u;
             act_d[i] = d;
@@ -229,6 +252,7 @@ impl CsrConstraintGraph {
         CsrConstraintGraph {
             n,
             f: f as u32,
+            bound,
             var,
             leg_row,
             leg_col,
@@ -246,8 +270,8 @@ impl CsrConstraintGraph {
         self.n
     }
 
-    /// Total period constraints: every activation entry counts once per
-    /// copy.
+    /// Total period constraints stored: every live activation entry (`D`
+    /// at or above the closed-walk bound) counts once per copy.
     pub fn period_edge_count(&self) -> usize {
         self.act_edge.len() * self.f as usize
     }
@@ -259,7 +283,7 @@ impl CsrConstraintGraph {
     }
 
     /// Length of the activation prefix for period `c` (entries with
-    /// `D > c`).
+    /// `D > c`): the whole active set when `c >= bound`.
     fn prefix_for(&self, c: i64) -> usize {
         self.act_d.partition_point(|&d| d > c)
     }
@@ -329,7 +353,6 @@ impl SolverScratch {
 #[derive(Debug)]
 pub struct RetimeSolver<'a> {
     g: &'a Dfg,
-    wd: &'a WdMatrices,
     csr: CsrConstraintGraph,
     s: SolverScratch,
     /// `s.feas` is the exact fixpoint of the period-`feas_c` system.
@@ -353,7 +376,6 @@ impl<'a> RetimeSolver<'a> {
         scratch.reset(csr.n, csr.rows());
         RetimeSolver {
             g,
-            wd,
             csr,
             s: scratch,
             // The all-zero vector is the exact fixpoint of the legality-only
@@ -465,6 +487,10 @@ impl<'a> RetimeSolver<'a> {
     /// `s.dist` (and snapshotting it as the new warm-start state) when
     /// feasible.
     fn solve_period_raw(&mut self, c: i64, budget: &Budget) -> Result<bool, Exhausted> {
+        if c < self.csr.bound {
+            // No retiming reaches a period below the closed-walk bound.
+            return Ok(false);
+        }
         if c == self.feas_c {
             // Same system as the snapshot: the fixpoint is already known.
             self.s.dist.copy_from_slice(&self.s.feas);
@@ -551,7 +577,9 @@ impl<'a> RetimeSolver<'a> {
     /// [`Self::retime_to_period`] under a budget. `Err` means the budget
     /// ran out mid-solve: no answer was produced (never a partial one),
     /// and the solver's warm state is untouched, so it remains valid for
-    /// a retry with a larger budget or a different period.
+    /// a retry with a larger budget or a different period. A period below
+    /// [`Self::period_lower_bound`] is answered `None` at once, charging
+    /// nothing and leaving the warm state as it was.
     pub fn retime_to_period_budgeted(
         &mut self,
         c: u64,
@@ -592,30 +620,29 @@ impl<'a> RetimeSolver<'a> {
         self.g
             .validate()
             .expect("min_period_retiming requires a well-formed DFG");
-        assert!(!self.wd.activation_by_d().is_empty());
+        // The bound was read off at construction; charge its scan, one
+        // work unit per legality edge.
+        budget.charge(self.csr.leg_col.len() as u64)?;
         // Every candidate below the bound is infeasible, so a feasible
-        // first probe at or above it is the optimum.
-        let bound = self.closed_walk_bound(budget)?;
-        let wd = self.wd;
-        let mut above = wd.candidate_periods_from(bound);
-        let first = above
-            .next()
-            .expect("the bound never exceeds the largest candidate");
-        if let Some(retiming) = self.retime_to_period_budgeted(first as u64, budget)? {
+        // first probe at or above it is the optimum: the smallest stored
+        // `D`, the last of the activation order.
+        let first = self.candidate_periods().next();
+        let first = first.expect("the bound never exceeds the largest candidate");
+        if let Some(retiming) = self.retime_to_period_budgeted(first, budget)? {
             return Ok(MinPeriodResult {
                 retiming,
-                period: first as u64,
+                period: first,
             });
         }
         // Bisect the candidates above it; the largest is always feasible.
-        let cands: Vec<i64> = std::iter::once(first).chain(above).collect();
+        let cands: Vec<u64> = self.candidate_periods().collect();
         let mut lo = 1;
         let mut hi = cands.len() - 1;
         let mut best = None;
         while lo <= hi {
             let mid = lo + (hi - lo) / 2;
-            if let Some(r) = self.retime_to_period_budgeted(cands[mid] as u64, budget)? {
-                best = Some((r, cands[mid] as u64));
+            if let Some(r) = self.retime_to_period_budgeted(cands[mid], budget)? {
+                best = Some((r, cands[mid]));
                 hi = mid - 1;
             } else {
                 lo = mid + 1;
@@ -625,40 +652,25 @@ impl<'a> RetimeSolver<'a> {
         Ok(MinPeriodResult { retiming, period })
     }
 
+    /// The candidate periods the search walks: the distinct `D` values at
+    /// or above [`Self::period_lower_bound`], ascending. Every candidate
+    /// below them is infeasible, and the largest is always feasible.
+    pub fn candidate_periods(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut last = None;
+        let rising = self.csr.act_d.iter().rev().map(|&d| d as u64);
+        rising.filter(move |&d| last.replace(d) != Some(d))
+    }
+
     /// A lower bound on the minimum period no retiming can beat: the
     /// larger of the longest node time and, over every legality edge
     /// `e = x -> u`, `⌈D(u, x) / (W(u, x) + d(e))⌉`, the time per delay of
     /// the closed walk that a minimum-delay path `u ~> x` and `e` make
     /// (see the [module docs](self#where-the-search-starts) for why it is
-    /// sound). [`Self::min_period`] starts its search here. `O(E)` W/D
-    /// lookups.
+    /// sound). [`CsrConstraintGraph::build`] reads it off the legality
+    /// edges and stores it, so this is a read; [`Self::min_period`] starts
+    /// its search here.
     pub fn period_lower_bound(&self) -> u64 {
-        unbudgeted(self.closed_walk_bound(&Budget::unlimited())) as u64
-    }
-
-    /// [`Self::period_lower_bound`], charging one work unit per legality
-    /// edge it reads.
-    fn closed_walk_bound(&self, budget: &Budget) -> Result<i64, Exhausted> {
-        let csr = &self.csr;
-        budget.charge(csr.leg_col.len() as u64)?;
-        let mut bound = self
-            .g
-            .node_ids()
-            .map(|v| self.g.node(v).time)
-            .max()
-            .unwrap_or(0) as i64;
-        for x in 0..csr.n {
-            for i in csr.leg_row[x] as usize..csr.leg_row[x + 1] as usize {
-                let u = csr.leg_col[i] as usize;
-                if let (Some(w), Some(d)) = (self.wd.w(u, x), self.wd.d(u, x)) {
-                    // At least one delay: a well-formed DFG has no
-                    // zero-delay cycle.
-                    let delays = w + csr.leg_w[i];
-                    bound = bound.max((d + delays - 1) / delays);
-                }
-            }
-        }
-        Ok(bound)
+        self.csr.bound as u64
     }
 
     /// The minimum-span retiming at period `c`, given `base` = this
@@ -675,8 +687,27 @@ impl<'a> RetimeSolver<'a> {
         Ok(base.clone())
     }
 
+    /// [`crate::span::compact_values`] for `r`, a retiming of period `<= c`
+    /// of the unfolding, checked against the rows the solver relaxes at
+    /// `c` (legality and the active prefix), so neither the unfolding nor
+    /// a dense [`crate::ConstraintSystem`] is built. It equals
+    /// [`crate::span::compact_values_with`] on the dense system of the
+    /// built unfolding, which keeps the tightest bound per pair. Panics if
+    /// `c` is below [`Self::period_lower_bound`], which no retiming reaches.
+    pub fn compact(&mut self, c: u64, r: &Retiming) -> Retiming {
+        assert!(
+            c as i64 >= self.csr.bound,
+            "no retiming reaches period {c}, below the closed-walk bound {}",
+            self.csr.bound
+        );
+        self.materialize(self.csr.prefix_for(c as i64));
+        let this = &*self;
+        compact_greedy(r, |x| this.satisfies(x))
+    }
+
     /// Whether `x` meets every legality edge and every period constraint
-    /// of the materialized prefix: the system the last solve answered.
+    /// of the materialized prefix: the system the last solve or
+    /// compaction answered.
     fn satisfies(&self, x: &[i64]) -> bool {
         let csr = &self.csr;
         (0..csr.n).all(|u| {
@@ -726,30 +757,66 @@ mod tests {
     fn csr_counts_match_dense_system() {
         for seed in 0..10 {
             let g = random(seed, 9);
-            let wd = WdMatrices::compute(&g);
-            let csr = CsrConstraintGraph::build(&g, &wd);
-            // Activating everything must reproduce the c = -1 system's
-            // period-constraint count (before dedup: one per reachable
-            // pair).
-            let pairs = wd.activation_by_d().len();
-            assert_eq!(csr.period_edge_count(), pairs);
-            assert_eq!(csr.num_vars(), g.node_count());
+            for f in 1..=3 {
+                let wd = WdMatrices::compute_unfolded(&g, f);
+                let csr = RetimeSolver::new(&g, &wd).csr;
+                // Every live entry, `D` at or above the bound, once per copy.
+                let bound = csr.bound;
+                let live = wd
+                    .activation_from(i64::MIN)
+                    .iter()
+                    .filter(|&&(d, _, _)| d >= bound)
+                    .count();
+                assert_eq!(csr.period_edge_count(), f * live, "seed {seed}, f = {f}");
+                assert_eq!(csr.num_vars(), f * g.node_count());
+            }
         }
     }
 
     #[test]
     fn activation_prefix_matches_filter() {
-        let g = random(3, 8);
-        let wd = WdMatrices::compute(&g);
-        let csr = CsrConstraintGraph::build(&g, &wd);
-        for c in wd.candidate_periods() {
-            let expect = wd
-                .activation_by_d()
-                .iter()
-                .filter(|&&(d, _, _)| d > c)
-                .count();
-            assert_eq!(csr.prefix_for(c), expect);
+        let mut at_bound = 0;
+        for seed in 0..10 {
+            let g = random(seed, 8);
+            for f in 1..=3 {
+                let wd = WdMatrices::compute_unfolded(&g, f);
+                let solver = RetimeSolver::new(&g, &wd);
+                let bound = solver.csr.bound;
+                let all = wd.activation_from(i64::MIN);
+                let above: Vec<i64> = wd
+                    .candidate_periods()
+                    .into_iter()
+                    .filter(|&c| c >= bound)
+                    .collect();
+                at_bound += (above[0] == bound) as usize;
+                // The solver walks exactly the candidates at or above the
+                // bound, the bound itself included when it is a `D`.
+                let walked: Vec<i64> = solver.candidate_periods().map(|c| c as i64).collect();
+                assert_eq!(walked, above, "seed {seed}, f = {f}");
+                for &c in &above {
+                    let expect = all.iter().filter(|&&(d, _, _)| d > c).count();
+                    assert_eq!(
+                        solver.csr.prefix_for(c),
+                        expect,
+                        "seed {seed}, f = {f}, period {c}"
+                    );
+                }
+            }
         }
+        assert!(at_bound > 0, "no case had a candidate at the bound");
+    }
+
+    #[test]
+    #[should_panic(expected = "well-formed DFG")]
+    fn zero_delay_cycle_fails_as_malformed() {
+        // Floyd–Warshall takes a zero-delay cycle, which the sweep
+        // refuses; the bound's scan must not divide by its zero delays.
+        let mut b = cred_dfg::DfgBuilder::new();
+        let (x, y) = (b.unit("X"), b.unit("Y"));
+        b.edge(x, y, 0);
+        b.edge(y, x, 0);
+        let g = b.build_unchecked();
+        RetimeSolver::new(&g, &WdMatrices::compute_reference(&g)).min_period();
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //!   `|N_r|`, the number of conditional registers CRED needs (Theorem 4.3),
 //!   without breaking legality or the period.
 
-use crate::incremental::PeriodEdge;
 use crate::minperiod::constraints_for_period;
-use crate::{ConstraintSystem, Retiming};
-use cred_dfg::algo::{unfolded_edges, WdMatrices};
+use crate::{ConstraintSystem, RetimeSolver, Retiming};
+use cred_dfg::algo::WdMatrices;
 use cred_dfg::Dfg;
 
 /// A retiming achieving cycle period `<= c` with the minimum possible
@@ -79,52 +78,23 @@ pub fn compact_values(g: &Dfg, c: u64, r: &Retiming) -> Retiming {
 /// [`compact_values`] for a retiming `r` of the `f`-unfolding of `g`,
 /// given that unfolding's W/D matrices, `f = wd.factor()`:
 /// [`WdMatrices::compute_unfolded`]`(g, f)`, or [`WdMatrices::compute`]`(g)`
-/// for `g` itself (the contract of [`crate::RetimeSolver`]).
-///
-/// Each trial move is checked against the unfolding's legality edges
-/// ([`unfolded_edges`]) and the copies of the activation entries with
-/// `D > c`, the same constraints the [`crate::RetimeSolver`] relaxes at
-/// period `c`, so neither the unfolding nor a dense [`ConstraintSystem`]
-/// is built. The result equals [`compact_values_with`] on
-/// [`constraints_for_period`] of the built unfolding: that system keeps
-/// the tightest bound per pair, and an assignment meets it exactly when it
-/// meets every constraint listed here.
+/// for `g` itself (the contract of [`RetimeSolver`]). It builds a solver
+/// for them and runs [`RetimeSolver::compact`]; a caller that already
+/// holds the solver of the period search compacts on it instead.
 pub fn compact_values_wd(g: &Dfg, wd: &WdMatrices, c: u64, r: &Retiming) -> Retiming {
-    let f = wd.factor();
-    assert_eq!(
-        wd.len(),
-        g.node_count() * f,
-        "W/D matrices belong to a different graph"
-    );
-    let mut legality = Vec::with_capacity(g.edge_count() * f);
-    unfolded_edges(g, f).for_each(|(src, dst, delay)| legality.push((dst, src, delay as i64)));
-    let f = f as u32;
-    let act = wd.activation_by_d();
-    let period: Vec<(usize, PeriodEdge)> = act[..act.partition_point(|&(d, _, _)| d > c as i64)]
-        .iter()
-        .map(|&(_, u, t)| (u as usize * f as usize, PeriodEdge::new(wd, u, t)))
-        .collect();
-    compact_greedy(r, |x| {
-        legality.iter().all(|&(a, b, d)| x[a] - x[b] <= d)
-            && period.iter().all(|&(u, e)| {
-                (0..f).all(|i| {
-                    let (v, w) = e.shifted(i, f);
-                    x[v] - x[u + i as usize] <= w
-                })
-            })
-    })
+    RetimeSolver::new(g, wd).compact(c, r)
 }
 
 /// [`compact_values`] against an explicit constraint system: the dense
 /// reference the degradation fallback and the reference sweep use, and
-/// the oracle of [`compact_values_wd`].
+/// the oracle of [`RetimeSolver::compact`].
 pub fn compact_values_with(sys: &ConstraintSystem, r: &Retiming) -> Retiming {
     compact_greedy(r, |x| sys.satisfied_by(x))
 }
 
 /// The greedy pass of [`compact_values`], with `satisfied` deciding
 /// whether an assignment meets the period-`c` system.
-fn compact_greedy(r: &Retiming, satisfied: impl Fn(&[i64]) -> bool) -> Retiming {
+pub(crate) fn compact_greedy(r: &Retiming, satisfied: impl Fn(&[i64]) -> bool) -> Retiming {
     let mut vals = r.values().to_vec();
     debug_assert!(satisfied(&vals));
     loop {

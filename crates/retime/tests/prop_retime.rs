@@ -2,6 +2,7 @@
 
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::{algo, gen, Dfg, Ratio};
+use cred_resilience::Budget;
 use cred_retime::minperiod::{
     constraints_for_period, min_period_retiming_reference, retime_to_period_reference,
 };
@@ -32,6 +33,43 @@ fn graph_from(seed: u64, nodes: usize) -> Dfg {
 /// solved.
 fn matches_span_oracle(u: &Dfg, full: &WdMatrices, c: u64, r: &Retiming) -> bool {
     min_span_retiming_reference(u, full, c).as_ref() == Some(r)
+}
+
+/// Probe `solver` at the largest candidate period below its closed-walk
+/// bound, if there is one: it must answer `None` without charging a work
+/// unit, as the dense reference does on `u` and its full-form W/D matrices
+/// `full`, `u` being the graph (or the unfolding) the solver solves.
+fn probe_below_bound(
+    solver: &mut RetimeSolver,
+    u: &Dfg,
+    full: &WdMatrices,
+) -> Result<(), TestCaseError> {
+    let bound = solver.period_lower_bound() as i64;
+    let Some(c) = full
+        .candidate_periods()
+        .into_iter()
+        .rev()
+        .find(|&c| c < bound)
+    else {
+        return Ok(());
+    };
+    let budget = Budget::unlimited().with_work_limit(u64::MAX);
+    let fast = solver.retime_to_period_budgeted(c as u64, &budget);
+    prop_assert!(
+        matches!(fast, Ok(None)),
+        "period {} below bound {}: {:?}",
+        c,
+        bound,
+        fast
+    );
+    prop_assert_eq!(budget.work_used(), 0, "period {} below bound {}", c, bound);
+    prop_assert_eq!(
+        retime_to_period_reference(u, full, c as u64),
+        None,
+        "period {}",
+        c
+    );
+    Ok(())
 }
 
 proptest! {
@@ -179,14 +217,24 @@ proptest! {
         // The solver's closed-walk bound, read through the residue-form
         // W/D of each unfolding of `g` (never built), against the dense
         // reference search on the full-form W/D of the built unfolding
-        // (f = 1 is the graph itself).
+        // (f = 1 is the graph itself). A probe below the bound is refused
+        // for free, and one at the optimum afterwards is the oracle's.
         let g = graph_from(seed, nodes);
         for f in 1..=6 {
             let u = unfold(&g, f).graph;
             let residue = WdMatrices::compute_unfolded(&g, f);
-            let bound = RetimeSolver::new(&g, &residue).period_lower_bound();
-            let opt = min_period_retiming_reference(&u, &WdMatrices::compute(&u)).period;
-            prop_assert!(bound <= opt, "f {}: bound {} above the optimum {}", f, bound, opt);
+            let full = WdMatrices::compute(&u);
+            let mut solver = RetimeSolver::new(&g, &residue);
+            let bound = solver.period_lower_bound();
+            let opt = min_period_retiming_reference(&u, &full);
+            prop_assert!(
+                bound <= opt.period,
+                "f {}: bound {} above the optimum {}", f, bound, opt.period
+            );
+            probe_below_bound(&mut solver, &u, &full)?;
+            prop_assert_eq!(
+                solver.retime_to_period(opt.period), Some(opt.retiming), "f = {}", f
+            );
         }
     }
 
@@ -203,6 +251,7 @@ proptest! {
             let residue = WdMatrices::compute_unfolded(&g, f);
             let full = WdMatrices::compute(&u);
             let mut solver = RetimeSolver::new(&g, &residue);
+            probe_below_bound(&mut solver, &u, &full)?;
             let opt = solver.min_period();
             let slow = min_period_retiming_reference(&u, &full);
             prop_assert_eq!(opt.period, slow.period, "f = {}", f);
