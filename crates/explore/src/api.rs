@@ -34,55 +34,6 @@ use crate::cache::{PlanSource, SweepCache};
 use crate::error::CredError;
 use crate::{frontier, resilient_sweep, ParetoPoint, PointOutcome, PointStatus, SweepReport};
 
-/// Scalarization weights over the four [`Objectives`] axes, used by
-/// [`ExploreResponse::best`] to pick a single recommended point off the
-/// frontier. The weights do not change which points are computed or
-/// which survive dominance — only the tie-break among survivors — but
-/// they are echoed in the response, so they participate in the coalesce
-/// key like every other option.
-///
-/// [`Objectives`]: crate::Objectives
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObjectiveWeights {
-    /// Weight on CRED code size (instructions).
-    pub cred_size: u16,
-    /// Weight on the iteration period (cycles per iteration).
-    pub iteration_period: u16,
-    /// Weight on conditional registers (the paper's `P_r`).
-    pub cond_registers: u16,
-    /// Weight on peak data-register pressure.
-    pub maxlive: u16,
-}
-
-impl Default for ObjectiveWeights {
-    fn default() -> Self {
-        ObjectiveWeights {
-            cred_size: 1,
-            iteration_period: 1,
-            cond_registers: 1,
-            maxlive: 1,
-        }
-    }
-}
-
-impl ObjectiveWeights {
-    /// The weights packed into one integer, for coalesce keys.
-    pub fn packed(&self) -> u64 {
-        ((self.cred_size as u64) << 48)
-            | ((self.iteration_period as u64) << 32)
-            | ((self.cond_registers as u64) << 16)
-            | self.maxlive as u64
-    }
-
-    /// The weighted scalar cost of one point (lower is better).
-    fn score(&self, p: &ParetoPoint) -> f64 {
-        self.cred_size as f64 * p.objectives.cred_size as f64
-            + self.iteration_period as f64 * p.objectives.iteration_period.to_f64()
-            + self.cond_registers as f64 * p.objectives.cond_registers as f64
-            + self.maxlive as f64 * p.objectives.maxlive as f64
-    }
-}
-
 /// Largest unfolding factor `max_f` an [`ExploreRequest`] accepts. Each
 /// factor costs more than the last to plan; 16 is far beyond the paper's
 /// design space.
@@ -124,8 +75,6 @@ pub struct ExploreOptions {
     /// appear in `points`, so the caller sees what the cap rejected).
     /// `None` leaves the frontier uncapped.
     pub max_registers: Option<usize>,
-    /// Scalarization weights for [`ExploreResponse::best`].
-    pub weights: ObjectiveWeights,
 }
 
 impl Default for ExploreOptions {
@@ -138,7 +87,6 @@ impl Default for ExploreOptions {
             strict: false,
             machine: None,
             max_registers: None,
-            weights: ObjectiveWeights::default(),
         }
     }
 }
@@ -255,12 +203,6 @@ impl ExploreRequest {
         self
     }
 
-    /// Scalarization weights for [`ExploreResponse::best`].
-    pub fn weights(mut self, weights: ObjectiveWeights) -> Self {
-        self.opts.weights = weights;
-        self
-    }
-
     /// Wall-clock budget for the whole request, measured from
     /// [`run`](Self::run).
     pub fn deadline(mut self, limit: Duration) -> Self {
@@ -302,7 +244,7 @@ impl ExploreRequest {
     /// computed it and must not be served to another key-equal request
     /// with different limits; a sharing layer has to recompute those
     /// (see the service's coalescer).
-    pub fn coalesce_key(&self) -> (u64, usize, u64, u8, u64, u64, u64) {
+    pub fn coalesce_key(&self) -> (u64, usize, u64, u8, u64, u64) {
         (
             self.fingerprint,
             self.opts.max_f,
@@ -318,10 +260,6 @@ impl ExploreRequest {
             // The register cap shapes the embedded frontier; 0 encodes
             // "uncapped" and real caps are shifted by one.
             self.opts.max_registers.map_or(0, |cap| cap as u64 + 1),
-            // The weights only steer `best()`, but they are echoed in
-            // the shared response, so weight-distinct requests must not
-            // coalesce onto each other.
-            self.opts.weights.packed(),
         )
     }
 
@@ -459,8 +397,9 @@ impl ExploreRequest {
 ///    summary carries the proven II *and* the maxlive of the proven
 ///    modulo schedule;
 /// 2. if it exhausts (deadline, work units, injected fault) **or
-///    panics**, fall back to the resource-*blind* retiming minimum — the
-///    II every machine can only match or exceed — and record a
+///    panics**, fall back to the resource-*blind* retiming minimum of the
+///    graph under `m`'s latencies ([`cred_exact::retiming_bound`]) — the
+///    II every schedule on `m` can only match or exceed — and record a
 ///    [`DegradationEvent`] in [`ExactSummary::source`] so the caller
 ///    knows the number is a lower bound, not a proof (no schedule exists
 ///    on this path, so `maxlive` is absent);
@@ -491,7 +430,7 @@ fn exact_summary(g: &Dfg, m: &MachineModel, budget: &Budget) -> Result<ExactSumm
     };
     Ok(ExactSummary {
         machine: m.name.clone(),
-        ii: cred_retime::min_period_retiming(g).period,
+        ii: cred_exact::retiming_bound(g, m),
         maxlive: None,
         source: PlanSource::Reference(event),
     })
@@ -567,19 +506,6 @@ pub struct ExploreResponse {
 }
 
 impl ExploreResponse {
-    /// The recommended point: the frontier survivor minimizing the
-    /// weighted objective sum under [`ExploreOptions::weights`]. `None`
-    /// iff the frontier is empty (no points, or the register cap
-    /// excluded all of them). Ties resolve to the smallest factor.
-    pub fn best(&self) -> Option<&ParetoPoint> {
-        let w = &self.opts.weights;
-        self.frontier.iter().min_by(|a, b| {
-            w.score(a)
-                .partial_cmp(&w.score(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
-
     /// The degradation events recorded while producing this response.
     pub fn degradations(&self) -> Vec<&DegradationEvent> {
         self.report
@@ -816,7 +742,7 @@ mod tests {
 
     #[test]
     fn probe_and_lookups_evict_the_same_entry() {
-        // One shard of four entries: one global LRU order.
+        // Four entries under one global LRU order.
         let graphs: Vec<Arc<Dfg>> = (4..7)
             .map(|k| Arc::new(gen::chain_with_feedback(k, 2)))
             .collect();
@@ -825,8 +751,8 @@ mod tests {
                 .max_f(max_f)
                 .trip_count(60)
         };
-        let swept = SweepCache::with_layout(1, Some(4));
-        let probed = SweepCache::with_layout(1, Some(4));
+        let swept = SweepCache::with_capacity(4);
+        let probed = SweepCache::with_capacity(4);
         for cache in [&swept, &probed] {
             request(0, 2).run_with(cache).unwrap();
             request(1, 2).run_with(cache).unwrap();
@@ -843,7 +769,7 @@ mod tests {
             assert_eq!(cache.evictions(), 1);
         }
         assert_eq!(probed.state(), swept.state());
-        let keys: Vec<(u64, usize)> = probed.state()[0].2.iter().map(|e| e.0).collect();
+        let keys: Vec<(u64, usize)> = probed.state().2.iter().map(|e| e.0).collect();
         assert_eq!(keys.len(), 4);
         assert!(!keys.contains(&(graphs[1].fingerprint(), 1)), "{keys:?}");
     }
@@ -884,49 +810,6 @@ mod tests {
             assert!(p.objectives.total_registers() <= cap);
         }
         assert!(capped.frontier.len() <= open.points.len());
-    }
-
-    #[test]
-    fn best_follows_the_weights() {
-        let g = sample();
-        // All weight on code size: best must minimize cred_size over the
-        // frontier. All weight on period: best must minimize the period.
-        let size_first = ExploreRequest::new(g.clone())
-            .max_f(4)
-            .weights(ObjectiveWeights {
-                cred_size: 1,
-                iteration_period: 0,
-                cond_registers: 0,
-                maxlive: 0,
-            })
-            .run()
-            .unwrap();
-        let b = size_first.best().expect("non-empty frontier");
-        let min_size = size_first
-            .frontier
-            .iter()
-            .map(|p| p.objectives.cred_size)
-            .min()
-            .unwrap();
-        assert_eq!(b.objectives.cred_size, min_size);
-        let speed_first = ExploreRequest::new(g)
-            .max_f(4)
-            .weights(ObjectiveWeights {
-                cred_size: 0,
-                iteration_period: 100,
-                cond_registers: 0,
-                maxlive: 0,
-            })
-            .run()
-            .unwrap();
-        let b = speed_first.best().expect("non-empty frontier");
-        let min_period = speed_first
-            .frontier
-            .iter()
-            .map(|p| p.objectives.iteration_period)
-            .min()
-            .unwrap();
-        assert_eq!(b.objectives.iteration_period, min_period);
     }
 
     #[test]
@@ -1036,22 +919,12 @@ mod tests {
                 .coalesce_key(),
             key
         );
-        // The register cap and the weights shape the response (frontier
-        // and best()), so they split the key too.
+        // The register cap shapes the response's frontier, so it splits
+        // the key too.
         assert_ne!(
             ExploreRequest::new(g.clone())
                 .max_f(3)
                 .max_registers(8)
-                .coalesce_key(),
-            key
-        );
-        assert_ne!(
-            ExploreRequest::new(g.clone())
-                .max_f(3)
-                .weights(ObjectiveWeights {
-                    cred_size: 2,
-                    ..ObjectiveWeights::default()
-                })
                 .coalesce_key(),
             key
         );
@@ -1116,30 +989,41 @@ mod tests {
     fn starved_exact_pass_falls_back_to_retiming_lower_bound() {
         // A zero work budget exhausts inside the exact search; the
         // degradation ladder substitutes the resource-blind retiming
-        // bound and says so in the source.
-        let g = sample();
-        let resp = ExploreRequest::new(g.clone())
-            .max_f(2)
-            .machine(MachineModel::builtin("scalar").unwrap())
-            .work_limit(0)
-            .run()
-            .unwrap();
-        let exact = resp.exact.expect("machine was named");
-        assert_eq!(exact.ii, cred_retime::min_period_retiming(&g).period);
-        assert_eq!(exact.maxlive, None, "a lower bound has no schedule");
-        match &exact.source {
-            PlanSource::Reference(ev) => {
-                assert!(ev.site.contains("explore.exact"), "{}", ev.site);
-                assert!(matches!(ev.cause, DegradeCause::Exhausted(_)));
+        // bound under the machine's latencies and says so in the source.
+        let mac = cred_lang::parse("loop { B[i] = 5; A[i] = A[i-1] * B[i] + 1 @ 3; }").unwrap();
+        let vliw2 = MachineModel::builtin("vliw2").unwrap();
+        // vliw2's 2-cycle MAC latency overrides the multiply's own time of
+        // 3, so its bound lies below the kernel's own minimum period.
+        assert!(
+            cred_exact::retiming_bound(&mac, &vliw2)
+                < cred_retime::min_period_retiming(&mac).period
+        );
+        let scalar = MachineModel::builtin("scalar").unwrap();
+        for (g, m) in [(sample(), scalar), (mac, vliw2)] {
+            let resp = ExploreRequest::new(g.clone())
+                .max_f(2)
+                .machine(m.clone())
+                .work_limit(0)
+                .run()
+                .unwrap();
+            let exact = resp.exact.expect("machine was named");
+            let bound = cred_exact::retiming_bound(&g, &m);
+            assert_eq!(exact.ii, bound, "{}", m.name);
+            assert!(bound <= cred_exact::exact_schedule(&g, &m).ii, "{}", m.name);
+            assert_eq!(exact.maxlive, None, "a lower bound has no schedule");
+            match &exact.source {
+                PlanSource::Reference(ev) => {
+                    assert!(ev.site.contains("explore.exact"), "{}", ev.site);
+                    assert!(matches!(ev.cause, DegradeCause::Exhausted(_)));
+                }
+                PlanSource::Solver => panic!("starved search cannot claim a proof"),
             }
-            PlanSource::Solver => panic!("starved search cannot claim a proof"),
+            // The summary JSON names the fallback and nulls maxlive.
+            let j = exact_json(&exact);
+            assert!(j.contains("retiming-lower-bound"), "{j}");
+            assert!(j.contains("\"maxlive\": null"), "{j}");
         }
-        // The summary JSON names the fallback and nulls maxlive.
-        let j = exact_json(&exact);
-        assert!(j.contains("retiming-lower-bound"), "{j}");
-        assert!(j.contains("\"maxlive\": null"), "{j}");
-        // Cancellation is not degraded around: it propagates as a typed
-        // error even when only the exact pass observes it.
+        // A proven summary renders its source as "solver".
         let solver_json = exact_json(&ExactSummary {
             machine: "scalar".into(),
             ii: 5,

@@ -34,7 +34,7 @@
 //! from the entry without recomputing anything: rebuilding every hit's
 //! point from its plan, maxlive included, measured about 5% slower on
 //! served requests whose plans all hit. A request whose every factor has
-//! its point stored is answered under one lock of the kernel's shard
+//! its point stored is answered under one lock of the cache
 //! ([`crate::ExploreRequest::run_memoized`]).
 //!
 //! On top of the memoization, this module carries the explore side of the
@@ -52,13 +52,6 @@
 //!   caller, and verifies the checksum of the plan or point it serves on
 //!   every hit, evicting and recomputing the entry on mismatch
 //!   (self-healing).
-//!
-//! The table is **sharded by DFG fingerprint**: entries land in one of a
-//! power-of-two number of independent shards, each with its own lock, LRU
-//! clock, and counters, so a thousand concurrent clients hammering
-//! different kernels never serialize on one mutex. All the robustness
-//! properties hold per shard (a poisoned shard clears only itself), and
-//! every public counter is the rollup across shards.
 //!
 //! The size formulas and the maxlive analysis are deterministic given a
 //! plan, so points served from an entry are identical to freshly computed
@@ -326,22 +319,74 @@ struct CacheInner {
     tick: u64,
 }
 
-/// One independent slice of the table: its own lock, LRU clock, and
-/// counters. Poisoning clears this shard only.
+/// Thread-safe, bounded, self-healing memo table for [`FactorPlan`]s,
+/// keyed by `(Dfg::fingerprint(), f)`. Each entry also keeps up to four
+/// finished [`ParetoPoint`]s built from its plan, keyed by trip count and
+/// decrement mode, so a repeated request is answered without recomputing
+/// sizes or maxlive.
+///
+/// Shared by reference between the workers of a sweep and, optionally,
+/// across whole sweeps (the suite runner and the evaluation service keep
+/// one cache for all kernels; fingerprints keep their entries apart).
+/// One lock guards the table, and no solve or point build runs under it.
+/// Two threads racing on the same key may both compute the plan; the
+/// first insert wins and both callers observe the same `Arc`, so results
+/// stay deterministic.
+///
+/// Every lookup of one factor counts exactly one hit or one miss, whether
+/// it is served a point or a plan: a miss means the solver ran. A request
+/// answered whole from memoized points counts one hit per factor, as its
+/// per-factor lookups would have.
+///
+/// Robustness properties:
+///
+/// * **bounded** — at most `capacity` entries (unbounded by default),
+///   each with at most four points; inserting past the bound evicts the
+///   least-recently-used entry and bumps
+///   [`evictions`](Self::evictions);
+/// * **poison-tolerant** — a worker that panics while holding the lock
+///   poisons it once; the next caller recovers the lock and clears the
+///   cache, points included (a panicking writer may have left it
+///   mid-update), counted by
+///   [`poison_recoveries`](Self::poison_recoveries), instead of
+///   propagating panics to every later query forever;
+/// * **self-healing** — every hit re-verifies the checksum of the point
+///   or plan it serves; a corrupted entry is evicted and recomputed
+///   instead of served, without disturbing any other entry.
 #[derive(Debug, Default)]
-struct Shard {
+pub struct SweepCache {
     inner: Mutex<CacheInner>,
+    /// Entry bound (`None` = unbounded).
+    capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     poison_recoveries: AtomicU64,
 }
 
-impl Shard {
-    /// Lock this shard, recovering from poisoning: a panic under the lock
-    /// (one crashed worker) clears the shard and un-poisons the mutex, so
+impl SweepCache {
+    /// Fresh, empty, unbounded cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fresh cache holding at most `capacity` plans, the least recently
+    /// used evicted first.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn with_capacity(capacity: usize) -> Self {
+        assert!(capacity >= 1, "a zero-capacity cache cannot memoize");
+        SweepCache {
+            capacity: Some(capacity),
+            ..Self::default()
+        }
+    }
+
+    /// Lock the table, recovering from poisoning: a panic under the lock
+    /// (one crashed worker) clears the table and un-poisons the mutex, so
     /// the cache keeps serving — conservatively cold — instead of
-    /// bricking every later query. Other shards are untouched.
+    /// bricking every later query.
     fn lock(&self) -> MutexGuard<'_, CacheInner> {
         self.inner.lock().unwrap_or_else(|poisoned| {
             self.inner.clear_poison();
@@ -372,152 +417,6 @@ impl Shard {
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
-}
-
-/// Per-shard counter snapshot (test and metrics observability).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Lookups this shard answered from its memo table.
-    pub hits: u64,
-    /// Lookups this shard sent to a solver.
-    pub misses: u64,
-    /// Entries this shard dropped (LRU bound or checksum self-healing).
-    pub evictions: u64,
-    /// Times this shard's lock was recovered after a panic under it.
-    pub poison_recoveries: u64,
-    /// Plans currently stored in this shard.
-    pub len: usize,
-}
-
-/// Default shard count for unbounded caches ([`SweepCache::new`]).
-const DEFAULT_SHARDS: usize = 16;
-
-/// Thread-safe, bounded, self-healing, sharded memo table for
-/// [`FactorPlan`]s, keyed by `(Dfg::fingerprint(), f)`. Each entry also
-/// keeps up to four finished [`ParetoPoint`]s built from its plan, keyed
-/// by trip count and decrement mode, so a repeated request is answered
-/// without recomputing sizes or maxlive.
-///
-/// Shared by reference between the workers of a sweep and, optionally,
-/// across whole sweeps (the suite runner and the evaluation service keep
-/// one cache for all kernels; fingerprints keep their entries apart).
-/// Entries are distributed over independent shards by DFG fingerprint, so
-/// concurrent lookups of different kernels take different locks; all the
-/// factors of one kernel share a shard. Two threads racing on the same
-/// key may both compute the plan; the first insert wins and both callers
-/// observe the same `Arc`, so results stay deterministic.
-///
-/// Every lookup of one factor counts exactly one hit or one miss, whether
-/// it is served a point or a plan: a miss means the solver ran. A request
-/// answered whole from memoized points counts one hit per factor, as its
-/// per-factor lookups would have.
-///
-/// Robustness properties (each holding per shard):
-///
-/// * **bounded** — at most `capacity` entries (unbounded by default),
-///   each with at most four points;
-///   inserting past a shard's bound evicts its least-recently-used entry
-///   and bumps [`evictions`](Self::evictions);
-/// * **poison-tolerant** — a worker that panics while holding a shard
-///   lock poisons it once; the next caller recovers the lock and clears
-///   *that shard*, points included (a panicking writer may have left it
-///   mid-update), counted by
-///   [`poison_recoveries`](Self::poison_recoveries), instead of
-///   propagating panics to every later query forever;
-/// * **self-healing** — every hit re-verifies the checksum of the point
-///   or plan it serves; a corrupted entry is evicted and recomputed
-///   instead of served, without disturbing any other entry.
-#[derive(Debug)]
-pub struct SweepCache {
-    shards: Box<[Shard]>,
-    /// Entry bound per shard (`None` = unbounded).
-    shard_capacity: Option<usize>,
-}
-
-impl Default for SweepCache {
-    fn default() -> Self {
-        Self::with_layout(DEFAULT_SHARDS, None)
-    }
-}
-
-impl SweepCache {
-    /// Fresh, empty, unbounded cache with the default shard count.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fresh cache holding at most (approximately) `capacity` plans, LRU
-    /// per shard. The shard count is derived from the capacity — small
-    /// caches stay single-sharded so the LRU behaves globally; large
-    /// caches spread over up to 16 shards (the [`SweepCache::new`]
-    /// layout), each bounded by `capacity / shards` (the global bound
-    /// rounds down to a multiple of the shard count).
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "a zero-capacity cache cannot memoize");
-        // Keep at least 8 entries per shard so one kernel's factor range
-        // cannot thrash a tiny shard.
-        let shards = (capacity / 8).clamp(1, DEFAULT_SHARDS).next_power_of_two();
-        let shards = if shards * 8 > capacity {
-            shards / 2
-        } else {
-            shards
-        }
-        .max(1);
-        Self::with_layout(shards, Some(capacity))
-    }
-
-    /// Fully explicit layout: `shards` (rounded up to a power of two) and
-    /// an optional *total* capacity, split evenly across shards. The
-    /// single-shard layout reproduces the pre-sharding cache exactly —
-    /// one lock, one global LRU order.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero, or a capacity is given that leaves a
-    /// shard with no room (`capacity < shards`).
-    pub fn with_layout(shards: usize, capacity: Option<usize>) -> Self {
-        assert!(shards >= 1, "a cache needs at least one shard");
-        let shards = shards.next_power_of_two();
-        let shard_capacity = capacity.map(|cap| {
-            assert!(
-                cap >= shards,
-                "capacity {cap} leaves some of the {shards} shards empty"
-            );
-            cap / shards
-        });
-        SweepCache {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            shard_capacity,
-        }
-    }
-
-    /// The shard owning `fingerprint`. The fingerprint is already a
-    /// 64-bit hash; one multiplicative mix spreads structurally similar
-    /// kernels (whose fingerprints may share low bits) across shards.
-    fn shard_of(&self, fingerprint: u64) -> &Shard {
-        let mix = fingerprint.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(mix >> 32) as usize & (self.shards.len() - 1)]
-    }
-
-    /// How many shards this cache spreads over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The counters of shard `i` (panics when out of range). The rollup
-    /// getters below sum these; tests assert the two views agree.
-    pub fn shard_stats(&self, i: usize) -> ShardStats {
-        let s = &self.shards[i];
-        ShardStats {
-            hits: s.hits.load(Ordering::Relaxed),
-            misses: s.misses.load(Ordering::Relaxed),
-            evictions: s.evictions.load(Ordering::Relaxed),
-            poison_recoveries: s.poison_recoveries.load(Ordering::Relaxed),
-            len: s.lock().plans.len(),
-        }
-    }
 
     /// The plan for `(g, f)`, computed on first use and memoized after.
     pub fn plan(&self, g: &Dfg, f: usize) -> Arc<FactorPlan> {
@@ -538,14 +437,13 @@ impl SweepCache {
         budget: &Budget,
     ) -> Result<(Arc<FactorPlan>, PlanSource), Exhausted> {
         let key = (g.fingerprint(), f);
-        let shard = self.shard_of(key.0);
-        if let Some(Hit::Plan(plan)) = shard.lookup(key, None) {
+        if let Some(Hit::Plan(plan)) = self.lookup(key, None) {
             return Ok((plan, PlanSource::Solver));
         }
         // No lock is held while solving: plans can take milliseconds, and
         // other workers should keep making progress on other factors.
         let (plan, source) = compute_plan_budgeted(g, f, budget)?;
-        Ok((self.store(shard, key, Arc::new(plan), None), source))
+        Ok((self.store(key, Arc::new(plan), None), source))
     }
 
     /// The point of factor `f` at trip count `n` in `mode`, for the graph
@@ -564,8 +462,7 @@ impl SweepCache {
         budget: &Budget,
     ) -> Result<(ParetoPoint, PlanSource), Exhausted> {
         let key = (fingerprint, f);
-        let shard = self.shard_of(fingerprint);
-        let (plan, source) = match shard.lookup(key, Some((n, mode))) {
+        let (plan, source) = match self.lookup(key, Some((n, mode))) {
             Some(Hit::Point(point)) => return Ok((point, PlanSource::Solver)),
             Some(Hit::Plan(plan)) => (plan, PlanSource::Solver),
             None => {
@@ -576,14 +473,13 @@ impl SweepCache {
         // A panic while building the point stores nothing, so the next
         // lookup finds the cache as this one did.
         let point = crate::point_from_plan(g, f, &plan, n, mode);
-        self.store(shard, key, plan, Some((n, mode, point.clone())));
+        self.store(key, plan, Some((n, mode, point.clone())));
         Ok((point, source))
     }
 
     /// The memoized points of factors `1..=max_f` at trip count `n` in
     /// `mode`, for the graph whose [`Dfg::fingerprint`] is `fingerprint`,
-    /// in factor order: one lock of the kernel's shard, no solve, no
-    /// point built.
+    /// in factor order: one lock, no solve, no point built.
     ///
     /// Answers only when every factor's point is stored and passes its
     /// checksum. Then it counts exactly what `max_f` point lookups count:
@@ -598,8 +494,7 @@ impl SweepCache {
         n: u64,
         mode: DecMode,
     ) -> Option<Vec<ParetoPoint>> {
-        let shard = self.shard_of(fingerprint);
-        let mut inner = shard.lock();
+        let mut inner = self.lock();
         let mut points = Vec::with_capacity(max_f);
         for f in 1..=max_f {
             match inner.plans.get(&(fingerprint, f))?.serve(Some((n, mode))) {
@@ -614,22 +509,21 @@ impl SweepCache {
                 entry.last_used = tick;
             }
         }
-        shard.hits.fetch_add(max_f as u64, Ordering::Relaxed);
+        self.hits.fetch_add(max_f as u64, Ordering::Relaxed);
         Some(points)
     }
 
     /// Store `plan` under `key` unless a racing caller stored it first,
     /// memoize `point` (with the `(n, mode)` it was asked for) in the
-    /// entry, and enforce the shard's capacity. Returns the stored plan.
+    /// entry, and enforce the capacity. Returns the stored plan.
     fn store(
         &self,
-        shard: &Shard,
         key: (u64, usize),
         plan: Arc<FactorPlan>,
         point: Option<(u64, DecMode, ParetoPoint)>,
     ) -> Arc<FactorPlan> {
         let checksum = plan.checksum();
-        let mut inner = shard.lock();
+        let mut inner = self.lock();
         // A chaos plan can panic here, *while the lock is held* — that is
         // exactly the scenario the poison recovery above exists for.
         failpoint::hit_infallible(sites::EXPLORE_CACHE_INSERT);
@@ -645,7 +539,7 @@ impl SweepCache {
             entry.memoize(n, mode, point);
         }
         let stored = Arc::clone(&entry.plan);
-        if let Some(cap) = self.shard_capacity {
+        if let Some(cap) = self.capacity {
             while inner.plans.len() > cap {
                 let oldest = inner
                     .plans
@@ -654,49 +548,37 @@ impl SweepCache {
                     .map(|(k, _)| *k)
                     .expect("len > cap >= 1 implies non-empty");
                 inner.plans.remove(&oldest);
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         stored
     }
 
-    /// Lookups answered from the memo table (all shards).
+    /// Lookups answered from the memo table.
     pub fn hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .sum()
+        self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to run the solver (all shards).
+    /// Lookups that had to run the solver.
     pub fn misses(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.misses.load(Ordering::Relaxed))
-            .sum()
+        self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries dropped — by a shard's LRU capacity bound or by checksum
-    /// self-healing (all shards).
+    /// Entries dropped — by the LRU capacity bound or by checksum
+    /// self-healing.
     pub fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.evictions.load(Ordering::Relaxed))
-            .sum()
+        self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Times a shard lock was recovered (and that shard cleared) after a
+    /// Times the lock was recovered (and the cache cleared) after a
     /// worker panicked while holding it.
     pub fn poison_recoveries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.poison_recoveries.load(Ordering::Relaxed))
-            .sum()
+        self.poison_recoveries.load(Ordering::Relaxed)
     }
 
     /// Number of distinct `(fingerprint, f)` plans currently stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().plans.len()).sum()
+        self.lock().plans.len()
     }
 
     /// `true` when no plan has been stored yet.
@@ -712,7 +594,7 @@ impl SweepCache {
     #[doc(hidden)]
     pub fn corrupt_entry_for_test(&self, g: &Dfg, f: usize) -> bool {
         let key = (g.fingerprint(), f);
-        let mut inner = self.shard_of(key.0).lock();
+        let mut inner = self.lock();
         match inner.plans.get_mut(&key) {
             Some(e) => {
                 e.checksum ^= 0xDEAD_BEEF;
@@ -733,26 +615,22 @@ pub(crate) type EntryState = ((u64, usize), u64, u64, Vec<(u64, DecMode, u64)>);
 
 #[cfg(test)]
 impl SweepCache {
-    /// Everything a lookup can change, shard by shard: the counters, the
-    /// clock, and every entry sorted by key. Two caches with equal states
-    /// serve and evict alike from then on.
-    pub(crate) fn state(&self) -> Vec<(ShardStats, u64, Vec<EntryState>)> {
-        (0..self.shards.len())
-            .map(|i| {
-                let stats = self.shard_stats(i);
-                let inner = self.shards[i].lock();
-                let mut entries: Vec<EntryState> = inner
-                    .plans
-                    .iter()
-                    .map(|(&key, e)| {
-                        let points = e.points.iter().map(|s| (s.n, s.mode, s.checksum));
-                        (key, e.last_used, e.checksum, points.collect())
-                    })
-                    .collect();
-                entries.sort_unstable_by_key(|e| e.0);
-                (stats, inner.tick, entries)
+    /// Everything a lookup can change: the counters, the clock, and every
+    /// entry sorted by key. Two caches with equal states serve and evict
+    /// alike from then on.
+    pub(crate) fn state(&self) -> (crate::CacheStats, u64, Vec<EntryState>) {
+        let stats = crate::CacheStats::of(self);
+        let inner = self.lock();
+        let mut entries: Vec<EntryState> = inner
+            .plans
+            .iter()
+            .map(|(&key, e)| {
+                let points = e.points.iter().map(|s| (s.n, s.mode, s.checksum));
+                (key, e.last_used, e.checksum, points.collect())
             })
-            .collect()
+            .collect();
+        entries.sort_unstable_by_key(|e| e.0);
+        (stats, inner.tick, entries)
     }
 }
 
@@ -891,91 +769,11 @@ mod tests {
         assert!(cache.is_empty(), "cancelled lookups store nothing");
     }
 
-    #[test]
-    fn capacity_derives_a_sane_shard_layout() {
-        // Small caches stay single-sharded so the LRU is global...
-        assert_eq!(SweepCache::with_capacity(2).shard_count(), 1);
-        assert_eq!(SweepCache::with_capacity(15).shard_count(), 1);
-        // ...larger ones spread, always keeping >= 8 entries per shard.
-        for cap in [16, 100, 1024, 4096] {
-            let cache = SweepCache::with_capacity(cap);
-            let shards = cache.shard_count();
-            assert!(shards.is_power_of_two(), "cap {cap}: {shards} shards");
-            assert!(shards <= DEFAULT_SHARDS);
-            assert!(cap / shards >= 8, "cap {cap}: {shards} shards");
-        }
-        assert_eq!(SweepCache::with_capacity(1024).shard_count(), 16);
-    }
-
-    #[test]
-    fn shard_counters_roll_up_to_the_totals() {
-        let cache = SweepCache::with_layout(8, None);
-        assert_eq!(cache.shard_count(), 8);
-        // A handful of structurally distinct kernels spread across
-        // shards; every getter must equal the sum over shard_stats.
-        let graphs: Vec<_> = (3..9).map(|k| gen::chain_with_feedback(k, 2)).collect();
-        for g in &graphs {
-            cache.plan(g, 1);
-            cache.plan(g, 2);
-            cache.plan(g, 1); // hit
-        }
-        let (mut hits, mut misses, mut evictions, mut len) = (0, 0, 0, 0);
-        for i in 0..cache.shard_count() {
-            let s = cache.shard_stats(i);
-            hits += s.hits;
-            misses += s.misses;
-            evictions += s.evictions;
-            len += s.len;
-        }
-        assert_eq!(hits, cache.hits());
-        assert_eq!(misses, cache.misses());
-        assert_eq!(evictions, cache.evictions());
-        assert_eq!(len, cache.len());
-        assert_eq!(misses, 2 * graphs.len() as u64);
-        assert_eq!(hits, graphs.len() as u64);
-    }
-
-    #[test]
-    fn factors_of_one_kernel_share_a_shard() {
-        // Sharding is by fingerprint alone, so a kernel's whole factor
-        // range colocates: exactly one shard is non-empty.
-        let cache = SweepCache::with_layout(16, None);
-        let g = gen::chain_with_feedback(6, 3);
-        for f in 1..=4 {
-            cache.plan(&g, f);
-        }
-        let occupied = (0..cache.shard_count())
-            .filter(|&i| cache.shard_stats(i).len > 0)
-            .count();
-        assert_eq!(occupied, 1);
-        assert_eq!(cache.len(), 4);
-    }
-
-    #[test]
-    fn single_shard_layout_matches_the_unsharded_lru() {
-        // with_layout(1, cap) is the pre-sharding cache: one lock, one
-        // global LRU order (the with_capacity LRU test above exercises
-        // the same layout via capacity derivation).
-        let g = gen::chain_with_feedback(6, 3);
-        let cache = SweepCache::with_layout(1, Some(2));
-        assert_eq!(cache.shard_count(), 1);
-        cache.plan(&g, 1);
-        cache.plan(&g, 2);
-        cache.plan(&g, 1);
-        cache.plan(&g, 3); // evicts the LRU entry, f = 2
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        let hits = cache.hits();
-        cache.plan(&g, 1);
-        assert_eq!(cache.hits(), hits + 1, "f = 1 must have survived");
-    }
-
     /// The `(n, mode)` keys of the points memoized for `(g, f)`, oldest
     /// first.
     fn memoized(cache: &SweepCache, g: &Dfg, f: usize) -> Vec<(u64, DecMode)> {
-        let key = (g.fingerprint(), f);
-        let inner = cache.shard_of(key.0).lock();
-        inner.plans[&key]
+        let inner = cache.lock();
+        inner.plans[&(g.fingerprint(), f)]
             .points
             .iter()
             .map(|s| (s.n, s.mode))
@@ -1023,18 +821,17 @@ mod tests {
     }
 
     #[test]
-    fn poison_recovery_clears_the_points_with_the_shard() {
+    fn poison_recovery_clears_the_points_with_the_plans() {
         let g = gen::chain_with_feedback(6, 3);
-        let cache = SweepCache::with_layout(1, None);
+        let cache = SweepCache::new();
         let unlimited = Budget::unlimited();
         cache
             .point_budgeted(&g, g.fingerprint(), 1, 60, DecMode::Bulk, &unlimited)
             .unwrap();
         assert_eq!(memoized(&cache, &g, 1).len(), 1);
-        let shard = &cache.shards[0];
         let poisoner = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = shard.inner.lock().expect("not yet poisoned");
+                let _guard = cache.inner.lock().expect("not yet poisoned");
                 panic!("deliberate poison");
             })
             .join()

@@ -38,7 +38,7 @@ pub mod suite;
 
 pub use api::{
     exact_json, point_json, CacheStats, ExactSummary, ExploreOptions, ExploreRequest,
-    ExploreResponse, ObjectiveWeights, MAX_MAX_F, MAX_N,
+    ExploreResponse, MAX_MAX_F, MAX_N,
 };
 pub use error::CredError;
 

@@ -462,7 +462,6 @@ fn verify_close_accounting(dump: &std::path::Path) -> Result<String, String> {
     Ok(conns.to_compact())
 }
 
-/// Exact percentile over sorted microsecond latencies.
 /// The run mode whose server throughput measures the server: each client
 /// issues its next request as soon as the last reply arrives.
 const CLOSED_LOOP: &str = "closed-loop";
@@ -476,6 +475,7 @@ fn speedup(mode: &str, server_rps: f64, baseline_rps: f64) -> Option<f64> {
     (mode == CLOSED_LOOP).then(|| server_rps / baseline_rps)
 }
 
+/// Exact percentile over sorted microsecond latencies.
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;

@@ -8,15 +8,10 @@
 //! work — cross-request memoization is the [`SweepCache`]'s job, one
 //! layer down.
 //!
-//! The flight table is **sharded by key hash**: each shard is its own
-//! `Mutex<HashMap>`, so a thousand concurrent requests for *different*
-//! keys no longer serialize on one map lock just to discover they have
-//! nothing to coalesce with. Only key-equal requests ever meet on a lock.
-//!
 //! Panic safety: if the leader's closure panics, a drop guard marks the
 //! flight abandoned and wakes the joiners, which then retry — the first
 //! to arrive becomes the new leader. Joiners never inherit a poisoned
-//! result or hang on a dead flight. A panic that poisons a shard lock
+//! result or hang on a dead flight. A panic that poisons the table lock
 //! itself is recovered (the lock is taken anyway) and counted in
 //! [`Coalescer::poison_recoveries`], mirroring the cache's accounting,
 //! instead of being swallowed silently.
@@ -24,12 +19,9 @@
 //! [`SweepCache`]: cred_explore::cache::SweepCache
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, RandomState};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Number of independent flight-table shards (power of two).
-const FLIGHT_SHARDS: usize = 16;
 
 enum FlightState<V> {
     /// The leader is still computing.
@@ -54,22 +46,17 @@ pub enum Role {
     Joined,
 }
 
-/// One shard of the flight table: the keys currently being computed.
-type FlightTable<K, V> = HashMap<K, Arc<Flight<V>>>;
-
-/// A sharded singleflight table: at most one in-flight computation per
-/// key, at most one lock touched per call.
+/// A singleflight table: at most one in-flight computation per key.
 pub struct Coalescer<K, V> {
-    shards: Box<[Mutex<FlightTable<K, V>>]>,
-    hasher: RandomState,
+    /// The keys currently being computed.
+    flights: Mutex<HashMap<K, Arc<Flight<V>>>>,
     poison_recoveries: AtomicU64,
 }
 
 impl<K, V> Default for Coalescer<K, V> {
     fn default() -> Self {
         Coalescer {
-            shards: (0..FLIGHT_SHARDS).map(|_| Mutex::default()).collect(),
-            hasher: RandomState::new(),
+            flights: Mutex::default(),
             poison_recoveries: AtomicU64::new(0),
         }
     }
@@ -81,16 +68,10 @@ impl<K: Eq + Hash + Clone, V: Clone> Coalescer<K, V> {
         Self::default()
     }
 
-    /// The shard owning `key`.
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<Flight<V>>>> {
-        let h = self.hasher.hash_one(key);
-        &self.shards[(h >> 32) as usize & (self.shards.len() - 1)]
-    }
-
-    /// Lock `m`, recovering from poisoning. A panic under a flight-table
+    /// Lock `m`, recovering from poisoning. A panic under the flight-table
     /// lock (the map operations are tiny, but chaos plans and OOM aborts
-    /// exist) must not brick every later request sharing the shard; the
-    /// recovery is counted, never silent.
+    /// exist) must not brick every later request; the recovery is
+    /// counted, never silent.
     fn lock<'a, T>(&self, m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
         m.lock().unwrap_or_else(|p| {
             m.clear_poison();
@@ -110,7 +91,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Coalescer<K, V> {
         let mut compute = Some(compute);
         loop {
             let flight = {
-                let mut flights = self.lock(self.shard(&key));
+                let mut flights = self.lock(&self.flights);
                 if let Some(existing) = flights.get(&key) {
                     Arc::clone(existing)
                 } else {
@@ -149,31 +130,28 @@ impl<K: Eq + Hash + Clone, V: Clone> Coalescer<K, V> {
         }
     }
 
-    /// Number of flights currently pending, across all shards (test
-    /// observability).
+    /// Number of flights currently pending (test observability).
     pub fn in_flight(&self) -> usize {
-        self.shards.iter().map(|s| self.lock(s).len()).sum()
+        self.lock(&self.flights).len()
     }
 
-    /// Times a poisoned shard (or flight-state) lock was recovered.
+    /// Times a poisoned table (or flight-state) lock was recovered.
     /// Surfaced as `coalesce_poison_recoveries` in the service metrics.
     pub fn poison_recoveries(&self) -> u64 {
         self.poison_recoveries.load(Ordering::Relaxed)
     }
 
-    /// Test hook: poison the shard lock owning `key` by panicking a
-    /// throwaway thread while it holds the lock. Not part of the stable
-    /// API.
+    /// Test hook: poison the flight-table lock by panicking a throwaway
+    /// thread while it holds the lock. Not part of the stable API.
     #[doc(hidden)]
-    pub fn poison_shard_for_test(&self, key: &K)
+    pub fn poison_for_test(&self)
     where
         K: Send + Sync,
         V: Send + Sync,
     {
-        let shard = self.shard(key);
         std::thread::scope(|s| {
             let handle = s.spawn(|| {
-                let _guard = shard.lock().expect("not yet poisoned");
+                let _guard = self.flights.lock().expect("not yet poisoned");
                 panic!("deliberate poison");
             });
             assert!(handle.join().is_err(), "the poisoner must panic");
@@ -200,7 +178,7 @@ impl<K: Eq + Hash + Clone, V: Clone> AbandonGuard<'_, K, V> {
         // Remove the flight first so late arrivals start fresh instead of
         // joining a finished (or dead) flight.
         let c = self.coalescer;
-        c.lock(c.shard(self.key)).remove(self.key);
+        c.lock(&c.flights).remove(self.key);
         *c.lock(&self.flight.state) = state;
         self.flight.done.notify_all();
     }
@@ -282,19 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn many_distinct_keys_spread_over_shards() {
-        // 256 keys must touch more than one shard (with 16 shards the
-        // chance of a uniform hash packing them into one is ~16^-255),
-        // and every flight must still complete and clean up after itself.
-        let c = Coalescer::new();
-        for i in 0..256u64 {
-            let (v, role) = c.run(i, || i * 3);
-            assert_eq!((v, role), (i * 3, Role::Led));
-        }
-        assert_eq!(c.in_flight(), 0);
-    }
-
-    #[test]
     fn sequential_calls_recompute() {
         // Coalescing is for overlap only; completed flights vanish.
         let c = Coalescer::new();
@@ -342,11 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_shard_lock_is_recovered_and_counted() {
+    fn poisoned_table_lock_is_recovered_and_counted() {
         let c: Coalescer<u32, u32> = Coalescer::new();
         assert_eq!(c.poison_recoveries(), 0);
-        c.poison_shard_for_test(&7);
-        // The next call through the poisoned shard recovers the lock,
+        c.poison_for_test();
+        // The next call through the poisoned table recovers the lock,
         // counts it, and works normally — no panic, no hang, no silent
         // swallow.
         let (v, role) = c.run(7, || 70);
@@ -356,7 +321,7 @@ mod tests {
             "recovery must be recorded, got {}",
             c.poison_recoveries()
         );
-        // The shard keeps serving afterwards.
+        // The table keeps serving afterwards.
         let (v, _) = c.run(7, || 71);
         assert_eq!(v, 71);
         assert_eq!(c.in_flight(), 0);

@@ -234,7 +234,7 @@ impl Default for ServiceConfig {
 
 /// The deduplication key of an explore request
 /// ([`ExploreRequest::coalesce_key`]).
-type ExploreKey = (u64, usize, u64, u8, u64, u64, u64);
+type ExploreKey = (u64, usize, u64, u8, u64, u64);
 
 /// What evaluating one explore request produced.
 type Outcome = Result<ExploreResponse, CredError>;
