@@ -15,7 +15,8 @@
 //! one nonblocking event loop, every proxied connection a pair of
 //! sockets with a per-direction byte pipe and fault state. Fault timers
 //! (write holds, read stalls) bound the poller wait the same way the
-//! server's timer wheel does.
+//! server's connection deadlines do: each turn waits until the earliest
+//! one and then scans the pairs for those that have passed.
 //!
 //! # Why garbage bytes come from the control range
 //!
@@ -170,8 +171,6 @@ pub struct ChaosProxyConfig {
     /// Override: apply this exact plan to every connection instead of
     /// sampling (used by tests to pin one fault kind).
     pub fixed_plan: Option<NetChaosPlan>,
-    /// Force the portable `poll(2)` backend.
-    pub force_poll_backend: bool,
 }
 
 impl Default for ChaosProxyConfig {
@@ -180,7 +179,6 @@ impl Default for ChaosProxyConfig {
             seed: 0,
             trip_percent: 25,
             fixed_plan: None,
-            force_poll_backend: false,
         }
     }
 }
@@ -280,7 +278,8 @@ impl ChaosProxy {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let poller = Poller::new(config.force_poll_backend)?;
+        let mut poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
         let waker = poller.waker();
         let stats = Arc::new(ProxyStats::default());
         let stop = Arc::new(AtomicBool::new(false));
@@ -294,9 +293,6 @@ impl ChaosProxy {
             stats: Arc::clone(&stats),
             stop: Arc::clone(&stop),
         };
-        looper
-            .poller
-            .register(looper.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
         let join = std::thread::Builder::new()
             .name("cred-chaosnet".into())
             .spawn(move || looper.run())?;
@@ -420,8 +416,6 @@ struct Pair {
     upstream: TcpStream,
     c2s: Pipe,
     s2c: Pipe,
-    client_interest: Interest,
-    upstream_interest: Interest,
 }
 
 struct ProxyLoop {
@@ -534,23 +528,10 @@ impl ProxyLoop {
                             .faulted_connections
                             .fetch_add(1, Ordering::Relaxed);
                     }
-                    let client_token = index * 2;
-                    let upstream_token = index * 2 + 1;
-                    if self
-                        .poller
-                        .register(client.as_raw_fd(), client_token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    if self
-                        .poller
-                        .register(upstream.as_raw_fd(), upstream_token, Interest::READ)
-                        .is_err()
-                    {
-                        let _ = self.poller.deregister(client.as_raw_fd());
-                        continue;
-                    }
+                    self.poller
+                        .register(client.as_raw_fd(), index * 2, Interest::READ);
+                    self.poller
+                        .register(upstream.as_raw_fd(), index * 2 + 1, Interest::READ);
                     self.pairs.insert(
                         index,
                         Pair {
@@ -558,8 +539,6 @@ impl ProxyLoop {
                             upstream,
                             c2s: Pipe::new(DirFaults::compile(&plan.client_to_server)),
                             s2c: Pipe::new(DirFaults::compile(&plan.server_to_client)),
-                            client_interest: Interest::READ,
-                            upstream_interest: Interest::READ,
                         },
                     );
                 }
@@ -692,30 +671,16 @@ impl ProxyLoop {
                 && pair.s2c.pending() < PIPE_CAP,
             writable: pair.c2s.pending() > 0 && !pair.c2s.holding(now),
         };
-        let mut broken = false;
-        if client_want != pair.client_interest {
-            pair.client_interest = client_want;
-            broken |= self
-                .poller
-                .reregister(pair.client.as_raw_fd(), pair_id * 2, client_want)
-                .is_err();
-        }
-        if upstream_want != pair.upstream_interest {
-            pair.upstream_interest = upstream_want;
-            broken |= self
-                .poller
-                .reregister(pair.upstream.as_raw_fd(), pair_id * 2 + 1, upstream_want)
-                .is_err();
-        }
-        if broken {
-            self.kill_pair(pair_id);
-        }
+        self.poller
+            .register(pair.client.as_raw_fd(), pair_id * 2, client_want);
+        self.poller
+            .register(pair.upstream.as_raw_fd(), pair_id * 2 + 1, upstream_want);
     }
 
     fn kill_pair(&mut self, pair_id: u64) {
         if let Some(pair) = self.pairs.remove(&pair_id) {
-            let _ = self.poller.deregister(pair.client.as_raw_fd());
-            let _ = self.poller.deregister(pair.upstream.as_raw_fd());
+            self.poller.deregister(pair.client.as_raw_fd());
+            self.poller.deregister(pair.upstream.as_raw_fd());
         }
     }
 }

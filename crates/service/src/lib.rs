@@ -12,14 +12,16 @@
 //! histograms are exported through the `stats` request and the
 //! `--metrics-dump` file ([`metrics`]).
 //!
-//! The network boundary is hardened and testable: connections carry
-//! idle/progress deadlines on a timer wheel ([`timer`]) with typed close
-//! reasons in the metrics, [`chaosnet`] is a seeded in-process
-//! fault-injection TCP proxy (frame splitting, delays, resets, stalls,
-//! garbage) mirroring `cred-resilience`'s deterministic `ChaosPlan`
-//! seeding, and [`client`] is the resilient caller — connect/read
-//! timeouts, capped backoff with jitter, idempotent retry keyed by
-//! request id, and a circuit breaker — that `loadgen` and `credc` use.
+//! The network boundary is hardened and testable: the event loop waits
+//! in one level-triggered `poll(2)` table ([`poller`]); connections carry
+//! idle/progress deadlines that the loop reads off them on every turn,
+//! with typed close reasons in the metrics; [`chaosnet`] is a seeded
+//! in-process fault-injection TCP proxy (frame splitting, delays,
+//! resets, stalls, garbage) mirroring `cred-resilience`'s deterministic
+//! `ChaosPlan` seeding; and [`client`] is the resilient caller —
+//! connect/read timeouts, capped backoff with jitter, idempotent retry
+//! keyed by request id, and a circuit breaker — that `loadgen` and
+//! `credc` use.
 //!
 //! The `loadgen` binary in this crate drives a server with N concurrent
 //! clients and records throughput and tail latency against a sequential
@@ -33,11 +35,9 @@ pub mod json;
 pub mod metrics;
 pub mod poller;
 pub mod server;
-pub mod timer;
 
 pub use chaosnet::{ChaosProxy, ChaosProxyConfig, NetChaosPlan, ProxyStatsSnapshot};
 pub use client::{ClientConfig, ClientError, ClientStats, ResilientClient};
 pub use coalesce::{Coalescer, Role};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use server::{Server, ServiceConfig};
-pub use timer::TimerWheel;

@@ -121,11 +121,10 @@ pub struct Metrics {
     /// Explore requests shed at admission (typed `overloaded` response)
     /// because the in-flight bound was reached.
     pub shed_requests: AtomicU64,
-    /// Connections accepted by the listener (and successfully registered
-    /// with the poller). Every accepted connection ends in exactly one of
-    /// the close-reason counters below, so after a clean shutdown
-    /// `conns_accepted == closed_ok + idle_closed + slow_closed +
-    /// reset_by_peer + drained`.
+    /// Connections accepted by the listener. Every accepted connection
+    /// ends in exactly one of the close-reason counters below, so after a
+    /// clean shutdown `conns_accepted == closed_ok + idle_closed +
+    /// slow_closed + reset_by_peer + drained`.
     pub conns_accepted: AtomicU64,
     /// Connections that ran to normal completion (client finished and the
     /// last response flushed).

@@ -1,85 +1,51 @@
-//! Readiness polling for the event-loop server: a thin, hand-rolled
-//! wrapper over `epoll(7)` on Linux with a portable `poll(2)` fallback,
-//! plus a cross-thread [`Waker`] (an `eventfd(2)` on Linux, a
-//! nonblocking self-pipe elsewhere).
+//! Readiness polling for the event-loop server: one level-triggered
+//! `poll(2)` table, plus a cross-thread [`Waker`] on a nonblocking
+//! self-pipe.
 //!
 //! The repo deliberately has no external dependencies, so instead of
-//! `mio`/`tokio` this module declares the handful of libc symbols it
-//! needs directly (`std` already links libc on every unix target — these
-//! declarations add no dependency, only signatures). The surface is the
+//! `mio`/`tokio` this module declares the one libc symbol it needs
+//! directly (`std` already links libc on every unix target — the
+//! declaration adds no dependency, only a signature). The surface is the
 //! minimum an NDJSON request/response server needs:
 //!
-//! * [`Poller::register`] / [`reregister`](Poller::reregister) /
-//!   [`deregister`](Poller::deregister) — level-triggered read/write
-//!   interest per file descriptor, each registration carrying a caller
-//!   token;
+//! * [`Poller::register`] / [`deregister`](Poller::deregister) —
+//!   level-triggered read/write interest per file descriptor, each
+//!   registration carrying a caller token; registering a watched
+//!   descriptor again replaces its token and interest;
 //! * [`Poller::wait`] — block until something is ready, translating the
-//!   backend's events into [`Event`]s;
+//!   table's `revents` into [`Event`]s;
 //! * [`Poller::waker`] — a clonable, `Send` handle that makes `wait`
 //!   return from any thread (workers use it to deliver completions, the
 //!   shutdown path uses it to interrupt an idle loop promptly).
 //!
 //! Level-triggered semantics keep the connection state machines simple:
 //! an interest that was not fully serviced simply fires again on the
-//! next wait.
-//!
-//! The epoll backend is O(ready) per wait; the poll backend rebuilds its
-//! `pollfd` array per call and is O(registered) — correct everywhere
-//! `poll(2)` exists, and kept honest by a test that forces it on Linux
-//! ([`crate::ServiceConfig::force_poll_backend`]).
+//! next wait. Every wait hands the whole table to the kernel, so it costs
+//! O(registered descriptors); a descriptor with no interest reports only
+//! errors and hangups, never a peer's half-close.
 
 use std::collections::HashMap;
-use std::io;
-use std::os::fd::RawFd;
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 mod ffi {
-    // Each backend uses its half of these declarations; the other half
-    // is intentionally unused on any given target.
-    #![allow(dead_code)]
+    use std::os::raw::{c_int, c_short};
 
-    use std::os::raw::{c_int, c_void};
-
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-
-    pub const EFD_CLOEXEC: c_int = 0o2000000;
-    pub const EFD_NONBLOCK: c_int = 0o4000;
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-
-    pub const F_GETFL: c_int = 3;
-    pub const F_SETFL: c_int = 4;
-    pub const O_NONBLOCK: c_int = 0o4000;
-
-    /// `struct epoll_event`. The kernel ABI packs it on x86; other
-    /// architectures use natural alignment.
-    #[derive(Clone, Copy, Debug)]
-    #[repr(C)]
-    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+    pub const POLLERR: c_short = 0x008;
+    pub const POLLHUP: c_short = 0x010;
 
     /// `struct pollfd`.
     #[derive(Clone, Copy, Debug)]
     #[repr(C)]
     pub struct PollFd {
         pub fd: c_int,
-        pub events: i16,
-        pub revents: i16,
+        pub events: c_short,
+        pub revents: c_short,
     }
 
     #[cfg(target_os = "linux")]
@@ -88,27 +54,16 @@ mod ffi {
     pub type NfdsT = std::os::raw::c_uint;
 
     extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        pub fn eventfd(initval: u32, flags: c_int) -> c_int;
         pub fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-        pub fn close(fd: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     }
 }
 
 /// One readiness notification: the token given at registration plus what
-/// the descriptor is ready for. `hangup` folds in both error and hangup
-/// conditions — the caller's read/write will surface the specific error.
+/// the descriptor is ready for. `hangup` folds in error and hangup
+/// conditions, which `poll(2)` reports whatever the interest and keeps
+/// reporting after the socket's error has been read: a caller that no
+/// longer reads or writes the descriptor must close or deregister it, or
+/// every wait returns at once.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     pub token: u64,
@@ -122,131 +77,20 @@ pub struct Event {
 /// never observe it.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// An owned descriptor that closes on drop (no `OwnedFd` juggling — the
-/// poller deals in raw fds end to end).
-#[derive(Debug)]
-struct ClosingFd(RawFd);
-
-impl Drop for ClosingFd {
-    fn drop(&mut self) {
-        unsafe { ffi::close(self.0) };
-    }
-}
-
-/// The write end of the wake channel: signal-safe, clonable, `Send`.
-/// Writing is best-effort — a full pipe/counter means a wake is already
-/// pending, which is exactly what the writer wanted.
+/// The write end of the self-pipe: clonable and `Send`. Writing is
+/// best-effort — a full pipe means a wake is already pending, which is
+/// exactly what the writer wanted.
 #[derive(Debug, Clone)]
-pub struct Waker {
-    fd: Arc<ClosingFd>,
-    /// eventfd wants an 8-byte counter increment; a pipe wants any byte.
-    is_eventfd: bool,
-}
+pub struct Waker(Arc<UnixStream>);
 
 impl Waker {
     /// Make the owning poller's `wait` return. Callable from any thread.
     pub fn wake(&self) {
-        let buf: [u8; 8] = 1u64.to_ne_bytes();
-        let len = if self.is_eventfd { 8 } else { 1 };
-        // EAGAIN means a wake is already pending; any other failure is
-        // unrecoverable at this layer and harmless to ignore (the loop
+        // WouldBlock means a wake is already pending; any other failure
+        // is unrecoverable at this layer and harmless to ignore (the loop
         // also wakes on its own traffic).
-        unsafe { ffi::write(self.fd.0, buf.as_ptr().cast(), len) };
+        let _ = (&*self.0).write(&[1]);
     }
-}
-
-fn last_os_error() -> io::Error {
-    io::Error::last_os_error()
-}
-
-/// Put `fd` in nonblocking mode via fcntl (used for the self-pipe; the
-/// sockets go through std's `set_nonblocking`).
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    unsafe {
-        let flags = ffi::fcntl(fd, ffi::F_GETFL, 0);
-        if flags < 0 {
-            return Err(last_os_error());
-        }
-        if ffi::fcntl(fd, ffi::F_SETFL, flags | ffi::O_NONBLOCK) < 0 {
-            return Err(last_os_error());
-        }
-    }
-    Ok(())
-}
-
-/// Read-side wake channel: eventfd where available, otherwise a
-/// nonblocking pipe.
-#[derive(Debug)]
-enum WakeRead {
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-    EventFd(Arc<ClosingFd>),
-    #[cfg_attr(target_os = "linux", allow(dead_code))]
-    Pipe(ClosingFd),
-}
-
-impl WakeRead {
-    fn fd(&self) -> RawFd {
-        match self {
-            WakeRead::EventFd(fd) => fd.0,
-            WakeRead::Pipe(fd) => fd.0,
-        }
-    }
-
-    /// Drain pending wake signals so a level-triggered poller stops
-    /// reporting them.
-    fn drain(&self) {
-        let mut buf = [0u8; 64];
-        loop {
-            let n = unsafe { ffi::read(self.fd(), buf.as_mut_ptr().cast(), buf.len()) };
-            // 0 cannot happen (the write end outlives us via the Waker's
-            // Arc for eventfd; for a pipe EOF just stops the draining);
-            // negative is EAGAIN = fully drained.
-            if n <= 0 {
-                return;
-            }
-            // An eventfd read always consumes the whole counter.
-            if matches!(self, WakeRead::EventFd(_)) {
-                return;
-            }
-        }
-    }
-}
-
-/// Construct the wake channel: `(read side, write handle)`.
-#[cfg(target_os = "linux")]
-fn wake_channel() -> io::Result<(WakeRead, Waker)> {
-    let fd = unsafe { ffi::eventfd(0, ffi::EFD_CLOEXEC | ffi::EFD_NONBLOCK) };
-    if fd < 0 {
-        return Err(last_os_error());
-    }
-    let shared = Arc::new(ClosingFd(fd));
-    Ok((
-        WakeRead::EventFd(Arc::clone(&shared)),
-        Waker {
-            fd: shared,
-            is_eventfd: true,
-        },
-    ))
-}
-
-/// Construct the wake channel: `(read side, write handle)`.
-#[cfg(not(target_os = "linux"))]
-fn wake_channel() -> io::Result<(WakeRead, Waker)> {
-    let mut fds = [0i32; 2];
-    if unsafe { ffi::pipe(fds.as_mut_ptr()) } < 0 {
-        return Err(last_os_error());
-    }
-    let (r, w) = (ClosingFd(fds[0]), ClosingFd(fds[1]));
-    set_nonblocking(r.0)?;
-    set_nonblocking(w.0)?;
-    Ok((
-        WakeRead::Pipe(r),
-        Waker {
-            fd: Arc::new(w),
-            is_eventfd: false,
-        },
-    ))
 }
 
 /// Desired readiness per registration (level-triggered).
@@ -262,17 +106,6 @@ impl Interest {
         writable: false,
     };
 
-    fn epoll_mask(self) -> u32 {
-        let mut m = ffi::EPOLLRDHUP;
-        if self.readable {
-            m |= ffi::EPOLLIN;
-        }
-        if self.writable {
-            m |= ffi::EPOLLOUT;
-        }
-        m
-    }
-
     fn poll_mask(self) -> i16 {
         let mut m = 0;
         if self.readable {
@@ -285,64 +118,37 @@ impl Interest {
     }
 }
 
-#[derive(Debug)]
-enum Backend {
-    /// epoll instance fd; registrations live in the kernel.
-    Epoll(ClosingFd),
-    /// Userspace registration table, handed to `poll(2)` on every wait.
-    Poll {
-        registered: HashMap<RawFd, (u64, Interest)>,
-    },
-}
-
 /// A level-triggered readiness poller over raw fds. Not thread-safe —
 /// it belongs to the event loop thread; other threads interact with it
 /// only through its [`Waker`].
 #[derive(Debug)]
 pub struct Poller {
-    backend: Backend,
-    wake_read: WakeRead,
-    waker: Waker,
-    /// Scratch for epoll_wait.
-    events: Vec<ffi::EpollEvent>,
-    /// Scratch for poll(2).
+    /// The table handed to `poll(2)`; the kernel rewrites only `revents`.
     pollfds: Vec<ffi::PollFd>,
-    /// Tokens parallel to `pollfds`.
-    poll_tokens: Vec<u64>,
+    /// Registration tokens, parallel to `pollfds`.
+    tokens: Vec<u64>,
+    /// Each registered descriptor's index in `pollfds`.
+    slots: HashMap<RawFd, usize>,
+    /// The self-pipe's read end, registered under [`WAKE_TOKEN`].
+    wake_read: UnixStream,
+    waker: Waker,
 }
 
 impl Poller {
-    /// A new poller: epoll on Linux unless `force_poll` asks for the
-    /// portable `poll(2)` backend (the only backend elsewhere).
-    pub fn new(force_poll: bool) -> io::Result<Poller> {
-        let (wake_read, waker) = wake_channel()?;
-        let use_epoll = cfg!(target_os = "linux") && !force_poll;
-        let backend = if use_epoll {
-            let fd = unsafe { ffi::epoll_create1(ffi::EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(last_os_error());
-            }
-            Backend::Epoll(ClosingFd(fd))
-        } else {
-            Backend::Poll {
-                registered: HashMap::new(),
-            }
-        };
+    /// A poller whose table holds only its own wake channel.
+    pub fn new() -> io::Result<Poller> {
+        let (wake_read, wake_write) = UnixStream::pair()?;
+        wake_read.set_nonblocking(true)?;
+        wake_write.set_nonblocking(true)?;
         let mut poller = Poller {
-            backend,
-            wake_read,
-            waker,
-            events: vec![ffi::EpollEvent { events: 0, data: 0 }; 1024],
             pollfds: Vec::new(),
-            poll_tokens: Vec::new(),
+            tokens: Vec::new(),
+            slots: HashMap::new(),
+            waker: Waker(Arc::new(wake_write)),
+            wake_read,
         };
-        poller.ctl(true, poller.wake_read.fd(), WAKE_TOKEN, Interest::READ)?;
+        poller.register(poller.wake_read.as_raw_fd(), WAKE_TOKEN, Interest::READ);
         Ok(poller)
-    }
-
-    /// True when this poller runs on the `poll(2)` fallback backend.
-    pub fn is_poll_backend(&self) -> bool {
-        matches!(self.backend, Backend::Poll { .. })
     }
 
     /// A wake handle for other threads.
@@ -350,56 +156,37 @@ impl Poller {
         self.waker.clone()
     }
 
-    fn ctl(&mut self, add: bool, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll(ep) => {
-                let mut ev = ffi::EpollEvent {
-                    events: interest.epoll_mask(),
-                    data: token,
-                };
-                let op = if add {
-                    ffi::EPOLL_CTL_ADD
-                } else {
-                    ffi::EPOLL_CTL_MOD
-                };
-                if unsafe { ffi::epoll_ctl(ep.0, op, fd, &mut ev) } < 0 {
-                    return Err(last_os_error());
-                }
-                Ok(())
+    /// Watch `fd` with `interest`; events carry `token`. Registering a
+    /// watched fd again replaces its token and interest.
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) {
+        let events = interest.poll_mask();
+        match self.slots.get(&fd) {
+            Some(&i) => {
+                self.pollfds[i].events = events;
+                self.tokens[i] = token;
             }
-            Backend::Poll { registered } => {
-                registered.insert(fd, (token, interest));
-                Ok(())
+            None => {
+                self.slots.insert(fd, self.pollfds.len());
+                self.pollfds.push(ffi::PollFd {
+                    fd,
+                    events,
+                    revents: 0,
+                });
+                self.tokens.push(token);
             }
         }
     }
 
-    /// Start watching `fd` with `interest`; events carry `token`.
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(true, fd, token, interest)
-    }
-
-    /// Change the interest (and/or token) of a registered fd.
-    pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(false, fd, token, interest)
-    }
-
-    /// Stop watching `fd`. Must be called *before* closing the fd on the
-    /// poll backend (epoll drops closed fds by itself, the userspace
-    /// table does not).
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll(ep) => {
-                let mut ev = ffi::EpollEvent { events: 0, data: 0 };
-                if unsafe { ffi::epoll_ctl(ep.0, ffi::EPOLL_CTL_DEL, fd, &mut ev) } < 0 {
-                    return Err(last_os_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { registered } => {
-                registered.remove(&fd);
-                Ok(())
-            }
+    /// Stop watching `fd`. Must be called *before* the fd closes: the
+    /// table would otherwise poll a dead (or reused) descriptor.
+    pub fn deregister(&mut self, fd: RawFd) {
+        let Some(i) = self.slots.remove(&fd) else {
+            return;
+        };
+        self.pollfds.swap_remove(i);
+        self.tokens.swap_remove(i);
+        if let Some(moved) = self.pollfds.get(i) {
+            self.slots.insert(moved.fd, i);
         }
     }
 
@@ -408,97 +195,57 @@ impl Poller {
     /// returns `true` when a wake was consumed.
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<bool> {
         out.clear();
-        let timeout_ms: i32 = timeout_millis(timeout);
-        let mut woken = false;
-        match &mut self.backend {
-            Backend::Epoll(ep) => {
-                let n = loop {
-                    let n = unsafe {
-                        ffi::epoll_wait(
-                            ep.0,
-                            self.events.as_mut_ptr(),
-                            self.events.len() as i32,
-                            timeout_ms,
-                        )
-                    };
-                    if n >= 0 {
-                        break n as usize;
-                    }
-                    let e = last_os_error();
-                    if e.kind() != io::ErrorKind::Interrupted {
-                        return Err(e);
-                    }
-                };
-                for ev in &self.events[..n] {
-                    let (mask, token) = (ev.events, ev.data);
-                    if token == WAKE_TOKEN {
-                        woken = true;
-                        continue;
-                    }
-                    out.push(Event {
-                        token,
-                        readable: mask & ffi::EPOLLIN != 0,
-                        writable: mask & ffi::EPOLLOUT != 0,
-                        hangup: mask & (ffi::EPOLLERR | ffi::EPOLLHUP | ffi::EPOLLRDHUP) != 0,
-                    });
-                }
+        let timeout_ms = timeout_millis(timeout);
+        loop {
+            // SAFETY: `pollfds` is an exclusively borrowed buffer of
+            // `len()` initialized `pollfd`s, and `poll(2)` writes only
+            // their `revents` fields.
+            let n = unsafe {
+                ffi::poll(
+                    self.pollfds.as_mut_ptr(),
+                    self.pollfds.len() as ffi::NfdsT,
+                    timeout_ms,
+                )
+            };
+            if n >= 0 {
+                break;
             }
-            Backend::Poll { registered } => {
-                self.pollfds.clear();
-                self.poll_tokens.clear();
-                for (&fd, &(token, interest)) in registered.iter() {
-                    self.pollfds.push(ffi::PollFd {
-                        fd,
-                        events: interest.poll_mask(),
-                        revents: 0,
-                    });
-                    self.poll_tokens.push(token);
-                }
-                loop {
-                    let n = unsafe {
-                        ffi::poll(
-                            self.pollfds.as_mut_ptr(),
-                            self.pollfds.len() as ffi::NfdsT,
-                            timeout_ms,
-                        )
-                    };
-                    if n >= 0 {
-                        break;
-                    }
-                    let e = last_os_error();
-                    if e.kind() != io::ErrorKind::Interrupted {
-                        return Err(e);
-                    }
-                }
-                for (pfd, &token) in self.pollfds.iter().zip(&self.poll_tokens) {
-                    if pfd.revents == 0 {
-                        continue;
-                    }
-                    if token == WAKE_TOKEN {
-                        woken = true;
-                        continue;
-                    }
-                    out.push(Event {
-                        token,
-                        readable: pfd.revents & ffi::POLLIN != 0,
-                        writable: pfd.revents & ffi::POLLOUT != 0,
-                        hangup: pfd.revents & (ffi::POLLERR | ffi::POLLHUP) != 0,
-                    });
-                }
+            let e = io::Error::last_os_error();
+            if e.kind() != io::ErrorKind::Interrupted {
+                return Err(e);
             }
         }
+        let mut woken = false;
+        for (pfd, &token) in self.pollfds.iter().zip(&self.tokens) {
+            if pfd.revents == 0 {
+                continue;
+            }
+            if token == WAKE_TOKEN {
+                woken = true;
+                continue;
+            }
+            out.push(Event {
+                token,
+                readable: pfd.revents & ffi::POLLIN != 0,
+                writable: pfd.revents & ffi::POLLOUT != 0,
+                hangup: pfd.revents & (ffi::POLLERR | ffi::POLLHUP) != 0,
+            });
+        }
         if woken {
-            self.wake_read.drain();
+            // Drain the pipe so the level-triggered table stops reporting
+            // it; WouldBlock means it is empty.
+            let mut buf = [0u8; 64];
+            while matches!((&self.wake_read).read(&mut buf), Ok(n) if n > 0) {}
         }
         Ok(woken)
     }
 }
 
-/// Convert a wait timeout to the millisecond argument `epoll_wait`/`poll`
-/// expect: `-1` blocks forever, `0` polls and returns. Rounds *up* so a
-/// nonzero duration never becomes a 0 ms busy-poll (a 1 µs timer would
-/// otherwise spin the loop), and a sub-slot timer is never woken early
-/// and rescheduled forever. Saturates at `i32::MAX` ms (~24 days).
+/// Convert a wait timeout to the millisecond argument `poll(2)` expects:
+/// `-1` blocks forever, `0` polls and returns. Rounds *up* so a nonzero
+/// duration never becomes a 0 ms busy-poll (a deadline 1 µs away would
+/// otherwise spin the loop) and a deadline is never woken for early.
+/// Saturates at `i32::MAX` ms (~24 days).
 fn timeout_millis(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
@@ -509,167 +256,170 @@ fn timeout_millis(timeout: Option<Duration>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
+    use std::net::{Shutdown, TcpListener, TcpStream};
 
-    fn backends() -> Vec<Poller> {
-        let mut v = vec![Poller::new(true).expect("poll backend")];
-        if cfg!(target_os = "linux") {
-            v.push(Poller::new(false).expect("epoll backend"));
-        }
-        v
+    /// A connected `(client, accepted server side)` pair on loopback.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
     }
 
     #[test]
     fn waker_interrupts_an_idle_wait_from_another_thread() {
-        for mut poller in backends() {
-            let waker = poller.waker();
-            let t = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                waker.wake();
-            });
-            let mut events = Vec::new();
-            let start = std::time::Instant::now();
-            // No timeout: only the wake can end this wait.
-            let woken = poller.wait(&mut events, None).unwrap();
-            assert!(woken, "wait must report the wake");
-            assert!(events.is_empty(), "the wake token is filtered out");
-            assert!(start.elapsed() < Duration::from_secs(5));
-            t.join().unwrap();
-            // The wake was drained: the next wait times out quietly.
-            let woken = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(!woken && events.is_empty());
-        }
+        let mut poller = Poller::new().unwrap();
+        let waker = poller.waker();
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            waker.wake();
+        });
+        let mut events = Vec::new();
+        let start = std::time::Instant::now();
+        // No timeout: only the wake can end this wait.
+        let woken = poller.wait(&mut events, None).unwrap();
+        assert!(woken, "wait must report the wake");
+        assert!(events.is_empty(), "the wake token is filtered out");
+        assert!(start.elapsed() < Duration::from_secs(5));
+        t.join().unwrap();
+        // The wake was drained: the next wait times out quietly.
+        let woken = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(!woken && events.is_empty());
     }
 
     #[test]
     fn readable_socket_reports_its_token() {
-        for mut poller in backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let mut client = TcpStream::connect(addr).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            server.set_nonblocking(true).unwrap();
-            poller
-                .register(server.as_raw_fd(), 42, Interest::READ)
-                .unwrap();
-            client.write_all(b"hello\n").unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 42 && e.readable),
-                "{events:?}"
-            );
-            // Deregistered fds go quiet.
-            poller.deregister(server.as_raw_fd()).unwrap();
-            client.write_all(b"more\n").unwrap();
-            let woken = poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert!(!woken && events.is_empty(), "{events:?}");
-        }
+        let mut poller = Poller::new().unwrap();
+        let (mut client, server) = socket_pair();
+        server.set_nonblocking(true).unwrap();
+        poller.register(server.as_raw_fd(), 42, Interest::READ);
+        client.write_all(b"hello\n").unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 42 && e.readable),
+            "{events:?}"
+        );
+        // Registering again replaces the token.
+        poller.register(server.as_raw_fd(), 43, Interest::READ);
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.len() == 1 && events[0].token == 43 && events[0].readable,
+            "{events:?}"
+        );
+        // Deregistered fds go quiet.
+        poller.deregister(server.as_raw_fd());
+        client.write_all(b"more\n").unwrap();
+        let woken = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(!woken && events.is_empty(), "{events:?}");
     }
 
     #[test]
     fn write_interest_fires_on_an_unblocked_socket() {
-        for mut poller in backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let client = TcpStream::connect(addr).unwrap();
-            let _server = listener.accept().unwrap();
-            client.set_nonblocking(true).unwrap();
-            poller
-                .register(
-                    client.as_raw_fd(),
-                    7,
-                    Interest {
-                        readable: false,
-                        writable: true,
-                    },
-                )
-                .unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 7 && e.writable),
-                "{events:?}"
-            );
-        }
+        let mut poller = Poller::new().unwrap();
+        let (client, _server) = socket_pair();
+        client.set_nonblocking(true).unwrap();
+        let interest = Interest {
+            readable: false,
+            writable: true,
+        };
+        poller.register(client.as_raw_fd(), 7, interest);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 7 && e.writable),
+            "{events:?}"
+        );
     }
 
     #[test]
-    fn linux_default_is_epoll_and_force_poll_is_poll() {
-        if cfg!(target_os = "linux") {
-            assert!(!Poller::new(false).unwrap().is_poll_backend());
-        }
-        assert!(Poller::new(true).unwrap().is_poll_backend());
+    fn a_half_closed_peer_is_silent_without_interest() {
+        // A connection that neither reads nor writes (its reply is still
+        // computing) must not wake the loop when the peer half-closes: a
+        // hangup reported on every wait would spin a core until the reply
+        // is flushed.
+        let mut poller = Poller::new().unwrap();
+        let (client, server) = socket_pair();
+        server.set_nonblocking(true).unwrap();
+        let none = Interest {
+            readable: false,
+            writable: false,
+        };
+        poller.register(server.as_raw_fd(), 5, none);
+        client.shutdown(Shutdown::Write).unwrap();
+        let mut events = Vec::new();
+        let start = std::time::Instant::now();
+        let woken = poller
+            .wait(&mut events, Some(Duration::from_millis(100)))
+            .unwrap();
+        let elapsed = start.elapsed();
+        assert!(!woken && events.is_empty(), "{events:?}");
+        assert!(
+            elapsed >= Duration::from_millis(90),
+            "woke after {elapsed:?}"
+        );
     }
 
     #[test]
-    fn requested_timeout_bounds_an_idle_wait_on_both_backends() {
-        // The timer integration depends on `wait(Some(d))` returning
-        // close to `d` when nothing is ready: a timeout that blocked
-        // past its bound would fire idle/progress deadlines late.
-        for mut poller in backends() {
-            let mut events = Vec::new();
-            let start = std::time::Instant::now();
-            let woken = poller
-                .wait(&mut events, Some(Duration::from_millis(50)))
-                .unwrap();
-            let elapsed = start.elapsed();
-            assert!(!woken && events.is_empty());
-            assert!(
-                elapsed >= Duration::from_millis(45),
-                "woke early: {elapsed:?} (backend poll={})",
-                poller.is_poll_backend()
-            );
-            assert!(
-                elapsed < Duration::from_secs(5),
-                "timeout did not bound the wait: {elapsed:?} (backend poll={})",
-                poller.is_poll_backend()
-            );
-        }
+    fn requested_timeout_bounds_an_idle_wait() {
+        // The loop's deadlines depend on `wait(Some(d))` returning close
+        // to `d` when nothing is ready: a timeout that blocked past its
+        // bound would fire idle/progress deadlines late.
+        let mut poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let start = std::time::Instant::now();
+        let woken = poller
+            .wait(&mut events, Some(Duration::from_millis(50)))
+            .unwrap();
+        let elapsed = start.elapsed();
+        assert!(!woken && events.is_empty());
+        assert!(
+            elapsed >= Duration::from_millis(45),
+            "woke early: {elapsed:?}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "timeout did not bound the wait: {elapsed:?}"
+        );
     }
 
     #[test]
-    fn sub_millisecond_timeout_still_sleeps_on_both_backends() {
+    fn sub_millisecond_timeout_still_sleeps() {
         // A 1 µs timeout must round UP to 1 ms, not down to 0: a 0 ms
-        // wait is a nonblocking poll, and a timer loop built on it would
-        // spin the CPU until the sub-ms deadline passes.
-        for mut poller in backends() {
-            let mut events = Vec::new();
-            let mut spins = 0u32;
-            let start = std::time::Instant::now();
-            // If rounding handed the kernel 0 ms, these 20 waits would
-            // all return instantly (well under 1 ms total).
-            while spins < 20 {
-                poller
-                    .wait(&mut events, Some(Duration::from_micros(1)))
-                    .unwrap();
-                spins += 1;
-            }
-            let elapsed = start.elapsed();
-            assert!(
-                elapsed >= Duration::from_millis(10),
-                "20 one-µs waits finished in {elapsed:?} — rounding slept 0 ms \
-                 (backend poll={})",
-                poller.is_poll_backend()
-            );
+        // wait is a nonblocking poll, and a deadline loop built on it
+        // would spin the CPU until the sub-ms deadline passes.
+        let mut poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let start = std::time::Instant::now();
+        // If rounding handed the kernel 0 ms, these 20 waits would all
+        // return instantly (well under 1 ms total).
+        for _ in 0..20 {
+            poller
+                .wait(&mut events, Some(Duration::from_micros(1)))
+                .unwrap();
         }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed >= Duration::from_millis(10),
+            "20 one-µs waits finished in {elapsed:?} — rounding slept 0 ms"
+        );
     }
 
     #[test]
     fn timeout_rounding_never_maps_nonzero_to_zero() {
         assert_eq!(timeout_millis(None), -1);
         // Zero means "poll and return": the caller explicitly asked for
-        // an immediate pass (an overdue timer), not a sleep.
+        // an immediate pass (an overdue deadline), not a sleep.
         assert_eq!(timeout_millis(Some(Duration::ZERO)), 0);
         // Everything nonzero rounds up, never down to 0.
         assert_eq!(timeout_millis(Some(Duration::from_nanos(1))), 1);

@@ -14,10 +14,10 @@
 //! # Concurrency model
 //!
 //! One event-loop thread owns the listener and every connection,
-//! multiplexed through a level-triggered [`Poller`] (epoll on Linux,
-//! `poll(2)` elsewhere) — a connection costs a buffer pair, not a
-//! thread, so thousands of concurrent clients are cheap. Each connection
-//! is a small state machine: bytes are read nonblockingly into a line
+//! multiplexed through a level-triggered `poll(2)` table ([`Poller`]) — a
+//! connection costs a buffer pair and a table slot, not a thread, and
+//! each wake of the loop costs O(connections). Each connection is a
+//! small state machine: bytes are read nonblockingly into a line
 //! buffer, complete lines are parsed on the loop, and cheap requests
 //! (`ping`, `stats`, `shutdown`, protocol errors) are answered inline.
 //! So is an `explore` whose every point the shared [`SweepCache`]
@@ -33,7 +33,7 @@
 //! points, so neither side can stall the other. Both paths decode and
 //! reply through the same functions. A finished worker pushes its
 //! rendered response onto a completion queue and wakes the loop through
-//! the poller's eventfd/self-pipe [`Waker`].
+//! the poller's self-pipe [`Waker`].
 //!
 //! Responses are sequenced per connection: every request takes a ticket
 //! when its line is parsed and responses are flushed strictly in ticket
@@ -70,11 +70,12 @@
 //!
 //! # Connection lifecycle
 //!
-//! Every connection carries deadlines enforced by a [`TimerWheel`] whose
-//! next due time becomes the poller's wait timeout — timers and socket
-//! readiness share one blocking point, so an idle server still never
-//! spins and still wakes exactly when a deadline falls due. Two clocks
-//! run per connection:
+//! Every connection carries deadlines that the loop reads off the
+//! connections themselves: each turn waits no longer than the earliest
+//! one, and once that instant has passed closes every connection whose
+//! deadline is due. Deadlines and socket readiness thus share one
+//! blocking point: an idle server never spins, and it wakes when the
+//! nearest deadline falls due. Two clocks run per connection:
 //!
 //! * an **idle timeout** ([`ServiceConfig::idle_timeout`]) for
 //!   connections with nothing pending — no partial line, no outstanding
@@ -88,8 +89,8 @@
 //! Every close is typed with a reason and counted:
 //! `closed_ok` (clean completion), `idle_closed`, `slow_closed`
 //! (progress deadline or the write hard cap), `reset_by_peer`
-//! (transport error, including half-open peers whose writes finally
-//! failed), and `drained` (closed by the shutdown drain). After a clean
+//! (transport error, including a hangup on a connection that no longer
+//! reads), and `drained` (closed by the shutdown drain). After a clean
 //! shutdown the reasons sum to `conns_accepted`.
 //!
 //! # Shutdown
@@ -129,7 +130,6 @@ use crate::coalesce::{Coalescer, Role};
 use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::poller::{Event, Interest, Poller, Waker};
-use crate::timer::TimerWheel;
 
 /// Hard cap on one request line. Sources are small; anything beyond this
 /// is rejected as a protocol error and the connection closed.
@@ -187,10 +187,6 @@ pub struct ServiceConfig {
     /// Most explore requests admitted concurrently; beyond this the
     /// server sheds with a typed `overloaded` error.
     pub max_in_flight: usize,
-    /// Use the portable `poll(2)` backend even where epoll is available
-    /// (exercised by tests; harmless in production, just O(connections)
-    /// per wakeup).
-    pub force_poll_backend: bool,
     /// Close a connection with nothing pending after this much silence
     /// (`idle_closed`). `None` disables the idle timeout.
     pub idle_timeout: Option<Duration>,
@@ -221,7 +217,6 @@ impl Default for ServiceConfig {
             kernels_dir: None,
             metrics_dump: None,
             max_in_flight: 512,
-            force_poll_backend: false,
             idle_timeout: Some(Duration::from_secs(60)),
             progress_timeout: Some(Duration::from_secs(10)),
             drain_timeout: Duration::from_secs(2),
@@ -345,8 +340,8 @@ impl Server {
     /// dump has been written.
     pub fn run(self) -> Result<(), CredError> {
         self.listener.set_nonblocking(true)?;
-        let poller = Poller::new(self.config.force_poll_backend)
-            .map_err(|e| CredError::Io(format!("poller: {e}")))?;
+        let mut poller = Poller::new().map_err(|e| CredError::Io(format!("poller: {e}")))?;
+        poller.register(self.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -373,7 +368,6 @@ impl Server {
             shared: Arc::clone(&self.shared),
             in_flight: 0,
             max_in_flight: self.config.max_in_flight,
-            timers: TimerWheel::new(Instant::now()),
             idle_timeout: self.config.idle_timeout,
             progress_timeout: self.config.progress_timeout,
             drain_timeout: self.config.drain_timeout,
@@ -383,14 +377,6 @@ impl Server {
             draining: false,
             drain_deadline: None,
         };
-        event_loop
-            .poller
-            .register(
-                event_loop.listener.as_raw_fd(),
-                LISTENER_TOKEN,
-                Interest::READ,
-            )
-            .map_err(|e| CredError::Io(format!("registering listener: {e}")))?;
         let result = event_loop.run();
         // Teardown: the loop has already drained gracefully; cancel is
         // idempotent (the drain-deadline path may have fired it), then
@@ -421,8 +407,9 @@ enum CloseReason {
     /// Progress deadline: a request line that never finished arriving, a
     /// backpressure pause that never drained, or the write hard cap.
     Slow,
-    /// Transport error (reset/EPIPE/read failure), including half-open
-    /// peers whose pending writes finally failed after their EOF.
+    /// Transport error (reset/EPIPE/read failure, or a hangup on a
+    /// connection that no longer reads), including half-open peers whose
+    /// pending writes finally failed after their EOF.
     Reset,
     /// Closed by the shutdown drain.
     Drained,
@@ -456,8 +443,6 @@ struct Conn {
     /// Why `dead` was set (transport errors vs the hard cap); `None`
     /// until then.
     death_reason: Option<CloseReason>,
-    /// Interest currently registered with the poller.
-    interest: Interest,
     /// Last instant the connection was observed non-quiescent (the idle
     /// clock's anchor).
     last_activity: Instant,
@@ -467,8 +452,6 @@ struct Conn {
     /// When the current write-side obligation began: a backpressure
     /// pause, or pending output after the peer's EOF (half-open).
     stalled_since: Option<Instant>,
-    /// Earliest deadline hint currently armed in the timer wheel.
-    armed_for: Option<Instant>,
     /// Marked by the shutdown drain: this connection closes with reason
     /// `Drained`, not `Ok`.
     drain_marked: bool,
@@ -501,11 +484,10 @@ impl Conn {
 
     /// Earliest pending lifecycle deadline, if any.
     fn next_deadline(&self, idle: Option<Duration>, progress: Option<Duration>) -> Option<Instant> {
-        match (self.progress_deadline(progress), self.idle_deadline(idle)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        }
+        self.progress_deadline(progress)
+            .into_iter()
+            .chain(self.idle_deadline(idle))
+            .min()
     }
 }
 
@@ -522,9 +504,6 @@ struct EventLoop {
     /// Explore requests dispatched to workers and not yet completed.
     in_flight: usize,
     max_in_flight: usize,
-    /// Lifecycle deadline hints; the next due time bounds the poller
-    /// wait.
-    timers: TimerWheel,
     idle_timeout: Option<Duration>,
     progress_timeout: Option<Duration>,
     drain_timeout: Duration,
@@ -547,16 +526,12 @@ impl EventLoop {
             if self.draining && self.conns.is_empty() && self.in_flight == 0 {
                 return Ok(());
             }
-            // The wait is bounded only by the earliest lifecycle timer
-            // (and the drain deadline): with no deadlines pending every
-            // wakeup is an explicit event — socket readiness, a worker
-            // completion — and the loop never spins.
-            let now = Instant::now();
-            let mut timeout = self.timers.next_timeout(now);
-            if let Some(dd) = self.drain_deadline {
-                let until = dd.saturating_duration_since(now);
-                timeout = Some(timeout.map_or(until, |t| t.min(until)));
-            }
+            // The wait is bounded only by the earliest connection
+            // deadline (and the drain deadline): with no deadlines pending
+            // every wakeup is an explicit event — socket readiness, a
+            // worker completion — and the loop never spins.
+            let due = self.next_deadline();
+            let timeout = due.map(|t| t.saturating_duration_since(Instant::now()));
             let woken = self
                 .poller
                 .wait(&mut events, timeout)
@@ -575,9 +550,12 @@ impl EventLoop {
             if woken {
                 self.drain_completions();
             }
-            self.expire_timers();
+            let now = Instant::now();
+            if due.is_some_and(|t| t <= now) {
+                self.close_due(now);
+            }
             if let Some(dd) = self.drain_deadline {
-                if Instant::now() >= dd {
+                if now >= dd {
                     self.force_drain();
                     return Ok(());
                 }
@@ -596,10 +574,7 @@ impl EventLoop {
                     let fd = stream.as_raw_fd();
                     let token = self.next_token;
                     self.next_token += 1;
-                    let interest = Interest::READ;
-                    if self.poller.register(fd, token, interest).is_err() {
-                        continue;
-                    }
+                    self.poller.register(fd, token, Interest::READ);
                     Metrics::bump(&self.shared.metrics.conns_accepted);
                     self.conns.insert(
                         token,
@@ -617,16 +592,12 @@ impl EventLoop {
                             paused: false,
                             dead: false,
                             death_reason: None,
-                            interest,
                             last_activity: Instant::now(),
                             partial_since: None,
                             stalled_since: None,
-                            armed_for: None,
                             drain_marked: false,
                         },
                     );
-                    // A fresh connection starts its idle clock at once.
-                    self.arm_timer(token);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -638,10 +609,17 @@ impl EventLoop {
     }
 
     fn handle_conn_event(&mut self, ev: &Event) {
-        if !self.conns.contains_key(&ev.token) {
+        let Some(conn) = self.conns.get_mut(&ev.token) else {
             return;
-        }
-        if ev.readable || ev.hangup {
+        };
+        if ev.hangup && (conn.read_closed || conn.paused) {
+            // No read will surface this socket's error (a peer that reset
+            // after its EOF leaves EPIPE there), and the hangup stays
+            // reported after the error is taken: close now, or every turn
+            // until the next write fails would wake on it.
+            conn.dead = true;
+            conn.death_reason = Some(CloseReason::Reset);
+        } else if ev.readable || ev.hangup {
             self.read_conn(ev.token);
         }
         self.update_conn(ev.token);
@@ -939,29 +917,20 @@ impl EventLoop {
                     readable: !conn.read_closed && !conn.paused,
                     writable: unflushed > 0,
                 };
-                if want != conn.interest {
-                    conn.interest = want;
-                    if self.poller.reregister(conn.fd, token, want).is_err() {
-                        Some(CloseReason::Reset)
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                }
+                self.poller.register(conn.fd, token, want);
+                None
             }
         };
-        match verdict {
-            Some(reason) => self.remove_conn(token, reason),
-            None => self.arm_timer(token),
+        if let Some(reason) = verdict {
+            self.remove_conn(token, reason);
         }
     }
 
     fn remove_conn(&mut self, token: u64, reason: CloseReason) {
         if let Some(conn) = self.conns.remove(&token) {
-            // Deregister before the fd closes: the poll(2) backend keeps
-            // a userspace table that would otherwise poll a dead fd.
-            let _ = self.poller.deregister(conn.fd);
+            // Deregister before the fd closes: the poll(2) table would
+            // otherwise poll a dead (or reused) fd.
+            self.poller.deregister(conn.fd);
             let m = &self.shared.metrics;
             Metrics::bump(match reason {
                 CloseReason::Ok => &m.closed_ok,
@@ -973,62 +942,36 @@ impl EventLoop {
         }
     }
 
-    /// Arm (or tighten) the timer-wheel hint for this connection's
-    /// earliest lifecycle deadline. Hints are lazy: a deadline that moves
-    /// later is not cancelled, just rechecked when the stale hint fires.
-    fn arm_timer(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let Some(deadline) = conn.next_deadline(self.idle_timeout, self.progress_timeout) else {
-            return;
-        };
-        if conn.armed_for.is_none_or(|armed| deadline < armed) {
-            conn.armed_for = Some(deadline);
-            self.timers.insert(token, deadline);
-        }
+    /// The instant the loop must wake at even if nothing is ready: the
+    /// earliest connection deadline or the drain deadline.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.conns
+            .values()
+            .filter_map(|conn| conn.next_deadline(self.idle_timeout, self.progress_timeout))
+            .chain(self.drain_deadline)
+            .min()
     }
 
-    /// Fire every due timer hint, closing connections whose real
-    /// deadline has passed and re-arming the rest.
-    fn expire_timers(&mut self) {
-        if self.timers.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        for token in self.timers.expire(now) {
-            let verdict = match self.conns.get_mut(&token) {
-                None => continue,
-                Some(conn) => {
-                    conn.armed_for = None;
-                    match conn.next_deadline(self.idle_timeout, self.progress_timeout) {
-                        Some(d) if d <= now => {
-                            // Which clock ran out decides the reason;
-                            // pending output is dropped — the peer is
-                            // gone or hostile.
-                            let slow = conn
-                                .progress_deadline(self.progress_timeout)
-                                .is_some_and(|d| d <= now);
-                            Err(if slow {
-                                CloseReason::Slow
-                            } else {
-                                CloseReason::Idle
-                            })
-                        }
-                        later => Ok(later),
-                    }
+    /// Close every connection whose deadline has passed. Which clock ran
+    /// out decides the reason; pending output is dropped — the peer is
+    /// gone or hostile.
+    fn close_due(&mut self, now: Instant) {
+        let due: Vec<(u64, CloseReason)> = self
+            .conns
+            .iter()
+            .filter_map(|(&token, conn)| {
+                let is_due = |d: Option<Instant>| d.is_some_and(|d| d <= now);
+                if is_due(conn.progress_deadline(self.progress_timeout)) {
+                    Some((token, CloseReason::Slow))
+                } else if is_due(conn.idle_deadline(self.idle_timeout)) {
+                    Some((token, CloseReason::Idle))
+                } else {
+                    None
                 }
-            };
-            match verdict {
-                Err(reason) => self.remove_conn(token, reason),
-                Ok(Some(deadline)) => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.armed_for = Some(deadline);
-                    }
-                    self.timers.insert(token, deadline);
-                }
-                Ok(None) => {}
-            }
+            })
+            .collect();
+        for (token, reason) in due {
+            self.remove_conn(token, reason);
         }
     }
 
@@ -1042,7 +985,7 @@ impl EventLoop {
         }
         self.draining = true;
         self.drain_deadline = Some(Instant::now() + self.drain_timeout);
-        let _ = self.poller.deregister(self.listener.as_raw_fd());
+        self.poller.deregister(self.listener.as_raw_fd());
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             if let Some(conn) = self.conns.get_mut(&token) {

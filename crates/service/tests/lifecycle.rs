@@ -1,7 +1,6 @@
 //! Connection-lifecycle tests: idle timeouts, the slowloris progress
 //! deadline, stalled readers, peer resets, and graceful drain — each
-//! verified through the typed close-reason counters and exercised on
-//! both poller backends.
+//! verified through the typed close-reason counters.
 
 mod common;
 
@@ -53,15 +52,6 @@ fn await_counters(
     }
 }
 
-/// Both poller backends, labeled for assertion messages.
-fn backends() -> Vec<(bool, &'static str)> {
-    if cfg!(target_os = "linux") {
-        vec![(false, "epoll"), (true, "poll")]
-    } else {
-        vec![(true, "poll")]
-    }
-}
-
 /// Put the socket in "RST on close" mode so dropping it sends a hard
 /// reset instead of a graceful FIN (SO_LINGER with a zero timeout).
 #[cfg(unix)]
@@ -101,74 +91,68 @@ fn set_linger_zero(stream: &TcpStream) {
 
 #[test]
 fn idle_connections_are_closed_with_the_idle_reason() {
-    for (force_poll, backend) in backends() {
-        let server = TestServer::spawn(|c| {
-            c.force_poll_backend = force_poll;
-            c.idle_timeout = Some(Duration::from_millis(100));
-            c.progress_timeout = None;
-        });
-        let mut client = server.connect();
-        let resp = client.request("{\"type\":\"ping\",\"id\":1}");
-        assert!(resp.contains("\"pong\""), "[{backend}] {resp}");
-        // Quiescent now: the server must close us, not hold the socket
-        // forever. EOF is the close; it must arrive well before 5 s.
-        let mut stream = client.into_stream();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut buf = [0u8; 16];
-        let start = Instant::now();
-        match stream.read(&mut buf) {
-            Ok(0) => {}
-            other => panic!("[{backend}] expected idle close, got {other:?}"),
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "[{backend}] idle close took {:?}",
-            start.elapsed()
-        );
-        let counters = await_counters(&server, Duration::from_secs(2), |c| {
-            counter(c, "idle_closed") >= 1
-        });
-        assert_eq!(counter(&counters, "idle_closed"), 1, "[{backend}]");
-        assert_eq!(counter(&counters, "slow_closed"), 0, "[{backend}]");
-        server.shutdown();
+    let server = TestServer::spawn(|c| {
+        c.idle_timeout = Some(Duration::from_millis(100));
+        c.progress_timeout = None;
+    });
+    let mut client = server.connect();
+    let resp = client.request("{\"type\":\"ping\",\"id\":1}");
+    assert!(resp.contains("\"pong\""), "{resp}");
+    // Quiescent now: the server must close us, not hold the socket
+    // forever. EOF is the close; it must arrive well before 5 s.
+    let mut stream = client.into_stream();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut buf = [0u8; 16];
+    let start = Instant::now();
+    match stream.read(&mut buf) {
+        Ok(0) => {}
+        other => panic!("expected idle close, got {other:?}"),
     }
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "idle close took {:?}",
+        start.elapsed()
+    );
+    let counters = await_counters(&server, Duration::from_secs(2), |c| {
+        counter(c, "idle_closed") >= 1
+    });
+    assert_eq!(counter(&counters, "idle_closed"), 1);
+    assert_eq!(counter(&counters, "slow_closed"), 0);
+    server.shutdown();
 }
 
 #[test]
 fn slowloris_partial_lines_hit_the_progress_deadline() {
-    for (force_poll, backend) in backends() {
-        let server = TestServer::spawn(|c| {
-            c.force_poll_backend = force_poll;
-            c.idle_timeout = None;
-            c.progress_timeout = Some(Duration::from_millis(150));
-        });
-        // A request line that never finishes: the progress clock starts
-        // at the first partial byte and must close the connection.
-        let mut stream = TcpStream::connect(&server.addr).unwrap();
-        stream.write_all(b"{\"type\":\"pi").unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut buf = [0u8; 16];
-        let start = Instant::now();
-        match stream.read(&mut buf) {
-            Ok(0) => {}
-            other => panic!("[{backend}] expected slow close, got {other:?}"),
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "[{backend}] slow close took {:?}",
-            start.elapsed()
-        );
-        let counters = await_counters(&server, Duration::from_secs(2), |c| {
-            counter(c, "slow_closed") >= 1
-        });
-        assert_eq!(counter(&counters, "slow_closed"), 1, "[{backend}]");
-        assert_eq!(counter(&counters, "idle_closed"), 0, "[{backend}]");
-        server.shutdown();
+    let server = TestServer::spawn(|c| {
+        c.idle_timeout = None;
+        c.progress_timeout = Some(Duration::from_millis(150));
+    });
+    // A request line that never finishes: the progress clock starts
+    // at the first partial byte and must close the connection.
+    let mut stream = TcpStream::connect(&server.addr).unwrap();
+    stream.write_all(b"{\"type\":\"pi").unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut buf = [0u8; 16];
+    let start = Instant::now();
+    match stream.read(&mut buf) {
+        Ok(0) => {}
+        other => panic!("expected slow close, got {other:?}"),
     }
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "slow close took {:?}",
+        start.elapsed()
+    );
+    let counters = await_counters(&server, Duration::from_secs(2), |c| {
+        counter(c, "slow_closed") >= 1
+    });
+    assert_eq!(counter(&counters, "slow_closed"), 1);
+    assert_eq!(counter(&counters, "idle_closed"), 0);
+    server.shutdown();
 }
 
 #[test]
@@ -203,37 +187,30 @@ fn steady_pipelining_with_persistent_partials_is_not_slowloris() {
 
 #[test]
 fn stalled_readers_are_closed_without_buffering_to_the_hard_cap() {
-    for (force_poll, backend) in backends() {
-        let server = TestServer::spawn(|c| {
-            c.force_poll_backend = force_poll;
-            c.idle_timeout = None;
-            c.progress_timeout = Some(Duration::from_millis(200));
-            // Tiny watermarks so an inflated response trips the pause
-            // immediately; the hard cap stays far away — the *deadline*
-            // must do the closing, not the cap.
-            c.write_high_water = 4 << 10;
-            c.write_low_water = 1 << 10;
-        });
-        // Ask for a response padded far past every kernel socket buffer,
-        // then never read a byte of it.
-        let mut stream = TcpStream::connect(&server.addr).unwrap();
-        stream
-            .write_all(
-                b"{\"type\":\"explore\",\"id\":\"stall\",\"kernel\":\"figure3\",\
-                  \"n\":10,\"debug_pad_bytes\":8388608}\n",
-            )
-            .unwrap();
-        let counters = await_counters(&server, Duration::from_secs(10), |c| {
-            counter(c, "slow_closed") >= 1
-        });
-        assert_eq!(
-            counter(&counters, "slow_closed"),
-            1,
-            "[{backend}] {counters:?}"
-        );
-        drop(stream);
-        server.shutdown();
-    }
+    let server = TestServer::spawn(|c| {
+        c.idle_timeout = None;
+        c.progress_timeout = Some(Duration::from_millis(200));
+        // Tiny watermarks so an inflated response trips the pause
+        // immediately; the hard cap stays far away — the *deadline*
+        // must do the closing, not the cap.
+        c.write_high_water = 4 << 10;
+        c.write_low_water = 1 << 10;
+    });
+    // Ask for a response padded far past every kernel socket buffer,
+    // then never read a byte of it.
+    let mut stream = TcpStream::connect(&server.addr).unwrap();
+    stream
+        .write_all(
+            b"{\"type\":\"explore\",\"id\":\"stall\",\"kernel\":\"figure3\",\
+              \"n\":10,\"debug_pad_bytes\":8388608}\n",
+        )
+        .unwrap();
+    let counters = await_counters(&server, Duration::from_secs(10), |c| {
+        counter(c, "slow_closed") >= 1
+    });
+    assert_eq!(counter(&counters, "slow_closed"), 1, "{counters:?}");
+    drop(stream);
+    server.shutdown();
 }
 
 #[test]
@@ -264,35 +241,65 @@ fn half_open_peers_with_undeliverable_output_are_closed() {
 
 #[test]
 fn peer_resets_mid_response_are_counted_as_resets() {
-    for (force_poll, backend) in backends() {
-        let server = TestServer::spawn(|c| {
-            c.force_poll_backend = force_poll;
-            c.idle_timeout = None;
-            c.progress_timeout = None;
-        });
-        // Ask for a deliberately slow solve, then hard-reset the socket
-        // while the response is still being computed: the server learns
-        // about the reset from the socket, mid-request.
-        let stream = TcpStream::connect(&server.addr).unwrap();
-        let mut stream = stream;
-        stream
-            .write_all(
-                b"{\"type\":\"explore\",\"id\":\"rst\",\"kernel\":\"figure3\",\
-                  \"n\":10,\"debug_delay_ms\":300}\n",
-            )
-            .unwrap();
-        set_linger_zero(&stream);
-        drop(stream); // RST, not FIN
-        let counters = await_counters(&server, Duration::from_secs(10), |c| {
-            counter(c, "reset_by_peer") >= 1
-        });
-        assert_eq!(
-            counter(&counters, "reset_by_peer"),
-            1,
-            "[{backend}] {counters:?}"
-        );
-        server.shutdown();
-    }
+    let server = TestServer::spawn(|c| {
+        c.idle_timeout = None;
+        c.progress_timeout = None;
+    });
+    // Ask for a deliberately slow solve, then hard-reset the socket
+    // while the response is still being computed: the server learns
+    // about the reset from the socket, mid-request.
+    let stream = TcpStream::connect(&server.addr).unwrap();
+    let mut stream = stream;
+    stream
+        .write_all(
+            b"{\"type\":\"explore\",\"id\":\"rst\",\"kernel\":\"figure3\",\
+              \"n\":10,\"debug_delay_ms\":300}\n",
+        )
+        .unwrap();
+    set_linger_zero(&stream);
+    drop(stream); // RST, not FIN
+    let counters = await_counters(&server, Duration::from_secs(10), |c| {
+        counter(c, "reset_by_peer") >= 1
+    });
+    assert_eq!(counter(&counters, "reset_by_peer"), 1, "{counters:?}");
+    server.shutdown();
+}
+
+#[test]
+fn a_reset_after_eof_is_counted_while_the_reply_still_computes() {
+    // The peer half-closes after its request, so the server stops reading
+    // it, then resets while the reply is still computing. Nothing reads or
+    // writes that socket until the reply is ready: the reset must be taken
+    // from the hangup at once, not when the compute ends and the first
+    // write fails (with the loop woken by the hangup on every turn until
+    // then).
+    let server = TestServer::spawn(|c| {
+        c.idle_timeout = None;
+        c.progress_timeout = None;
+    });
+    let mut stream = TcpStream::connect(&server.addr).unwrap();
+    stream
+        .write_all(
+            b"{\"type\":\"explore\",\"id\":\"eof-rst\",\"kernel\":\"figure3\",\
+              \"n\":10,\"debug_delay_ms\":3000}\n",
+        )
+        .unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    // Let the server read the request and the EOF before the reset.
+    std::thread::sleep(Duration::from_millis(200));
+    set_linger_zero(&stream);
+    let reset_at = Instant::now();
+    drop(stream); // RST
+    let counters = await_counters(&server, Duration::from_millis(1500), |c| {
+        counter(c, "reset_by_peer") >= 1
+    });
+    assert_eq!(
+        counter(&counters, "reset_by_peer"),
+        1,
+        "{:?} after the reset: {counters:?}",
+        reset_at.elapsed()
+    );
+    server.shutdown();
 }
 
 #[test]

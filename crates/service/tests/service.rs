@@ -518,25 +518,6 @@ fn overload_sheds_with_a_typed_overloaded_error() {
 }
 
 #[test]
-fn poll_fallback_backend_serves_the_same_protocol() {
-    let server = TestServer::spawn(|c| {
-        c.force_poll_backend = true;
-    });
-    let resp = server.request("{\"type\":\"ping\",\"id\":\"poll\"}");
-    assert!(resp.contains("\"type\":\"pong\""), "{resp}");
-    assert!(resp.contains("\"id\":\"poll\""), "{resp}");
-    let resp = server.request("{\"type\":\"explore\",\"kernel\":\"figure3\",\"max_f\":3,\"n\":61}");
-    assert!(resp.contains("\"ok\":true"), "{resp}");
-    assert!(resp.contains(&expected_points("figure3", 3, 61)), "{resp}");
-    // Pipelining works on the fallback too, in order.
-    let mut client = server.connect();
-    client.send("{\"type\":\"ping\",\"id\":1}\n{\"type\":\"ping\",\"id\":2}");
-    assert!(client.recv().contains("\"id\":1"));
-    assert!(client.recv().contains("\"id\":2"));
-    server.shutdown();
-}
-
-#[test]
 fn missing_kernels_dir_fails_bind_with_io_error() {
     let err = cred_service::Server::bind(cred_service::ServiceConfig {
         addr: "127.0.0.1:0".to_string(),
