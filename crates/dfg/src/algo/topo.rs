@@ -5,7 +5,10 @@
 //! DAG. Its topological order is the evaluation order used by the reference
 //! executor and by the schedulers.
 
-use crate::{Dfg, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use crate::{Dfg, EdgeId, NodeId};
 
 /// Kahn's algorithm restricted to zero-delay edges.
 ///
@@ -16,37 +19,62 @@ use crate::{Dfg, NodeId};
 /// Returns `None` if the zero-delay subgraph contains a cycle (the DFG is
 /// then malformed: no legal schedule exists).
 pub fn zero_delay_topo_order(g: &Dfg) -> Option<Vec<NodeId>> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    let mut order = Vec::with_capacity(g.node_count());
+    let zero = |e: EdgeId| g.edge(e).delay == 0;
+    zero_delay_order_into(g, zero, &mut TopoScratch::default(), &mut order).then_some(order)
+}
+
+/// The reusable buffers of [`zero_delay_order_into`]: in-degrees and the
+/// ready heap. They carry capacity only; every call resets them.
+#[derive(Debug, Default, Clone)]
+pub struct TopoScratch {
+    indeg: Vec<u32>,
+    ready: BinaryHeap<Reverse<u32>>,
+}
+
+/// [`zero_delay_topo_order`] with `zero(e)` deciding which edges count as
+/// zero-delay, written to `order` (cleared first) with `scratch`'s
+/// buffers. With `zero(e)` testing a retiming's delay `d_r(e) = 0`, it
+/// orders the retimed graph exactly as `zero_delay_topo_order` orders a
+/// built copy of it, without building one. Returns `false` on a cycle of
+/// such edges, leaving a partial order.
+pub fn zero_delay_order_into(
+    g: &Dfg,
+    zero: impl Fn(EdgeId) -> bool,
+    scratch: &mut TopoScratch,
+    order: &mut Vec<NodeId>,
+) -> bool {
     let n = g.node_count();
-    let mut indeg = vec![0usize; n];
+    let TopoScratch { indeg, ready } = scratch;
+    indeg.clear();
+    indeg.resize(n, 0);
     for e in g.edge_ids() {
-        let ed = g.edge(e);
-        if ed.delay == 0 {
-            indeg[ed.dst.index()] += 1;
+        if zero(e) {
+            indeg[g.edge(e).dst.index()] += 1;
         }
     }
-    let mut ready: BinaryHeap<Reverse<u32>> = g
-        .node_ids()
-        .filter(|v| indeg[v.index()] == 0)
-        .map(|v| Reverse(v.0))
-        .collect();
-    let mut order = Vec::with_capacity(n);
+    ready.clear();
+    ready.extend(
+        g.node_ids()
+            .filter(|v| indeg[v.index()] == 0)
+            .map(|v| Reverse(v.0)),
+    );
+    order.clear();
     while let Some(Reverse(v)) = ready.pop() {
         let v = NodeId(v);
         order.push(v);
         for &e in g.out_edges(v) {
-            let ed = g.edge(e);
-            if ed.delay == 0 {
-                let d = &mut indeg[ed.dst.index()];
+            if zero(e) {
+                let dst = g.edge(e).dst;
+                let d = &mut indeg[dst.index()];
                 *d -= 1;
                 if *d == 0 {
-                    ready.push(Reverse(ed.dst.0));
+                    ready.push(Reverse(dst.0));
                 }
             }
         }
     }
-    (order.len() == n).then_some(order)
+    order.len() == n
 }
 
 #[cfg(test)]

@@ -379,6 +379,18 @@ impl Dfg {
     /// zero-delay subgraph acyclic (every dependence cycle carries at least
     /// one delay).
     pub fn validate(&self) -> Result<(), DfgError> {
+        let mut order = Vec::with_capacity(self.node_count());
+        self.validate_with(&mut crate::algo::TopoScratch::default(), &mut order)
+    }
+
+    /// [`Dfg::validate`] with the zero-delay order's buffers supplied by
+    /// the caller, so a caller that validates once per solve allocates
+    /// nothing. `order` is left holding the order on success.
+    pub fn validate_with(
+        &self,
+        topo: &mut crate::algo::TopoScratch,
+        order: &mut Vec<NodeId>,
+    ) -> Result<(), DfgError> {
         if self.nodes.is_empty() {
             return Err(DfgError::Empty);
         }
@@ -387,7 +399,8 @@ impl Dfg {
                 return Err(DfgError::ZeroTimeNode(id));
             }
         }
-        if crate::algo::topo::zero_delay_topo_order(self).is_none() {
+        let zero = |e: EdgeId| self.edge(e).delay == 0;
+        if !crate::algo::zero_delay_order_into(self, zero, topo, order) {
             return Err(DfgError::ZeroDelayCycle);
         }
         Ok(())

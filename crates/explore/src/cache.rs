@@ -20,6 +20,19 @@
 //!   and reads the unfolding's edges off
 //!   [`cred_dfg::algo::unfolded_edges`], and the projection sums each
 //!   node's copies ([`project_copies`]);
+//! * across factors, the buffers are allocated **once per request**: each
+//!   sweep worker plans its factors in one `PlanWorkspace`, sized on its
+//!   first plan for the request's graph at its largest factor, which owns
+//!   the W/D rows and the sweep's arcs, ranks, bitset and heap, the
+//!   solver's constraint graph, labels, queue and compaction sets, and the
+//!   maxlive arrays. A factor then allocates only what it returns: its
+//!   retimings, its plan and point, and the cache entry holding them. The
+//!   workspace carries capacity, not state: every use resets what it
+//!   reads, so a fault that cuts a plan off half-way (and the reference
+//!   fallback, which allocates its own) leaves nothing for the next
+//!   factor. It lives on the worker's stack and dies with the request;
+//!   [`compute_plan`], [`compute_plan_budgeted`] and [`SweepCache::plan`]
+//!   run the same code in a workspace of their own;
 //! * across calls, the finished [`FactorPlan`] is memoized under the key
 //!   `(Dfg::fingerprint(), f)`, so sweeping the same kernel again — from
 //!   another thread, another sweep, or a constrained search revisiting a
@@ -27,7 +40,9 @@
 //!
 //! A plan fixes a configuration's objectives. Turning it into a
 //! [`ParetoPoint`] reads both code sizes off their closed forms
-//! ([`cred_codegen::ExpectedCounts`]) and schedules the kernel for maxlive.
+//! ([`cred_codegen::ExpectedCounts`]) and counts maxlive on one copy of
+//! the sequential kernel ([`cred_schedule::sequential_maxlive`]: every
+//! factor's kernel has the pressure of one copy).
 //! Each entry also keeps the finished points requests asked of its plan,
 //! keyed by trip count and decrement mode, at most four of them, the
 //! oldest replaced first, so a repeated `(graph, f, n, mode)` is answered
@@ -65,13 +80,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cred_codegen::DecMode;
-use cred_dfg::algo::WdMatrices;
+use cred_dfg::algo::{WdMatrices, WdScratch};
 use cred_dfg::Dfg;
 use cred_resilience::failpoint::{self, sites};
 use cred_resilience::{panic_message, Budget, DegradationEvent, DegradeCause, Exhausted};
 use cred_retime::minperiod::{constraints_for_period, min_period_retiming_reference};
 use cred_retime::span::compact_values_with;
-use cred_retime::{RetimeSolver, Retiming};
+use cred_retime::{RetimeSolver, Retiming, SolverScratch};
+use cred_schedule::MaxliveScratch;
 use cred_unfold::orders::{project_copies, project_retiming};
 use cred_unfold::unfold;
 
@@ -159,6 +175,56 @@ impl PlanSource {
     }
 }
 
+/// Every buffer one factor's plan and point need, reused across the
+/// factors one sweep worker plans: the W/D matrices and the sweep's
+/// buffers, the solver's constraint graph, labels, queue and compaction
+/// sets, and the maxlive arrays.
+///
+/// A worker creates one per request, sized on first use for the request's
+/// graph at its largest factor, so planning a factor allocates only what
+/// the factor returns. It carries capacity only: every use resets what it
+/// reads, so a fault or panic that cuts a plan off half-way leaves nothing
+/// for the next factor to trip on. It never outlives the request.
+#[derive(Debug)]
+pub(crate) struct PlanWorkspace {
+    /// The largest factor the request plans.
+    max_f: usize,
+    /// The plan's buffers, sized for `max_f` on the first plan: a request
+    /// whose plans all hit the cache never creates them.
+    plan: Option<PlanBuffers>,
+    maxlive: MaxliveScratch,
+}
+
+/// The buffers of [`plan_fast`].
+#[derive(Debug)]
+struct PlanBuffers {
+    wd: WdMatrices,
+    sweep: WdScratch,
+    solver: SolverScratch,
+}
+
+impl PlanWorkspace {
+    /// An empty workspace for a request that plans factors up to `max_f`.
+    pub(crate) fn new(max_f: usize) -> Self {
+        PlanWorkspace {
+            max_f,
+            plan: None,
+            maxlive: MaxliveScratch::default(),
+        }
+    }
+
+    /// The plan buffers, sized for `g`'s `max_f`-unfolding when first
+    /// asked for.
+    fn plan_buffers(&mut self, g: &Dfg) -> &mut PlanBuffers {
+        let max_f = self.max_f;
+        self.plan.get_or_insert_with(|| PlanBuffers {
+            wd: WdMatrices::with_capacity_for(g, max_f),
+            sweep: WdScratch::with_capacity_for(g, max_f),
+            solver: SolverScratch::with_capacity_for(g, max_f),
+        })
+    }
+}
+
 /// Compute a [`FactorPlan`] with a single shared residue-form W/D
 /// computation and one warm-started solver, on the original graph: the
 /// `f`-unfolding is never built.
@@ -169,28 +235,36 @@ impl PlanSource {
 /// matrices are computed once instead of twice, and the period search is
 /// the only solve. Its answer is already the minimum-span retiming of the
 /// optimal period (see [`RetimeSolver::retime_to_period`]), so compaction
-/// starts from it.
+/// starts from it. It runs in a workspace of its own; a sweep plans every
+/// factor of a request in one.
 pub fn compute_plan(g: &Dfg, f: usize) -> FactorPlan {
-    match plan_fast(g, f, &Budget::unlimited()) {
+    match plan_fast(g, f, &Budget::unlimited(), &mut PlanWorkspace::new(f)) {
         Ok(plan) => plan,
         Err(e) => panic!("unlimited-budget plan cannot exhaust: {e}"),
     }
 }
 
-/// The budgeted fast path: warm-started solver pipeline, every pass
-/// charging the same budget.
-fn plan_fast(g: &Dfg, f: usize, budget: &Budget) -> Result<FactorPlan, Exhausted> {
+/// The budgeted fast path in `ws`: warm-started solver pipeline, every
+/// pass charging the same budget.
+fn plan_fast(
+    g: &Dfg,
+    f: usize,
+    budget: &Budget,
+    ws: &mut PlanWorkspace,
+) -> Result<FactorPlan, Exhausted> {
     failpoint::hit(sites::EXPLORE_PLAN_FAST).map_err(|e| Exhausted::Injected { site: e.site })?;
     budget.check()?;
-    let wd = WdMatrices::compute_unfolded(g, f);
-    let mut solver = RetimeSolver::new(g, &wd);
-    let opt = solver.min_period_budgeted(budget)?;
-    let r_f = solver.compact(opt.period, &opt.retiming);
-    let projected = project_copies(f, &r_f);
-    Ok(FactorPlan {
-        projected,
+    let PlanBuffers { wd, sweep, solver } = ws.plan_buffers(g);
+    wd.recompute_unfolded(g, f, sweep);
+    // The solver owns the scratch while it runs and hands it back after;
+    // a panic drops it with the solver, and the next plan regrows one.
+    let mut s = RetimeSolver::with_scratch(g, wd, std::mem::take(solver));
+    let plan = s.min_period_budgeted(budget).map(|opt| FactorPlan {
+        projected: project_copies(f, &s.compact(opt.period, &opt.retiming)),
         period: opt.period,
-    })
+    });
+    *solver = s.into_scratch();
+    plan
 }
 
 /// The degradation fallback: the dense reference pipeline (full
@@ -235,7 +309,17 @@ pub fn compute_plan_budgeted(
     f: usize,
     budget: &Budget,
 ) -> Result<(FactorPlan, PlanSource), Exhausted> {
-    let cause = match catch_unwind(AssertUnwindSafe(|| plan_fast(g, f, budget))) {
+    plan_in(g, f, budget, &mut PlanWorkspace::new(f))
+}
+
+/// [`compute_plan_budgeted`] with the fast path planning in `ws`.
+fn plan_in(
+    g: &Dfg,
+    f: usize,
+    budget: &Budget,
+    ws: &mut PlanWorkspace,
+) -> Result<(FactorPlan, PlanSource), Exhausted> {
+    let cause = match catch_unwind(AssertUnwindSafe(|| plan_fast(g, f, budget, ws))) {
         Ok(Ok(plan)) => return Ok((plan, PlanSource::Solver)),
         Ok(Err(Exhausted::Cancelled)) => return Err(Exhausted::Cancelled),
         Ok(Err(e)) => DegradeCause::Exhausted(e),
@@ -451,28 +535,29 @@ impl SweepCache {
     /// is served as is; otherwise the point is built from the stored plan,
     /// or from a plan solved under `budget` as in
     /// [`plan_budgeted`](Self::plan_budgeted), and memoized. A plan solved
-    /// here is stored with its point under one lock.
+    /// here is stored with its point under one lock. Planning and the
+    /// point's maxlive run in `ws`.
     pub(crate) fn point_budgeted(
         &self,
         g: &Dfg,
         fingerprint: u64,
         f: usize,
-        n: u64,
-        mode: DecMode,
+        (n, mode): (u64, DecMode),
         budget: &Budget,
+        ws: &mut PlanWorkspace,
     ) -> Result<(ParetoPoint, PlanSource), Exhausted> {
         let key = (fingerprint, f);
         let (plan, source) = match self.lookup(key, Some((n, mode))) {
             Some(Hit::Point(point)) => return Ok((point, PlanSource::Solver)),
             Some(Hit::Plan(plan)) => (plan, PlanSource::Solver),
             None => {
-                let (plan, source) = compute_plan_budgeted(g, f, budget)?;
+                let (plan, source) = plan_in(g, f, budget, ws)?;
                 (Arc::new(plan), source)
             }
         };
         // A panic while building the point stores nothing, so the next
         // lookup finds the cache as this one did.
-        let point = crate::point_from_plan(g, f, &plan, n, mode);
+        let point = crate::point_from_plan(g, f, &plan, n, mode, &mut ws.maxlive);
         self.store(key, plan, Some((n, mode, point.clone())));
         Ok((point, source))
     }
@@ -769,6 +854,67 @@ mod tests {
         assert!(cache.is_empty(), "cancelled lookups store nothing");
     }
 
+    #[test]
+    fn a_plan_cut_off_half_way_leaves_nothing_in_the_workspace() {
+        use cred_resilience::failpoint::{install, ChaosPlan, FaultAction};
+        // The paper's Figure 3 loop, which needs a retiming to reach its
+        // period, so its solve does work.
+        let g = cred_lang::parse(
+            "loop { A[i] = E[i-4] + 9; B[i] = A[i] * 5; C[i] = A[i] + B[i-2];
+                    D[i] = A[i] * C[i]; E[i] = D[i] + 30; }",
+        )
+        .unwrap();
+        let unlimited = Budget::unlimited();
+        let mut ws = PlanWorkspace::new(4);
+        // A panic in the solve drops the solver's scratch with the solver.
+        let guard = install(ChaosPlan::new().trip(sites::RETIME_SPFA, FaultAction::Panic));
+        let (panicked, panic_source) = plan_in(&g, 4, &unlimited, &mut ws).unwrap();
+        drop(guard);
+        // A budget that lasts through the bound's scan (one unit per
+        // legality edge) and runs out half-way through the solve: the
+        // solver hands its scratch back with labels, a queue and active
+        // rows still live.
+        let metered = Budget::unlimited().with_work_limit(u64::MAX);
+        plan_in(&g, 3, &metered, &mut PlanWorkspace::new(3)).unwrap();
+        let (scan, total) = ((g.edge_count() * 3) as u64, metered.work_used());
+        assert!(total > scan + 1, "the solve charges {total} units");
+        let limit = scan + (total - scan) / 2;
+        let starved = Budget::unlimited().with_work_limit(limit);
+        let (cut, cut_source) = plan_in(&g, 3, &starved, &mut ws).unwrap();
+        let cause = |source: &PlanSource| match source {
+            PlanSource::Reference(e) => Some(e.cause.clone()),
+            PlanSource::Solver => None,
+        };
+        assert!(
+            matches!(cause(&panic_source), Some(DegradeCause::Panicked(_))),
+            "{panic_source:?}"
+        );
+        let exhausted = DegradeCause::Exhausted(Exhausted::WorkUnits { limit });
+        assert_eq!(cause(&cut_source), Some(exhausted));
+        assert_eq!((panicked, cut), (compute_plan(&g, 4), compute_plan(&g, 3)));
+        // The next plans in the same workspace see none of it.
+        for f in [4, 1, 3, 2] {
+            let (plan, source) = plan_in(&g, f, &unlimited, &mut ws).unwrap();
+            assert!(source.is_fast(), "f = {f}: {source:?}");
+            assert_eq!(plan, compute_plan(&g, f), "f = {f}");
+        }
+    }
+
+    /// The point of `(g, f)` at `(n, mode)` through the cache, unbudgeted,
+    /// planned in a workspace of its own.
+    fn point_of(
+        cache: &SweepCache,
+        g: &Dfg,
+        f: usize,
+        want: (u64, DecMode),
+    ) -> (ParetoPoint, PlanSource) {
+        let mut ws = PlanWorkspace::new(f);
+        let unlimited = Budget::unlimited();
+        cache
+            .point_budgeted(g, g.fingerprint(), f, want, &unlimited, &mut ws)
+            .unwrap()
+    }
+
     /// The `(n, mode)` keys of the points memoized for `(g, f)`, oldest
     /// first.
     fn memoized(cache: &SweepCache, g: &Dfg, f: usize) -> Vec<(u64, DecMode)> {
@@ -783,17 +929,14 @@ mod tests {
     #[test]
     fn an_entry_keeps_at_most_four_points_oldest_replaced_first() {
         let g = gen::chain_with_feedback(6, 3);
-        let (fp, f) = (g.fingerprint(), 2);
+        let f = 2;
         let cache = SweepCache::new();
-        let unlimited = Budget::unlimited();
         let asked: Vec<(u64, DecMode)> = [3, 40, 101]
             .into_iter()
             .flat_map(|n| [(n, DecMode::Bulk), (n, DecMode::PerCopy)])
             .collect();
         for (i, &(n, mode)) in asked.iter().enumerate() {
-            let (point, source) = cache
-                .point_budgeted(&g, fp, f, n, mode, &unlimited)
-                .unwrap();
+            let (point, source) = point_of(&cache, &g, f, (n, mode));
             assert!(source.is_fast());
             assert_eq!(point, crate::sweep_reference(&g, f, n, mode)[f - 1]);
             let kept = memoized(&cache, &g, f);
@@ -808,9 +951,7 @@ mod tests {
         // A replaced point is rebuilt from the stored plan, still correct,
         // and replaces the now-oldest point.
         let (n, mode) = asked[0];
-        let (point, _) = cache
-            .point_budgeted(&g, fp, f, n, mode, &unlimited)
-            .unwrap();
+        let (point, _) = point_of(&cache, &g, f, (n, mode));
         assert_eq!(point, crate::sweep_reference(&g, f, n, mode)[f - 1]);
         assert_eq!((cache.misses(), cache.hits()), (1, 6));
         assert_eq!(
@@ -824,10 +965,7 @@ mod tests {
     fn poison_recovery_clears_the_points_with_the_plans() {
         let g = gen::chain_with_feedback(6, 3);
         let cache = SweepCache::new();
-        let unlimited = Budget::unlimited();
-        cache
-            .point_budgeted(&g, g.fingerprint(), 1, 60, DecMode::Bulk, &unlimited)
-            .unwrap();
+        point_of(&cache, &g, 1, (60, DecMode::Bulk));
         assert_eq!(memoized(&cache, &g, 1).len(), 1);
         let poisoner = std::thread::scope(|s| {
             s.spawn(|| {
@@ -839,9 +977,7 @@ mod tests {
         assert!(poisoner.is_err(), "the poisoner must panic");
         assert!(cache.is_empty(), "recovery clears plans and points");
         assert_eq!(cache.poison_recoveries(), 1);
-        let (point, _) = cache
-            .point_budgeted(&g, g.fingerprint(), 1, 60, DecMode::Bulk, &unlimited)
-            .unwrap();
+        let (point, _) = point_of(&cache, &g, 1, (60, DecMode::Bulk));
         assert_eq!(point, crate::sweep_reference(&g, 1, 60, DecMode::Bulk)[0]);
         assert_eq!(cache.misses(), 2, "the cleared point is recomputed");
     }

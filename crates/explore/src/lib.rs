@@ -30,6 +30,15 @@
 //!   with machine-readable JSON output;
 //! * [`CredError`] — the unified front-end error type with stable
 //!   machine-readable codes.
+//!
+//! A cold request allocates per request, not per factor or per token.
+//! [`ExploreRequest::from_source`] parses with `cred_lang::parse`, whose
+//! tokens and syntax tree borrow the source, so it allocates per node of
+//! the graph. Each sweep worker then plans every factor it claims in one
+//! workspace that owns the buffers of the W/D sweep, the solver and the
+//! maxlive count (see [`cache`]), and maxlive is counted on one copy of
+//! the sequential kernel, whose pressure is the same at every factor (the
+//! proof is in [`cred_schedule::maxlive`]).
 
 pub mod api;
 pub mod cache;
@@ -53,12 +62,12 @@ use cred_dfg::{Dfg, Ratio};
 use cred_resilience::{failpoint, panic_message, Budget, DegradationEvent};
 use cred_retime::minperiod::constraints_for_period;
 use cred_retime::span::compact_values_with;
-use cred_retime::{min_period_retiming, RetimeSolver, Retiming};
-use cred_schedule::KernelSchedule;
+use cred_retime::{min_period_retiming, RetimeSolver};
+use cred_schedule::{sequential_maxlive, KernelSchedule, MaxliveScratch};
 use cred_unfold::orders::{project_copies, project_retiming};
 use cred_unfold::unfold;
 
-use cache::{FactorPlan, PlanSource, SweepCache};
+use cache::{FactorPlan, PlanSource, PlanWorkspace, SweepCache};
 
 /// The four objective axes of one evaluated configuration, all minimized.
 ///
@@ -114,25 +123,17 @@ pub struct ParetoPoint {
     pub objectives: Objectives,
 }
 
-/// The maxlive of the sequential kernel `retime_unfold_program` emits for
-/// this plan: `f` retimed body copies, one instruction per cycle.
-fn sequential_maxlive(g: &Dfg, projected: &Retiming, f: usize) -> usize {
-    KernelSchedule::sequential(g, projected, f)
-        .maxlive()
-        .maxlive
-}
-
 /// The retiming used per factor: rate-optimal on the unfolded graph,
 /// projected back (Theorem 4.5), span-minimized and register-compacted.
 ///
 /// This is the *reference* pipeline: each retiming pass recomputes its own
 /// full-form W/D matrices of the built unfolding from scratch, and
-/// compaction checks the dense [`cred_retime::ConstraintSystem`], and
-/// both code sizes are measured on the generated programs. The
-/// [`ExploreRequest`] engine reaches the same points through
-/// [`cache::compute_plan`], which shares one residue-form W/D computation
-/// across the passes, and through the closed-form sizes of
-/// [`point_from_plan`]; keeping this path independent makes it a
+/// compaction checks the dense [`cred_retime::ConstraintSystem`], both
+/// code sizes are measured on the generated programs, and maxlive is
+/// counted on the `f`-copy kernel. The [`ExploreRequest`] engine reaches
+/// the same points through [`cache::compute_plan`], which shares one
+/// residue-form W/D computation across the passes, and through the closed
+/// forms of [`point_from_plan`]; keeping this path independent makes it a
 /// differential-testing oracle (and the benchmark baseline) for the
 /// memoized engine.
 fn point_for_factor(g: &Dfg, f: usize, n: u64, mode: DecMode) -> ParetoPoint {
@@ -144,34 +145,48 @@ fn point_for_factor(g: &Dfg, f: usize, n: u64, mode: DecMode) -> ParetoPoint {
     let projected = project_retiming(&u, &r_f);
     let plain = retime_unfold_program(g, &projected, f, n).code_size();
     let cred = cred_retime_unfold(g, &projected, f, n, mode).code_size();
+    let maxlive = KernelSchedule::sequential(g, &projected, f)
+        .maxlive()
+        .maxlive;
     let plan = FactorPlan {
         projected,
         period: opt.period,
     };
-    point_with_sizes(g, f, &plan, plain, cred)
+    point_with(f, &plan, plain, cred, maxlive)
 }
 
 /// Materialize a [`ParetoPoint`] from a (possibly cached) plan, with both
 /// code sizes from their closed forms: the plain retime-then-unfold size
 /// of Theorem 4.5 ([`ExpectedCounts::retime_unfold`]) and the CRED size
-/// `f·L + P_r·(f+1)` or `f·L + 2·P_r` ([`ExpectedCounts::cred_retime_unfold`]).
-/// Oracle layer 1 checks both forms against every generated program, and
-/// [`sweep_reference`] measures the programs. The sizes and the maxlive
+/// `f·L + P_r·(f+1)` or `f·L + 2·P_r` ([`ExpectedCounts::cred_retime_unfold`]),
+/// and maxlive from one copy of the sequential kernel
+/// ([`sequential_maxlive`]: every factor's kernel has one copy's
+/// pressure), counted in `scratch`. Oracle layer 1 checks both size forms
+/// against every generated program, and [`sweep_reference`] measures the
+/// programs and counts the `f`-copy kernel. The sizes and the maxlive
 /// analysis are deterministic, so identical plans give identical points,
 /// which is what lets [`SweepCache`] keep them.
-fn point_from_plan(g: &Dfg, f: usize, plan: &FactorPlan, n: u64, mode: DecMode) -> ParetoPoint {
+fn point_from_plan(
+    g: &Dfg,
+    f: usize,
+    plan: &FactorPlan,
+    n: u64,
+    mode: DecMode,
+    scratch: &mut MaxliveScratch,
+) -> ParetoPoint {
     let plain = ExpectedCounts::retime_unfold(g, &plan.projected, f, n).code_size;
     let cred = ExpectedCounts::cred_retime_unfold(g, &plan.projected, f, n, mode).code_size;
-    point_with_sizes(g, f, plan, plain, cred)
+    let maxlive = sequential_maxlive(g, &plan.projected, f, scratch).maxlive;
+    point_with(f, plan, plain, cred, maxlive)
 }
 
-/// The [`ParetoPoint`] of `plan` with the given plain and CRED code sizes.
-fn point_with_sizes(
-    g: &Dfg,
+/// The [`ParetoPoint`] of `plan` with the given code sizes and maxlive.
+fn point_with(
     f: usize,
     plan: &FactorPlan,
     plain_size: usize,
     cred_size: usize,
+    maxlive: usize,
 ) -> ParetoPoint {
     ParetoPoint {
         f,
@@ -181,7 +196,7 @@ fn point_with_sizes(
             cred_size,
             iteration_period: Ratio::new(plan.period as i64, f as i64),
             cond_registers: plan.projected.register_count(),
-            maxlive: sequential_maxlive(g, &plan.projected, f),
+            maxlive,
         },
     }
 }
@@ -306,9 +321,9 @@ pub(crate) fn resilient_sweep(
     let ExploreOptions { max_f, n, mode, .. } = *opts;
     let threads = opts.threads.clamp(1, max_f.max(1));
     let next = AtomicUsize::new(1);
-    let solve_one = |f: usize| -> PointOutcome {
+    let solve_one = |f: usize, ws: &mut PlanWorkspace| -> PointOutcome {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            cache.point_budgeted(g, fingerprint, f, n, mode, budget)
+            cache.point_budgeted(g, fingerprint, f, (n, mode), budget, ws)
         }));
         match result {
             Ok(Ok((point, PlanSource::Solver))) => PointOutcome {
@@ -336,8 +351,10 @@ pub(crate) fn resilient_sweep(
             },
         }
     };
+    // Each worker plans its factors in one workspace of its own.
     let mut outcomes: Vec<PointOutcome> = if threads == 1 {
-        (1..=max_f).map(solve_one).collect()
+        let mut ws = PlanWorkspace::new(max_f);
+        (1..=max_f).map(|f| solve_one(f, &mut ws)).collect()
     } else {
         // A fault plan armed on the caller covers the sweep's workers too.
         let plan = failpoint::current();
@@ -346,13 +363,14 @@ pub(crate) fn resilient_sweep(
                 .map(|_| {
                     s.spawn(|| {
                         let _plan = failpoint::adopt(plan.clone());
+                        let mut ws = PlanWorkspace::new(max_f);
                         let mut out = Vec::new();
                         loop {
                             let f = next.fetch_add(1, Ordering::Relaxed);
                             if f > max_f {
                                 break;
                             }
-                            out.push(solve_one(f));
+                            out.push(solve_one(f, &mut ws));
                         }
                         out
                     })
@@ -451,6 +469,7 @@ pub fn best_under_register_budget(
         return None;
     }
     let mut best: Option<ParetoPoint> = None;
+    let mut maxlive = MaxliveScratch::default();
     for f in 1..=max_f {
         // One W/D computation of the unfolding, which is never built, and
         // one solver serve the period search and every probe and
@@ -474,7 +493,7 @@ pub fn best_under_register_budget(
                 projected,
                 period: c,
             };
-            let point = point_from_plan(g, f, &plan, n, mode);
+            let point = point_from_plan(g, f, &plan, n, mode, &mut maxlive);
             let better = best
                 .as_ref()
                 .is_none_or(|b| point.objectives.iteration_period < b.objectives.iteration_period);

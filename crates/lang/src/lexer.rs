@@ -1,13 +1,16 @@
 //! Hand-rolled tokenizer with line tracking and `//` comments.
+//!
+//! Tokens borrow the source: an identifier is a slice of it, so lexing
+//! allocates nothing but the token list.
 
 use std::fmt;
 
-/// Lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+/// Lexical token, borrowing the source it was read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Token<'a> {
     /// Identifier (`A`, `loop`, `i`, ...). Keywords are identified by the
     /// parser.
-    Ident(String),
+    Ident(&'a str),
     /// Non-negative integer literal.
     Int(i64),
     /// `[`
@@ -32,7 +35,7 @@ pub enum Token {
     At,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -89,11 +92,11 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenize `src`, returning `(token, line)` pairs.
-pub fn tokenize(src: &str) -> Result<Vec<(Token, u32)>, LexError> {
+pub fn tokenize(src: &str) -> Result<Vec<(Token<'_>, u32)>, LexError> {
     let mut out = Vec::new();
     let mut line: u32 = 1;
-    let mut chars = src.chars().peekable();
-    while let Some(&c) = chars.peek() {
+    let mut chars = src.char_indices().peekable();
+    while let Some(&(start, c)) = chars.peek() {
         match c {
             '\n' => {
                 line += 1;
@@ -104,8 +107,8 @@ pub fn tokenize(src: &str) -> Result<Vec<(Token, u32)>, LexError> {
             }
             '/' => {
                 chars.next();
-                if chars.peek() == Some(&'/') {
-                    for c in chars.by_ref() {
+                if chars.peek().map(|&(_, c)| c) == Some('/') {
+                    for (_, c) in chars.by_ref() {
                         if c == '\n' {
                             line += 1;
                             break;
@@ -119,20 +122,21 @@ pub fn tokenize(src: &str) -> Result<Vec<(Token, u32)>, LexError> {
                 }
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
+                // Identifier characters are ASCII, one byte each.
+                let mut end = start;
+                while let Some(&(i, c)) = chars.peek() {
                     if c.is_ascii_alphanumeric() || c == '_' {
-                        s.push(c);
+                        end = i + 1;
                         chars.next();
                     } else {
                         break;
                     }
                 }
-                out.push((Token::Ident(s), line));
+                out.push((Token::Ident(&src[start..end]), line));
             }
             c if c.is_ascii_digit() => {
                 let mut n = Some(0i64);
-                while let Some(&c) = chars.peek() {
+                while let Some(&(_, c)) = chars.peek() {
                     if let Some(d) = c.to_digit(10) {
                         n = n.and_then(|n| n.checked_mul(10)?.checked_add(d as i64));
                         chars.next();
@@ -177,7 +181,7 @@ pub fn tokenize(src: &str) -> Result<Vec<(Token, u32)>, LexError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
+    fn toks(src: &str) -> Vec<Token<'_>> {
         tokenize(src).unwrap().into_iter().map(|(t, _)| t).collect()
     }
 
@@ -186,14 +190,14 @@ mod tests {
         assert_eq!(
             toks("A[i] = B[i-3]*3;"),
             vec![
-                Token::Ident("A".into()),
+                Token::Ident("A"),
                 Token::LBracket,
-                Token::Ident("i".into()),
+                Token::Ident("i"),
                 Token::RBracket,
                 Token::Eq,
-                Token::Ident("B".into()),
+                Token::Ident("B"),
                 Token::LBracket,
-                Token::Ident("i".into()),
+                Token::Ident("i"),
                 Token::Minus,
                 Token::Int(3),
                 Token::RBracket,
@@ -207,9 +211,9 @@ mod tests {
     #[test]
     fn comments_and_lines() {
         let ts = tokenize("loop { // header\n  x_1[i] = 5; }\n").unwrap();
-        assert_eq!(ts[0], (Token::Ident("loop".into()), 1));
+        assert_eq!(ts[0], (Token::Ident("loop"), 1));
         // x_1 appears on line 2.
-        assert_eq!(ts[2], (Token::Ident("x_1".into()), 2));
+        assert_eq!(ts[2], (Token::Ident("x_1"), 2));
     }
 
     #[test]

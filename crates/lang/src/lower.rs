@@ -66,26 +66,30 @@ impl fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-/// Classified operation plus ordered operand references.
-fn classify(stmt: &Stmt) -> Result<(OpKind, Vec<crate::ast::Ref>), LowerError> {
+/// The operation `stmt`'s expression shape maps to. Its operands are the
+/// references of its terms in source order (constant terms have none).
+fn classify(stmt: &Stmt) -> Result<OpKind, LowerError> {
     let unsupported = |detail: &str| LowerError::UnsupportedShape {
-        name: stmt.name.clone(),
+        name: stmt.name.to_string(),
         line: stmt.line,
         detail: detail.to_string(),
     };
-    let (consts, refs): (Vec<&Term>, Vec<&Term>) =
-        stmt.expr.terms.iter().partition(|t| t.refs.is_empty());
-    let c: i64 = consts.iter().map(|t| t.sign * t.coeff).sum();
-    let operands: Vec<crate::ast::Ref> = refs.iter().flat_map(|t| t.refs.iter().cloned()).collect();
+    let terms = &stmt.expr.terms;
+    let c: i64 = terms
+        .iter()
+        .filter(|t| t.refs.is_empty())
+        .map(|t| t.sign * t.coeff)
+        .sum();
+    let refs: Vec<&Term> = terms.iter().filter(|t| !t.refs.is_empty()).collect();
     match refs.as_slice() {
-        [] => Ok((OpKind::Input(c), operands)),
+        [] => Ok(OpKind::Input(c)),
         [t] => {
             let k = t.sign * t.coeff;
             match (t.refs.len(), k) {
-                (1, 1) => Ok((OpKind::Add(c), operands)),
-                (1, _) => Ok((OpKind::Scale(k, c), operands)),
-                (_, 1) => Ok((OpKind::Mul(c), operands)),
-                (_, _) => Ok((OpKind::ScaledMul(k, c), operands)),
+                (1, 1) => Ok(OpKind::Add(c)),
+                (1, _) => Ok(OpKind::Scale(k, c)),
+                (_, 1) => Ok(OpKind::Mul(c)),
+                (_, _) => Ok(OpKind::ScaledMul(k, c)),
             }
         }
         [first, rest @ ..] => {
@@ -94,16 +98,16 @@ fn classify(stmt: &Stmt) -> Result<(OpKind, Vec<crate::ast::Ref>), LowerError> {
                 return Err(unsupported("leading term must be positive"));
             }
             if plain(first) && rest.iter().all(|t| plain(t) && t.sign == 1) {
-                return Ok((OpKind::Add(c), operands));
+                return Ok(OpKind::Add(c));
             }
             if plain(first) && rest.iter().all(|t| plain(t) && t.sign == -1) {
-                return Ok((OpKind::Sub(c), operands));
+                return Ok(OpKind::Sub(c));
             }
             if first.refs.len() == 2
                 && first.coeff == 1
                 && rest.iter().all(|t| plain(t) && t.sign == 1)
             {
-                return Ok((OpKind::Mac(c), operands));
+                return Ok(OpKind::Mac(c));
             }
             Err(unsupported(
                 "mixing scaled products with other terms (split the statement)",
@@ -114,31 +118,29 @@ fn classify(stmt: &Stmt) -> Result<(OpKind, Vec<crate::ast::Ref>), LowerError> {
 
 /// Lower a parsed kernel to a validated DFG. Statement order becomes node
 /// order; operand order becomes in-edge order (which [`OpKind::Sub`] and
-/// [`OpKind::Mac`] depend on).
+/// [`OpKind::Mac`] depend on). Names are copied once, into the nodes.
 pub fn lower(kernel: &LoopKernel) -> Result<Dfg, LowerError> {
     let mut b = DfgBuilder::new();
     let mut ids: BTreeMap<&str, NodeId> = BTreeMap::new();
-    let mut classified = Vec::with_capacity(kernel.stmts.len());
+    let mut nodes = Vec::with_capacity(kernel.stmts.len());
     for stmt in &kernel.stmts {
-        let (op, operands) = classify(stmt)?;
-        if ids.contains_key(stmt.name.as_str()) {
+        let op = classify(stmt)?;
+        if ids.contains_key(stmt.name) {
             return Err(LowerError::Redefinition {
-                name: stmt.name.clone(),
+                name: stmt.name.to_string(),
                 line: stmt.line,
             });
         }
-        let id = b.node(stmt.name.clone(), stmt.time, op);
-        ids.insert(stmt.name.as_str(), id);
-        classified.push((id, operands, stmt.line));
+        let id = b.node(stmt.name, stmt.time, op);
+        ids.insert(stmt.name, id);
+        nodes.push(id);
     }
-    for (id, operands, line) in classified {
-        for r in operands {
-            let src = *ids
-                .get(r.name.as_str())
-                .ok_or_else(|| LowerError::Undefined {
-                    name: r.name.clone(),
-                    line,
-                })?;
+    for (stmt, &id) in kernel.stmts.iter().zip(&nodes) {
+        for r in stmt.expr.terms.iter().flat_map(|t| &t.refs) {
+            let src = *ids.get(r.name).ok_or_else(|| LowerError::Undefined {
+                name: r.name.to_string(),
+                line: stmt.line,
+            })?;
             b.edge(src, id, r.delay);
         }
     }

@@ -29,14 +29,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser {
-    toks: Vec<(Token, u32)>,
+struct Parser<'a> {
+    toks: Vec<(Token<'a>, u32)>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.toks.get(self.pos).map(|&(t, _)| t)
     }
 
     fn line(&self) -> u32 {
@@ -46,8 +46,8 @@ impl Parser {
             .map_or(0, |(_, l)| *l)
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
@@ -59,9 +59,9 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Token<'_>) -> Result<(), ParseError> {
         match self.next() {
-            Some(t) if &t == want => Ok(()),
+            Some(t) if t == want => Ok(()),
             Some(t) => Err(ParseError {
                 line: self.toks[self.pos - 1].1,
                 message: format!("expected '{want}', found '{t}'"),
@@ -70,7 +70,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             Some(t) => Err(ParseError {
@@ -103,25 +103,25 @@ impl Parser {
     }
 
     /// `Ident "[" "i" ("-" Int)? "]"` after the identifier was consumed.
-    fn finish_ref(&mut self, name: String) -> Result<Ref, ParseError> {
-        self.expect(&Token::LBracket)?;
+    fn finish_ref(&mut self, name: &'a str) -> Result<Ref<'a>, ParseError> {
+        self.expect(Token::LBracket)?;
         let ivar = self.expect_ident()?;
         if ivar != "i" {
             return Err(self.err(format!("index variable must be 'i', found '{ivar}'")));
         }
-        let delay = if self.peek() == Some(&Token::Minus) {
+        let delay = if self.peek() == Some(Token::Minus) {
             self.next();
             self.expect_u32("delay")?
-        } else if self.peek() == Some(&Token::Plus) {
+        } else if self.peek() == Some(Token::Plus) {
             return Err(self.err("forward references 'Name[i+k]' are not allowed"));
         } else {
             0
         };
-        self.expect(&Token::RBracket)?;
+        self.expect(Token::RBracket)?;
         Ok(Ref { name, delay })
     }
 
-    fn term(&mut self, sign: i64) -> Result<Term, ParseError> {
+    fn term(&mut self, sign: i64) -> Result<Term<'a>, ParseError> {
         let mut coeff: i64 = 1;
         let mut refs = Vec::new();
         loop {
@@ -136,7 +136,7 @@ impl Parser {
                 }
                 None => return Err(self.err("expected factor")),
             }
-            if self.peek() == Some(&Token::Star) {
+            if self.peek() == Some(Token::Star) {
                 self.next();
             } else {
                 break;
@@ -145,9 +145,9 @@ impl Parser {
         Ok(Term { sign, coeff, refs })
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<Expr<'a>, ParseError> {
         let mut terms = Vec::new();
-        let first_sign = if self.peek() == Some(&Token::Minus) {
+        let first_sign = if self.peek() == Some(Token::Minus) {
             self.next();
             -1
         } else {
@@ -166,7 +166,7 @@ impl Parser {
         Ok(Expr { terms })
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn stmt(&mut self) -> Result<Stmt<'a>, ParseError> {
         let line = self.line();
         let name = self.expect_ident()?;
         // Destination must be Name[i] (no delay).
@@ -174,9 +174,9 @@ impl Parser {
         if dest.delay != 0 {
             return Err(self.err("destination must be indexed by plain 'i'"));
         }
-        self.expect(&Token::Eq)?;
+        self.expect(Token::Eq)?;
         let expr = self.expr()?;
-        let time = if self.peek() == Some(&Token::At) {
+        let time = if self.peek() == Some(Token::At) {
             self.next();
             let t = self.expect_u32("computation time")?;
             if t < 1 {
@@ -186,7 +186,7 @@ impl Parser {
         } else {
             1
         };
-        self.expect(&Token::Semi)?;
+        self.expect(Token::Semi)?;
         Ok(Stmt {
             name: dest.name,
             expr,
@@ -195,14 +195,14 @@ impl Parser {
         })
     }
 
-    fn kernel(&mut self) -> Result<LoopKernel, ParseError> {
+    fn kernel(&mut self) -> Result<LoopKernel<'a>, ParseError> {
         let kw = self.expect_ident()?;
         if kw != "loop" {
             return Err(self.err(format!("expected 'loop', found '{kw}'")));
         }
-        self.expect(&Token::LBrace)?;
+        self.expect(Token::LBrace)?;
         let mut stmts = Vec::new();
-        while self.peek() != Some(&Token::RBrace) {
+        while self.peek() != Some(Token::RBrace) {
             if self.peek().is_none() {
                 return Err(self.err("unterminated loop body"));
             }
@@ -210,15 +210,14 @@ impl Parser {
         }
         self.next(); // consume '}'
         if let Some(t) = self.peek() {
-            let t = t.clone();
             return Err(self.err(format!("trailing input after loop body: '{t}'")));
         }
         Ok(LoopKernel { stmts })
     }
 }
 
-/// Parse a full `loop { ... }` kernel.
-pub fn parse_kernel(src: &str) -> Result<LoopKernel, ParseError> {
+/// Parse a full `loop { ... }` kernel. Its names borrow `src`.
+pub fn parse_kernel(src: &str) -> Result<LoopKernel<'_>, ParseError> {
     let toks = tokenize(src).map_err(|e| ParseError {
         line: e.line,
         message: e.kind.to_string(),

@@ -24,8 +24,10 @@
 //!   corrections are zero.
 //! * The solver core is a queue-based SPFA (deque with smallest-label-first
 //!   placement, an in-queue bitmap, and walk-length negative-cycle
-//!   detection) over the CSR graph; all of its state lives in a reusable
-//!   [`SolverScratch`] arena, so repeated solves allocate nothing.
+//!   detection) over the CSR graph; all of its state, the CSR arrays
+//!   included, lives in a reusable [`SolverScratch`] arena, so repeated
+//!   solves, and solvers built one after another on one arena
+//!   ([`RetimeSolver::with_scratch`]), allocate nothing once it has grown.
 //! * [`RetimeSolver`] warm-starts every probe: tightening `c` restores the
 //!   last feasible fixpoint, activates the new constraint prefix, and seeds
 //!   the queue with only the newly activated entries, each as its `f`
@@ -106,10 +108,10 @@
 //! the bottom of the list.
 
 use crate::minperiod::MinPeriodResult;
-use crate::span::compact_greedy;
+use crate::span::{compact_greedy, CompactScratch};
 use crate::Retiming;
-use cred_dfg::algo::{unfolded_edges, WdMatrices};
-use cred_dfg::Dfg;
+use cred_dfg::algo::{unfolded_edges, TopoScratch, WdMatrices};
+use cred_dfg::{Dfg, NodeId};
 use cred_resilience::failpoint::{self, sites};
 use cred_resilience::{Budget, Exhausted};
 use std::collections::VecDeque;
@@ -155,7 +157,7 @@ impl PeriodEdge {
 ///   tightens. Only the entries with `D` at or above the closed-walk bound
 ///   are stored: no period a retiming reaches activates the others (see
 ///   the [module docs](self#where-the-search-starts)).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CsrConstraintGraph {
     n: usize,
     /// The unfolding factor of the W/D matrices.
@@ -170,12 +172,13 @@ pub struct CsrConstraintGraph {
     leg_w: Vec<i64>,
     per_row: Vec<u32>,
     per: Vec<PeriodEdge>,
-    /// Activation order: for entry `i`, `act_edge[i]` indexes `per`,
-    /// `act_src[i]` is its row, `act_d[i]` its `D` value (non-increasing
-    /// in `i`).
+    /// Activation order: entry `i` is `act[i] = (D, row, t)`, `D`
+    /// non-increasing in `i`, and `act_edge[i]` indexes its slot in `per`.
+    act: Vec<(i64, u32, u32)>,
     act_edge: Vec<u32>,
-    act_src: Vec<u32>,
-    act_d: Vec<i64>,
+    /// Insertion cursors of the two counting sorts, kept for their
+    /// capacity.
+    cursor: Vec<u32>,
 }
 
 impl CsrConstraintGraph {
@@ -187,34 +190,52 @@ impl CsrConstraintGraph {
     /// only the activation entries at or above it. Panics on a zero-delay
     /// cycle, which a well-formed DFG lacks.
     pub fn build(g: &Dfg, wd: &WdMatrices) -> Self {
+        let mut csr = Self::default();
+        csr.rebuild(g, wd);
+        csr
+    }
+
+    /// Overwrite `self` with [`CsrConstraintGraph::build`]`(g, wd)`,
+    /// reusing its storage: no allocation once it has held a graph at
+    /// least this large. Nothing of the previous contents is read.
+    fn rebuild(&mut self, g: &Dfg, wd: &WdMatrices) {
         let f = wd.factor();
         let rows = g.node_count();
         let n = rows * f;
         assert_eq!(wd.len(), n, "W/D matrices belong to a different graph");
-        let var = (0..n).map(|x| ((x / f) as u32, (x % f) as u32)).collect();
+        self.n = n;
+        self.f = f as u32;
+        self.var.clear();
+        self.var
+            .extend((0..n).map(|x| ((x / f) as u32, (x % f) as u32)));
         // Legality edges of the unfolding, counting-sorted by source.
-        let mut leg_row = vec![0u32; n + 2];
+        let leg_row = &mut self.leg_row;
+        leg_row.clear();
+        leg_row.resize(n + 2, 0);
         unfolded_edges(g, f).for_each(|(src, _, _)| leg_row[src + 1] += 1);
         for i in 1..leg_row.len() {
             leg_row[i] += leg_row[i - 1];
         }
-        let mut cursor: Vec<u32> = leg_row[..n + 1].to_vec();
-        let mut leg_col = vec![0u32; g.edge_count() * f];
-        let mut leg_w = vec![0i64; g.edge_count() * f];
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&leg_row[..n + 1]);
+        self.leg_col.clear();
+        self.leg_col.resize(g.edge_count() * f, 0);
+        self.leg_w.clear();
+        self.leg_w.resize(g.edge_count() * f, 0);
         unfolded_edges(g, f).for_each(|(src, dst, delay)| {
-            let slot = cursor[src] as usize;
-            cursor[src] += 1;
-            leg_col[slot] = dst as u32;
-            leg_w[slot] = delay as i64;
+            let slot = self.cursor[src] as usize;
+            self.cursor[src] += 1;
+            self.leg_col[slot] = dst as u32;
+            self.leg_w[slot] = delay as i64;
         });
         // The closed-walk bound: a minimum-delay path `u ~> x` closed by
         // the legality edge `x -> u`.
         let mut bound = g.node_ids().map(|v| g.node(v).time).max().unwrap_or(0) as i64;
         for x in 0..n {
-            for i in leg_row[x] as usize..leg_row[x + 1] as usize {
-                let u = leg_col[i] as usize;
+            for i in self.leg_row[x] as usize..self.leg_row[x + 1] as usize {
+                let u = self.leg_col[i] as usize;
                 if let (Some(w), Some(d)) = (wd.w(u, x), wd.d(u, x)) {
-                    let delays = w + leg_w[i];
+                    let delays = w + self.leg_w[i];
                     assert!(
                         delays > 0,
                         "min_period_retiming requires a well-formed DFG: a zero-delay cycle"
@@ -223,45 +244,34 @@ impl CsrConstraintGraph {
                 }
             }
         }
+        self.bound = bound;
         // Period edges: the live activation order is (D desc, u asc, t
         // asc), so distributing entries to rows in order leaves every row
         // sorted by D descending — each period's active set is a row prefix.
-        let act = wd.activation_from(bound);
-        let mut per_row = vec![0u32; rows + 1];
-        for &(_, u, _) in &act {
+        wd.activation_into(bound, &mut self.act);
+        let per_row = &mut self.per_row;
+        per_row.clear();
+        per_row.resize(rows + 1, 0);
+        for &(_, u, _) in &self.act {
             per_row[u as usize + 1] += 1;
         }
         for i in 1..per_row.len() {
             per_row[i] += per_row[i - 1];
         }
-        let mut cursor: Vec<u32> = per_row[..rows].to_vec();
-        let mut per = vec![PeriodEdge { t: 0, r: 0, w: 0 }; act.len()];
-        let mut act_edge = vec![0u32; act.len()];
-        let mut act_src = vec![0u32; act.len()];
-        let mut act_d = vec![0i64; act.len()];
-        for (i, &(d, u, t)) in act.iter().enumerate() {
-            let slot = cursor[u as usize];
-            cursor[u as usize] += 1;
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&per_row[..rows]);
+        self.per.clear();
+        self.per
+            .resize(self.act.len(), PeriodEdge { t: 0, r: 0, w: 0 });
+        self.act_edge.clear();
+        self.act_edge.resize(self.act.len(), 0);
+        for (i, &(_, u, t)) in self.act.iter().enumerate() {
+            let slot = self.cursor[u as usize];
+            self.cursor[u as usize] += 1;
             let w = wd.w(u as usize * f, t as usize).expect("reachable pair");
             let r = t % f as u32;
-            per[slot as usize] = PeriodEdge { t, r, w: w - 1 };
-            act_edge[i] = slot;
-            act_src[i] = u;
-            act_d[i] = d;
-        }
-        CsrConstraintGraph {
-            n,
-            f: f as u32,
-            bound,
-            var,
-            leg_row,
-            leg_col,
-            leg_w,
-            per_row,
-            per,
-            act_edge,
-            act_src,
-            act_d,
+            self.per[slot as usize] = PeriodEdge { t, r, w: w - 1 };
+            self.act_edge[i] = slot;
         }
     }
 
@@ -273,7 +283,7 @@ impl CsrConstraintGraph {
     /// Total period constraints stored: every live activation entry (`D`
     /// at or above the closed-walk bound) counts once per copy.
     pub fn period_edge_count(&self) -> usize {
-        self.act_edge.len() * self.f as usize
+        self.act.len() * self.f as usize
     }
 
     /// Number of period rows (original nodes), each with one activation
@@ -285,29 +295,63 @@ impl CsrConstraintGraph {
     /// Length of the activation prefix for period `c` (entries with
     /// `D > c`): the whole active set when `c >= bound`.
     fn prefix_for(&self, c: i64) -> usize {
-        self.act_d.partition_point(|&d| d > c)
+        self.act.partition_point(|&(d, _, _)| d > c)
     }
 }
 
-/// Reusable solver state: distance labels, SPFA queue, in-queue bitmap,
-/// walk lengths, one activation counter per period row (original node),
-/// and the warm-start snapshot. One scratch serves any number of solves
-/// (and, via [`RetimeSolver::into_scratch`], any number of graphs) without
-/// reallocating once grown.
+/// Every buffer a solver needs: the constraint graph's arrays, the
+/// distance labels, SPFA queue, in-queue bitmap, walk lengths, one
+/// activation counter per period row (original node), the warm-start
+/// snapshot, and compaction's working sets. One scratch serves any number
+/// of solves (and, via [`RetimeSolver::into_scratch`], any number of
+/// graphs) without reallocating once grown. It carries capacity only:
+/// building a solver resets everything a solve reads.
 #[derive(Debug, Default, Clone)]
 pub struct SolverScratch {
+    csr: CsrConstraintGraph,
+    /// The graph check's zero-delay order and its buffers.
+    topo: TopoScratch,
+    order: Vec<NodeId>,
     dist: Vec<i64>,
     walk: Vec<u32>,
     inq: Vec<u64>,
     queue: VecDeque<u32>,
     active: Vec<u32>,
     feas: Vec<i64>,
+    compact: CompactScratch,
 }
 
 impl SolverScratch {
     /// A fresh, empty scratch arena.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A scratch that holds a solver for the `f`-unfolding of `g`, or of
+    /// any smaller one, without growing, except for the period
+    /// constraints, which are counted only once the W/D matrices exist.
+    pub fn with_capacity_for(g: &Dfg, f: usize) -> Self {
+        let (rows, nv, ne) = (g.node_count(), g.node_count() * f, g.edge_count() * f);
+        SolverScratch {
+            topo: TopoScratch::default(),
+            order: Vec::with_capacity(rows),
+            csr: CsrConstraintGraph {
+                var: Vec::with_capacity(nv),
+                leg_row: Vec::with_capacity(nv + 2),
+                leg_col: Vec::with_capacity(ne),
+                leg_w: Vec::with_capacity(ne),
+                per_row: Vec::with_capacity(rows + 1),
+                cursor: Vec::with_capacity(nv + 1),
+                ..CsrConstraintGraph::default()
+            },
+            dist: Vec::with_capacity(nv),
+            walk: Vec::with_capacity(nv),
+            inq: Vec::with_capacity(nv.div_ceil(64)),
+            queue: VecDeque::with_capacity(nv),
+            active: Vec::with_capacity(rows),
+            feas: Vec::with_capacity(nv),
+            compact: CompactScratch::with_capacity(nv),
+        }
     }
 
     /// Size every buffer for `nv` variables and `rows` period rows, and
@@ -372,7 +416,8 @@ impl<'a> RetimeSolver<'a> {
     /// previous unfolding factor of a sweep); buffers are resized, never
     /// shrunk, so steady-state solves allocate nothing.
     pub fn with_scratch(g: &'a Dfg, wd: &'a WdMatrices, mut scratch: SolverScratch) -> Self {
-        let csr = CsrConstraintGraph::build(g, wd);
+        let mut csr = std::mem::take(&mut scratch.csr);
+        csr.rebuild(g, wd);
         scratch.reset(csr.n, csr.rows());
         RetimeSolver {
             g,
@@ -385,9 +430,12 @@ impl<'a> RetimeSolver<'a> {
         }
     }
 
-    /// Recover the scratch arena for reuse by the next solver.
+    /// Recover the scratch arena, the constraint graph's storage
+    /// included, for reuse by the next solver.
     pub fn into_scratch(self) -> SolverScratch {
-        self.s
+        let mut s = self.s;
+        s.csr = self.csr;
+        s
     }
 
     /// Move the materialized activation prefix (and the per-row active
@@ -396,12 +444,12 @@ impl<'a> RetimeSolver<'a> {
     /// so counters track exact row prefixes in both directions.
     fn materialize(&mut self, target: usize) {
         while self.act_prefix < target {
-            self.s.active[self.csr.act_src[self.act_prefix] as usize] += 1;
+            self.s.active[self.csr.act[self.act_prefix].1 as usize] += 1;
             self.act_prefix += 1;
         }
         while self.act_prefix > target {
             self.act_prefix -= 1;
-            self.s.active[self.csr.act_src[self.act_prefix] as usize] -= 1;
+            self.s.active[self.csr.act[self.act_prefix].1 as usize] -= 1;
         }
     }
 
@@ -526,7 +574,7 @@ impl<'a> RetimeSolver<'a> {
         let f = self.csr.f;
         for i in from..target {
             let e = self.csr.per[self.csr.act_edge[i] as usize];
-            let u = self.csr.act_src[i] as usize * f as usize;
+            let u = self.csr.act[i].1 as usize * f as usize;
             for copy in 0..f {
                 budget.charge(1)?;
                 let (v, w) = e.shifted(copy, f);
@@ -618,7 +666,7 @@ impl<'a> RetimeSolver<'a> {
         failpoint::hit(sites::RETIME_MIN_PERIOD)
             .map_err(|f| Exhausted::Injected { site: f.site })?;
         self.g
-            .validate()
+            .validate_with(&mut self.s.topo, &mut self.s.order)
             .expect("min_period_retiming requires a well-formed DFG");
         // The bound was read off at construction; charge its scan, one
         // work unit per legality edge.
@@ -657,7 +705,7 @@ impl<'a> RetimeSolver<'a> {
     /// below them is infeasible, and the largest is always feasible.
     pub fn candidate_periods(&self) -> impl Iterator<Item = u64> + '_ {
         let mut last = None;
-        let rising = self.csr.act_d.iter().rev().map(|&d| d as u64);
+        let rising = self.csr.act.iter().rev().map(|&(d, _, _)| d as u64);
         rising.filter(move |&d| last.replace(d) != Some(d))
     }
 
@@ -701,27 +749,33 @@ impl<'a> RetimeSolver<'a> {
             self.csr.bound
         );
         self.materialize(self.csr.prefix_for(c as i64));
-        let this = &*self;
-        compact_greedy(r, |x| this.satisfies(x))
+        let (csr, s) = (&self.csr, &mut self.s);
+        let active = &s.active;
+        compact_greedy(r, |x| satisfies(csr, active, x), &mut s.compact)
     }
 
     /// Whether `x` meets every legality edge and every period constraint
     /// of the materialized prefix: the system the last solve or
     /// compaction answered.
     fn satisfies(&self, x: &[i64]) -> bool {
-        let csr = &self.csr;
-        (0..csr.n).all(|u| {
-            let (row, copy) = csr.var[u];
-            let start = csr.per_row[row as usize] as usize;
-            let active = &csr.per[start..start + self.s.active[row as usize] as usize];
-            (csr.leg_row[u] as usize..csr.leg_row[u + 1] as usize)
-                .all(|i| x[csr.leg_col[i] as usize] - x[u] <= csr.leg_w[i])
-                && active.iter().all(|e| {
-                    let (v, w) = e.shifted(copy, csr.f);
-                    x[v] - x[u] <= w
-                })
-        })
+        satisfies(&self.csr, &self.s.active, x)
     }
+}
+
+/// Whether `x` meets every legality edge of `csr` and, for every row, the
+/// first `active[row]` period constraints.
+fn satisfies(csr: &CsrConstraintGraph, active: &[u32], x: &[i64]) -> bool {
+    (0..csr.n).all(|u| {
+        let (row, copy) = csr.var[u];
+        let start = csr.per_row[row as usize] as usize;
+        let active = &csr.per[start..start + active[row as usize] as usize];
+        (csr.leg_row[u] as usize..csr.leg_row[u + 1] as usize)
+            .all(|i| x[csr.leg_col[i] as usize] - x[u] <= csr.leg_w[i])
+            && active.iter().all(|e| {
+                let (v, w) = e.shifted(copy, csr.f);
+                x[v] - x[u] <= w
+            })
+    })
 }
 
 /// Unwrap an unlimited-budget solve. An unlimited [`Budget`] cannot

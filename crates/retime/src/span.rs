@@ -89,55 +89,110 @@ pub fn compact_values_wd(g: &Dfg, wd: &WdMatrices, c: u64, r: &Retiming) -> Reti
 /// reference the degradation fallback and the reference sweep use, and
 /// the oracle of [`RetimeSolver::compact`].
 pub fn compact_values_with(sys: &ConstraintSystem, r: &Retiming) -> Retiming {
-    compact_greedy(r, |x| sys.satisfied_by(x))
+    compact_greedy(r, |x| sys.satisfied_by(x), &mut CompactScratch::default())
+}
+
+/// The working sets of [`compact_greedy`]. They carry capacity only;
+/// every pass resets them.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct CompactScratch {
+    /// The assignment being compacted.
+    vals: Vec<i64>,
+    /// `vals` sorted, to count its values.
+    sorted: Vec<i64>,
+    /// `(value, count)` of every value in use, ascending by value.
+    counts: Vec<(i64, usize)>,
+    /// `(count, value)`, the rarest value first.
+    order: Vec<(usize, i64)>,
+    /// `(count, value)` of the values a victim's nodes may move to, the
+    /// most popular first.
+    targets: Vec<(usize, i64)>,
+    /// The nodes holding the victim value.
+    movers: Vec<usize>,
+}
+
+impl CompactScratch {
+    /// Working sets for a retiming of `n` values.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        CompactScratch {
+            vals: Vec::with_capacity(n),
+            sorted: Vec::with_capacity(n),
+            counts: Vec::with_capacity(n),
+            order: Vec::with_capacity(n),
+            targets: Vec::with_capacity(n),
+            movers: Vec::with_capacity(n),
+        }
+    }
 }
 
 /// The greedy pass of [`compact_values`], with `satisfied` deciding
-/// whether an assignment meets the period-`c` system.
-pub(crate) fn compact_greedy(r: &Retiming, satisfied: impl Fn(&[i64]) -> bool) -> Retiming {
-    let mut vals = r.values().to_vec();
-    debug_assert!(satisfied(&vals));
+/// whether an assignment meets the period-`c` system and `scratch`
+/// holding its working sets, so a pass allocates only its result.
+pub(crate) fn compact_greedy(
+    r: &Retiming,
+    satisfied: impl Fn(&[i64]) -> bool,
+    scratch: &mut CompactScratch,
+) -> Retiming {
+    let CompactScratch {
+        vals,
+        sorted,
+        counts,
+        order,
+        targets,
+        movers,
+    } = scratch;
+    vals.clear();
+    vals.extend_from_slice(r.values());
+    debug_assert!(satisfied(vals));
     loop {
-        let mut counts = std::collections::BTreeMap::<i64, usize>::new();
-        for &v in &vals {
-            *counts.entry(v).or_insert(0) += 1;
+        sorted.clear();
+        sorted.extend_from_slice(vals);
+        sorted.sort_unstable();
+        counts.clear();
+        for &v in sorted.iter() {
+            match counts.last_mut() {
+                Some((last, c)) if *last == v => *c += 1,
+                _ => counts.push((v, 1)),
+            }
         }
         if counts.len() <= 1 {
             break;
         }
         // Try to eliminate the rarest value entirely by moving each of its
         // nodes to some other in-use value.
-        let mut order: Vec<(usize, i64)> = counts.iter().map(|(&v, &c)| (c, v)).collect();
+        order.clear();
+        order.extend(counts.iter().map(|&(v, c)| (c, v)));
         order.sort_unstable();
         let mut improved = false;
-        'outer: for &(_, victim) in &order {
-            let movers: Vec<usize> = (0..vals.len()).filter(|&i| vals[i] == victim).collect();
-            let targets: Vec<i64> = {
-                let mut t: Vec<(usize, i64)> = counts
+        'outer: for &(_, victim) in order.iter() {
+            movers.clear();
+            movers.extend((0..vals.len()).filter(|&i| vals[i] == victim));
+            targets.clear();
+            targets.extend(
+                counts
                     .iter()
-                    .filter(|(&v, _)| v != victim)
-                    .map(|(&v, &c)| (c, v))
-                    .collect();
-                t.sort_unstable_by(|a, b| b.cmp(a)); // most popular first
-                t.into_iter().map(|(_, v)| v).collect()
-            };
-            let snapshot = vals.clone();
-            for &t in &targets {
-                for &i in &movers {
+                    .filter(|&&(v, _)| v != victim)
+                    .map(|&(v, c)| (c, v)),
+            );
+            targets.sort_unstable_by(|a, b| b.cmp(a)); // most popular first
+            for &(_, t) in targets.iter() {
+                for &i in movers.iter() {
                     vals[i] = t;
                 }
-                if satisfied(&vals) {
+                if satisfied(vals) {
                     improved = true;
                     break 'outer;
                 }
-                vals.copy_from_slice(&snapshot);
+                for &i in movers.iter() {
+                    vals[i] = victim;
+                }
             }
         }
         if !improved {
             break;
         }
     }
-    let mut out = Retiming::from_values(vals);
+    let mut out = Retiming::from_values(vals.clone());
     out.normalize();
     out
 }

@@ -29,7 +29,7 @@ pub mod rotation;
 pub mod vliw;
 
 pub use list::{asap_schedule, list_schedule, StaticSchedule};
-pub use maxlive::{KernelSchedule, MaxliveReport};
+pub use maxlive::{sequential_maxlive, KernelSchedule, MaxliveReport, MaxliveScratch};
 pub use rotation::{rotation_schedule, RotationResult};
 
 use cred_dfg::{MachineModel, OpClass};

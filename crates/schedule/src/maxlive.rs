@@ -39,8 +39,43 @@
 //! deliberately different algorithm — explicit interval simulation over
 //! enough unrolled kernel iterations to reach steady state — and exists
 //! as the differential oracle for the closed-form computation.
+//!
+//! ## The sequential kernel's pressure does not depend on `f`
+//!
+//! Let `pos(v)` be `v`'s place in the retimed body's zero-delay order and
+//! `L` the body length. In the `f`-copy kernel, copy `j` of `u` issues at
+//! `j·L + pos(u)`, and an edge `e = u -> v` of retimed delay `d = d_r(e)`
+//! feeds slot `j + d`: copy `(j + d) mod f` of `v`, `(j + d) div f`
+//! kernels later. Its lifetime is
+//!
+//! ```text
+//! ((j + d) mod f)·L + pos(v) + ((j + d) div f)·f·L - j·L - pos(u)
+//!     = (j + d)·L + pos(v) - j·L - pos(u) = d·L + pos(v) - pos(u),
+//! ```
+//!
+//! the same for every copy `j` and every `f`; so is each value's
+//! lifetime `lv(u)`, the maximum over `u`'s out-edges. In steady state,
+//! cycle `c` of the `f·L`-cycle kernel carries the instances of `u`
+//! defined at `j·L + pos(u) + k·f·L` for a copy `j < f` and a kernel
+//! offset `k`, that is at `m·L + pos(u)` for every integer `m = j + k·f`
+//! (each `m` once), that are live at `c`: those with
+//! `c - m·L ∈ [pos(u), pos(u) + lv(u))`. Their number depends on
+//! `c mod L` alone and equals the one-copy kernel's count at cycle
+//! `c mod L`. So every `f` has the one-copy kernel's maxlive, and its
+//! first peak, which lies in the first copy, at the same cycle.
+//! [`sequential_maxlive`] computes it that way, on one copy of the body
+//! in reusable buffers, for callers that ask for many factors; the
+//! property tests and the oracle hold it equal to the closed form and the
+//! replay of the `f`-copy [`KernelSchedule::sequential`].
+//!
+//! Neither builds the retimed graph: the order reads retimed delays off
+//! `g` and sorts the edges with `d_r(e) = 0` smallest id first
+//! ([`algo::zero_delay_order_into`]), the order `zero_delay_topo_order`
+//! gives a built copy of the retimed graph, since `pos` decides the
+//! lifetimes.
 
-use cred_dfg::{algo, Dfg};
+use cred_dfg::algo::{self, TopoScratch};
+use cred_dfg::{Dfg, NodeId};
 use cred_retime::Retiming;
 
 /// One def-use dependence between operation instances of the kernel:
@@ -83,18 +118,14 @@ impl KernelSchedule {
     pub fn sequential(g: &Dfg, r: &Retiming, f: usize) -> KernelSchedule {
         assert!(f >= 1, "unfolding factor must be at least 1");
         assert!(r.is_legal(g), "retiming must be legal");
-        let gr = r.apply(g);
-        let order = algo::zero_delay_topo_order(&gr).expect("retimed graph well-formed");
         let l = g.node_count();
-        let mut pos = vec![0usize; l];
-        for (i, &v) in order.iter().enumerate() {
-            pos[v.index()] = i;
-        }
-        let op = |j: usize, v: usize| (j * l + pos[v]) as u32;
+        let (mut order, mut pos) = (Vec::with_capacity(l), Vec::with_capacity(l));
+        body_positions(g, r, &mut TopoScratch::default(), &mut order, &mut pos);
+        let op = |j: usize, v: usize| (j * l) as u32 + pos[v] as u32;
         let mut cycles = vec![0i64; f * l];
         for j in 0..f {
             for v in 0..l {
-                cycles[op(j, v) as usize] = (j * l + pos[v]) as i64;
+                cycles[op(j, v) as usize] = (j * l) as i64 + pos[v];
             }
         }
         let mut deps = Vec::with_capacity(f * g.edge_count());
@@ -168,40 +199,12 @@ impl KernelSchedule {
     /// `rem` cycles from `t` on, wrapping at `II`; those circular ranges
     /// go into a difference array, so the whole count is `O(ops + II)`.
     pub fn maxlive(&self) -> MaxliveReport {
-        let ii = self.ii as i64;
         let life = self.lifetimes();
-        let mut everywhere = 0i64;
-        let mut diff = vec![0i64; self.ii as usize + 1];
-        for (u, lv) in life.iter().enumerate() {
-            let Some(lv) = *lv else { continue };
-            everywhere += lv / ii;
-            let (t, rem) = (self.cycles[u].rem_euclid(ii), lv % ii);
-            if rem == 0 {
-                continue;
-            }
-            diff[t as usize] += 1;
-            if t + rem <= ii {
-                diff[(t + rem) as usize] -= 1;
-            } else {
-                diff[0] += 1;
-                diff[(t + rem - ii) as usize] -= 1;
-            }
-        }
-        let per_cycle = diff[..self.ii as usize]
-            .iter()
-            .scan(everywhere, |live, &d| {
-                *live += d;
-                Some(*live as usize)
-            });
-        let (peak_cycle, maxlive) = per_cycle
-            .enumerate()
-            .max_by_key(|&(c, m)| (m, std::cmp::Reverse(c)))
-            .expect("kernel has at least one cycle");
-        MaxliveReport {
-            ii: self.ii,
-            maxlive,
-            peak_cycle: peak_cycle as u64,
-        }
+        closed_form(
+            self.ii,
+            self.cycles.iter().copied().zip(life),
+            &mut Vec::new(),
+        )
     }
 
     /// Brute-force differential oracle for [`maxlive`](Self::maxlive):
@@ -237,6 +240,129 @@ impl KernelSchedule {
             }
         }
         counts.into_iter().max().unwrap_or(0)
+    }
+}
+
+/// The reusable buffers of [`sequential_maxlive`]: the body's order and
+/// positions, the value lifetimes and the difference array. They carry
+/// capacity only; every call resets what it reads.
+#[derive(Debug, Default, Clone)]
+pub struct MaxliveScratch {
+    topo: TopoScratch,
+    order: Vec<NodeId>,
+    pos: Vec<i64>,
+    life: Vec<Option<i64>>,
+    diff: Vec<i64>,
+}
+
+/// `KernelSchedule::sequential(g, r, f).maxlive()`, computed on one copy
+/// of the retimed body with `scratch`'s buffers: the `f`-copy kernel has
+/// the one-copy kernel's pressure and first peak (see the [module
+/// docs](self#the-sequential-kernels-pressure-does-not-depend-on-f)), and
+/// only its length, `f·L`, tells the factors apart. Allocates nothing once
+/// `scratch` has held a graph at least this large.
+///
+/// # Panics
+/// As [`KernelSchedule::sequential`]: if `f == 0` or `r` is illegal.
+pub fn sequential_maxlive(
+    g: &Dfg,
+    r: &Retiming,
+    f: usize,
+    scratch: &mut MaxliveScratch,
+) -> MaxliveReport {
+    assert!(f >= 1, "unfolding factor must be at least 1");
+    assert!(r.is_legal(g), "retiming must be legal");
+    let l = g.node_count();
+    let MaxliveScratch {
+        topo,
+        order,
+        pos,
+        life,
+        diff,
+    } = scratch;
+    body_positions(g, r, topo, order, pos);
+    life.clear();
+    life.resize(l, None);
+    for e in g.edge_ids() {
+        let ed = g.edge(e);
+        let (u, v) = (ed.src.index(), ed.dst.index());
+        let lv = r.retimed_delay(g, e) * l as i64 + pos[v] - pos[u];
+        debug_assert!(lv > 0, "a legal retiming orders every zero-delay edge");
+        let slot = &mut life[u];
+        *slot = Some(slot.map_or(lv, |cur| cur.max(lv)));
+    }
+    let one_copy = closed_form(
+        l as u64,
+        pos.iter().copied().zip(life.iter().copied()),
+        diff,
+    );
+    MaxliveReport {
+        ii: (f * l) as u64,
+        ..one_copy
+    }
+}
+
+/// Each node's position in the sequential body of `g` retimed by `r`,
+/// into `pos`: its place in the zero-delay order of the retimed graph,
+/// read off `g` without building it.
+fn body_positions(
+    g: &Dfg,
+    r: &Retiming,
+    topo: &mut TopoScratch,
+    order: &mut Vec<NodeId>,
+    pos: &mut Vec<i64>,
+) {
+    let zero = |e| r.retimed_delay(g, e) == 0;
+    let acyclic = algo::zero_delay_order_into(g, zero, topo, order);
+    assert!(acyclic, "retimed graph well-formed");
+    pos.clear();
+    pos.resize(g.node_count(), 0);
+    for (i, &v) in order.iter().enumerate() {
+        pos[v.index()] = i as i64;
+    }
+}
+
+/// The closed form of [`KernelSchedule::maxlive`] over `ops`, each an
+/// issue cycle and the lifetime of the value it defines (`None` when
+/// nobody consumes it), in a kernel of `ii` cycles, with `diff` as the
+/// difference array.
+fn closed_form(
+    ii: u64,
+    ops: impl Iterator<Item = (i64, Option<i64>)>,
+    diff: &mut Vec<i64>,
+) -> MaxliveReport {
+    let len = ii as usize;
+    let ii = ii as i64;
+    let mut everywhere = 0i64;
+    diff.clear();
+    diff.resize(len + 1, 0);
+    for (cycle, lv) in ops {
+        let Some(lv) = lv else { continue };
+        everywhere += lv / ii;
+        let (t, rem) = (cycle.rem_euclid(ii), lv % ii);
+        if rem == 0 {
+            continue;
+        }
+        diff[t as usize] += 1;
+        if t + rem <= ii {
+            diff[(t + rem) as usize] -= 1;
+        } else {
+            diff[0] += 1;
+            diff[(t + rem - ii) as usize] -= 1;
+        }
+    }
+    let per_cycle = diff[..len].iter().scan(everywhere, |live, &d| {
+        *live += d;
+        Some(*live as usize)
+    });
+    let (peak_cycle, maxlive) = per_cycle
+        .enumerate()
+        .max_by_key(|&(c, m)| (m, std::cmp::Reverse(c)))
+        .expect("kernel has at least one cycle");
+    MaxliveReport {
+        ii: ii as u64,
+        maxlive,
+        peak_cycle: peak_cycle as u64,
     }
 }
 

@@ -671,10 +671,24 @@ impl ProxyLoop {
                 && pair.s2c.pending() < PIPE_CAP,
             writable: pair.c2s.pending() > 0 && !pair.c2s.holding(now),
         };
-        self.poller
-            .register(pair.client.as_raw_fd(), pair_id * 2, client_want);
-        self.poller
-            .register(pair.upstream.as_raw_fd(), pair_id * 2 + 1, upstream_want);
+        for (fd, token, want) in [
+            (pair.client.as_raw_fd(), pair_id * 2, client_want),
+            (pair.upstream.as_raw_fd(), pair_id * 2 + 1, upstream_want),
+        ] {
+            // A socket with nothing to read or write leaves the table:
+            // poll(2) reports an error or hangup whatever the interest,
+            // so a client that half-closed and then reset while its reply
+            // is pending would wake the loop on every turn. Nothing is
+            // lost: an upstream that hung up after its reply leaves the
+            // bytes buffered for the client draining, and a socket that
+            // gets bytes to write is watched again, where a failed write
+            // ends the pair.
+            if want.readable || want.writable {
+                self.poller.register(fd, token, want);
+            } else {
+                self.poller.deregister(fd);
+            }
+        }
     }
 
     fn kill_pair(&mut self, pair_id: u64) {

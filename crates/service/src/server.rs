@@ -868,6 +868,9 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
+            // Output pending on entry: a write below may empty the
+            // connection, and the idle clock then starts at this flush.
+            let had_output = !conn.done.is_empty() || conn.unflushed() > 0;
             flush_ready(conn);
             if !conn.dead && try_write(conn).is_err() {
                 conn.dead = true;
@@ -886,11 +889,15 @@ impl EventLoop {
                 unflushed >= self.wm_high
             };
             // Lifecycle anchors. The idle clock refreshes while anything
-            // is pending; the write-side progress clock anchors when a
-            // backpressure pause (or a half-open peer's pending output)
-            // begins and clears only when the obligation does.
+            // is pending and when a reply was flushed, so a connection
+            // goes quiet when its last reply leaves, not when the request
+            // that asked for it arrived; the write-side progress clock
+            // anchors when a backpressure pause (or a half-open peer's
+            // pending output) begins and clears only when the obligation
+            // does.
             let now = Instant::now();
-            if !conn.rbuf.is_empty()
+            if had_output
+                || !conn.rbuf.is_empty()
                 || conn.outstanding > 0
                 || unflushed > 0
                 || !conn.done.is_empty()

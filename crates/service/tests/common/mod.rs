@@ -103,3 +103,42 @@ impl Client {
         self.stream
     }
 }
+
+/// Put the socket in "RST on close" mode so dropping it sends a hard
+/// reset instead of a graceful FIN (SO_LINGER with a zero timeout).
+#[allow(dead_code)]
+pub fn set_linger_zero(stream: &TcpStream) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct Linger {
+        l_onoff: i32,
+        l_linger: i32,
+    }
+    extern "C" {
+        fn setsockopt(
+            fd: i32,
+            level: i32,
+            optname: i32,
+            optval: *const std::ffi::c_void,
+            optlen: u32,
+        ) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_LINGER: i32 = 13;
+    let linger = Linger {
+        l_onoff: 1,
+        l_linger: 0,
+    };
+    // SAFETY: the descriptor is open for the call, and `linger` outlives
+    // it with its size passed along.
+    let rc = unsafe {
+        setsockopt(
+            stream.as_raw_fd(),
+            SOL_SOCKET,
+            SO_LINGER,
+            (&linger as *const Linger).cast(),
+            std::mem::size_of::<Linger>() as u32,
+        )
+    };
+    assert_eq!(rc, 0, "setsockopt(SO_LINGER)");
+}

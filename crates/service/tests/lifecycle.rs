@@ -8,7 +8,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-use common::TestServer;
+use common::{set_linger_zero, TestServer};
 use cred_service::json::{self, Json};
 
 /// Read the `"conns"` counter object out of a `stats` response.
@@ -52,43 +52,6 @@ fn await_counters(
     }
 }
 
-/// Put the socket in "RST on close" mode so dropping it sends a hard
-/// reset instead of a graceful FIN (SO_LINGER with a zero timeout).
-#[cfg(unix)]
-fn set_linger_zero(stream: &TcpStream) {
-    use std::os::fd::AsRawFd;
-    #[repr(C)]
-    struct Linger {
-        l_onoff: i32,
-        l_linger: i32,
-    }
-    extern "C" {
-        fn setsockopt(
-            fd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const std::ffi::c_void,
-            optlen: u32,
-        ) -> i32;
-    }
-    const SOL_SOCKET: i32 = 1;
-    const SO_LINGER: i32 = 13;
-    let linger = Linger {
-        l_onoff: 1,
-        l_linger: 0,
-    };
-    let rc = unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            SOL_SOCKET,
-            SO_LINGER,
-            (&linger as *const Linger).cast(),
-            std::mem::size_of::<Linger>() as u32,
-        )
-    };
-    assert_eq!(rc, 0, "setsockopt(SO_LINGER)");
-}
-
 #[test]
 fn idle_connections_are_closed_with_the_idle_reason() {
     let server = TestServer::spawn(|c| {
@@ -120,6 +83,50 @@ fn idle_connections_are_closed_with_the_idle_reason() {
     });
     assert_eq!(counter(&counters, "idle_closed"), 1);
     assert_eq!(counter(&counters, "slow_closed"), 0);
+    server.shutdown();
+}
+
+#[test]
+fn the_idle_clock_starts_when_a_slow_reply_is_flushed() {
+    // The reply takes four idle timeouts to compute. Once it is flushed
+    // the client has a whole idle timeout for its next request on the
+    // same connection, and the connection is closed as idle only after
+    // it has then been quiet for one.
+    let server = TestServer::spawn(|c| {
+        c.idle_timeout = Some(Duration::from_millis(100));
+        c.progress_timeout = None;
+    });
+    let mut client = server.connect();
+    let slow = client.request(
+        "{\"type\":\"explore\",\"id\":1,\"kernel\":\"figure3\",\"max_f\":1,\
+         \"n\":10,\"debug_delay_ms\":400}",
+    );
+    assert!(slow.contains("\"points\""), "{slow}");
+    // Well inside the timeout, but long after the request arrived.
+    std::thread::sleep(Duration::from_millis(30));
+    let resp = client.request("{\"type\":\"ping\",\"id\":2}");
+    assert!(resp.contains("\"pong\""), "{resp}");
+    let quiet_from = Instant::now();
+    let counters = conn_counters(&server.request("{\"type\":\"stats\"}"));
+    assert_eq!(counter(&counters, "idle_closed"), 0, "{counters:?}");
+    let mut stream = client.into_stream();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut buf = [0u8; 16];
+    match stream.read(&mut buf) {
+        Ok(0) => {}
+        other => panic!("expected idle close, got {other:?}"),
+    }
+    let quiet = quiet_from.elapsed();
+    assert!(
+        quiet >= Duration::from_millis(50),
+        "closed after {quiet:?} of quiet, well inside the 100-ms idle timeout"
+    );
+    let counters = await_counters(&server, Duration::from_secs(2), |c| {
+        counter(c, "idle_closed") >= 1
+    });
+    assert_eq!(counter(&counters, "idle_closed"), 1, "{counters:?}");
     server.shutdown();
 }
 

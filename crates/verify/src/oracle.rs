@@ -60,7 +60,7 @@ use cred_exact::{check as exact_check, exact_schedule_budgeted};
 use cred_explore::cache::{compute_plan, FactorPlan};
 use cred_resilience::Budget;
 use cred_retime::{min_period_retiming, MinPeriodResult, Retiming};
-use cred_schedule::KernelSchedule;
+use cred_schedule::{sequential_maxlive, KernelSchedule, MaxliveScratch};
 use cred_unfold::{unfold, Unfolded};
 use cred_vm::{compile, execute, execute_tape, trace_loop, value_diff, DiffReport, TraceEvent};
 use std::fmt;
@@ -523,7 +523,10 @@ fn check_exact(
 /// (the fourth explore objective) must agree with an explicit
 /// live-interval replay on the same kernel schedule — both for the
 /// production retime+unfold sequential kernel and for the exact modulo
-/// schedule when one exists.
+/// schedule when one exists. The sequential kernel's report at the case's
+/// `f` must also equal the one-copy computation the explore engine
+/// reports ([`sequential_maxlive`]), which holds because the pressure does
+/// not depend on `f`.
 fn check_maxlive(
     case: &Case,
     plan: Option<&Retiming>,
@@ -537,11 +540,19 @@ fn check_maxlive(
     };
     if let Some(r) = plan {
         let k = KernelSchedule::sequential(g, r, case.f);
-        let closed = k.maxlive().maxlive;
+        let report = k.maxlive();
+        let closed = report.maxlive;
         let replayed = k.replay_maxlive();
         if closed != replayed {
             return Err(fail(format!(
                 "sequential kernel (f = {}): closed-form maxlive {closed} != replayed {replayed}",
+                case.f
+            )));
+        }
+        let one_copy = sequential_maxlive(g, r, case.f, &mut MaxliveScratch::default());
+        if one_copy != report {
+            return Err(fail(format!(
+                "sequential kernel (f = {}): closed form {report:?} != one copy {one_copy:?}",
                 case.f
             )));
         }
