@@ -14,8 +14,14 @@
 //! The `W`/`D` matrices and the Bellman–Ford run that found the cycle are
 //! never consulted. The soundness argument is in the
 //! [`solver`](crate::solver) docs.
+//!
+//! A [`Packing`](Infeasible::Packing) witness is re-derived by an
+//! enumeration of its own (see `check_packing`): slot by slot over merged
+//! states of what is left to start, where the solver runs a depth-first
+//! search over its own key tables.
 
 use cred_dfg::{Dfg, EdgeId, MachineModel, NodeId, OpClass, OP_CLASSES};
+use std::collections::{BTreeMap, HashSet};
 
 use crate::solver::{ExactSchedule, Infeasible, RejectedII};
 
@@ -89,10 +95,10 @@ pub fn check_schedule(g: &Dfg, m: &MachineModel, sched: &ExactSchedule) -> Resul
     Ok(())
 }
 
-/// Check one rejected rung's certificate arithmetically. Closed-form and
-/// period-cycle witnesses are fully re-derived from the graph and
-/// machine; an [`Infeasible::Exhausted`] witness is certificate-by-search
-/// and only its plausibility (at least one trial) is checkable.
+/// Check one rejected rung's certificate. Closed-form, period-cycle and
+/// packing witnesses are fully re-derived from the graph and machine; an
+/// [`Infeasible::Exhausted`] witness is certificate-by-search and only its
+/// plausibility (at least one trial) is checkable.
 pub fn check_witness(g: &Dfg, m: &MachineModel, rejected: &RejectedII) -> Result<(), String> {
     let ii = rejected.ii;
     match &rejected.witness {
@@ -150,6 +156,7 @@ pub fn check_witness(g: &Dfg, m: &MachineModel, rejected: &RejectedII) -> Result
             Ok(())
         }
         Infeasible::PeriodCycle { segments } => check_period_cycle(g, m, ii, segments),
+        Infeasible::Packing { .. } => check_packing(g, m, ii),
         Infeasible::Exhausted { branches } => {
             if *branches == 0 {
                 return Err("exhausted search performed no trials".into());
@@ -213,6 +220,151 @@ fn check_period_cycle(
         return Err(format!("period bounds sum to {sum}, not below zero"));
     }
     Ok(())
+}
+
+/// The [`Infeasible::Packing`] arm of [`check_witness`]: with dependences
+/// ignored, no assignment of slots to the ops keeps every op inside the
+/// window, at most `units` ops of a class in flight and at most
+/// `issue_width` ops issued per cycle.
+///
+/// Enumerated slot by slot. A state is the count of ops left per `(class,
+/// time)` kind followed, per capped class, by the units busy at the
+/// current cycle and the ones after it. Each slot takes every state to one
+/// state per multiset of starts that fits there, equal states merge, and a
+/// state goes on only while each op it has left can still start and end
+/// inside the window. The witness holds if no state ever has every op
+/// started.
+fn check_packing(g: &Dfg, m: &MachineModel, ii: u64) -> Result<(), String> {
+    if g.node_count() == 0 {
+        return Err("a graph without ops packs into any window".into());
+    }
+    let mut count: BTreeMap<(usize, u64), u32> = BTreeMap::new();
+    for v in g.node_ids() {
+        let kind = (g.node(v).op.class().index(), u64::from(m.op_time(g, v)));
+        *count.entry(kind).or_default() += 1;
+    }
+    let kinds: Vec<(usize, u64)> = count.keys().copied().collect();
+    let span = kinds.iter().map(|&(_, t)| t as usize).max().unwrap_or(0);
+    let start: Vec<u32> = count
+        .values()
+        .copied()
+        .chain(std::iter::repeat_n(0, OP_CLASSES * span))
+        .collect();
+    let ctx = PackingCheck {
+        m,
+        ii,
+        kinds: &kinds,
+        span,
+    };
+    let mut states = HashSet::from([start]);
+    for s in 0..ii {
+        let mut next = HashSet::new();
+        for state in &states {
+            ctx.starts(s, 0, 0, &mut state.clone(), &mut next);
+        }
+        if next
+            .iter()
+            .any(|st| st[..kinds.len()].iter().all(|&x| x == 0))
+        {
+            return Err(format!("the ops pack into {ii} slots"));
+        }
+        states = next;
+    }
+    Ok(())
+}
+
+/// The fixed inputs of [`check_packing`]'s enumeration.
+struct PackingCheck<'a> {
+    m: &'a MachineModel,
+    ii: u64,
+    kinds: &'a [(usize, u64)],
+    /// Cycles of busy units a state records per capped class.
+    span: usize,
+}
+
+impl PackingCheck<'_> {
+    /// Every multiset of starts at slot `s` of the kinds from `k` on, given
+    /// `issued` ops already started there: each finished choice moves on
+    /// to slot `s + 1` and lands in `next`.
+    fn starts(
+        &self,
+        s: u64,
+        k: usize,
+        issued: u32,
+        st: &mut Vec<u32>,
+        next: &mut HashSet<Vec<u32>>,
+    ) {
+        let nk = self.kinds.len();
+        if k == nk {
+            let mut moved = st.clone();
+            for c in 0..OP_CLASSES {
+                let busy = &mut moved[nk + c * self.span..nk + (c + 1) * self.span];
+                busy.rotate_left(1);
+                busy[self.span - 1] = 0;
+            }
+            if self.alive(s + 1, &moved) {
+                next.insert(moved);
+            }
+            return;
+        }
+        self.starts(s, k + 1, issued, st, next);
+        let (c, t) = self.kinds[k];
+        let units = self.m.units(OpClass::ALL[c]);
+        let busy = nk + c * self.span;
+        let mut extra = 0;
+        while st[k] > 0
+            && s + t <= self.ii
+            && self.m.issue_width.is_none_or(|w| issued + extra < w)
+            && units.is_none_or(|u| st[busy..busy + t as usize].iter().all(|&b| b < u))
+        {
+            st[k] -= 1;
+            if units.is_some() {
+                st[busy..busy + t as usize].iter_mut().for_each(|b| *b += 1);
+            }
+            extra += 1;
+            self.starts(s, k + 1, issued + extra, st, next);
+        }
+        st[k] += extra;
+        if units.is_some() {
+            st[busy..busy + t as usize]
+                .iter_mut()
+                .for_each(|b| *b -= extra);
+        }
+    }
+
+    /// Whether the ops state `st` has left at slot `s` can still fit the
+    /// slots `s .. ii`: each must start and end inside them, a capped
+    /// class has `units * (ii - s)` unit-cycles there (less those still
+    /// busy) for the times of its ops, and the issue width as many issue
+    /// slots per slot for the ops themselves.
+    fn alive(&self, s: u64, st: &[u32]) -> bool {
+        let nk = self.kinds.len();
+        let slots = self.ii.saturating_sub(s);
+        let mut ops = 0u64;
+        let mut need = [0u64; OP_CLASSES];
+        for (&(c, t), &left) in self.kinds.iter().zip(st) {
+            if left > 0 && s + t > self.ii {
+                return false;
+            }
+            ops += u64::from(left);
+            need[c] += u64::from(left) * t;
+        }
+        let classes_fit = OpClass::ALL.iter().all(|&class| {
+            let c = class.index();
+            self.m.units(class).is_none_or(|u| {
+                let busy: u64 = st[nk + c * self.span..nk + (c + 1) * self.span]
+                    .iter()
+                    .map(|&b| u64::from(b))
+                    .sum();
+                need[c] + busy <= u64::from(u) * slots
+            })
+        });
+        classes_fit
+            && self
+                .m
+                .issue_width
+                .is_none_or(|w| ops <= u64::from(w) * slots)
+    }
 }
 
 #[cfg(test)]
@@ -322,5 +474,56 @@ mod tests {
             assert!(matches!(r.witness, Infeasible::PeriodCycle { .. }));
             check_witness(&g, &m, r).unwrap();
         }
+    }
+
+    /// Two ALU and two MAC ops of time 2, each on its own one-delay ring:
+    /// on the scalar machine they pack into 5 slots but not into 4.
+    fn four_twos() -> Dfg {
+        let mut b = DfgBuilder::new();
+        for (i, op) in [
+            OpKind::Add(0),
+            OpKind::Add(0),
+            OpKind::Mul(0),
+            OpKind::Mul(0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let v = b.node(format!("V{i}"), 2, op);
+            b.edge(v, v, 1);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn checker_rejects_tampered_packings() {
+        let g = four_twos();
+        let scalar = MachineModel::builtin("scalar").unwrap();
+        let ok = |m: &MachineModel, ii: u64| {
+            check_witness(
+                &g,
+                m,
+                &RejectedII {
+                    ii,
+                    witness: Infeasible::Packing { branches: 1 },
+                },
+            )
+        };
+        ok(&scalar, 4).unwrap();
+        // Below the window every op is too long, so nothing packs.
+        ok(&scalar, 1).unwrap();
+        // A wrong II: at 5 the ALU ops start at 0 and 2, the MAC ops at 1
+        // and 3.
+        assert!(ok(&scalar, 5).is_err());
+        // Wrong machines: with two issue slots per cycle, or no issue
+        // limit, both classes start at 0 and 2.
+        assert!(ok(&MachineModel::builtin("vliw2").unwrap(), 4).is_err());
+        let mut unlimited_issue = scalar.clone();
+        unlimited_issue.issue_width = None;
+        assert!(ok(&unlimited_issue, 4).is_err());
+        // The solver's own witness re-checks.
+        let s = exact_schedule(&g, &scalar);
+        assert!(matches!(s.rejected[3].witness, Infeasible::Packing { .. }));
+        check_witness(&g, &scalar, &s.rejected[3]).unwrap();
     }
 }

@@ -20,8 +20,8 @@
 //!   here;
 //! * [`exact_schedule`] / [`exact_schedule_budgeted`] — the solver, the
 //!   workspace's one modulo scheduler; budgeted search charges one work
-//!   unit per slot trial and exhausts all-or-nothing like every other
-//!   budgeted pass;
+//!   unit per packing or slot trial and exhausts all-or-nothing like every
+//!   other budgeted pass;
 //! * [`retiming_bound`] — the resource-blind lower bound on the II;
 //! * [`ExactSchedule`] — the product: `(ii, slot, stage)` plus the
 //!   per-rung witnesses; [`ExactSchedule::stage_retiming`] adapts the

@@ -57,6 +57,31 @@ impl<'g> PeriodSystem<'g> {
         }
     }
 
+    /// `(W(u, v), D(u, v))` at `u * n + v` for each pair `u != v` of one of
+    /// `components` (node sets that reach each other), `None` for the
+    /// others: the dense table the search reads its slot-refined walk
+    /// bounds from. The search's constraints each run along a walk of the
+    /// graph, so only those within one strongly connected component can
+    /// close a cycle of them, and a bound between two components never
+    /// cuts.
+    pub(crate) fn walks(&self, components: &[Vec<NodeId>]) -> Vec<Option<(i64, i64)>> {
+        let n = self.g.node_count();
+        let mut walks = vec![None; n * n];
+        for comp in components {
+            for &u in comp {
+                for &v in comp.iter().filter(|&&v| v != u) {
+                    let (u, v) = (u.index(), v.index());
+                    let (w, d) = (self.wd.w(u, v), self.wd.d(u, v));
+                    walks[u * n + v] = Some((
+                        w.expect("a component's nodes reach each other"),
+                        d.expect("a component's nodes reach each other"),
+                    ));
+                }
+            }
+        }
+        walks
+    }
+
     /// Solve the system at `ii` (every op must fit the window, `t <= ii`).
     /// On success writes each node's ASAP slot in the retimed graph into
     /// `first`; otherwise returns the positive cycle as graph walks.

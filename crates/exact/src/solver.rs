@@ -87,12 +87,61 @@
 //!   are full stay empty, because an op covering one would have to start
 //!   in that head.
 //!
+//! **Walk bounds.** On a machine that caps something, placing `v` at slot
+//! `s` also bounds `v` against every placed `u` along whole walks, both
+//! ways. The soundness argument above, with both slots known instead of
+//! bounded by the window, gives on the min-delay, max-time walk `u ~> v`
+//! the *slot-refined* bound
+//!
+//! `stage(v) - stage(u) >= ceil((slot(u) - s + D(u, v) - t(v)) / II) - W(u, v)`.
+//!
+//! The window bounds keep the numerator above `D(u, v) - II`, so this is
+//! never weaker than the slot-free `[D(u, v) > II] - W(u, v)`; the search
+//! asserts it into the engine where it is tighter than that and the
+//! current stages violate it. It reaches through nodes not yet placed,
+//! which an edge constraint cannot. Every constraint the engine holds runs
+//! along a walk of the graph, so a cycle of them, the only way they can
+//! conflict, stays inside one strongly connected component: only pairs
+//! that reach each other get walk bounds. `W`/`D` come from the period
+//! system, read once per call into a dense table. On a machine that caps
+//! nothing the seeded search never backtracks, so it skips them.
+//!
+//! **Packing screen.** Before a rung that passes the period constraints is
+//! searched, a second search asks whether the ops fit the window at all
+//! under the unit caps and the issue width, with every dependence ignored.
+//! It walks the slots in order and starts at each slot a multiset of ops
+//! of the rung's `(class, time)` keys (ops of one key are interchangeable,
+//! so each multiset is tried once), longest ops first. Before it moves
+//! past a slot it checks that every op left can still start in time, and
+//! that neither a capped class's time nor the op count exceeds the
+//! unit-cycles and issue slots left. An op holds a unit of its class in
+//! the cycle it issues, so when the issue width is unlimited, or every
+//! class is capped and the caps sum to at most the width, the width never
+//! binds and each capped class is packed by a search of its own (one
+//! joint search would try every placement of one class before each dead
+//! end of the other). If nothing fits, the rung is rejected with a
+//! [`Packing`](Infeasible::Packing) witness, which
+//! [`check_witness`](crate::check::check_witness) re-derives by its own
+//! enumeration; [`Exhausted`](Infeasible::Exhausted) therefore means that
+//! the ops pack but the dependences rule every packing out.
+//!
+//! **Schedules are unchanged by both cuts.** Every complete schedule meets
+//! every walk bound and is a packing, so the cuts remove only branches
+//! with no schedule below them, and the search tries the slots in the
+//! same order: it reaches the same first leaf. The stages there are the
+//! engine's least solution of what was asserted, and once every node is
+//! placed the edge constraints imply every walk bound (summing them along
+//! the walk, a sum of ceilings is at least the ceiling of the sum), so
+//! the stages are the least solution of the edge constraints alone, as
+//! before. Only trial counts change, and the witness of a rung that no
+//! packing fits.
+//!
 //! The ladder terminates: `II = sum_v t(v)` always admits the sequential
 //! schedule (distinct slots in zero-delay topological order).
 //!
-//! Branch-and-bound work charges the [`Budget`] one unit per slot trial
-//! and passes the `exact.branch` fail-point, so exhaustion and chaos
-//! testing compose the same way as in the retiming solver.
+//! Branch-and-bound work charges the [`Budget`] one unit per packing or
+//! slot trial and passes the `exact.branch` fail-point, so exhaustion and
+//! chaos testing compose the same way as in the retiming solver.
 
 use cred_dfg::{algo, Dfg, MachineModel, NodeId, OpClass, OP_CLASSES};
 use cred_resilience::failpoint::{self, sites};
@@ -104,10 +153,9 @@ use std::fmt;
 use crate::period::PeriodSystem;
 
 /// Why one rung of the II ladder admits no schedule. Every variant is a
-/// certificate: the first four are closed-form arithmetic facts
-/// re-checkable without running the solver (see
-/// [`check_witness`](crate::check::check_witness)), the last records
-/// that a complete search exhausted.
+/// certificate: the first five are facts re-checkable without running the
+/// solver (see [`check_witness`](crate::check::check_witness)), the last
+/// records that a complete search exhausted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Infeasible {
     /// Node `node`'s machine-effective time exceeds the II window:
@@ -146,10 +194,18 @@ pub enum Infeasible {
         /// The walks, in cycle order.
         segments: Vec<Vec<u32>>,
     },
+    /// The ops do not fit the window even with every dependence ignored:
+    /// no assignment of slots to the rung's `(class, time)` multiset
+    /// keeps within the unit caps and the issue width.
+    Packing {
+        /// Packing trials performed on this rung.
+        branches: u64,
+    },
     /// The branch-and-bound search visited the entire slot space and
-    /// found no schedule (certificate by exhaustion).
+    /// found no schedule, although the ops alone pack: the dependences
+    /// rule every packing out (certificate by exhaustion).
     Exhausted {
-        /// Slot trials performed on this rung.
+        /// Packing and slot trials performed on this rung.
         branches: u64,
     },
 }
@@ -184,6 +240,9 @@ impl fmt::Display for Infeasible {
                 }
                 Ok(())
             }
+            Infeasible::Packing { branches } => {
+                write!(f, "packing after {branches} branches")
+            }
             Infeasible::Exhausted { branches } => {
                 write!(f, "exhausted after {branches} branches")
             }
@@ -212,7 +271,7 @@ pub struct ExactSchedule {
     pub stage: Vec<i64>,
     /// Witnesses for every II in `1 .. ii`, in ladder order.
     pub rejected: Vec<RejectedII>,
-    /// Total slot trials across all rungs.
+    /// Total packing and slot trials across all rungs.
     pub branches: u64,
 }
 
@@ -249,9 +308,9 @@ pub fn exact_schedule(g: &Dfg, m: &MachineModel) -> ExactSchedule {
 }
 
 /// Schedule `g` on `m`, charging one budget unit per branch-and-bound
-/// slot trial. On `Err` no partial schedule is returned — exhaustion is
-/// all-or-nothing, the caller's state is untouched, and the solver
-/// scratch is reusable.
+/// packing or slot trial. On `Err` no partial schedule is returned —
+/// exhaustion is all-or-nothing, the caller's state is untouched, and the
+/// solver scratch is reusable.
 pub fn exact_schedule_budgeted(
     g: &Dfg,
     m: &MachineModel,
@@ -325,6 +384,12 @@ struct Searcher<'g> {
     engine: DiffEngine,
     /// The period constraints, built when a rung first passes the screens.
     period: Option<PeriodSystem<'g>>,
+    /// The strongly connected components of two or more nodes.
+    components: Vec<Vec<NodeId>>,
+    /// `(W(u, v), D(u, v))` at `u * n + v` for each pair `u != v` of one
+    /// component, read from the period system when it is built. Left empty
+    /// when the machine caps nothing.
+    walks: Vec<Option<(i64, i64)>>,
     /// Modulo reservation table: `occ[c * ii + s]` ops of class `c`
     /// in flight at slot `s`.
     occ: Vec<u32>,
@@ -343,6 +408,11 @@ struct Searcher<'g> {
     /// k]` = nodes of key `k` in `order[d..]`.
     keys: Vec<(usize, u32)>,
     left: Vec<u32>,
+    /// The packing screen's key order (longest time first), and its count
+    /// of ops left per key and in all.
+    pack_order: Vec<usize>,
+    pack_left: Vec<u32>,
+    pack_rest: u32,
     /// Total time per class.
     occupancy: [u64; OP_CLASSES],
     /// For a one-unit class `c`: `n + 1` equal rows, row `d` the bitset of
@@ -374,6 +444,7 @@ impl<'g> Searcher<'g> {
                 .map(|v| v.0),
         );
         debug_assert_eq!(order.len(), n);
+        let components = sccs.into_iter().filter(|c| c.len() > 1).collect();
         // One phantom unit per class only while a mutation test arms the
         // `<=`-for-`<` off-by-one in the conflict check.
         let slack = u32::from(failpoint::armed(sites::MUTANT_RESERVATION_SLACK));
@@ -394,6 +465,8 @@ impl<'g> Searcher<'g> {
             first: vec![0; n],
             engine: DiffEngine::new(n),
             period: None,
+            components,
+            walks: Vec::new(),
             occ: Vec::new(),
             issue: Vec::new(),
             lookahead: m.issue_width.is_some() || cap.iter().any(Option::is_some),
@@ -402,6 +475,9 @@ impl<'g> Searcher<'g> {
             issue_free: Vec::new(),
             keys: Vec::new(),
             left: Vec::new(),
+            pack_order: Vec::new(),
+            pack_left: Vec::new(),
+            pack_rest: 0,
             occupancy,
             sums: Default::default(),
             rung_branches: 0,
@@ -437,6 +513,9 @@ impl<'g> Searcher<'g> {
                 .position(|&k| k == (self.class[v], self.t[v]));
             head[d * nk + k.expect("every node has a key")] += 1;
         }
+        self.pack_order = (0..nk).collect();
+        self.pack_order
+            .sort_by_key(|&k| (std::cmp::Reverse(self.keys[k].1), self.keys[k].0));
         for c in 0..OP_CLASSES {
             if self.cap[c] != Some(1) {
                 continue;
@@ -533,14 +612,17 @@ impl<'g> Searcher<'g> {
         if let Some(w) = self.screen(ii) {
             return Ok(Err(w));
         }
-        let (g, m, t) = (self.g, self.m, self.t);
-        let period = self
-            .period
-            .get_or_insert_with(|| PeriodSystem::new(g, m, t));
+        if self.period.is_none() {
+            let period = PeriodSystem::new(self.g, self.m, self.t);
+            if self.lookahead {
+                self.walks = period.walks(&self.components);
+            }
+            self.period = Some(period);
+        }
+        let period = self.period.as_mut().expect("built above");
         if let Err(segments) = period.solve(ii, &mut self.first) {
             return Ok(Err(Infeasible::PeriodCycle { segments }));
         }
-        // Exhaustive search.
         let n = self.g.node_count();
         let ii_us = ii as usize;
         self.slot.iter_mut().for_each(|s| *s = -1);
@@ -563,6 +645,13 @@ impl<'g> Searcher<'g> {
                 .extend((0..OP_CLASSES * words).map(|i| window(i % words)));
         }
         self.rung_branches = 0;
+        if self.lookahead && !self.packs(ii, budget)? {
+            self.total_branches += self.rung_branches;
+            return Ok(Err(Infeasible::Packing {
+                branches: self.rung_branches,
+            }));
+        }
+        // Exhaustive search.
         self.found = None;
         let feasible = self.dfs(0, ii, budget)?;
         self.total_branches += self.rung_branches;
@@ -591,16 +680,13 @@ impl<'g> Searcher<'g> {
             } else {
                 first + k - span
             };
-            failpoint::hit(sites::EXACT_BRANCH)
-                .map_err(|f| Exhausted::Injected { site: f.site })?;
-            budget.charge(1)?;
-            self.rung_branches += 1;
+            self.trial(budget)?;
             if !self.reserve(v, s, ii) {
                 continue;
             }
             if self.lookahead_ok(depth + 1, ii) {
                 let cp = self.engine.checkpoint();
-                if self.assert_edges(v, s) {
+                if self.assert_edges(v, s) && self.assert_walks(v, s, depth, ii) {
                     self.slot[v] = s;
                     if self.dfs(depth + 1, ii, budget)? {
                         return Ok(true);
@@ -612,6 +698,150 @@ impl<'g> Searcher<'g> {
             self.release(v, s);
         }
         Ok(false)
+    }
+
+    /// Charge one packing or slot trial.
+    #[inline(always)]
+    fn trial(&mut self, budget: &Budget) -> Result<(), Exhausted> {
+        failpoint::hit(sites::EXACT_BRANCH).map_err(|f| Exhausted::Injected { site: f.site })?;
+        budget.charge(1)?;
+        self.rung_branches += 1;
+        Ok(())
+    }
+
+    /// The packing screen (see the module docs): whether the ops fit the
+    /// window of `ii` under the unit caps and the issue width with every
+    /// dependence ignored. Leaves the reservation table as it found it.
+    fn packs(&mut self, ii: u64, budget: &Budget) -> Result<bool, Exhausted> {
+        // A mutation test can arm a window one cycle short.
+        let short = usize::from(failpoint::armed(sites::MUTANT_PACKING_WINDOW));
+        let end = ii as usize - short;
+        // An op holds a unit of its class in the cycle it issues, so when
+        // the width is unlimited, or every class is capped and the caps sum
+        // to at most the width, the width never binds and each capped class
+        // packs on its own.
+        let units: Option<u64> = self.cap.iter().map(|c| c.map(u64::from)).sum();
+        if self
+            .issue_width
+            .is_some_and(|w| units.is_none_or(|u| u > u64::from(w)))
+        {
+            return self.pack_class(None, end, budget);
+        }
+        for c in 0..OP_CLASSES {
+            if self.cap[c].is_some() && !self.pack_class(Some(c), end, budget)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Run the packing search over the ops of `class`, or of every class.
+    fn pack_class(
+        &mut self,
+        class: Option<usize>,
+        end: usize,
+        budget: &Budget,
+    ) -> Result<bool, Exhausted> {
+        self.pack_left.clear();
+        self.pack_left
+            .extend(self.keys.iter().zip(&self.left).map(|(&(c, _), &left)| {
+                if class.is_none_or(|k| k == c) {
+                    left
+                } else {
+                    0
+                }
+            }));
+        self.pack_rest = self.pack_left.iter().sum();
+        self.pack(0, 0, end, budget)
+    }
+
+    /// Start at slot `s` one more op of a key at or after `pack_order[from]`
+    /// (so each multiset of starts is tried once), or close the slot and
+    /// go on to the next. `ii` is the end of the window.
+    fn pack(
+        &mut self,
+        mut s: usize,
+        mut from: usize,
+        ii: usize,
+        budget: &Budget,
+    ) -> Result<bool, Exhausted> {
+        loop {
+            if self.pack_rest == 0 {
+                return Ok(true);
+            }
+            for i in from..self.pack_order.len() {
+                let k = self.pack_order[i];
+                let (c, t) = (self.keys[k].0, self.keys[k].1 as usize);
+                if self.pack_left[k] == 0 || s + t > ii || !self.pack_fits(c, t, s) {
+                    continue;
+                }
+                self.trial(budget)?;
+                self.pack_take(k, s, true);
+                let fits = self.pack(s, i, ii, budget)?;
+                self.pack_take(k, s, false);
+                if fits {
+                    return Ok(true);
+                }
+            }
+            if s + 1 >= ii || !self.pack_bound(s + 1, ii) {
+                return Ok(false);
+            }
+            (s, from) = (s + 1, 0);
+        }
+    }
+
+    /// Whether an op of class `c` and time `t` can start at slot `s`.
+    fn pack_fits(&self, c: usize, t: usize, s: usize) -> bool {
+        let base = c * self.issue.len();
+        self.issue_width.is_none_or(|w| self.issue[s] < w)
+            && self.cap[c]
+                .is_none_or(|cap| self.occ[base + s..base + s + t].iter().all(|&o| o < cap))
+    }
+
+    /// Start (or, with `take` false, withdraw) one op of key `k` at slot
+    /// `s`.
+    fn pack_take(&mut self, k: usize, s: usize, take: bool) {
+        let (c, t) = (self.keys[k].0, self.keys[k].1 as usize);
+        let base = c * self.issue.len();
+        let step = |x: &mut u32| if take { *x += 1 } else { *x -= 1 };
+        self.occ[base + s..base + s + t].iter_mut().for_each(step);
+        step(&mut self.issue[s]);
+        if take {
+            self.pack_left[k] -= 1;
+            self.pack_rest -= 1;
+        } else {
+            self.pack_left[k] += 1;
+            self.pack_rest += 1;
+        }
+    }
+
+    /// Whether the ops left can still fit slots `s .. ii`: each can start
+    /// by the window's end, and neither a capped class's time nor the op
+    /// count exceeds the unit-cycles and issue slots those slots have
+    /// free.
+    fn pack_bound(&self, s: usize, ii: usize) -> bool {
+        let mut need = [0u64; OP_CLASSES];
+        for (k, &left) in self.pack_left.iter().enumerate() {
+            let (c, t) = self.keys[k];
+            if left > 0 && s + t as usize > ii {
+                return false;
+            }
+            need[c] += u64::from(left) * u64::from(t);
+        }
+        let cycles = self.issue.len();
+        let classes_fit = (0..OP_CLASSES).all(|c| {
+            self.cap[c].is_none_or(|cap| {
+                let busy: u64 = self.occ[c * cycles + s..c * cycles + ii]
+                    .iter()
+                    .map(|&o| u64::from(o))
+                    .sum();
+                need[c] + busy <= u64::from(cap) * (ii - s) as u64
+            })
+        });
+        classes_fit
+            && self
+                .issue_width
+                .is_none_or(|w| u64::from(self.pack_rest) <= u64::from(w) * (ii - s) as u64)
     }
 
     /// Try to reserve the modulo reservation table for `v` at slot `s`:
@@ -778,12 +1008,46 @@ impl<'g> Searcher<'g> {
         }
         true
     }
+
+    /// Assert the slot-refined walk bound between `v` (slot `s`) and each
+    /// of the `depth` nodes placed before it, both ways, wherever it is
+    /// tighter than the slot-free bound and the current stages violate it.
+    /// On conflict returns false, and the caller rolls back to its
+    /// checkpoint.
+    fn assert_walks(&mut self, v: usize, s: i64, depth: usize, ii: u64) -> bool {
+        if self.walks.is_empty() {
+            return true;
+        }
+        let (n, ii) = (self.t.len(), ii as i64);
+        // A mutation test can arm a bound one stage too strict.
+        let tightening = i64::from(failpoint::armed(sites::MUTANT_WALK_TIGHTENING));
+        for &u in &self.order[..depth] {
+            let u = u as usize;
+            let su = self.slot[u];
+            for (a, b, sa, sb) in [(u, v, su, s), (v, u, s, su)] {
+                let Some((w, d)) = self.walks[a * n + b] else {
+                    continue;
+                };
+                // `sa - sb + d - t(b) > -ii` by the window bounds, so this is
+                // the ceiling of its quotient by `ii`.
+                let q = (sa - sb + d - self.t[b] as i64 + ii - 1) / ii + tightening;
+                if q > i64::from(d > ii)
+                    && self.engine.value(b) - self.engine.value(a) < q - w
+                    && !self.engine.assert_ge(a, b, q - w)
+                {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cred_dfg::{DfgBuilder, OpKind};
+    use rand::SeedableRng;
 
     /// Figure 1(a): A -> B (0 delays), B -> A (2 delays), unit times.
     fn two_node() -> Dfg {
@@ -850,6 +1114,48 @@ mod tests {
         crate::check::check_schedule(&g, &m, &s).unwrap();
     }
 
+    /// Two ALU and two MAC ops of time 2, each on its own one-delay ring.
+    fn four_twos() -> Dfg {
+        let mut b = DfgBuilder::new();
+        for (i, op) in [
+            OpKind::Add(0),
+            OpKind::Add(0),
+            OpKind::Mul(0),
+            OpKind::Mul(0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let v = b.node(format!("V{i}"), 2, op);
+            b.edge(v, v, 1);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn packing_witnessed_without_slot_search() {
+        // On the scalar machine II 4 passes every closed-form screen
+        // (occupancy 4 per class, 4 ops on width 1) and the period
+        // constraints, but each class must then be busy every cycle while
+        // only one op issues per cycle: one class idles at cycle 0. II 5
+        // fits (ALU at 0 and 2, MAC at 1 and 3).
+        let g = four_twos();
+        let m = MachineModel::builtin("scalar").unwrap();
+        let s = exact_schedule(&g, &m);
+        assert_eq!(s.ii, 5);
+        let rung = &s.rejected[3];
+        assert_eq!(rung.ii, 4);
+        assert!(
+            matches!(rung.witness, Infeasible::Packing { branches } if branches > 0),
+            "{}",
+            rung.witness
+        );
+        for r in &s.rejected {
+            crate::check::check_witness(&g, &m, r).unwrap();
+        }
+        crate::check::check_schedule(&g, &m, &s).unwrap();
+    }
+
     #[test]
     fn period_cycle_witnessed_without_search() {
         // Self-loop with time 4, one delay: II 1..3 reject via the window
@@ -889,6 +1195,28 @@ mod tests {
         crate::check::check_schedule(&g, &m, &s).unwrap();
         // The seeded search places each node on its first trial.
         assert_eq!(s.branches, 2);
+    }
+
+    #[test]
+    fn packing_screen_splits_classes_the_issue_width_cannot_couple() {
+        // A 14-node random graph on vliw4: its ALU ops (four of time 3,
+        // three of time 4) must tile both ALU units for all 12 cycles. Two
+        // units per class never fill the 4-wide issue, so each class packs
+        // on its own; packing both classes in one search tried every MAC
+        // placement before each ALU dead end, 183,921 trials in all.
+        let cfg = cred_dfg::gen::RandomDfgConfig {
+            nodes: 14,
+            forward_edge_prob: 0.3,
+            back_edges: 3,
+            max_delay: 3,
+            max_time: 4,
+        };
+        let g = cred_dfg::gen::random_dfg(&mut rand::rngs::StdRng::seed_from_u64(234), &cfg);
+        let m = MachineModel::builtin("vliw4").unwrap();
+        let s = exact_schedule(&g, &m);
+        assert_eq!(s.ii, 12);
+        assert!(s.branches <= 1_000, "{} trials", s.branches);
+        crate::check::check_schedule(&g, &m, &s).unwrap();
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub fn mode_code(mode: DecMode) -> u8 {
 /// assert!(!resp.frontier.is_empty());
 /// assert!(resp.report.is_clean());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ExploreRequest {
     graph: Arc<Dfg>,
     /// `graph`'s [`Dfg::fingerprint`], hashed once here instead of once
@@ -132,8 +132,9 @@ impl ExploreRequest {
     /// A request over `graph` with default [`ExploreOptions`] and no
     /// resource limits. `graph` is anything that converts into an
     /// `Arc<Dfg>`: a [`Dfg`] moves in, and a shared `Arc<Dfg>` is taken
-    /// without copying the graph, so a caller keeping a table of kernels
-    /// builds each request for the cost of a reference count.
+    /// without copying the graph. This hashes the whole graph, so a caller
+    /// keeping a table of kernels keeps one request per kernel and clones
+    /// it, for the cost of a reference count.
     pub fn new(graph: impl Into<Arc<Dfg>>) -> Self {
         let graph = graph.into();
         ExploreRequest {

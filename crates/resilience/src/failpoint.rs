@@ -106,6 +106,14 @@ pub mod sites {
     /// [`ALL`]): the exact scheduler's one-unit waste bound is a cycle
     /// too strict.
     pub const MUTANT_WASTE_TIGHTENING: &str = "exact.mutant.waste_tightening";
+    /// Test-only mutant (read with [`armed`](super::armed), not in
+    /// [`ALL`]): the exact scheduler's slot-refined walk bound is one
+    /// stage too strict.
+    pub const MUTANT_WALK_TIGHTENING: &str = "exact.mutant.walk_tightening";
+    /// Test-only mutant (read with [`armed`](super::armed), not in
+    /// [`ALL`]): the exact scheduler's packing screen sees a window one
+    /// cycle short, so it rejects packings that need the last cycle.
+    pub const MUTANT_PACKING_WINDOW: &str = "exact.mutant.packing_window";
 
     /// Every fault site above, for plan sampling and documentation.
     pub const ALL: &[&str] = &[

@@ -308,13 +308,20 @@ impl<'a> Parser<'a> {
                 }
                 0x00..=0x1f => return Err("raw control byte in string".to_string()),
                 _ => {
-                    // Consume one UTF-8 scalar. The input came from &str,
-                    // so boundaries are guaranteed valid.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run of plain bytes up to the next quote,
+                    // backslash or control byte in one go, so a string
+                    // costs time linear in its length. Those three are
+                    // ASCII and the input came from &str, so the run is
+                    // whole UTF-8 scalars.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -448,6 +455,25 @@ mod tests {
     fn duplicate_keys_last_wins() {
         let v = parse(r#"{"a":1,"a":2}"#).unwrap();
         assert_eq!(v.get("a"), Some(&Json::Int(2)));
+    }
+
+    #[test]
+    fn max_size_string_line_parses_in_linear_time() {
+        // A request line as long as the server accepts (1 MiB), nearly
+        // all of it one string with multi-byte scalars in it: a parser
+        // that re-reads the rest of the input per character takes seconds
+        // on it, and the event loop parses every line itself.
+        let pad = "ab\u{e9}\u{1f600}".repeat((1 << 20) / 8 - 4);
+        let line = format!(r#"{{"type":"ping","pad":"{pad}"}}"#);
+        assert!(line.len() <= 1 << 20);
+        let start = std::time::Instant::now();
+        let v = parse(&line).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.get("pad").and_then(Json::as_str), Some(pad.as_str()));
+        assert!(
+            took < std::time::Duration::from_millis(250),
+            "parsing a 1 MiB line took {took:?}"
+        );
     }
 
     #[test]

@@ -116,7 +116,6 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cred_codegen::DecMode;
-use cred_dfg::Dfg;
 use cred_exact::MachineModel;
 use cred_explore::cache::SweepCache;
 use cred_explore::suite::{load_kernels, SCHEMA_VERSION};
@@ -241,7 +240,9 @@ type SharedOutcome = Arc<Outcome>;
 /// Everything the workers and the event loop share.
 struct Shared {
     cache: SweepCache,
-    kernels: HashMap<String, Arc<Dfg>>,
+    /// One request per named kernel, its graph fingerprinted once at
+    /// start-up: decoding a named explore clones it.
+    kernels: HashMap<String, ExploreRequest>,
     metrics: Metrics,
     coalescer: Coalescer<ExploreKey, SharedOutcome>,
     /// Cancelled on shutdown so in-flight solves stop cooperatively.
@@ -311,7 +312,7 @@ impl Server {
             Some(dir) => load_kernels(dir)
                 .map_err(|e| CredError::Io(format!("loading kernels: {e}")))?
                 .into_iter()
-                .map(|(name, g)| (name, Arc::new(g)))
+                .map(|(name, g)| (name, ExploreRequest::new(g)))
                 .collect(),
             None => HashMap::new(),
         };
@@ -1282,7 +1283,7 @@ impl ExploreParams {
                 ))
             }
             (Some(name), None) => match shared.kernels.get(name) {
-                Some(g) => ExploreRequest::new(Arc::clone(g)),
+                Some(request) => request.clone(),
                 None => return Err(CredError::Protocol(format!("unknown kernel {name:?}"))),
             },
             (None, Some(src)) => ExploreRequest::from_source(src)?,

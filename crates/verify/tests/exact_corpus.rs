@@ -8,7 +8,10 @@
 //! Four entries are the default fuzz cases that once took the search 9 to
 //! 100 seconds (`seed<S>-case<I>`, named after their `credc verify`
 //! stream). They pin the period-cycle certificates below the retiming
-//! bound and the seeded, forward-checked search at and above it.
+//! bound and the seeded, forward-checked search at and above it. Three
+//! more led the search's tail in the oracle_fuzz pool until the walk
+//! bounds and the packing screen: they pin those cuts' witnesses and
+//! trial counts.
 
 use cred_exact::{check, exact_schedule, retiming_bound, Infeasible, MachineModel};
 use cred_retime::min_period_retiming;
@@ -27,6 +30,7 @@ fn witness_tag(w: &Infeasible) -> &'static str {
         Infeasible::ResourceCap { .. } => "resource-cap",
         Infeasible::IssueWidth { .. } => "issue-width",
         Infeasible::PeriodCycle { .. } => "period-cycle",
+        Infeasible::Packing { .. } => "packing",
         Infeasible::Exhausted { .. } => "exhausted",
     }
 }
@@ -64,6 +68,14 @@ fn machine_corpus_replays_with_recorded_ii_and_witness() {
         // the II, so its unit must be busy every cycle, which the
         // one-unit waste check enforces during the search.
         ("seed0-case3132", 13, "resource-cap"),
+        // Former tail searches. At II 10 and 9 the ops pack, and only the
+        // dependences rule every packing out, so those rungs stay
+        // certificates by search, cut short by the walk bounds.
+        ("seed0-case3405", 11, "exhausted"),
+        ("seed0-case4728", 10, "exhausted"),
+        // Here the ops do not pack into 11 slots at all, which the
+        // packing screen certifies before any slot search.
+        ("seed0-case3640", 12, "packing"),
     ];
     for &(stem, want_ii, want_tag) in expected {
         let path = corpus_dir().join(format!("{stem}.case"));
@@ -97,6 +109,26 @@ fn machine_corpus_replays_with_recorded_ii_and_witness() {
             "{stem}: witness at II {} is {:?}",
             last.ii,
             last.witness
+        );
+    }
+}
+
+/// The former tail searches stay cheap: each ceiling has headroom over
+/// today's trial count and sits far below the count before the walk bounds
+/// and the packing screen (138,829, 53,399 and 22,421 trials).
+#[test]
+fn tail_searches_stay_under_their_trial_ceilings() {
+    for (stem, ceiling) in [
+        ("seed0-case3405", 5_000),
+        ("seed0-case4728", 10_000),
+        ("seed0-case3640", 1_000),
+    ] {
+        let case = corpus::load_case(&corpus_dir().join(format!("{stem}.case"))).unwrap();
+        let sched = exact_schedule(&case.graph, &case.machine);
+        assert!(
+            sched.branches <= ceiling,
+            "{stem}: {} trials, ceiling {ceiling}",
+            sched.branches
         );
     }
 }
