@@ -728,7 +728,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         max_in_flight,
         idle_timeout,
         progress_timeout,
-        ..defaults
     })
     .map_err(|e| e.to_string())?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;

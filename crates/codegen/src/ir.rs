@@ -55,11 +55,6 @@ impl Index {
             Index::Loop { scale, offset } => scale * i + offset,
         }
     }
-
-    /// True if this index depends on the loop variable.
-    pub fn is_loop_relative(self) -> bool {
-        matches!(self, Index::Loop { .. })
-    }
 }
 
 /// An array element reference `array[index]`. Array ids coincide with the

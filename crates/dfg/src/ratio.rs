@@ -59,11 +59,6 @@ impl Ratio {
         self.den
     }
 
-    /// True if the ratio is an integer.
-    pub fn is_integer(self) -> bool {
-        self.den == 1
-    }
-
     /// Closest `f64` (for display and approximate comparisons only).
     pub fn to_f64(self) -> f64 {
         self.num as f64 / self.den as f64

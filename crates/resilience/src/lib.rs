@@ -42,8 +42,6 @@ pub enum DegradeCause {
     Exhausted(Exhausted),
     /// The fast path panicked (payload rendered when it was a string).
     Panicked(String),
-    /// A cached artifact failed its integrity check and was evicted.
-    Corrupted(String),
 }
 
 impl fmt::Display for DegradeCause {
@@ -51,7 +49,6 @@ impl fmt::Display for DegradeCause {
         match self {
             DegradeCause::Exhausted(e) => write!(f, "budget exhausted: {e}"),
             DegradeCause::Panicked(p) => write!(f, "panicked: {p}"),
-            DegradeCause::Corrupted(what) => write!(f, "integrity check failed: {what}"),
         }
     }
 }

@@ -8,15 +8,18 @@
 //! It extends PR 4's fail-point discipline (`cred-resilience`) to the
 //! network boundary: every connection gets a [`NetChaosPlan`] sampled
 //! from a seed with the same dependency-free splitmix64 idiom as
-//! `ChaosPlan::sample`, so a failing run names a seed and a connection
-//! index that reproduce it exactly.
+//! `ChaosPlan::sample`, so a connection's plan replays from the seed and
+//! the connection's accept index.
 //!
-//! The proxy reuses the service's own [`Poller`] on a dedicated thread:
-//! one nonblocking event loop, every proxied connection a pair of
-//! sockets with a per-direction byte pipe and fault state. Fault timers
-//! (write holds, read stalls) bound the poller wait the same way the
-//! server's connection deadlines do: each turn waits until the earliest
-//! one and then scans the pairs for those that have passed.
+//! # Threads, and why the proxy cannot spin
+//!
+//! The proxy carries test traffic only, so it uses threads where the
+//! server runs an event loop: one accept thread, and two pump threads per
+//! proxied connection, one per direction, each on a small fixed stack. A
+//! pump blocks in `read` on its source and in `write` on its sink, and
+//! sleeps where a fault says to wait. No proxy thread polls, so none can
+//! spin. With `c` connections open the proxy runs `1 + 2c` threads; under
+//! closed-loop `loadgen --chaos` that is about `2 × --clients + 1`.
 //!
 //! # Why garbage bytes come from the control range
 //!
@@ -30,27 +33,19 @@
 //! response without an end-to-end checksum, which the NDJSON protocol
 //! does not carry — noted as future work in DESIGN.md.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
-use crate::poller::{Event, Interest, Poller};
+/// Bytes a pump reads from its source at once.
+const READ_CHUNK: usize = 16 << 10;
 
-/// Registration token of the proxy's listen socket (`u64::MAX` is the
-/// poller's wake token). Connection pair `k` uses tokens `2k` (client
-/// side) and `2k + 1` (upstream side).
-const LISTENER_TOKEN: u64 = u64::MAX - 1;
-
-/// Per-direction buffered-byte cap; beyond it the source side stops
-/// being read until the sink drains (the proxy's own backpressure).
-const PIPE_CAP: usize = 1 << 20;
-
-/// Bytes read from one socket per readiness pass.
-const READ_CHUNK: usize = 64 << 10;
+/// Stack of every proxy thread: a pump keeps its read buffer on the heap
+/// and calls nothing deeper than `read`, `write` and `sleep`.
+const THREAD_STACK: usize = 64 << 10;
 
 /// The injected garbage alphabet: raw control bytes a strict JSON
 /// parser must reject wherever they land (see the module docs).
@@ -66,8 +61,9 @@ pub enum NetFault {
     /// `delay_ms`. Bytes accumulate during the hold, so this also
     /// *coalesces* frames that were written separately.
     DelayWrites { every_bytes: u64, delay_ms: u64 },
-    /// Hard-close both sockets once `bytes` have been forwarded in this
-    /// direction — a mid-frame (often mid-response) connection reset.
+    /// Shut down both sockets once `bytes` have been forwarded in this
+    /// direction and more wait — a mid-frame (often mid-response)
+    /// connection reset.
     ResetAfter { bytes: u64 },
     /// Once `bytes` have been *received* from the source, stop reading
     /// it for `stall_ms` (one-shot).
@@ -183,21 +179,8 @@ impl Default for ChaosProxyConfig {
     }
 }
 
-/// Injection counters, all relaxed (read after the run).
-#[derive(Debug, Default)]
-struct ProxyStats {
-    connections: AtomicU64,
-    faulted_connections: AtomicU64,
-    resets_injected: AtomicU64,
-    garbage_injected: AtomicU64,
-    stalls_injected: AtomicU64,
-    delays_injected: AtomicU64,
-    bytes_client_to_server: AtomicU64,
-    bytes_server_to_client: AtomicU64,
-}
-
-/// A frozen copy of the proxy's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A copy of the proxy's injection counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProxyStatsSnapshot {
     /// Connections accepted = fault plans sampled.
     pub connections: u64,
@@ -211,33 +194,46 @@ pub struct ProxyStatsSnapshot {
     pub bytes_server_to_client: u64,
 }
 
-impl ProxyStats {
-    fn snapshot(&self) -> ProxyStatsSnapshot {
-        ProxyStatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            faulted_connections: self.faulted_connections.load(Ordering::Relaxed),
-            resets_injected: self.resets_injected.load(Ordering::Relaxed),
-            garbage_injected: self.garbage_injected.load(Ordering::Relaxed),
-            stalls_injected: self.stalls_injected.load(Ordering::Relaxed),
-            delays_injected: self.delays_injected.load(Ordering::Relaxed),
-            bytes_client_to_server: self.bytes_client_to_server.load(Ordering::Relaxed),
-            bytes_server_to_client: self.bytes_server_to_client.load(Ordering::Relaxed),
-        }
-    }
+/// The fault-injection proxy. [`spawn`](ChaosProxy::spawn) binds a
+/// local port, starts the accept thread, and returns a [`ProxyHandle`].
+pub struct ChaosProxy;
+
+/// What the accept thread, the pumps and the handle share.
+#[derive(Default)]
+struct Shared {
+    stats: Mutex<ProxyStatsSnapshot>,
+    stop: AtomicBool,
+    /// The proxied connections the handle may still have to close.
+    open: Mutex<Vec<Open>>,
 }
 
-/// The fault-injection proxy. [`spawn`](ChaosProxy::spawn) binds a
-/// local port, starts the event-loop thread, and returns a
-/// [`ProxyHandle`].
-pub struct ChaosProxy;
+/// A proxied connection as the handle sees it: its sockets, alive while
+/// a pump holds them, and its two pumps.
+struct Open {
+    sockets: Weak<Sockets>,
+    pumps: [JoinHandle<()>; 2],
+}
+
+/// The client-facing and upstream sockets of one proxied connection.
+struct Sockets {
+    client: TcpStream,
+    upstream: TcpStream,
+}
+
+impl Sockets {
+    /// End the connection: blocked reads on either socket return EOF and
+    /// blocked writes fail, so both pumps exit.
+    fn shut_down(&self) {
+        let _ = self.client.shutdown(Shutdown::Both);
+        let _ = self.upstream.shutdown(Shutdown::Both);
+    }
+}
 
 /// A running proxy: its address, counters, and shutdown control.
 pub struct ProxyHandle {
     addr: SocketAddr,
-    stats: Arc<ProxyStats>,
-    stop: Arc<AtomicBool>,
-    waker: crate::poller::Waker,
-    join: Option<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+    accept: Option<JoinHandle<()>>,
 }
 
 impl ProxyHandle {
@@ -248,525 +244,263 @@ impl ProxyHandle {
 
     /// Current injection counters.
     pub fn stats(&self) -> ProxyStatsSnapshot {
-        self.stats.snapshot()
+        *lock(&self.shared.stats)
     }
 
-    /// Stop the proxy thread, closing every proxied connection.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+    /// Stop the proxy, closing every proxied connection. Dropping the
+    /// handle does the same.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for ProxyHandle {
+    /// Wake the accept thread with a connection of our own, then shut
+    /// down the sockets of every open connection and join its pumps. A
+    /// pump asleep in a fault finishes its sleep first.
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
+        self.shared.stop.store(true, Ordering::SeqCst);
+        let woken = TcpStream::connect(self.addr).is_ok();
+        if let Some(accept) = self.accept.take().filter(|_| woken) {
+            let _ = accept.join();
+        }
+        let open = std::mem::take(&mut *lock(&self.shared.open));
+        for sockets in open.iter().filter_map(|conn| conn.sockets.upgrade()) {
+            sockets.shut_down();
+        }
+        for pump in open.into_iter().flat_map(|conn| conn.pumps) {
+            let _ = pump.join();
         }
     }
+}
+
+/// Every update under the proxy's locks is one step, so a lock that a
+/// panicking thread poisoned still guards valid data.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn spawn_thread(name: &str, body: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
+    let builder = std::thread::Builder::new().name(name.into());
+    builder.stack_size(THREAD_STACK).spawn(body)
 }
 
 impl ChaosProxy {
     /// Bind `127.0.0.1:0` and start proxying to `upstream` under
     /// `config`'s fault regime.
-    pub fn spawn(upstream: SocketAddr, config: ChaosProxyConfig) -> std::io::Result<ProxyHandle> {
+    pub fn spawn(upstream: SocketAddr, config: ChaosProxyConfig) -> io::Result<ProxyHandle> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
-        let waker = poller.waker();
-        let stats = Arc::new(ProxyStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut looper = ProxyLoop {
-            poller,
-            listener,
-            upstream,
-            config,
-            pairs: HashMap::new(),
-            next_pair: 0,
-            stats: Arc::clone(&stats),
-            stop: Arc::clone(&stop),
-        };
-        let join = std::thread::Builder::new()
-            .name("cred-chaosnet".into())
-            .spawn(move || looper.run())?;
+        let shared = Arc::new(Shared::default());
+        let accepting = Arc::clone(&shared);
+        let accept = Some(spawn_thread("cred-chaosnet", move || {
+            serve(listener, upstream, config, accepting)
+        })?);
         Ok(ProxyHandle {
             addr,
-            stats,
-            stop,
-            waker,
-            join: Some(join),
+            shared,
+            accept,
         })
     }
 }
 
-/// Compiled per-direction fault state.
-#[derive(Debug, Default)]
-struct DirFaults {
-    split: Option<usize>,
-    delay: Option<(u64, Duration)>,
-    reset_after: Option<u64>,
-    stall_read: Option<(u64, Duration)>,
-    garbage: Option<(u64, usize)>,
-}
-
-impl DirFaults {
-    fn compile(faults: &[NetFault]) -> DirFaults {
-        let mut d = DirFaults::default();
-        for f in faults {
-            match *f {
-                NetFault::SplitWrites { max_chunk } => d.split = Some(max_chunk.max(1)),
-                NetFault::DelayWrites {
-                    every_bytes,
-                    delay_ms,
-                } => {
-                    d.delay = Some((every_bytes.max(1), Duration::from_millis(delay_ms)));
-                }
-                NetFault::ResetAfter { bytes } => d.reset_after = Some(bytes),
-                NetFault::StallReads {
-                    after_bytes,
-                    stall_ms,
-                } => d.stall_read = Some((after_bytes, Duration::from_millis(stall_ms))),
-                NetFault::Garbage { after_bytes, len } => d.garbage = Some((after_bytes, len)),
-            }
-        }
-        d
-    }
-}
-
-/// One direction of a proxied connection: a byte pipe plus fault state.
-struct Pipe {
-    buf: Vec<u8>,
-    pos: usize,
-    /// Bytes read from the source socket.
-    received: u64,
-    /// Bytes written to the sink socket.
-    forwarded: u64,
-    src_eof: bool,
-    /// Half-close propagated to the sink after EOF + full flush.
-    sink_shut: bool,
-    faults: DirFaults,
-    /// Write hold in effect (delay fault).
-    hold_until: Option<Instant>,
-    /// Next forwarded-byte mark that triggers a delay hold.
-    next_delay_mark: u64,
-    /// Read stall in effect.
-    read_hold_until: Option<Instant>,
-    stall_done: bool,
-    garbage_done: bool,
-}
-
-impl Pipe {
-    fn new(faults: DirFaults) -> Pipe {
-        let next_delay_mark = faults.delay.map_or(u64::MAX, |(every, _)| every);
-        Pipe {
-            buf: Vec::new(),
-            pos: 0,
-            received: 0,
-            forwarded: 0,
-            src_eof: false,
-            sink_shut: false,
-            faults,
-            hold_until: None,
-            next_delay_mark,
-            read_hold_until: None,
-            stall_done: false,
-            garbage_done: false,
-        }
-    }
-
-    fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn read_stalled(&self, now: Instant) -> bool {
-        self.read_hold_until.is_some_and(|t| now < t)
-    }
-
-    fn holding(&self, now: Instant) -> bool {
-        self.hold_until.is_some_and(|t| now < t)
-    }
-
-    /// This direction is finished: source EOF seen and everything
-    /// forwarded.
-    fn finished(&self) -> bool {
-        self.src_eof && self.pending() == 0
-    }
-
-    /// Earliest fault timer pending on this pipe.
-    fn next_deadline(&self) -> Option<Instant> {
-        match (self.hold_until, self.read_hold_until) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        }
-    }
-}
-
-/// A proxied connection: the client-facing socket, the upstream socket,
-/// and one pipe per direction.
-struct Pair {
-    client: TcpStream,
-    upstream: TcpStream,
-    c2s: Pipe,
-    s2c: Pipe,
-}
-
-struct ProxyLoop {
-    poller: Poller,
-    listener: TcpListener,
-    upstream: SocketAddr,
-    config: ChaosProxyConfig,
-    pairs: HashMap<u64, Pair>,
-    next_pair: u64,
-    stats: Arc<ProxyStats>,
-    stop: Arc<AtomicBool>,
-}
-
-/// What a pump pass decided about the connection.
-enum PumpOutcome {
-    Keep,
-    /// Injected reset or transport error: drop both sockets now.
-    Kill,
-}
-
-impl ProxyLoop {
-    fn run(&mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        while !self.stop.load(Ordering::SeqCst) {
-            let now = Instant::now();
-            let timeout = self
-                .pairs
-                .values()
-                .filter_map(|p| match (p.c2s.next_deadline(), p.s2c.next_deadline()) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, None) => a,
-                    (None, b) => b,
-                })
-                .min()
-                .map(|t| t.saturating_duration_since(now));
-            if self.poller.wait(&mut events, timeout).is_err() {
+/// Accept clients until the handle stops the proxy. Each client is
+/// paired with a fresh upstream connection, gets the plan of its accept
+/// index, and is served by two pumps.
+fn serve(listener: TcpListener, upstream: SocketAddr, cfg: ChaosProxyConfig, shared: Arc<Shared>) {
+    for index in 0u64.. {
+        let (client, upstream) = loop {
+            let accepted = listener.accept();
+            if shared.stop.load(Ordering::SeqCst) {
                 return;
             }
-            if self.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let batch = std::mem::take(&mut events);
-            for ev in &batch {
-                if ev.token == LISTENER_TOKEN {
-                    self.accept_all();
-                } else {
-                    let pair_id = ev.token / 2;
-                    let client_side = ev.token % 2 == 0;
-                    if ev.readable || ev.hangup {
-                        self.read_side(pair_id, client_side);
-                    }
-                    self.service_pair(pair_id);
-                }
-            }
-            events = batch;
-            // Expired fault timers: clear holds and resume the affected
-            // pairs (cheap scan — the proxy hosts test traffic).
-            let now = Instant::now();
-            let expired: Vec<u64> = self
-                .pairs
-                .iter_mut()
-                .filter_map(|(&id, p)| {
-                    let mut hit = false;
-                    for pipe in [&mut p.c2s, &mut p.s2c] {
-                        if pipe.hold_until.is_some_and(|t| t <= now) {
-                            pipe.hold_until = None;
-                            hit = true;
-                        }
-                        if pipe.read_hold_until.is_some_and(|t| t <= now) {
-                            pipe.read_hold_until = None;
-                            hit = true;
-                        }
-                    }
-                    hit.then_some(id)
-                })
-                .collect();
-            for id in expired {
-                self.service_pair(id);
-            }
-        }
-    }
-
-    fn accept_all(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((client, _)) => {
-                    let Ok(upstream) = TcpStream::connect(self.upstream) else {
-                        continue;
-                    };
-                    if client.set_nonblocking(true).is_err()
-                        || upstream.set_nonblocking(true).is_err()
-                    {
-                        continue;
-                    }
-                    let _ = client.set_nodelay(true);
-                    let _ = upstream.set_nodelay(true);
-                    let index = self.next_pair;
-                    self.next_pair += 1;
-                    let plan = match &self.config.fixed_plan {
-                        Some(p) => p.clone(),
-                        None => NetChaosPlan::for_connection(
-                            self.config.seed,
-                            index,
-                            self.config.trip_percent,
-                        ),
-                    };
-                    self.stats.connections.fetch_add(1, Ordering::Relaxed);
-                    if !plan.is_passthrough() {
-                        self.stats
-                            .faulted_connections
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.poller
-                        .register(client.as_raw_fd(), index * 2, Interest::READ);
-                    self.poller
-                        .register(upstream.as_raw_fd(), index * 2 + 1, Interest::READ);
-                    self.pairs.insert(
-                        index,
-                        Pair {
-                            client,
-                            upstream,
-                            c2s: Pipe::new(DirFaults::compile(&plan.client_to_server)),
-                            s2c: Pipe::new(DirFaults::compile(&plan.server_to_client)),
-                        },
-                    );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Read available bytes from one side into its pipe, applying the
-    /// stall and garbage faults.
-    fn read_side(&mut self, pair_id: u64, client_side: bool) {
-        let now = Instant::now();
-        let Some(pair) = self.pairs.get_mut(&pair_id) else {
-            return;
-        };
-        let (src, pipe) = if client_side {
-            (&mut pair.client, &mut pair.c2s)
-        } else {
-            (&mut pair.upstream, &mut pair.s2c)
-        };
-        if pipe.read_stalled(now) || pipe.src_eof || pipe.pending() >= PIPE_CAP {
-            return;
-        }
-        let mut chunk = [0u8; READ_CHUNK];
-        let mut taken = 0usize;
-        loop {
-            if taken >= READ_CHUNK || pipe.pending() >= PIPE_CAP {
-                break;
-            }
-            match src.read(&mut chunk[..]) {
-                Ok(0) => {
-                    pipe.src_eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    pipe.buf.extend_from_slice(&chunk[..n]);
-                    pipe.received += n as u64;
-                    taken += n;
-                    // One-shot garbage splice at the exact stream offset
-                    // `after` — mid-frame whenever the offset falls
-                    // inside one, which is what makes the fault bite.
-                    if let Some((after, len)) = pipe.faults.garbage {
-                        if !pipe.garbage_done && pipe.received >= after {
-                            pipe.garbage_done = true;
-                            let overshoot = (pipe.received - after) as usize;
-                            let at = pipe.buf.len().saturating_sub(overshoot).max(pipe.pos);
-                            pipe.buf.splice(
-                                at..at,
-                                (0..len).map(|i| GARBAGE_BYTES[i % GARBAGE_BYTES.len()]),
-                            );
-                            self.stats.garbage_injected.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    // One-shot read stall.
-                    if let Some((after, stall)) = pipe.faults.stall_read {
-                        if !pipe.stall_done && pipe.received >= after {
-                            pipe.stall_done = true;
-                            pipe.read_hold_until = Some(now + stall);
-                            self.stats.stalls_injected.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Treat a read error like an EOF with nothing more
-                    // coming; the pair dies once the other side drains.
-                    pipe.src_eof = true;
-                    pipe.buf.truncate(pipe.buf.len());
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Pump both directions, propagate half-closes, recompute interest,
-    /// and kill the pair on injected resets or transport errors.
-    fn service_pair(&mut self, pair_id: u64) {
-        let now = Instant::now();
-        let outcome = {
-            let Some(pair) = self.pairs.get_mut(&pair_id) else {
-                return;
-            };
-            let stats = &self.stats;
-            let a = pump(&mut pair.c2s, &mut pair.upstream, now, stats, true);
-            let b = pump(&mut pair.s2c, &mut pair.client, now, stats, false);
-            match (a, b) {
-                (PumpOutcome::Keep, PumpOutcome::Keep) => {
-                    // Propagate half-closes once a direction finishes.
-                    if pair.c2s.finished() && !pair.c2s.sink_shut {
-                        pair.c2s.sink_shut = true;
-                        let _ = pair.upstream.shutdown(Shutdown::Write);
-                    }
-                    if pair.s2c.finished() && !pair.s2c.sink_shut {
-                        pair.s2c.sink_shut = true;
-                        let _ = pair.client.shutdown(Shutdown::Write);
-                    }
-                    if pair.c2s.finished() && pair.s2c.finished() {
-                        PumpOutcome::Kill
-                    } else {
-                        PumpOutcome::Keep
-                    }
-                }
-                _ => PumpOutcome::Kill,
+            match accepted.map(|(client, _)| (client, TcpStream::connect(upstream))) {
+                Ok((client, Ok(upstream))) => break (client, upstream),
+                Ok(_) => {}
+                // Out of descriptors, say: back off instead of spinning.
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         };
-        match outcome {
-            PumpOutcome::Kill => self.kill_pair(pair_id),
-            PumpOutcome::Keep => self.refresh_interest(pair_id),
-        }
-    }
-
-    fn refresh_interest(&mut self, pair_id: u64) {
-        let now = Instant::now();
-        let Some(pair) = self.pairs.get_mut(&pair_id) else {
-            return;
+        let _ = client.set_nodelay(true);
+        let _ = upstream.set_nodelay(true);
+        let plan = match &cfg.fixed_plan {
+            Some(p) => p.clone(),
+            None => NetChaosPlan::for_connection(cfg.seed, index, cfg.trip_percent),
         };
-        let client_want = Interest {
-            readable: !pair.c2s.read_stalled(now)
-                && !pair.c2s.src_eof
-                && pair.c2s.pending() < PIPE_CAP,
-            writable: pair.s2c.pending() > 0 && !pair.s2c.holding(now),
+        let mut stats = lock(&shared.stats);
+        stats.connections += 1;
+        stats.faulted_connections += u64::from(!plan.is_passthrough());
+        drop(stats);
+        let sockets = Arc::new(Sockets { client, upstream });
+        let start = |to_server, faults: Vec<NetFault>| {
+            let (sockets, shared) = (Arc::clone(&sockets), Arc::clone(&shared));
+            spawn_thread("cred-chaosnet-pump", move || {
+                pump(&sockets, to_server, &faults, &shared)
+            })
         };
-        let upstream_want = Interest {
-            readable: !pair.s2c.read_stalled(now)
-                && !pair.s2c.src_eof
-                && pair.s2c.pending() < PIPE_CAP,
-            writable: pair.c2s.pending() > 0 && !pair.c2s.holding(now),
-        };
-        for (fd, token, want) in [
-            (pair.client.as_raw_fd(), pair_id * 2, client_want),
-            (pair.upstream.as_raw_fd(), pair_id * 2 + 1, upstream_want),
-        ] {
-            // A socket with nothing to read or write leaves the table:
-            // poll(2) reports an error or hangup whatever the interest,
-            // so a client that half-closed and then reset while its reply
-            // is pending would wake the loop on every turn. Nothing is
-            // lost: an upstream that hung up after its reply leaves the
-            // bytes buffered for the client draining, and a socket that
-            // gets bytes to write is watched again, where a failed write
-            // ends the pair.
-            if want.readable || want.writable {
-                self.poller.register(fd, token, want);
-            } else {
-                self.poller.deregister(fd);
-            }
-        }
-    }
-
-    fn kill_pair(&mut self, pair_id: u64) {
-        if let Some(pair) = self.pairs.remove(&pair_id) {
-            self.poller.deregister(pair.client.as_raw_fd());
-            self.poller.deregister(pair.upstream.as_raw_fd());
+        let to_server = start(true, plan.client_to_server);
+        let to_client = start(false, plan.server_to_client);
+        let mut open = lock(&shared.open);
+        // Forget the connections whose pumps have both exited.
+        open.retain(|conn| !conn.pumps.iter().all(JoinHandle::is_finished));
+        match (to_server, to_client) {
+            (Ok(to_server), Ok(to_client)) => open.push(Open {
+                sockets: Arc::downgrade(&sockets),
+                pumps: [to_server, to_client],
+            }),
+            // A pump that did start exits once the sockets are shut.
+            _ => sockets.shut_down(),
         }
     }
 }
 
-/// Write as much of the pipe as its faults allow into `sink`.
-fn pump(
-    pipe: &mut Pipe,
-    sink: &mut TcpStream,
-    now: Instant,
-    stats: &ProxyStats,
+/// Forward one direction of a proxied connection: client to server when
+/// `to_server`, else back. At the source's EOF, or a read error, the
+/// pump half-closes its sink; an injected reset or a failed write shuts
+/// down both sockets.
+fn pump(sockets: &Sockets, to_server: bool, faults: &[NetFault], shared: &Shared) {
+    let (source, sink) = match to_server {
+        true => (&sockets.client, &sockets.upstream),
+        false => (&sockets.upstream, &sockets.client),
+    };
+    let mut pump = Pump {
+        sink,
+        stats: &shared.stats,
+        to_server,
+        split: usize::MAX,
+        delay: (u64::MAX, Duration::ZERO),
+        reset_after: u64::MAX,
+        stall: None,
+        garbage: None,
+        forwarded: 0,
+        next_delay: 0,
+    };
+    for fault in faults {
+        match *fault {
+            NetFault::SplitWrites { max_chunk } => pump.split = max_chunk.max(1),
+            NetFault::DelayWrites {
+                every_bytes,
+                delay_ms,
+            } => pump.delay = (every_bytes.max(1), Duration::from_millis(delay_ms)),
+            NetFault::ResetAfter { bytes } => pump.reset_after = bytes,
+            NetFault::StallReads {
+                after_bytes,
+                stall_ms,
+            } => pump.stall = Some((after_bytes, stall_ms)),
+            NetFault::Garbage { after_bytes, len } => pump.garbage = Some((after_bytes, len)),
+        }
+    }
+    pump.next_delay = pump.delay.0;
+    match pump.forward_from(source) {
+        Ok(()) => {
+            let _ = sink.shutdown(Shutdown::Write);
+        }
+        Err(Cut) => sockets.shut_down(),
+    }
+}
+
+/// The connection must end: a write failed, or a reset was injected.
+struct Cut;
+
+/// One direction's sink, its faults, and how far its stream has got.
+/// The fault fields hold their [`NetFault`]'s parameters. A write-side
+/// fault that is not armed keeps its mark at the maximum, where it never
+/// fires; the one-shot faults are taken when they fire.
+struct Pump<'a> {
+    sink: &'a TcpStream,
+    stats: &'a Mutex<ProxyStatsSnapshot>,
     to_server: bool,
-) -> PumpOutcome {
-    loop {
-        if pipe.pending() == 0 {
-            break;
-        }
-        if pipe.holding(now) {
-            break;
-        }
-        let mut chunk = pipe.pending();
-        if let Some(max) = pipe.faults.split {
-            chunk = chunk.min(max);
-        }
-        if let Some((_, delay)) = pipe.faults.delay {
-            if pipe.forwarded >= pipe.next_delay_mark {
-                pipe.hold_until = Some(now + delay);
-                pipe.next_delay_mark = pipe.forwarded + pipe.faults.delay.unwrap().0;
-                stats.delays_injected.fetch_add(1, Ordering::Relaxed);
-                let _ = delay;
-                continue;
+    split: usize,
+    delay: (u64, Duration),
+    reset_after: u64,
+    stall: Option<(u64, u64)>,
+    garbage: Option<(u64, usize)>,
+    /// Bytes written to the sink, garbage included.
+    forwarded: u64,
+    /// The forwarded-byte mark of the next delay.
+    next_delay: u64,
+}
+
+impl Pump<'_> {
+    /// Read `source` to its end, apply the read-side faults, and forward
+    /// what it sends.
+    fn forward_from(&mut self, mut source: &TcpStream) -> Result<(), Cut> {
+        let mut buf = vec![0u8; READ_CHUNK];
+        let mut received = 0u64;
+        loop {
+            let n = match source.read(&mut buf) {
+                Ok(0) => return Ok(()),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return Ok(()),
+            };
+            let start = received;
+            received += n as u64;
+            let mut chunk = &buf[..n];
+            // A stall counts as its offset is crossed; it sleeps once the
+            // chunk is forwarded.
+            let stall = self.stall.take_if(|s| received >= s.0);
+            if stall.is_some() {
+                lock(self.stats).stalls_injected += 1;
             }
-            chunk = chunk.min((pipe.next_delay_mark - pipe.forwarded) as usize);
-        }
-        if let Some(reset_at) = pipe.faults.reset_after {
-            let left = reset_at.saturating_sub(pipe.forwarded);
-            if left == 0 {
-                stats.resets_injected.fetch_add(1, Ordering::Relaxed);
-                return PumpOutcome::Kill;
+            // Garbage goes in at the exact stream offset `after`: mid-frame
+            // whenever the offset falls inside one, which is what makes
+            // the fault bite.
+            if let Some((after, len)) = self.garbage.take_if(|g| received >= g.0) {
+                lock(self.stats).garbage_injected += 1;
+                let (head, tail) = chunk.split_at((after - start) as usize);
+                let junk = GARBAGE_BYTES.iter().cycle().take(len).copied();
+                self.write(head)?;
+                self.write(&junk.collect::<Vec<u8>>())?;
+                chunk = tail;
             }
-            chunk = chunk.min(left as usize);
-        }
-        match sink.write(&pipe.buf[pipe.pos..pipe.pos + chunk]) {
-            Ok(0) => return PumpOutcome::Kill,
-            Ok(n) => {
-                pipe.pos += n;
-                pipe.forwarded += n as u64;
-                let counter = if to_server {
-                    &stats.bytes_client_to_server
-                } else {
-                    &stats.bytes_server_to_client
-                };
-                counter.fetch_add(n as u64, Ordering::Relaxed);
+            self.write(chunk)?;
+            if let Some((_, stall_ms)) = stall {
+                std::thread::sleep(Duration::from_millis(stall_ms));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return PumpOutcome::Kill,
         }
     }
-    if pipe.pos > 0 && pipe.pos == pipe.buf.len() {
-        pipe.buf.clear();
-        pipe.pos = 0;
-    } else if pipe.pos > (64 << 10) {
-        pipe.buf.drain(..pipe.pos);
-        pipe.pos = 0;
+
+    /// Write all of `bytes` under the write-side faults: at most a split
+    /// chunk per write, a sleep at each delay mark, and a cut at the
+    /// reset mark. A mark fires only when bytes remain to write past it.
+    fn write(&mut self, mut bytes: &[u8]) -> Result<(), Cut> {
+        while !bytes.is_empty() {
+            if self.forwarded >= self.next_delay {
+                lock(self.stats).delays_injected += 1;
+                std::thread::sleep(self.delay.1);
+                self.next_delay = self.forwarded.saturating_add(self.delay.0);
+            }
+            if self.forwarded == self.reset_after {
+                lock(self.stats).resets_injected += 1;
+                return Err(Cut);
+            }
+            let to_mark = self.next_delay.min(self.reset_after) - self.forwarded;
+            let to_mark = usize::try_from(to_mark).unwrap_or(usize::MAX);
+            let len = bytes.len().min(self.split).min(to_mark);
+            let n = match self.sink.write(&bytes[..len]) {
+                Ok(0) => return Err(Cut),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return Err(Cut),
+            };
+            bytes = &bytes[n..];
+            self.forwarded += n as u64;
+            let mut stats = lock(self.stats);
+            match self.to_server {
+                true => stats.bytes_client_to_server += n as u64,
+                false => stats.bytes_server_to_client += n as u64,
+            }
+        }
+        Ok(())
     }
-    PumpOutcome::Keep
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
+    use std::time::Instant;
 
     #[test]
     fn plans_are_deterministic_in_the_seed() {
@@ -938,5 +672,133 @@ mod tests {
         assert!(got.len() <= 10, "got {} bytes", got.len());
         assert_eq!(proxy.stats().resets_injected, 1);
         proxy.stop();
+    }
+
+    /// A proxy applying `client_to_server` faults in front of an upstream
+    /// that hands its accepted socket to `serve` on a thread of its own.
+    fn proxy_to<T: Send + 'static>(
+        client_to_server: Vec<NetFault>,
+        serve: impl FnOnce(TcpStream) -> T + Send + 'static,
+    ) -> (ProxyHandle, std::thread::JoinHandle<T>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || serve(listener.accept().unwrap().0));
+        let plan = NetChaosPlan {
+            client_to_server,
+            server_to_client: Vec::new(),
+        };
+        let config = ChaosProxyConfig {
+            fixed_plan: Some(plan),
+            ..ChaosProxyConfig::default()
+        };
+        (ChaosProxy::spawn(upstream, config).unwrap(), server)
+    }
+
+    /// Everything the upstream receives until the proxy half-closes it.
+    fn read_all(mut stream: TcpStream) -> Vec<u8> {
+        let mut got = Vec::new();
+        stream.read_to_end(&mut got).unwrap();
+        got
+    }
+
+    #[test]
+    fn garbage_is_spliced_in_at_its_exact_offset() {
+        let fault = NetFault::Garbage {
+            after_bytes: 10,
+            len: 3,
+        };
+        let (proxy, server) = proxy_to(vec![fault], read_all);
+        let msg = b"{\"k\":\"0123456789abcdef\"}\n";
+        let mut client = TcpStream::connect(proxy.addr()).unwrap();
+        client.write_all(msg).unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        let want = [&msg[..10], &[1, 2, 3], &msg[10..]].concat();
+        assert_eq!(server.join().unwrap(), want);
+        assert_eq!(proxy.stats().garbage_injected, 1);
+        proxy.stop();
+    }
+
+    #[test]
+    fn delayed_writes_hold_the_stream_at_every_mark() {
+        let fault = NetFault::DelayWrites {
+            every_bytes: 8,
+            delay_ms: 100,
+        };
+        let (proxy, server) = proxy_to(vec![fault], |mut stream| {
+            let mut got = [0u8; 20];
+            stream.read_exact(&mut got).unwrap();
+            (got, Instant::now())
+        });
+        let msg = b"0123456789abcdefghij";
+        let mut client = TcpStream::connect(proxy.addr()).unwrap();
+        let sent = Instant::now();
+        client.write_all(msg).unwrap();
+        let (got, arrived) = server.join().unwrap();
+        assert_eq!(&got, msg);
+        // Marks at 8 and 16 bytes, each with bytes still to forward.
+        let held = arrived - sent;
+        assert!(held >= Duration::from_millis(200), "held only {held:?}");
+        assert_eq!(proxy.stats().delays_injected, 2);
+        proxy.stop();
+    }
+
+    #[test]
+    fn stalled_reads_delay_the_next_read() {
+        let fault = NetFault::StallReads {
+            after_bytes: 4,
+            stall_ms: 200,
+        };
+        let (first_tx, first_rx) = std::sync::mpsc::channel();
+        let (proxy, server) = proxy_to(vec![fault], move |mut stream| {
+            let mut first = [0u8; 6];
+            stream.read_exact(&mut first).unwrap();
+            first_tx.send(first).unwrap();
+            let mut second = [0u8; 6];
+            stream.read_exact(&mut second).unwrap();
+            (second, Instant::now())
+        });
+        let mut client = TcpStream::connect(proxy.addr()).unwrap();
+        let sent = Instant::now();
+        client.write_all(b"hello\n").unwrap();
+        // The first read crossed the stall offset and was forwarded; the
+        // proxy reads nothing more until the stall is over.
+        assert_eq!(&first_rx.recv().unwrap(), b"hello\n");
+        client.write_all(b"world\n").unwrap();
+        let (second, arrived) = server.join().unwrap();
+        assert_eq!(&second, b"world\n");
+        let stalled = arrived - sent;
+        assert!(
+            stalled >= Duration::from_millis(200),
+            "stalled only {stalled:?}"
+        );
+        assert_eq!(proxy.stats().stalls_injected, 1);
+        proxy.stop();
+    }
+
+    #[test]
+    fn stop_closes_open_connections() {
+        // The upstream takes one byte, then holds its socket open until
+        // the test ends.
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (proxy, _server) = proxy_to(Vec::new(), move |mut stream| {
+            let mut byte = [0u8; 1];
+            stream.read_exact(&mut byte).unwrap();
+            held_tx.send(stream).unwrap();
+        });
+        let mut client = TcpStream::connect(proxy.addr()).unwrap();
+        client.write_all(b"x").unwrap();
+        let _upstream = held_rx.recv().unwrap();
+        let stopped = Instant::now();
+        proxy.stop();
+        client
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let mut buf = [0u8; 16];
+        assert_eq!(
+            client.read(&mut buf).unwrap(),
+            0,
+            "the client must read EOF"
+        );
+        assert!(stopped.elapsed() < Duration::from_secs(1));
     }
 }

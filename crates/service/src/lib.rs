@@ -13,12 +13,14 @@
 //! `--metrics-dump` file ([`metrics`]).
 //!
 //! The network boundary is hardened and testable: the event loop waits
-//! in one level-triggered `poll(2)` table ([`poller`]); connections carry
-//! idle/progress deadlines that the loop reads off them on every turn,
-//! with typed close reasons in the metrics; [`chaosnet`] is a seeded
-//! in-process fault-injection TCP proxy (frame splitting, delays,
-//! resets, stalls, garbage) mirroring `cred-resilience`'s deterministic
-//! `ChaosPlan` seeding; and [`client`] is the resilient caller —
+//! in one level-triggered `poll(2)` table ([`poller`]), the crate's only
+//! event loop; connections carry idle/progress deadlines that the loop
+//! reads off them on every turn, with typed close reasons in the
+//! metrics; [`chaosnet`] is a seeded in-process fault-injection TCP
+//! proxy (frame splitting, delays, resets, stalls, garbage) mirroring
+//! `cred-resilience`'s deterministic `ChaosPlan` seeding, whose threads
+//! block in `read`, `write` or `sleep` and never poll, so it cannot
+//! spin; and [`client`] is the resilient caller —
 //! connect/read timeouts, capped backoff with jitter, idempotent retry
 //! keyed by request id, and a circuit breaker — that `loadgen` and
 //! `credc` use.

@@ -99,7 +99,7 @@
 //! deregistered (stop accepting), reading stops, but in-flight explores
 //! keep computing and their responses are flushed before their
 //! connections close with reason `drained`. Only when the drain deadline
-//! ([`ServiceConfig::drain_timeout`]) expires does the master cancel
+//! (two seconds after the request) expires does the master cancel
 //! token stop the remaining solves cooperatively and force the last
 //! connections closed. The loop itself is woken explicitly (it never
 //! sits in a sleep-and-poll cycle), so shutdown with idle connections
@@ -147,18 +147,22 @@ const MAX_DEBUG_PAD_BYTES: u64 = 16 << 20;
 /// own wake token; connection tokens count up from zero).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
-/// Default unflushed-output level above which a connection stops being
-/// read (write backpressure engages).
+/// Unflushed-output level above which a connection stops being read
+/// (write backpressure engages).
 const WRITE_HIGH_WATER: usize = 1 << 20;
 
-/// Default unflushed-output level below which a paused connection
-/// resumes reading.
+/// Unflushed-output level below which a paused connection resumes
+/// reading.
 const WRITE_LOW_WATER: usize = 64 << 10;
 
-/// Default absolute cap on unflushed output: a client that stops reading
+/// Absolute cap on unflushed output: a client that stops reading
 /// entirely is disconnected rather than buffered forever (and before
 /// that, the progress deadline usually closes it).
 const WRITE_HARD_CAP: usize = 1 << 26;
+
+/// How long the shutdown drain waits for in-flight responses before
+/// cancelling the remaining solves and force-closing.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Bytes read per connection per readiness event before yielding to
 /// other connections (level-triggered readiness re-fires if more data
@@ -194,16 +198,6 @@ pub struct ServiceConfig {
     /// output) must drain, within this window (`slow_closed`). `None`
     /// disables the progress deadline.
     pub progress_timeout: Option<Duration>,
-    /// How long the shutdown drain waits for in-flight responses before
-    /// cancelling the remaining solves and force-closing.
-    pub drain_timeout: Duration,
-    /// Unflushed-output level above which a connection stops being read.
-    pub write_high_water: usize,
-    /// Unflushed-output level below which a paused connection resumes
-    /// reading.
-    pub write_low_water: usize,
-    /// Absolute cap on unflushed output.
-    pub write_hard_cap: usize,
 }
 
 impl Default for ServiceConfig {
@@ -218,10 +212,6 @@ impl Default for ServiceConfig {
             max_in_flight: 512,
             idle_timeout: Some(Duration::from_secs(60)),
             progress_timeout: Some(Duration::from_secs(10)),
-            drain_timeout: Duration::from_secs(2),
-            write_high_water: WRITE_HIGH_WATER,
-            write_low_water: WRITE_LOW_WATER,
-            write_hard_cap: WRITE_HARD_CAP,
         }
     }
 }
@@ -299,13 +289,6 @@ impl Server {
                 "max in-flight bound must be at least 1".into(),
             ));
         }
-        if config.write_low_water >= config.write_high_water
-            || config.write_high_water > config.write_hard_cap
-        {
-            return Err(CredError::Protocol(
-                "write watermarks must satisfy low < high <= hard cap".into(),
-            ));
-        }
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| CredError::Io(format!("bind {}: {e}", config.addr)))?;
         let kernels = match &config.kernels_dir {
@@ -371,10 +354,6 @@ impl Server {
             max_in_flight: self.config.max_in_flight,
             idle_timeout: self.config.idle_timeout,
             progress_timeout: self.config.progress_timeout,
-            drain_timeout: self.config.drain_timeout,
-            wm_high: self.config.write_high_water,
-            wm_low: self.config.write_low_water,
-            wm_hard: self.config.write_hard_cap,
             draining: false,
             drain_deadline: None,
         };
@@ -507,12 +486,6 @@ struct EventLoop {
     max_in_flight: usize,
     idle_timeout: Option<Duration>,
     progress_timeout: Option<Duration>,
-    drain_timeout: Duration,
-    /// Write watermarks (high engages backpressure, low releases it,
-    /// hard disconnects).
-    wm_high: usize,
-    wm_low: usize,
-    wm_hard: usize,
     /// A `shutdown` request was seen: the listener is closed and the
     /// loop is finishing in-flight responses.
     draining: bool,
@@ -878,16 +851,16 @@ impl EventLoop {
                 conn.death_reason = Some(CloseReason::Reset);
             }
             let unflushed = conn.unflushed();
-            if unflushed > self.wm_hard {
+            if unflushed > WRITE_HARD_CAP {
                 // The reader fell so far behind that even the progress
                 // deadline hasn't caught it yet: same taxonomy, slow.
                 conn.dead = true;
                 conn.death_reason.get_or_insert(CloseReason::Slow);
             }
             conn.paused = if conn.paused {
-                unflushed >= self.wm_low
+                unflushed >= WRITE_LOW_WATER
             } else {
-                unflushed >= self.wm_high
+                unflushed >= WRITE_HIGH_WATER
             };
             // Lifecycle anchors. The idle clock refreshes while anything
             // is pending and when a reply was flushed, so a connection
@@ -992,7 +965,7 @@ impl EventLoop {
             return;
         }
         self.draining = true;
-        self.drain_deadline = Some(Instant::now() + self.drain_timeout);
+        self.drain_deadline = Some(Instant::now() + DRAIN_TIMEOUT);
         self.poller.deregister(self.listener.as_raw_fd());
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {

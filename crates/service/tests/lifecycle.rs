@@ -197,14 +197,11 @@ fn stalled_readers_are_closed_without_buffering_to_the_hard_cap() {
     let server = TestServer::spawn(|c| {
         c.idle_timeout = None;
         c.progress_timeout = Some(Duration::from_millis(200));
-        // Tiny watermarks so an inflated response trips the pause
-        // immediately; the hard cap stays far away — the *deadline*
-        // must do the closing, not the cap.
-        c.write_high_water = 4 << 10;
-        c.write_low_water = 1 << 10;
     });
-    // Ask for a response padded far past every kernel socket buffer,
-    // then never read a byte of it.
+    // Ask for a response padded far past every kernel socket buffer and
+    // the 1 MiB high-water mark, so the pause engages, then never read a
+    // byte of it. The 64 MiB hard cap stays far away: the *deadline*
+    // must do the closing, not the cap.
     let mut stream = TcpStream::connect(&server.addr).unwrap();
     stream
         .write_all(
@@ -227,8 +224,6 @@ fn half_open_peers_with_undeliverable_output_are_closed() {
     let server = TestServer::spawn(|c| {
         c.idle_timeout = None;
         c.progress_timeout = Some(Duration::from_millis(200));
-        c.write_high_water = 4 << 10;
-        c.write_low_water = 1 << 10;
     });
     let mut stream = TcpStream::connect(&server.addr).unwrap();
     stream

@@ -2,10 +2,13 @@
 //!
 //! A client half-closes after its request and then resets while the
 //! upstream's reply is still pending. The proxy then has nothing to read
-//! from the client (its source is at EOF) and nothing to write to it, but
-//! poll(2) reports the reset socket's error on every wait whatever the
-//! interest. The proxy must not spin on it. This test owns its process,
-//! so the process's CPU time is the proxy's.
+//! from the client (its source is at EOF) and nothing to write to it. An
+//! event loop on poll(2) would be told of the reset socket's error on
+//! every wait whatever its interest, and spin unless it stopped watching
+//! the socket. The proxy has no such loop: each direction is a thread
+//! blocked in `read` on its source, so the reset wakes nothing until the
+//! reply's write to the client fails. This test owns its process, so the
+//! process's CPU time is the proxy's.
 
 // Only the socket helper is used here.
 #[allow(dead_code)]

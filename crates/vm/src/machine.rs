@@ -191,16 +191,6 @@ pub enum DiffReport {
     },
 }
 
-impl DiffReport {
-    /// Number of differing cells (`1` for an execution fault).
-    pub fn mismatch_count(&self) -> usize {
-        match self {
-            DiffReport::Exec(_) => 1,
-            DiffReport::Values { cells } => cells.len(),
-        }
-    }
-}
-
 impl fmt::Display for DiffReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
