@@ -8,15 +8,16 @@
 //! largest kernel (elliptic, 34 nodes). Both sides return the same
 //! retiming and compaction. In the sweep the reference runs on the full-form
 //! W/D of the built unfolding, the incremental solver on the original graph
-//! with the residue form, reusing its scratch arena between factors. W/D is
-//! computed outside the timed region, but the incremental side's
-//! `RetimeSolver::new` sorts the pairs it keeps (`activation_from`).
+//! with the residue form, one solver per factor. W/D is computed outside the
+//! timed region, but the incremental side's `RetimeSolver::new` sorts the
+//! pairs it keeps (`activation_from`). The sweep also times the FEAS
+//! planner the exploration engine plans with, which needs no W/D at all.
 
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::Dfg;
 use cred_retime::minperiod::{constraints_for_period, min_period_retiming_reference};
 use cred_retime::span::{compact_values_with, min_span_retiming_reference};
-use cred_retime::{RetimeSolver, Retiming, SolverScratch};
+use cred_retime::{FeasPlanner, RetimeSolver, Retiming};
 use cred_unfold::unfold;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -48,6 +49,12 @@ fn incremental_plan(solver: &mut RetimeSolver) -> (Retiming, Retiming) {
     (solver.compact(opt.period, &opt.retiming), opt.retiming)
 }
 
+/// The FEAS side on the `f`-unfolding of `g`, as explore plans a factor.
+fn feas_plan(planner: &mut FeasPlanner, g: &Dfg, f: usize) -> (Retiming, Retiming) {
+    let opt = planner.min_period(g, f);
+    (planner.compact(opt.period, &opt.retiming), opt.retiming)
+}
+
 /// Cold vs warm on a single graph: the compacted minimum-span retiming of
 /// the optimal period — the per-factor solve of an exploration sweep. W/D
 /// is precomputed outside the timed region for both sides so the bench
@@ -74,9 +81,8 @@ fn bench_single_kernel(c: &mut Criterion) {
 }
 
 /// The exploration engine's inner loop on the largest kernel: solve every
-/// unfolding factor 1..=SWEEP_MAX_F back to back. The incremental side
-/// passes one scratch arena from factor to factor, so steady-state solves
-/// allocate nothing.
+/// unfolding factor 1..=SWEEP_MAX_F back to back. The FEAS side keeps one
+/// planner for the sweep, as an explore request does.
 fn bench_unfold_sweep(c: &mut Criterion) {
     let g = cred_kernels::elliptic_filter();
     let graphs: Vec<(Dfg, WdMatrices, WdMatrices)> = (1..=SWEEP_MAX_F)
@@ -93,6 +99,11 @@ fn bench_unfold_sweep(c: &mut Criterion) {
             reference_plan(u, full),
             "elliptic f = {f}: the solvers diverge"
         );
+        assert_eq!(
+            feas_plan(&mut FeasPlanner::new(), &g, f),
+            reference_plan(u, full),
+            "elliptic f = {f}: FEAS diverges"
+        );
     }
     let mut group = c.benchmark_group("retime_solver_sweep");
     group.sample_size(10);
@@ -105,11 +116,16 @@ fn bench_unfold_sweep(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("incremental", "elliptic"), |b| {
         b.iter(|| {
-            let mut scratch = SolverScratch::new();
             for (_, _, wd) in &graphs {
-                let mut solver = RetimeSolver::with_scratch(&g, wd, scratch);
-                black_box(incremental_plan(&mut solver));
-                scratch = solver.into_scratch();
+                black_box(incremental_plan(&mut RetimeSolver::new(&g, wd)));
+            }
+        });
+    });
+    group.bench_function(BenchmarkId::new("feas", "elliptic"), |b| {
+        let mut planner = FeasPlanner::with_capacity(&g, SWEEP_MAX_F);
+        b.iter(|| {
+            for f in 1..=SWEEP_MAX_F {
+                black_box(feas_plan(&mut planner, &g, f));
             }
         });
     });

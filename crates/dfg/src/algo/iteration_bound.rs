@@ -4,72 +4,121 @@
 //! time per iteration; the maximum over all cycles is the *iteration bound*.
 //! A schedule is rate-optimal when its iteration period equals `B(G)`.
 //!
-//! The maximum cycle ratio is found by Lawler-style bisection: for a
-//! candidate ratio `lambda = p/q`, some cycle has ratio `> lambda` iff the
-//! graph with edge weights `w(e) = q * t(src(e)) - p * d(e)` contains a
-//! positive cycle (every cycle carries at least one delay in a well-formed
-//! DFG, so the denominator `D(C)` is never zero). Positive cycles are
-//! detected with Bellman–Ford. The bisection runs on exact rationals and
-//! terminates by snapping to the unique ratio with denominator at most the
-//! total delay count — so the result is exact, never a float approximation.
+//! The maximum cycle ratio is found by cycle-ratio iteration. For a ratio
+//! `lambda = p/q`, some cycle has ratio `> lambda` iff the graph with edge
+//! weights `w(e) = q * t(src(e)) - p * d(e)` has a positive cycle (every
+//! cycle carries at least one delay in a well-formed DFG, so `D(C)` is
+//! never zero). Each step runs Bellman–Ford longest-path relaxation from
+//! an all-zero start and watches the predecessor graph: a cycle there has
+//! positive weight, so its exact ratio `T(C)/D(C)` exceeds `lambda`, and
+//! `lambda` becomes that ratio. When no positive cycle remains, `lambda`
+//! is the largest ratio of any cycle. Each step raises `lambda` to the
+//! ratio of a cycle, and there are finitely many, so the iteration ends;
+//! on DSP loops it takes a few steps, against the dozens of probes a
+//! bisection on the rationals needs to pin the same value.
+//!
+//! A cycle of the predecessor graph is positive: when the edge `u -> v`
+//! that closes it was relaxed, `v`'s label rose strictly above its
+//! predecessor's label plus the edge weight it held before, while every
+//! other edge of the cycle had `label(y) <= label(x) + w(x, y)` (labels
+//! only rise after a predecessor is set). Summing around the cycle gives
+//! `0 < sum of w`.
 
-use crate::{Dfg, Ratio};
+use crate::{Dfg, EdgeId, Ratio};
 
-/// True iff some cycle `C` satisfies `T(C)/D(C) > lambda`, i.e. the graph
-/// weighted by `w(e) = den * t(src) - num * d(e)` has a positive cycle.
-fn has_cycle_ratio_above(g: &Dfg, lambda: Ratio) -> bool {
-    let n = g.node_count();
-    if n == 0 {
-        return false;
-    }
-    let (p, q) = (lambda.num() as i128, lambda.den() as i128);
-    let w = |e: crate::EdgeId| -> i128 {
-        let ed = g.edge(e);
-        q * g.node(ed.src).time as i128 - p * ed.delay as i128
-    };
-    // Bellman–Ford longest-path relaxation from an implicit super-source
-    // (all distances start at 0): if an edge still relaxes after n rounds,
-    // a positive cycle exists.
-    let mut dist = vec![0i128; n];
-    for _ in 0..n {
-        let mut changed = false;
-        for e in g.edge_ids() {
-            let ed = g.edge(e);
-            let cand = dist[ed.src.index()] + w(e);
-            if cand > dist[ed.dst.index()] {
-                dist[ed.dst.index()] = cand;
-                changed = true;
-            }
-        }
-        if !changed {
-            return false;
-        }
-    }
-    // One more round to confirm continued relaxation.
-    for e in g.edge_ids() {
-        let ed = g.edge(e);
-        if dist[ed.src.index()] + w(e) > dist[ed.dst.index()] {
-            return true;
-        }
-    }
-    false
+/// No predecessor edge.
+const NONE: u32 = u32::MAX;
+
+/// The buffers of the iteration: labels, predecessor edges, and the
+/// stamps of the predecessor-graph walk.
+struct Search<'g> {
+    g: &'g Dfg,
+    dist: Vec<i128>,
+    pred: Vec<u32>,
+    stamp: Vec<u32>,
 }
 
-/// The unique ratio with denominator `<= max_den` in the half-open interval
-/// `(lo, hi]`, given that the interval is narrower than `1 / max_den^2`
-/// (two distinct such ratios differ by at least that much).
-fn snap_ratio(lo: Ratio, hi: Ratio, max_den: i64) -> Ratio {
-    for q in 1..=max_den {
-        // Largest p with p/q <= hi.
-        let p = (hi.num() as i128 * q as i128 / hi.den() as i128) as i64;
-        let cand = Ratio::new(p, q);
-        if cand > lo && cand <= hi {
-            return cand;
+impl Search<'_> {
+    /// A cycle whose ratio `T(C)/D(C)` exceeds `lambda`, as that ratio, or
+    /// `None` when no cycle does.
+    ///
+    /// # Panics
+    /// Panics if the cycle it finds has no delay: a zero-delay cycle.
+    fn cycle_above(&mut self, lambda: Ratio) -> Option<Ratio> {
+        let g = self.g;
+        let n = g.node_count();
+        let (p, q) = (lambda.num() as i128, lambda.den() as i128);
+        self.dist.clear();
+        self.dist.resize(n, 0);
+        self.pred.clear();
+        self.pred.resize(n, NONE);
+        // Relaxation stops changing within n rounds unless a positive
+        // cycle exists, and then the predecessor graph holds one by round
+        // n + 1 at the latest; it is checked after every round.
+        for _ in 0..=n {
+            let mut changed = false;
+            for e in g.edge_ids() {
+                let ed = g.edge(e);
+                let (u, v) = (ed.src.index(), ed.dst.index());
+                let cand = self.dist[u] + q * g.node(ed.src).time as i128 - p * ed.delay as i128;
+                if cand > self.dist[v] {
+                    self.dist[v] = cand;
+                    self.pred[v] = e.index() as u32;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return None;
+            }
+            if let Some(ratio) = self.predecessor_cycle() {
+                return Some(ratio);
+            }
         }
+        unreachable!("Bellman–Ford relaxed past n + 1 rounds without a predecessor cycle")
     }
-    // Interval invariant guarantees a hit; hi itself is always valid if its
-    // denominator qualifies.
-    hi
+
+    /// The ratio of a cycle of the predecessor graph, if it has one. Each
+    /// node starts at most one walk, and a walk stops at a node an earlier
+    /// walk visited, so the check costs `O(V)`.
+    fn predecessor_cycle(&mut self) -> Option<Ratio> {
+        let g = self.g;
+        self.stamp.clear();
+        self.stamp.resize(g.node_count(), NONE);
+        for start in 0..g.node_count() {
+            let mut v = start;
+            while self.stamp[v] == NONE {
+                self.stamp[v] = start as u32;
+                match self.pred[v] {
+                    NONE => break,
+                    e => v = g.edge(EdgeId(e)).src.index(),
+                }
+            }
+            if self.stamp[v] == start as u32 && self.pred[v] != NONE {
+                return Some(self.ratio_of_cycle_at(v));
+            }
+        }
+        None
+    }
+
+    /// `T(C)/D(C)` of the predecessor cycle through `v`.
+    fn ratio_of_cycle_at(&self, v: usize) -> Ratio {
+        let g = self.g;
+        let (mut time, mut delays, mut x) = (0i64, 0i64, v);
+        loop {
+            let ed = g.edge(EdgeId(self.pred[x]));
+            time += g.node(ed.src).time as i64;
+            delays += ed.delay as i64;
+            x = ed.src.index();
+            if x == v {
+                break;
+            }
+        }
+        assert!(
+            delays > 0,
+            "iteration_bound requires a well-formed DFG: a zero-delay cycle"
+        );
+        Ratio::new(time, delays)
+    }
 }
 
 /// Compute the iteration bound `B(G)` exactly.
@@ -81,40 +130,20 @@ fn snap_ratio(lo: Ratio, hi: Ratio, max_den: i64) -> Ratio {
 /// Panics if the graph contains a zero-delay cycle (malformed; validate
 /// first).
 pub fn iteration_bound(g: &Dfg) -> Option<Ratio> {
+    let mut search = Search {
+        g,
+        dist: Vec::new(),
+        pred: Vec::new(),
+        stamp: Vec::new(),
+    };
     // lambda = 0: a positive cycle exists iff the graph has any cycle at all
     // (all computation times are >= 1).
-    if !has_cycle_ratio_above(g, Ratio::integer(0)) {
-        return None;
+    let mut bound = search.cycle_above(Ratio::integer(0))?;
+    while let Some(higher) = search.cycle_above(bound) {
+        debug_assert!(higher > bound, "{higher} does not exceed {bound}");
+        bound = higher;
     }
-    let d_max = g.total_delays() as i64;
-    assert!(
-        d_max > 0,
-        "cyclic graph with zero total delays has a zero-delay cycle"
-    );
-    // Bisect on the dyadic grid x / scale with a fixed power-of-two scale
-    // strictly finer than 1/d_max^2, so the final bracket (lo, hi] of width
-    // 1/scale contains exactly one ratio with denominator <= d_max: B(G).
-    let t_total = g.total_time() as i64;
-    let mut scale: i64 = 1;
-    while (scale as i128) <= (d_max as i128) * (d_max as i128) {
-        scale <<= 1;
-    }
-    let mut lo: i64 = 0; // invariant: some cycle ratio > lo/scale
-    let mut hi: i64 = t_total
-        .checked_mul(scale)
-        .expect("iteration-bound search range overflow");
-    debug_assert!(!has_cycle_ratio_above(g, Ratio::new(hi, scale)));
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if has_cycle_ratio_above(g, Ratio::new(mid, scale)) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let b = snap_ratio(Ratio::new(lo, scale), Ratio::new(hi, scale), d_max);
-    debug_assert!(!has_cycle_ratio_above(g, b));
-    Some(b)
+    Some(bound)
 }
 
 #[cfg(test)]
@@ -232,31 +261,47 @@ mod tests {
         assert_eq!(iteration_bound(&g), Some(Ratio::new(7, 3)));
     }
 
+    /// A random graph of `n` nodes with times in `1..=8`: random forward
+    /// zero-delay edges, then `min_extra..=n + more` delayed edges,
+    /// forward only when `acyclic`.
+    fn random_graph(
+        rng: &mut rand::rngs::StdRng,
+        n: usize,
+        (min_extra, more): (usize, usize),
+        acyclic: bool,
+    ) -> Dfg {
+        use rand::RngExt;
+        let mut b = DfgBuilder::new();
+        let nodes: Vec<_> = (0..n)
+            .map(|i| b.node(format!("n{i}"), rng.random_range(1..9u32), OpKind::Add(0)))
+            .collect();
+        // Random zero-delay DAG edges (forward) + random delayed edges.
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.random_bool(0.4) {
+                    b.edge(nodes[i], nodes[j], 0);
+                }
+            }
+        }
+        let extra = rng.random_range(min_extra..=n + more);
+        for _ in 0..extra {
+            let i = rng.random_range(0..n);
+            let j = rng.random_range(0..n);
+            let (i, j) = if acyclic && i > j { (j, i) } else { (i, j) };
+            if !(acyclic && i == j) {
+                b.edge(nodes[i], nodes[j], rng.random_range(1..4u32));
+            }
+        }
+        b.build_unchecked()
+    }
+
     #[test]
     fn matches_brute_force_on_random_graphs() {
         use rand::{rngs::StdRng, RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xC0DE);
         for case in 0..60 {
             let n = rng.random_range(2..7usize);
-            let mut b = DfgBuilder::new();
-            let nodes: Vec<_> = (0..n)
-                .map(|i| b.node(format!("n{i}"), rng.random_range(1..9u32), OpKind::Add(0)))
-                .collect();
-            // Random zero-delay DAG edges (forward) + random delayed edges.
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if rng.random_bool(0.4) {
-                        b.edge(nodes[i], nodes[j], 0);
-                    }
-                }
-            }
-            let extra = rng.random_range(1..=n);
-            for _ in 0..extra {
-                let i = rng.random_range(0..n);
-                let j = rng.random_range(0..n);
-                b.edge(nodes[i], nodes[j], rng.random_range(1..4u32));
-            }
-            let g = b.build_unchecked();
+            let g = random_graph(&mut rng, n, (1, 0), false);
             if g.validate().is_err() {
                 continue;
             }
@@ -266,5 +311,24 @@ mod tests {
                 "mismatch on case {case}"
             );
         }
+        // 480 more, up to nine nodes with times up to 8: every fourth one
+        // is acyclic by construction, and so are those whose delayed edges
+        // all point forward (273 cyclic and 207 acyclic in all).
+        let mut rng = StdRng::seed_from_u64(0xB0_17D);
+        let (mut cyclic, mut acyclic) = (0, 0);
+        for case in 0..480 {
+            let n = rng.random_range(1..10usize);
+            let g = random_graph(&mut rng, n, (0, 2), case % 4 == 3);
+            let expected = brute_force_bound(&g);
+            assert_eq!(iteration_bound(&g), expected, "mismatch on case {case}");
+            match expected {
+                Some(_) => cyclic += 1,
+                None => acyclic += 1,
+            }
+        }
+        assert!(
+            cyclic >= 250 && acyclic >= 150,
+            "{cyclic} cyclic, {acyclic} acyclic"
+        );
     }
 }

@@ -10,4 +10,4 @@ pub use cycle_period::cycle_period;
 pub use iteration_bound::iteration_bound;
 pub use scc::strongly_connected_components;
 pub use topo::{zero_delay_order_into, zero_delay_topo_order, TopoScratch};
-pub use wd::{unfolded_edges, WdMatrices, WdScratch};
+pub use wd::{unfolded_edges, WdMatrices};

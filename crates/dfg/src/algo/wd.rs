@@ -66,56 +66,14 @@
 //! no bitset, but it pushes and pops every node reached over a zero-delay
 //! edge. In ten alternated `perfbench` `explore_cold` pairs on a 2-vCPU
 //! host it lost 16% throughput and raised the latency tail mean by 32%.
-//!
-//! A caller computing the matrices of many factors of one graph keeps one
-//! value and one [`WdScratch`] and calls
-//! [`WdMatrices::recompute_unfolded`], which allocates nothing once both
-//! have held the largest unfolding; [`WdMatrices::compute_unfolded`] is the
-//! allocating form of the same code.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::algo::{zero_delay_order_into, TopoScratch};
-use crate::{Dfg, NodeId};
+use crate::algo::zero_delay_topo_order;
+use crate::Dfg;
 
 const INF: i64 = i64::MAX / 4;
-
-/// The buffers of one delay-layer sweep: the zero-delay order and ranks,
-/// the unfolding's arcs, the heap and the layer bitset. They carry
-/// capacity only; [`WdMatrices::recompute_unfolded`] resets every one it
-/// reads, so a sweep cut off half-way leaves nothing for the next.
-#[derive(Debug, Default, Clone)]
-pub struct WdScratch {
-    topo: TopoScratch,
-    order: Vec<NodeId>,
-    orig_rank: Vec<usize>,
-    node: Vec<usize>,
-    first: Vec<usize>,
-    arcs: Vec<(u32, u32, i64)>,
-    heap: BinaryHeap<Reverse<(i64, u32)>>,
-    layer: Vec<u64>,
-}
-
-impl WdScratch {
-    /// Buffers that hold the sweep of the `f`-unfolding of `g`, or of any
-    /// smaller one, without growing (the heap holds what one source's
-    /// sweep pushes: the source, then at most one entry per positive-delay
-    /// arc).
-    pub fn with_capacity_for(g: &Dfg, f: usize) -> Self {
-        let (v, n) = (g.node_count(), g.node_count() * f);
-        WdScratch {
-            topo: TopoScratch::default(),
-            order: Vec::with_capacity(v),
-            orig_rank: Vec::with_capacity(v),
-            node: Vec::with_capacity(n),
-            first: Vec::with_capacity(n + 1),
-            arcs: Vec::with_capacity(g.edge_count() * f),
-            heap: BinaryHeap::with_capacity(g.edge_count() * f + 1),
-            layer: Vec::with_capacity(n.div_ceil(64)),
-        }
-    }
-}
 
 /// The edges of the `f`-unfolding of `g` as `(src, dst, delay)` over its
 /// node ids (copy `j` of node `v` at `v * f + j`), in the order
@@ -191,53 +149,13 @@ impl WdMatrices {
     /// Panics if `f == 0`, or if the zero-delay subgraph of `g` has a
     /// cycle (then so does every unfolding of it).
     pub fn compute_unfolded(g: &Dfg, f: usize) -> Self {
-        let mut wd = Self::with_capacity_for(g, f);
-        wd.recompute_unfolded(g, f, &mut WdScratch::with_capacity_for(g, f));
-        wd
-    }
-
-    /// Empty matrices (of the empty graph) whose storage holds the
-    /// matrices of the `f`-unfolding of `g`, or of any smaller one,
-    /// without growing: the target of [`WdMatrices::recompute_unfolded`].
-    pub fn with_capacity_for(g: &Dfg, f: usize) -> Self {
-        let n = g.node_count() * f;
-        WdMatrices {
-            rows: 0,
-            f: 1,
-            copy: Vec::with_capacity(n),
-            w: Vec::with_capacity(g.node_count() * n),
-            neg_t: Vec::with_capacity(g.node_count() * n),
-            times: Vec::with_capacity(n),
-        }
-    }
-
-    /// Overwrite `self` with [`WdMatrices::compute_unfolded`]`(g, f)`,
-    /// reusing `self`'s storage and `scratch`'s buffers: no allocation
-    /// once both have held an unfolding at least this large. Nothing of
-    /// the previous contents of either is read.
-    ///
-    /// # Panics
-    /// As [`WdMatrices::compute_unfolded`].
-    pub fn recompute_unfolded(&mut self, g: &Dfg, f: usize, scratch: &mut WdScratch) {
         assert!(f >= 1, "unfolding factor must be at least 1");
         let rows = g.node_count();
         let n = rows * f;
-        let WdScratch {
-            topo,
-            order,
-            orig_rank,
-            node,
-            first,
-            arcs,
-            heap,
-            layer,
-        } = scratch;
-        assert!(
-            zero_delay_order_into(g, |e| g.edge(e).delay == 0, topo, order),
-            "WdMatrices::compute requires a well-formed DFG: the zero-delay subgraph has a cycle"
+        let order = zero_delay_topo_order(g).expect(
+            "WdMatrices::compute requires a well-formed DFG: the zero-delay subgraph has a cycle",
         );
-        orig_rank.clear();
-        orig_rank.resize(rows, 0);
+        let mut orig_rank = vec![0; rows];
         for (r, v) in order.iter().enumerate() {
             orig_rank[v.index()] = r;
         }
@@ -246,11 +164,11 @@ impl WdMatrices {
         // unfolding stays in its copy (an original zero-delay edge, which
         // raises `q`) or moves to a higher copy, so this is a topological
         // order of the unfolding's zero-delay subgraph.
-        node.clear();
+        let mut node = Vec::with_capacity(n);
         // The edges leaving the node of rank `r` are
         // `arcs[first[r]..first[r + 1]]`, as (head, head's rank, delay).
-        first.clear();
-        arcs.clear();
+        let mut first = Vec::with_capacity(n + 1);
+        let mut arcs = Vec::with_capacity(g.edge_count() * f);
         first.push(0);
         for j in 0..f {
             for &v in order.iter() {
@@ -269,32 +187,17 @@ impl WdMatrices {
                 first.push(arcs.len());
             }
         }
-        self.rows = rows;
-        self.f = f;
-        let WdMatrices {
-            copy,
-            w,
-            neg_t,
-            times,
-            ..
-        } = self;
-        copy.clear();
-        copy.extend((0..n).map(|a| (a % f) as u32));
-        times.clear();
-        times.extend(
-            g.node_ids()
-                .flat_map(|v| std::iter::repeat_n(g.node(v).time as i64, f)),
-        );
-        w.clear();
-        w.resize(rows * n, INF);
-        neg_t.clear();
-        neg_t.resize(rows * n, INF);
+        let times: Vec<i64> = g
+            .node_ids()
+            .flat_map(|v| std::iter::repeat_n(g.node(v).time as i64, f))
+            .collect();
+        let mut w = vec![INF; rows * n];
+        let mut neg_t = vec![INF; rows * n];
         // The ranks reached over positive-delay edges keyed by their
         // tentative `W`, and the current layer as a bitset over ranks.
-        heap.clear();
+        let mut heap = BinaryHeap::new();
         let words = n.div_ceil(64);
-        layer.clear();
-        layer.resize(words, 0);
+        let mut layer = vec![0u64; words];
         for (s, &sr) in orig_rank.iter().enumerate() {
             // Row `s` holds the tentative `(W, -time)` from copy 0 of `s`
             // to every node. A settled entry is optimal, so no later
@@ -346,6 +249,14 @@ impl WdMatrices {
                     }
                 }
             }
+        }
+        WdMatrices {
+            rows,
+            f,
+            copy: (0..n).map(|a| (a % f) as u32).collect(),
+            w,
+            neg_t,
+            times,
         }
     }
 

@@ -5,27 +5,27 @@
 //! Every trade-off point needs two retiming passes over the unfolded graph
 //! (the period search, whose answer already has minimum span, and register
 //! compaction), each of which — in the straightforward
-//! [`crate::sweep_reference`] path — recomputes the same W/D matrices from
-//! scratch (one delay-layer sweep per node of the unfolded graph, see
-//! [`WdMatrices::compute`]). The cache layer fixes both redundancies:
+//! [`crate::sweep_reference`] path — builds the unfolding and recomputes
+//! its W/D matrices from scratch (one delay-layer sweep per node of the
+//! unfolded graph, see [`WdMatrices::compute`]). The cache layer computes
+//! none of that:
 //!
-//! * within one factor, the W/D matrices are computed **once**, in the
-//!   residue form of the unfolding ([`WdMatrices::compute_unfolded`]: one
-//!   delay-layer sweep per *original* node, `f·V²` entries instead of
-//!   `(fV)²`), and one solver serves both passes: it keeps one period
-//!   row per original node, holding only the pairs at or above its
-//!   closed-walk bound, and compaction ([`RetimeSolver::compact`]) checks
-//!   its legality edges plus the active prefix at the plan's period. The
-//!   unfolding itself is never built: the solver takes the original graph
-//!   and reads the unfolding's edges off
-//!   [`cred_dfg::algo::unfolded_edges`], and the projection sums each
+//! * within one factor, the FEAS planner ([`FeasPlanner`]) decides each
+//!   probed period from the retimed unfolding alone: no W/D matrices. Its
+//!   search starts at the iteration bound `⌈f·B⌉`, which is the optimum on
+//!   most graphs, its answer is the W/D solver's (the proof is in
+//!   [`cred_retime::feas`]), and compaction checks "legal and period at
+//!   most `c`" on the same unfolding. The unfolding itself is never built:
+//!   the planner takes the original graph and reads the unfolding's edges
+//!   off [`cred_dfg::algo::unfolded_edges`], and the projection sums each
 //!   node's copies ([`project_copies`]);
 //! * across factors, the buffers are allocated **once per request**: each
-//!   sweep worker plans its factors in one `PlanWorkspace`, sized on its
+//!   sweep worker plans its factors in one `PlanWorkspace`, made on its
 //!   first plan for the request's graph at its largest factor, which owns
-//!   the W/D rows and the sweep's arcs, ranks, bitset and heap, the
-//!   solver's constraint graph, labels, queue and compaction sets, and the
-//!   maxlive arrays. A factor then allocates only what it returns: its
+//!   the graph's iteration bound `B`, computed there once, the planner's
+//!   edges, lags, arrival times, forcing constraints and compaction sets,
+//!   and the maxlive arrays. A request whose plans all hit computes
+//!   neither. A factor then allocates only what it returns: its
 //!   retimings, its plan and point, and the cache entry holding them. The
 //!   workspace carries capacity, not state: every use resets what it
 //!   reads, so a fault that cuts a plan off half-way (and the reference
@@ -55,12 +55,12 @@
 //! On top of the memoization, this module carries the explore side of the
 //! resilience layer (`cred-resilience`):
 //!
-//! * [`compute_plan_budgeted`] runs the warm-started solver under a
-//!   [`Budget`] and **degrades** to the dense [`ConstraintSystem`]
-//!   reference solver when the fast path exhausts its budget or panics —
-//!   recorded as a [`DegradationEvent`] in the returned [`PlanSource`],
-//!   never a silent wrong answer (the reference is bit-identical by the
-//!   solver's differential tests, just slower);
+//! * [`compute_plan_budgeted`] runs the FEAS planner under a [`Budget`]
+//!   (one charge per round) and **degrades** to the dense
+//!   [`ConstraintSystem`] reference solver when the fast path exhausts its
+//!   budget or panics — recorded as a [`DegradationEvent`] in the
+//!   returned [`PlanSource`], never a silent wrong answer (the reference
+//!   is bit-identical by the planner's differential tests, just slower);
 //! * [`SweepCache`] is bounded (LRU eviction above
 //!   [`SweepCache::with_capacity`]), recovers from lock poisoning with
 //!   clear-and-continue semantics instead of panicking every later
@@ -80,13 +80,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cred_codegen::DecMode;
-use cred_dfg::algo::{WdMatrices, WdScratch};
-use cred_dfg::Dfg;
+use cred_dfg::algo::{iteration_bound, WdMatrices};
+use cred_dfg::{Dfg, Ratio};
 use cred_resilience::failpoint::{self, sites};
 use cred_resilience::{panic_message, Budget, DegradationEvent, DegradeCause, Exhausted};
 use cred_retime::minperiod::{constraints_for_period, min_period_retiming_reference};
 use cred_retime::span::compact_values_with;
-use cred_retime::{RetimeSolver, Retiming, SolverScratch};
+use cred_retime::{FeasPlanner, Retiming};
 use cred_schedule::MaxliveScratch;
 use cred_unfold::orders::{project_copies, project_retiming};
 use cred_unfold::unfold;
@@ -155,13 +155,13 @@ fn point_checksum(n: u64, mode: DecMode, p: &ParetoPoint) -> u64 {
     ])
 }
 
-/// How a plan was obtained: the warm-started fast solver, or the dense
+/// How a plan was obtained: the fast FEAS planner, or the dense
 /// reference solver after the fast path degraded. Both produce
 /// bit-identical plans; the distinction exists so degradations surface in
 /// sweep reports and exit codes instead of disappearing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanSource {
-    /// The warm-started SPFA solver finished within budget.
+    /// The FEAS planner finished within budget.
     Solver,
     /// The fast path was abandoned and the dense Bellman–Ford reference
     /// solver produced the plan. The event records why.
@@ -176,9 +176,9 @@ impl PlanSource {
 }
 
 /// Every buffer one factor's plan and point need, reused across the
-/// factors one sweep worker plans: the W/D matrices and the sweep's
-/// buffers, the solver's constraint graph, labels, queue and compaction
-/// sets, and the maxlive arrays.
+/// factors one sweep worker plans: the FEAS planner's buffers (the
+/// unfolding's edges, lags, arrival times, forcing constraints and
+/// compaction sets), the graph's iteration bound, and the maxlive arrays.
 ///
 /// A worker creates one per request, sized on first use for the request's
 /// graph at its largest factor, so planning a factor allocates only what
@@ -189,18 +189,11 @@ impl PlanSource {
 pub(crate) struct PlanWorkspace {
     /// The largest factor the request plans.
     max_f: usize,
-    /// The plan's buffers, sized for `max_f` on the first plan: a request
-    /// whose plans all hit the cache never creates them.
-    plan: Option<PlanBuffers>,
+    /// The iteration bound of the request's graph and the planner, sized
+    /// for `max_f`, both made on the first plan: a request whose plans all
+    /// hit the cache computes neither.
+    plan: Option<(Option<Ratio>, FeasPlanner)>,
     maxlive: MaxliveScratch,
-}
-
-/// The buffers of [`plan_fast`].
-#[derive(Debug)]
-struct PlanBuffers {
-    wd: WdMatrices,
-    sweep: WdScratch,
-    solver: SolverScratch,
 }
 
 impl PlanWorkspace {
@@ -212,31 +205,19 @@ impl PlanWorkspace {
             maxlive: MaxliveScratch::default(),
         }
     }
-
-    /// The plan buffers, sized for `g`'s `max_f`-unfolding when first
-    /// asked for.
-    fn plan_buffers(&mut self, g: &Dfg) -> &mut PlanBuffers {
-        let max_f = self.max_f;
-        self.plan.get_or_insert_with(|| PlanBuffers {
-            wd: WdMatrices::with_capacity_for(g, max_f),
-            sweep: WdScratch::with_capacity_for(g, max_f),
-            solver: SolverScratch::with_capacity_for(g, max_f),
-        })
-    }
 }
 
-/// Compute a [`FactorPlan`] with a single shared residue-form W/D
-/// computation and one warm-started solver, on the original graph: the
-/// `f`-unfolding is never built.
+/// Compute a [`FactorPlan`] with the FEAS planner on the original graph:
+/// the `f`-unfolding is never built, and no W/D matrices are computed.
 ///
 /// This is the uncached fast path; [`SweepCache::plan`] wraps it with
 /// memoization. It yields plans identical to the per-point pipeline of
-/// [`crate::sweep_reference`] while doing strictly less work: the W/D
-/// matrices are computed once instead of twice, and the period search is
-/// the only solve. Its answer is already the minimum-span retiming of the
-/// optimal period (see [`RetimeSolver::retime_to_period`]), so compaction
-/// starts from it. It runs in a workspace of its own; a sweep plans every
-/// factor of a request in one.
+/// [`crate::sweep_reference`] while doing strictly less work: one period
+/// search from the iteration bound, whose answer is already the
+/// minimum-span retiming of the optimal period (see
+/// [`cred_retime::feas`]), then compaction on the same unfolding. It runs
+/// in a workspace of its own; a sweep plans every factor of a request in
+/// one.
 pub fn compute_plan(g: &Dfg, f: usize) -> FactorPlan {
     match plan_fast(g, f, &Budget::unlimited(), &mut PlanWorkspace::new(f)) {
         Ok(plan) => plan,
@@ -244,8 +225,8 @@ pub fn compute_plan(g: &Dfg, f: usize) -> FactorPlan {
     }
 }
 
-/// The budgeted fast path in `ws`: warm-started solver pipeline, every
-/// pass charging the same budget.
+/// The budgeted fast path in `ws`: the FEAS period search, charging the
+/// budget per round, then compaction.
 fn plan_fast(
     g: &Dfg,
     f: usize,
@@ -254,17 +235,15 @@ fn plan_fast(
 ) -> Result<FactorPlan, Exhausted> {
     failpoint::hit(sites::EXPLORE_PLAN_FAST).map_err(|e| Exhausted::Injected { site: e.site })?;
     budget.check()?;
-    let PlanBuffers { wd, sweep, solver } = ws.plan_buffers(g);
-    wd.recompute_unfolded(g, f, sweep);
-    // The solver owns the scratch while it runs and hands it back after;
-    // a panic drops it with the solver, and the next plan regrows one.
-    let mut s = RetimeSolver::with_scratch(g, wd, std::mem::take(solver));
-    let plan = s.min_period_budgeted(budget).map(|opt| FactorPlan {
-        projected: project_copies(f, &s.compact(opt.period, &opt.retiming)),
+    let max_f = ws.max_f;
+    let (bound, planner) = ws
+        .plan
+        .get_or_insert_with(|| (iteration_bound(g), FeasPlanner::with_capacity(g, max_f)));
+    let opt = planner.min_period_budgeted(g, f, *bound, budget)?;
+    Ok(FactorPlan {
+        projected: project_copies(f, &planner.compact(opt.period, &opt.retiming)),
         period: opt.period,
-    });
-    *solver = s.into_scratch();
-    plan
+    })
 }
 
 /// The degradation fallback: the dense reference pipeline (full
@@ -294,7 +273,7 @@ fn plan_reference(g: &Dfg, f: usize) -> FactorPlan {
 ///
 /// The ladder:
 ///
-/// 1. run the warm-started solver pipeline under `budget`;
+/// 1. run the FEAS planner pipeline under `budget`;
 /// 2. if it exhausts (deadline, work units, injected fault) **or
 ///    panics**, fall back to the dense reference solver and record a
 ///    [`DegradationEvent`] in the returned [`PlanSource`];

@@ -35,8 +35,10 @@
 //! [`ExploreRequest::from_source`] parses with `cred_lang::parse`, whose
 //! tokens and syntax tree borrow the source, so it allocates per node of
 //! the graph. Each sweep worker then plans every factor it claims in one
-//! workspace that owns the buffers of the W/D sweep, the solver and the
-//! maxlive count (see [`cache`]), and maxlive is counted on one copy of
+//! workspace that owns the buffers of the FEAS planner (no W/D matrices:
+//! each period is decided from the retimed unfolding, searched from the
+//! iteration bound computed once per request) and of the maxlive count
+//! (see [`cache`]), and maxlive is counted on one copy of
 //! the sequential kernel, whose pressure is the same at every factor (the
 //! proof is in [`cred_schedule::maxlive`]).
 
@@ -131,11 +133,11 @@ pub struct ParetoPoint {
 /// compaction checks the dense [`cred_retime::ConstraintSystem`], both
 /// code sizes are measured on the generated programs, and maxlive is
 /// counted on the `f`-copy kernel. The [`ExploreRequest`] engine reaches
-/// the same points through [`cache::compute_plan`], which shares one
-/// residue-form W/D computation across the passes, and through the closed
-/// forms of [`point_from_plan`]; keeping this path independent makes it a
-/// differential-testing oracle (and the benchmark baseline) for the
-/// memoized engine.
+/// the same points through [`cache::compute_plan`], which plans with the
+/// FEAS planner on the original graph and no W/D matrices, and through
+/// the closed forms of [`point_from_plan`]; keeping this path independent
+/// makes it a differential-testing oracle (and the benchmark baseline) for
+/// the memoized engine.
 fn point_for_factor(g: &Dfg, f: usize, n: u64, mode: DecMode) -> ParetoPoint {
     let u = unfold(g, f);
     let opt = min_period_retiming(&u.graph);

@@ -72,9 +72,10 @@ impl std::error::Error for InjectedFault {}
 /// in this list can still be tripped by name; the catalog is what
 /// [`ChaosPlan::sample`] draws from, and what DESIGN.md documents.
 pub mod sites {
-    /// Inside the warm-started SPFA relaxation loop (`cred-retime`).
+    /// Once per feasibility probe of a period (`cred-retime`): each SPFA
+    /// solve of the W/D solver and each FEAS run of the explore planner.
     pub const RETIME_SPFA: &str = "retime.spfa";
-    /// Entry of the period binary search (`cred-retime`).
+    /// Entry of the period search (`cred-retime`), of either solver.
     pub const RETIME_MIN_PERIOD: &str = "retime.min_period";
     /// Before the fast (solver) path of a plan computation
     /// (`cred-explore`).

@@ -1,4 +1,13 @@
-//! Warm-started incremental solver for the retiming constraint systems.
+//! Warm-started incremental solver for the retiming constraint systems:
+//! the W/D implementation of minimum-period retiming.
+//!
+//! The exploration engine plans its factors with [`crate::FeasPlanner`],
+//! which needs no W/D matrices. This solver is the independent W/D
+//! implementation of the same answers: it serves
+//! [`crate::min_period_retiming`] and its callers (the unfold-then-retime
+//! order, `cred_explore::best_under_register_budget`, the oracle's Theorem
+//! 4.5 layer, which now cross-checks every retime-unfold plan's period),
+//! and the property tests hold the two bit-identical.
 //!
 //! The reference path ([`crate::ConstraintSystem`]) rebuilds the full
 //! `O(V^2)` difference-constraint system and re-runs a dense edge-list
@@ -24,10 +33,8 @@
 //!   corrections are zero.
 //! * The solver core is a queue-based SPFA (deque with smallest-label-first
 //!   placement, an in-queue bitmap, and walk-length negative-cycle
-//!   detection) over the CSR graph; all of its state, the CSR arrays
-//!   included, lives in a reusable [`SolverScratch`] arena, so repeated
-//!   solves, and solvers built one after another on one arena
-//!   ([`RetimeSolver::with_scratch`]), allocate nothing once it has grown.
+//!   detection) over the CSR graph; its labels, queue and snapshot live in
+//!   one arena per solver, so repeated solves allocate nothing.
 //! * [`RetimeSolver`] warm-starts every probe: tightening `c` restores the
 //!   last feasible fixpoint, activates the new constraint prefix, and seeds
 //!   the queue with only the newly activated entries, each as its `f`
@@ -176,8 +183,7 @@ pub struct CsrConstraintGraph {
     /// non-increasing in `i`, and `act_edge[i]` indexes its slot in `per`.
     act: Vec<(i64, u32, u32)>,
     act_edge: Vec<u32>,
-    /// Insertion cursors of the two counting sorts, kept for their
-    /// capacity.
+    /// Insertion cursors of the two counting sorts.
     cursor: Vec<u32>,
 }
 
@@ -195,9 +201,8 @@ impl CsrConstraintGraph {
         csr
     }
 
-    /// Overwrite `self` with [`CsrConstraintGraph::build`]`(g, wd)`,
-    /// reusing its storage: no allocation once it has held a graph at
-    /// least this large. Nothing of the previous contents is read.
+    /// Fill `self`, an empty graph, with [`CsrConstraintGraph::build`]`(g,
+    /// wd)`.
     fn rebuild(&mut self, g: &Dfg, wd: &WdMatrices) {
         let f = wd.factor();
         let rows = g.node_count();
@@ -299,16 +304,13 @@ impl CsrConstraintGraph {
     }
 }
 
-/// Every buffer a solver needs: the constraint graph's arrays, the
+/// Every buffer a solver's solves need besides its constraint graph: the
 /// distance labels, SPFA queue, in-queue bitmap, walk lengths, one
 /// activation counter per period row (original node), the warm-start
-/// snapshot, and compaction's working sets. One scratch serves any number
-/// of solves (and, via [`RetimeSolver::into_scratch`], any number of
-/// graphs) without reallocating once grown. It carries capacity only:
-/// building a solver resets everything a solve reads.
+/// snapshot, and compaction's working sets. It serves any number of
+/// solves without reallocating once grown.
 #[derive(Debug, Default, Clone)]
-pub struct SolverScratch {
-    csr: CsrConstraintGraph,
+struct SolverScratch {
     /// The graph check's zero-delay order and its buffers.
     topo: TopoScratch,
     order: Vec<NodeId>,
@@ -322,52 +324,16 @@ pub struct SolverScratch {
 }
 
 impl SolverScratch {
-    /// A fresh, empty scratch arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A scratch that holds a solver for the `f`-unfolding of `g`, or of
-    /// any smaller one, without growing, except for the period
-    /// constraints, which are counted only once the W/D matrices exist.
-    pub fn with_capacity_for(g: &Dfg, f: usize) -> Self {
-        let (rows, nv, ne) = (g.node_count(), g.node_count() * f, g.edge_count() * f);
+    /// Buffers for `nv` variables and `rows` period rows, zeroed.
+    fn for_graph(nv: usize, rows: usize) -> Self {
         SolverScratch {
-            topo: TopoScratch::default(),
-            order: Vec::with_capacity(rows),
-            csr: CsrConstraintGraph {
-                var: Vec::with_capacity(nv),
-                leg_row: Vec::with_capacity(nv + 2),
-                leg_col: Vec::with_capacity(ne),
-                leg_w: Vec::with_capacity(ne),
-                per_row: Vec::with_capacity(rows + 1),
-                cursor: Vec::with_capacity(nv + 1),
-                ..CsrConstraintGraph::default()
-            },
-            dist: Vec::with_capacity(nv),
-            walk: Vec::with_capacity(nv),
-            inq: Vec::with_capacity(nv.div_ceil(64)),
-            queue: VecDeque::with_capacity(nv),
-            active: Vec::with_capacity(rows),
-            feas: Vec::with_capacity(nv),
-            compact: CompactScratch::with_capacity(nv),
+            dist: vec![0; nv],
+            walk: vec![0; nv],
+            inq: vec![0; nv.div_ceil(64)],
+            active: vec![0; rows],
+            feas: vec![0; nv],
+            ..Self::default()
         }
-    }
-
-    /// Size every buffer for `nv` variables and `rows` period rows, and
-    /// zero the per-graph state.
-    fn reset(&mut self, nv: usize, rows: usize) {
-        self.dist.clear();
-        self.dist.resize(nv, 0);
-        self.walk.clear();
-        self.walk.resize(nv, 0);
-        self.inq.clear();
-        self.inq.resize(nv.div_ceil(64), 0);
-        self.queue.clear();
-        self.active.clear();
-        self.active.resize(rows, 0);
-        self.feas.clear();
-        self.feas.resize(nv, 0);
     }
 
     #[inline]
@@ -406,36 +372,18 @@ pub struct RetimeSolver<'a> {
 }
 
 impl<'a> RetimeSolver<'a> {
-    /// Build a solver for the `wd.factor()`-unfolding of `g`, allocating a
-    /// fresh scratch arena.
+    /// Build a solver for the `wd.factor()`-unfolding of `g`.
     pub fn new(g: &'a Dfg, wd: &'a WdMatrices) -> Self {
-        Self::with_scratch(g, wd, SolverScratch::new())
-    }
-
-    /// Build a solver reusing `scratch` from a previous solver (e.g. the
-    /// previous unfolding factor of a sweep); buffers are resized, never
-    /// shrunk, so steady-state solves allocate nothing.
-    pub fn with_scratch(g: &'a Dfg, wd: &'a WdMatrices, mut scratch: SolverScratch) -> Self {
-        let mut csr = std::mem::take(&mut scratch.csr);
-        csr.rebuild(g, wd);
-        scratch.reset(csr.n, csr.rows());
+        let csr = CsrConstraintGraph::build(g, wd);
         RetimeSolver {
             g,
+            s: SolverScratch::for_graph(csr.n, csr.rows()),
             csr,
-            s: scratch,
             // The all-zero vector is the exact fixpoint of the legality-only
             // system (every edge delay is >= 0), i.e. of period "infinity".
             feas_c: NO_PERIOD,
             act_prefix: 0,
         }
-    }
-
-    /// Recover the scratch arena, the constraint graph's storage
-    /// included, for reuse by the next solver.
-    pub fn into_scratch(self) -> SolverScratch {
-        let mut s = self.s;
-        s.csr = self.csr;
-        s
     }
 
     /// Move the materialized activation prefix (and the per-row active
@@ -932,20 +880,6 @@ mod tests {
                 let slow = min_span_retiming_reference(&g, &wd, c).unwrap();
                 assert_eq!(fast, slow, "seed {seed} period {c}");
             }
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_across_graphs_is_clean() {
-        let mut scratch = SolverScratch::new();
-        for seed in 0..12 {
-            let g = random(seed, 4 + (seed as usize % 7));
-            let wd = WdMatrices::compute(&g);
-            let mut solver = RetimeSolver::with_scratch(&g, &wd, scratch);
-            let fast = solver.min_period();
-            let slow = min_period_retiming_reference(&g, &wd);
-            assert_eq!(fast.retiming, slow.retiming, "seed {seed}");
-            scratch = solver.into_scratch();
         }
     }
 

@@ -30,11 +30,16 @@
 //!   constraint at a time, checkpoint/rollback on a trail, positive-cycle
 //!   witnesses), the DPLL(T)-style theory core `cred-exact`'s
 //!   branch-and-bound scheduler propagates its dependence side on;
-//! * [`incremental`] — the production solver: CSR constraint graph with a
+//! * [`incremental`] — the W/D solver: CSR constraint graph with a
 //!   period-activation prefix, queue-based SPFA, a period search that
 //!   starts at a proven closed-walk lower bound, and warm starts across
 //!   its probes (bit-identical to the reference); its answer at a period
-//!   has the minimum span `M_r` of that period;
+//!   has the minimum span `M_r` of that period. It serves
+//!   [`min_period_retiming`] and its callers, and is the independent
+//!   check of the planner below;
+//! * [`feas`] — the exploration engine's planner: Leiserson–Saxe FEAS on
+//!   an unfolding, with no W/D matrices, searched from the iteration
+//!   bound; its answers equal the W/D solver's, compaction included;
 //! * [`minperiod`] — the OPT algorithm (search over W/D candidate
 //!   periods) plus fixed-period retiming;
 //! * [`span`] — the dense span search kept as the oracle of that minimum,
@@ -44,6 +49,7 @@
 
 pub mod constraints;
 pub mod diff;
+pub mod feas;
 pub mod incremental;
 pub mod minperiod;
 pub mod registers;
@@ -52,7 +58,8 @@ pub mod span;
 
 pub use constraints::ConstraintSystem;
 pub use diff::DiffEngine;
-pub use incremental::{CsrConstraintGraph, RetimeSolver, SolverScratch};
+pub use feas::FeasPlanner;
+pub use incremental::{CsrConstraintGraph, RetimeSolver};
 pub use minperiod::{
     min_period_retiming, min_period_retiming_with, retime_to_period, MinPeriodResult,
 };

@@ -10,9 +10,12 @@
 //!
 //! are satisfiable. The optimal period is found by search over the
 //! distinct entries of `D`, which are exactly the candidate periods: the
-//! production solver ([`crate::RetimeSolver`]) starts at a proven lower
-//! bound, and the reference ([`min_period_retiming_reference`]) bisects
-//! the whole list.
+//! W/D solver ([`crate::RetimeSolver`]) starts at a proven lower bound,
+//! and the reference ([`min_period_retiming_reference`]) bisects the
+//! whole list. The exploration engine plans unfoldings with
+//! [`crate::FeasPlanner`] instead, which decides each period from the
+//! retimed graph and needs no W/D matrices; [`min_period_retiming`] on a
+//! built unfolding is the independent check of its plans.
 
 use crate::{ConstraintSystem, Retiming};
 use cred_dfg::algo::WdMatrices;

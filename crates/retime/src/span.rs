@@ -130,7 +130,7 @@ impl CompactScratch {
 /// holding its working sets, so a pass allocates only its result.
 pub(crate) fn compact_greedy(
     r: &Retiming,
-    satisfied: impl Fn(&[i64]) -> bool,
+    mut satisfied: impl FnMut(&[i64]) -> bool,
     scratch: &mut CompactScratch,
 ) -> Retiming {
     let CompactScratch {

@@ -3,13 +3,14 @@
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::{algo, gen, Dfg, Ratio};
 use cred_resilience::Budget;
+use cred_retime::feas::Verdict;
 use cred_retime::minperiod::{
     constraints_for_period, min_period_retiming_reference, retime_to_period_reference,
 };
 use cred_retime::span::{
     compact_values, compact_values_wd, compact_values_with, min_span_retiming_reference,
 };
-use cred_retime::{min_period_retiming, retime_to_period, RetimeSolver, Retiming};
+use cred_retime::{min_period_retiming, retime_to_period, FeasPlanner, RetimeSolver, Retiming};
 use cred_unfold::unfold;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -25,6 +26,80 @@ fn graph_from(seed: u64, nodes: usize) -> Dfg {
             max_time: 3,
         },
     )
+}
+
+/// The larger random graphs the FEAS differential runs on: up to 16
+/// nodes, delays up to 4 and times up to 5.
+fn wide_graph_from(seed: u64, nodes: usize) -> Dfg {
+    gen::random_dfg(
+        &mut StdRng::seed_from_u64(seed),
+        &gen::RandomDfgConfig {
+            nodes,
+            forward_edge_prob: 0.3,
+            back_edges: (nodes / 2).max(1),
+            max_delay: 4,
+            max_time: 5,
+        },
+    )
+}
+
+/// The FEAS planner on the `f`-unfolding of `g` against the W/D solver on
+/// its residue-form matrices: the same period, pre-compaction retiming and
+/// compacted retiming. The search probes at most `⌈log2 t_max⌉ + 1`
+/// periods, refuses exactly those below the optimum, and refuses each by
+/// the round cap or by a cycle of forcing constraints whose weights sum
+/// above zero. Each constraint of such a cycle names a path `s ~> v` of
+/// `1 - w` delays and time above the probe; the W/D matrices must admit
+/// it: `W(s, v) <= 1 - w`, and `D(s, v)` above the probe when the path
+/// has the minimum delay count.
+fn assert_feas_matches_wd(
+    g: &Dfg,
+    f: usize,
+    planner: &mut FeasPlanner,
+) -> Result<(), TestCaseError> {
+    let wd = WdMatrices::compute_unfolded(g, f);
+    let mut solver = RetimeSolver::new(g, &wd);
+    let slow = solver.min_period();
+    let fast = planner.min_period(g, f);
+    prop_assert_eq!(fast.period, slow.period, "f = {}", f);
+    prop_assert_eq!(&fast.retiming, &slow.retiming, "f = {}", f);
+    prop_assert_eq!(
+        planner.compact(fast.period, &fast.retiming),
+        solver.compact(slow.period, &slow.retiming),
+        "f = {}",
+        f
+    );
+    let t_max = g.node_ids().map(|v| g.node(v).time).max().unwrap() as u64;
+    let most = t_max.next_power_of_two().trailing_zeros() as usize + 1;
+    let probes = planner.probes();
+    prop_assert!(probes.len() <= most, "f = {}: {:?}", f, probes);
+    for probe in probes {
+        let c = probe.period;
+        prop_assert_eq!(
+            probe.verdict == Verdict::Feasible,
+            c >= slow.period,
+            "f = {}: {:?}",
+            f,
+            probe
+        );
+        match probe.verdict {
+            Verdict::Feasible => {}
+            Verdict::RoundCap => prop_assert_eq!(probe.rounds as usize, g.node_count() * f),
+            Verdict::Certificate { .. } => {
+                let cycle = planner.certificate(probe);
+                prop_assert!(!cycle.is_empty());
+                for (i, k) in cycle.iter().enumerate() {
+                    prop_assert_eq!(k.s, cycle[(i + 1) % cycle.len()].v, "{:?}", cycle);
+                    let (s, v, delays) = (k.s as usize, k.v as usize, 1 - k.w);
+                    let w = wd.w(s, v).expect("the path exists");
+                    prop_assert!(w <= delays, "{:?}: W = {}", k, w);
+                    prop_assert!(w < delays || wd.d(s, v).unwrap() > c as i64, "{:?}", k);
+                }
+                prop_assert!(cycle.iter().map(|k| k.w).sum::<i64>() > 0, "{:?}", cycle);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The minimum-span predicate: `r`, the solver's answer at period `c`, is
@@ -170,7 +245,11 @@ proptest! {
         let fast = RetimeSolver::new(&g, &wd).min_period();
         let slow = min_period_retiming_reference(&g, &wd);
         prop_assert_eq!(fast.period, slow.period);
-        prop_assert_eq!(fast.retiming, slow.retiming);
+        prop_assert_eq!(&fast.retiming, &slow.retiming);
+        // So must the FEAS planner, which reads no W/D matrices.
+        let feas = FeasPlanner::new().min_period(&g, 1);
+        prop_assert_eq!(feas.period, slow.period);
+        prop_assert_eq!(feas.retiming, slow.retiming);
     }
 
     #[test]
@@ -256,6 +335,9 @@ proptest! {
             let slow = min_period_retiming_reference(&u, &full);
             prop_assert_eq!(opt.period, slow.period, "f = {}", f);
             prop_assert_eq!(&opt.retiming, &slow.retiming, "f = {}", f);
+            let feas = FeasPlanner::new().min_period(&g, f);
+            prop_assert_eq!(feas.period, slow.period, "f = {}", f);
+            prop_assert_eq!(&feas.retiming, &slow.retiming, "f = {}", f);
             let c = opt.period;
             for c in [c, c + 1] {
                 let fast = solver.retime_to_period(c).unwrap();
@@ -276,6 +358,18 @@ proptest! {
                     "f = {}, period {}", f, c
                 );
             }
+        }
+    }
+
+    #[test]
+    fn feas_plans_are_bit_identical_to_the_wd_solver(seed in any::<u64>(), nodes in 2..=16usize) {
+        // Larger graphs than the dense reference can afford: the W/D
+        // solver, itself held to that reference above, is the oracle. One
+        // planner serves every factor, as in an explore request.
+        let g = wide_graph_from(seed, nodes);
+        let mut planner = FeasPlanner::new();
+        for f in 1..=8 {
+            assert_feas_matches_wd(&g, f, &mut planner)?;
         }
     }
 
@@ -331,4 +425,22 @@ fn span_oracle_rejects_a_legal_non_maximal_answer() {
         mutants += 1;
     }
     assert!(mutants >= 32, "only {mutants} graphs had two SCCs");
+}
+
+/// Figure 8 of Chao–Sha: times 1, 4, 5, 7 and 10 on one cycle of two
+/// delays, B = 27/2. At odd factors the first probe, `⌈f·27/2⌉`, is one
+/// below the optimum, so the search bisects and the refusal is checked.
+#[test]
+fn fig8_first_probe_is_one_below_the_optimum_at_odd_factors() {
+    let g = gen::ring(&[1, 4, 5, 7, 10], &[0, 0, 1, 0, 1]);
+    assert_eq!(algo::iteration_bound(&g), Some(Ratio::new(27, 2)));
+    let mut planner = FeasPlanner::new();
+    for f in [1, 3, 5, 7] {
+        assert_feas_matches_wd(&g, f, &mut planner).unwrap();
+        let first = planner.probes()[0];
+        assert_eq!(first.period, (27 * f as u64).div_ceil(2), "f = {f}");
+        assert_ne!(first.verdict, Verdict::Feasible, "f = {f}");
+        let opt = planner.min_period(&g, f);
+        assert_eq!(opt.period, first.period + 1, "f = {f}");
+    }
 }

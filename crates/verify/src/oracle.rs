@@ -40,7 +40,11 @@
 //!   its register count with the `cred` program's;
 //! * 4.4 reads the generated unfold-retime program, and 4.5 the
 //!   unfold-then-retime optimum. A retime-unfold case derives no such
-//!   optimum, so its theorem layer computes one for 4.5.
+//!   optimum, so its theorem layer computes one for 4.5, with the W/D
+//!   solver on the built unfolding, and fails the case when the plan's
+//!   period differs from it. The plan comes from the FEAS planner, so
+//!   every retime-unfold case is a differential test of the two
+//!   algorithms, at no extra solve.
 //!
 //! The claim of 4.3, 4.6 and 4.7 that the programs compute the same
 //! results is layer 2's verified diff, on the selected executor, so the
@@ -245,10 +249,10 @@ impl CaseDerivation {
         let original = Generated::new(original_program(g, n), ExpectedCounts::original(g, n));
         let order = match case.order {
             TransformOrder::RetimeUnfold => {
-                // The production path under attack: the warm-started
-                // solver pipeline behind `cred explore` (period search,
-                // whose answer has minimum span, register compaction,
-                // Theorem 4.5 projection).
+                // The production path under attack: the FEAS planner
+                // behind `cred explore` (period search from the iteration
+                // bound, whose answer has minimum span, register
+                // compaction, Theorem 4.5 projection).
                 let plan = compute_plan(g, f);
                 let r = &plan.projected;
                 Derived::RetimeUnfold {
@@ -598,8 +602,17 @@ fn check_theorems(case: &Case, d: &CaseDerivation) -> Result<(), VerifyFailure> 
             theorems::check_4_3(g, r, &cred.program).map_err(&fail)?;
             // No other layer of a retime-unfold case builds the
             // unfold-then-retime optimum, so Theorem 4.5 computes it here.
+            // The W/D solver finds it on the built unfolding, independently
+            // of the FEAS planner behind the plan, so the plan's period is
+            // checked against it too.
             let u = unfold(g, f);
             let optimum = min_period_retiming(&u.graph);
+            if plan.period != optimum.period {
+                return Err(fail(format!(
+                    "plan period {} against the unfold-then-retime optimum {}",
+                    plan.period, optimum.period
+                )));
+            }
             theorems::check_4_5(g, n, &u, &optimum, retime_unfold).map_err(&fail)?;
             theorems::check_4_6(g, r, n, &cred_retime_unfold.trace).map_err(&fail)?;
             theorems::check_4_7(&cred.program, &cred_retime_unfold.program).map_err(&fail)?;
